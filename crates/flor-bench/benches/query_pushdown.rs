@@ -8,7 +8,7 @@
 //! post-pass. This bench measures both at a 10k-row log history with a
 //! ≤1% selectivity filter:
 //!
-//! * `full_pivot_post_filter` — `Flor::dataframe_full`, then filter /
+//! * `full_pivot_post_filter` — `query(..).collect_full()`, then filter /
 //!   sort / limit on the full frame (the seed's only option).
 //! * `query_pushdown` — a live commit followed by `collect()`: deltas
 //!   land on the maintained filtered view, the post-pass touches only
@@ -51,7 +51,8 @@ fn selective(flor: &Flor, target_ts: i64) -> flor_core::QueryBuilder<'_> {
 /// The seed's answer to the same question: full re-pivot, then post-hoc
 /// filter / sort / limit by hand.
 fn full_pivot_post_filter(flor: &Flor, target_ts: i64) -> flor_df::DataFrame {
-    flor.dataframe_full(&NAMES)
+    flor.query(&NAMES)
+        .collect_full()
         .expect("full pivot")
         .filter(|r| r.get("tstamp") == Some(&Value::Int(target_ts)))
         .sort_by(&[("loss", true)])

@@ -2,7 +2,7 @@
 //!
 //! Every bench and the `experiments` binary build their workloads from
 //! here, so the criterion benches and the printed paper-style tables
-//! measure identical setups. See EXPERIMENTS.md for the experiment index.
+//! measure identical setups.
 
 use flor_core::{run_script, Flor};
 use flor_obs::MetricsRegistry;

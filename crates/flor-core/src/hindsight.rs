@@ -522,7 +522,7 @@ with flor.checkpointing(net) {
             "hindsight values must flow into the live view"
         );
         // And incrementally-maintained still equals the from-scratch oracle.
-        assert_eq!(after, flor.dataframe_full(&["loss", "acc"]).unwrap());
+        assert_eq!(after, flor.query(&["loss", "acc"]).collect_full().unwrap());
         assert_eq!(flor.views.stats().fallback_rebuilds, 0);
         assert_eq!(flor.views.stats().misses, 1);
     }

@@ -645,7 +645,7 @@ with flor.checkpointing(net) {
                 .count(),
             0
         );
-        assert_eq!(after, flor.dataframe_full(&["loss", "acc"]).unwrap());
+        assert_eq!(after, flor.query(&["loss", "acc"]).collect_full().unwrap());
         // Durable observability.
         assert_eq!(flor.job_stats().unwrap().done, 1);
         assert_eq!(flor.jobs().unwrap()[0].state, JobState::Done);
@@ -670,7 +670,7 @@ with flor.checkpointing(net) {
         // Reads are unaffected.
         assert_eq!(
             flor.dataframe(&["loss"]).unwrap(),
-            flor.dataframe_full(&["loss"]).unwrap()
+            flor.query(&["loss"]).collect_full().unwrap()
         );
     }
 
@@ -739,7 +739,7 @@ with flor.checkpointing(net) {
         // from-scratch oracle (over the compacted scan), and the
         // pre-compaction frame all agree.
         let after_inc = flor.dataframe(&["loss", "acc"]).unwrap();
-        let after_full = flor.dataframe_full(&["loss", "acc"]).unwrap();
+        let after_full = flor.query(&["loss", "acc"]).collect_full().unwrap();
         assert_eq!(after_inc, before_inc);
         assert_eq!(after_full, before_inc);
         // The jobs fold still resolves every payload/state.
@@ -823,7 +823,7 @@ with flor.checkpointing(net) {
         // Whatever did land kept the view consistent with the oracle.
         assert_eq!(
             flor.dataframe(&["loss", "acc"]).unwrap(),
-            flor.dataframe_full(&["loss", "acc"]).unwrap()
+            flor.query(&["loss", "acc"]).collect_full().unwrap()
         );
     }
 

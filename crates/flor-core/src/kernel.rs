@@ -555,52 +555,20 @@ impl Flor {
     /// A one-line wrapper over [`Flor::query`] — served from the
     /// incremental view catalog: the first call builds the view, later
     /// calls apply only the deltas committed since (paper §1: incremental
-    /// context maintenance). [`Flor::dataframe_full`] is the from-scratch
-    /// equivalent and the correctness oracle.
+    /// context maintenance). `flor.query(names).collect_full()` is the
+    /// from-scratch equivalent and the correctness oracle.
     pub fn dataframe(&self, names: &[&str]) -> StoreResult<DataFrame> {
         self.query(names).collect()
     }
 
-    /// From-scratch `flor.dataframe`: re-fetches, re-joins and re-pivots
-    /// the base tables on every call. Kept as the incremental path's
-    /// correctness oracle and fallback; `flor-bench`'s `view_maintenance`
-    /// benchmark measures the two against each other. A one-line wrapper
-    /// over [`Flor::query`]'s `collect_full`.
-    pub fn dataframe_full(&self, names: &[&str]) -> StoreResult<DataFrame> {
-        self.query(names).collect_full()
-    }
-
-    /// The from-scratch pivot every `collect_full` oracle starts from:
-    /// fetch the projected log rows, resolve loop-context chains, and
-    /// pivot long → wide.
-    pub(crate) fn pivot_from_scratch(&self, names: &[&str]) -> StoreResult<DataFrame> {
-        // Pin one snapshot so the log fetch and the loop-context
-        // resolution reflect the same epoch.
-        Flor::pivot_at(&self.db.pin(), names)
-    }
-
-    /// The same from-scratch pivot against a **caller-pinned** snapshot:
-    /// the log fetch and loop-context resolution both read `snap`, so
-    /// the frame reflects exactly `snap.epoch()` no matter how many
-    /// commits land meanwhile. This is how a server session answers
-    /// every request at the epoch it pinned at open.
-    pub(crate) fn pivot_at(snap: &Snapshot, names: &[&str]) -> StoreResult<DataFrame> {
-        // 1. Fetch matching log rows via the value_name index, in log
-        //    insertion order — the same order the change feed delivers
-        //    deltas, so both paths produce identical frames. All reads
-        //    here are lock-free.
-        let values: Vec<Value> = names.iter().map(|n| Value::from(*n)).collect();
-        let logs = snap.lookup_many("logs", "value_name", &values)?;
-        Flor::pivot_logs(snap, logs)
-    }
-
-    /// Steps 2–4 of the pivot, split out so the traced serve path can
-    /// fetch the log rows through the *measured* store query (for an
-    /// explain/zone-prune span) and still share the exact join + pivot —
-    /// the store returns rows in the same order either way, so frames
-    /// stay byte-identical.
+    /// The from-scratch pivot behind [`Flor::execute_at`]: resolve the
+    /// loop-context chains of the fetched `logs` rows (in log insertion
+    /// order — the order the change feed delivers deltas, so both paths
+    /// produce identical frames) against `snap`'s `loops` table and
+    /// pivot long → wide. All reads are lock-free and reflect exactly
+    /// `snap.epoch()`.
     pub(crate) fn pivot_logs(snap: &Snapshot, logs: DataFrame) -> StoreResult<DataFrame> {
-        // 2. Resolve ctx chains from the loops table.
+        // 1. Resolve ctx chains from the loops table.
         let loops = snap.scan("loops")?;
         #[derive(Clone)]
         struct CtxRow {
@@ -625,7 +593,7 @@ impl Flor {
                 },
             );
         }
-        // 3. Long frame with dimension columns.
+        // 2. Long frame with dimension columns.
         let mut long = DataFrame::new();
         for r in logs.rows() {
             let mut entries: Vec<(String, Value)> = vec![
@@ -679,7 +647,7 @@ impl Flor {
         if long.n_rows() == 0 {
             return Ok(DataFrame::new());
         }
-        // 4. Pivot: index = all columns except value_name/value.
+        // 3. Pivot: index = all columns except value_name/value.
         let index: Vec<&str> = long
             .column_names()
             .into_iter()
@@ -691,17 +659,9 @@ impl Flor {
 
     /// Convenience: dataframe + `latest` (paper Fig. 6's
     /// `flor.utils.latest`), as a one-line wrapper over [`Flor::query`].
-    /// Incrementally maintained like [`Flor::dataframe`];
-    /// [`Flor::dataframe_latest_full`] is the oracle.
+    /// Incrementally maintained like [`Flor::dataframe`].
     pub fn dataframe_latest(&self, names: &[&str], group: &[&str]) -> StoreResult<DataFrame> {
         self.query(names).latest(group).collect()
-    }
-
-    /// From-scratch `dataframe` + `latest`: the incremental path's
-    /// oracle, as a one-line wrapper over [`Flor::query`]'s
-    /// `collect_full`.
-    pub fn dataframe_latest_full(&self, names: &[&str], group: &[&str]) -> StoreResult<DataFrame> {
-        self.query(names).latest(group).collect_full()
     }
 }
 
@@ -911,7 +871,7 @@ mod tests {
             // After every commit the maintained view must equal a rebuild,
             // cell for cell.
             let inc = flor.dataframe(&["loss", "acc"]).unwrap();
-            let full = flor.dataframe_full(&["loss", "acc"]).unwrap();
+            let full = flor.query(&["loss", "acc"]).collect_full().unwrap();
             assert_eq!(inc, full, "round {round}");
         }
         // Repeated reads with no new commits share one snapshot.
@@ -933,7 +893,9 @@ mod tests {
                 .dataframe_latest(&["page_color"], &["document_value"])
                 .unwrap();
             let full = flor
-                .dataframe_latest_full(&["page_color"], &["document_value"])
+                .query(&["page_color"])
+                .latest(&["document_value"])
+                .collect_full()
                 .unwrap();
             assert_eq!(inc, full, "round {round}");
         }

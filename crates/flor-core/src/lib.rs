@@ -9,8 +9,12 @@
 //!   tables;
 //! * [`QueryBuilder`] — the lazy query surface behind [`Flor::query`]:
 //!   filters, `latest` dedup, ordering and limits, lowered onto
-//!   incrementally maintained views with predicate pushdown (the legacy
-//!   `dataframe*` entrypoints are one-line wrappers over it);
+//!   incrementally maintained views with predicate pushdown
+//!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
+//!   Two executors sit behind it: [`Flor::run_plan`] (incremental, view
+//!   catalog) and [`Flor::execute_at`] (from scratch at a pinned
+//!   snapshot — the oracle, and what `flor-serve` answers with); tracing
+//!   is an inert-when-off handle passed to both, never a second path;
 //! * [`run_script`] — execute a versioned florscript file under full
 //!   instrumentation with a checkpoint policy, persisting replay metadata;
 //! * [`backfill`] — multiversion hindsight logging: propagate new log

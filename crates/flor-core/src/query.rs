@@ -7,8 +7,18 @@
 //! [`QueryPlan`] lazily; nothing touches the store until a `collect`
 //! call, at which point the plan lowers through three layers (store
 //! index pushdown → incrementally maintained view → dataframe
-//! post-pass; see [`flor_view::plan`]). All six legacy `dataframe*`
-//! entrypoints are one-line wrappers over this builder.
+//! post-pass; see [`flor_view::plan`]). The paper's two read calls,
+//! [`Flor::dataframe`] and [`Flor::dataframe_latest`], are one-line
+//! wrappers over this builder.
+//!
+//! There are two executors and no more. [`Flor::run_plan`] serves a plan
+//! incrementally from the view catalog; [`Flor::execute_at`] runs it
+//! from scratch against a pinned snapshot ([`Flor::run_plan_at`] and
+//! [`Flor::run_plan_full`] are its one-line callers) and is both the
+//! oracle every incremental answer is checked against and the path
+//! `flor-serve` answers sessions with. Both take tracing as an
+//! [`ActiveTrace`] handle that is inert when tracing and the slow log
+//! are off, so neither has a traced twin.
 //!
 //! ```
 //! use flor_core::Flor;
@@ -44,8 +54,9 @@
 
 use crate::kernel::Flor;
 use flor_df::{DataFrame, Value};
+use flor_obs::ActiveTrace;
 use flor_store::{CmpOp, Predicate, Query, QueryExplain, StoreResult};
-use flor_view::QueryPlan;
+use flor_view::{CatalogStats, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,18 +156,13 @@ impl Flor {
     /// publishes a `query.collect` trace; when the slow-query log is
     /// armed ([`Flor::set_slow_query_threshold`]) and the execution
     /// exceeds the threshold, a measured [`ExplainReport`] plus the
-    /// trace land in [`Flor::slow_queries`]. With both off, this is two
-    /// relaxed loads on top of the plain view serve.
+    /// trace land in [`Flor::slow_queries`]. With both off the trace
+    /// handle is inert: two relaxed loads on top of the plain view serve.
     pub fn run_plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
         let registry = self.metrics_registry();
-        let traces = registry.traces();
-        let slow = registry.slow_queries();
-        if !traces.enabled() && !slow.armed() {
-            return self.views.plan(plan);
-        }
-        let mut tr =
-            flor_obs::ActiveTrace::start_detached(flor_obs::TraceId::generate(), "query.collect");
-        tr.set_detail(format!("{:?}", plan.names));
+        let (traces, slow) = (registry.traces(), registry.slow_queries());
+        let mut tr = ActiveTrace::new(traces.enabled() || slow.armed(), None, "query.collect");
+        tr.set_detail(|| format!("{:?}", plan.names));
         // The stats delta is only consumed by a slow-query capture;
         // don't pay for the catalog lock when no threshold is armed.
         let before = slow.armed().then(|| self.views.stats());
@@ -164,109 +170,113 @@ impl Flor {
         let result = self.views.plan(plan);
         tr.end(sp);
         if let Ok(frame) = &result {
-            tr.event(format!("rows={}", frame.n_rows()));
+            tr.event(|| format!("rows={}", frame.n_rows()));
         }
-        let total = tr.elapsed_nanos();
-        let threshold = slow.threshold_nanos();
-        let breach = result.is_ok() && matches!(threshold, Some(t) if total > t);
         let trace = tr.finish(traces);
-        if breach {
-            // audit: allow(panic) — `breach` is defined three lines up
-            // as `result.is_ok() && threshold armed`, so both unwraps
-            // are guarded by the very flag that gates this block.
-            let frame = result.as_ref().expect("breach implies ok");
-            let before = before.expect("breach implies armed"); // audit: allow(panic) — same guard
-
-            let after = self.views.stats();
-            // The same measured report `QueryBuilder::explain` builds:
-            // view-stage deltas plus a store probe of the base fetch.
-            let names: Vec<Value> = plan.names.iter().map(|n| Value::from(n.as_str())).collect();
-            let snap = self.db.pin();
-            if let Ok((_, store)) =
-                snap.explain(&Query::table("logs").filter_in("value_name", names))
-            {
-                let report = ExplainReport {
-                    store,
-                    view_hit: after.hits > before.hits,
-                    view_rebuilt: after.fallback_rebuilds > before.fallback_rebuilds,
-                    batches_applied: after.batches_applied.saturating_sub(before.batches_applied),
-                    serve_nanos: total,
-                    rows_returned: frame.n_rows(),
-                    plan: plan.clone(),
-                    frame: Arc::clone(frame),
+        let frame = result?;
+        if let (Some(trace), Some(before), Some(threshold)) =
+            (trace, before, slow.threshold_nanos())
+        {
+            let total = trace.total_nanos;
+            if total > threshold {
+                // The same measured report `QueryBuilder::explain`
+                // returns; a failed store probe is recorded, not dropped.
+                let explain = match self.explain_report(plan, &before, total, Arc::clone(&frame)) {
+                    Ok(report) => report.to_string(),
+                    Err(e) => format!("explain unavailable: {e}"),
                 };
                 slow.record(flor_obs::SlowQueryRecord {
-                    trace,
+                    trace: Arc::unwrap_or_clone(trace),
                     verb: "query.collect".into(),
                     plan: format!("{:?}", plan.names),
-                    explain: report.to_string(),
+                    explain,
                     total_nanos: total,
-                    threshold_nanos: threshold.unwrap_or(u64::MAX),
+                    threshold_nanos: threshold,
                     at_unix_micros: flor_obs::unix_micros(),
                 });
             }
         }
-        result
+        Ok(frame)
     }
 
-    /// Execute a [`QueryPlan`] from scratch: re-fetch, re-join and
-    /// re-pivot the base tables, then apply the whole plan as a
-    /// post-pass. The correctness oracle for [`Flor::run_plan`].
+    /// The one place an [`ExplainReport`] is built: the view-stage
+    /// deltas since `before` plus a store probe — on a fresh snapshot,
+    /// with the same index query the view's build performs — of the base
+    /// `logs` fetch behind the serve that produced `frame`.
+    fn explain_report(
+        &self,
+        plan: &QueryPlan,
+        before: &CatalogStats,
+        serve_nanos: u64,
+        frame: Arc<DataFrame>,
+    ) -> StoreResult<ExplainReport> {
+        let after = self.views.stats();
+        let (_, store) = self.db.pin().explain(&logs_fetch(plan))?;
+        Ok(ExplainReport {
+            store,
+            view_hit: after.hits > before.hits,
+            view_rebuilt: after.fallback_rebuilds > before.fallback_rebuilds,
+            batches_applied: after.batches_applied.saturating_sub(before.batches_applied),
+            serve_nanos,
+            rows_returned: frame.n_rows(),
+            plan: plan.clone(),
+            frame,
+        })
+    }
+
+    /// Execute a [`QueryPlan`] from scratch at the current epoch:
+    /// re-fetch, re-join and re-pivot the base tables, then apply the
+    /// whole plan as a post-pass. The correctness oracle for
+    /// [`Flor::run_plan`].
     pub fn run_plan_full(&self, plan: &QueryPlan) -> StoreResult<DataFrame> {
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let base = self.pivot_from_scratch(&names)?;
-        if plan.post_pass_is_identity(&plan.predicates, plan.latest_group.is_some()) {
-            return Ok(base);
-        }
-        plan.post_pass(&base, &plan.predicates, true)
+        self.run_plan_at(&self.db.pin(), plan)
     }
 
     /// Execute a [`QueryPlan`] against a **caller-pinned**
-    /// [`Snapshot`](flor_store::Snapshot): the from-scratch pivot and the
-    /// whole plan post-pass run at exactly the snapshot's epoch, no
-    /// matter how many commits land meanwhile. This is how `flor-serve`
-    /// answers every request of a session at the epoch the session
-    /// pinned: the response is byte-identical to what
-    /// [`Flor::run_plan_full`] would have returned at that moment.
+    /// [`Snapshot`](flor_store::Snapshot), untraced: [`Flor::execute_at`]
+    /// with an inert trace handle.
     pub fn run_plan_at(
         &self,
         snap: &flor_store::Snapshot,
         plan: &QueryPlan,
     ) -> StoreResult<DataFrame> {
-        let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-        let base = Flor::pivot_at(snap, &names)?;
-        if plan.post_pass_is_identity(&plan.predicates, plan.latest_group.is_some()) {
-            return Ok(base);
-        }
-        plan.post_pass(&base, &plan.predicates, true)
+        self.execute_at(snap, plan, &mut ActiveTrace::new(false, None, ""))
+            .map(|(df, _)| df)
     }
 
-    /// [`Flor::run_plan_at`] with child spans recorded into an active
-    /// trace: `store.scan` (the base `logs` fetch through the *measured*
-    /// store query, its access path and zone pruning as a span event),
-    /// `pivot`, and `post_pass` when one runs. The returned frame is
-    /// byte-identical to [`Flor::run_plan_at`]'s — the measured fetch
-    /// returns rows in the same order as the untraced index path — and
-    /// the measured [`QueryExplain`] rides along for slow-query capture.
-    pub fn run_plan_at_traced(
+    /// The snapshot executor — the single from-scratch execution body.
+    /// The base `logs` fetch (`value_name IN names`, through the same
+    /// measured store query the view build uses), the loop-context join
+    /// and pivot, and the whole plan post-pass all read `snap`, so the
+    /// frame reflects exactly `snap.epoch()` no matter how many commits
+    /// land meanwhile. This is how `flor-serve` answers every request of
+    /// a session at the epoch the session pinned: byte-identical to what
+    /// [`Flor::run_plan_full`] would have returned at that moment.
+    ///
+    /// `tr` records child spans `store.scan` (access path and zone
+    /// pruning as a span event), `pivot`, and `post_pass` when one runs
+    /// — or nothing at all when it is inert; the frame is the same
+    /// either way. The measured [`QueryExplain`] rides along for
+    /// slow-query capture.
+    pub fn execute_at(
         &self,
         snap: &flor_store::Snapshot,
         plan: &QueryPlan,
-        tr: &mut flor_obs::ActiveTrace,
+        tr: &mut ActiveTrace,
     ) -> StoreResult<(DataFrame, QueryExplain)> {
-        let values: Vec<Value> = plan.names.iter().map(|n| Value::from(n.as_str())).collect();
         let scan = tr.begin("store.scan");
-        let (logs, explain) =
-            snap.explain(&Query::table("logs").filter_in("value_name", values))?;
-        tr.event(format!(
-            "access={} segments={}/{} pruned={} rows examined={} returned={}",
-            explain.access,
-            explain.segments_scanned,
-            explain.segments_total,
-            explain.segments_pruned,
-            explain.rows_examined,
-            explain.rows_returned,
-        ));
+        let (logs, explain) = snap.explain(&logs_fetch(plan))?;
+        tr.event(|| {
+            format!(
+                "access={} segments={}/{} pruned={} rows examined={} returned={}",
+                explain.access,
+                explain.segments_scanned,
+                explain.segments_total,
+                explain.segments_pruned,
+                explain.rows_examined,
+                explain.rows_returned,
+            )
+        });
         tr.end(scan);
         let piv = tr.begin("pivot");
         let base = Flor::pivot_logs(snap, logs)?;
@@ -279,6 +289,13 @@ impl Flor {
         tr.end(pp);
         Ok((out, explain))
     }
+}
+
+/// The base fetch under every execution of `plan`: the `logs` rows whose
+/// `value_name` the plan projects, served from the secondary index.
+fn logs_fetch(plan: &QueryPlan) -> Query {
+    let names = plan.names.iter().map(|n| Value::from(n.as_str())).collect();
+    Query::table("logs").filter_in("value_name", names)
 }
 
 impl<'a> QueryBuilder<'a> {
@@ -353,33 +370,13 @@ impl<'a> QueryBuilder<'a> {
         let t0 = Instant::now();
         let frame = self.flor.run_plan(&self.plan)?;
         let serve_nanos = t0.elapsed().as_nanos() as u64;
-        let after = self.flor.views.stats();
-        // Probe the store with the same index query the view's build
-        // performs, on a fresh snapshot, to surface the access path and
-        // pruning behind the serve above.
-        let names: Vec<Value> = self
-            .plan
-            .names
-            .iter()
-            .map(|n| Value::from(n.as_str()))
-            .collect();
-        let snap = self.flor.db.pin();
-        let (_, store) = snap.explain(&Query::table("logs").filter_in("value_name", names))?;
-        Ok(ExplainReport {
-            store,
-            view_hit: after.hits > before.hits,
-            view_rebuilt: after.fallback_rebuilds > before.fallback_rebuilds,
-            batches_applied: after.batches_applied.saturating_sub(before.batches_applied),
-            serve_nanos,
-            rows_returned: frame.n_rows(),
-            plan: self.plan,
-            frame,
-        })
+        self.flor
+            .explain_report(&self.plan, &before, serve_nanos, frame)
     }
 
     /// Execute from scratch (the correctness oracle): full re-pivot of
     /// the projected history, then the whole plan as a post-pass —
-    /// equivalent to post-hoc filtering of `dataframe_full`.
+    /// equivalent to post-hoc filtering of the unfiltered pivot.
     pub fn collect_full(self) -> StoreResult<DataFrame> {
         self.flor.run_plan_full(&self.plan)
     }
@@ -511,11 +508,11 @@ mod tests {
             .into_plan();
         let snap = flor.db.pin();
         let plain = flor.run_plan_at(&snap, &plan).unwrap();
-        let mut tr = flor_obs::ActiveTrace::start_detached(flor_obs::TraceId::generate(), "query");
-        let (traced, explain) = flor.run_plan_at_traced(&snap, &plan, &mut tr).unwrap();
+        let mut tr = ActiveTrace::new(true, None, "query");
+        let (traced, explain) = flor.execute_at(&snap, &plan, &mut tr).unwrap();
         assert_eq!(plain, traced);
         assert!(explain.rows_returned > 0);
-        let trace = tr.into_trace();
+        let trace = tr.into_trace().expect("recording handle");
         assert!(trace.span("store.scan").is_some());
         assert!(trace.span("pivot").is_some());
         assert!(trace.span("post_pass").is_some());

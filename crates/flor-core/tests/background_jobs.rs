@@ -83,7 +83,7 @@ fn queries_stay_correct_while_backfill_runs() {
     // Final state: no holes, and the maintained view equals the oracle.
     let after = flor.dataframe(&["loss", "acc"]).unwrap();
     assert_eq!(filled(&after), total);
-    assert_eq!(after, flor.dataframe_full(&["loss", "acc"]).unwrap());
+    assert_eq!(after, flor.query(&["loss", "acc"]).collect_full().unwrap());
     assert_eq!(flor.views.stats().fallback_rebuilds, 0);
     assert_eq!(flor.job_stats().unwrap().done, 1);
 }

@@ -107,7 +107,7 @@ proptest! {
         prop_assert_eq!(flor.db.scan("loops").expect("scan"), want_loops);
         // And the maintained view over it equals the oracle recompute.
         let inc = flor.dataframe(&["loss", "acc"]).expect("view");
-        let full = flor.dataframe_full(&["loss", "acc"]).expect("oracle");
+        let full = flor.query(&["loss", "acc"]).collect_full().expect("oracle");
         prop_assert_eq!(inc, full);
 
         let _ = std::fs::remove_file(&path);
@@ -181,7 +181,7 @@ proptest! {
         prop_assert_eq!(flor.db.scan("jobs").expect("scan"), want_jobs);
         // The maintained view over the recovered state equals the oracle.
         let inc = flor.dataframe(&["loss", "acc"]).expect("view");
-        let full = flor.dataframe_full(&["loss", "acc"]).expect("oracle");
+        let full = flor.query(&["loss", "acc"]).collect_full().expect("oracle");
         prop_assert_eq!(inc, full);
         // A completed (truncating) checkpoint shrinks replay to the tail.
         let info = flor.db.recovery_info();

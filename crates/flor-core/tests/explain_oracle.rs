@@ -107,6 +107,60 @@ fn explain_reflects_view_reuse_and_refresh() {
     assert_eq!(*third.frame, build().collect_full().unwrap());
 }
 
+/// A rendered [`flor_core::ExplainReport`] minus its two wall-clock
+/// figures (`serve …ns`, `elapsed: …ns`), the only run-dependent text.
+fn without_timings(report: &str) -> String {
+    report
+        .lines()
+        .map(|l| l.split(", serve ").next().unwrap_or(l))
+        .map(|l| l.split("; elapsed: ").next().unwrap_or(l))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn slow_log_breach_and_explain_report_the_same_execution() {
+    let flor = seeded();
+    let build = || {
+        flor.query(&["loss", "lr"])
+            .filter("lr", CmpOp::Gt, 0.015)
+            .order_by("loss", true)
+            .limit(5)
+    };
+    // Warm the view so both executions below are cache hits over an
+    // unchanged history: identical verdicts, identical counts.
+    build().collect().unwrap();
+
+    // An embedded `run_plan` breaching a zero threshold captures its
+    // report into the slow log (tracing itself stays off)...
+    flor.set_slow_query_threshold(Some(std::time::Duration::ZERO));
+    flor.run_plan(build().plan()).unwrap();
+    flor.set_slow_query_threshold(None);
+    let slow = flor.slow_queries();
+    let captured = slow.last().expect("zero threshold captures everything");
+    assert_eq!(captured.verb, "query.collect");
+    assert!(flor.traces().is_empty(), "slow-log-only: ring stays empty");
+
+    // ...and `explain()` on the same plan builds the same report through
+    // the same constructor: access path, view verdict and row counts
+    // agree line for line once the timings are cut.
+    let report = build().explain().unwrap();
+    assert!(report.view_hit && !report.view_rebuilt);
+    assert_eq!(report.rows_returned, 5);
+    assert_eq!(
+        report.store.access,
+        AccessPath::IndexIn("value_name".to_string())
+    );
+    let rendered = without_timings(&report.to_string());
+    assert_eq!(without_timings(&captured.explain), rendered);
+    assert!(rendered.contains("view: hit, 0 feed batch(es) applied"));
+    assert!(rendered.contains(&format!(
+        "rows: {} examined, {} matched, {} returned",
+        report.store.rows_examined, report.store.rows_matched, report.store.rows_returned
+    )));
+    assert!(rendered.ends_with("rows returned to caller: 5"));
+}
+
 #[test]
 fn kernel_metrics_snapshot_sees_every_layer() {
     let flor = seeded();

@@ -1,6 +1,6 @@
 //! Synthetic dataset generators.
 //!
-//! Substitution note (see DESIGN.md): the paper's demo trains on features
+//! Substitution note: the paper's demo trains on features
 //! extracted from real PDFs. We generate a synthetic corpus with the same
 //! *shape* — documents of pages, each page carrying text-derived features
 //! and a `first_page` label — so the training/inference/feedback loops

@@ -75,6 +75,9 @@
 //! lock-free by one request handler and published in one short lock
 //! hold) and a [`SlowQueryStore`] capturing requests that exceed an
 //! armed latency threshold together with their rendered explain report.
+//! With both off the handle is *inert* — instrumented code passes it
+//! down unconditionally and every recording call returns immediately
+//! without reading a clock, allocating or formatting.
 //! `flor-serve` threads a [`TraceId`] over the wire so clients can
 //! retrieve the server-side trace of their own query.
 //!
@@ -1118,11 +1121,11 @@ mod tests {
         assert!(!reg.traces().enabled(), "tracing is opt-in");
         assert!(!reg.slow_queries().armed(), "slow log is unarmed");
         reg.traces().set_enabled(true);
-        let mut tr = ActiveTrace::start(reg.traces(), None, "query").unwrap();
+        let mut tr = ActiveTrace::new(reg.traces().enabled(), None, "query");
         let s = tr.begin("store.scan");
         tr.end(s);
-        let done = tr.finish(reg.traces());
-        assert_eq!(reg.traces().find(done.id).unwrap(), done);
+        let done = tr.finish(reg.traces()).expect("tracing is on");
+        assert_eq!(reg.traces().find(done.id).unwrap(), *done);
         // Disabling metrics does not disable tracing and vice versa.
         reg.set_enabled(false);
         assert!(reg.traces().enabled());

@@ -11,14 +11,17 @@
 //! observe a torn (half-built) trace.
 //!
 //! The same `set_enabled` discipline as the metrics registry applies:
-//! [`ActiveTrace::start`] is one relaxed load when tracing is disabled —
-//! no clock read, no allocation. The [`SlowQueryStore`] is armed
-//! independently by a latency threshold; requests that exceed it capture
-//! their rendered explain report and trace into its own bounded ring.
+//! with tracing disabled and the slow log unarmed a request pays two
+//! relaxed loads and builds an *inert* [`ActiveTrace`] — no clock read,
+//! no allocation, every recording call a no-op — so instrumented code
+//! passes one `&mut ActiveTrace` down one path either way. The
+//! [`SlowQueryStore`] is armed independently by a latency threshold;
+//! requests that exceed it capture their rendered explain report and
+//! trace into its own bounded ring.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::{lock, unix_micros};
@@ -172,103 +175,105 @@ impl std::fmt::Display for Trace {
     }
 }
 
-/// A trace being built by one request handler. Plain owned data — the
-/// builder is handed down the call stack by `&mut`, so recording a span
-/// or event is a `Vec` push with no synchronization; the shared ring is
-/// only touched once, in [`ActiveTrace::finish`].
+/// A trace being built by one request handler, or an **inert** handle
+/// that records nothing. Callers decide once, at construction, from the
+/// two relaxed loads `traces.enabled() || slow.armed()`, then hand the
+/// handle down the call stack by `&mut` unconditionally: on an inert
+/// handle every method returns immediately — no clock read, no
+/// allocation, and `event`/`set_detail` never invoke their closure — so
+/// instrumented code has one path, not a traced and an untraced copy.
+///
+/// A recording handle is plain owned data: a span or event is a `Vec`
+/// push with no synchronization; the shared ring is only touched once,
+/// in [`ActiveTrace::finish`].
 #[derive(Debug)]
 pub struct ActiveTrace {
-    id: TraceId,
-    label: String,
-    detail: String,
-    started_unix_micros: u64,
-    t0: Instant,
-    spans: Vec<TraceSpan>,
-    /// Stack of indices into `spans` for the currently open spans.
-    open: Vec<usize>,
-    next_span: u32,
+    /// `None` is the inert handle.
+    rec: Option<Recording>,
 }
 
-impl ActiveTrace {
-    /// Start a trace if `store` has tracing enabled — one relaxed load
-    /// and `None` (no clock read, no allocation) otherwise. Pass the
-    /// propagated `id` when the caller carried one.
-    pub fn start(
-        store: &TraceStore,
-        id: Option<TraceId>,
-        label: impl Into<String>,
-    ) -> Option<ActiveTrace> {
-        if !store.enabled() {
-            return None;
-        }
-        Some(ActiveTrace::start_detached(
-            id.unwrap_or_else(TraceId::generate),
-            label,
-        ))
-    }
+/// The [`Trace`] under construction (`total_nanos` stamped at seal).
+#[derive(Debug)]
+struct Recording {
+    trace: Trace,
+    t0: Instant,
+    /// Stack of indices into `trace.spans` for the currently open spans.
+    open: Vec<usize>,
+}
 
-    /// Start unconditionally, without consulting any store — for callers
-    /// that need the measurements regardless (e.g. a slow-query capture
-    /// armed while tracing itself is off). The caller decides at
-    /// [`ActiveTrace::finish`] time whether the trace is published.
-    pub fn start_detached(id: TraceId, label: impl Into<String>) -> ActiveTrace {
-        ActiveTrace {
-            id,
-            label: label.into(),
-            detail: String::new(),
-            started_unix_micros: unix_micros(),
-            t0: Instant::now(),
-            spans: Vec::new(),
-            open: Vec::new(),
-            next_span: 0,
-        }
-    }
-
-    /// The trace identity.
-    pub fn id(&self) -> TraceId {
-        self.id
-    }
-
+impl Recording {
     /// Nanoseconds since the trace started.
-    pub fn elapsed_nanos(&self) -> u64 {
+    fn elapsed_nanos(&self) -> u64 {
         u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    fn begin(&mut self, name: String) -> SpanId {
+        let index = self.trace.spans.len();
+        let id = SpanId(u32::try_from(index).unwrap_or(u32::MAX));
+        self.trace.spans.push(TraceSpan {
+            id,
+            parent: self.open.last().map(|&i| self.trace.spans[i].id),
+            name,
+            start_nanos: self.elapsed_nanos(),
+            duration_nanos: 0,
+            events: Vec::new(),
+        });
+        self.open.push(index);
+        id
+    }
+}
+
+impl ActiveTrace {
+    /// A recording handle when `on`, the inert handle otherwise. `on` is
+    /// the caller's already-computed `traces.enabled() || slow.armed()`
+    /// (a slow-query capture needs the measurements even while the ring
+    /// itself is off; [`ActiveTrace::finish`] decides what is published).
+    /// Pass the propagated `id` when the caller carried one; a fresh one
+    /// is generated otherwise.
+    pub fn new(on: bool, id: Option<TraceId>, label: impl Into<String>) -> ActiveTrace {
+        ActiveTrace {
+            rec: on.then(|| Recording {
+                trace: Trace {
+                    id: id.unwrap_or_else(TraceId::generate),
+                    label: label.into(),
+                    detail: String::new(),
+                    started_unix_micros: unix_micros(),
+                    total_nanos: 0,
+                    spans: Vec::new(),
+                },
+                t0: Instant::now(),
+                open: Vec::new(),
+            }),
+        }
+    }
+
     /// Attach free-form context to the whole trace.
-    pub fn set_detail(&mut self, detail: impl Into<String>) {
-        self.detail = detail.into();
+    pub fn set_detail<S: Into<String>>(&mut self, detail: impl FnOnce() -> S) {
+        if let Some(r) = &mut self.rec {
+            r.trace.detail = detail().into();
+        }
     }
 
     /// Open a span named `name`, child of the innermost open span (root
     /// if none). Close it with [`ActiveTrace::end`]; anything left open
     /// is closed by `finish`.
     pub fn begin(&mut self, name: impl Into<String>) -> SpanId {
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        let parent = self.open.last().map(|&i| self.spans[i].id);
-        self.spans.push(TraceSpan {
-            id,
-            parent,
-            name: name.into(),
-            start_nanos: self.elapsed_nanos(),
-            duration_nanos: 0,
-            events: Vec::new(),
-        });
-        self.open.push(self.spans.len() - 1);
-        id
+        match &mut self.rec {
+            Some(r) => r.begin(name.into()),
+            None => SpanId(0),
+        }
     }
 
     /// Close span `id`, stamping its duration. Forgiving about nesting:
     /// any still-open span begun after `id` (a descendant the caller
     /// forgot) is closed at the same instant.
     pub fn end(&mut self, id: SpanId) {
-        let now = self.elapsed_nanos();
-        while let Some(&i) = self.open.last() {
-            let done = self.spans[i].id == id;
-            let s = &mut self.spans[i];
+        let Some(r) = &mut self.rec else { return };
+        let now = r.elapsed_nanos();
+        while let Some(i) = r.open.pop() {
+            let s = &mut r.trace.spans[i];
             s.duration_nanos = now.saturating_sub(s.start_nanos);
-            self.open.pop();
-            if done {
+            if s.id == id {
                 return;
             }
         }
@@ -276,57 +281,53 @@ impl ActiveTrace {
 
     /// Record a point annotation on the innermost open span (a zero-width
     /// root span is created if nothing is open yet).
-    pub fn event(&mut self, message: impl Into<String>) {
-        if self.open.is_empty() {
-            self.begin(self.label.clone());
-        }
-        let at_nanos = self.elapsed_nanos();
-        // audit: allow(panic) — the is_empty branch above begins a root
-        // span, so the open stack is non-empty here.
-        let i = *self.open.last().expect("ensured an open span above");
-        self.spans[i].events.push(SpanEvent {
+    pub fn event<S: Into<String>>(&mut self, message: impl FnOnce() -> S) {
+        let Some(r) = &mut self.rec else { return };
+        let i = match r.open.last() {
+            Some(&i) => i,
+            None => {
+                r.begin(r.trace.label.clone());
+                r.trace.spans.len() - 1
+            }
+        };
+        let at_nanos = r.elapsed_nanos();
+        r.trace.spans[i].events.push(SpanEvent {
             at_nanos,
-            message: message.into(),
+            message: message().into(),
         });
     }
 
-    /// Seal the builder into an immutable [`Trace`]: every still-open
-    /// span is closed at this instant (a finished trace can never be
-    /// torn), and the total is stamped.
-    pub fn into_trace(mut self) -> Trace {
-        let total = self.elapsed_nanos();
-        while let Some(i) = self.open.pop() {
-            let s = &mut self.spans[i];
-            s.duration_nanos = total.saturating_sub(s.start_nanos);
+    /// Seal the builder into an immutable [`Trace`] (`None` from an inert
+    /// handle): every still-open span is closed at this instant (a
+    /// finished trace can never be torn), and the total is stamped.
+    pub fn into_trace(self) -> Option<Trace> {
+        let mut r = self.rec?;
+        r.trace.total_nanos = r.elapsed_nanos();
+        while let Some(i) = r.open.pop() {
+            let s = &mut r.trace.spans[i];
+            s.duration_nanos = r.trace.total_nanos.saturating_sub(s.start_nanos);
         }
-        Trace {
-            id: self.id,
-            label: self.label,
-            detail: self.detail,
-            started_unix_micros: self.started_unix_micros,
-            total_nanos: total,
-            spans: self.spans,
-        }
+        Some(r.trace)
     }
 
     /// Seal and publish into `store` (a no-op publish when the store is
-    /// disabled), returning the completed trace either way so the caller
-    /// can reuse it (e.g. for a slow-query record).
-    pub fn finish(self, store: &TraceStore) -> Trace {
-        let trace = self.into_trace();
-        store.push(trace.clone());
-        trace
+    /// disabled), returning the completed trace so the caller can reuse
+    /// it for a slow-query record — shared with the ring, never copied.
+    /// An inert handle publishes nothing and returns `None`.
+    pub fn finish(self, store: &TraceStore) -> Option<Arc<Trace>> {
+        let trace = Arc::new(self.into_trace()?);
+        store.push(Arc::clone(&trace));
+        Some(trace)
     }
 }
 
 /// The bounded ring of completed traces. Disabled by default — tracing
-/// is opt-in; when disabled, [`ActiveTrace::start`] is one relaxed load
-/// and [`TraceStore::push`] drops the trace.
+/// is opt-in; when disabled, [`TraceStore::push`] drops the trace.
 #[derive(Debug)]
 pub struct TraceStore {
     enabled: std::sync::atomic::AtomicBool,
     capacity: usize,
-    ring: Mutex<VecDeque<Trace>>,
+    ring: Mutex<VecDeque<Arc<Trace>>>,
     recorded: AtomicU64,
 }
 
@@ -375,7 +376,7 @@ impl TraceStore {
 
     /// Publish a completed trace (dropped when disabled). One short lock
     /// hold; older traces fall off past the capacity.
-    pub fn push(&self, trace: Trace) {
+    pub fn push(&self, trace: Arc<Trace>) {
         if !self.enabled() {
             return;
         }
@@ -391,17 +392,21 @@ impl TraceStore {
 
     /// Every retained trace, oldest first.
     pub fn snapshot(&self) -> Vec<Trace> {
-        lock(&self.ring).iter().cloned().collect()
+        lock(&self.ring).iter().map(|t| (**t).clone()).collect()
     }
 
     /// The `limit` most recent traces, newest first.
     pub fn recent(&self, limit: usize) -> Vec<Trace> {
-        lock(&self.ring).iter().rev().take(limit).cloned().collect()
+        let ring = lock(&self.ring);
+        let recent = ring.iter().rev().take(limit);
+        recent.map(|t| (**t).clone()).collect()
     }
 
     /// The retained trace with identity `id`, if it has not fallen off.
     pub fn find(&self, id: TraceId) -> Option<Trace> {
-        lock(&self.ring).iter().rev().find(|t| t.id == id).cloned()
+        let ring = lock(&self.ring);
+        let found = ring.iter().rev().find(|t| t.id == id);
+        found.map(|t| (**t).clone())
     }
 }
 
@@ -543,6 +548,12 @@ impl SlowQueryStore {
 mod tests {
     use super::*;
 
+    fn sealed(id: u64, label: &str) -> Trace {
+        ActiveTrace::new(true, Some(TraceId(id)), label)
+            .into_trace()
+            .expect("recording handle")
+    }
+
     #[test]
     fn trace_ids_are_distinct() {
         let a = TraceId::generate();
@@ -552,29 +563,29 @@ mod tests {
     }
 
     #[test]
-    fn disabled_store_starts_nothing_and_drops_pushes() {
+    fn disabled_store_drops_pushes() {
         let store = TraceStore::default();
         assert!(!store.enabled());
-        assert!(ActiveTrace::start(&store, None, "x").is_none());
-        store.push(ActiveTrace::start_detached(TraceId::generate(), "x").into_trace());
+        store.push(Arc::new(sealed(1, "x")));
         assert!(store.snapshot().is_empty());
+        assert_eq!(store.recorded(), 0);
     }
 
     #[test]
     fn spans_nest_and_events_attach() {
         let store = TraceStore::default();
         store.set_enabled(true);
-        let mut tr = ActiveTrace::start(&store, Some(TraceId(7)), "request").unwrap();
+        let mut tr = ActiveTrace::new(true, Some(TraceId(7)), "request");
         let root = tr.begin("request");
         let mw = tr.begin("middleware");
-        tr.event("auth: ok");
+        tr.event(|| "auth: ok");
         tr.end(mw);
         let ex = tr.begin("execute");
         let scan = tr.begin("store.scan");
         tr.end(scan);
         tr.end(ex);
         tr.end(root);
-        let trace = tr.finish(&store);
+        let trace = tr.finish(&store).expect("recording");
         assert_eq!(trace.id, TraceId(7));
         assert_eq!(trace.spans.len(), 4);
         let mw = trace.span("middleware").unwrap();
@@ -582,7 +593,7 @@ mod tests {
         assert_eq!(mw.events.len(), 1);
         let scan = trace.span("store.scan").unwrap();
         assert_eq!(scan.parent, Some(trace.span("execute").unwrap().id));
-        assert_eq!(store.find(TraceId(7)).unwrap(), trace);
+        assert_eq!(store.find(TraceId(7)).unwrap(), *trace);
         let text = trace.render_text();
         assert!(text.contains("middleware"));
         assert!(text.contains("auth: ok"));
@@ -590,11 +601,11 @@ mod tests {
 
     #[test]
     fn finish_closes_leftover_spans() {
-        let mut tr = ActiveTrace::start_detached(TraceId::generate(), "r");
+        let mut tr = ActiveTrace::new(true, None, "r");
         let _a = tr.begin("outer");
         let _b = tr.begin("inner");
         std::thread::sleep(Duration::from_millis(1));
-        let trace = tr.into_trace();
+        let trace = tr.into_trace().expect("recording");
         for s in &trace.spans {
             assert!(s.duration_nanos > 0, "leftover span {} not closed", s.name);
             assert!(s.start_nanos + s.duration_nanos <= trace.total_nanos);
@@ -603,11 +614,11 @@ mod tests {
 
     #[test]
     fn out_of_order_end_closes_descendants() {
-        let mut tr = ActiveTrace::start_detached(TraceId::generate(), "r");
+        let mut tr = ActiveTrace::new(true, None, "r");
         let outer = tr.begin("outer");
         let _inner = tr.begin("inner");
         tr.end(outer); // forgot to end inner first
-        let trace = tr.into_trace();
+        let trace = tr.into_trace().expect("recording");
         assert!(trace.spans.iter().all(|s| s.duration_nanos
             <= trace
                 .span("outer")
@@ -620,7 +631,7 @@ mod tests {
         let store = TraceStore::with_capacity(4);
         store.set_enabled(true);
         for i in 0..10u64 {
-            store.push(ActiveTrace::start_detached(TraceId(i), "t").into_trace());
+            store.push(Arc::new(sealed(i, "t")));
         }
         let all = store.snapshot();
         assert_eq!(all.len(), 4);
@@ -642,7 +653,7 @@ mod tests {
         assert_eq!(slow.threshold_nanos(), Some(5_000));
         for i in 0..3u64 {
             slow.record(SlowQueryRecord {
-                trace: ActiveTrace::start_detached(TraceId(i), "q").into_trace(),
+                trace: sealed(i, "q"),
                 verb: "query".into(),
                 plan: format!("plan{i}"),
                 explain: "access=FullScan".into(),

@@ -23,26 +23,35 @@ fn script_strategy() -> impl Strategy<Value = Script> {
         .prop_map(|traces| Script { traces })
 }
 
-fn run_script(store: &TraceStore, seed: u64, script: &Script) {
+/// Runs `script` on handles built with `on`, returning how many event
+/// closures were invoked.
+fn run_script(store: &TraceStore, on: bool, seed: u64, script: &Script) -> usize {
+    let mut formatted = 0;
     for (n, &(depth, events, leave_open)) in script.traces.iter().enumerate() {
         let id = TraceId(seed.wrapping_mul(1000).wrapping_add(n as u64));
-        let Some(mut tr) = ActiveTrace::start(store, Some(id), format!("t{seed}")) else {
-            return;
-        };
+        let mut tr = ActiveTrace::new(on, Some(id), format!("t{seed}"));
+        tr.set_detail(|| {
+            formatted += 1;
+            format!("script {seed}")
+        });
         let mut open = Vec::new();
         for d in 0..depth {
             open.push(tr.begin(format!("span{d}")));
         }
         for e in 0..events {
-            tr.event(format!("ev{e}"));
+            tr.event(|| {
+                formatted += 1;
+                format!("ev{e}")
+            });
         }
         if !leave_open {
             while let Some(id) = open.pop() {
                 tr.end(id);
             }
         }
-        tr.finish(store);
+        assert_eq!(tr.finish(store).is_some(), on);
     }
+    formatted
 }
 
 /// Every published trace is well-formed: unique span ids, parents
@@ -111,7 +120,7 @@ proptest! {
             .enumerate()
             .map(|(i, script)| {
                 let store = Arc::clone(&store);
-                std::thread::spawn(move || run_script(&store, i as u64, &script))
+                std::thread::spawn(move || run_script(&store, true, i as u64, &script))
             })
             .collect();
         for h in handles {
@@ -133,6 +142,22 @@ proptest! {
         }
     }
 
+    /// The inert handle: any begin/end/event script on an off handle
+    /// seals into no trace at all (`run_script` asserts `finish` is
+    /// `None`, so zero spans), never invokes an event or detail closure,
+    /// and `finish` leaves an *enabled* ring and its counter untouched.
+    #[test]
+    fn inert_handle_records_nothing(script in script_strategy(), seed in 0u64..1000) {
+        let store = TraceStore::with_capacity(4);
+        store.set_enabled(true);
+        run_script(&store, true, seed, &Script { traces: vec![(1, 1, false)] });
+        let (recorded, ring) = (store.recorded(), store.snapshot());
+
+        prop_assert_eq!(run_script(&store, false, seed, &script), 0);
+        prop_assert_eq!(store.recorded(), recorded);
+        prop_assert_eq!(store.snapshot(), ring);
+    }
+
     #[test]
     fn concurrent_slow_queries_stay_bounded(
         per_thread in proptest::collection::vec(1usize..8, 2..5),
@@ -149,12 +174,9 @@ proptest! {
                 let store = Arc::clone(&store);
                 std::thread::spawn(move || {
                     for k in 0..n {
-                        let tr = ActiveTrace::start_detached(
-                            TraceId((i * 100 + k) as u64),
-                            "slow",
-                        );
+                        let tr = ActiveTrace::new(true, Some(TraceId((i * 100 + k) as u64)), "slow");
                         store.record(SlowQueryRecord {
-                            trace: tr.into_trace(),
+                            trace: tr.into_trace().expect("recording handle"),
                             verb: "query".into(),
                             plan: format!("[{i}:{k}]"),
                             explain: String::new(),
@@ -186,21 +208,21 @@ proptest! {
 fn nested_request_shape_is_contained() {
     let store = TraceStore::with_capacity(4);
     store.set_enabled(true);
-    let mut tr = ActiveTrace::start(&store, None, "query").expect("enabled");
+    let mut tr = ActiveTrace::new(store.enabled(), None, "query");
     let root = tr.begin("request");
     let mw = tr.begin("middleware");
-    tr.event("auth: ok");
-    tr.event("rate-limit: ok");
+    tr.event(|| "auth: ok");
+    tr.event(|| "rate-limit: ok");
     tr.end(mw);
     let gate = tr.begin("gate");
-    tr.event("admitted");
+    tr.event(|| "admitted");
     tr.end(gate);
     let exec = tr.begin("execute");
     let scan = tr.begin("store.scan");
     tr.end(scan);
     tr.end(exec);
     tr.end(root);
-    let trace = tr.finish(&store);
+    let trace = tr.finish(&store).expect("enabled");
 
     check_trace(&trace);
     assert_eq!(trace.spans.len(), 5);

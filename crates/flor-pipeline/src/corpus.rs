@@ -1,6 +1,6 @@
 //! Synthetic document corpus: the stand-in for the demo's PDF folder.
 //!
-//! Substitution (see DESIGN.md): the paper's PDF Parser splits real PDFs
+//! Substitution: the paper's PDF Parser splits real PDFs
 //! into per-page text/images. We synthesise "PDF files" that each
 //! concatenate several logical documents; every page gets generated text
 //! whose *surface features* (headings, page numbers, body density) encode

@@ -10,7 +10,9 @@
 //! The core guarantee: **every request is served from a pinned
 //! snapshot**. A session pins the current epoch at handshake
 //! ([`flor_store::Database::pin`] — O(1), lock-free) and all its queries
-//! execute at exactly that epoch via [`Flor::run_plan_at`], so results
+//! execute at exactly that epoch via [`Flor::execute_at`] — the
+//! kernel's one from-scratch executor, the same body the oracle suites
+//! call as `run_plan_at`/`run_plan_full` — so results
 //! are repeatable and byte-identical to a local `collect_full` at the
 //! same epoch, no matter how many commits land while the session is
 //! open. `Pin` re-pins on demand.
@@ -40,7 +42,11 @@
 //! epoch, WAL position, checkpoint/compaction counts, session and
 //! in-flight occupancy, and — on a follower — the estimated replication
 //! lag in pending commits. All of it is off by default and costs two
-//! atomic loads per request until enabled.
+//! atomic loads per request until enabled: the request loop builds one
+//! [`flor_obs::ActiveTrace`] per request and hands it to every stage,
+//! and while tracing is off and the slow log unarmed that handle is
+//! inert — one middleware loop, one gate block, one query arm, whether
+//! or not anyone is watching.
 //!
 //! **Read-only followers.** Because the protocol is read-only, a second
 //! process can serve the same data: open the writer's WAL with

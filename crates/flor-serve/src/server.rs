@@ -8,8 +8,10 @@
 //! served by its own thread, and a global [`Gate`] additionally bounds
 //! how many requests *execute* at once. Every session's queries run
 //! against the snapshot pinned at handshake (or last `Pin`), via
-//! [`Flor::run_plan_at`] — lock-free reads, so a committing writer in
-//! the same process never blocks serving.
+//! [`Flor::execute_at`] — lock-free reads, so a committing writer in
+//! the same process never blocks serving. The request loop has one
+//! path: it builds one [`ActiveTrace`] per request — inert unless
+//! tracing is on or the slow log is armed — and hands it to every stage.
 //!
 //! When the served handle is a follower ([`Flor::open_follower`]), the
 //! server also runs a poll thread calling [`Flor::poll_follower`] every
@@ -23,9 +25,7 @@ use crate::protocol::{
 };
 use crate::session::{Gate, Session};
 use flor_core::Flor;
-use flor_obs::{
-    unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord, TraceId,
-};
+use flor_obs::{unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord};
 use flor_store::QueryExplain;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -409,37 +409,27 @@ fn request_loop(
         let traces = shared.metrics.registry.traces();
         let slow = shared.metrics.registry.slow_queries();
         // Two relaxed loads decide the whole per-request overhead: with
-        // tracing off and the slow log unarmed, no trace is allocated.
-        let mut tr = (traces.enabled() || slow.armed()).then(|| {
-            let mut t =
-                ActiveTrace::start_detached(ctx.unwrap_or_else(TraceId::generate), req.verb());
-            t.set_detail(format!("session {} peer {}", session.id, session.peer));
-            t.begin("request");
-            t
-        });
+        // tracing off and the slow log unarmed the handle is inert and
+        // every recording call below returns immediately.
+        let mut tr = ActiveTrace::new(traces.enabled() || slow.armed(), ctx, req.verb());
+        tr.set_detail(|| format!("session {} peer {}", session.id, session.peer));
+        tr.begin("request");
 
         // Middleware: every verdict becomes a span event. Auth failures
         // end the connection; admission failures leave it up for retry.
         let mut veto = None;
-        if let Some(t) = tr.as_mut() {
-            let mw_span = t.begin("middleware");
-            for mw in &shared.middleware {
-                match mw.on_request(session, &req) {
-                    Ok(()) => t.event(format!("{}: ok", mw.name())),
-                    Err(resp) => {
-                        t.event(format!("{}: veto", mw.name()));
-                        veto = Some(resp);
-                        break;
-                    }
+        let mw_span = tr.begin("middleware");
+        for mw in &shared.middleware {
+            match mw.on_request(session, &req) {
+                Ok(()) => tr.event(|| format!("{}: ok", mw.name())),
+                Err(resp) => {
+                    tr.event(|| format!("{}: veto", mw.name()));
+                    veto = Some(resp);
+                    break;
                 }
             }
-            t.end(mw_span);
-        } else {
-            veto = shared
-                .middleware
-                .iter()
-                .find_map(|mw| mw.on_request(session, &req).err());
         }
+        tr.end(mw_span);
         if let Some(resp) = veto {
             let fatal = matches!(
                 resp,
@@ -451,9 +441,7 @@ fn request_loop(
             if let Response::Error { code, .. } = &resp {
                 shared.metrics.on_error(*code);
             }
-            if let Some(t) = tr.take() {
-                t.finish(traces);
-            }
+            tr.finish(traces);
             write_frame(writer, &resp.encode())?;
             if fatal {
                 return Ok(());
@@ -463,16 +451,13 @@ fn request_loop(
 
         let start = Instant::now();
         let mut explain = None;
-        let gate_span = tr.as_mut().map(|t| t.begin("gate"));
+        let gate_span = tr.begin("gate");
         let permit = shared.gate.try_enter();
-        if let (Some(t), Some(gs)) = (tr.as_mut(), gate_span) {
-            t.event(if permit.is_some() {
-                "admitted"
-            } else {
-                "busy: in-flight limit reached"
-            });
-            t.end(gs);
-        }
+        tr.event(|| match permit {
+            Some(_) => "admitted",
+            None => "busy: in-flight limit reached",
+        });
+        tr.end(gate_span);
         let resp = match permit {
             None => {
                 shared.metrics.busy.inc();
@@ -483,12 +468,10 @@ fn request_loop(
             }
             Some(permit) => {
                 shared.metrics.in_flight.add(1);
-                let ex_span = tr.as_mut().map(|t| t.begin("execute"));
-                let (resp, ex) = execute(shared, session, &req, tr.as_mut());
+                let ex_span = tr.begin("execute");
+                let (resp, ex) = execute(shared, session, &req, &mut tr);
                 explain = ex;
-                if let (Some(t), Some(es)) = (tr.as_mut(), ex_span) {
-                    t.end(es);
-                }
+                tr.end(ex_span);
                 shared.metrics.in_flight.add(-1);
                 drop(permit);
                 resp
@@ -503,24 +486,21 @@ fn request_loop(
         }
         // Publish the trace, and capture a slow-query record when a
         // Query breached the armed threshold — the measured explain
-        // from the traced execution rides along.
-        if let Some(t) = tr.take() {
-            let total = t.elapsed_nanos();
-            let trace = t.finish(traces);
-            if let Some(threshold) = slow.threshold_nanos() {
-                if total > threshold {
-                    if let Request::Query { plan } = &req {
-                        slow.record(SlowQueryRecord {
-                            trace,
-                            verb: "query".into(),
-                            plan: format!("{:?}", plan.names),
-                            explain: explain.map(|e| e.to_string()).unwrap_or_default(),
-                            total_nanos: total,
-                            threshold_nanos: threshold,
-                            at_unix_micros: unix_micros(),
-                        });
-                    }
-                }
+        // from the execution rides along.
+        if let (Some(trace), Some(threshold), Request::Query { plan }) =
+            (tr.finish(traces), slow.threshold_nanos(), &req)
+        {
+            let total = trace.total_nanos;
+            if total > threshold {
+                slow.record(SlowQueryRecord {
+                    trace: Arc::unwrap_or_clone(trace),
+                    verb: "query".into(),
+                    plan: format!("{:?}", plan.names),
+                    explain: explain.map(|e| e.to_string()).unwrap_or_default(),
+                    total_nanos: total,
+                    threshold_nanos: threshold,
+                    at_unix_micros: unix_micros(),
+                });
             }
         }
         let bye = matches!(resp, Response::Bye);
@@ -559,15 +539,15 @@ fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(
 }
 
 /// Execute one admitted request against the session's pinned snapshot.
-/// With an active trace, queries run through the measured store path
-/// (child spans for scan/pivot/post-pass) and return their
-/// [`QueryExplain`] for slow-query capture — the frame stays
-/// byte-identical to the untraced path's.
+/// Queries run through the kernel's one snapshot executor, which records
+/// scan/pivot/post-pass child spans into `tr` (or nothing when it is
+/// inert) and returns the measured [`QueryExplain`] for slow-query
+/// capture — the frame is the same either way.
 fn execute(
     shared: &Shared,
     session: &mut Session,
     req: &Request,
-    tr: Option<&mut ActiveTrace>,
+    tr: &mut ActiveTrace,
 ) -> (Response, Option<QueryExplain>) {
     let flor = &shared.flor;
     let resp = match req {
@@ -576,21 +556,13 @@ fn execute(
             message: "duplicate hello".into(),
         },
         Request::Query { plan } => {
-            let result = match tr {
-                Some(t) => flor
-                    .run_plan_at_traced(session.snapshot(), plan, t)
-                    .map(|(df, ex)| (df, Some(ex))),
-                None => flor
-                    .run_plan_at(session.snapshot(), plan)
-                    .map(|df| (df, None)),
-            };
-            return match result {
+            return match flor.execute_at(session.snapshot(), plan, tr) {
                 Ok((df, ex)) => (
                     Response::Frame {
                         epoch: session.epoch(),
                         df,
                     },
-                    ex,
+                    Some(ex),
                 ),
                 Err(e) => (
                     Response::Error {

@@ -70,23 +70,6 @@ pub struct ViewKey {
 }
 
 impl ViewKey {
-    /// Key for a plain pivoted view.
-    pub fn pivot(names: &[&str]) -> ViewKey {
-        ViewKey {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            group: None,
-            pushdown: Vec::new(),
-        }
-    }
-
-    /// Key for a `latest`-deduplicated view.
-    pub fn latest(names: &[&str], group: &[&str]) -> ViewKey {
-        ViewKey {
-            group: Some(group.iter().map(|s| s.to_string()).collect()),
-            ..ViewKey::pivot(names)
-        }
-    }
-
     /// The maintained-part fingerprint of `plan`: its names, its pushdown
     /// predicates (canonically sorted and deduplicated), and — only when
     /// no residual predicate intervenes before the dedup — its `latest`
@@ -221,26 +204,15 @@ impl ViewCatalog {
         }
     }
 
-    /// The pivoted view for `names`, up to date with every commit. Cheap
-    /// (`Arc` clone) when nothing changed since the last call.
-    pub fn pivot(&self, names: &[&str]) -> StoreResult<Arc<DataFrame>> {
-        self.plan(&QueryPlan::new(names))
-    }
-
-    /// The `latest`-deduplicated view for `names` grouped by `group`.
-    ///
-    /// Errors like the from-scratch path does when a group column does not
-    /// exist in the pivoted frame.
-    pub fn latest(&self, names: &[&str], group: &[&str]) -> StoreResult<Arc<DataFrame>> {
-        self.plan(&QueryPlan::with_latest(names, group))
-    }
-
-    /// Serve a [`QueryPlan`] — the single execution path behind every
-    /// dataframe read. The plan's maintained part (projection, pushdown
-    /// predicates, and `latest` group when no residual filter precedes
-    /// it) is served from the catalog as an incrementally maintained
-    /// view; the rest runs as a post-pass over that frame. Plans with no
-    /// post-pass share the maintained snapshot allocation (`Arc` clone).
+    /// Serve a [`QueryPlan`] — the catalog's single entry point, behind
+    /// every incremental dataframe read. The plan's maintained part
+    /// (projection, pushdown predicates, and `latest` group when no
+    /// residual filter precedes it) is served from the catalog as an
+    /// incrementally maintained view, up to date with every commit; the
+    /// rest runs as a post-pass over that frame. Plans with no post-pass
+    /// share the maintained snapshot allocation (`Arc` clone — cheap when
+    /// nothing changed since the last call). A `latest` group column
+    /// missing from the pivoted frame errors like the from-scratch path.
     pub fn plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
         let (pushdown, residual) = plan.split_predicates();
         let key = ViewKey::from_split(plan, pushdown, residual.is_empty());
@@ -543,13 +515,13 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
-        let v1 = catalog.pivot(&["loss"]).unwrap();
+        let v1 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
         assert_eq!(v1.n_rows(), 1);
         assert_eq!(catalog.stats().misses, 1);
 
         db.insert("logs", log_row(2, "loss", "20")).unwrap();
         db.commit().unwrap();
-        let v2 = catalog.pivot(&["loss"]).unwrap();
+        let v2 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
         assert_eq!(v2.n_rows(), 2);
         let s = catalog.stats();
         assert_eq!(s.misses, 1, "second call must reuse the cached view");
@@ -565,8 +537,8 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "x", "1")).unwrap();
         db.commit().unwrap();
-        let a = catalog.pivot(&["x"]).unwrap();
-        let b = catalog.pivot(&["x"]).unwrap();
+        let a = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
+        let b = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -578,15 +550,15 @@ mod tests {
         db.insert("logs", log_row(1, "b", "2")).unwrap();
         db.insert("logs", log_row(1, "c", "3")).unwrap();
         db.commit().unwrap();
-        catalog.pivot(&["a"]).unwrap();
-        catalog.pivot(&["b"]).unwrap();
-        catalog.pivot(&["a"]).unwrap(); // touch: "b" is now coldest
-        catalog.pivot(&["c"]).unwrap();
+        catalog.plan(&QueryPlan::new(&["a"])).unwrap();
+        catalog.plan(&QueryPlan::new(&["b"])).unwrap();
+        catalog.plan(&QueryPlan::new(&["a"])).unwrap(); // touch: "b" is now coldest
+        catalog.plan(&QueryPlan::new(&["c"])).unwrap();
         assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.stats().evictions, 1);
         let keys: Vec<ViewKey> = catalog.view_infos().into_iter().map(|i| i.key).collect();
-        assert!(keys.contains(&ViewKey::pivot(&["a"])));
-        assert!(keys.contains(&ViewKey::pivot(&["c"])));
+        assert!(keys.contains(&ViewKey::for_plan(&QueryPlan::new(&["a"]))));
+        assert!(keys.contains(&ViewKey::for_plan(&QueryPlan::new(&["c"]))));
     }
 
     #[test]
@@ -669,7 +641,7 @@ mod tests {
         assert_eq!(v.get(0, "acc"), Some(&Value::Int(2)));
         // The maintained view is the plain pivot (group lowered away).
         let keys: Vec<ViewKey> = catalog.view_infos().into_iter().map(|i| i.key).collect();
-        assert_eq!(keys, vec![ViewKey::pivot(&["acc"])]);
+        assert_eq!(keys, vec![ViewKey::for_plan(&QueryPlan::new(&["acc"]))]);
     }
 
     #[test]
@@ -757,13 +729,13 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "x", "1")).unwrap();
         db.commit().unwrap();
-        catalog.pivot(&["x"]).unwrap();
-        let key = ViewKey::pivot(&["x"]);
+        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
+        let key = ViewKey::for_plan(&QueryPlan::new(&["x"]));
         assert!(catalog.is_fresh(&key));
         db.insert("logs", log_row(2, "x", "2")).unwrap();
         db.commit().unwrap();
         assert!(!catalog.is_fresh(&key));
-        catalog.pivot(&["x"]).unwrap();
+        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         assert!(catalog.is_fresh(&key));
     }
 
@@ -776,13 +748,19 @@ mod tests {
                 .unwrap();
             db.commit().unwrap();
         }
-        let latest = catalog.latest(&["acc"], &["projid"]).unwrap();
+        let latest = catalog
+            .plan(&QueryPlan::with_latest(&["acc"], &["projid"]))
+            .unwrap();
         assert_eq!(latest.n_rows(), 1);
         assert_eq!(latest.get(0, "acc"), Some(&Value::Int(3)));
-        let again = catalog.latest(&["acc"], &["projid"]).unwrap();
+        let again = catalog
+            .plan(&QueryPlan::with_latest(&["acc"], &["projid"]))
+            .unwrap();
         assert!(Arc::ptr_eq(&latest, &again));
         // Unknown group column errors like the from-scratch path.
-        assert!(catalog.latest(&["acc"], &["nope"]).is_err());
+        assert!(catalog
+            .plan(&QueryPlan::with_latest(&["acc"], &["nope"]))
+            .is_err());
     }
 
     #[test]
@@ -795,16 +773,20 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
-        let first = catalog.latest(&["loss", "acc"], &["projid"]).unwrap();
+        let first = catalog
+            .plan(&QueryPlan::with_latest(&["loss", "acc"], &["projid"]))
+            .unwrap();
         assert_eq!(first.n_rows(), 1);
         // Same (projid, tstamp, filename, ctx): lands in the existing row.
         db.insert("logs", log_row(1, "acc", "7")).unwrap();
         db.commit().unwrap();
-        let after = catalog.latest(&["loss", "acc"], &["projid"]).unwrap();
+        let after = catalog
+            .plan(&QueryPlan::with_latest(&["loss", "acc"], &["projid"]))
+            .unwrap();
         assert_eq!(after.n_rows(), 1, "upsert must not duplicate the row");
         assert_eq!(after.get(0, "acc"), Some(&Value::Int(7)));
         let oracle = catalog
-            .pivot(&["loss", "acc"])
+            .plan(&QueryPlan::new(&["loss", "acc"]))
             .unwrap()
             .latest(&["projid"], "tstamp")
             .unwrap();
@@ -833,16 +815,22 @@ mod tests {
         db.insert("logs", log_row(1, "score", "1")).unwrap();
         db.commit().unwrap();
         catalog
-            .latest(&["f1_value", "score"], &["f1_value"])
+            .plan(&QueryPlan::with_latest(
+                &["f1_value", "score"],
+                &["f1_value"],
+            ))
             .unwrap();
         // Re-log moves the row to group "b"; tstamp unchanged.
         db.insert("logs", str_row(1, "f1_value", "b")).unwrap();
         db.commit().unwrap();
         let latest = catalog
-            .latest(&["f1_value", "score"], &["f1_value"])
+            .plan(&QueryPlan::with_latest(
+                &["f1_value", "score"],
+                &["f1_value"],
+            ))
             .unwrap();
         let oracle = catalog
-            .pivot(&["f1_value", "score"])
+            .plan(&QueryPlan::new(&["f1_value", "score"]))
             .unwrap()
             .latest(&["f1_value"], "tstamp")
             .unwrap();
@@ -861,14 +849,14 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(0, "x", "0")).unwrap();
         db.commit().unwrap();
-        catalog.pivot(&["x"]).unwrap();
+        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         let n = MAX_PENDING_BATCHES + 10;
         for ts in 1..=(n as i64) {
             db.insert("logs", log_row(ts, "x", &ts.to_string()))
                 .unwrap();
             db.commit().unwrap();
         }
-        let view = catalog.pivot(&["x"]).unwrap();
+        let view = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         assert_eq!(view.n_rows(), n + 1);
         let stats = catalog.stats();
         assert_eq!(stats.fallback_rebuilds, 0, "coalescing leaves no gap");
@@ -884,7 +872,7 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(0, "x", "0")).unwrap();
         db.commit().unwrap();
-        catalog.pivot(&["x"]).unwrap();
+        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         let per_commit = 64usize;
         let commits = MAX_PENDING_DELTAS / per_commit + 20;
         let mut ts = 0i64;
@@ -896,14 +884,17 @@ mod tests {
             }
             db.commit().unwrap();
         }
-        let view = catalog.pivot(&["x"]).unwrap();
+        let view = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         assert_eq!(view.n_rows(), ts as usize + 1);
         let stats = catalog.stats();
         assert_eq!(stats.fallback_rebuilds, 1, "gap must trigger one rebuild");
         // And the rebuilt view keeps applying deltas afterwards.
         db.insert("logs", log_row(-1, "x", "tail")).unwrap();
         db.commit().unwrap();
-        assert_eq!(catalog.pivot(&["x"]).unwrap().n_rows(), ts as usize + 2);
+        assert_eq!(
+            catalog.plan(&QueryPlan::new(&["x"])).unwrap().n_rows(),
+            ts as usize + 2
+        );
         assert_eq!(catalog.stats().fallback_rebuilds, 1);
     }
 
@@ -913,10 +904,10 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "x", "1")).unwrap();
         db.commit().unwrap();
-        catalog.pivot(&["x"]).unwrap();
+        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
         catalog.clear();
         assert!(catalog.is_empty());
-        assert_eq!(catalog.pivot(&["x"]).unwrap().n_rows(), 1);
+        assert_eq!(catalog.plan(&QueryPlan::new(&["x"])).unwrap().n_rows(), 1);
         assert_eq!(catalog.stats().misses, 2);
     }
 }

@@ -100,14 +100,11 @@ pub struct PivotState {
 }
 
 impl PivotState {
-    /// Empty view at epoch `epoch` for the given projection.
-    pub fn new(names: &[&str], epoch: u64) -> PivotState {
-        PivotState::filtered(names, &[], epoch)
-    }
-
-    /// Empty view with pushdown predicates over the fixed context columns
-    /// (see the `pushdown` field docs): the maintained frame holds only
-    /// rows satisfying every predicate. The caller (the query planner's
+    /// Empty view at epoch `epoch` for the given projection, with
+    /// pushdown predicates over the fixed context columns (see the
+    /// `pushdown` field docs; `&[]` for an unfiltered view): the
+    /// maintained frame holds only rows satisfying every predicate. The
+    /// caller (the query planner's
     /// [`crate::QueryPlan::split_predicates`]) guarantees predicate
     /// columns are fixed context columns; a predicate over any other
     /// column conservatively matches nothing.
@@ -127,17 +124,7 @@ impl PivotState {
     /// every historical row through the same delta path a live batch
     /// takes. Insertion order is preserved, so the result is identical to
     /// an incremental build that watched the log grow row by row.
-    pub fn from_snapshot(
-        names: &[&str],
-        epoch: u64,
-        logs: &DataFrame,
-        loops: &DataFrame,
-    ) -> Result<PivotState, DeltaError> {
-        PivotState::from_snapshot_filtered(names, &[], epoch, logs, loops)
-    }
-
-    /// [`PivotState::from_snapshot`] with pushdown predicates (see
-    /// [`PivotState::filtered`]).
+    /// `pushdown` as in [`PivotState::filtered`].
     pub fn from_snapshot_filtered(
         names: &[&str],
         pushdown: &[Predicate],
@@ -510,7 +497,7 @@ mod tests {
     fn pivot_state_builds_and_applies() {
         let db = Database::in_memory(flor_schema());
         let sub = db.subscribe();
-        let mut view = PivotState::new(&["loss", "acc"], 0);
+        let mut view = PivotState::filtered(&["loss", "acc"], &[], 0);
 
         db.insert("logs", log_row(1, 0, "loss", "0.5", 3)).unwrap();
         db.insert("logs", log_row(1, 0, "acc", "0.9", 3)).unwrap();
@@ -542,7 +529,7 @@ mod tests {
     fn new_dimension_discovery_mid_stream() {
         let db = Database::in_memory(flor_schema());
         let sub = db.subscribe();
-        let mut view = PivotState::new(&["loss"], 0);
+        let mut view = PivotState::filtered(&["loss"], &[], 0);
         db.insert("logs", log_row(1, 0, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
         db.insert("loops", loop_row(2, 7, 0, "epoch", 0, "0"))
@@ -609,7 +596,7 @@ mod tests {
     fn epoch_gap_detected() {
         let db = Database::in_memory(flor_schema());
         let sub = db.subscribe();
-        let mut view = PivotState::new(&["x"], 0);
+        let mut view = PivotState::filtered(&["x"], &[], 0);
         db.insert("logs", log_row(1, 0, "x", "1", 2)).unwrap();
         db.commit().unwrap();
         db.insert("logs", log_row(2, 0, "x", "2", 2)).unwrap();
@@ -629,7 +616,7 @@ mod tests {
 
     #[test]
     fn malformed_rows_rejected() {
-        let mut view = PivotState::new(&["x"], 0);
+        let mut view = PivotState::filtered(&["x"], &[], 0);
         assert!(view.apply_log_row(&["p".into()]).is_err());
         assert!(view.apply_loop_row(&["p".into()]).is_err());
     }

@@ -12,14 +12,16 @@
 //!   cumulative ctx map), new-column discovery on first sight of a
 //!   `value_name` or loop dimension, and per-index-tuple cell upsert.
 //!   The maintained frame is **cell-for-cell identical** to the kernel's
-//!   from-scratch recompute (property-tested in `tests/prop_view.rs`).
+//!   from-scratch executor (`Flor::execute_at`, reached as
+//!   `collect_full`; property-tested in `tests/prop_view.rs`).
 //! * [`LatestState`] — incremental `flor.utils.latest` via per-group-key
 //!   max-timestamp upsert.
 //! * [`ViewCatalog`] — named views keyed by a [`ViewKey`] plan
 //!   fingerprint (projection, pushdown predicates, optional `latest`
 //!   group), staleness tracked by commit epoch / WAL offset, an LRU
 //!   capacity bound, and transparent fallback to a full snapshot rebuild
-//!   whenever a delta cannot be applied.
+//!   whenever a delta cannot be applied. [`ViewCatalog::plan`] is its
+//!   only read entry point — one executor for every incremental read.
 //! * [`QueryPlan`] — the canonical lazy-query plan behind `Flor::query`:
 //!   filters (reusing [`flor_store::Predicate`]), `latest` dedup,
 //!   ordering and limits, lowered onto maintained views with pushdown
@@ -33,7 +35,7 @@
 //!
 //! ```
 //! use flor_store::{flor_schema, Database};
-//! use flor_view::ViewCatalog;
+//! use flor_view::{QueryPlan, ViewCatalog};
 //!
 //! let db = Database::in_memory(flor_schema());
 //! let catalog = ViewCatalog::new(db.clone(), 8);
@@ -47,14 +49,14 @@
 //! log(1, "loss", "0.5");
 //! db.commit().unwrap();
 //!
-//! let v1 = catalog.pivot(&["loss"]).unwrap();
+//! let v1 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
 //! assert_eq!(v1.n_rows(), 1);
 //!
 //! // A new commit refreshes the view incrementally: one delta applied,
 //! // no re-pivot of history.
 //! log(2, "loss", "0.25");
 //! db.commit().unwrap();
-//! let v2 = catalog.pivot(&["loss"]).unwrap();
+//! let v2 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
 //! assert_eq!(v2.n_rows(), 2);
 //! assert_eq!(catalog.stats().misses, 1); // built once, refreshed in place
 //! ```

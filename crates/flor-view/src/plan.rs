@@ -128,7 +128,7 @@ impl QueryPlan {
             if let Some(group) = &self.latest_group {
                 let cur = staged.as_ref().unwrap_or(base);
                 // Empty frames short-circuit, exactly like the kernel's
-                // from-scratch `dataframe_latest_full` oracle.
+                // from-scratch (`collect_full`) oracle.
                 if cur.n_rows() > 0 {
                     let gs: Vec<&str> = group.iter().map(String::as_str).collect();
                     staged = Some(cur.latest(&gs, "tstamp").map_err(StoreError::Df)?);

@@ -101,7 +101,7 @@ fn run_ops(ops: &[Op]) -> Flor {
 /// order, row order and every value).
 fn assert_matches_oracle(flor: &Flor, names: &[&str]) {
     let incremental = flor.dataframe(names).unwrap();
-    let oracle = flor.dataframe_full(names).unwrap();
+    let oracle = flor.query(names).collect_full().unwrap();
     assert_eq!(
         incremental, oracle,
         "incremental view diverged from recompute for {names:?}"
@@ -192,12 +192,12 @@ fn arb_plan() -> impl Strategy<Value = QueryPlan> {
         )
 }
 
-/// The independent oracle for a full plan: `dataframe_full` (from-scratch
+/// The independent oracle for a full plan: `collect_full` (from-scratch
 /// re-pivot), then *post-hoc* filtering/dedup/order/limit written with
 /// different operators than the production post-pass uses.
 fn posthoc_oracle(flor: &Flor, plan: &QueryPlan) -> StoreResult<DataFrame> {
     let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-    let mut df = flor.dataframe_full(&names)?;
+    let mut df = flor.query(&names).collect_full()?;
     for p in &plan.predicates {
         df = if df.column(&p.col).is_none() {
             df.head(0)
@@ -271,12 +271,12 @@ proptest! {
     fn incremental_latest_equals_recompute(ops in proptest::collection::vec(arb_op(), 0..40)) {
         let flor = run_ops(&ops);
         let inc = flor.dataframe_latest(&["loss", "acc"], &["projid"]).unwrap();
-        let full = flor.dataframe_latest_full(&["loss", "acc"], &["projid"]).unwrap();
+        let full = flor.query(&["loss", "acc"]).latest(&["projid"]).collect_full().unwrap();
         prop_assert_eq!(inc, full);
         let dim_group = ["document_iteration"];
         match (
             flor.dataframe_latest(&["loss"], &dim_group),
-            flor.dataframe_latest_full(&["loss"], &dim_group),
+            flor.query(&["loss"]).latest(&dim_group).collect_full(),
         ) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(_), Err(_)) => {} // both reject the missing dimension
@@ -361,7 +361,7 @@ proptest! {
         assert_matches_oracle(&flor, &["loss", "acc", "note"]);
         let inc = flor.dataframe_latest(&["loss", "acc"], &["projid"]).unwrap();
         let full = flor
-            .dataframe_latest_full(&["loss", "acc"], &["projid"])
+            .query(&["loss", "acc"]).latest(&["projid"]).collect_full()
             .unwrap();
         prop_assert_eq!(inc, full);
         prop_assert_eq!(flor.views.stats().fallback_rebuilds, 0);

@@ -97,7 +97,10 @@ fn main() {
 
     // The maintained view is complete and equals the from-scratch oracle.
     let df = flor.dataframe(&["loss", "acc"]).expect("query");
-    assert_eq!(df, flor.dataframe_full(&["loss", "acc"]).expect("oracle"));
+    assert_eq!(
+        df,
+        flor.query(&["loss", "acc"]).collect_full().expect("oracle")
+    );
     println!("view complete: {} rows, oracle-verified", df.n_rows());
 
     // A second thought — backfill `recall` too — cancelled mid-flight:

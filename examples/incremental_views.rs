@@ -73,7 +73,9 @@ fn main() {
     // recompute, cell for cell.
     assert_eq!(
         flor.dataframe(&["loss", "acc", "recall"]).unwrap(),
-        flor.dataframe_full(&["loss", "acc", "recall"]).unwrap()
+        flor.query(&["loss", "acc", "recall"])
+            .collect_full()
+            .unwrap()
     );
     println!("incremental view == full recompute: verified");
 }

@@ -36,7 +36,10 @@ fn main() {
 
     // Legacy shape: materialize everything, then post-filter by hand.
     let t = Instant::now();
-    let full = flor.dataframe_full(&["loss", "acc", "arg::lr"]).unwrap();
+    let full = flor
+        .query(&["loss", "acc", "arg::lr"])
+        .collect_full()
+        .unwrap();
     let legacy = full
         .filter(|r| {
             r.get("tstamp").and_then(Value::as_i64).unwrap_or(0) > 290

@@ -55,7 +55,8 @@
 //!     .unwrap();
 //! assert_eq!(df.n_rows(), 5);
 //!
-//! // The legacy entrypoints are one-line wrappers over the same builder:
+//! // The paper's `flor.dataframe(*names)` is a one-line wrapper over the
+//! // same builder:
 //! let pivot = flor.dataframe(&["loss"]).unwrap();
 //! assert_eq!(pivot.n_rows(), 3 * 4);
 //!
@@ -107,8 +108,10 @@
 //! verdicts, gate admission, plan execution down to the store scan with
 //! zone-map pruning counts, each span nanosecond-timed. Traces land in a
 //! bounded in-memory ring ([`obs::TraceStore`], retrievable by
-//! [`obs::TraceId`]), cost two atomic loads per request when disabled,
-//! and propagate over the wire: a [`serve`] client can originate the
+//! [`obs::TraceId`]), cost two atomic loads per request when disabled
+//! (the [`obs::ActiveTrace`] handle every stage receives is then inert,
+//! so there is one request path and one plan executor, not a traced
+//! copy of each), and propagate over the wire: a [`serve`] client can originate the
 //! trace id for a query (`query_traced`) and fetch the server-side span
 //! tree afterwards (`Traces` verb). Arm a threshold
 //! ([`core::Flor::set_slow_query_threshold`]) and every breaching
@@ -125,7 +128,8 @@
 //! length-prefixed TCP protocol (std-only, thread-per-connection with a
 //! bounded accept pool) where each session pins a snapshot at handshake
 //! and every [`view::QueryPlan`] it submits executes at exactly that
-//! epoch ([`core::Flor::run_plan_at`]) — results are repeatable, and
+//! epoch ([`core::Flor::execute_at`], the kernel's one from-scratch
+//! executor) — results are repeatable, and
 //! byte-identical to a local `collect_full` at the same epoch, no matter
 //! how many commits land meanwhile. Composable middleware adds auth
 //! tokens, per-session rate limits and request logging into [`obs`].

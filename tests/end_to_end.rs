@@ -158,7 +158,7 @@ fn lazy_query_round_trip() {
     );
     assert_eq!(
         flor.dataframe(&["loss"]).unwrap(),
-        flor.dataframe_full(&["loss"]).unwrap()
+        flor.query(&["loss"]).collect_full().unwrap()
     );
     assert_eq!(
         flor.dataframe_latest(&["acc"], &["epoch_value"]).unwrap(),
@@ -169,7 +169,9 @@ fn lazy_query_round_trip() {
     );
     assert_eq!(
         flor.dataframe_latest(&["acc"], &["epoch_value"]).unwrap(),
-        flor.dataframe_latest_full(&["acc"], &["epoch_value"])
+        flor.query(&["acc"])
+            .latest(&["epoch_value"])
+            .collect_full()
             .unwrap()
     );
 }
