@@ -29,6 +29,7 @@
 
 pub mod analysis;
 pub mod lexer;
+pub mod loc;
 pub mod manifest;
 pub mod rules;
 
@@ -79,6 +80,19 @@ pub fn audit_sources(files: &[(String, String)], manifest: &Manifest) -> AuditRe
 
 /// Audit every non-skipped `.rs` file under `root`.
 pub fn audit_workspace(root: &Path, manifest: &Manifest) -> io::Result<AuditReport> {
+    let mut sources = Vec::new();
+    for (rel, path) in rs_files(root, |rel| skipped(rel, manifest))? {
+        sources.push((rel, fs::read_to_string(&path)?));
+    }
+    Ok(audit_sources(&sources, manifest))
+}
+
+/// Every `.rs` file under `root` as `(root-relative path, path)`, sorted;
+/// `skip` prunes files and whole directories by relative path.
+pub(crate) fn rs_files(
+    root: &Path,
+    skip: impl Fn(&str) -> bool,
+) -> io::Result<Vec<(String, PathBuf)>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -86,7 +100,7 @@ pub fn audit_workspace(root: &Path, manifest: &Manifest) -> io::Result<AuditRepo
             let entry = entry?;
             let path = entry.path();
             let rel = rel_path(root, &path);
-            if skipped(&rel, manifest) {
+            if skip(&rel) {
                 continue;
             }
             if entry.file_type()?.is_dir() {
@@ -97,11 +111,7 @@ pub fn audit_workspace(root: &Path, manifest: &Manifest) -> io::Result<AuditRepo
         }
     }
     files.sort();
-    let mut sources = Vec::with_capacity(files.len());
-    for (rel, path) in files {
-        sources.push((rel, fs::read_to_string(&path)?));
-    }
-    Ok(audit_sources(&sources, manifest))
+    Ok(files)
 }
 
 /// Load `lockorder.toml` from `root`.

@@ -4,6 +4,7 @@
 //! cargo run -p flor-audit -- --workspace            # audit the repo
 //! cargo run -p flor-audit -- --root <dir>           # explicit root
 //! cargo run -p flor-audit -- --manifest <file> ...  # explicit manifest
+//! cargo run -p flor-audit -- --loc                  # code lines per crate/file
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error.
@@ -14,10 +15,12 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut manifest_path: Option<PathBuf> = None;
+    let mut loc = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => {}
+            "--loc" => loc = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root needs a path"),
@@ -29,7 +32,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "flor-audit: workspace concurrency-invariant linter\n\
-                     usage: flor-audit [--workspace] [--root DIR] [--manifest FILE]"
+                     usage: flor-audit [--workspace] [--root DIR] [--manifest FILE]\n\
+                     \x20      flor-audit --loc [--root DIR]   (non-test, non-comment lines\n\
+                     \x20                                       per crate and file; no gate)"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -56,6 +61,16 @@ fn main() -> ExitCode {
             }
         }
     };
+
+    if loc {
+        return match flor_audit::loc::workspace_loc(&root) {
+            Ok(crates) => {
+                print!("{}", flor_audit::loc::render(&crates));
+                ExitCode::SUCCESS
+            }
+            Err(e) => config_err(&format!("cannot count lines under {}: {e}", root.display())),
+        };
+    }
 
     let manifest = match manifest_path {
         Some(p) => match std::fs::read_to_string(&p) {

@@ -125,10 +125,8 @@ impl JobBoard {
     /// than the snapshot is still queued on the subscription and will be
     /// applied as a delta (batches at or below the epoch are skipped).
     fn rebuild(&self, g: &mut BoardInner) -> StoreResult<()> {
-        let (epoch, mut frames) = self.db.snapshot(&["jobs"])?;
-        // audit: allow(panic) — `snapshot` returns exactly one frame per
-        // requested table and we asked for exactly one.
-        let frame = frames.pop().expect("one table requested");
+        let snap = self.db.pin();
+        let frame = snap.scan("jobs")?;
         let mut latest = LatestState::keyed(&["job_id"], "seq");
         let all: Vec<usize> = (0..frame.n_rows()).collect();
         latest.observe(&frame, &all);
@@ -138,7 +136,7 @@ impl JobBoard {
         }
         g.frame = frame;
         g.latest = latest;
-        g.epoch = epoch;
+        g.epoch = snap.epoch();
         g.rebuilds += 1;
         Ok(())
     }

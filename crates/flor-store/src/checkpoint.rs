@@ -5,7 +5,7 @@
 //! prefixes, so replaying the whole log on `Database::open` costs time
 //! proportional to everything that *ever* happened. A checkpoint
 //! serializes the committed state — the sealed segments of a pinned
-//! [`crate::db::Snapshot`] — into a sidecar file next to the WAL, then
+//! [`crate::snapshot::Snapshot`] — into a sidecar file next to the WAL, then
 //! truncates the log down to the records the checkpoint does not cover.
 //! Recovery becomes: load the sidecar (O(live rows)), then replay only
 //! the short WAL tail.
@@ -15,12 +15,16 @@
 //! 1. The sidecar is staged at `<wal>.ckpt.tmp`, fsynced, and renamed to
 //!    `<wal>.ckpt`. A crash before the rename leaves the old state
 //!    (previous sidecar, full WAL) — recovery is unchanged.
-//! 2. The WAL is rewritten via [`crate::wal::Wal::rewrite`] (stage, fsync,
-//!    rename) keeping only records with `txn > max_txn`. A crash *between*
-//!    steps leaves the new sidecar plus the full WAL: replay skips every
-//!    record the checkpoint covers (`txn <= max_txn`), so recovery still
-//!    converges to the same state — the property the
-//!    `checkpoint_recovery` tests assert.
+//! 2. The WAL is truncated ([`crate::wal::stage_tail`] lock-free, then
+//!    [`crate::wal::Wal::finish_rewrite`]: stage, fsync, rename) keeping
+//!    only records with `txn > max_txn`. A crash *between* steps leaves
+//!    the new sidecar plus the full WAL: replay skips every record the
+//!    checkpoint covers (`txn <= max_txn`), so recovery still converges
+//!    to the same state — the property the `checkpoint_recovery` tests
+//!    assert.
+//!
+//! Both renames go through the one atomic-replace helper,
+//! `wal::replace_file` (fsync contents → rename → fsync directory).
 //!
 //! The sidecar is one CRC-guarded blob:
 //! `[magic u32][version u8][fnv u64 of body][body]` where the body is
@@ -29,10 +33,11 @@
 //!
 //! * **Version 1** (row-major, legacy): per table
 //!   `[name_len u16][name][n_rows u64][rows…]` in [`crate::codec`] row
-//!   encoding. Still *read* transparently — a database checkpointed
-//!   before the columnar refactor reopens cleanly.
-//! * **Version 2** (columnar, written since the columnar segment
-//!   layout): per table `[name_len u16][name][n_rows u64][n_cols u16]`
+//!   encoding. Never written any more, still *read* — a sidecar is
+//!   outside input, so a database checkpointed before the columnar
+//!   refactor reopens cleanly, and its next checkpoint rewrites the
+//!   sidecar as version 2 (the upgrade-on-open).
+//! * **Version 2** (columnar, the only layout written): per table `[name_len u16][name][n_rows u64][n_cols u16]`
 //!   then per column `[enc u8]` + payload. `enc = 0` (plain) is
 //!   `n_rows` tagged values; `enc = 1` (dictionary) is
 //!   `[n_dict u32][dict strings as u32-len + bytes][n_rows × u32
@@ -41,12 +46,13 @@
 //!   row count, so string-heavy tables (`logs.value`, `git.contents`)
 //!   serialize each distinct string once.
 //!
-//! [`encode_checkpoint`] writes version 2 (falling back to version 1
-//! for the shape it cannot express: tables with non-uniform row arity,
-//! impossible through the schema'd write path); [`decode_checkpoint`]
-//! and [`peek_sidecar`] accept both.
+//! [`encode_checkpoint`] writes version 2 and rejects the one shape it
+//! cannot express — a table with non-uniform row arity, impossible
+//! through the schema'd write path; [`decode_checkpoint`] and
+//! [`peek_sidecar`] share one header parser and accept both versions.
 
-use crate::codec::{decode_row, decode_value, encode_row, encode_value, fnv1a, CodecError};
+use crate::codec::{decode_row, decode_value, encode_value, fnv1a, CodecError};
+use crate::db::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flor_df::Value;
 use std::collections::HashMap;
@@ -60,6 +66,13 @@ const MAGIC: u32 = 0x464C_4F52; // "FLOR"
 const VERSION_ROW: u8 = 1;
 /// Columnar body layout with dictionary-encoded string columns.
 const VERSION_COLUMNAR: u8 = 2;
+
+/// `[magic u32][version u8][crc u64]`: the bytes before the checksummed
+/// body.
+const HEADER_BYTES: usize = 13;
+/// The header plus the body's leading `[epoch u64][max_txn u64]` — all a
+/// [`peek_sidecar`] reads.
+const PEEK_BYTES: usize = HEADER_BYTES + 16;
 
 /// Plain column payload: `n_rows` tagged values.
 const ENC_PLAIN: u8 = 0;
@@ -92,62 +105,36 @@ pub fn sidecar_path(wal_path: &Path) -> PathBuf {
     PathBuf::from(format!("{}.ckpt", wal_path.display()))
 }
 
-/// Serialize a checkpoint body in the current (columnar, version 2)
-/// layout. Falls back to the row-major version 1 layout for the one
-/// shape the columnar body cannot express — a table whose rows disagree
-/// on arity (impossible through the schema'd write path).
-pub fn encode_checkpoint(data: &CheckpointData) -> Vec<u8> {
-    let uniform = data.tables.iter().all(|(_, rows)| {
-        rows.first()
-            .is_none_or(|first| rows.iter().all(|r| r.len() == first.len()))
-    });
-    if !uniform {
-        return encode_checkpoint_v1(data);
-    }
+/// Serialize a checkpoint in the columnar (version 2) layout — the only
+/// one written. A table whose rows disagree on arity has no columnar
+/// form (and cannot come through the schema'd write path): that is an
+/// error, not a reason to switch formats.
+pub fn encode_checkpoint(data: &CheckpointData) -> Result<Vec<u8>, CodecError> {
     let mut body = BytesMut::new();
     body.put_u64(data.epoch);
     body.put_u64(data.max_txn);
     body.put_u16(data.tables.len() as u16);
     for (name, rows) in &data.tables {
+        let n_cols = rows.first().map_or(0, Vec::len);
+        if rows.iter().any(|r| r.len() != n_cols) {
+            return Err(CodecError::Malformed(format!(
+                "table {name} has rows of differing arity"
+            )));
+        }
         body.put_u16(name.len() as u16);
         body.put_slice(name.as_bytes());
         body.put_u64(rows.len() as u64);
-        let n_cols = rows.first().map_or(0, Vec::len);
         body.put_u16(n_cols as u16);
         for c in 0..n_cols {
             encode_column(rows, c, &mut body);
         }
     }
-    seal_blob(VERSION_COLUMNAR, &body)
-}
-
-/// Serialize a checkpoint body in the legacy row-major (version 1)
-/// layout. Kept public so back-compat tests (and tooling that needs a
-/// pre-columnar sidecar) can produce one; [`decode_checkpoint`] reads
-/// both versions.
-pub fn encode_checkpoint_v1(data: &CheckpointData) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    body.put_u64(data.epoch);
-    body.put_u64(data.max_txn);
-    body.put_u16(data.tables.len() as u16);
-    for (name, rows) in &data.tables {
-        body.put_u16(name.len() as u16);
-        body.put_slice(name.as_bytes());
-        body.put_u64(rows.len() as u64);
-        for row in rows {
-            encode_row(row, &mut body);
-        }
-    }
-    seal_blob(VERSION_ROW, &body)
-}
-
-fn seal_blob(version: u8, body: &BytesMut) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 13);
+    let mut out = Vec::with_capacity(body.len() + HEADER_BYTES);
     out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.push(version);
-    out.extend_from_slice(&fnv1a(body).to_be_bytes());
-    out.extend_from_slice(body);
-    out
+    out.push(VERSION_COLUMNAR);
+    out.extend_from_slice(&fnv1a(&body).to_be_bytes());
+    out.extend_from_slice(&body);
+    Ok(out)
 }
 
 /// Encode one column of a uniform-arity table. String columns (nulls
@@ -241,38 +228,47 @@ fn decode_column(b: &mut Bytes, n_rows: usize) -> Result<Vec<Value>, CodecError>
     }
 }
 
-/// Decode a checkpoint blob (header, checksum, body) of either body
-/// version. Takes the bytes by value: the body is consumed through a
-/// zero-copy [`Bytes`] view, so the only per-cell copies are the
-/// decoded values themselves.
-pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<CheckpointData, CodecError> {
-    if bytes.len() < 13 {
+/// Parse the fixed sidecar prefix `[magic u32][version u8][crc u64]
+/// [epoch u64][max_txn u64]` — the one header parser under
+/// [`decode_checkpoint`] and [`peek_sidecar`]. Returns the body version
+/// and the sidecar's identity; the checksum is *not* verified here (a
+/// peek never reads the body).
+fn parse_header(bytes: &[u8]) -> Result<(u8, SidecarMark), CodecError> {
+    let Some(h) = bytes.first_chunk::<PEEK_BYTES>() else {
         return Err(CodecError::Truncated);
-    }
-    // audit: allow(panic) — bytes.len() >= 13 was checked above, so the
-    // fixed-width header slices below always convert.
-    let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
+    };
+    let u64_at = |at: usize| u64::from_be_bytes(std::array::from_fn(|i| h[at + i]));
+    if u32::from_be_bytes(std::array::from_fn(|i| h[i])) != MAGIC {
         return Err(CodecError::Malformed("bad checkpoint magic".into()));
     }
-    let version = bytes[4];
+    let version = h[4];
     if version != VERSION_ROW && version != VERSION_COLUMNAR {
         return Err(CodecError::Malformed(format!(
             "unsupported checkpoint version {version}"
         )));
     }
-    let crc = u64::from_be_bytes(bytes[5..13].try_into().expect("8 bytes")); // audit: allow(panic) — same length check
-    let all = Bytes::from(bytes);
-    let b = all.slice(13..);
-    if fnv1a(&b) != crc {
+    let mark = SidecarMark {
+        crc: u64_at(5),
+        epoch: u64_at(HEADER_BYTES),
+        max_txn: u64_at(HEADER_BYTES + 8),
+    };
+    Ok((version, mark))
+}
+
+/// Decode a checkpoint blob (header, checksum, body) of either body
+/// version. Takes the bytes by value: the body is consumed through a
+/// zero-copy [`Bytes`] view, so the only per-cell copies are the
+/// decoded values themselves.
+pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<CheckpointData, CodecError> {
+    let (version, mark) = parse_header(&bytes)?;
+    let body = Bytes::from(bytes).slice(HEADER_BYTES..);
+    if fnv1a(&body) != mark.crc {
         return Err(CodecError::BadChecksum);
     }
-    let mut b = b;
-    if b.remaining() < 18 {
+    let mut b = body.slice(16..); // epoch + max_txn are already in `mark`
+    if b.remaining() < 2 {
         return Err(CodecError::Truncated);
     }
-    let epoch = b.get_u64();
-    let max_txn = b.get_u64();
     let n_tables = b.get_u16() as usize;
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
@@ -318,30 +314,29 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<CheckpointData, CodecError> {
         tables.push((name, rows));
     }
     Ok(CheckpointData {
-        epoch,
-        max_txn,
+        epoch: mark.epoch,
+        max_txn: mark.max_txn,
         tables,
     })
 }
 
-/// Write the sidecar atomically: stage at `<sidecar>.tmp`, fsync, rename,
-/// fsync the directory (the rename itself must be durable before the WAL
-/// may be truncated). Returns the sidecar's byte size.
-pub fn write_sidecar(wal_path: &Path, data: &CheckpointData) -> std::io::Result<u64> {
-    let bytes = encode_checkpoint(data);
+/// Write the sidecar for the log at `wal_path` atomically: stage at
+/// `<sidecar>.tmp`, then install it through the crate's one
+/// atomic-replace helper (fsync, rename, fsync the directory — the
+/// rename itself must be durable before the WAL may be truncated).
+/// Returns the sidecar's byte size; an in-memory log (`None`) has no
+/// sidecar and writes nothing.
+pub fn write_sidecar(wal_path: Option<&Path>, data: &CheckpointData) -> std::io::Result<u64> {
+    let Some(wal_path) = wal_path else {
+        return Ok(0);
+    };
+    let bytes = encode_checkpoint(data)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let final_path = sidecar_path(wal_path);
     let tmp = PathBuf::from(format!("{}.tmp", final_path.display()));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, &final_path)?;
-    let dir = match final_path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    File::open(dir)?.sync_all()?;
+    let mut f = File::create(&tmp)?;
+    f.write_all(&bytes)?;
+    crate::wal::replace_file(&f, &tmp, &final_path)?;
     Ok(bytes.len() as u64)
 }
 
@@ -366,52 +361,33 @@ pub struct SidecarMark {
 /// when no sidecar exists. O(1) in the sidecar size: this is the
 /// per-poll staleness probe a follower runs before and after each tail
 /// read.
-pub fn peek_sidecar(wal_path: &Path) -> Result<Option<SidecarMark>, crate::db::StoreError> {
-    let path = sidecar_path(wal_path);
-    let mut f = match File::open(&path) {
+pub fn peek_sidecar(wal_path: &Path) -> Result<Option<SidecarMark>, StoreError> {
+    let mut f = match File::open(sidecar_path(wal_path)) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(crate::db::StoreError::Io(e)),
+        Err(e) => return Err(StoreError::Io(e)),
     };
-    let mut header = [0u8; 29];
+    let mut header = [0u8; PEEK_BYTES];
     f.read_exact(&mut header)
-        .map_err(|_| crate::db::StoreError::Codec(CodecError::Truncated))?;
-    // audit: allow(panic) — `header` is a [u8; 29] filled by read_exact;
-    // every fixed-offset slice below has the width its target needs.
-    let magic = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
-        return Err(crate::db::StoreError::Codec(CodecError::Malformed(
-            "bad checkpoint magic".into(),
-        )));
-    }
-    if header[4] != VERSION_ROW && header[4] != VERSION_COLUMNAR {
-        return Err(crate::db::StoreError::Codec(CodecError::Malformed(
-            format!("unsupported checkpoint version {}", header[4]),
-        )));
-    }
-    Ok(Some(SidecarMark {
-        crc: u64::from_be_bytes(header[5..13].try_into().expect("8 bytes")), // audit: allow(panic) — fixed [u8; 29] header
-        epoch: u64::from_be_bytes(header[13..21].try_into().expect("8 bytes")), // audit: allow(panic) — fixed [u8; 29] header
-        max_txn: u64::from_be_bytes(header[21..29].try_into().expect("8 bytes")), // audit: allow(panic) — fixed [u8; 29] header
-    }))
+        .map_err(|_| StoreError::Codec(CodecError::Truncated))?;
+    let (_, mark) = parse_header(&header).map_err(StoreError::Codec)?;
+    Ok(Some(mark))
 }
 
 /// Load the sidecar for `wal_path`, if one exists. A corrupt sidecar is
 /// an error, not silently ignored: its WAL may already be truncated, so
 /// pretending there is no checkpoint would silently drop committed data.
-pub fn load_sidecar(wal_path: &Path) -> Result<Option<CheckpointData>, crate::db::StoreError> {
-    let path = sidecar_path(wal_path);
-    let mut f = match File::open(&path) {
+pub fn load_sidecar(wal_path: &Path) -> Result<Option<CheckpointData>, StoreError> {
+    let mut f = match File::open(sidecar_path(wal_path)) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(crate::db::StoreError::Io(e)),
+        Err(e) => return Err(StoreError::Io(e)),
     };
     let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)
-        .map_err(crate::db::StoreError::Io)?;
+    f.read_to_end(&mut bytes)?;
     decode_checkpoint(bytes)
         .map(Some)
-        .map_err(crate::db::StoreError::Codec)
+        .map_err(StoreError::Codec)
 }
 
 #[cfg(test)]
@@ -435,10 +411,24 @@ mod tests {
         }
     }
 
+    /// `sample()` as the version-1 (row-major) writer serialized it before
+    /// that writer was retired — frozen bytes, not a re-encoding, so the
+    /// legacy *reader* is pinned to what old builds left on disk.
+    const V1_SAMPLE: &str = "464c4f520175e96835fb8ad6600000000000000007000000000000000c\
+        000200046c6f677300000000000000020003040000000170020000000000000001000003\
+        040000000170020000000000000002033fe000000000000000056c6f6f70730000000000000000";
+
+    fn v1_sample() -> Vec<u8> {
+        (0..V1_SAMPLE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V1_SAMPLE[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn checkpoint_round_trips() {
         let data = sample();
-        let bytes = encode_checkpoint(&data);
+        let bytes = encode_checkpoint(&data).unwrap();
         assert_eq!(bytes[4], VERSION_COLUMNAR);
         assert_eq!(decode_checkpoint(bytes).unwrap(), data);
         assert_eq!(data.rows(), 2);
@@ -446,10 +436,9 @@ mod tests {
 
     #[test]
     fn legacy_v1_blob_still_decodes() {
-        let data = sample();
-        let bytes = encode_checkpoint_v1(&data);
+        let bytes = v1_sample();
         assert_eq!(bytes[4], VERSION_ROW);
-        assert_eq!(decode_checkpoint(bytes).unwrap(), data);
+        assert_eq!(decode_checkpoint(bytes).unwrap(), sample());
     }
 
     #[test]
@@ -458,7 +447,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let wal = dir.join("v1.wal");
         let data = sample();
-        std::fs::write(sidecar_path(&wal), encode_checkpoint_v1(&data)).unwrap();
+        std::fs::write(sidecar_path(&wal), v1_sample()).unwrap();
         assert_eq!(load_sidecar(&wal).unwrap(), Some(data.clone()));
         let mark = peek_sidecar(&wal).unwrap().expect("v1 sidecar present");
         assert_eq!(mark.epoch, data.epoch);
@@ -483,19 +472,23 @@ mod tests {
             max_txn: 1,
             tables: vec![("logs".into(), rows)],
         };
-        let v2 = encode_checkpoint(&data);
-        let v1 = encode_checkpoint_v1(&data);
+        let v2 = encode_checkpoint(&data).unwrap();
+        // What the row-major layout costs: every row repeats its string.
+        let mut row_major = BytesMut::new();
+        for row in &data.tables[0].1 {
+            crate::codec::encode_row(row, &mut row_major);
+        }
         assert!(
-            v2.len() * 2 < v1.len(),
-            "dictionary layout should at least halve this blob: v2={} v1={}",
+            v2.len() * 2 < row_major.len(),
+            "dictionary layout should at least halve this blob: v2={} row-major={}",
             v2.len(),
-            v1.len()
+            row_major.len()
         );
         assert_eq!(decode_checkpoint(v2).unwrap(), data);
     }
 
     #[test]
-    fn mixed_arity_falls_back_to_v1() {
+    fn mixed_arity_is_rejected() {
         let data = CheckpointData {
             epoch: 1,
             max_txn: 1,
@@ -504,9 +497,14 @@ mod tests {
                 vec![vec![Value::Int(1)], vec![Value::Int(1), Value::Int(2)]],
             )],
         };
-        let bytes = encode_checkpoint(&data);
-        assert_eq!(bytes[4], VERSION_ROW);
-        assert_eq!(decode_checkpoint(bytes).unwrap(), data);
+        assert!(matches!(
+            encode_checkpoint(&data),
+            Err(CodecError::Malformed(_))
+        ));
+        let wal = std::env::temp_dir().join(format!("florckpt-odd-{}.wal", std::process::id()));
+        let err = write_sidecar(Some(&wal), &data).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!sidecar_path(&wal).exists(), "nothing was written");
     }
 
     #[test]
@@ -517,7 +515,7 @@ mod tests {
             max_txn: 1,
             tables: vec![("t".into(), rows)],
         };
-        let mut bytes = encode_checkpoint(&data);
+        let mut bytes = encode_checkpoint(&data).unwrap();
         // Corrupt the last code (the final 4 body bytes) to a huge value,
         // then re-seal the checksum so decoding reaches the dict check.
         let n = bytes.len();
@@ -533,7 +531,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let data = sample();
-        let mut bytes = encode_checkpoint(&data);
+        let mut bytes = encode_checkpoint(&data).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         assert!(matches!(
@@ -544,7 +542,7 @@ mod tests {
             decode_checkpoint(bytes),
             Err(CodecError::BadChecksum)
         ));
-        let mut bad_magic = encode_checkpoint(&data);
+        let mut bad_magic = encode_checkpoint(&data).unwrap();
         bad_magic[0] ^= 0xff;
         assert!(matches!(
             decode_checkpoint(bad_magic),
@@ -560,7 +558,7 @@ mod tests {
         let _ = std::fs::remove_file(sidecar_path(&wal));
         assert!(load_sidecar(&wal).unwrap().is_none());
         let data = sample();
-        write_sidecar(&wal, &data).unwrap();
+        write_sidecar(Some(&wal), &data).unwrap();
         assert_eq!(load_sidecar(&wal).unwrap(), Some(data));
         let _ = std::fs::remove_file(sidecar_path(&wal));
     }
@@ -573,7 +571,7 @@ mod tests {
         let _ = std::fs::remove_file(sidecar_path(&wal));
         assert!(peek_sidecar(&wal).unwrap().is_none());
         let data = sample();
-        write_sidecar(&wal, &data).unwrap();
+        write_sidecar(Some(&wal), &data).unwrap();
         let mark1 = peek_sidecar(&wal).unwrap().expect("sidecar written");
         assert_eq!(mark1.epoch, data.epoch);
         assert_eq!(mark1.max_txn, data.max_txn);
@@ -584,7 +582,7 @@ mod tests {
         data2.tables[0]
             .1
             .push(vec![Value::from("p"), Value::Int(9), Value::Null]);
-        write_sidecar(&wal, &data2).unwrap();
+        write_sidecar(Some(&wal), &data2).unwrap();
         let mark2 = peek_sidecar(&wal).unwrap().expect("sidecar replaced");
         assert_ne!(mark1, mark2);
         assert_eq!(mark2.epoch, data2.epoch);

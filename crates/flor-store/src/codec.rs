@@ -145,6 +145,15 @@ pub enum WalRecord {
     },
 }
 
+impl WalRecord {
+    /// The transaction this record belongs to.
+    pub fn txn(&self) -> u64 {
+        match self {
+            WalRecord::Insert { txn, .. } | WalRecord::Commit { txn } => *txn,
+        }
+    }
+}
+
 const REC_INSERT: u8 = 10;
 const REC_COMMIT: u8 = 11;
 

@@ -36,8 +36,8 @@
 //! pinned readers agree on identity across compactions; rid holes are why
 //! `TableVersion::row` returns `Option`.
 
-use crate::db::{Segment, TableVersion};
 use crate::schema::LatestWins;
+use crate::segment::{Segment, TableVersion};
 use flor_df::Value;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -358,6 +358,12 @@ pub(crate) fn plan_table(t: &TableVersion, policy: &CompactionPolicy) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
+    use crate::query::{CmpOp, Predicate};
+    use crate::segment::SEGMENT_COALESCE_ROWS;
+    use crate::testing::{lw_schema, tiny_schema};
+    use flor_df::{DataFrame, Value};
+    use std::collections::HashMap;
 
     #[test]
     fn default_policy_is_eager_and_trigger_is_conservative() {
@@ -375,5 +381,216 @@ mod tests {
         assert!(cell_is_empty(&Value::Str("".into())));
         assert!(!cell_is_empty(&Value::Str("x".into())));
         assert!(!cell_is_empty(&Value::Int(0)));
+    }
+
+    #[test]
+    fn compaction_merges_cold_segments_preserving_scans() {
+        let db = Database::in_memory(tiny_schema());
+        for batch in 0..5 {
+            for i in 0..SEGMENT_COALESCE_ROWS {
+                db.insert(
+                    "t",
+                    vec![
+                        format!("k{batch}").into(),
+                        ((batch * 10_000 + i) as i64).into(),
+                    ],
+                )
+                .unwrap();
+            }
+            db.commit().unwrap();
+        }
+        assert_eq!(db.stats().segments, 5);
+        let before = db.scan("t").unwrap();
+        let pinned = db.pin();
+        let stats = db.compact().unwrap();
+        assert_eq!(stats.tables_compacted, 1);
+        assert_eq!(stats.rows_dropped, 0, "no latest-wins policy declared");
+        assert!(stats.segments_after < stats.segments_before);
+        // Scans, pinned or fresh, are byte-identical across the swap.
+        assert_eq!(db.scan("t").unwrap(), before);
+        assert_eq!(pinned.scan("t").unwrap(), before);
+        // Index lookups agree too (rids are preserved by the merge).
+        let df = db.lookup("t", "k", &"k3".into()).unwrap();
+        assert_eq!(df.n_rows(), SEGMENT_COALESCE_ROWS);
+        // A second pass finds nothing left to do.
+        let again = db.compact().unwrap();
+        assert_eq!(again.tables_compacted, 0);
+    }
+
+    #[test]
+    fn compaction_drops_superseded_rows_and_keeps_carry_payload() {
+        let db = Database::in_memory(lw_schema());
+        // 4 generations of the same 128 keys; the payload lands only on
+        // generation 0 (the `jobs.payload` shape).
+        for gen in 0..4i64 {
+            for k in 0..128i64 {
+                let p = if gen == 0 {
+                    format!("pay{k}")
+                } else {
+                    String::new()
+                };
+                db.insert("t", vec![k.into(), gen.into(), p.into()])
+                    .unwrap();
+            }
+            db.commit().unwrap();
+        }
+        assert_eq!(db.dead_rows("t").unwrap(), 256, "2 middle generations dead");
+        let pinned = db.pin();
+        let before = pinned.scan("t").unwrap();
+        let stats = db.compact().unwrap();
+        assert_eq!(stats.rows_dropped, 256);
+        assert_eq!(db.dead_rows("t").unwrap(), 0);
+        // Live rows: 128 winners (gen 3) + 128 carry rows (gen 0, payload).
+        let snap = db.pin();
+        assert_eq!(snap.live_rows("t").unwrap(), 256);
+        let df = snap.scan("t").unwrap();
+        // The latest-wins fold over the compacted scan matches the fold
+        // over the uncompacted oracle: max s per key, payload carried.
+        let fold = |df: &DataFrame| -> Vec<(i64, i64, String)> {
+            let mut best: HashMap<i64, (i64, String)> = HashMap::new();
+            let mut pay: HashMap<i64, String> = HashMap::new();
+            for r in df.rows() {
+                let k = r.get("k").and_then(Value::as_i64).unwrap();
+                let s = r.get("s").and_then(Value::as_i64).unwrap();
+                let p = r.get("p").map(|v| v.to_text()).unwrap_or_default();
+                if !p.is_empty() {
+                    pay.entry(k).or_insert(p.clone());
+                }
+                match best.get(&k) {
+                    Some((prev, _)) if *prev >= s => {}
+                    _ => {
+                        best.insert(k, (s, p));
+                    }
+                }
+            }
+            let mut out: Vec<(i64, i64, String)> = best
+                .into_iter()
+                .map(|(k, (s, p))| {
+                    let p = if p.is_empty() {
+                        pay.get(&k).cloned().unwrap_or_default()
+                    } else {
+                        p
+                    };
+                    (k, s, p)
+                })
+                .collect();
+            out.sort();
+            out
+        };
+        assert_eq!(fold(&df), fold(&before));
+        assert_eq!(fold(&df)[5], (5, 3, "pay5".to_string()));
+        // The pre-compaction pin still re-reads every superseded row.
+        assert_eq!(pinned.scan("t").unwrap(), before);
+        assert_eq!(pinned.row_count("t").unwrap(), 512);
+        // Indexed lookups against the compacted version return only live
+        // rows, in insertion order.
+        let hits = db.lookup("t", "k", &7i64.into()).unwrap();
+        assert_eq!(hits.n_rows(), 2);
+        assert_eq!(hits.get(0, "s"), Some(&Value::Int(0)));
+        assert_eq!(hits.get(1, "s"), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn appends_after_compaction_use_fresh_rids() {
+        let db = Database::in_memory(lw_schema());
+        for gen in 0..2i64 {
+            for k in 0..256i64 {
+                db.insert("t", vec![k.into(), gen.into(), "".into()])
+                    .unwrap();
+            }
+            db.commit().unwrap();
+        }
+        db.compact().unwrap();
+        let live_before = db.pin().live_rows("t").unwrap();
+        assert_eq!(live_before, 256);
+        // New commits append past the rid high watermark; their rows are
+        // reachable by index and by scan, and never collide with holes.
+        for k in 0..10i64 {
+            db.insert("t", vec![k.into(), 99i64.into(), "".into()])
+                .unwrap();
+        }
+        db.commit().unwrap();
+        let hits = db.lookup("t", "k", &3i64.into()).unwrap();
+        assert_eq!(hits.n_rows(), 2);
+        assert_eq!(
+            hits.column("s").unwrap().values,
+            vec![Value::Int(1), Value::Int(99)]
+        );
+        assert_eq!(db.pin().live_rows("t").unwrap(), 266);
+    }
+
+    #[test]
+    fn compaction_splits_oversized_segments() {
+        // A monolithic segment (here: one giant commit) is split at
+        // target_segment_rows so zone maps get prunable ranges.
+        let db = Database::in_memory(tiny_schema());
+        for i in 0..5000i64 {
+            db.insert("t", vec![format!("k{i}").into(), i.into()])
+                .unwrap();
+        }
+        db.commit().unwrap();
+        assert_eq!(db.stats().segments, 1);
+        let before = db.scan("t").unwrap();
+        let stats = db
+            .compact_with(&CompactionPolicy {
+                target_segment_rows: 1024,
+                ..CompactionPolicy::default()
+            })
+            .unwrap();
+        assert_eq!(stats.rows_dropped, 0);
+        assert_eq!(db.stats().segments, 5, "5000 rows / 1024-row chunks");
+        assert_eq!(db.scan("t").unwrap(), before);
+        let preds = vec![Predicate::new("v", CmpOp::Lt, 1000)];
+        let (visited, total) = db.pin().zone_prune_stats("t", &preds).unwrap();
+        assert_eq!((visited, total), (1, 5));
+        // Idempotent: chunks at the target size pass through untouched.
+        let again = db
+            .compact_with(&CompactionPolicy {
+                target_segment_rows: 1024,
+                ..CompactionPolicy::default()
+            })
+            .unwrap();
+        assert_eq!(again.tables_compacted, 0);
+    }
+
+    #[test]
+    fn auto_compaction_triggers_at_commit_layer() {
+        let db = Database::in_memory(lw_schema());
+        // 1024 appended rows = exactly the two generations below, so one
+        // trigger fires, after the superseding commit.
+        db.set_auto_compact(Some(CompactionTrigger {
+            check_every_rows: 1024,
+            policy: CompactionPolicy::default(),
+        }));
+        for gen in 0..2i64 {
+            for k in 0..512i64 {
+                db.insert("t", vec![k.into(), gen.into(), "".into()])
+                    .unwrap();
+            }
+            db.commit().unwrap();
+        }
+        // The second commit superseded generation 0; the spawned
+        // background pass must drop it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while db.stats().compactions == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "auto-compaction never ran"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(db.pin().live_rows("t").unwrap(), 512);
+        assert_eq!(db.stats().rows_dropped, 512);
+        // Disabled trigger stays quiet.
+        let quiet = Database::in_memory(lw_schema());
+        quiet.set_auto_compact(None);
+        for k in 0..600i64 {
+            quiet
+                .insert("t", vec![k.into(), 0i64.into(), "".into()])
+                .unwrap();
+        }
+        quiet.commit().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert_eq!(quiet.stats().compactions, 0);
     }
 }

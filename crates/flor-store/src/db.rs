@@ -1,5 +1,5 @@
-//! The database: segmented MVCC tables, secondary indexes, transactions,
-//! checkpointed recovery.
+//! The database handle: transactions, the write path and maintenance
+//! (checkpoint, compaction, the change feed).
 //!
 //! # Concurrency model
 //!
@@ -9,119 +9,35 @@
 //! but unlike the original lock-per-scan design, readers here never hold
 //! a lock while scanning.
 //!
-//! Each table is a list of immutable, `Arc`-shared **sealed segments**.
-//! [`Database::commit`] seals the staged delta into a new segment (small
-//! tail segments are coalesced so segment counts stay logarithmic-ish in
-//! history, not linear in commit count) and publishes a new table version
-//! — a fresh `Arc` list; the rows themselves are never copied for
-//! publication and never mutated after sealing.
+//! Each table is a list of immutable, `Arc`-shared **sealed segments**
+//! ([`crate::segment`] — columnar layout and the seal → coalesce →
+//! compact → checkpoint lifecycle). [`Database::commit`] seals the staged
+//! delta into a new segment and publishes a new table version — a fresh
+//! `Arc` list; the rows themselves are never copied for publication and
+//! never mutated after sealing. [`Database::pin`] hands out epoch-stamped
+//! [`Snapshot`]s whose reads are lock-free ([`crate::snapshot`]).
 //!
-//! [`Database::pin`] takes the inner lock for the nanoseconds needed to
-//! clone one `Arc` and read the epoch, and returns an epoch-stamped
-//! [`Snapshot`]. Every scan, lookup and query then runs **lock-free**
-//! against the pinned segments: a concurrent commit builds new versions
-//! beside them and can neither block nor be blocked by any number of
-//! readers. A pinned snapshot is stable forever — re-scanning it yields
-//! byte-identical frames no matter how many commits land meanwhile (the
-//! `snapshot_isolation` property test).
-//!
-//! # Columnar layout
-//!
-//! A sealed segment stores its rows **column-major**: one typed vector
-//! per column (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`), a side null bitmap,
-//! and string columns **dictionary-encoded** — a per-segment first-
-//! appearance dict of `Arc<str>` plus `u32` codes per row (columns whose
-//! non-null cells mix types fall back to a tagged `Value` vector). The
-//! query layer evaluates predicates as tight loops over these vectors
-//! into selection bitmaps — an equality on a dict column precomputes one
-//! verdict per dict entry and then compares codes — and materialises
-//! [`flor_df::Value`]s only for the selected rows. Cell reads for
-//! point lookups transpose on demand.
-//!
-//! Secondary hash indexes are per-segment, built in the **same single
-//! pass** that seals the columns, with global row ids so multi-segment
-//! results recover scan order by a plain sort. That pass also builds
-//! per-segment **zone maps** — min/max per column — which the query
-//! planner uses to prune whole segments from range scans (`tstamp`
-//! windows, time travel) without reading a row.
-//!
-//! # Segment lifecycle: seal → coalesce → compact/cluster → checkpoint
-//!
-//! 1. **Seal.** A commit seals its staged rows into a fresh immutable
-//!    columnar segment (columns + dictionaries + indexes + zone maps
-//!    built in one pass over the rows, never mutated after). A segment
-//!    whose [`crate::schema::ClusterBy`] column arrives already
-//!    non-decreasing is marked sorted at seal time.
-//! 2. **Coalesce.** Small trailing segments are folded geometrically at
-//!    commit time (a segment is absorbed only once the incoming run is at
-//!    least its size, up to [`SEGMENT_COALESCE_ROWS`]), so N tiny commits
-//!    cost O(N log N) row copies — not O(N²) — and leave O(log N)
-//!    segments. Only the trailing run of small, contiguous segments is
-//!    ever touched by a commit; everything before it is *cold*.
-//! 3. **Compact.** [`Database::compact`] merges runs of cold sealed
-//!    segments into fewer, right-sized ones and — for tables with a
-//!    declared [`crate::schema::LatestWins`] policy (the `jobs` control
-//!    plane) — drops rows a newer row has superseded, so scans touch
-//!    only live data. (`logs` deliberately declares no policy: replay
-//!    and the pivot depend on raw row order and multiplicity — see
-//!    [`crate::schema::flor_schema`].) Compacted segments carry an explicit rid map (the
-//!    dropped rows leave holes in the global row-id space) and the
-//!    successor table version is published by the same pointer swap a
-//!    commit uses: snapshots pinned before the compaction keep re-reading
-//!    their original segments, byte-identically, forever. Compaction
-//!    never bumps the epoch and publishes nothing to the change feed —
-//!    it is invisible to every fold-respecting reader. For tables with a
-//!    declared [`crate::schema::ClusterBy`] column (`logs` clusters by
-//!    `tstamp`), rewritten runs are **sorted** by that column (ties keep
-//!    insertion order), so the output chunks' zone maps are disjoint and
-//!    range scans binary-search into each admitted chunk.
-//! 4. **Checkpoint.** [`Database::checkpoint`] serializes a pinned
-//!    snapshot to a `<wal>.ckpt` sidecar and truncates the WAL to the
-//!    uncovered tail, making [`Database::open`] O(live data). A
-//!    checkpoint taken after a compaction persists the *compacted* state,
-//!    which is how dropped rows eventually leave the log too (see
-//!    [`crate::checkpoint`] for the crash-safety argument). Compactions
-//!    and checkpoints are serialized against each other.
-//!
-//! # Durability
-//!
-//! Writes go to the [`crate::wal`] as before (staged inserts immediately,
-//! visibility at the commit marker). Compaction itself writes nothing:
-//! replaying the full WAL reproduces the uncompacted state, and the next
-//! checkpoint captures the compacted one.
+//! A commit becomes visible in exactly one place —
+//! `DbInner::apply_committed` — whether it came from a local
+//! [`Database::commit`] or from a follower applying the writer's log
+//! ([`crate::recovery`], which also covers durability and reopening).
 
-use crate::checkpoint::{self, CheckpointData, SidecarMark};
+use crate::checkpoint;
 use crate::codec::WalRecord;
-use crate::column;
 use crate::compact::{self, CompactionPolicy, CompactionStats, CompactionTrigger};
 use crate::feed::{CommitBatch, Publisher, RowDelta, Subscription};
 use crate::metrics::StoreMetrics;
-use crate::query::{CmpOp, Predicate, QueryExplain};
+use crate::recovery::{follower_bootstrap, RecoveryInfo, Replay, Replayed, TailState};
 use crate::schema::TableSchema;
-use crate::wal::{self, TailChunk, Wal, WalError};
-use flor_df::{Column, DataFrame, DfResult, Value};
+use crate::segment::TableVersion;
+use crate::snapshot::Snapshot;
+use crate::wal::{self, Wal, WalError};
+use flor_df::{DataFrame, Value};
 use flor_obs::{MetricsRegistry, Span};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Tail segments smaller than this participate in commit-time coalescing.
-/// Folding is geometric — a trailing segment is absorbed only when the
-/// incoming run is at least its size — so each row is re-copied O(log)
-/// times on its way to a full-size segment, and sub-threshold segment
-/// counts stay logarithmic in history. The sealed segments readers
-/// already pinned are untouched. Segments at or past this size are never
-/// modified by commits again: they are *cold*, and only [`Database::compact`]
-/// may replace them.
-pub const SEGMENT_COALESCE_ROWS: usize = 512;
-
-/// Chunk size for segments sealed on the recovery path
-/// ([`Database::open`]): a reopened table is rebuilt as several
-/// bounded segments rather than one history-wide monolith, so zone-map
-/// pruning keeps working across restarts.
-pub const RECOVERED_SEGMENT_ROWS: usize = 4096;
 
 /// Store-level errors.
 #[derive(Debug)]
@@ -179,404 +95,6 @@ impl From<WalError> for StoreError {
 /// Result alias for store operations.
 pub type StoreResult<T> = Result<T, StoreError>;
 
-/// One immutable run of committed rows, stored **columnar**: one typed
-/// [`column::Column`] per schema column (primitive vectors, dictionary-
-/// encoded strings, null bitmaps). Sealed at commit time (or built by
-/// compaction), shared by `Arc` between the live table and every pinned
-/// snapshot; never mutated afterwards.
-#[derive(Debug)]
-pub(crate) struct Segment {
-    /// Global row id of this segment's first row (in insertion order —
-    /// for clustered segments this is still the smallest-at-seal first
-    /// row's rid; commit-time coalescing only ever folds unclustered
-    /// contiguous segments, for which `start + len` is the next rid).
-    pub start: usize,
-    /// Number of rows.
-    len: usize,
-    /// One typed column per schema column, all of length `len`.
-    pub cols: Vec<column::Column>,
-    /// Global row id of each row, in row order. `None` for plain sealed
-    /// segments whose rids are contiguous (`start + offset`); `Some` for
-    /// compacted segments where dropped rows left holes in the rid space
-    /// or clustering reordered rows.
-    pub rids: Option<Vec<usize>>,
-    /// For clustered (row-reordered) segments: local offsets sorted by
-    /// rid, so [`Segment::local_of`] can still binary-search. `None`
-    /// when `rids` is already ascending.
-    rid_perm: Option<Vec<u32>>,
-    /// Smallest and largest rid in this segment (quick reject for
-    /// [`TableVersion::row`]).
-    pub min_rid: usize,
-    pub max_rid: usize,
-    /// column name → value → local row offsets (ascending). Built once
-    /// at seal time.
-    pub indexes: HashMap<String, HashMap<Value, Vec<u32>>>,
-    /// column name → (min, max) over this segment's rows, built once at
-    /// seal time (segments are immutable, so zone maps are free to keep
-    /// current). Range and equality predicates prune whole segments with
-    /// them; absent for empty segments.
-    pub zones: HashMap<String, (Value, Value)>,
-    /// `Some(col_pos)` when this segment's rows are sorted non-decreasing
-    /// on the schema's [`crate::schema::ClusterBy`] column — range scans
-    /// then binary-search into the segment instead of filtering it.
-    pub sorted_by: Option<usize>,
-}
-
-impl Segment {
-    fn seal(schema: &TableSchema, start: usize, rows: Vec<Vec<Value>>) -> Segment {
-        Segment::build(schema, start, None, rows)
-    }
-
-    /// Seal a compacted segment whose retained rows keep their original
-    /// (now non-contiguous, possibly reordered-by-clustering) global row
-    /// ids. Ascending contiguous rid runs collapse back to a plain
-    /// segment.
-    pub(crate) fn seal_mapped(
-        schema: &TableSchema,
-        rids: Vec<usize>,
-        rows: Vec<Vec<Value>>,
-    ) -> Segment {
-        debug_assert_eq!(rids.len(), rows.len());
-        let ascending = rids.windows(2).all(|w| w[0] < w[1]);
-        let start = rids.first().copied().unwrap_or(0);
-        let contiguous = ascending
-            && rids
-                .last()
-                .is_none_or(|&last| last + 1 - start == rids.len());
-        let rids = if contiguous { None } else { Some(rids) };
-        Segment::build(schema, start, rids, rows)
-    }
-
-    /// Single-pass seal: one walk over the rows feeds the per-column
-    /// builders *and* the secondary-index postings; zone maps then fall
-    /// out of the finished columns' min/max without touching rows again.
-    fn build(
-        schema: &TableSchema,
-        start: usize,
-        rids: Option<Vec<usize>>,
-        rows: Vec<Vec<Value>>,
-    ) -> Segment {
-        let n_cols = schema.columns.len();
-        let indexed: Vec<usize> = schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.indexed)
-            .map(|(i, _)| i)
-            .collect();
-        let mut builders: Vec<column::ColumnBuilder> =
-            (0..n_cols).map(|_| column::ColumnBuilder::new()).collect();
-        let mut index_maps: Vec<HashMap<Value, Vec<u32>>> =
-            indexed.iter().map(|_| HashMap::new()).collect();
-        let len = rows.len();
-        for (i, row) in rows.into_iter().enumerate() {
-            for (&pos, idx) in indexed.iter().zip(&mut index_maps) {
-                idx.entry(row[pos].clone()).or_default().push(i as u32);
-            }
-            for (cell, b) in row.into_iter().zip(&mut builders) {
-                b.push(&cell);
-            }
-        }
-        let cols: Vec<column::Column> = builders.into_iter().map(|b| b.finish()).collect();
-        let indexes = indexed
-            .iter()
-            .zip(index_maps)
-            .map(|(&pos, idx)| (schema.columns[pos].name.clone(), idx))
-            .collect();
-        let mut zones = HashMap::new();
-        for (col, def) in cols.iter().zip(&schema.columns) {
-            if let Some((lo, hi)) = col.min_max() {
-                zones.insert(def.name.clone(), (lo, hi));
-            }
-        }
-        let sorted_by = schema
-            .cluster_by
-            .as_ref()
-            .and_then(|c| schema.col_index(&c.column))
-            .filter(|&ci| len > 0 && cols[ci].is_non_decreasing());
-        let (min_rid, max_rid, rid_perm) = match &rids {
-            None => (start, start + len.saturating_sub(1), None),
-            Some(rids) => {
-                let min = rids.iter().copied().min().unwrap_or(0);
-                let max = rids.iter().copied().max().unwrap_or(0);
-                let perm = if rids.windows(2).all(|w| w[0] < w[1]) {
-                    None
-                } else {
-                    let mut perm: Vec<u32> = (0..len as u32).collect();
-                    perm.sort_unstable_by_key(|&l| rids[l as usize]);
-                    Some(perm)
-                };
-                (min, max, perm)
-            }
-        };
-        Segment {
-            start,
-            len,
-            cols,
-            rids,
-            rid_perm,
-            min_rid,
-            max_rid,
-            indexes,
-            zones,
-            sorted_by,
-        }
-    }
-
-    /// Number of rows in this segment.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Materialize the cell at (`local`, `col`) as an owned [`Value`].
-    pub fn cell(&self, local: usize, col: usize) -> Value {
-        self.cols[col].value_at(local)
-    }
-
-    /// Materialize the row at local offset `local`.
-    pub fn row_at(&self, local: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.value_at(local)).collect()
-    }
-
-    /// Materialize every row, in row order (compaction's rewrite path).
-    pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        let mut rows = vec![Vec::with_capacity(self.cols.len()); self.len];
-        for col in &self.cols {
-            let mut cells = Vec::with_capacity(self.len);
-            col.extend_all(&mut cells);
-            for (row, cell) in rows.iter_mut().zip(cells) {
-                row.push(cell);
-            }
-        }
-        rows
-    }
-
-    /// Approximate resident heap bytes of this segment's column data.
-    pub fn mem_bytes(&self) -> usize {
-        self.cols.iter().map(|c| c.mem_bytes()).sum()
-    }
-
-    /// The global row id of the row at local offset `local`.
-    pub fn rid_at(&self, local: usize) -> usize {
-        match &self.rids {
-            Some(rids) => rids[local],
-            None => self.start + local,
-        }
-    }
-
-    /// The local offset of global row id `rid`, if this segment retains
-    /// it (a compacted segment may have dropped it).
-    pub fn local_of(&self, rid: usize) -> Option<usize> {
-        match (&self.rids, &self.rid_perm) {
-            (Some(rids), None) => rids.binary_search(&rid).ok(),
-            (Some(rids), Some(perm)) => perm
-                .binary_search_by(|&l| rids[l as usize].cmp(&rid))
-                .ok()
-                .map(|i| perm[i] as usize),
-            (None, _) => {
-                (rid >= self.start && rid < self.start + self.len).then(|| rid - self.start)
-            }
-        }
-    }
-
-    /// Whether this segment's zone map admits any row satisfying `pred`.
-    /// `true` means "must scan"; `false` proves no row here can match.
-    /// Columns without a zone (unknown column, empty segment) are never
-    /// pruned.
-    pub fn may_match(&self, pred: &Predicate) -> bool {
-        let Some((lo, hi)) = self.zones.get(&pred.col) else {
-            return true;
-        };
-        let v = &pred.value;
-        match pred.op {
-            CmpOp::Eq => v >= lo && v <= hi,
-            CmpOp::Ne => !(lo == hi && lo == v),
-            CmpOp::Lt => lo < v,
-            CmpOp::Le => lo <= v,
-            CmpOp::Gt => hi > v,
-            CmpOp::Ge => hi >= v,
-        }
-    }
-
-    /// Zone check for an equality lookup on `col` (the index fast path's
-    /// pre-filter: segments whose range excludes the value skip the hash
-    /// probe entirely).
-    pub fn zone_admits_eq(&self, col: &str, v: &Value) -> bool {
-        self.zones
-            .get(col)
-            .is_none_or(|(lo, hi)| v >= lo && v <= hi)
-    }
-}
-
-/// One published version of a table: its schema plus the segment list at
-/// some epoch. Immutable; commits (and compactions) publish a successor
-/// version.
-#[derive(Debug)]
-pub(crate) struct TableVersion {
-    pub schema: Arc<TableSchema>,
-    pub segments: Vec<Arc<Segment>>,
-    /// Live (retained) rows across all segments — what a full scan
-    /// touches. Compaction shrinks this; the rid space does not shrink.
-    pub total_rows: usize,
-    /// Global row-id high watermark: the rid the next appended row gets.
-    /// Diverges from `total_rows` once compaction drops dead rows (rids
-    /// are never reused, so pinned index results stay unambiguous).
-    pub next_rid: usize,
-}
-
-impl TableVersion {
-    fn empty(schema: Arc<TableSchema>) -> TableVersion {
-        TableVersion {
-            schema,
-            segments: Vec::new(),
-            total_rows: 0,
-            next_rid: 0,
-        }
-    }
-
-    /// Successor version with `new_rows` appended. The incoming run is
-    /// sealed as a segment, geometrically folding in trailing segments no
-    /// larger than itself (and below [`SEGMENT_COALESCE_ROWS`]) — the
-    /// amortization that keeps N tiny commits at O(N log N) copied rows
-    /// instead of O(N²). Pinned copies of the folded segments are
-    /// untouched. Returns the successor and how many existing rows were
-    /// re-copied by the fold (the coalescing cost a bench can assert on).
-    fn with_appended(&self, new_rows: Vec<Vec<Value>>) -> (TableVersion, u64) {
-        let mut segments = self.segments.clone();
-        let added = new_rows.len();
-        let mut rows = new_rows;
-        let mut start = self.next_rid;
-        let mut copied = 0u64;
-        while let Some(last) = segments.last() {
-            // Compacted segments (rid-mapped) are cold: commits never
-            // re-open them. Plain segments fold only while they are both
-            // small and no larger than the run being sealed — and flush
-            // with the run's first rid: a compaction that dropped a dead
-            // suffix can leave a plain segment ending below `next_rid`,
-            // and folding across that hole would re-issue dropped rids.
-            if last.rids.is_some()
-                || last.len() >= SEGMENT_COALESCE_ROWS
-                || last.len() > rows.len()
-                || last.start + last.len() != start
-            {
-                break;
-            }
-            // audit: allow(panic) — the loop condition peeked `last()`,
-            // so the vec is non-empty when we pop.
-            let last = segments.pop().expect("just peeked");
-            copied += last.len() as u64;
-            start = last.start;
-            let mut merged = last.to_rows();
-            merged.extend(rows);
-            rows = merged;
-        }
-        segments.push(Arc::new(Segment::seal(&self.schema, start, rows)));
-        (
-            TableVersion {
-                schema: Arc::clone(&self.schema),
-                segments,
-                total_rows: self.total_rows + added,
-                next_rid: self.next_rid + added,
-            },
-            copied,
-        )
-    }
-
-    /// Row by global id, materialized from its segment's columns. `None`
-    /// for rids past the high watermark or dropped by compaction —
-    /// callers must not assume every rid below [`TableVersion::next_rid`]
-    /// is still retained. (Clustered segments reorder rows, so segment
-    /// `start`s are not globally sorted; each segment's `[min_rid,
-    /// max_rid]` span gives the quick reject instead.)
-    pub fn row(&self, rid: usize) -> Option<Vec<Value>> {
-        for seg in self.segments.iter().rev() {
-            if rid < seg.min_rid || rid > seg.max_rid {
-                continue;
-            }
-            if let Some(local) = seg.local_of(rid) {
-                return Some(seg.row_at(local));
-            }
-        }
-        None
-    }
-
-    /// All rows, in segment/row order (insertion order until clustering
-    /// reorders a compacted segment's interior).
-    pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        self.segments
-            .iter()
-            .flat_map(|s| (0..s.len()).map(move |i| s.row_at(i)))
-    }
-
-    /// Whether `col` carries a secondary index.
-    pub fn has_index(&self, col: &str) -> bool {
-        self.schema
-            .columns
-            .iter()
-            .any(|c| c.indexed && c.name == col)
-    }
-
-    /// Global row ids matching `col == value` via the per-segment
-    /// indexes, ascending. `None` when the column has no index. Segments
-    /// whose zone map excludes `value` are skipped before the hash probe.
-    pub fn index_rids(&self, col: &str, value: &Value) -> Option<Vec<usize>> {
-        if !self.has_index(col) {
-            return None;
-        }
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if !seg.zone_admits_eq(col, value) {
-                continue;
-            }
-            if let Some(postings) = seg.indexes.get(col).and_then(|idx| idx.get(value)) {
-                out.extend(postings.iter().map(|&i| seg.rid_at(i as usize)));
-            }
-        }
-        // Clustered segments reorder rows, so postings are no longer
-        // rid-ascending by construction.
-        out.sort_unstable();
-        Some(out)
-    }
-
-    /// Number of rows matching `col == value` via the index (0 without
-    /// an index — callers check [`TableVersion::has_index`] first).
-    pub fn index_len(&self, col: &str, value: &Value) -> usize {
-        self.segments
-            .iter()
-            .filter(|seg| seg.zone_admits_eq(col, value))
-            .filter_map(|seg| seg.indexes.get(col).and_then(|idx| idx.get(value)))
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// The segments a scan under `predicates` must visit, by zone map:
-    /// a segment is skipped when any predicate provably matches no row in
-    /// it. Sound for conjunctions only (which is what [`crate::query::Query`]
-    /// evaluates).
-    pub fn pruned_segments<'a>(
-        &'a self,
-        predicates: &'a [&'a Predicate],
-    ) -> impl Iterator<Item = &'a Arc<Segment>> + 'a {
-        self.segments
-            .iter()
-            .filter(move |s| predicates.iter().all(|p| s.may_match(p)))
-    }
-}
-
-/// Recovery cost accounting for the most recent [`Database::open`] —
-/// how much state came from the checkpoint sidecar versus WAL replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryInfo {
-    /// Whether a checkpoint sidecar seeded the tables.
-    pub from_checkpoint: bool,
-    /// Rows loaded directly from the sidecar (no per-record replay).
-    pub checkpoint_rows: usize,
-    /// WAL frames decoded during replay (the physical tail cost).
-    pub wal_records_replayed: usize,
-    /// Committed rows applied from the WAL tail.
-    pub rows_replayed: usize,
-}
-
 /// Summary of one completed [`Database::checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointStats {
@@ -595,20 +113,20 @@ pub struct CheckpointStats {
     pub wal_bytes_after: u64,
 }
 
-struct DbInner {
+pub(crate) struct DbInner {
     /// The published table versions. Swapped wholesale at commit /
     /// `ensure_table`, so [`Database::pin`] is one `Arc` clone.
-    tables: Arc<HashMap<String, Arc<TableVersion>>>,
+    pub(crate) tables: Arc<HashMap<String, Arc<TableVersion>>>,
     wal: Wal,
-    next_txn: u64,
+    pub(crate) next_txn: u64,
     open_txn: Option<u64>,
     staged: Vec<(String, Vec<Value>)>,
     /// Count of applied commits; the staleness watermark for the change
     /// feed and materialized views.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Highest committed transaction id — the coverage bound a checkpoint
     /// records (an open transaction always has a higher id).
-    last_committed_txn: u64,
+    pub(crate) last_committed_txn: u64,
     feed: Publisher,
     /// WAL-bytes threshold past which a commit spawns a background
     /// checkpoint (None = disabled, the store default; the kernel turns
@@ -632,51 +150,14 @@ struct DbInner {
     /// Checkpoints taken by this handle.
     checkpoints: u64,
     /// Epoch of the newest completed checkpoint.
-    last_checkpoint_epoch: u64,
+    pub(crate) last_checkpoint_epoch: u64,
     /// What the last `open` cost (checkpoint rows vs WAL replay).
-    recovery: RecoveryInfo,
+    pub(crate) recovery: RecoveryInfo,
     /// Whether this handle refuses mutations ([`Database::open_follower`]).
     read_only: bool,
     /// Follower tail cursor; `Some` exactly when `read_only` came from
     /// `open_follower`.
-    tail: Option<TailState>,
-}
-
-/// A follower's cursor into the writer's log: where the next poll reads
-/// from, which checkpoint the current table state was built on, and the
-/// writer's not-yet-committed staged inserts carried across polls.
-struct TailState {
-    /// The writer's WAL path (the follower holds no open handle on it).
-    path: PathBuf,
-    /// Byte offset of the first unread frame.
-    offset: u64,
-    /// Transactions at or below this are covered by the bootstrap
-    /// sidecar and must not be re-applied.
-    base_txn: u64,
-    /// Identity of the sidecar the current state was bootstrapped from.
-    /// A differing mark on disk means a checkpoint truncated the log:
-    /// the offset is void and the follower re-bootstraps.
-    sidecar: Option<SidecarMark>,
-    /// Inserts whose commit marker has not been seen yet, by transaction.
-    /// The writer appends staged rows immediately but they become visible
-    /// only at the commit marker — a follower poll may see the inserts
-    /// frames polls before the commit frame.
-    staged: HashMap<u64, Vec<(String, Vec<Value>)>>,
-}
-
-/// What one [`Database::poll_tail`] call applied.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TailProgress {
-    /// Committed transactions applied by this poll.
-    pub committed_txns: usize,
-    /// Rows made visible by this poll.
-    pub rows_applied: usize,
-    /// Whether the poll found the log truncated by a checkpoint and
-    /// rebuilt the whole state from the new sidecar instead of applying
-    /// incrementally.
-    pub rebootstrapped: bool,
-    /// The follower's epoch after the poll.
-    pub epoch: u64,
+    pub(crate) tail: Option<TailState>,
 }
 
 /// An embedded relational database holding the FlorDB context tables.
@@ -684,7 +165,7 @@ pub struct TailProgress {
 /// Cloning shares the same underlying state (cheap `Arc` clone).
 #[derive(Clone)]
 pub struct Database {
-    inner: Arc<RwLock<DbInner>>,
+    pub(crate) inner: Arc<RwLock<DbInner>>,
     /// Serializes whole checkpoints — and compactions, which share this
     /// mutex so a compaction's pointer swap never interleaves with a
     /// checkpoint's pin/serialize/truncate sequence. Two concurrent
@@ -699,7 +180,7 @@ pub struct Database {
     auto_compact_running: Arc<std::sync::atomic::AtomicBool>,
     /// Pre-bound metric handles (one registry per database). Lives
     /// outside the `RwLock`: recording never contends with the writer.
-    metrics: Arc<StoreMetrics>,
+    pub(crate) metrics: Arc<StoreMetrics>,
 }
 
 impl std::fmt::Debug for Database {
@@ -709,190 +190,6 @@ impl std::fmt::Debug for Database {
             .field("tables", &g.tables.len())
             .field("epoch", &g.epoch)
             .finish_non_exhaustive()
-    }
-}
-
-/// An epoch-stamped, immutable view of every table: the unit of
-/// isolation. Obtained from [`Database::pin`] in O(1); all reads against
-/// it are lock-free and stable — concurrent commits publish new table
-/// versions without touching the pinned segments.
-///
-/// Cloning a snapshot is one `Arc` clone.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    epoch: u64,
-    tables: Arc<HashMap<String, Arc<TableVersion>>>,
-    /// Query-path accounting flows into the owning database's registry.
-    metrics: Arc<StoreMetrics>,
-}
-
-impl Snapshot {
-    /// The commit count this snapshot reflects.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    pub(crate) fn table(&self, name: &str) -> StoreResult<&TableVersion> {
-        self.tables
-            .get(name)
-            .map(Arc::as_ref)
-            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))
-    }
-
-    /// Number of committed rows in a table.
-    pub fn row_count(&self, table: &str) -> StoreResult<usize> {
-        Ok(self.table(table)?.total_rows)
-    }
-
-    /// Full scan of committed rows as a [`DataFrame`]. Columnar fast
-    /// path: each segment column appends straight into the output
-    /// column, with no per-row `Vec` materialization.
-    pub fn scan(&self, table: &str) -> StoreResult<DataFrame> {
-        let t = self.table(table)?;
-        let mut out: Vec<Vec<Value>> =
-            vec![Vec::with_capacity(t.total_rows); t.schema.columns.len()];
-        for seg in &t.segments {
-            for (col, vals) in seg.cols.iter().zip(&mut out) {
-                col.extend_all(vals);
-            }
-        }
-        let cols = t
-            .schema
-            .columns
-            .iter()
-            .zip(out)
-            .map(|(def, vals)| Column::new(def.name.as_str(), vals))
-            .collect();
-        // audit: allow(panic) — the columns are built from one schema in
-        // one pass: equal lengths and unique names by construction.
-        Ok(DataFrame::from_columns(cols).expect("schema columns are uniform"))
-    }
-
-    /// Approximate resident heap bytes of `table`'s sealed column data —
-    /// what dictionary encoding shrinks on string-heavy tables.
-    pub fn resident_bytes(&self, table: &str) -> StoreResult<usize> {
-        Ok(self
-            .table(table)?
-            .segments
-            .iter()
-            .map(|s| s.mem_bytes())
-            .sum())
-    }
-
-    /// Point lookup via a secondary index if one exists on `col`; falls
-    /// back to a filtered scan otherwise.
-    pub fn lookup(&self, table: &str, col: &str, value: &Value) -> StoreResult<DataFrame> {
-        let t = self.table(table)?;
-        if let Some(rids) = t.index_rids(col, value) {
-            return Ok(rows_to_frame(
-                &t.schema,
-                rids.iter().filter_map(|&r| t.row(r)),
-            ));
-        }
-        let pos = t
-            .schema
-            .col_index(col)
-            .ok_or_else(|| StoreError::Invalid(format!("no column {col}")))?;
-        Ok(rows_to_frame(
-            &t.schema,
-            t.iter_rows().filter(|r| r[pos] == *value),
-        ))
-    }
-
-    /// Multi-value point lookup: rows where `col` equals any of `values`,
-    /// in insertion order (the order a full scan yields), via the
-    /// secondary indexes when they exist.
-    pub fn lookup_many(&self, table: &str, col: &str, values: &[Value]) -> StoreResult<DataFrame> {
-        let t = self.table(table)?;
-        if t.has_index(col) {
-            let mut rids: Vec<usize> = values
-                .iter()
-                .flat_map(|v| t.index_rids(col, v).unwrap_or_default())
-                .collect();
-            rids.sort_unstable();
-            rids.dedup();
-            return Ok(rows_to_frame(
-                &t.schema,
-                rids.iter().filter_map(|&r| t.row(r)),
-            ));
-        }
-        let pos = t
-            .schema
-            .col_index(col)
-            .ok_or_else(|| StoreError::Invalid(format!("no column {col}")))?;
-        Ok(rows_to_frame(
-            &t.schema,
-            t.iter_rows().filter(|r| values.contains(&r[pos])),
-        ))
-    }
-
-    /// Execute a [`crate::query::Query`] against this snapshot.
-    pub fn query(&self, q: &crate::query::Query) -> StoreResult<DataFrame> {
-        let (df, ex) = q.run_traced(self.table(q.table_name())?)?;
-        self.metrics.record_query(&ex);
-        Ok(df)
-    }
-
-    /// Execute a [`crate::query::Query`] and return the frame together
-    /// with its [`QueryExplain`] — access path, zone-map pruning, rows
-    /// examined vs returned, and wall-clock timing. The query really
-    /// runs (the counts are measurements, not estimates) and its
-    /// accounting feeds the `store.query.*` counters like any other run.
-    pub fn explain(&self, q: &crate::query::Query) -> StoreResult<(DataFrame, QueryExplain)> {
-        let start = Instant::now();
-        let (df, mut ex) = q.run_traced(self.table(q.table_name())?)?;
-        ex.elapsed_nanos = start.elapsed().as_nanos() as u64;
-        self.metrics.record_query(&ex);
-        Ok((df, ex))
-    }
-
-    /// Zone-map pruning accounting for a full scan of `table` under the
-    /// conjunction of `predicates`: `(segments that must be visited,
-    /// total segments)`. What the compaction bench and property tests
-    /// assert pruning ratios on.
-    pub fn zone_prune_stats(
-        &self,
-        table: &str,
-        predicates: &[Predicate],
-    ) -> StoreResult<(usize, usize)> {
-        let t = self.table(table)?;
-        let refs: Vec<&Predicate> = predicates.iter().collect();
-        Ok((t.pruned_segments(&refs).count(), t.segments.len()))
-    }
-
-    /// Live (retained) rows in `table` — what a full scan touches. After
-    /// a compaction of a latest-wins table this is smaller than the rid
-    /// high watermark.
-    pub fn live_rows(&self, table: &str) -> StoreResult<usize> {
-        Ok(self.table(table)?.total_rows)
-    }
-
-    /// Total committed rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.total_rows).sum()
-    }
-
-    /// The raw committed rows of every table, in scan order — what a
-    /// checkpoint serializes.
-    fn to_checkpoint(&self, max_txn: u64) -> CheckpointData {
-        let mut tables: Vec<(String, Vec<Vec<Value>>)> = self
-            .tables
-            .iter()
-            .map(|(name, t)| (name.clone(), t.iter_rows().collect()))
-            .collect();
-        tables.sort_by(|(a, _), (b, _)| a.cmp(b));
-        CheckpointData {
-            epoch: self.epoch,
-            max_txn,
-            tables,
-        }
     }
 }
 
@@ -931,154 +228,11 @@ pub struct DbStats {
     pub subscribers: usize,
 }
 
-/// Seal recovered `rows` into `tables[name]` in bounded chunks, not one
-/// monolith per table: zone-map pruning needs multiple segments to
-/// prune, and a single history-wide segment's min/max covers everything.
-/// The chunks are >= [`SEGMENT_COALESCE_ROWS`], so commit-time folding
-/// never re-merges them.
-fn append_chunked(
-    tables: &mut HashMap<String, Arc<TableVersion>>,
-    name: &str,
-    rows: Vec<Vec<Value>>,
-) {
-    if let Some(t) = tables.get_mut(name) {
-        let mut rows = rows;
-        while !rows.is_empty() {
-            let rest = rows.split_off(rows.len().min(RECOVERED_SEGMENT_ROWS));
-            *t = Arc::new(t.with_appended(rows).0);
-            rows = rest;
-        }
-    }
-}
-
-/// Apply one committed transaction's rows to `tables`, exactly the way
-/// [`Database::commit`] does: grouped per table in insertion order, each
-/// table publishing a successor version via `with_appended`. Returns the
-/// rows applied (rows of unknown tables are skipped, like recovery).
-fn apply_commit_rows(
-    tables: &mut HashMap<String, Arc<TableVersion>>,
-    rows: Vec<(String, Vec<Value>)>,
-) -> usize {
-    let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
-    for (tname, row) in rows {
-        match per_table.iter_mut().find(|(t, _)| *t == tname) {
-            Some((_, rs)) => rs.push(row),
-            None => per_table.push((tname, vec![row])),
-        }
-    }
-    let mut applied = 0;
-    for (tname, rows) in per_table {
-        if let Some(t) = tables.get_mut(&tname) {
-            applied += rows.len();
-            *t = Arc::new(t.with_appended(rows).0);
-        }
-    }
-    applied
-}
-
-/// Everything a follower bootstrap produces: fresh table versions, the
-/// watermarks, and the tail cursor to continue polling from.
-struct FollowerBoot {
-    tables: HashMap<String, Arc<TableVersion>>,
-    epoch: u64,
-    last_committed_txn: u64,
-    tail: TailState,
-    recovery: RecoveryInfo,
-}
-
-/// Build follower state from the on-disk artifacts at `path`: load the
-/// checkpoint sidecar, then stream every complete WAL frame from byte 0,
-/// applying committed transactions and *retaining* uncommitted staged
-/// inserts in the tail cursor (they may commit in a later poll).
-///
-/// The read is guarded by a peek–read–peek protocol on the sidecar
-/// header: the sidecar is replaced (atomic rename) *before* the WAL is
-/// truncated, so if the mark is identical before and after the log read,
-/// the log bytes we read belong to that sidecar's world — no checkpoint
-/// truncation completed mid-read. A changed mark retries (bounded).
-fn follower_bootstrap(path: &Path, schemas: Vec<Arc<TableSchema>>) -> StoreResult<FollowerBoot> {
-    for _attempt in 0..8 {
-        let mark_before = checkpoint::peek_sidecar(path)?;
-        let ckpt = checkpoint::load_sidecar(path)?;
-        let chunk = wal::tail_from(path, 0)?;
-        if checkpoint::peek_sidecar(path)? != mark_before {
-            continue;
-        }
-        let TailChunk::Frames {
-            records,
-            new_offset,
-        } = chunk
-        else {
-            // `Truncated` at offset 0 means unparseable bytes at the log
-            // head — a rewrite racing this read. Retry.
-            continue;
-        };
-        let mut tables: HashMap<String, Arc<TableVersion>> = schemas
-            .iter()
-            .map(|s| (s.name.clone(), Arc::new(TableVersion::empty(Arc::clone(s)))))
-            .collect();
-        let mut recovery = RecoveryInfo::default();
-        let (base_epoch, base_txn) = match ckpt {
-            Some(data) => {
-                recovery.from_checkpoint = true;
-                let (epoch, max_txn) = (data.epoch, data.max_txn);
-                for (name, rows) in data.tables {
-                    recovery.checkpoint_rows += rows.len();
-                    append_chunked(&mut tables, &name, rows);
-                }
-                (epoch, max_txn)
-            }
-            None => (0, 0),
-        };
-        let mut staged: HashMap<u64, Vec<(String, Vec<Value>)>> = HashMap::new();
-        let mut epoch = base_epoch;
-        let mut last_committed_txn = base_txn;
-        for rec in records {
-            recovery.wal_records_replayed += 1;
-            match rec {
-                WalRecord::Insert { txn, table, row } => {
-                    if txn <= base_txn {
-                        continue;
-                    }
-                    staged.entry(txn).or_default().push((table, row));
-                }
-                WalRecord::Commit { txn } => {
-                    if txn <= base_txn {
-                        continue;
-                    }
-                    let rows = staged.remove(&txn).unwrap_or_default();
-                    recovery.rows_replayed += apply_commit_rows(&mut tables, rows);
-                    epoch += 1;
-                    last_committed_txn = last_committed_txn.max(txn);
-                }
-            }
-        }
-        return Ok(FollowerBoot {
-            tables,
-            epoch,
-            last_committed_txn,
-            tail: TailState {
-                path: path.to_path_buf(),
-                offset: new_offset,
-                base_txn,
-                sidecar: mark_before,
-                staged,
-            },
-            recovery,
-        });
-    }
-    Err(StoreError::Invalid(
-        "follower bootstrap kept racing checkpoint truncation".into(),
-    ))
-}
-
 impl Database {
     /// In-memory database with the given schemas.
     pub fn in_memory(schemas: Vec<TableSchema>) -> Database {
-        Database::from_parts(schemas, Wal::in_memory(), None)
-            // audit: allow(panic) — recovery over an empty in-memory log
-            // has nothing to decode and cannot fail.
-            .expect("an empty in-memory log cannot fail recovery")
+        let (state, _) = Replay::new(arcs(schemas), None).finish();
+        Database::assemble(state, Wal::in_memory(), None)
     }
 
     /// File-backed database: loads the checkpoint sidecar if one exists,
@@ -1086,8 +240,12 @@ impl Database {
     /// data), not O(history) — and then accepts new appends.
     pub fn open(path: &Path, schemas: Vec<TableSchema>) -> StoreResult<Database> {
         let wal = Wal::open(path)?;
-        let ckpt = checkpoint::load_sidecar(path)?;
-        Database::from_parts(schemas, wal, ckpt)
+        let mut replay = Replay::new(arcs(schemas), checkpoint::load_sidecar(path)?);
+        wal.recover(|rec| replay.push(rec))?;
+        // The fold is dropped with its uncommitted inserts: a crashed
+        // process's open transaction never commits.
+        let (state, _) = replay.finish();
+        Ok(Database::assemble(state, wal, None))
     }
 
     /// Open a **read-only follower** of the database whose WAL lives at
@@ -1109,22 +267,30 @@ impl Database {
     /// writer is always detected (via the sidecar identity) and answered
     /// with a clean re-bootstrap, never a torn read.
     pub fn open_follower(path: &Path, schemas: Vec<TableSchema>) -> StoreResult<Database> {
-        let schemas: Vec<Arc<TableSchema>> = schemas.into_iter().map(Arc::new).collect();
-        let boot = follower_bootstrap(path, schemas)?;
+        let (state, tail) = follower_bootstrap(path, arcs(schemas))?;
+        // No append handle on the writer's log: the follower reads it per
+        // poll and never writes.
+        Ok(Database::assemble(state, Wal::in_memory(), Some(tail)))
+    }
+
+    /// The one constructor: a handle over replayed state. `tail` is
+    /// `Some` exactly for a read-only follower.
+    fn assemble(state: Replayed, wal: Wal, tail: Option<TailState>) -> Database {
         let metrics = Arc::new(StoreMetrics::new(MetricsRegistry::new()));
-        Ok(Database {
+        Database {
             ckpt_serial: Arc::new(parking_lot::Mutex::new(())),
             auto_ckpt_running: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             auto_compact_running: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             inner: Arc::new(RwLock::new(DbInner {
-                tables: Arc::new(boot.tables),
-                // Followers never allocate transaction ids; keep the
-                // counter past everything seen for sanity's sake.
-                next_txn: boot.last_committed_txn + 1,
+                tables: Arc::new(state.tables),
+                wal,
+                // A follower never allocates transaction ids; the counter
+                // is kept past everything seen all the same.
+                next_txn: state.max_txn + 1,
                 open_txn: None,
                 staged: Vec::new(),
-                epoch: boot.epoch,
-                last_committed_txn: boot.last_committed_txn,
+                epoch: state.epoch,
+                last_committed_txn: state.max_txn,
                 feed: Publisher::new(metrics.feed()),
                 auto_checkpoint: None,
                 auto_compact: None,
@@ -1133,20 +299,13 @@ impl Database {
                 rows_dropped: 0,
                 rows_coalesced: 0,
                 checkpoints: 0,
-                last_checkpoint_epoch: if boot.recovery.from_checkpoint {
-                    boot.tail.sidecar.map(|m| m.epoch).unwrap_or(0)
-                } else {
-                    0
-                },
-                recovery: boot.recovery,
-                read_only: true,
-                tail: Some(boot.tail),
-                // No append handle on the writer's log: the follower
-                // reads it per poll and never writes.
-                wal: Wal::in_memory(),
+                last_checkpoint_epoch: state.checkpoint_epoch,
+                recovery: state.recovery,
+                read_only: tail.is_some(),
+                tail,
             })),
             metrics,
-        })
+        }
     }
 
     /// Whether this handle is a read-only follower: mutations return
@@ -1154,277 +313,6 @@ impl Database {
     /// [`Database::poll_tail`].
     pub fn is_read_only(&self) -> bool {
         self.inner.read().read_only
-    }
-
-    /// One follower poll: read the writer's log from the saved byte
-    /// cursor and apply every newly committed transaction — sealing
-    /// segments, bumping the epoch, and publishing change-feed batches
-    /// exactly like a local [`Database::commit`] would. Staged inserts
-    /// whose commit marker has not arrived yet are carried to the next
-    /// poll (visibility stays commit-gated, same as recovery).
-    ///
-    /// If the writer checkpointed meanwhile (the sidecar identity
-    /// changed, or the log no longer parses at the cursor), the follower
-    /// discards its cursor and re-bootstraps wholesale from the new
-    /// sidecar — `rebootstrapped` in the returned [`TailProgress`]. The
-    /// epoch still only moves forward: the rebuilt state reflects at
-    /// least every commit the follower had already applied.
-    ///
-    /// Errors with [`StoreError::Invalid`] on a non-follower handle.
-    pub fn poll_tail(&self) -> StoreResult<TailProgress> {
-        let (path, mark, offset) = {
-            let g = self.inner.read();
-            let Some(t) = &g.tail else {
-                return Err(StoreError::Invalid(
-                    "poll_tail on a non-follower database".into(),
-                ));
-            };
-            (t.path.clone(), t.sidecar, t.offset)
-        };
-        // Peek–read–peek: the sidecar is replaced before the WAL is
-        // truncated, so an unchanged mark on both sides of the read
-        // proves no truncation completed while we were reading — the
-        // frames are safe to apply at our cursor.
-        if checkpoint::peek_sidecar(&path)? != mark {
-            return self.follower_rebootstrap();
-        }
-        let chunk = wal::tail_from(&path, offset)?;
-        if checkpoint::peek_sidecar(&path)? != mark {
-            return self.follower_rebootstrap();
-        }
-        let TailChunk::Frames {
-            records,
-            new_offset,
-        } = chunk
-        else {
-            return self.follower_rebootstrap();
-        };
-        let mut g = self.inner.write();
-        // audit: allow(panic) — the follower check at fn entry returned
-        // unless `tail` was Some; no other path clears it meanwhile.
-        let mut tail = g.tail.take().expect("follower state checked above");
-        if tail.offset != offset {
-            // A concurrent poll already advanced the cursor; nothing to do.
-            let epoch = g.epoch;
-            g.tail = Some(tail);
-            return Ok(TailProgress {
-                epoch,
-                ..TailProgress::default()
-            });
-        }
-        let mut progress = TailProgress::default();
-        let publishing = g.feed.live() > 0;
-        let mut stale = false;
-        for rec in records {
-            match rec {
-                WalRecord::Insert { txn, table, row } => {
-                    if txn <= tail.base_txn || txn <= g.last_committed_txn {
-                        // Insert frames for an already-applied transaction
-                        // cannot appear past our cursor in an append-only
-                        // log; treat them as a missed rewrite.
-                        stale = stale || (txn > tail.base_txn && txn <= g.last_committed_txn);
-                        continue;
-                    }
-                    tail.staged.entry(txn).or_default().push((table, row));
-                }
-                WalRecord::Commit { txn } => {
-                    if txn <= tail.base_txn {
-                        continue;
-                    }
-                    if txn <= g.last_committed_txn {
-                        // A commit id at or below what we already applied
-                        // cannot come from the log we bootstrapped: the
-                        // log was replaced under us in a way the mark
-                        // checks missed. Rebuild rather than double-apply.
-                        stale = true;
-                        continue;
-                    }
-                    let rows = tail.staged.remove(&txn).unwrap_or_default();
-                    let deltas: Vec<RowDelta> = if publishing {
-                        rows.iter()
-                            .map(|(table, row)| RowDelta {
-                                table: table.clone(),
-                                row: row.clone(),
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let tables = Arc::make_mut(&mut g.tables);
-                    progress.rows_applied += apply_commit_rows(tables, rows);
-                    progress.committed_txns += 1;
-                    g.epoch += 1;
-                    g.last_committed_txn = txn;
-                    if publishing {
-                        let batch = CommitBatch {
-                            epoch: g.epoch,
-                            txn,
-                            span: 1,
-                            deltas: Arc::new(deltas),
-                        };
-                        g.feed.publish(batch);
-                    }
-                }
-            }
-        }
-        tail.offset = new_offset;
-        progress.epoch = g.epoch;
-        g.tail = Some(tail);
-        drop(g);
-        if stale {
-            return self.follower_rebootstrap();
-        }
-        Ok(progress)
-    }
-
-    /// Rebuild the whole follower state from the sidecar + log currently
-    /// on disk, replacing tables, watermarks, and the tail cursor. The
-    /// epoch of the rebuilt state is at least the old epoch: the new
-    /// sidecar covers a superset of the commits the follower had applied.
-    fn follower_rebootstrap(&self) -> StoreResult<TailProgress> {
-        let (path, schemas) = {
-            let g = self.inner.read();
-            let Some(t) = &g.tail else {
-                return Err(StoreError::Invalid(
-                    "poll_tail on a non-follower database".into(),
-                ));
-            };
-            (
-                t.path.clone(),
-                g.tables
-                    .values()
-                    .map(|t| Arc::clone(&t.schema))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let boot = follower_bootstrap(&path, schemas)?;
-        let mut g = self.inner.write();
-        g.tables = Arc::new(boot.tables);
-        g.epoch = g.epoch.max(boot.epoch);
-        g.last_committed_txn = boot.last_committed_txn;
-        g.next_txn = boot.last_committed_txn + 1;
-        g.last_checkpoint_epoch = boot.tail.sidecar.map(|m| m.epoch).unwrap_or(0);
-        g.recovery = boot.recovery;
-        g.tail = Some(boot.tail);
-        let epoch = g.epoch;
-        drop(g);
-        self.metrics.registry.event_at(
-            flor_obs::Level::Warn,
-            "follower",
-            format!("rebootstrapped at epoch {epoch}"),
-        );
-        Ok(TailProgress {
-            committed_txns: 0,
-            rows_applied: 0,
-            rebootstrapped: true,
-            epoch,
-        })
-    }
-
-    /// Estimate how far this follower trails the writer: the number of
-    /// committed transactions already durable in the writer's log but
-    /// not yet applied here. `Ok(None)` on a non-follower handle, and
-    /// also when the writer checkpointed since the last poll (the log
-    /// was truncated under our cursor — the next [`Database::poll_tail`]
-    /// re-bootstraps and the estimate becomes meaningful again).
-    ///
-    /// Read-only and racy by design: the log is peeked without touching
-    /// follower state, so this is safe to call from a health probe while
-    /// the poll thread runs.
-    pub fn follower_lag(&self) -> StoreResult<Option<u64>> {
-        let (path, offset, base_txn, last_committed) = {
-            let g = self.inner.read();
-            let Some(t) = &g.tail else {
-                return Ok(None);
-            };
-            (t.path.clone(), t.offset, t.base_txn, g.last_committed_txn)
-        };
-        match wal::tail_from(&path, offset)? {
-            TailChunk::Truncated => Ok(None),
-            TailChunk::Frames { records, .. } => {
-                let lag = records
-                    .iter()
-                    .filter(
-                        |r| matches!(r, WalRecord::Commit { txn } if *txn > base_txn && *txn > last_committed),
-                    )
-                    .count();
-                Ok(Some(lag as u64))
-            }
-        }
-    }
-
-    fn from_parts(
-        schemas: Vec<TableSchema>,
-        wal: Wal,
-        ckpt: Option<CheckpointData>,
-    ) -> StoreResult<Database> {
-        let mut tables: HashMap<String, Arc<TableVersion>> = schemas
-            .into_iter()
-            .map(|s| {
-                let schema = Arc::new(s);
-                (schema.name.clone(), Arc::new(TableVersion::empty(schema)))
-            })
-            .collect();
-        let mut recovery_info = RecoveryInfo::default();
-        let (base_epoch, base_txn) = match ckpt {
-            Some(data) => {
-                recovery_info.from_checkpoint = true;
-                // Move the decoded rows straight into segments — the
-                // sidecar decode is the only copy on the reopen path.
-                for (name, rows) in data.tables {
-                    recovery_info.checkpoint_rows += rows.len();
-                    append_chunked(&mut tables, &name, rows);
-                }
-                (data.epoch, data.max_txn)
-            }
-            None => (0, 0),
-        };
-        let recovery = wal.recover(base_txn)?;
-        recovery_info.wal_records_replayed = recovery.records_replayed;
-        recovery_info.rows_replayed = recovery.committed.len();
-        // Group the replayed tail per table, preserving log order.
-        let mut per_table: HashMap<String, Vec<Vec<Value>>> = HashMap::new();
-        for (tname, row) in recovery.committed {
-            per_table.entry(tname).or_default().push(row);
-        }
-        for (tname, rows) in per_table {
-            append_chunked(&mut tables, &tname, rows);
-        }
-        // Uncommitted ids from a crashed process never commit later, so
-        // the checkpoint coverage bound may safely advance past them.
-        let last_committed_txn = recovery.max_txn.max(base_txn);
-        let metrics = Arc::new(StoreMetrics::new(MetricsRegistry::new()));
-        Ok(Database {
-            ckpt_serial: Arc::new(parking_lot::Mutex::new(())),
-            auto_ckpt_running: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            auto_compact_running: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            inner: Arc::new(RwLock::new(DbInner {
-                tables: Arc::new(tables),
-                next_txn: last_committed_txn + 1,
-                open_txn: None,
-                staged: Vec::new(),
-                epoch: base_epoch + recovery.committed_txns as u64,
-                last_committed_txn,
-                feed: Publisher::new(metrics.feed()),
-                auto_checkpoint: None,
-                auto_compact: None,
-                rows_since_compact_check: 0,
-                compactions: 0,
-                rows_dropped: 0,
-                rows_coalesced: 0,
-                checkpoints: 0,
-                last_checkpoint_epoch: if recovery_info.from_checkpoint {
-                    base_epoch
-                } else {
-                    0
-                },
-                recovery: recovery_info,
-                read_only: false,
-                tail: None,
-                wal,
-            })),
-            metrics,
-        })
     }
 
     /// The database's [`MetricsRegistry`]: live counters, latency
@@ -1457,12 +345,7 @@ impl Database {
     /// one pointer clone — and every read against the snapshot afterwards
     /// is lock-free.
     pub fn pin(&self) -> Snapshot {
-        let g = self.inner.read();
-        Snapshot {
-            epoch: g.epoch,
-            tables: Arc::clone(&g.tables),
-            metrics: Arc::clone(&self.metrics),
-        }
+        self.inner.read().snapshot(&self.metrics)
     }
 
     /// Pin a [`Snapshot`] and take a [`DbStats`] sample under **one**
@@ -1473,14 +356,7 @@ impl Database {
     /// them.
     pub fn pin_with_stats(&self) -> (Snapshot, DbStats) {
         let g = self.inner.read();
-        (
-            Snapshot {
-                epoch: g.epoch,
-                tables: Arc::clone(&g.tables),
-                metrics: Arc::clone(&self.metrics),
-            },
-            g.stats(),
-        )
+        (g.snapshot(&self.metrics), g.stats())
     }
 
     /// Stage a row into the open transaction (starting one if needed) and
@@ -1555,45 +431,7 @@ impl Database {
         }
         let staged = std::mem::take(&mut g.staged);
         let n = staged.len();
-        // Only clone rows into a feed batch when someone is listening;
-        // with no subscribers the commit path stays delta-free.
-        let publishing = g.feed.live() > 0;
-        let mut deltas = Vec::with_capacity(if publishing { n } else { 0 });
-        // Group per table, preserving insertion order.
-        let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
-        for (tname, row) in staged {
-            if publishing {
-                deltas.push(RowDelta {
-                    table: tname.clone(),
-                    row: row.clone(),
-                });
-            }
-            match per_table.iter_mut().find(|(t, _)| *t == tname) {
-                Some((_, rows)) => rows.push(row),
-                None => per_table.push((tname, vec![row])),
-            }
-        }
-        let tables = Arc::make_mut(&mut g.tables);
-        let mut coalesced = 0u64;
-        for (tname, rows) in per_table {
-            if let Some(t) = tables.get_mut(&tname) {
-                let (next, copied) = t.with_appended(rows);
-                *t = Arc::new(next);
-                coalesced += copied;
-            }
-        }
-        g.rows_coalesced += coalesced;
-        g.epoch += 1;
-        g.last_committed_txn = txn;
-        if publishing {
-            let batch = CommitBatch {
-                epoch: g.epoch,
-                txn,
-                span: 1,
-                deltas: Arc::new(deltas),
-            };
-            g.feed.publish(batch);
-        }
+        let (_, coalesced) = g.apply_committed(txn, staged);
         if m.registry.enabled() {
             m.commit_rows.add(n as u64);
             if coalesced > 0 {
@@ -1824,37 +662,6 @@ impl Database {
         self.inner.read().epoch
     }
 
-    /// Atomic multi-table scan: the frames plus the epoch they reflect,
-    /// materialized from one pinned [`Snapshot`] so no commit can
-    /// interleave. This is the consistent snapshot a materialized-view
-    /// build starts from.
-    pub fn snapshot(&self, tables: &[&str]) -> StoreResult<(u64, Vec<DataFrame>)> {
-        let snap = self.pin();
-        let mut frames = Vec::with_capacity(tables.len());
-        for table in tables {
-            frames.push(snap.scan(table)?);
-        }
-        Ok((snap.epoch(), frames))
-    }
-
-    /// Atomic multi-query snapshot: like [`Database::snapshot`], but each
-    /// table is fetched through a [`crate::query::Query`] — predicate
-    /// pushdown and index fast paths included — against one pinned
-    /// [`Snapshot`], so every result reflects the same epoch. This is how
-    /// a filtered materialized-view build pushes its scan down into the
-    /// store instead of materialising whole tables first.
-    pub fn snapshot_with(
-        &self,
-        queries: &[crate::query::Query],
-    ) -> StoreResult<(u64, Vec<DataFrame>)> {
-        let snap = self.pin();
-        let mut frames = Vec::with_capacity(queries.len());
-        for q in queries {
-            frames.push(snap.query(q)?);
-        }
-        Ok((snap.epoch(), frames))
-    }
-
     /// Discard the open transaction's staged rows. (The WAL keeps the
     /// orphaned inserts, but without a commit marker recovery ignores
     /// them — same effect as a crash.)
@@ -1929,24 +736,18 @@ impl Database {
         let (snap, max_txn, wal_path, wal_bytes_before) = {
             let g = self.inner.read();
             (
-                Snapshot {
-                    epoch: g.epoch,
-                    tables: Arc::clone(&g.tables),
-                    metrics: Arc::clone(&self.metrics),
-                },
+                g.snapshot(&self.metrics),
                 g.last_committed_txn,
                 g.wal.path().map(Path::to_path_buf),
                 g.wal.len_bytes(),
             )
         };
-        // Phase 2: serialize and persist the sidecar — no lock held, so
-        // neither readers nor the writer wait on the serialization.
+        // Phase 2: serialize and persist the sidecar (nothing is written
+        // for an in-memory log) — no lock held, so neither readers nor
+        // the writer wait on the serialization.
         let data = snap.to_checkpoint(max_txn);
         let rows = data.rows();
-        let sidecar_bytes = match &wal_path {
-            Some(p) => checkpoint::write_sidecar(p, &data)?,
-            None => 0,
-        };
+        let sidecar_bytes = checkpoint::write_sidecar(wal_path.as_deref(), &data)?;
         // Phase 3: truncate the WAL to the records the sidecar does not
         // cover (later commits and any open transaction's staged
         // inserts). For file logs the bulk of the tail is decoded,
@@ -1955,32 +756,18 @@ impl Database {
         // plus the rename — so the writer never stalls on tail-sized
         // I/O.
         let wal_bytes_after = if truncate {
-            match &wal_path {
-                Some(p) => {
-                    let stage = crate::wal::stage_tail(p, wal_bytes_before, max_txn)?;
-                    let mut g = self.inner.write();
-                    // audit: allow(hold-across-io) — the truncation
-                    // rename plus the post-boundary delta is the only
-                    // I/O under the write lock; the tail bulk was
-                    // staged lock-free above. Shrinking this hold
-                    // further would race new commits into the old log.
-                    g.wal.finish_rewrite(stage, wal_bytes_before, max_txn)?;
-                    g.checkpoints += 1;
-                    g.last_checkpoint_epoch = data.epoch;
-                    g.wal.len_bytes()
-                }
-                None => {
-                    let mut g = self.inner.write();
-                    // audit: allow(hold-across-io) — in-memory log: the
-                    // "tail read" is a Vec scan, not file I/O; holding
-                    // the lock keeps the rewrite atomic wrt commits.
-                    let tail = g.wal.tail_records(max_txn)?;
-                    g.wal.rewrite(&tail)?;
-                    g.checkpoints += 1;
-                    g.last_checkpoint_epoch = data.epoch;
-                    g.wal.len_bytes()
-                }
-            }
+            let stage = wal::stage_tail(wal_path.as_deref(), wal_bytes_before, max_txn)?;
+            let mut g = self.inner.write();
+            // audit: allow(hold-across-io) — the truncation rename plus
+            // the post-boundary delta is the only I/O under the write
+            // lock; the tail bulk was staged lock-free above (an
+            // in-memory log's "tail read" is a Vec scan, not file I/O).
+            // Shrinking this hold further would race new commits into
+            // the old log.
+            g.wal.finish_rewrite(stage, wal_bytes_before, max_txn)?;
+            g.checkpoints += 1;
+            g.last_checkpoint_epoch = data.epoch;
+            g.wal.len_bytes()
         } else {
             wal_bytes_before
         };
@@ -2022,7 +809,75 @@ impl Database {
     }
 }
 
+/// The schemas as the shared handles table versions hold.
+fn arcs(schemas: Vec<TableSchema>) -> Vec<Arc<TableSchema>> {
+    schemas.into_iter().map(Arc::new).collect()
+}
+
 impl DbInner {
+    /// The one [`Snapshot`] construction site: the state this guard
+    /// observes, pinned.
+    fn snapshot(&self, metrics: &Arc<StoreMetrics>) -> Snapshot {
+        Snapshot {
+            epoch: self.epoch,
+            tables: Arc::clone(&self.tables),
+            metrics: Arc::clone(metrics),
+        }
+    }
+
+    /// The one place a committed transaction becomes visible, for a
+    /// local [`Database::commit`] and a follower's
+    /// [`Database::poll_tail`] alike: group `rows` per table (insertion
+    /// order kept), publish each table's successor version, bump the
+    /// epoch, and — only when someone is listening, so the path stays
+    /// delta-free otherwise — publish the change-feed batch. Publication
+    /// is a pointer swap: pinned snapshots keep their segment lists.
+    /// Returns the rows applied (rows of tables this handle does not know
+    /// are skipped, like recovery) and the rows tail coalescing re-copied.
+    pub(crate) fn apply_committed(
+        &mut self,
+        txn: u64,
+        rows: Vec<(String, Vec<Value>)>,
+    ) -> (usize, u64) {
+        let publishing = self.feed.live() > 0;
+        let mut deltas = Vec::with_capacity(if publishing { rows.len() } else { 0 });
+        let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
+        for (tname, row) in rows {
+            if publishing {
+                deltas.push(RowDelta {
+                    table: tname.clone(),
+                    row: row.clone(),
+                });
+            }
+            match per_table.iter_mut().find(|(t, _)| *t == tname) {
+                Some((_, rows)) => rows.push(row),
+                None => per_table.push((tname, vec![row])),
+            }
+        }
+        let tables = Arc::make_mut(&mut self.tables);
+        let (mut applied, mut coalesced) = (0, 0);
+        for (tname, rows) in per_table {
+            if let Some(t) = tables.get_mut(&tname) {
+                applied += rows.len();
+                let (next, copied) = t.with_appended(rows);
+                *t = Arc::new(next);
+                coalesced += copied;
+            }
+        }
+        self.rows_coalesced += coalesced;
+        self.epoch += 1;
+        self.last_committed_txn = txn;
+        if publishing {
+            self.feed.publish(CommitBatch {
+                epoch: self.epoch,
+                txn,
+                span: 1,
+                deltas: Arc::new(deltas),
+            });
+        }
+        (applied, coalesced)
+    }
+
     /// The [`DbStats`] sample for the state this guard observes. All
     /// fields come from one lock acquisition — a concurrent commit can
     /// never make `staged_rows`/`rows_coalesced` disagree with the table
@@ -2052,57 +907,11 @@ impl DbInner {
     }
 }
 
-/// Materialise rows into a column-oriented frame with the schema's names.
-pub(crate) fn rows_to_frame(
-    schema: &TableSchema,
-    rows: impl Iterator<Item = Vec<Value>>,
-) -> DataFrame {
-    let mut cols: Vec<Column> = schema
-        .columns
-        .iter()
-        .map(|c| Column {
-            name: c.name.clone(),
-            values: Vec::new(),
-        })
-        .collect();
-    for row in rows {
-        for (c, v) in cols.iter_mut().zip(row) {
-            c.values.push(v);
-        }
-    }
-    // audit: allow(panic) — one column per schema field, every row
-    // pushed to all of them: lengths and names are uniform.
-    DataFrame::from_columns(cols).expect("schema guarantees equal lengths and unique names")
-}
-
-/// Convenience conversion used by higher layers.
-pub fn frame_result(df: DataFrame) -> DfResult<DataFrame> {
-    Ok(df)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{flor_schema, ColType, ColumnDef};
-
-    fn tiny_schema() -> Vec<TableSchema> {
-        vec![TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::indexed("k", ColType::Str),
-                ColumnDef::new("v", ColType::Int),
-            ],
-        )]
-    }
-
-    fn temp_wal(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("flordb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.wal"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::sidecar_path(&path));
-        path
-    }
+    use crate::schema::flor_schema;
+    use crate::testing::tiny_schema;
 
     #[test]
     fn insert_invisible_until_commit() {
@@ -2121,156 +930,6 @@ mod tests {
         assert_eq!(db.rollback(), 1);
         assert_eq!(db.commit().unwrap(), 0);
         assert_eq!(db.row_count("t").unwrap(), 0);
-    }
-
-    #[test]
-    fn scan_returns_committed_rows() {
-        let db = Database::in_memory(tiny_schema());
-        for i in 0..5 {
-            db.insert("t", vec![format!("k{i}").into(), i.into()])
-                .unwrap();
-        }
-        db.commit().unwrap();
-        let df = db.scan("t").unwrap();
-        assert_eq!(df.n_rows(), 5);
-        assert_eq!(df.column_names(), vec!["k", "v"]);
-    }
-
-    #[test]
-    fn indexed_lookup_matches_scan_filter() {
-        let db = Database::in_memory(tiny_schema());
-        for i in 0..100 {
-            db.insert("t", vec![format!("k{}", i % 10).into(), i.into()])
-                .unwrap();
-        }
-        db.commit().unwrap();
-        assert!(db.has_index("t", "k"));
-        let via_index = db.lookup("t", "k", &"k3".into()).unwrap();
-        let via_scan = db.scan("t").unwrap().filter_eq("k", &"k3".into());
-        assert_eq!(via_index.n_rows(), 10);
-        assert_eq!(via_index.to_rows(), via_scan.to_rows());
-    }
-
-    #[test]
-    fn indexed_lookup_spans_segments() {
-        // Rows for one key spread across many sealed segments must come
-        // back complete and in insertion order.
-        let db = Database::in_memory(tiny_schema());
-        for batch in 0..5 {
-            for i in 0..3 {
-                db.insert("t", vec!["hot".into(), (batch * 10 + i).into()])
-                    .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        let df = db.lookup("t", "k", &"hot".into()).unwrap();
-        let vs: Vec<i64> = df
-            .column("v")
-            .unwrap()
-            .values
-            .iter()
-            .filter_map(Value::as_i64)
-            .collect();
-        assert_eq!(
-            vs,
-            vec![0, 1, 2, 10, 11, 12, 20, 21, 22, 30, 31, 32, 40, 41, 42]
-        );
-    }
-
-    #[test]
-    fn small_commits_coalesce_segments() {
-        let db = Database::in_memory(tiny_schema());
-        for i in 0..50 {
-            db.insert("t", vec![format!("k{i}").into(), i.into()])
-                .unwrap();
-            db.commit().unwrap();
-        }
-        // Geometric coalescing: 50 one-row commits leave O(log n) tail
-        // segments (the binary-counter invariant), not 50 and not 1.
-        assert!(
-            db.stats().segments <= 6,
-            "got {} segments",
-            db.stats().segments
-        );
-        assert_eq!(db.row_count("t").unwrap(), 50);
-    }
-
-    #[test]
-    fn tail_coalescing_cost_is_amortized_not_quadratic() {
-        // The old scheme re-copied the whole sub-threshold tail on every
-        // commit: N one-row commits copied ~N²/2 rows. Geometric folding
-        // copies each row O(log N) times on its way up.
-        let n: usize = 256;
-        let db = Database::in_memory(tiny_schema());
-        for i in 0..n {
-            db.insert("t", vec![format!("k{i}").into(), (i as i64).into()])
-                .unwrap();
-            db.commit().unwrap();
-        }
-        let copied = db.stats().rows_coalesced;
-        let quadratic = (n * (n - 1) / 2) as u64;
-        let amortized_bound = (n * 8) as u64; // n · log2(256)
-        assert!(
-            copied <= amortized_bound,
-            "coalescing copied {copied} rows; amortized bound is {amortized_bound} \
-             (the old quadratic scheme copies {quadratic})"
-        );
-        // And the rows all arrive, in order.
-        let df = db.scan("t").unwrap();
-        assert_eq!(df.n_rows(), n);
-        assert_eq!(df.get(n - 1, "v"), Some(&Value::Int(n as i64 - 1)));
-    }
-
-    #[test]
-    fn pinned_snapshot_is_stable_across_commits() {
-        let db = Database::in_memory(tiny_schema());
-        db.insert("t", vec!["a".into(), 1.into()]).unwrap();
-        db.commit().unwrap();
-        let pinned = db.pin();
-        let before = pinned.scan("t").unwrap();
-        for i in 0..100 {
-            db.insert("t", vec![format!("w{i}").into(), i.into()])
-                .unwrap();
-            db.commit().unwrap();
-        }
-        // The pinned view re-reads byte-identically; a fresh pin sees all.
-        assert_eq!(pinned.scan("t").unwrap(), before);
-        assert_eq!(pinned.row_count("t").unwrap(), 1);
-        assert_eq!(pinned.epoch(), 1);
-        assert_eq!(db.pin().row_count("t").unwrap(), 101);
-    }
-
-    #[test]
-    fn lookup_many_preserves_insertion_order() {
-        let db = Database::in_memory(tiny_schema());
-        for (i, k) in ["b", "a", "b", "c", "a"].iter().enumerate() {
-            db.insert("t", vec![(*k).into(), (i as i64).into()])
-                .unwrap();
-        }
-        db.commit().unwrap();
-        let df = db.lookup_many("t", "k", &["a".into(), "b".into()]).unwrap();
-        let order: Vec<i64> = df
-            .column("v")
-            .unwrap()
-            .values
-            .iter()
-            .filter_map(Value::as_i64)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 4], "scan order, not per-key order");
-        // Unindexed column falls back to a filtered scan, same order.
-        let df2 = db.lookup_many("t", "v", &[1.into(), 0.into()]).unwrap();
-        assert_eq!(df2.n_rows(), 2);
-        assert_eq!(df2.get(0, "k"), Some(&Value::from("b")));
-    }
-
-    #[test]
-    fn unindexed_lookup_falls_back() {
-        let db = Database::in_memory(tiny_schema());
-        db.insert("t", vec!["a".into(), 7.into()]).unwrap();
-        db.commit().unwrap();
-        assert!(!db.has_index("t", "v"));
-        let df = db.lookup("t", "v", &7.into()).unwrap();
-        assert_eq!(df.n_rows(), 1);
     }
 
     #[test]
@@ -2304,128 +963,6 @@ mod tests {
         .unwrap();
         db.commit().unwrap();
         assert_eq!(db.row_count("logs").unwrap(), 1);
-    }
-
-    #[test]
-    fn durability_across_reopen() {
-        let path = temp_wal("durability");
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            db.insert("t", vec!["persisted".into(), 1.into()]).unwrap();
-            db.commit().unwrap();
-            db.insert("t", vec!["lost".into(), 2.into()]).unwrap();
-            // no commit — simulates a crash
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            let df = db.scan("t").unwrap();
-            assert_eq!(df.n_rows(), 1);
-            assert_eq!(df.get(0, "k"), Some(&Value::from("persisted")));
-            // New transactions continue with fresh ids.
-            db.insert("t", vec!["after".into(), 3.into()]).unwrap();
-            db.commit().unwrap();
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert_eq!(db.row_count("t").unwrap(), 2);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_makes_reopen_replay_only_the_tail() {
-        let path = temp_wal("ckpt-tail");
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            for i in 0..20 {
-                db.insert("t", vec![format!("k{i}").into(), i.into()])
-                    .unwrap();
-                db.commit().unwrap();
-            }
-            let stats = db.checkpoint().unwrap();
-            assert_eq!(stats.epoch, 20);
-            assert_eq!(stats.rows, 20);
-            assert!(stats.wal_bytes_after < stats.wal_bytes_before);
-            assert_eq!(stats.wal_bytes_after, 0, "no uncovered tail yet");
-            // Two more commits land in the fresh tail.
-            for i in 20..22 {
-                db.insert("t", vec![format!("k{i}").into(), i.into()])
-                    .unwrap();
-                db.commit().unwrap();
-            }
-            assert_eq!(db.stats().checkpoints, 1);
-            assert_eq!(db.stats().last_checkpoint_epoch, 20);
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert_eq!(db.row_count("t").unwrap(), 22);
-            assert_eq!(db.epoch(), 22);
-            let info = db.recovery_info();
-            assert!(info.from_checkpoint);
-            assert_eq!(info.checkpoint_rows, 20);
-            assert_eq!(info.rows_replayed, 2, "only the tail is replayed");
-            assert_eq!(info.wal_records_replayed, 4); // 2 × (insert + commit)
-                                                      // And the clock keeps going.
-            db.insert("t", vec!["next".into(), 99.into()]).unwrap();
-            db.commit().unwrap();
-            assert_eq!(db.epoch(), 23);
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::sidecar_path(&path));
-    }
-
-    #[test]
-    fn crash_between_sidecar_write_and_truncate_converges() {
-        let path = temp_wal("ckpt-crash");
-        let want;
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            for i in 0..10 {
-                db.insert("t", vec![format!("k{i}").into(), i.into()])
-                    .unwrap();
-                db.commit().unwrap();
-            }
-            // Sidecar written, WAL left un-truncated — the crash window.
-            db.checkpoint_without_truncate().unwrap();
-            db.insert("t", vec!["tail".into(), 10.into()]).unwrap();
-            db.commit().unwrap();
-            want = db.scan("t").unwrap();
-        }
-        {
-            // Replay must not double-apply the checkpointed prefix.
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert_eq!(db.scan("t").unwrap(), want);
-            assert_eq!(db.epoch(), 11);
-            let info = db.recovery_info();
-            assert!(info.from_checkpoint);
-            assert_eq!(info.rows_replayed, 1, "prefix skipped by txn bound");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::sidecar_path(&path));
-    }
-
-    #[test]
-    fn checkpoint_preserves_open_transaction_staged_inserts() {
-        let path = temp_wal("ckpt-open-txn");
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            db.insert("t", vec!["committed".into(), 1.into()]).unwrap();
-            db.commit().unwrap();
-            // Open transaction with staged rows in the WAL, then checkpoint.
-            db.insert("t", vec!["staged".into(), 2.into()]).unwrap();
-            db.checkpoint().unwrap();
-            // The staged insert survived the truncation: committing it
-            // now must make it durable.
-            db.commit().unwrap();
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert_eq!(db.row_count("t").unwrap(), 2);
-            let df = db.scan("t").unwrap();
-            assert_eq!(df.get(1, "k"), Some(&Value::from("staged")));
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::sidecar_path(&path));
     }
 
     #[test]
@@ -2588,416 +1125,5 @@ mod tests {
             .count();
         assert_eq!(gaps, 0, "shedding only ever trims the queue's front");
         assert_eq!(batches.last().unwrap().epoch, commits as u64);
-    }
-
-    #[test]
-    fn epoch_advances_per_commit_and_survives_reopen() {
-        let path = temp_wal("epoch");
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            for i in 0..3 {
-                db.insert("t", vec![format!("k{i}").into(), i.into()])
-                    .unwrap();
-                db.commit().unwrap();
-            }
-            assert_eq!(db.epoch(), 3);
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert_eq!(db.epoch(), 3);
-            assert!(db.stats().wal_offset_bytes > 0);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_with_runs_queries_at_one_epoch() {
-        use crate::query::Query;
-        let db = Database::in_memory(tiny_schema());
-        for (k, v) in [("a", 1i64), ("b", 2), ("a", 3)] {
-            db.insert("t", vec![k.into(), v.into()]).unwrap();
-        }
-        db.commit().unwrap();
-        let (epoch, frames) = db
-            .snapshot_with(&[
-                Query::table("t").filter_in("k", vec!["a".into()]),
-                Query::table("t"),
-            ])
-            .unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(frames[0].n_rows(), 2);
-        assert_eq!(frames[1].n_rows(), 3);
-        assert!(db.snapshot_with(&[Query::table("absent")]).is_err());
-    }
-
-    fn lw_schema() -> Vec<TableSchema> {
-        use crate::schema::LatestWins;
-        vec![TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::indexed("k", ColType::Int),
-                ColumnDef::new("s", ColType::Int),
-                ColumnDef::new("p", ColType::Str),
-            ],
-        )
-        .with_latest_wins(LatestWins::new(&["k"], Some("s")).carry_first(&["p"]))]
-    }
-
-    #[test]
-    fn compaction_merges_cold_segments_preserving_scans() {
-        let db = Database::in_memory(tiny_schema());
-        for batch in 0..5 {
-            for i in 0..SEGMENT_COALESCE_ROWS {
-                db.insert(
-                    "t",
-                    vec![
-                        format!("k{batch}").into(),
-                        ((batch * 10_000 + i) as i64).into(),
-                    ],
-                )
-                .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        assert_eq!(db.stats().segments, 5);
-        let before = db.scan("t").unwrap();
-        let pinned = db.pin();
-        let stats = db.compact().unwrap();
-        assert_eq!(stats.tables_compacted, 1);
-        assert_eq!(stats.rows_dropped, 0, "no latest-wins policy declared");
-        assert!(stats.segments_after < stats.segments_before);
-        // Scans, pinned or fresh, are byte-identical across the swap.
-        assert_eq!(db.scan("t").unwrap(), before);
-        assert_eq!(pinned.scan("t").unwrap(), before);
-        // Index lookups agree too (rids are preserved by the merge).
-        let df = db.lookup("t", "k", &"k3".into()).unwrap();
-        assert_eq!(df.n_rows(), SEGMENT_COALESCE_ROWS);
-        // A second pass finds nothing left to do.
-        let again = db.compact().unwrap();
-        assert_eq!(again.tables_compacted, 0);
-    }
-
-    #[test]
-    fn compaction_drops_superseded_rows_and_keeps_carry_payload() {
-        let db = Database::in_memory(lw_schema());
-        // 4 generations of the same 128 keys; the payload lands only on
-        // generation 0 (the `jobs.payload` shape).
-        for gen in 0..4i64 {
-            for k in 0..128i64 {
-                let p = if gen == 0 {
-                    format!("pay{k}")
-                } else {
-                    String::new()
-                };
-                db.insert("t", vec![k.into(), gen.into(), p.into()])
-                    .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        assert_eq!(db.dead_rows("t").unwrap(), 256, "2 middle generations dead");
-        let pinned = db.pin();
-        let before = pinned.scan("t").unwrap();
-        let stats = db.compact().unwrap();
-        assert_eq!(stats.rows_dropped, 256);
-        assert_eq!(db.dead_rows("t").unwrap(), 0);
-        // Live rows: 128 winners (gen 3) + 128 carry rows (gen 0, payload).
-        let snap = db.pin();
-        assert_eq!(snap.live_rows("t").unwrap(), 256);
-        let df = snap.scan("t").unwrap();
-        // The latest-wins fold over the compacted scan matches the fold
-        // over the uncompacted oracle: max s per key, payload carried.
-        let fold = |df: &DataFrame| -> Vec<(i64, i64, String)> {
-            let mut best: HashMap<i64, (i64, String)> = HashMap::new();
-            let mut pay: HashMap<i64, String> = HashMap::new();
-            for r in df.rows() {
-                let k = r.get("k").and_then(Value::as_i64).unwrap();
-                let s = r.get("s").and_then(Value::as_i64).unwrap();
-                let p = r.get("p").map(|v| v.to_text()).unwrap_or_default();
-                if !p.is_empty() {
-                    pay.entry(k).or_insert(p.clone());
-                }
-                match best.get(&k) {
-                    Some((prev, _)) if *prev >= s => {}
-                    _ => {
-                        best.insert(k, (s, p));
-                    }
-                }
-            }
-            let mut out: Vec<(i64, i64, String)> = best
-                .into_iter()
-                .map(|(k, (s, p))| {
-                    let p = if p.is_empty() {
-                        pay.get(&k).cloned().unwrap_or_default()
-                    } else {
-                        p
-                    };
-                    (k, s, p)
-                })
-                .collect();
-            out.sort();
-            out
-        };
-        assert_eq!(fold(&df), fold(&before));
-        assert_eq!(fold(&df)[5], (5, 3, "pay5".to_string()));
-        // The pre-compaction pin still re-reads every superseded row.
-        assert_eq!(pinned.scan("t").unwrap(), before);
-        assert_eq!(pinned.row_count("t").unwrap(), 512);
-        // Indexed lookups against the compacted version return only live
-        // rows, in insertion order.
-        let hits = db.lookup("t", "k", &7i64.into()).unwrap();
-        assert_eq!(hits.n_rows(), 2);
-        assert_eq!(hits.get(0, "s"), Some(&Value::Int(0)));
-        assert_eq!(hits.get(1, "s"), Some(&Value::Int(3)));
-    }
-
-    #[test]
-    fn appends_after_compaction_use_fresh_rids() {
-        let db = Database::in_memory(lw_schema());
-        for gen in 0..2i64 {
-            for k in 0..256i64 {
-                db.insert("t", vec![k.into(), gen.into(), "".into()])
-                    .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        db.compact().unwrap();
-        let live_before = db.pin().live_rows("t").unwrap();
-        assert_eq!(live_before, 256);
-        // New commits append past the rid high watermark; their rows are
-        // reachable by index and by scan, and never collide with holes.
-        for k in 0..10i64 {
-            db.insert("t", vec![k.into(), 99i64.into(), "".into()])
-                .unwrap();
-        }
-        db.commit().unwrap();
-        let hits = db.lookup("t", "k", &3i64.into()).unwrap();
-        assert_eq!(hits.n_rows(), 2);
-        assert_eq!(
-            hits.column("s").unwrap().values,
-            vec![Value::Int(1), Value::Int(99)]
-        );
-        assert_eq!(db.pin().live_rows("t").unwrap(), 266);
-    }
-
-    #[test]
-    fn dropped_suffix_rids_are_never_reissued() {
-        // A dead row at the very end of a table (an equal-`s` tie loses
-        // to the older row) leaves the compacted tail segment ending
-        // below `next_rid`. The next commit must NOT fold into it with
-        // implicit rids — that would re-issue the dropped rid.
-        let db = Database::in_memory(lw_schema());
-        db.insert("t", vec![1i64.into(), 5i64.into(), "pay".into()])
-            .unwrap();
-        db.insert("t", vec![1i64.into(), 5i64.into(), "".into()])
-            .unwrap();
-        db.commit().unwrap();
-        let stats = db.compact().unwrap();
-        assert_eq!(stats.rows_dropped, 1, "tie keeps the older row");
-        db.insert("t", vec![2i64.into(), 1i64.into(), "".into()])
-            .unwrap();
-        db.commit().unwrap();
-        let g = db.inner.read();
-        let t = g.tables.get("t").unwrap();
-        assert_eq!(t.row(0).map(|r| r[2].clone()), Some(Value::from("pay")));
-        assert!(t.row(1).is_none(), "dropped rid stays a hole forever");
-        assert_eq!(t.row(2).map(|r| r[0].clone()), Some(Value::Int(2)));
-        assert_eq!(t.next_rid, 3);
-        drop(g);
-        let hits = db.lookup("t", "k", &2i64.into()).unwrap();
-        assert_eq!(hits.n_rows(), 1);
-    }
-
-    #[test]
-    fn zone_maps_prune_range_scans() {
-        use crate::query::Query;
-        let db = Database::in_memory(tiny_schema());
-        // 4 cold segments with disjoint, increasing `v` ranges.
-        for batch in 0..4 {
-            for i in 0..SEGMENT_COALESCE_ROWS {
-                db.insert(
-                    "t",
-                    vec![
-                        format!("k{i}").into(),
-                        ((batch * SEGMENT_COALESCE_ROWS + i) as i64).into(),
-                    ],
-                )
-                .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        let snap = db.pin();
-        let preds = vec![
-            Predicate::new("v", CmpOp::Ge, 600),
-            Predicate::new("v", CmpOp::Lt, 700),
-        ];
-        let (visited, total) = snap.zone_prune_stats("t", &preds).unwrap();
-        assert_eq!(total, 4);
-        assert_eq!(visited, 1, "the window lies inside one segment");
-        // And the pruned execution is byte-identical to the full filter.
-        let q = Query::table("t")
-            .filter("v", CmpOp::Ge, 600)
-            .filter("v", CmpOp::Lt, 700);
-        let pruned = snap.query(&q).unwrap();
-        let oracle = snap.scan("t").unwrap().filter(|r| {
-            r.get("v")
-                .and_then(Value::as_i64)
-                .is_some_and(|v| (600..700).contains(&v))
-        });
-        assert_eq!(pruned.to_rows(), oracle.to_rows());
-        assert_eq!(pruned.n_rows(), 100);
-        // An out-of-range window visits nothing.
-        let none = vec![Predicate::new("v", CmpOp::Gt, 1_000_000)];
-        assert_eq!(snap.zone_prune_stats("t", &none).unwrap().0, 0);
-    }
-
-    #[test]
-    fn reopen_rebuilds_bounded_segments_so_zone_maps_keep_pruning() {
-        // Regression: recovery used to seal each table as ONE monolithic
-        // segment, whose history-wide min/max made zone maps useless
-        // after every restart.
-        let path = temp_wal("reopen-chunks");
-        let n = RECOVERED_SEGMENT_ROWS as i64 * 3;
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            for i in 0..n {
-                db.insert("t", vec![format!("k{i}").into(), i.into()])
-                    .unwrap();
-                if i % 1000 == 999 {
-                    db.commit().unwrap();
-                }
-            }
-            db.commit().unwrap();
-            db.checkpoint().unwrap();
-        }
-        {
-            let db = Database::open(&path, tiny_schema()).unwrap();
-            assert!(db.recovery_info().from_checkpoint);
-            assert_eq!(db.row_count("t").unwrap(), n as usize);
-            let preds = vec![
-                Predicate::new("v", CmpOp::Ge, 100),
-                Predicate::new("v", CmpOp::Lt, 200),
-            ];
-            let (visited, total) = db.pin().zone_prune_stats("t", &preds).unwrap();
-            assert!(total >= 3, "recovery sealed bounded chunks, got {total}");
-            assert_eq!(visited, 1, "the window still prunes after reopen");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::sidecar_path(&path));
-    }
-
-    #[test]
-    fn compaction_splits_oversized_segments() {
-        // A monolithic segment (here: one giant commit) is split at
-        // target_segment_rows so zone maps get prunable ranges.
-        let db = Database::in_memory(tiny_schema());
-        for i in 0..5000i64 {
-            db.insert("t", vec![format!("k{i}").into(), i.into()])
-                .unwrap();
-        }
-        db.commit().unwrap();
-        assert_eq!(db.stats().segments, 1);
-        let before = db.scan("t").unwrap();
-        let stats = db
-            .compact_with(&CompactionPolicy {
-                target_segment_rows: 1024,
-                ..CompactionPolicy::default()
-            })
-            .unwrap();
-        assert_eq!(stats.rows_dropped, 0);
-        assert_eq!(db.stats().segments, 5, "5000 rows / 1024-row chunks");
-        assert_eq!(db.scan("t").unwrap(), before);
-        let preds = vec![Predicate::new("v", CmpOp::Lt, 1000)];
-        let (visited, total) = db.pin().zone_prune_stats("t", &preds).unwrap();
-        assert_eq!((visited, total), (1, 5));
-        // Idempotent: chunks at the target size pass through untouched.
-        let again = db
-            .compact_with(&CompactionPolicy {
-                target_segment_rows: 1024,
-                ..CompactionPolicy::default()
-            })
-            .unwrap();
-        assert_eq!(again.tables_compacted, 0);
-    }
-
-    #[test]
-    fn row_lookup_is_total() {
-        let db = Database::in_memory(lw_schema());
-        {
-            let g = db.inner.read();
-            let t = g.tables.get("t").unwrap();
-            assert!(t.row(0).is_none(), "empty table has no rows");
-        }
-        for gen in 0..2i64 {
-            for k in 0..256i64 {
-                db.insert("t", vec![k.into(), gen.into(), "".into()])
-                    .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        db.compact().unwrap();
-        let g = db.inner.read();
-        let t = g.tables.get("t").unwrap();
-        // Generation-0 rows (rids 0..256) were dropped: holes, not panics.
-        assert!(t.row(3).is_none(), "dead rid resolves to None");
-        assert_eq!(t.row(256 + 3).map(|r| r[1].clone()), Some(Value::Int(1)));
-        assert!(t.row(999_999).is_none(), "past the high watermark");
-        assert_eq!(t.total_rows, 256);
-        assert_eq!(t.next_rid, 512);
-    }
-
-    #[test]
-    fn auto_compaction_triggers_at_commit_layer() {
-        let db = Database::in_memory(lw_schema());
-        // 1024 appended rows = exactly the two generations below, so one
-        // trigger fires, after the superseding commit.
-        db.set_auto_compact(Some(CompactionTrigger {
-            check_every_rows: 1024,
-            policy: CompactionPolicy::default(),
-        }));
-        for gen in 0..2i64 {
-            for k in 0..512i64 {
-                db.insert("t", vec![k.into(), gen.into(), "".into()])
-                    .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        // The second commit superseded generation 0; the spawned
-        // background pass must drop it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while db.stats().compactions == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "auto-compaction never ran"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(db.pin().live_rows("t").unwrap(), 512);
-        assert_eq!(db.stats().rows_dropped, 512);
-        // Disabled trigger stays quiet.
-        let quiet = Database::in_memory(lw_schema());
-        quiet.set_auto_compact(None);
-        for k in 0..600i64 {
-            quiet
-                .insert("t", vec![k.into(), 0i64.into(), "".into()])
-                .unwrap();
-        }
-        quiet.commit().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(quiet.stats().compactions, 0);
-    }
-
-    #[test]
-    fn snapshot_is_atomic_and_epoch_stamped() {
-        let db = Database::in_memory(tiny_schema());
-        db.insert("t", vec!["a".into(), 1.into()]).unwrap();
-        db.commit().unwrap();
-        let (epoch, frames) = db.snapshot(&["t"]).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].n_rows(), 1);
-        assert!(matches!(
-            db.snapshot(&["nope"]),
-            Err(StoreError::NoSuchTable(_))
-        ));
     }
 }

@@ -16,7 +16,9 @@
 //! predicate type spans every layer of the stack.
 
 use crate::column::Bitmap;
-use crate::db::{rows_to_frame, Database, StoreResult, TableVersion};
+use crate::db::{Database, StoreResult};
+use crate::schema::TableSchema;
+use crate::segment::TableVersion;
 use flor_df::{Column, DataFrame, DfError, DfResult, Value};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -331,9 +333,8 @@ impl Query {
 
     /// Execute against one pinned table version, returning the frame plus
     /// its execution accounting. Crate-internal: this is what lets
-    /// [`crate::db::Snapshot::query`] (and therefore
-    /// [`Database::snapshot_with`]) run several queries against one
-    /// consistent epoch, entirely lock-free. The trace rides along on
+    /// [`crate::Snapshot::query`] run several queries against one
+    /// pinned epoch, entirely lock-free. The trace rides along on
     /// every run (a handful of `Cell` bumps per row — noise next to row
     /// materialization); timing is left to callers so the untimed path
     /// never touches the clock.
@@ -592,6 +593,26 @@ impl Query {
         };
         Ok((df, explain))
     }
+}
+
+/// Materialise rows into a column-oriented frame with the schema's names.
+fn rows_to_frame(schema: &TableSchema, rows: impl Iterator<Item = Vec<Value>>) -> DataFrame {
+    let mut cols: Vec<Column> = schema
+        .columns
+        .iter()
+        .map(|c| Column {
+            name: c.name.clone(),
+            values: Vec::new(),
+        })
+        .collect();
+    for row in rows {
+        for (c, v) in cols.iter_mut().zip(row) {
+            c.values.push(v);
+        }
+    }
+    // audit: allow(panic) — one column per schema field, every row
+    // pushed to all of them: lengths and names are uniform.
+    DataFrame::from_columns(cols).expect("schema guarantees equal lengths and unique names")
 }
 
 /// The `n` smallest rows of `df` under `keys` (each `(column, asc)`),

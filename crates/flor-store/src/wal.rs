@@ -7,15 +7,23 @@
 //! commit marker — an uncommitted tail (crashed run) is invisible, exactly
 //! the visibility semantics the paper describes.
 //!
-//! Recovery *streams* frames from the log (a small reused buffer per
-//! frame) instead of slurping the whole file into memory, so reopening a
-//! database costs O(tail) memory no matter how long the history is. With
+//! That rule is implemented once, as [`TxnFold`], and the log is read by
+//! one loop, [`read_frames`]; every consumer — the leader's open, the
+//! checkpoint truncation, a follower's bootstrap, polls and lag probe —
+//! is a policy over those two (what a torn or corrupt end means to it,
+//! and what it does with a committed transaction).
+//!
+//! Recovery *streams* frames from the log (one buffer per frame) instead
+//! of slurping the whole file into memory, so reopening a database costs
+//! O(tail) memory no matter how long the history is. With
 //! [`crate::checkpoint`] the tail itself is short: `Database::open` loads
 //! the sidecar snapshot and replays only the records the checkpoint does
 //! not cover (`base_txn` below).
 
 use crate::codec::{decode_payload, encode_record, fnv1a, CodecError, WalRecord};
 use bytes::Bytes;
+use flor_df::Value;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -29,6 +37,26 @@ fn fsync_dir(path: &Path) -> std::io::Result<()> {
         _ => Path::new("."),
     };
     File::open(dir)?.sync_all()
+}
+
+/// Atomically install the fully written file `staged` (living at `tmp`)
+/// as `dest` — the one place this crate replaces a file: fsync the
+/// contents, rename over the destination, fsync the directory. A crash at
+/// any point leaves either the complete old `dest` or the complete new
+/// one. Both the checkpoint sidecar and the WAL truncation go through it.
+pub(crate) fn replace_file(staged: &File, tmp: &Path, dest: &Path) -> std::io::Result<()> {
+    staged.sync_data()?;
+    std::fs::rename(tmp, dest)?;
+    fsync_dir(dest)
+}
+
+/// Open the appendable (and readable) handle on a log file.
+fn open_append(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)
 }
 
 /// Upper bound on a single frame's payload. Real frames are far smaller
@@ -94,11 +122,7 @@ impl From<std::io::Error> for WalError {
 impl Wal {
     /// Open (or create) a file-backed WAL.
     pub fn open(path: &Path) -> std::io::Result<Wal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)?;
+        let file = open_append(path)?;
         let existing = file.metadata()?.len();
         Ok(Wal {
             backend: WalBackend::File {
@@ -157,53 +181,53 @@ impl Wal {
         self.bytes_written
     }
 
-    /// Replay the log, streaming frames (no full-log buffering), skipping
-    /// every record with `txn <= base_txn` — the transactions a checkpoint
-    /// already covers. `base_txn == 0` replays everything.
-    pub fn recover(&self, base_txn: u64) -> Result<Recovery, WalError> {
-        match &self.backend {
-            WalBackend::File { path, .. } => {
-                let f = File::open(path)?;
-                recover_frames(BufReader::new(f), base_txn)
-            }
-            WalBackend::Memory(buf) => recover_frames(buf.as_slice(), base_txn),
-        }
+    /// Replay the whole log through `each`, streaming frames (no full-log
+    /// buffering) — the leader's recovery read. A torn tail (append-only
+    /// format: a crash can only damage the tail) ends the replay quietly;
+    /// see [`StreamEnd::accept_torn_tail`] for what counts as one.
+    pub fn recover(&self, each: impl FnMut(WalRecord)) -> Result<(), WalError> {
+        let (_, end) = match &self.backend {
+            WalBackend::File { path, .. } => read_frames(BufReader::new(File::open(path)?), each)?,
+            WalBackend::Memory(buf) => read_frames(buf.as_slice(), each)?,
+        };
+        end.accept_torn_tail()
     }
 
-    /// Atomically replace the log's contents with `records` — the
-    /// checkpoint truncation step. File backend stages the new log in a
-    /// sidecar temp file, fsyncs it, renames it over the old log, and
-    /// fsyncs the directory, so a crash at any point leaves either the
-    /// complete old log or the complete new one; memory backend just
-    /// swaps the buffer.
-    pub fn rewrite(&mut self, records: &[WalRecord]) -> std::io::Result<()> {
-        let mut bytes = Vec::new();
-        for rec in records {
-            bytes.extend_from_slice(&encode_record(rec));
-        }
-        match &mut self.backend {
-            WalBackend::File { file, path } => {
-                let tmp = PathBuf::from(format!("{}.rewrite", path.display()));
-                {
-                    let mut t = File::create(&tmp)?;
-                    t.write_all(&bytes)?;
-                    t.sync_data()?;
-                }
-                std::fs::rename(&tmp, &*path)?;
-                fsync_dir(path)?;
+    /// Complete a staged truncation under the database write lock: append
+    /// the kept records that landed at or past `from` (only what
+    /// committed while the stage was built — the fsync pays for the small
+    /// delta, not the whole tail), install the staged file over the log
+    /// (`replace_file`), and reopen the append handle. An in-memory log
+    /// has nothing staged and filters its buffer in place.
+    pub fn finish_rewrite(
+        &mut self,
+        stage: TailStage,
+        from: u64,
+        keep_txn_above: u64,
+    ) -> Result<(), WalError> {
+        match (&mut self.backend, stage.out) {
+            (WalBackend::File { file, path }, Some((tmp, mut out))) => {
+                let mut reader = File::open(&*path)?;
+                reader.seek(SeekFrom::Start(from))?;
+                let (delta, n) = kept_frames(BufReader::new(reader), keep_txn_above)?;
+                out.write_all(&delta)?;
+                replace_file(&out, &tmp, path)?;
                 // The old handle points at the unlinked inode; reopen.
-                *file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .read(true)
-                    .open(path)?;
+                *file = open_append(path)?;
+                self.records_written = stage.records + n;
+                self.bytes_written = file.metadata()?.len();
             }
-            WalBackend::Memory(buf) => {
-                *buf = bytes.clone();
+            (WalBackend::Memory(buf), None) => {
+                (*buf, self.records_written) = kept_frames(buf.as_slice(), keep_txn_above)?;
+                self.bytes_written = buf.len() as u64;
+            }
+            _ => {
+                return Err(WalError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "staged tail does not belong to this log's backend",
+                )))
             }
         }
-        self.records_written = records.len() as u64;
-        self.bytes_written = bytes.len() as u64;
         Ok(())
     }
 }
@@ -211,106 +235,75 @@ impl Wal {
 /// A partially-built replacement log: the kept tail of `[0, upto)`
 /// already staged (and fsynced) at `<wal>.rewrite`. Built with *no*
 /// database lock held; [`Wal::finish_rewrite`] completes it under the
-/// lock by appending only what committed since.
+/// lock by appending only what committed since. Empty for an in-memory
+/// log, which has no lock-free phase.
 pub struct TailStage {
-    tmp_path: PathBuf,
-    file: File,
+    out: Option<(PathBuf, File)>,
     records: u64,
 }
 
-/// Stage the kept tail of the log file at `path`: decode the frames in
-/// `[0, upto)` — `upto` must be an offset captured under the database
-/// lock, so every frame below it is complete — keep those with
-/// `txn > keep_txn_above`, write them to `<path>.rewrite`, and fsync.
-/// Runs lock-free; the bulk of the truncation I/O happens here.
-pub fn stage_tail(path: &Path, upto: u64, keep_txn_above: u64) -> Result<TailStage, WalError> {
-    let f = File::open(path)?;
-    let records = read_records(BufReader::new(f).take(upto), keep_txn_above)?;
-    let tmp_path = PathBuf::from(format!("{}.rewrite", path.display()));
-    let mut file = File::create(&tmp_path)?;
-    for rec in &records {
-        file.write_all(&encode_record(rec))?;
-    }
+/// Stage the kept tail of the log file at `path` (`None`: an in-memory
+/// log, nothing to stage): decode the frames in `[0, upto)` — `upto` must
+/// be an offset captured under the database lock, so every frame below it
+/// is complete — keep those with `txn > keep_txn_above`, write them to
+/// `<path>.rewrite`, and fsync. Runs lock-free; the bulk of the
+/// truncation I/O happens here.
+pub fn stage_tail(
+    path: Option<&Path>,
+    upto: u64,
+    keep_txn_above: u64,
+) -> Result<TailStage, WalError> {
+    let Some(path) = path else {
+        return Ok(TailStage {
+            out: None,
+            records: 0,
+        });
+    };
+    let (kept, records) =
+        kept_frames(BufReader::new(File::open(path)?).take(upto), keep_txn_above)?;
+    let tmp = PathBuf::from(format!("{}.rewrite", path.display()));
+    let mut file = File::create(&tmp)?;
+    file.write_all(&kept)?;
     file.sync_data()?;
     Ok(TailStage {
-        tmp_path,
-        file,
-        records: records.len() as u64,
+        out: Some((tmp, file)),
+        records,
     })
 }
 
-impl Wal {
-    /// Complete a staged rewrite under the database write lock: append
-    /// the records that landed at or past `from` (only what committed
-    /// while the stage was built — the fsync pays for the small delta,
-    /// not the whole tail), rename the staged file over the log, fsync
-    /// the directory, and reopen the append handle.
-    pub fn finish_rewrite(
-        &mut self,
-        mut stage: TailStage,
-        from: u64,
-        keep_txn_above: u64,
-    ) -> Result<(), WalError> {
-        let WalBackend::File { file, path } = &mut self.backend else {
-            return Err(WalError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "finish_rewrite requires a file-backed log",
-            )));
-        };
-        let mut reader = File::open(&*path)?;
-        reader.seek(SeekFrom::Start(from))?;
-        let delta = read_records(BufReader::new(reader), keep_txn_above)?;
-        for rec in &delta {
-            stage.file.write_all(&encode_record(rec))?;
+/// How a frame stream ended — the fact every log reader's policy keys on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamEnd {
+    /// End of stream exactly at a frame boundary.
+    Clean,
+    /// The stream ended inside a frame: the writer is mid-append, or a
+    /// crash tore the tail.
+    Partial,
+    /// A whole frame was read but is bad: its checksum does not match, or
+    /// its payload does not decode.
+    Corrupt(CodecError),
+}
+
+impl StreamEnd {
+    /// The leader-side policy (recovery and truncation): a partial frame
+    /// or a checksum mismatch is crash damage at the tail — accepted,
+    /// everything from there on is dropped. A frame that checksums but
+    /// does not decode is not something a crash can produce: an error.
+    pub fn accept_torn_tail(self) -> Result<(), WalError> {
+        match self {
+            StreamEnd::Corrupt(e) if e != CodecError::BadChecksum => Err(WalError::Codec(e)),
+            _ => Ok(()),
         }
-        stage.records += delta.len() as u64;
-        stage.file.sync_data()?;
-        std::fs::rename(&stage.tmp_path, &*path)?;
-        fsync_dir(path)?;
-        *file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(&*path)?;
-        self.records_written = stage.records;
-        self.bytes_written = file.metadata().map_err(WalError::Io)?.len();
-        Ok(())
     }
 }
 
-/// Result of WAL recovery.
-#[derive(Debug, Default)]
-pub struct Recovery {
-    /// Rows from committed transactions, in log order: `(table, row)`.
-    pub committed: Vec<(String, Vec<flor_df::Value>)>,
-    /// Records belonging to transactions without a commit marker.
-    pub discarded_uncommitted: usize,
-    /// Whether a torn/corrupt tail was truncated away.
-    pub torn_tail: bool,
-    /// Highest transaction id seen (committed or not).
-    pub max_txn: u64,
-    /// Number of distinct committed transactions replayed — the epochs
-    /// the log tail adds on top of a checkpoint's epoch.
-    pub committed_txns: usize,
-    /// Frames decoded from the log, including skipped and uncommitted
-    /// ones — the physical replay cost of this recovery.
-    pub records_replayed: usize,
-    /// Frames skipped because a checkpoint already covered their
-    /// transaction (`txn <= base_txn`).
-    pub records_skipped: usize,
-}
-
-/// Read one `[len:u32][crc:u64][payload]` frame from `r`. Returns
-/// `Ok(None)` at a clean end of stream; a partial header/payload or a
-/// checksum mismatch reads as a torn tail (`Err(Truncated)` /
-/// `Err(BadChecksum)`). On success the record comes with its framed size
-/// in bytes (header + payload), so streaming readers can track exact
-/// byte offsets.
-fn read_frame(r: &mut impl Read) -> Result<Option<(WalRecord, u64)>, WalError> {
+/// Read one `[len:u32][crc:u64][payload]` frame from `r`: the record and
+/// its framed size in bytes (header + payload), or why there is none.
+fn read_frame(r: &mut impl Read) -> std::io::Result<Result<(WalRecord, u64), StreamEnd>> {
     let mut header = [0u8; 12];
     match read_exact_or_eof(r, &mut header)? {
-        FillResult::Empty => return Ok(None),
-        FillResult::Partial => return Err(WalError::Codec(CodecError::Truncated)),
+        FillResult::Empty => return Ok(Err(StreamEnd::Clean)),
+        FillResult::Partial => return Ok(Err(StreamEnd::Partial)),
         FillResult::Full => {}
     }
     // audit: allow(panic) — `header` is a [u8; 12] filled by
@@ -318,19 +311,18 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(WalRecord, u64)>, WalError> {
     let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
     let crc = u64::from_be_bytes(header[4..12].try_into().expect("8 bytes")); // audit: allow(panic) — fixed [u8; 12] header
     if len > MAX_FRAME_BYTES {
-        return Err(WalError::Codec(CodecError::Truncated));
+        return Ok(Err(StreamEnd::Partial));
     }
     let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        FillResult::Full => {}
-        _ => return Err(WalError::Codec(CodecError::Truncated)),
+    if !matches!(read_exact_or_eof(r, &mut payload)?, FillResult::Full) {
+        return Ok(Err(StreamEnd::Partial));
     }
     if fnv1a(&payload) != crc {
-        return Err(WalError::Codec(CodecError::BadChecksum));
+        return Ok(Err(StreamEnd::Corrupt(CodecError::BadChecksum)));
     }
-    decode_payload(Bytes::from(payload))
-        .map(|rec| Some((rec, 12 + len as u64)))
-        .map_err(WalError::Codec)
+    Ok(decode_payload(Bytes::from(payload))
+        .map(|rec| (rec, 12 + len as u64))
+        .map_err(StreamEnd::Corrupt))
 }
 
 enum FillResult {
@@ -358,100 +350,126 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<FillR
     Ok(FillResult::Full)
 }
 
-/// Replay a WAL frame stream, honouring commit markers and skipping
-/// records whose transaction a checkpoint already covers
-/// (`txn <= base_txn`).
-///
-/// Records after the first torn frame are dropped (append-only format: a
-/// crash can only damage the tail). Inserts from transactions that never
-/// committed are discarded.
-pub fn recover_frames(mut read: impl Read, base_txn: u64) -> Result<Recovery, WalError> {
-    let mut staged: Vec<(u64, String, Vec<flor_df::Value>)> = Vec::new();
-    let mut committed_txns: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut rec = Recovery::default();
+/// The one log reader: stream every whole frame of `r` through `each`, in
+/// log order, and report the bytes those frames occupy and how the stream
+/// ended. It interprets nothing — commit markers are [`TxnFold`]'s job,
+/// and what a torn or corrupt end *means* is the caller's policy
+/// ([`Wal::recover`], [`stage_tail`], [`tail_from`]).
+pub fn read_frames(
+    mut r: impl Read,
+    mut each: impl FnMut(WalRecord),
+) -> Result<(u64, StreamEnd), WalError> {
+    let mut bytes = 0u64;
     loop {
-        match read_frame(&mut read) {
-            Ok(Some((WalRecord::Insert { txn, table, row }, _))) => {
-                rec.records_replayed += 1;
-                rec.max_txn = rec.max_txn.max(txn);
-                if txn <= base_txn {
-                    rec.records_skipped += 1;
-                    continue;
-                }
-                staged.push((txn, table, row));
+        match read_frame(&mut r)? {
+            Ok((rec, n)) => {
+                bytes += n;
+                each(rec);
             }
-            Ok(Some((WalRecord::Commit { txn }, _))) => {
-                rec.records_replayed += 1;
-                rec.max_txn = rec.max_txn.max(txn);
-                if txn <= base_txn {
-                    rec.records_skipped += 1;
-                    continue;
-                }
-                committed_txns.insert(txn);
-            }
-            Ok(None) => break,
-            Err(WalError::Codec(CodecError::Truncated | CodecError::BadChecksum)) => {
-                // Torn or corrupt: everything from here on is suspect.
-                rec.torn_tail = true;
-                break;
-            }
-            Err(e) => return Err(e),
+            Err(end) => return Ok((bytes, end)),
         }
     }
-    rec.committed_txns = committed_txns.len();
-    for (txn, table, row) in staged {
-        if committed_txns.contains(&txn) {
-            rec.committed.push((table, row));
-        } else {
-            rec.discarded_uncommitted += 1;
+}
+
+/// The records of `read` with `txn > keep_txn_above`, up to a torn tail,
+/// re-framed — what the checkpoint truncation carries into the fresh log
+/// (the post-checkpoint tail and any open transaction's staged inserts) —
+/// and how many there are.
+fn kept_frames(read: impl Read, keep_txn_above: u64) -> Result<(Vec<u8>, u64), WalError> {
+    let (mut frames, mut records) = (Vec::new(), 0);
+    let (_, end) = read_frames(read, |rec| {
+        if rec.txn() > keep_txn_above {
+            frames.extend_from_slice(&encode_record(&rec));
+            records += 1;
+        }
+    })?;
+    end.accept_torn_tail()?;
+    Ok((frames, records))
+}
+
+/// What [`TxnFold::push`] made of one record.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Folded {
+    /// Nothing became visible: an insert was staged, or the record's
+    /// transaction is covered by the base checkpoint (`txn <= base_txn`).
+    Skip,
+    /// A commit marker landed: `rows` — the transaction's staged inserts,
+    /// in insert order — are now visible.
+    Committed {
+        /// The committed transaction id.
+        txn: u64,
+        /// Its `(table, row)` inserts.
+        rows: Vec<(String, Vec<Value>)>,
+    },
+    /// The record belongs to a transaction past the base that was already
+    /// applied. An append-only log never says that: the log was replaced
+    /// under the reader, who must rebuild rather than double-apply.
+    Stale,
+}
+
+/// The one commit-marker fold: the paper's visibility rule (§2.1) as a
+/// state machine over the record stream. Inserts are staged by
+/// transaction and surface, in **commit-marker order**, only when their
+/// marker arrives; records at or below `base_txn` (what a checkpoint
+/// covers) are skipped. The leader's open, a follower's bootstrap, every
+/// follower poll and the lag probe all drive this — a follower keeps its
+/// fold across polls, so inserts read polls before their marker stay
+/// staged, not lost.
+#[derive(Debug)]
+pub struct TxnFold {
+    base_txn: u64,
+    last_applied: u64,
+    max_txn: u64,
+    staged: HashMap<u64, Vec<(String, Vec<Value>)>>,
+}
+
+impl TxnFold {
+    /// A fold over a log whose transactions `<= base_txn` are already
+    /// applied (0: replay everything).
+    pub fn new(base_txn: u64) -> TxnFold {
+        TxnFold {
+            base_txn,
+            last_applied: base_txn,
+            max_txn: base_txn,
+            staged: HashMap::new(),
         }
     }
-    Ok(rec)
-}
 
-/// Replay an in-memory WAL byte stream from its start (no checkpoint
-/// base). Convenience for tests and tools holding raw bytes.
-pub fn recover(bytes: &[u8]) -> Result<Recovery, CodecError> {
-    recover_frames(bytes, 0).map_err(|e| match e {
-        WalError::Codec(c) => c,
-        // A slice reader cannot fail with a real I/O error.
-        WalError::Io(e) => CodecError::Malformed(e.to_string()),
-    })
-}
+    /// The newest transaction applied (the base, until a marker lands).
+    pub fn last_applied(&self) -> u64 {
+        self.last_applied
+    }
 
-/// Collect the full record stream of a reader, stopping at a torn tail —
-/// what the checkpoint truncation step uses to carry the post-checkpoint
-/// tail (and any open transaction's staged inserts) into the fresh log.
-pub fn read_records(mut read: impl Read, keep_txn_above: u64) -> Result<Vec<WalRecord>, WalError> {
-    let mut out = Vec::new();
-    loop {
-        match read_frame(&mut read) {
-            Ok(Some((rec, _))) => {
-                let txn = match &rec {
-                    WalRecord::Insert { txn, .. } | WalRecord::Commit { txn } => *txn,
-                };
-                if txn > keep_txn_above {
-                    out.push(rec);
+    /// Highest transaction id seen, committed or not (or the base).
+    /// Uncommitted ids from a crashed writer never commit later, so a
+    /// reopened writer allocates past this.
+    pub fn max_txn(&self) -> u64 {
+        self.max_txn
+    }
+
+    /// Fold one record.
+    pub fn push(&mut self, rec: WalRecord) -> Folded {
+        let txn = rec.txn();
+        self.max_txn = self.max_txn.max(txn);
+        if txn <= self.base_txn {
+            return Folded::Skip;
+        }
+        if txn <= self.last_applied {
+            self.staged.remove(&txn);
+            return Folded::Stale;
+        }
+        match rec {
+            WalRecord::Insert { table, row, .. } => {
+                self.staged.entry(txn).or_default().push((table, row));
+                Folded::Skip
+            }
+            WalRecord::Commit { .. } => {
+                self.last_applied = txn;
+                Folded::Committed {
+                    txn,
+                    rows: self.staged.remove(&txn).unwrap_or_default(),
                 }
             }
-            Ok(None) => break,
-            Err(WalError::Codec(CodecError::Truncated | CodecError::BadChecksum)) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
-impl Wal {
-    /// The log's records with `txn > keep_txn_above`, streamed from the
-    /// backend — the tail a checkpoint must preserve.
-    pub fn tail_records(&self, keep_txn_above: u64) -> Result<Vec<WalRecord>, WalError> {
-        match &self.backend {
-            WalBackend::File { path, .. } => {
-                let f = File::open(path)?;
-                read_records(BufReader::new(f), keep_txn_above)
-            }
-            WalBackend::Memory(buf) => read_records(buf.as_slice(), keep_txn_above),
         }
     }
 }
@@ -476,10 +494,10 @@ pub enum TailChunk {
 }
 
 /// Stream complete frames from the log file at `path`, starting at byte
-/// `offset` — the follower's incremental tailing primitive. Unlike
-/// [`recover_frames`] this does **not** interpret commit markers: it
-/// returns raw records plus the exact offset consumed, so a caller can
-/// poll repeatedly and carry uncommitted transactions across polls.
+/// `offset` — the follower's incremental tailing primitive. It returns
+/// raw records plus the exact offset consumed, so a caller can poll
+/// repeatedly and carry uncommitted transactions across polls in its
+/// [`TxnFold`].
 ///
 /// The three outcomes:
 /// - complete frames (possibly none) and a new offset — the common poll;
@@ -509,35 +527,25 @@ pub fn tail_from(path: &Path, offset: u64) -> Result<TailChunk, WalError> {
     let mut r = BufReader::new(f);
     r.seek(SeekFrom::Start(offset))?;
     let mut records = Vec::new();
-    let mut consumed = 0u64;
-    loop {
-        match read_frame(&mut r) {
-            Ok(Some((rec, n))) => {
-                consumed += n;
-                records.push(rec);
-            }
-            Ok(None) => break,
-            // Partial frame at EOF: the writer is mid-append (or a crash
-            // left a torn tail). Surface the complete prefix; the caller
-            // re-reads from `new_offset` next poll.
-            Err(WalError::Codec(CodecError::Truncated)) => break,
-            // Structurally bad bytes that a short read cannot explain
-            // (checksum/tag/shape): `offset` is not a frame boundary in
-            // this file any more — the log was rewritten underneath us.
-            Err(WalError::Codec(_)) => return Ok(TailChunk::Truncated),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(TailChunk::Frames {
-        records,
-        new_offset: offset + consumed,
+    let (consumed, end) = read_frames(&mut r, |rec| records.push(rec))?;
+    Ok(match end {
+        // A frame that a short read cannot explain (checksum/tag/shape):
+        // `offset` is not a frame boundary in this file any more — the
+        // log was rewritten underneath us.
+        StreamEnd::Corrupt(_) => TailChunk::Truncated,
+        // A partial frame at EOF is the writer mid-append (or a crash's
+        // torn tail): surface the complete prefix; the caller re-reads
+        // from `new_offset` next poll.
+        StreamEnd::Clean | StreamEnd::Partial => TailChunk::Frames {
+            records,
+            new_offset: offset + consumed,
+        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flor_df::Value;
 
     fn ins(txn: u64, table: &str, v: i64) -> WalRecord {
         WalRecord::Insert {
@@ -555,18 +563,60 @@ mod tests {
         all
     }
 
+    /// What a leader open makes of `wal`: the committed `(table, row)`s
+    /// in commit order, the records read, and the fold afterwards.
+    fn replay(wal: &Wal, base_txn: u64) -> (Vec<(String, Vec<Value>)>, usize, TxnFold) {
+        let mut fold = TxnFold::new(base_txn);
+        let (mut committed, mut records) = (Vec::new(), 0);
+        wal.recover(|rec| {
+            records += 1;
+            if let Folded::Committed { rows, .. } = fold.push(rec) {
+                committed.extend(rows);
+            }
+        })
+        .unwrap();
+        (committed, records, fold)
+    }
+
+    /// The same over raw bytes, plus how the stream ended.
+    fn replay_bytes(bytes: &[u8]) -> (Vec<(String, Vec<Value>)>, u64, StreamEnd) {
+        let mut fold = TxnFold::new(0);
+        let mut committed = Vec::new();
+        let (consumed, end) = read_frames(bytes, |rec| {
+            if let Folded::Committed { rows, .. } = fold.push(rec) {
+                committed.extend(rows);
+            }
+        })
+        .unwrap();
+        (committed, consumed, end)
+    }
+
+    fn temp_log(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("florwal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("test.wal");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Checkpoint-style truncation: drop every record at or below `keep`.
+    fn truncate(wal: &mut Wal, keep: u64) {
+        let upto = wal.len_bytes();
+        let stage = stage_tail(wal.path(), upto, keep).unwrap();
+        wal.finish_rewrite(stage, upto, keep).unwrap();
+    }
+
     #[test]
     fn committed_rows_recovered_in_order() {
         let mut wal = Wal::in_memory();
         wal.append(&ins(1, "logs", 10)).unwrap();
         wal.append(&ins(1, "logs", 11)).unwrap();
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
-        let rec = wal.recover(0).unwrap();
-        assert_eq!(rec.committed.len(), 2);
-        assert_eq!(rec.committed[0].1[0], Value::Int(10));
-        assert_eq!(rec.committed[1].1[0], Value::Int(11));
-        assert_eq!(rec.records_replayed, 3);
-        assert!(!rec.torn_tail);
+        let (committed, records, _) = replay(&wal, 0);
+        assert_eq!(committed.len(), 2);
+        assert_eq!(committed[0].1[0], Value::Int(10));
+        assert_eq!(committed[1].1[0], Value::Int(11));
+        assert_eq!(records, 3);
     }
 
     #[test]
@@ -575,10 +625,11 @@ mod tests {
         wal.append(&ins(1, "logs", 1)).unwrap();
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
         wal.append(&ins(2, "logs", 2)).unwrap(); // never committed
-        let rec = wal.recover(0).unwrap();
-        assert_eq!(rec.committed.len(), 1);
-        assert_eq!(rec.discarded_uncommitted, 1);
-        assert_eq!(rec.max_txn, 2);
+        let (committed, _, fold) = replay(&wal, 0);
+        assert_eq!(committed.len(), 1);
+        assert_eq!(fold.staged[&2].len(), 1, "staged, never surfaced");
+        assert_eq!(fold.last_applied(), 1);
+        assert_eq!(fold.max_txn(), 2);
     }
 
     #[test]
@@ -588,23 +639,29 @@ mod tests {
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
         wal.append(&ins(2, "logs", 2)).unwrap();
         wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
-        let rec = wal.recover(1).unwrap();
-        assert_eq!(rec.committed.len(), 1);
-        assert_eq!(rec.committed[0].1[0], Value::Int(2));
-        assert_eq!(rec.committed_txns, 1);
-        assert_eq!(rec.records_skipped, 2);
-        assert_eq!(rec.max_txn, 2, "max_txn still counts skipped frames");
+        let (committed, records, fold) = replay(&wal, 1);
+        assert_eq!(committed.len(), 1);
+        assert_eq!(committed[0].1[0], Value::Int(2));
+        assert_eq!(records, 4, "skipped frames are still read");
+        assert_eq!(fold.last_applied(), 2);
+        assert_eq!(fold.max_txn(), 2, "max_txn still counts skipped frames");
+        let mut skipping = TxnFold::new(1);
+        assert_eq!(skipping.push(ins(1, "logs", 1)), Folded::Skip);
+        assert_eq!(skipping.push(WalRecord::Commit { txn: 1 }), Folded::Skip);
     }
 
     #[test]
     fn torn_tail_truncated() {
         let mut bytes = frames(&[ins(1, "logs", 1), WalRecord::Commit { txn: 1 }]);
+        let whole = bytes.len() as u64;
         // Simulate a crash mid-append of a new frame.
         let extra = encode_record(&ins(2, "logs", 2));
         bytes.extend_from_slice(&extra[..extra.len() / 2]);
-        let rec = recover(&bytes).unwrap();
-        assert!(rec.torn_tail);
-        assert_eq!(rec.committed.len(), 1);
+        let (committed, consumed, end) = replay_bytes(&bytes);
+        assert_eq!(end, StreamEnd::Partial);
+        assert!(end.accept_torn_tail().is_ok());
+        assert_eq!(consumed, whole, "the offset stops at the last whole frame");
+        assert_eq!(committed.len(), 1);
     }
 
     #[test]
@@ -619,17 +676,34 @@ mod tests {
         let f1 = encode_record(&ins(1, "logs", 1)).len();
         let f2 = encode_record(&WalRecord::Commit { txn: 1 }).len();
         bytes[f1 + f2 + 13] ^= 0xff;
-        let rec = recover(&bytes).unwrap();
-        assert!(rec.torn_tail);
-        assert_eq!(rec.committed.len(), 1);
+        let (committed, consumed, end) = replay_bytes(&bytes);
+        assert_eq!(end, StreamEnd::Corrupt(CodecError::BadChecksum));
+        assert!(end.accept_torn_tail().is_ok());
+        assert_eq!(consumed, (f1 + f2) as u64);
+        assert_eq!(committed.len(), 1);
+    }
+
+    #[test]
+    fn undecodable_frame_is_an_error_not_a_torn_tail() {
+        // A frame whose checksum matches but whose payload carries an
+        // unknown tag is not crash damage; the leader refuses it, a
+        // follower reads it as a rewritten log.
+        let payload = [0xEEu8];
+        let mut bytes = frames(&[ins(1, "logs", 1)]);
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        bytes.extend_from_slice(&payload);
+        let (_, _, end) = replay_bytes(&bytes);
+        assert_eq!(end, StreamEnd::Corrupt(CodecError::BadTag(0xEE)));
+        assert!(matches!(
+            end.accept_torn_tail(),
+            Err(WalError::Codec(CodecError::BadTag(0xEE)))
+        ));
     }
 
     #[test]
     fn file_backend_persists_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("florwal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_log("reopen");
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(&ins(1, "logs", 99)).unwrap();
@@ -638,63 +712,74 @@ mod tests {
         }
         {
             let mut wal = Wal::open(&path).unwrap();
-            let rec = wal.recover(0).unwrap();
-            assert_eq!(rec.committed.len(), 1);
-            assert_eq!(rec.committed[0].1[0], Value::Int(99));
+            let (committed, _, _) = replay(&wal, 0);
+            assert_eq!(committed.len(), 1);
+            assert_eq!(committed[0].1[0], Value::Int(99));
             // Appending after reopen extends, not truncates.
             wal.append(&ins(2, "logs", 100)).unwrap();
             wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
         }
         {
             let wal = Wal::open(&path).unwrap();
-            let rec = wal.recover(0).unwrap();
-            assert_eq!(rec.committed.len(), 2);
+            assert_eq!(replay(&wal, 0).0.len(), 2);
         }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn rewrite_replaces_log_atomically() {
-        let dir = std::env::temp_dir().join(format!("florwal-rw-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rewrite.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_log("rw");
         let mut wal = Wal::open(&path).unwrap();
         for t in 1..=5u64 {
             wal.append(&ins(t, "logs", t as i64)).unwrap();
             wal.append(&WalRecord::Commit { txn: t }).unwrap();
         }
-        let tail = wal.tail_records(3).unwrap();
-        assert_eq!(tail.len(), 4, "two txns × (insert + commit)");
-        wal.rewrite(&tail).unwrap();
-        assert_eq!(wal.records_written, 4);
+        truncate(&mut wal, 3);
+        assert_eq!(wal.records_written, 4, "two txns × (insert + commit)");
         // The rewritten log recovers only the preserved tail...
-        let rec = wal.recover(0).unwrap();
-        assert_eq!(rec.committed.len(), 2);
-        assert_eq!(rec.committed[0].1[0], Value::Int(4));
+        let (committed, _, _) = replay(&wal, 0);
+        assert_eq!(committed.len(), 2);
+        assert_eq!(committed[0].1[0], Value::Int(4));
         // ...and stays appendable afterwards.
         wal.append(&ins(6, "logs", 6)).unwrap();
         wal.append(&WalRecord::Commit { txn: 6 }).unwrap();
-        let rec = Wal::open(&path).unwrap().recover(0).unwrap();
-        assert_eq!(rec.committed.len(), 3);
+        assert_eq!(replay(&Wal::open(&path).unwrap(), 0).0.len(), 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn in_memory_truncation_keeps_the_same_tail() {
+        let mut wal = Wal::in_memory();
+        for t in 1..=5u64 {
+            wal.append(&ins(t, "logs", t as i64)).unwrap();
+            wal.append(&WalRecord::Commit { txn: t }).unwrap();
+        }
+        truncate(&mut wal, 3);
+        assert_eq!(wal.records_written, 4);
+        let (committed, records, _) = replay(&wal, 0);
+        assert_eq!(records, 4);
+        assert_eq!(committed[0].1[0], Value::Int(4));
+        let tail = [
+            ins(4, "logs", 4),
+            WalRecord::Commit { txn: 4 },
+            ins(5, "logs", 5),
+            WalRecord::Commit { txn: 5 },
+        ];
+        assert_eq!(wal.len_bytes(), frames(&tail).len() as u64);
     }
 
     #[test]
     fn empty_wal_recovers_empty() {
-        let rec = recover(&[]).unwrap();
-        assert!(rec.committed.is_empty());
-        assert!(!rec.torn_tail);
-        assert_eq!(rec.max_txn, 0);
-        assert_eq!(rec.records_replayed, 0);
+        let (committed, consumed, end) = replay_bytes(&[]);
+        assert!(committed.is_empty());
+        assert_eq!(end, StreamEnd::Clean);
+        assert_eq!(consumed, 0);
+        assert_eq!(TxnFold::new(0).max_txn(), 0);
     }
 
     #[test]
     fn tail_from_streams_incrementally() {
-        let dir = std::env::temp_dir().join(format!("florwal-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tail.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_log("tail");
         // Tailing a not-yet-created log from the start is an empty chunk.
         match tail_from(&path, 0).unwrap() {
             TailChunk::Frames {
@@ -755,10 +840,7 @@ mod tests {
 
     #[test]
     fn tail_from_detects_rewrite() {
-        let dir = std::env::temp_dir().join(format!("florwal-tailrw-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tailrw.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_log("tailrw");
         let mut wal = Wal::open(&path).unwrap();
         for t in 1..=6u64 {
             wal.append(&ins(t, "logs", t as i64)).unwrap();
@@ -766,8 +848,7 @@ mod tests {
         }
         let old_len = wal.len_bytes();
         // Truncating rewrite: the file shrinks below the reader's offset.
-        let tail = wal.tail_records(5).unwrap();
-        wal.rewrite(&tail).unwrap();
+        truncate(&mut wal, 5);
         assert!(wal.len_bytes() < old_len);
         assert!(matches!(
             tail_from(&path, old_len).unwrap(),
@@ -798,9 +879,42 @@ mod tests {
         wal.append(&ins(1, "a", 3)).unwrap();
         wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
         // txn 1 never commits.
-        let rec = wal.recover(0).unwrap();
-        assert_eq!(rec.committed.len(), 1);
-        assert_eq!(rec.committed[0].0, "b");
-        assert_eq!(rec.discarded_uncommitted, 2);
+        let (committed, _, fold) = replay(&wal, 0);
+        assert_eq!(committed.len(), 1);
+        assert_eq!(committed[0].0, "b");
+        assert_eq!(fold.staged[&1].len(), 2, "txn 1's inserts stay staged");
+    }
+
+    #[test]
+    fn interleaved_transactions_surface_in_commit_order() {
+        // Insert positions interleave; visibility follows the markers.
+        let mut fold = TxnFold::new(0);
+        let mut seen = Vec::new();
+        for rec in [
+            ins(1, "t", 10),
+            ins(2, "t", 20),
+            ins(1, "t", 11),
+            WalRecord::Commit { txn: 1 },
+            WalRecord::Commit { txn: 2 },
+            // A repeated marker must not apply (or count) twice.
+            WalRecord::Commit { txn: 2 },
+        ] {
+            match fold.push(rec) {
+                Folded::Committed { txn, rows } => {
+                    seen.extend(rows.into_iter().map(|(_, r)| (txn, r[0].clone())))
+                }
+                Folded::Stale => seen.push((0, Value::Null)),
+                Folded::Skip => {}
+            }
+        }
+        assert_eq!(
+            seen,
+            vec![
+                (1, Value::Int(10)),
+                (1, Value::Int(11)),
+                (2, Value::Int(20)),
+                (0, Value::Null),
+            ]
+        );
     }
 }

@@ -296,6 +296,31 @@ fn clustering_invariant_after_compacting_shuffled_monolith() {
     assert_eq!(got, expect);
 }
 
+/// `data` in the retired version-1 (row-major) sidecar layout, byte for
+/// byte what pre-columnar builds wrote: `[magic][1][fnv of body]` then
+/// `[epoch][max_txn][n_tables]` and per table `[name][n_rows][rows…]`.
+/// The writer is gone from the crate; the reader must keep working.
+fn v1_blob(data: &flor_store::checkpoint::CheckpointData) -> Vec<u8> {
+    use bytes::{BufMut, BytesMut};
+    let mut body = BytesMut::new();
+    body.put_u64(data.epoch);
+    body.put_u64(data.max_txn);
+    body.put_u16(data.tables.len() as u16);
+    for (name, rows) in &data.tables {
+        body.put_u16(name.len() as u16);
+        body.put_slice(name.as_bytes());
+        body.put_u64(rows.len() as u64);
+        for row in rows {
+            flor_store::codec::encode_row(row, &mut body);
+        }
+    }
+    let mut out = 0x464C_4F52u32.to_be_bytes().to_vec();
+    out.push(1);
+    out.extend_from_slice(&flor_store::codec::fnv1a(&body).to_be_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
 /// A pre-refactor (version 1, row-major) checkpoint sidecar must reopen
 /// cleanly: rewrite the current sidecar in the legacy layout, reopen,
 /// and expect the same bytes back.
@@ -321,11 +346,7 @@ fn legacy_row_major_sidecar_reopens() {
     // the file a pre-columnar build would have left behind.
     let v2 = std::fs::read(&sidecar).unwrap();
     let data = flor_store::checkpoint::decode_checkpoint(v2).unwrap();
-    std::fs::write(
-        &sidecar,
-        flor_store::checkpoint::encode_checkpoint_v1(&data),
-    )
-    .unwrap();
+    std::fs::write(&sidecar, v1_blob(&data)).unwrap();
 
     let db = Database::open(&wal, schemas()).unwrap();
     assert!(

@@ -5,7 +5,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flor_df::Value;
 use flor_store::codec::{decode_record, decode_row, encode_record, encode_row, WalRecord};
 use flor_store::feed::MAX_PENDING_BATCHES;
-use flor_store::wal::recover;
+use flor_store::wal::{read_frames, Folded, StreamEnd, TxnFold};
 use flor_store::{ColType, ColumnDef, Database, Query, TableSchema};
 use proptest::prelude::*;
 
@@ -17,6 +17,20 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<f64>().prop_map(Value::Float),
         "[ -~]{0,24}".prop_map(Value::from),
     ]
+}
+
+/// What a leader open makes of the byte stream `bytes`: every committed
+/// transaction as `(txn, rows)`, in the order the fold yields them, the
+/// bytes the whole frames occupy, and how the stream ended.
+type Committed = Vec<(u64, Vec<(String, Vec<Value>)>)>;
+
+fn fold_bytes(fold: &mut TxnFold, bytes: &[u8], out: &mut Committed) -> (u64, StreamEnd) {
+    read_frames(bytes, |rec| {
+        if let Folded::Committed { txn, rows } = fold.push(rec) {
+            out.push((txn, rows));
+        }
+    })
+    .expect("a slice reader cannot fail with an I/O error")
 }
 
 fn values_bitwise_eq(a: &Value, b: &Value) -> bool {
@@ -86,13 +100,15 @@ proptest! {
             bytes.extend_from_slice(&encode_record(&WalRecord::Commit { txn: (t + 1) as u64 }));
         }
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        let rec = recover(&bytes[..cut]).unwrap();
+        let mut by_txn = Committed::new();
+        fold_bytes(&mut TxnFold::new(0), &bytes[..cut], &mut by_txn);
+        let committed: Vec<_> = by_txn.into_iter().flat_map(|(_, rows)| rows).collect();
         // Committed rows must come in whole-transaction batches.
-        prop_assert_eq!(rec.committed.len() % rows_per, 0);
-        let committed_txns = rec.committed.len() / rows_per;
+        prop_assert_eq!(committed.len() % rows_per, 0);
+        let committed_txns = committed.len() / rows_per;
         prop_assert!(committed_txns <= n_txns);
         // Committed transactions are a prefix (log order).
-        for (i, (_, row)) in rec.committed.iter().enumerate() {
+        for (i, (_, row)) in committed.iter().enumerate() {
             let t = i / rows_per;
             let r = i % rows_per;
             prop_assert_eq!(row[0].clone(), Value::Int((t * 100 + r) as i64));
@@ -176,6 +192,115 @@ proptest! {
     }
 }
 
+/// One step of a generated record stream: small transaction ids so
+/// streams interleave, repeat commit markers, and dip at or below the
+/// base on their own.
+fn arb_record() -> impl Strategy<Value = WalRecord> {
+    prop_oneof![
+        3 => (0u64..7, 0u8..2, any::<i64>()).prop_map(|(txn, t, v)| WalRecord::Insert {
+            txn,
+            table: format!("t{t}"),
+            row: vec![Value::Int(v)],
+        }),
+        1 => (0u64..7).prop_map(|txn| WalRecord::Commit { txn }),
+    ]
+}
+
+proptest! {
+    /// The fold is the same computation however the stream arrives: fed
+    /// whole (a leader open) or in arbitrary byte chunks that split
+    /// frames anywhere (follower polls, each resuming at the last whole
+    /// frame), it yields exactly the same committed `(txn, rows)`
+    /// sequence — over interleaved transactions, uncommitted tails,
+    /// records at or below the base and repeated commit ids — and a torn
+    /// final frame leaves the complete prefix applied with the offset at
+    /// the last whole frame.
+    #[test]
+    fn chunked_fold_equals_whole_fold(
+        recs in proptest::collection::vec(arb_record(), 0..40),
+        base_txn in 0u64..3,
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
+        torn_frac in 0.0f64..1.0,
+    ) {
+        let mut bytes = Vec::new();
+        let mut boundaries = vec![0u64];
+        for r in &recs {
+            bytes.extend_from_slice(&encode_record(r));
+            boundaries.push(bytes.len() as u64);
+        }
+
+        // Leader: the whole stream at once.
+        let mut whole = Committed::new();
+        let mut leader = TxnFold::new(base_txn);
+        let (consumed, end) = fold_bytes(&mut leader, &bytes, &mut whole);
+        prop_assert_eq!(end, StreamEnd::Clean);
+        prop_assert_eq!(consumed, bytes.len() as u64);
+
+        // The stream's own invariants: commit-marker order, nothing at
+        // or below the base, no transaction twice, rows in insert order.
+        let mut applied = base_txn;
+        for (txn, rows) in &whole {
+            prop_assert!(*txn > applied, "txn {} after {}", txn, applied);
+            applied = *txn;
+            let inserted: Vec<(String, Vec<Value>)> = recs
+                .iter()
+                .filter_map(|r| match r {
+                    WalRecord::Insert { txn: t, table, row } if t == txn => {
+                        Some((table.clone(), row.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            // Rows are a prefix of the transaction's inserts: those that
+            // arrived before the marker that made it visible.
+            prop_assert!(rows.len() <= inserted.len());
+            prop_assert_eq!(&inserted[..rows.len()], &rows[..]);
+        }
+        prop_assert_eq!(leader.last_applied(), applied);
+
+        // Follower: poll at arbitrary byte lengths, resuming each time
+        // from the last whole frame, exactly like `poll_tail`.
+        let mut lens: Vec<usize> = cuts
+            .iter()
+            .map(|f| (bytes.len() as f64 * f) as usize)
+            .collect();
+        lens.sort_unstable();
+        lens.push(bytes.len());
+        let mut chunked = Committed::new();
+        let mut follower = TxnFold::new(base_txn);
+        let mut offset = 0usize;
+        for len in lens {
+            let (n, end) = fold_bytes(&mut follower, &bytes[offset..len], &mut chunked);
+            offset += n as usize;
+            prop_assert!(boundaries.contains(&(offset as u64)), "offset off a frame boundary");
+            prop_assert!(end != StreamEnd::Clean || offset == len);
+            prop_assert!(matches!(end, StreamEnd::Clean | StreamEnd::Partial));
+        }
+        prop_assert_eq!(offset, bytes.len());
+        prop_assert_eq!(&chunked, &whole);
+        prop_assert_eq!(follower.last_applied(), leader.last_applied());
+        prop_assert_eq!(follower.max_txn(), leader.max_txn());
+
+        // A torn final frame: the complete prefix is applied, the offset
+        // stops at the last whole frame, and the fold is where a clean
+        // read of that prefix leaves it.
+        let extra = encode_record(&WalRecord::Insert {
+            txn: 9,
+            table: "t0".into(),
+            row: vec![Value::Int(0)],
+        });
+        let keep = 1 + ((extra.len() - 2) as f64 * torn_frac) as usize;
+        let mut torn_bytes = bytes.clone();
+        torn_bytes.extend_from_slice(&extra[..keep]);
+        let mut torn = Committed::new();
+        let mut torn_fold = TxnFold::new(base_txn);
+        let (n, end) = fold_bytes(&mut torn_fold, &torn_bytes, &mut torn);
+        prop_assert_eq!(end, StreamEnd::Partial);
+        prop_assert_eq!(n, bytes.len() as u64);
+        prop_assert_eq!(&torn, &whole);
+    }
+}
+
 /// A feed consumer maintaining a mirror of table `t`, with the documented
 /// slow-consumer discipline: apply batches whose first commit is the
 /// mirror's next epoch (coalesced batches span several commits but stay
@@ -194,9 +319,9 @@ fn drain_into_mirror(
             continue; // already covered by a snapshot rebuild
         }
         if batch.first_epoch() != *epoch + 1 {
-            let (e, frames) = db.snapshot(&["t"]).expect("snapshot");
-            *mirror = frames[0].to_rows();
-            *epoch = e;
+            let snap = db.pin();
+            *mirror = snap.scan("t").expect("snapshot").to_rows();
+            *epoch = snap.epoch();
             rebuilds += 1;
             continue;
         }

@@ -9,9 +9,12 @@
 //! * keep its epoch monotone across polls and rebootstraps;
 //! * converge to the writer's exact content within one poll of the
 //!   writer going quiet;
-//! * refuse every mutating entry point with [`StoreError::ReadOnly`].
+//! * refuse every mutating entry point with [`StoreError::ReadOnly`];
+//! * rebuild, from the same files, exactly the state a leader's
+//!   [`Database::open`] rebuilds — both drive the one commit-marker fold.
 
 use flor_df::Value;
+use flor_store::codec::{encode_record, WalRecord};
 use flor_store::{ColType, ColumnDef, CompactionPolicy, Database, StoreError, TableSchema};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -198,5 +201,126 @@ fn follower_keeps_uncommitted_rows_invisible_across_polls() {
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(dir.join("staged.wal.ckpt"));
+    let _ = std::fs::remove_dir(&dir);
+}
+
+fn two_tables() -> Vec<TableSchema> {
+    let mut s = schema();
+    s.push(TableSchema::new(
+        "notes",
+        vec![ColumnDef::new("seq", ColType::Int)],
+    ));
+    s
+}
+
+/// `Database::open` and `Database::open_follower` over the same files
+/// must agree on everything a reader can see.
+fn assert_leader_and_follower_agree(path: &std::path::Path) -> Database {
+    let leader = Database::open(path, two_tables()).expect("open leader");
+    let follower = Database::open_follower(path, two_tables()).expect("open follower");
+    assert_eq!(leader.epoch(), follower.epoch(), "epochs diverge");
+    assert_eq!(
+        leader.stats().last_checkpoint_epoch,
+        follower.stats().last_checkpoint_epoch,
+        "checkpoint epochs diverge"
+    );
+    assert_eq!(leader.table_names(), follower.table_names());
+    for table in leader.table_names() {
+        assert_eq!(
+            leader.scan(&table).expect("leader scan"),
+            follower.scan(&table).expect("follower scan"),
+            "table {table} diverges between open and open_follower"
+        );
+    }
+    leader
+}
+
+#[test]
+fn open_and_open_follower_rebuild_the_same_state() {
+    let dir = std::env::temp_dir().join(format!("flor-wal-equiv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let clean = |path: &std::path::Path| {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(flor_store::checkpoint::sidecar_path(path));
+    };
+
+    // 1. An interleaved log, as `wal::tests::interleaved_transactions`
+    //    builds one: insert positions of two transactions alternate, so
+    //    insert order and commit-marker order differ. Commit order is the
+    //    one order — on the leader too.
+    let path = dir.join("interleaved.wal");
+    clean(&path);
+    let ins = |txn: u64, table: &str, row: Vec<Value>| WalRecord::Insert {
+        txn,
+        table: table.into(),
+        row,
+    };
+    let mut log = Vec::new();
+    for rec in [
+        ins(1, "events", vec![Value::Int(1), Value::Int(10)]),
+        ins(2, "events", vec![Value::Int(2), Value::Int(20)]),
+        ins(2, "notes", vec![Value::Int(200)]),
+        ins(1, "events", vec![Value::Int(1), Value::Int(11)]),
+        ins(1, "notes", vec![Value::Int(100)]),
+        WalRecord::Commit { txn: 1 },
+        WalRecord::Commit { txn: 2 },
+        // An uncommitted tail stays invisible on both.
+        ins(3, "events", vec![Value::Int(3), Value::Int(30)]),
+    ] {
+        log.extend_from_slice(&encode_record(&rec));
+    }
+    std::fs::write(&path, &log).expect("write log");
+    let leader = assert_leader_and_follower_agree(&path);
+    assert_eq!(leader.epoch(), 2);
+    let seqs = |db: &Database, table: &str| -> Vec<i64> {
+        let df = db.scan(table).expect("scan");
+        let col = df.column("seq").expect("seq");
+        col.values.iter().filter_map(Value::as_i64).collect()
+    };
+    assert_eq!(seqs(&leader, "events"), vec![10, 11, 20], "commit order");
+    assert_eq!(seqs(&leader, "notes"), vec![100, 200], "commit order");
+    drop(leader);
+    clean(&path);
+
+    // 2. The crash window of a checkpoint — new sidecar, full WAL — with
+    //    a committed tail and an open transaction past it.
+    let path = dir.join("crash-window.wal");
+    clean(&path);
+    let commit_round = |db: &Database, round: i64| {
+        for i in 0..3 {
+            db.insert("events", vec![Value::Int(round), Value::Int(round * 3 + i)])
+                .expect("insert");
+        }
+        db.insert("notes", vec![Value::Int(round)]).expect("insert");
+        db.commit().expect("commit");
+    };
+    {
+        let writer = Database::open(&path, two_tables()).expect("open writer");
+        for round in 0..10 {
+            commit_round(&writer, round);
+        }
+        writer.checkpoint_without_truncate().expect("sidecar only");
+        for round in 10..13 {
+            commit_round(&writer, round);
+        }
+        writer
+            .insert("notes", vec![Value::Int(-1)])
+            .expect("staged, never committed");
+    }
+    let leader = assert_leader_and_follower_agree(&path);
+    assert_eq!(leader.epoch(), 13);
+    assert_eq!(leader.stats().last_checkpoint_epoch, 10);
+    assert_eq!(leader.row_count("events").expect("count"), 39);
+
+    // 3. And the completed checkpoint: sidecar plus the truncated tail.
+    leader.checkpoint().expect("checkpoint");
+    commit_round(&leader, 13);
+    drop(leader);
+    let leader = assert_leader_and_follower_agree(&path);
+    assert_eq!(leader.epoch(), 14);
+    assert_eq!(leader.stats().last_checkpoint_epoch, 13);
+    drop(leader);
+
+    clean(&path);
     let _ = std::fs::remove_dir(&dir);
 }

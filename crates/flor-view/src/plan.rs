@@ -11,7 +11,7 @@
 //! 1. **store** — the name projection is pushed into the `logs` scan via
 //!    the `value_name` index ([`flor_store::Query::filter_in`], executed
 //!    lock-free against one pinned, epoch-consistent snapshot through
-//!    [`flor_store::Database::snapshot_with`]);
+//!    [`flor_store::Snapshot::query`]);
 //! 2. **view** — predicates over the *fixed context columns* (`projid`,
 //!    `tstamp`, `filename`) are maintained inside the materialized view
 //!    itself: [`crate::PivotState`] skips non-matching rows at upsert
