@@ -13,10 +13,10 @@
 //!   an external read lock around the materializing scan).
 //! * `contention_report` — the real experiment: 4 reader threads × a
 //!   committing writer, reporting reader p50 and writer throughput for
-//!   both designs plus the idle-reader baseline. Acceptance: with ≥ 2
-//!   cores, the pinned reader's p50 under writer load stays within noise
-//!   of its idle p50, and the pinned writer's throughput beats the
-//!   coarse-locked writer's.
+//!   both designs plus the idle-reader baseline. Acceptance: with a
+//!   core per thread (readers + writer), the pinned reader's p50 under
+//!   writer load stays within noise of its idle p50, and the pinned
+//!   writer's throughput beats the coarse-locked writer's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flor_df::Value;
@@ -169,10 +169,12 @@ fn contention_report(_c: &mut Criterion) {
         commits_per_sec(pinned_writer),
         commits_per_sec(coarse_writer),
     );
-    // Contention effects need real parallelism; on a 1-core container
-    // every figure is scheduling noise, so only report there.
+    // Contention effects need a core per thread: with fewer, the loaded
+    // p50 measures the scheduler time-slicing readers against the writer
+    // (on 2 cores: 5–9x the idle p50, lock or no lock), so only report
+    // there.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 2 {
+    if cores > READERS {
         let ratio = pinned_p50.as_secs_f64() / idle_p50.as_secs_f64().max(1e-12);
         assert!(
             ratio <= 3.0,
@@ -185,7 +187,7 @@ fn contention_report(_c: &mut Criterion) {
              pinned {pinned_writer:?} vs coarse {coarse_writer:?}"
         );
     } else {
-        println!("  (1 core: contention assertions skipped)");
+        println!("  ({cores} cores < {READERS} readers + writer: contention assertions skipped)");
     }
 }
 

@@ -562,8 +562,9 @@ impl Flor {
     }
 
     /// The from-scratch pivot behind [`Flor::execute_at`]: resolve the
-    /// loop-context chains of the fetched `logs` rows (in log insertion
-    /// order — the order the change feed delivers deltas, so both paths
+    /// loop-context chains of the fetched `logs` rows (in commit order,
+    /// by the store's read-order contract — see `flor_store::segment` —
+    /// which is the order the change feed delivers deltas, so both paths
     /// produce identical frames) against `snap`'s `loops` table and
     /// pivot long → wide. All reads are lock-free and reflect exactly
     /// `snap.epoch()`.

@@ -55,7 +55,7 @@
 use crate::kernel::Flor;
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{CmpOp, Predicate, Query, QueryExplain, StoreResult};
+use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
 use flor_view::{CatalogStats, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,7 +85,7 @@ pub struct ExplainReport {
     /// probes into clustered segments (`clustered_probes` — `logs` is
     /// clustered by `tstamp`), and the order path (full sort vs
     /// streaming top-K) when the query sorts. Probed on a fresh
-    /// snapshot with the same index query the view's build uses, so
+    /// snapshot with [`QueryPlan::logs_fetch`], the view build's query, so
     /// under concurrent commits the counts can trail the serving
     /// snapshot's by the interleaved rows.
     pub store: QueryExplain,
@@ -201,8 +201,8 @@ impl Flor {
 
     /// The one place an [`ExplainReport`] is built: the view-stage
     /// deltas since `before` plus a store probe — on a fresh snapshot,
-    /// with the same index query the view's build performs — of the base
-    /// `logs` fetch behind the serve that produced `frame`.
+    /// with [`QueryPlan::logs_fetch`] — of the base `logs` fetch behind
+    /// the serve that produced `frame`.
     fn explain_report(
         &self,
         plan: &QueryPlan,
@@ -211,7 +211,7 @@ impl Flor {
         frame: Arc<DataFrame>,
     ) -> StoreResult<ExplainReport> {
         let after = self.views.stats();
-        let (_, store) = self.db.pin().explain(&logs_fetch(plan))?;
+        let (_, store) = self.db.pin().explain(&plan.logs_fetch())?;
         Ok(ExplainReport {
             store,
             view_hit: after.hits > before.hits,
@@ -245,8 +245,8 @@ impl Flor {
     }
 
     /// The snapshot executor — the single from-scratch execution body.
-    /// The base `logs` fetch (`value_name IN names`, through the same
-    /// measured store query the view build uses), the loop-context join
+    /// The base `logs` fetch ([`QueryPlan::logs_fetch`], the query the
+    /// view build runs), the loop-context join
     /// and pivot, and the whole plan post-pass all read `snap`, so the
     /// frame reflects exactly `snap.epoch()` no matter how many commits
     /// land meanwhile. This is how `flor-serve` answers every request of
@@ -265,7 +265,7 @@ impl Flor {
         tr: &mut ActiveTrace,
     ) -> StoreResult<(DataFrame, QueryExplain)> {
         let scan = tr.begin("store.scan");
-        let (logs, explain) = snap.explain(&logs_fetch(plan))?;
+        let (logs, explain) = snap.explain(&plan.logs_fetch())?;
         tr.event(|| {
             format!(
                 "access={} segments={}/{} pruned={} rows examined={} returned={}",
@@ -289,13 +289,6 @@ impl Flor {
         tr.end(pp);
         Ok((out, explain))
     }
-}
-
-/// The base fetch under every execution of `plan`: the `logs` rows whose
-/// `value_name` the plan projects, served from the secondary index.
-fn logs_fetch(plan: &QueryPlan) -> Query {
-    let names = plan.names.iter().map(|n| Value::from(n.as_str())).collect();
-    Query::table("logs").filter_in("value_name", names)
 }
 
 impl<'a> QueryBuilder<'a> {

@@ -392,8 +392,21 @@ impl<O: Clone + Send + 'static> JobRunner<O> {
     /// A runner persisting to `db`'s `jobs` table, with up to `workers`
     /// concurrent unit executions. Threads are spawned lazily on submit
     /// and exit when the queue drains.
+    ///
+    /// Job ids start past everything `jobs` already holds — read once,
+    /// here, so admission allocates an id without touching the store (a
+    /// database without the table admits nothing: `submit` fails on its
+    /// first write).
     pub fn new(db: Database, workers: usize) -> JobRunner<O> {
         let metrics = JobsMetrics::new(db.metrics_registry());
+        let persisted_max = db
+            .scan("jobs")
+            .ok()
+            .and_then(|jobs| {
+                let ids = jobs.column("job_id")?.values.iter();
+                ids.filter_map(flor_df::Value::as_i64).max()
+            })
+            .unwrap_or(0);
         JobRunner {
             inner: Arc::new(RunnerInner {
                 db,
@@ -401,7 +414,7 @@ impl<O: Clone + Send + 'static> JobRunner<O> {
                 state: Mutex::new(RunnerState {
                     queue: BinaryHeap::new(),
                     jobs: HashMap::new(),
-                    next_job: 1,
+                    next_job: persisted_max + 1,
                     live_workers: 0,
                     target_workers: workers.max(1),
                     crash_in: None,
@@ -460,7 +473,8 @@ impl<O: Clone + Send + 'static> JobRunner<O> {
             let (job_id, done_keys, seq) = match resumed {
                 Some(r) => (r.job_id, r.done_keys.clone(), r.seq),
                 None => {
-                    let id = self.fresh_job_id(&mut st)?;
+                    let id = st.next_job;
+                    st.next_job += 1;
                     (id, Vec::new(), 0)
                 }
             };
@@ -521,26 +535,6 @@ impl<O: Clone + Send + 'static> JobRunner<O> {
             job_id,
             inner: Arc::clone(&self.inner),
         })
-    }
-
-    /// A job id greater than anything live or persisted.
-    fn fresh_job_id(&self, st: &mut RunnerState<O>) -> StoreResult<JobId> {
-        let persisted_max = self
-            .inner
-            .db
-            .scan("jobs")?
-            .column("job_id")
-            .map(|c| {
-                c.values
-                    .iter()
-                    .filter_map(flor_df::Value::as_i64)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0);
-        let id = st.next_job.max(persisted_max + 1);
-        st.next_job = id + 1;
-        Ok(id)
     }
 
     /// The handle for a live (this-process) job, if any.

@@ -88,7 +88,7 @@ pub struct CheckpointData {
     /// Highest committed transaction id the snapshot covers; WAL replay
     /// skips records at or below it.
     pub max_txn: u64,
-    /// Per-table committed rows, in scan order.
+    /// Per-table committed rows, in commit order.
     pub tables: Vec<(String, Vec<Vec<Value>>)>,
 }
 

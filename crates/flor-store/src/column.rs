@@ -118,6 +118,29 @@ impl Bitmap {
         Self::for_word_span(lo, hi, |w, mask| self.words[w] |= other.words[w] & mask);
     }
 
+    /// Clear every set bit `i` for which `keep(i)` is false.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut w = *word;
+            while w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                if !keep(wi * 64 + bit) {
+                    *word &= !(1u64 << bit);
+                }
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Whether so few of `[lo, hi)` are set that testing those rows one
+    /// by one beats a typed loop over the whole range (an index probe's
+    /// postings, typically): a per-row test materialises a [`Value`],
+    /// which costs about this many loop iterations.
+    fn is_sparse_in(&self, lo: usize, hi: usize) -> bool {
+        const ROW_TEST_COST: usize = 16;
+        self.count_ones() * ROW_TEST_COST < hi.saturating_sub(lo)
+    }
+
     /// Invoke `f(i)` for each set bit `i`, in ascending order.
     pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
         for (wi, &word) in self.words.iter().enumerate() {
@@ -236,6 +259,9 @@ impl Column {
     /// cross-type via type rank) and then patch null positions with
     /// the constant verdict of `Null <op> lit`.
     pub fn eval(&self, op: CmpOp, lit: &Value, lo: usize, hi: usize, out: &mut Bitmap) {
+        if out.is_sparse_in(lo, hi) {
+            return out.retain(|i| (lo..hi).contains(&i) && op.eval(&self.value_at(i), lit));
+        }
         let mut sel = Bitmap::zeroes(self.len());
         match &self.data {
             ColumnData::Any(vals) => {
@@ -309,6 +335,9 @@ impl Column {
 
     /// AND the rows equal to any of `values` into `out`.
     pub fn eval_in(&self, values: &[Value], lo: usize, hi: usize, out: &mut Bitmap) {
+        if out.is_sparse_in(lo, hi) {
+            return out.retain(|i| (lo..hi).contains(&i) && values.contains(&self.value_at(i)));
+        }
         let mut any = Bitmap::zeroes(self.len());
         for v in values {
             let mut one = Bitmap::ones_in_range(self.len(), lo, hi);
@@ -775,6 +804,56 @@ mod tests {
                         "cells={cells:?} op={op:?} lit={lit:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_selection_evaluates_like_a_dense_one() {
+        // Few enough selected rows that `eval`/`eval_in` test them one
+        // by one: the verdicts must be the typed loops' verdicts.
+        let columns: Vec<Vec<Value>> = vec![
+            (0..400).map(|i| Value::Int(i % 7)).collect(),
+            (0..400)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        s(["a", "bb"][i % 2])
+                    }
+                })
+                .collect(),
+            (0..400)
+                .map(|i| [Value::Int(1), s("zz")][i % 2].clone())
+                .collect(),
+        ];
+        let lits = [Value::Int(3), s("bb"), Value::Null];
+        let picked = [0usize, 37, 64, 65, 255, 399];
+        for cells in &columns {
+            let col = build(cells);
+            for lit in &lits {
+                for op in OPS {
+                    let mut sel = Bitmap::zeroes(400);
+                    picked.iter().for_each(|&i| sel.set(i));
+                    assert!(sel.is_sparse_in(10, 390));
+                    col.eval(op, lit, 10, 390, &mut sel);
+                    let mut got = Vec::new();
+                    sel.for_each_set(|i| got.push(i));
+                    let mut want = oracle_eval(cells, op, lit);
+                    want.retain(|i| picked.contains(i) && (10..390).contains(i));
+                    assert_eq!(got, want, "op={op:?} lit={lit:?}");
+                }
+                let mut sel = Bitmap::zeroes(400);
+                picked.iter().for_each(|&i| sel.set(i));
+                col.eval_in(&[lit.clone(), Value::Int(1)], 0, 400, &mut sel);
+                let mut got = Vec::new();
+                sel.for_each_set(|i| got.push(i));
+                let want: Vec<usize> = picked
+                    .iter()
+                    .copied()
+                    .filter(|&i| cells[i] == *lit || cells[i] == Value::Int(1))
+                    .collect();
+                assert_eq!(got, want, "in lit={lit:?}");
             }
         }
     }

@@ -239,7 +239,7 @@ impl Database {
     /// then replays the WAL tail (committed transactions only) — O(live
     /// data), not O(history) — and then accepts new appends.
     pub fn open(path: &Path, schemas: Vec<TableSchema>) -> StoreResult<Database> {
-        let wal = Wal::open(path)?;
+        let mut wal = Wal::open(path)?;
         let mut replay = Replay::new(arcs(schemas), checkpoint::load_sidecar(path)?);
         wal.recover(|rec| replay.push(rec))?;
         // The fold is dropped with its uncommitted inserts: a crashed
@@ -689,10 +689,8 @@ impl Database {
     }
 
     /// Multi-value point lookup: rows where `col` equals any of `values`,
-    /// in insertion order (the order a full scan yields), via the
-    /// secondary index when one exists. The incremental-view oracle uses
-    /// this so the from-scratch recompute visits log rows in exactly the
-    /// order the change feed delivered them.
+    /// in commit order like every read, via the secondary index when one
+    /// exists ([`Snapshot::lookup_many`]).
     pub fn lookup_many(&self, table: &str, col: &str, values: &[Value]) -> StoreResult<DataFrame> {
         self.pin().lookup_many(table, col, values)
     }

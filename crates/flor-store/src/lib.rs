@@ -29,6 +29,10 @@
 //!   column (`logs` clusters by `tstamp`) — compaction sorts rewritten
 //!   segments by it, so their zone maps become disjoint and range scans
 //!   binary-search into each admitted segment instead of filtering it;
+//! * one **read-order contract** — rows leave a table in commit order;
+//!   clustering affects pruning, never order — kept by the single
+//!   materialiser every scan, index probe and checkpoint reads through
+//!   (see *Read order* in the [`segment`] module docs);
 //! * [`checkpoint`]ing: `Database::checkpoint` serializes the live state
 //!   to a sidecar — a **columnar body** (version 2, the only layout
 //!   written) whose string columns are dictionary-encoded on disk, with

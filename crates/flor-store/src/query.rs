@@ -17,10 +17,8 @@
 
 use crate::column::Bitmap;
 use crate::db::{Database, StoreResult};
-use crate::schema::TableSchema;
-use crate::segment::TableVersion;
+use crate::segment::{Segment, TableVersion};
 use flor_df::{Column, DataFrame, DfError, DfResult, Value};
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -176,8 +174,8 @@ impl std::fmt::Display for OrderPath {
 /// `QueryBuilder::explain`).
 ///
 /// Counts describe the run itself, not estimates: `rows_examined` is the
-/// number of rows the engine materialized and tested against residual
-/// predicates, `rows_matched` how many survived them, and
+/// number of rows the access path selected and the residual predicates
+/// were tested against, `rows_matched` how many survived them, and
 /// `rows_returned` the final frame size after ordering/limit/projection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryExplain {
@@ -191,7 +189,7 @@ pub struct QueryExplain {
     pub segments_scanned: usize,
     /// Segments skipped wholesale via zone maps.
     pub segments_pruned: usize,
-    /// Rows materialized and tested against residual predicates.
+    /// Rows the access path selected, tested against residual predicates.
     pub rows_examined: usize,
     /// Rows that satisfied every predicate.
     pub rows_matched: usize,
@@ -268,8 +266,8 @@ impl Query {
     }
 
     /// Add a set-membership predicate: `col IN (values)`. Index-eligible —
-    /// over an indexed column this is the `lookup_many` fast path, yielding
-    /// matches in insertion order without touching non-matching rows.
+    /// over an indexed column this is the `lookup_many` fast path, reaching
+    /// the matches without touching non-matching rows.
     pub fn filter_in(mut self, col: &str, values: Vec<Value>) -> Query {
         self.in_predicates.push((col.to_string(), values));
         self
@@ -334,10 +332,9 @@ impl Query {
     /// Execute against one pinned table version, returning the frame plus
     /// its execution accounting. Crate-internal: this is what lets
     /// [`crate::Snapshot::query`] run several queries against one
-    /// pinned epoch, entirely lock-free. The trace rides along on
-    /// every run (a handful of `Cell` bumps per row — noise next to row
-    /// materialization); timing is left to callers so the untimed path
-    /// never touches the clock.
+    /// pinned epoch, entirely lock-free. The accounting rides along on
+    /// every run (a few counter bumps per segment); timing is left to
+    /// callers so the untimed path never touches the clock.
     pub(crate) fn run_traced(&self, t: &TableVersion) -> StoreResult<(DataFrame, QueryExplain)> {
         // Plan: among the index-eligible predicates (Eq and IN over indexed
         // columns), pick the one with the fewest candidate rows; everything
@@ -365,27 +362,19 @@ impl Query {
             }
         }
 
-        let candidate_rids: Option<Vec<usize>> = match access {
-            // Full scan iterates the segments directly; no rid list.
+        // What an index access probes: the column and the values whose
+        // per-segment postings seed the selection.
+        let probe: Option<(&str, &[Value])> = match access {
             Access::Scan => None,
             Access::EqIndex(i) => {
                 let p = &self.predicates[i];
-                Some(t.index_rids(&p.col, &p.value).unwrap_or_default())
+                Some((&p.col, std::slice::from_ref(&p.value)))
             }
             Access::InIndex(i) => {
                 let (col, values) = &self.in_predicates[i];
-                let mut rids: Vec<usize> = values
-                    .iter()
-                    .flat_map(|v| t.index_rids(col, v).unwrap_or_default())
-                    .collect();
-                // Restore insertion order (per-value postings are each
-                // ascending, but values interleave in the log).
-                rids.sort_unstable();
-                rids.dedup();
-                Some(rids)
+                Some((col, values))
             }
         };
-
         let residual: Vec<(usize, &Predicate)> = self
             .predicates
             .iter()
@@ -400,139 +389,77 @@ impl Query {
             .filter(|(i, _)| !matches!(access, Access::InIndex(j) if j == *i))
             .filter_map(|(_, (col, vs))| t.schema.col_index(col).map(|ci| (ci, vs)))
             .collect();
-        let examined = Cell::new(0usize);
-        let matched = Cell::new(0usize);
-        let keep = |row: &Vec<Value>| {
-            examined.set(examined.get() + 1);
-            let ok = residual.iter().all(|(ci, p)| p.matches(&row[*ci]))
-                && residual_in.iter().all(|(ci, vs)| vs.contains(&row[*ci]));
-            if ok {
-                matched.set(matched.get() + 1);
-            }
-            ok
-        };
         let segments_total = t.segments.len();
-        let segments_scanned = Cell::new(0usize);
+        let (mut segments_scanned, mut examined, mut matched) = (0usize, 0usize, 0usize);
         let mut clustered_probes = 0usize;
-        let mut df = match &candidate_rids {
-            None => {
-                // Zone-map pruning: a segment whose per-column min/max
-                // range proves a predicate can match no row in it is
-                // skipped wholesale — a `tstamp` window over a long
-                // history reads only the segments the window touches.
-                //
-                // Surviving segments evaluate columnar: range predicates
-                // on a clustered segment's sort column binary-search the
-                // scan window down first, then each residual predicate
-                // runs as a tight loop over the segment's typed column,
-                // ANDing a selection bitmap. Values materialize only for
-                // selected rows, straight into the output columns.
-                let prunable: Vec<&Predicate> = self.predicates.iter().collect();
-                let mut out_cols: Vec<Vec<Value>> = vec![Vec::new(); t.schema.columns.len()];
-                for seg in t.pruned_segments(&prunable) {
-                    segments_scanned.set(segments_scanned.get() + 1);
-                    let n = seg.len();
-                    if n == 0 {
+        // One selection bitmap per visited segment. Zone maps skip a
+        // segment wholesale when its per-column min/max proves the access
+        // path can match no row in it — a `tstamp` window over a long
+        // history reads only the segments the window touches. A scan
+        // starts from the segment's rows, binary-searched down to the
+        // window a range predicate on a clustered segment's sort column
+        // admits; an index probe starts from the postings (already local
+        // offsets). Either way every remaining predicate then runs as a
+        // tight loop over the segment's typed column, ANDing into the
+        // selection, and values materialise only for selected rows.
+        let mut parts: Vec<(&Segment, Bitmap)> = Vec::new();
+        for seg in &t.segments {
+            let n = seg.len();
+            let (mut lo, mut hi) = (0usize, n);
+            let mut consumed = vec![false; residual.len()];
+            let mut sel = match probe {
+                None => {
+                    if !seg.admits(&self.predicates) {
                         continue;
                     }
-                    let (mut lo, mut hi) = (0usize, n);
-                    let mut consumed = vec![false; residual.len()];
                     if let Some(ci) = seg.sorted_by {
+                        let col = &seg.cols[ci];
                         for (k, (pci, p)) in residual.iter().enumerate() {
                             if *pci != ci {
                                 continue;
                             }
-                            let col = &seg.cols[ci];
-                            let narrowed = match p.op {
-                                CmpOp::Ge => {
-                                    lo = lo.max(col.lower_bound(&p.value));
-                                    true
-                                }
-                                CmpOp::Gt => {
-                                    lo = lo.max(col.upper_bound(&p.value));
-                                    true
-                                }
-                                CmpOp::Le => {
-                                    hi = hi.min(col.upper_bound(&p.value));
-                                    true
-                                }
-                                CmpOp::Lt => {
-                                    hi = hi.min(col.lower_bound(&p.value));
-                                    true
-                                }
+                            match p.op {
+                                CmpOp::Ge => lo = lo.max(col.lower_bound(&p.value)),
+                                CmpOp::Gt => lo = lo.max(col.upper_bound(&p.value)),
+                                CmpOp::Le => hi = hi.min(col.upper_bound(&p.value)),
+                                CmpOp::Lt => hi = hi.min(col.lower_bound(&p.value)),
                                 CmpOp::Eq => {
                                     lo = lo.max(col.lower_bound(&p.value));
                                     hi = hi.min(col.upper_bound(&p.value));
-                                    true
                                 }
-                                CmpOp::Ne => false,
-                            };
-                            if narrowed {
-                                consumed[k] = true;
-                                clustered_probes += 1;
+                                CmpOp::Ne => continue,
                             }
+                            consumed[k] = true;
+                            clustered_probes += 1;
                         }
                     }
-                    if lo >= hi {
+                    Bitmap::ones_in_range(n, lo, hi)
+                }
+                Some((col, values)) => {
+                    if !values.iter().any(|v| seg.zone_admits_eq(col, v)) {
                         continue;
                     }
-                    examined.set(examined.get() + (hi - lo));
-                    let mut sel = Bitmap::ones_in_range(n, lo, hi);
-                    for (k, (ci, p)) in residual.iter().enumerate() {
-                        if consumed[k] {
-                            continue;
-                        }
-                        seg.cols[*ci].eval(p.op, &p.value, lo, hi, &mut sel);
+                    let mut sel = Bitmap::zeroes(n);
+                    for postings in values.iter().filter_map(|v| seg.indexes.get(col)?.get(v)) {
+                        postings.iter().for_each(|&local| sel.set(local as usize));
                     }
-                    for (ci, vs) in &residual_in {
-                        seg.cols[*ci].eval_in(vs, lo, hi, &mut sel);
-                    }
-                    matched.set(matched.get() + sel.count_ones());
-                    for (col, out) in seg.cols.iter().zip(&mut out_cols) {
-                        col.extend_selected(&sel, out);
-                    }
+                    sel
                 }
-                let cols = t
-                    .schema
-                    .columns
-                    .iter()
-                    .zip(out_cols)
-                    .map(|(def, vals)| Column::new(def.name.as_str(), vals))
-                    .collect();
-                // audit: allow(panic) — one value vec per schema column,
-                // filled row-by-row: lengths and names are uniform.
-                DataFrame::from_columns(cols).expect("schema columns are uniform")
+            };
+            segments_scanned += 1;
+            examined += sel.count_ones();
+            for (k, (ci, p)) in residual.iter().enumerate() {
+                if !consumed[k] {
+                    seg.cols[*ci].eval(p.op, &p.value, lo, hi, &mut sel);
+                }
             }
-            Some(rids) => {
-                // Index probes skip segments through the same zone maps
-                // (`index_rids` pre-filters on `zone_admits_eq`); count
-                // the segments the probe actually touched.
-                let probed = match &access {
-                    Access::EqIndex(i) => {
-                        let p = &self.predicates[*i];
-                        t.segments
-                            .iter()
-                            .filter(|s| s.zone_admits_eq(&p.col, &p.value))
-                            .count()
-                    }
-                    Access::InIndex(i) => {
-                        let (col, values) = &self.in_predicates[*i];
-                        t.segments
-                            .iter()
-                            .filter(|s| values.iter().any(|v| s.zone_admits_eq(col, v)))
-                            .count()
-                    }
-                    // audit: allow(panic) — this arm is inside the
-                    // `Some(rids)` branch, which only index accesses produce.
-                    Access::Scan => unreachable!("scan path has no rid list"),
-                };
-                segments_scanned.set(probed);
-                rows_to_frame(
-                    &t.schema,
-                    rids.iter().filter_map(|&r| t.row(r)).filter(keep),
-                )
+            for (ci, vs) in &residual_in {
+                seg.cols[*ci].eval_in(vs, lo, hi, &mut sel);
             }
-        };
+            matched += sel.count_ones();
+            parts.push((seg, sel));
+        }
+        let mut df = t.materialise(&parts);
 
         // Drop rows referencing unknown predicate columns conservatively:
         // a predicate over a column the schema lacks matches nothing.
@@ -581,10 +508,10 @@ impl Query {
                 Access::InIndex(i) => AccessPath::IndexIn(self.in_predicates[i].0.clone()),
             },
             segments_total,
-            segments_scanned: segments_scanned.get(),
-            segments_pruned: segments_total - segments_scanned.get(),
-            rows_examined: examined.get(),
-            rows_matched: matched.get(),
+            segments_scanned,
+            segments_pruned: segments_total - segments_scanned,
+            rows_examined: examined,
+            rows_matched: matched,
             rows_returned: df.n_rows(),
             residual_predicates: residual.len() + residual_in.len(),
             clustered_probes,
@@ -593,26 +520,6 @@ impl Query {
         };
         Ok((df, explain))
     }
-}
-
-/// Materialise rows into a column-oriented frame with the schema's names.
-fn rows_to_frame(schema: &TableSchema, rows: impl Iterator<Item = Vec<Value>>) -> DataFrame {
-    let mut cols: Vec<Column> = schema
-        .columns
-        .iter()
-        .map(|c| Column {
-            name: c.name.clone(),
-            values: Vec::new(),
-        })
-        .collect();
-    for row in rows {
-        for (c, v) in cols.iter_mut().zip(row) {
-            c.values.push(v);
-        }
-    }
-    // audit: allow(panic) — one column per schema field, every row
-    // pushed to all of them: lengths and names are uniform.
-    DataFrame::from_columns(cols).expect("schema guarantees equal lengths and unique names")
 }
 
 /// The `n` smallest rows of `df` under `keys` (each `(column, asc)`),

@@ -130,13 +130,9 @@ impl LatestWins {
 /// segments get **disjoint zone maps** on the cluster column and range
 /// scans binary-search into them instead of linear-filtering.
 ///
-/// Clustering reorders rows only *inside* compacted segments; scans of
-/// a clustered table yield rows in clustered order, which consumers that
-/// fold by key (or re-sort) are insensitive to. Tables whose consumers
-/// depend on raw insertion order across the whole history should not
-/// declare one... unless the cluster column itself is the insertion
-/// clock (`logs.tstamp`), in which case clustered order refines
-/// insertion order rather than fighting it.
+/// Clustering is a physical layout only: it decides what a range scan
+/// can prune, never the order rows are read in — every read returns
+/// commit order (see the read-order contract in [`crate::segment`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterBy {
     /// The column rewritten segments are sorted by.
@@ -237,10 +233,9 @@ pub fn flor_schema() -> Vec<TableSchema> {
         // `logs` segments; it never drops rows here.
         //
         // It *is* clustered by tstamp: the logical clock is the primary
-        // range-scan axis (time travel, windows), and the (tstamp, rid)
-        // sort compaction applies refines insertion order — within one
-        // tstamp rows keep their relative order, so replay and the pivot
-        // see the same per-timestep sequences.
+        // range-scan axis (time travel, windows). Hindsight backfill
+        // appends rows at old timestamps, so the sort really permutes
+        // them — which no reader sees: reads return commit order.
         TableSchema::new(
             "logs",
             vec![

@@ -16,11 +16,24 @@
 //! point lookups transpose on demand.
 //!
 //! Secondary hash indexes are per-segment, built in the **same single
-//! pass** that seals the columns, with global row ids so multi-segment
-//! results recover scan order by a plain sort. That pass also builds
-//! per-segment **zone maps** — min/max per column — which the query
-//! planner uses to prune whole segments from range scans (`tstamp`
+//! pass** that seals the columns; their postings are local row offsets,
+//! so an index probe seeds a selection bitmap directly. That pass also
+//! builds per-segment **zone maps** — min/max per column — which the
+//! query planner uses to prune whole segments from range scans (`tstamp`
 //! windows, time travel) without reading a row.
+//!
+//! # Read order
+//!
+//! **Rows leave a table in commit order; clustering affects pruning,
+//! never order.** A row's global id (rid) is its commit position, kept
+//! for life — compaction carries it through an explicit rid map — and
+//! every read (scan, index probe, zone-pruned query, checkpoint) is a
+//! caller of the one materialiser, `TableVersion::materialise`, which
+//! emits its selection in ascending rid. So a reader cannot tell a
+//! clustered table from an unclustered one, a checkpoint + reopen hands
+//! the rows their commit positions back as fresh rids, and the `logs`
+//! fetch behind a from-scratch pivot sees rows in exactly the order the
+//! change feed delivered them to the incremental view.
 //!
 //! # Segment lifecycle: seal → coalesce → compact/cluster → checkpoint
 //!
@@ -51,19 +64,21 @@
 //!    declared [`crate::schema::ClusterBy`] column (`logs` clusters by
 //!    `tstamp`), rewritten runs are **sorted** by that column (ties keep
 //!    insertion order), so the output chunks' zone maps are disjoint and
-//!    range scans binary-search into each admitted chunk.
+//!    range scans binary-search into each admitted chunk — a physical
+//!    permutation only: see *Read order* above.
 //! 4. **Checkpoint.** [`crate::Database::checkpoint`] serializes a pinned
 //!    snapshot to a `<wal>.ckpt` sidecar and truncates the WAL to the
 //!    uncovered tail, making [`crate::Database::open`] O(live data). A
-//!    checkpoint taken after a compaction persists the *compacted* state,
-//!    which is how dropped rows eventually leave the log too (see
+//!    checkpoint taken after a compaction persists the *compacted* state
+//!    (in commit order, like any read), which is how dropped rows
+//!    eventually leave the log too (see
 //!    [`crate::checkpoint`] for the crash-safety argument). Compactions
 //!    and checkpoints are serialized against each other.
 
 use crate::column;
 use crate::query::{CmpOp, Predicate};
 use crate::schema::TableSchema;
-use flor_df::Value;
+use flor_df::{Column, DataFrame, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -302,6 +317,14 @@ impl Segment {
         }
     }
 
+    /// Whether a scan under the conjunction `predicates` must visit this
+    /// segment: it is skipped when any predicate provably matches no row
+    /// in it. Sound for conjunctions only (which is what
+    /// [`crate::query::Query`] evaluates).
+    pub fn admits(&self, predicates: &[Predicate]) -> bool {
+        predicates.iter().all(|p| self.may_match(p))
+    }
+
     /// Zone check for an equality lookup on `col` (the index fast path's
     /// pre-filter: segments whose range excludes the value skip the hash
     /// probe entirely).
@@ -314,7 +337,8 @@ impl Segment {
 
 /// One published version of a table: its schema plus the segment list at
 /// some epoch. Immutable; commits (and compactions) publish a successor
-/// version.
+/// version. Rows are read out through [`TableVersion::materialise`] only
+/// — the [read-order contract](self#read-order).
 #[derive(Debug)]
 pub(crate) struct TableVersion {
     pub schema: Arc<TableSchema>,
@@ -404,12 +428,72 @@ impl TableVersion {
         None
     }
 
-    /// All rows, in segment/row order (insertion order until clustering
-    /// reorders a compacted segment's interior).
-    pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        self.segments
+    /// The one way out of a table: the rows `parts` selects (a selection
+    /// bitmap per visited segment, in segment order) as one frame, in
+    /// ascending rid — commit — order (see the read-order contract in the
+    /// module docs). Whether the physical order already is commit order
+    /// is read off the selected rids themselves: when it is (every table
+    /// no clustered compaction has permuted) this is one linear,
+    /// column-at-a-time pass; otherwise one sort over the selected
+    /// positions restores it.
+    pub fn materialise(&self, parts: &[(&Segment, column::Bitmap)]) -> DataFrame {
+        let (mut n, mut last, mut ascending) = (0usize, None, true);
+        for (seg, sel) in parts {
+            sel.for_each_set(|local| {
+                let rid = Some(seg.rid_at(local));
+                ascending &= last < rid;
+                last = rid;
+                n += 1;
+            });
+        }
+        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(n); self.schema.columns.len()];
+        if ascending {
+            for (seg, sel) in parts {
+                let whole = sel.count_ones() == seg.len();
+                for (col, vals) in seg.cols.iter().zip(&mut out) {
+                    if whole {
+                        col.extend_all(vals);
+                    } else {
+                        col.extend_selected(sel, vals);
+                    }
+                }
+            }
+        } else {
+            let mut at: Vec<(usize, &Segment, usize)> = Vec::with_capacity(n);
+            for (seg, sel) in parts {
+                sel.for_each_set(|local| at.push((seg.rid_at(local), seg, local)));
+            }
+            at.sort_unstable_by_key(|&(rid, ..)| rid);
+            for (ci, vals) in out.iter_mut().enumerate() {
+                vals.extend(at.iter().map(|&(_, seg, local)| seg.cell(local, ci)));
+            }
+        }
+        let cols = self
+            .schema
+            .columns
             .iter()
-            .flat_map(|s| (0..s.len()).map(move |i| s.row_at(i)))
+            .zip(out)
+            .map(|(def, vals)| Column::new(def.name.as_str(), vals))
+            .collect();
+        // audit: allow(panic) — one value vec per schema column, each
+        // filled from the same selection: lengths and names are uniform.
+        DataFrame::from_columns(cols).expect("schema columns are uniform")
+    }
+
+    /// Every row — the all-ones selection a full scan and a checkpoint
+    /// hand to [`TableVersion::materialise`].
+    pub fn scan(&self) -> DataFrame {
+        let all: Vec<(&Segment, column::Bitmap)> = self
+            .segments
+            .iter()
+            .map(|s| {
+                (
+                    s.as_ref(),
+                    column::Bitmap::ones_in_range(s.len(), 0, s.len()),
+                )
+            })
+            .collect();
+        self.materialise(&all)
     }
 
     /// Whether `col` carries a secondary index.
@@ -418,28 +502,6 @@ impl TableVersion {
             .columns
             .iter()
             .any(|c| c.indexed && c.name == col)
-    }
-
-    /// Global row ids matching `col == value` via the per-segment
-    /// indexes, ascending. `None` when the column has no index. Segments
-    /// whose zone map excludes `value` are skipped before the hash probe.
-    pub fn index_rids(&self, col: &str, value: &Value) -> Option<Vec<usize>> {
-        if !self.has_index(col) {
-            return None;
-        }
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if !seg.zone_admits_eq(col, value) {
-                continue;
-            }
-            if let Some(postings) = seg.indexes.get(col).and_then(|idx| idx.get(value)) {
-                out.extend(postings.iter().map(|&i| seg.rid_at(i as usize)));
-            }
-        }
-        // Clustered segments reorder rows, so postings are no longer
-        // rid-ascending by construction.
-        out.sort_unstable();
-        Some(out)
     }
 
     /// Number of rows matching `col == value` via the index (0 without
@@ -451,19 +513,6 @@ impl TableVersion {
             .filter_map(|seg| seg.indexes.get(col).and_then(|idx| idx.get(value)))
             .map(Vec::len)
             .sum()
-    }
-
-    /// The segments a scan under `predicates` must visit, by zone map:
-    /// a segment is skipped when any predicate provably matches no row in
-    /// it. Sound for conjunctions only (which is what [`crate::query::Query`]
-    /// evaluates).
-    pub fn pruned_segments<'a>(
-        &'a self,
-        predicates: &'a [&'a Predicate],
-    ) -> impl Iterator<Item = &'a Arc<Segment>> + 'a {
-        self.segments
-            .iter()
-            .filter(move |s| predicates.iter().all(|p| s.may_match(p)))
     }
 }
 

@@ -19,7 +19,7 @@ use crate::db::{StoreError, StoreResult};
 use crate::metrics::StoreMetrics;
 use crate::query::{Predicate, Query, QueryExplain};
 use crate::segment::TableVersion;
-use flor_df::{Column, DataFrame, Value};
+use flor_df::{DataFrame, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,28 +63,10 @@ impl Snapshot {
         Ok(self.table(table)?.total_rows)
     }
 
-    /// Full scan of committed rows as a [`DataFrame`]. Columnar fast
-    /// path: each segment column appends straight into the output
-    /// column, with no per-row `Vec` materialization.
+    /// Full scan of committed rows as a [`DataFrame`], in commit order —
+    /// the [read-order contract](crate::segment#read-order).
     pub fn scan(&self, table: &str) -> StoreResult<DataFrame> {
-        let t = self.table(table)?;
-        let mut out: Vec<Vec<Value>> =
-            vec![Vec::with_capacity(t.total_rows); t.schema.columns.len()];
-        for seg in &t.segments {
-            for (col, vals) in seg.cols.iter().zip(&mut out) {
-                col.extend_all(vals);
-            }
-        }
-        let cols = t
-            .schema
-            .columns
-            .iter()
-            .zip(out)
-            .map(|(def, vals)| Column::new(def.name.as_str(), vals))
-            .collect();
-        // audit: allow(panic) — the columns are built from one schema in
-        // one pass: equal lengths and unique names by construction.
-        Ok(DataFrame::from_columns(cols).expect("schema columns are uniform"))
+        Ok(self.table(table)?.scan())
     }
 
     /// Approximate resident heap bytes of `table`'s sealed column data —
@@ -98,7 +80,8 @@ impl Snapshot {
             .sum())
     }
 
-    /// Point lookup: rows where `col == value`, in scan order — the
+    /// Point lookup: rows where `col == value`, in commit order
+    /// ([read-order contract](crate::segment#read-order)) — the
     /// [`Query::filter_eq`] spelling, so an index on `col` serves it when
     /// one exists and a zone-pruned scan otherwise.
     pub fn lookup(&self, table: &str, col: &str, value: &Value) -> StoreResult<DataFrame> {
@@ -106,8 +89,8 @@ impl Snapshot {
     }
 
     /// Multi-value point lookup: rows where `col` equals any of `values`,
-    /// in insertion order (the order a full scan yields) — the
-    /// [`Query::filter_in`] spelling.
+    /// in commit order ([read-order contract](crate::segment#read-order))
+    /// — the [`Query::filter_in`] spelling.
     pub fn lookup_many(&self, table: &str, col: &str, values: &[Value]) -> StoreResult<DataFrame> {
         self.query_known(col, Query::table(table).filter_in(col, values.to_vec()))
     }
@@ -121,7 +104,9 @@ impl Snapshot {
         self.query(&q)
     }
 
-    /// Execute a [`crate::query::Query`] against this snapshot.
+    /// Execute a [`crate::query::Query`] against this snapshot. Without an
+    /// `order_by` the rows come back in commit order, whichever access
+    /// path ran ([read-order contract](crate::segment#read-order)).
     pub fn query(&self, q: &Query) -> StoreResult<DataFrame> {
         let (df, ex) = q.run_traced(self.table(q.table_name())?)?;
         self.metrics.record_query(&ex);
@@ -151,8 +136,8 @@ impl Snapshot {
         predicates: &[Predicate],
     ) -> StoreResult<(usize, usize)> {
         let t = self.table(table)?;
-        let refs: Vec<&Predicate> = predicates.iter().collect();
-        Ok((t.pruned_segments(&refs).count(), t.segments.len()))
+        let visited = t.segments.iter().filter(|s| s.admits(predicates)).count();
+        Ok((visited, t.segments.len()))
     }
 
     /// Live (retained) rows in `table` — what a full scan touches. After
@@ -167,13 +152,13 @@ impl Snapshot {
         self.tables.values().map(|t| t.total_rows).sum()
     }
 
-    /// The raw committed rows of every table, in scan order — what a
+    /// The raw committed rows of every table, in commit order — what a
     /// checkpoint serializes.
     pub(crate) fn to_checkpoint(&self, max_txn: u64) -> CheckpointData {
         let mut tables: Vec<(String, Vec<Vec<Value>>)> = self
             .tables
             .iter()
-            .map(|(name, t)| (name.clone(), t.iter_rows().collect()))
+            .map(|(name, t)| (name.clone(), t.scan().to_rows()))
             .collect();
         tables.sort_by(|(a, _), (b, _)| a.cmp(b));
         CheckpointData {

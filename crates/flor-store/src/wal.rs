@@ -183,14 +183,25 @@ impl Wal {
 
     /// Replay the whole log through `each`, streaming frames (no full-log
     /// buffering) — the leader's recovery read. A torn tail (append-only
-    /// format: a crash can only damage the tail) ends the replay quietly;
-    /// see [`StreamEnd::accept_torn_tail`] for what counts as one.
-    pub fn recover(&self, each: impl FnMut(WalRecord)) -> Result<(), WalError> {
-        let (_, end) = match &self.backend {
+    /// format: a crash can only damage the tail) ends the replay quietly
+    /// — see [`StreamEnd::accept_torn_tail`] for what counts as one — and
+    /// is cut off the log, so the next append lands on a frame boundary:
+    /// left in place, it would hide every later commit from the next
+    /// recovery.
+    pub fn recover(&mut self, each: impl FnMut(WalRecord)) -> Result<(), WalError> {
+        let (whole, end) = match &self.backend {
             WalBackend::File { path, .. } => read_frames(BufReader::new(File::open(path)?), each)?,
             WalBackend::Memory(buf) => read_frames(buf.as_slice(), each)?,
         };
-        end.accept_torn_tail()
+        end.accept_torn_tail()?;
+        if let WalBackend::File { file, .. } = &mut self.backend {
+            if whole < self.bytes_written {
+                file.set_len(whole)?;
+                file.sync_all()?;
+                self.bytes_written = whole;
+            }
+        }
+        Ok(())
     }
 
     /// Complete a staged truncation under the database write lock: append
@@ -565,7 +576,7 @@ mod tests {
 
     /// What a leader open makes of `wal`: the committed `(table, row)`s
     /// in commit order, the records read, and the fold afterwards.
-    fn replay(wal: &Wal, base_txn: u64) -> (Vec<(String, Vec<Value>)>, usize, TxnFold) {
+    fn replay(wal: &mut Wal, base_txn: u64) -> (Vec<(String, Vec<Value>)>, usize, TxnFold) {
         let mut fold = TxnFold::new(base_txn);
         let (mut committed, mut records) = (Vec::new(), 0);
         wal.recover(|rec| {
@@ -612,7 +623,7 @@ mod tests {
         wal.append(&ins(1, "logs", 10)).unwrap();
         wal.append(&ins(1, "logs", 11)).unwrap();
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
-        let (committed, records, _) = replay(&wal, 0);
+        let (committed, records, _) = replay(&mut wal, 0);
         assert_eq!(committed.len(), 2);
         assert_eq!(committed[0].1[0], Value::Int(10));
         assert_eq!(committed[1].1[0], Value::Int(11));
@@ -625,7 +636,7 @@ mod tests {
         wal.append(&ins(1, "logs", 1)).unwrap();
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
         wal.append(&ins(2, "logs", 2)).unwrap(); // never committed
-        let (committed, _, fold) = replay(&wal, 0);
+        let (committed, _, fold) = replay(&mut wal, 0);
         assert_eq!(committed.len(), 1);
         assert_eq!(fold.staged[&2].len(), 1, "staged, never surfaced");
         assert_eq!(fold.last_applied(), 1);
@@ -639,7 +650,7 @@ mod tests {
         wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
         wal.append(&ins(2, "logs", 2)).unwrap();
         wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
-        let (committed, records, fold) = replay(&wal, 1);
+        let (committed, records, fold) = replay(&mut wal, 1);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].1[0], Value::Int(2));
         assert_eq!(records, 4, "skipped frames are still read");
@@ -712,7 +723,7 @@ mod tests {
         }
         {
             let mut wal = Wal::open(&path).unwrap();
-            let (committed, _, _) = replay(&wal, 0);
+            let (committed, _, _) = replay(&mut wal, 0);
             assert_eq!(committed.len(), 1);
             assert_eq!(committed[0].1[0], Value::Int(99));
             // Appending after reopen extends, not truncates.
@@ -720,9 +731,52 @@ mod tests {
             wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
         }
         {
-            let wal = Wal::open(&path).unwrap();
-            assert_eq!(replay(&wal, 0).0.len(), 2);
+            let mut wal = Wal::open(&path).unwrap();
+            assert_eq!(replay(&mut wal, 0).0.len(), 2);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn commit_after_a_torn_tail_survives_the_next_recovery() {
+        let path = temp_log("torn-append");
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&ins(1, "logs", 1)).unwrap();
+            wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
+            wal.append(&ins(2, "logs", 2)).unwrap();
+        }
+        // The crash tore the last frame.
+        let whole = std::fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(whole - 5).unwrap();
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            assert_eq!(replay(&mut wal, 0).0.len(), 1);
+            assert!(wal.len_bytes() < whole - 5, "the torn frame is cut off");
+            wal.append(&ins(3, "logs", 3)).unwrap();
+            wal.append(&WalRecord::Commit { txn: 3 }).unwrap();
+        }
+        let (committed, _, _) = replay(&mut Wal::open(&path).unwrap(), 0);
+        assert_eq!(
+            committed.len(),
+            2,
+            "the commit acknowledged after the crash"
+        );
+        assert_eq!(committed[1].1[0], Value::Int(3));
+
+        // A frame that checksums but does not decode is not crash damage:
+        // recovery refuses it and leaves the file alone.
+        let payload = [0xEEu8];
+        let mut bad = (payload.len() as u32).to_be_bytes().to_vec();
+        bad.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        bad.extend_from_slice(&payload);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&bad).unwrap();
+        let len = file.metadata().unwrap().len();
+        let mut wal = Wal::open(&path).unwrap();
+        assert!(wal.recover(|_| {}).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -737,13 +791,13 @@ mod tests {
         truncate(&mut wal, 3);
         assert_eq!(wal.records_written, 4, "two txns × (insert + commit)");
         // The rewritten log recovers only the preserved tail...
-        let (committed, _, _) = replay(&wal, 0);
+        let (committed, _, _) = replay(&mut wal, 0);
         assert_eq!(committed.len(), 2);
         assert_eq!(committed[0].1[0], Value::Int(4));
         // ...and stays appendable afterwards.
         wal.append(&ins(6, "logs", 6)).unwrap();
         wal.append(&WalRecord::Commit { txn: 6 }).unwrap();
-        assert_eq!(replay(&Wal::open(&path).unwrap(), 0).0.len(), 3);
+        assert_eq!(replay(&mut Wal::open(&path).unwrap(), 0).0.len(), 3);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -756,7 +810,7 @@ mod tests {
         }
         truncate(&mut wal, 3);
         assert_eq!(wal.records_written, 4);
-        let (committed, records, _) = replay(&wal, 0);
+        let (committed, records, _) = replay(&mut wal, 0);
         assert_eq!(records, 4);
         assert_eq!(committed[0].1[0], Value::Int(4));
         let tail = [
@@ -879,7 +933,7 @@ mod tests {
         wal.append(&ins(1, "a", 3)).unwrap();
         wal.append(&WalRecord::Commit { txn: 2 }).unwrap();
         // txn 1 never commits.
-        let (committed, _, fold) = replay(&wal, 0);
+        let (committed, _, fold) = replay(&mut wal, 0);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, "b");
         assert_eq!(fold.staged[&1].len(), 2, "txn 1's inserts stay staged");

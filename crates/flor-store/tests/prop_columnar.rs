@@ -11,12 +11,11 @@
 //! `total_cmp`, cross-type comparisons via type rank, nulls patched by
 //! constant verdict).
 //!
-//! The interleaving keeps `ts` monotone (the paper's logical clock in
-//! its normal, non-hindsight regime), so clustering's `(ts, rid)` sort
-//! is order-preserving and every read stays byte-comparable. The
-//! out-of-order regime — where clustering actually reorders — is
-//! covered deterministically in `clustering_invariant_*` below with a
-//! shuffled-timestamp monolith.
+//! Commits either advance `ts` (the paper's logical clock in its normal
+//! regime) or land `late`, at timestamps the clock already passed — the
+//! hindsight regime, where clustering's `(ts, rid)` sort really permutes
+//! rows. The insertion-order shadow is the oracle in both: rows leave a
+//! table in commit order whatever compaction did to the layout.
 
 use flor_df::Value;
 use flor_store::{CmpOp, ColType, ColumnDef, CompactionPolicy, Database, Query, TableSchema};
@@ -66,7 +65,11 @@ fn row_for(ts: i64) -> Vec<Value> {
 
 #[derive(Debug, Clone)]
 enum Step {
-    Commit { rows: usize },
+    /// `late` rows are logged in hindsight, at already-passed timestamps.
+    Commit {
+        rows: usize,
+        late: bool,
+    },
     Compact,
     Checkpoint,
     Reopen,
@@ -74,7 +77,7 @@ enum Step {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        4 => (1usize..60).prop_map(|rows| Step::Commit { rows }),
+        4 => (1usize..60, any::<bool>()).prop_map(|(rows, late)| Step::Commit { rows, late }),
         2 => Just(Step::Compact),
         1 => Just(Step::Checkpoint),
         1 => Just(Step::Reopen),
@@ -169,10 +172,15 @@ proptest! {
 
         for (i, step) in steps.iter().enumerate() {
             match step {
-                Step::Commit { rows } => {
-                    for _ in 0..*rows {
-                        ts += 1;
-                        let row = row_for(ts);
+                Step::Commit { rows, late } => {
+                    for j in 0..*rows as i64 {
+                        let at = if *late {
+                            (ts * 7 + j * 13) % (ts + 1)
+                        } else {
+                            ts += 1;
+                            ts
+                        };
+                        let row = row_for(at);
                         db.insert("events", row.clone()).unwrap();
                         shadow.push(row);
                     }
@@ -215,9 +223,9 @@ proptest! {
 /// shuffled timestamps, then compaction. The monolith forms a single
 /// run that is split into sorted chunks, so post-compaction the table
 /// must satisfy the clustering invariant — observable from the outside
-/// as: scans in `(tstamp, insertion)` order, **disjoint** zone maps (a
-/// narrow window admits at most 2 of many segments), and binary-search
-/// window entry surfacing in the explain counters.
+/// as: **disjoint** zone maps (a narrow window admits at most 2 of many
+/// segments) and binary-search window entry surfacing in the explain
+/// counters — while scans still read in insertion order.
 #[test]
 fn clustering_invariant_after_compacting_shuffled_monolith() {
     const N: i64 = 3000;
@@ -244,10 +252,9 @@ fn clustering_invariant_after_compacting_shuffled_monolith() {
         "monolith split into sorted chunks"
     );
 
-    // Scan order: globally sorted by (tstamp, insertion index) — the
-    // single run was sorted as a whole before chunking.
-    let mut want = rows.clone();
-    want.sort_by_key(|r| r[1].as_i64().unwrap()); // stable: ties keep insertion order
+    // Scan order: insertion order, although the single run was sorted
+    // as a whole by (tstamp, insertion index) before chunking.
+    let want = rows;
     let snap = db.pin();
     assert_eq!(snap.scan("events").unwrap().to_rows(), want);
 
@@ -286,7 +293,7 @@ fn clustering_invariant_after_compacting_shuffled_monolith() {
     // Re-compaction passes sorted chunks through untouched (idempotent).
     assert!(db.compact_with(&policy).unwrap().tables_compacted == 0);
 
-    // And the query result equals the shadow's filter in sorted order.
+    // And the query result equals the shadow's filter, in insertion order.
     let got = snap.query(&q).unwrap().to_rows();
     let expect: Vec<Vec<Value>> = want
         .iter()

@@ -459,14 +459,13 @@ impl ViewCatalog {
     fn build(&self, key: &ViewKey) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
         let names: Vec<&str> = key.names.iter().map(String::as_str).collect();
-        let name_values = key.names.iter().map(|n| n.as_str().into()).collect();
         // One lock acquisition pins the snapshot AND samples the stats:
         // `wal_offset_bytes` below is guaranteed to describe the same
         // committed state the queries read (two separate calls could
         // interleave with a commit and disagree).
         let (snap, stats) = self.db.pin_with_stats();
         let epoch = snap.epoch();
-        let logs = snap.query(&Query::table("logs").filter_in("value_name", name_values))?;
+        let logs = snap.query(&QueryPlan::new(&names).logs_fetch())?;
         let loops = snap.query(&Query::table("loops"))?;
         let pivot = PivotState::from_snapshot_filtered(&names, &key.pushdown, epoch, &logs, &loops)
             .map_err(|e| StoreError::Invalid(format!("view build: {e}")))?;

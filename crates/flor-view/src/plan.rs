@@ -24,7 +24,7 @@
 //!    uses — which is what makes the two paths cell-for-cell identical.
 
 use flor_df::{DataFrame, DfError};
-use flor_store::{CmpOp, Predicate, StoreError, StoreResult};
+use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
 
 /// The fixed context columns every pivot row carries (paper Fig. 3), and
 /// therefore the columns whose predicates can be maintained *inside* a
@@ -71,6 +71,15 @@ impl QueryPlan {
             latest_group: Some(group.iter().map(|s| s.to_string()).collect()),
             ..QueryPlan::new(names)
         }
+    }
+
+    /// The base fetch under every execution of this plan — the view's
+    /// build, the from-scratch executor and the explain probe alike: the
+    /// `logs` rows whose `value_name` the plan projects, served from the
+    /// secondary index.
+    pub fn logs_fetch(&self) -> Query {
+        let names = self.names.iter().map(|n| n.as_str().into()).collect();
+        Query::table("logs").filter_in("value_name", names)
     }
 
     /// Append a predicate.
