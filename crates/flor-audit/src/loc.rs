@@ -4,8 +4,10 @@
 //! lines") has to be reproducible, so it is defined by this tokenizer
 //! rather than by hand: a line counts when at least one token starts on
 //! it — comments, doc comments and blank lines carry none — and a file
-//! stops counting at its first `#[cfg(test)]`. Only `crates/*/src` is
-//! measured. Informational: there is no threshold.
+//! stops counting at its first `#[cfg(test)]`. `crates/*/src` is measured
+//! file by file; each vendored stub under `vendor/*/src` gets one line of
+//! its own, outside the total, so deleting one shows up in the report.
+//! Informational: there is no threshold.
 
 use crate::lexer::{lex, Token};
 use std::fs;
@@ -50,10 +52,11 @@ pub struct CrateLoc {
     pub files: Vec<(String, usize)>,
 }
 
-/// The count for every crate under `root/crates`, sorted by name.
-pub fn workspace_loc(root: &Path) -> io::Result<Vec<CrateLoc>> {
+/// The count for every crate directly under `dir` (`<root>/crates`,
+/// `<root>/vendor`), sorted by name.
+pub fn crates_loc(dir: &Path) -> io::Result<Vec<CrateLoc>> {
     let mut crates = Vec::new();
-    for entry in fs::read_dir(root.join("crates"))? {
+    for entry in fs::read_dir(dir)? {
         let src = entry?.path().join("src");
         if !src.is_dir() {
             continue;
@@ -73,19 +76,27 @@ pub fn workspace_loc(root: &Path) -> io::Result<Vec<CrateLoc>> {
     Ok(crates)
 }
 
-/// Render the `--loc` report: one total per crate, its files beneath.
-pub fn render(crates: &[CrateLoc]) -> String {
+impl CrateLoc {
+    fn sum(&self) -> usize {
+        self.files.iter().map(|(_, n)| n).sum()
+    }
+}
+
+/// Render the `--loc` report: one total per crate, its files beneath,
+/// the workspace total, then one line per vendored stub.
+pub fn render(crates: &[CrateLoc], vendor: &[CrateLoc]) -> String {
     let mut out = String::new();
-    let mut total = 0;
-    for CrateLoc { name, files } in crates {
-        let sum: usize = files.iter().map(|(_, n)| n).sum();
-        total += sum;
-        out.push_str(&format!("{sum:>7}  {name}\n"));
-        for (file, n) in files {
+    for c in crates {
+        out.push_str(&format!("{:>7}  {}\n", c.sum(), c.name));
+        for (file, n) in &c.files {
             out.push_str(&format!("{n:>7}      {file}\n"));
         }
     }
+    let total: usize = crates.iter().map(CrateLoc::sum).sum();
     out.push_str(&format!("{total:>7}  total (crates/*/src)\n"));
+    for v in vendor {
+        out.push_str(&format!("{:>7}  vendor/{}\n", v.sum(), v.name));
+    }
     out
 }
 

@@ -34,7 +34,8 @@ fn main() -> ExitCode {
                     "flor-audit: workspace concurrency-invariant linter\n\
                      usage: flor-audit [--workspace] [--root DIR] [--manifest FILE]\n\
                      \x20      flor-audit --loc [--root DIR]   (non-test, non-comment lines\n\
-                     \x20                                       per crate and file; no gate)"
+                     \x20                                       per crate and file, one line\n\
+                     \x20                                       per vendored stub; no gate)"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -63,12 +64,22 @@ fn main() -> ExitCode {
     };
 
     if loc {
-        return match flor_audit::loc::workspace_loc(&root) {
-            Ok(crates) => {
-                print!("{}", flor_audit::loc::render(&crates));
+        use flor_audit::loc::{crates_loc, render};
+        // A workspace need not vendor anything.
+        let vendor_dir = root.join("vendor");
+        let vendor = if vendor_dir.is_dir() {
+            crates_loc(&vendor_dir)
+        } else {
+            Ok(Vec::new())
+        };
+        return match (crates_loc(&root.join("crates")), vendor) {
+            (Ok(crates), Ok(vendor)) => {
+                print!("{}", render(&crates, &vendor));
                 ExitCode::SUCCESS
             }
-            Err(e) => config_err(&format!("cannot count lines under {}: {e}", root.display())),
+            (Err(e), _) | (_, Err(e)) => {
+                config_err(&format!("cannot count lines under {}: {e}", root.display()))
+            }
         };
     }
 

@@ -17,9 +17,9 @@
 //! same epoch, no matter how many commits land while the session is
 //! open. `Pin` re-pins on demand.
 //!
-//! * [`protocol`] — the frame codec: versioned `Hello`, typed
-//!   request/response enums, CRC-guarded `[len][crc][payload]` frames
-//!   reusing the store's value codec;
+//! * [`protocol`] — the wire codec: versioned `Hello`, typed
+//!   request/response enums, carried in the store's one frame layout and
+//!   decoded through its checked cursor ([`flor_store::codec`]);
 //! * [`session`] — per-connection pinned-snapshot state plus the global
 //!   in-flight admission [`session::Gate`];
 //! * [`middleware`] — composable hooks: [`middleware::AuthToken`],

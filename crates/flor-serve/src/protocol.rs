@@ -1,24 +1,25 @@
 //! The flor-serve wire protocol: length-prefixed, CRC-guarded frames
 //! carrying typed request/response payloads.
 //!
-//! A frame on the wire is `[len: u32][crc: u64][payload]` (big-endian),
-//! where `crc` is the FNV-1a hash of the payload — the same checksum the
-//! WAL uses ([`flor_store::codec::fnv1a`]), so a flipped bit anywhere in
-//! the payload is caught before decoding starts. The payload's first
-//! byte is a kind tag; the rest is the variant body, encoded with the
-//! store's value codec ([`flor_store::codec::encode_value`]) so the
-//! dataframe cells a server ships are byte-identical to what the WAL
-//! would persist.
+//! A frame on the wire is the WAL's frame — the one layout, writer and
+//! reader documented in [`flor_store::codec`] — so a flipped bit anywhere
+//! in the payload is caught before decoding starts; this module only
+//! decides what each way a stream can end means to a peer
+//! ([`WireError`]). The payload's first byte is a kind tag; the rest is
+//! the variant body, written with the store's `Vec<u8>` writers and value
+//! codec ([`flor_store::codec::encode_value`]), so the dataframe cells a
+//! server ships are byte-identical to what the WAL would persist, and
+//! read back through the store's checked [`Cursor`] and its `count` rule.
 //!
-//! Robustness contract (exercised by the `protocol_robustness` test):
-//! a malformed, truncated or oversized frame decodes to a typed
-//! [`WireError`] — never a panic — and the server answers with a typed
-//! [`Response::Error`] before dropping that connection only.
+//! Robustness contract (exercised by the `protocol_robustness` and
+//! `prop_protocol` tests): a malformed, truncated or oversized frame
+//! decodes to a typed [`WireError`] — never a panic, never an allocation
+//! the frame's own length does not cover — and the server answers with a
+//! typed [`Response::Error`] before dropping that connection only.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flor_df::{Column, DataFrame, Value};
 use flor_obs::{SlowQueryRecord, SpanEvent, SpanId, Trace, TraceId, TraceSpan};
-use flor_store::codec::{decode_value, encode_value, fnv1a, CodecError};
+use flor_store::codec::{self, decode_value, encode_value, CodecError, Cursor, FrameEnd, Put};
 use flor_store::{CmpOp, Predicate};
 use flor_view::QueryPlan;
 use std::io::{Read, Write};
@@ -77,10 +78,6 @@ impl From<CodecError> for WireError {
     fn from(e: CodecError) -> WireError {
         WireError::Codec(e)
     }
-}
-
-fn trunc() -> WireError {
-    WireError::Codec(CodecError::Truncated)
 }
 
 fn malformed(m: impl Into<String>) -> WireError {
@@ -236,103 +233,94 @@ impl Request {
     }
 
     /// Encode into a frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             Request::Hello { version, token } => {
-                buf.put_u8(1);
+                buf.push(1);
                 buf.put_u16(*version);
                 match token {
-                    None => buf.put_u8(0),
+                    None => buf.push(0),
                     Some(t) => {
-                        buf.put_u8(1);
-                        put_str(&mut buf, t);
+                        buf.push(1);
+                        buf.put_str(t);
                     }
                 }
             }
             Request::Query { plan } => {
-                buf.put_u8(2);
+                buf.push(2);
                 encode_plan(plan, &mut buf);
             }
-            Request::Pin => buf.put_u8(3),
-            Request::Epoch => buf.put_u8(4),
-            Request::Metrics => buf.put_u8(5),
-            Request::MetricsPrometheus => buf.put_u8(6),
-            Request::Close => buf.put_u8(7),
+            Request::Pin => buf.push(3),
+            Request::Epoch => buf.push(4),
+            Request::Metrics => buf.push(5),
+            Request::MetricsPrometheus => buf.push(6),
+            Request::Close => buf.push(7),
             Request::Traced { trace, inner } => {
-                buf.put_u8(8);
+                buf.push(KIND_TRACED);
                 buf.put_u64(trace.0);
-                buf.put_slice(&inner.encode());
+                buf.extend_from_slice(&inner.encode());
             }
-            Request::Health => buf.put_u8(9),
+            Request::Health => buf.push(9),
             Request::Traces { limit } => {
-                buf.put_u8(10);
+                buf.push(10);
                 buf.put_u32(*limit);
             }
             Request::SlowQueries { limit } => {
-                buf.put_u8(11);
+                buf.push(11);
                 buf.put_u32(*limit);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a frame payload; trailing bytes are a protocol violation.
-    pub fn decode(mut buf: Bytes) -> Result<Request, WireError> {
-        if buf.remaining() < 1 {
-            return Err(trunc());
+    /// A trace context wraps exactly one plain request, so decoding never
+    /// recurses: the depth is two whatever the frame holds.
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<Request, WireError> {
+        let mut c = Cursor::new(buf.as_ref());
+        let req = match c.u8()? {
+            KIND_TRACED => Request::Traced {
+                trace: TraceId(c.u64()?),
+                inner: Box::new(Request::decode_plain(c.u8()?, &mut c)?),
+            },
+            kind => Request::decode_plain(kind, &mut c)?,
+        };
+        if !c.is_empty() {
+            return Err(malformed("trailing bytes after request"));
         }
-        let req = match buf.get_u8() {
-            1 => {
-                if buf.remaining() < 3 {
-                    return Err(trunc());
-                }
-                let version = buf.get_u16();
-                let token = match buf.get_u8() {
+        Ok(req)
+    }
+
+    /// The body of a request of `kind` that is not a trace context.
+    fn decode_plain(kind: u8, c: &mut Cursor) -> Result<Request, WireError> {
+        Ok(match kind {
+            1 => Request::Hello {
+                version: c.u16()?,
+                token: match c.u8()? {
                     0 => None,
-                    _ => Some(get_str(&mut buf)?),
-                };
-                Request::Hello { version, token }
-            }
+                    _ => Some(get_str(c)?),
+                },
+            },
             2 => Request::Query {
-                plan: decode_plan(&mut buf)?,
+                plan: decode_plan(c)?,
             },
             3 => Request::Pin,
             4 => Request::Epoch,
             5 => Request::Metrics,
             6 => Request::MetricsPrometheus,
             7 => Request::Close,
-            8 => {
-                if buf.remaining() < 8 {
-                    return Err(trunc());
-                }
-                let trace = TraceId(buf.get_u64());
-                // The recursive decode consumes the rest of the payload
-                // and enforces the no-trailing-bytes contract itself.
-                let inner = Request::decode(buf)?;
-                if matches!(inner, Request::Traced { .. }) {
-                    return Err(malformed("nested trace context"));
-                }
-                return Ok(Request::Traced {
-                    trace,
-                    inner: Box::new(inner),
-                });
-            }
+            KIND_TRACED => return Err(malformed("nested trace context")),
             9 => Request::Health,
-            10 => Request::Traces {
-                limit: get_count(&mut buf)? as u32,
-            },
-            11 => Request::SlowQueries {
-                limit: get_count(&mut buf)? as u32,
-            },
+            10 => Request::Traces { limit: c.u32()? },
+            11 => Request::SlowQueries { limit: c.u32()? },
             k => return Err(WireError::UnknownKind(k)),
-        };
-        if buf.remaining() > 0 {
-            return Err(malformed("trailing bytes after request"));
-        }
-        Ok(req)
+        })
     }
 }
+
+/// Kind tag of [`Request::Traced`], the one request that wraps another.
+const KIND_TRACED: u8 = 8;
 
 /// The [`Response::Health`] body: one consistent liveness/readiness
 /// picture of the serving instance.
@@ -401,8 +389,8 @@ impl HealthReport {
         out
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.follower as u8);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.follower as u8);
         buf.put_u64(self.epoch);
         buf.put_u64(self.wal_offset_bytes);
         buf.put_u64(self.last_checkpoint_epoch);
@@ -414,51 +402,31 @@ impl HealthReport {
         buf.put_u64(self.in_flight);
         buf.put_u64(self.max_in_flight);
         match self.follower_lag {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(lag) => {
-                buf.put_u8(1);
+                buf.push(1);
                 buf.put_u64(lag);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<HealthReport, WireError> {
-        if buf.remaining() < 1 + 8 * 10 + 1 {
-            return Err(trunc());
-        }
-        let follower = buf.get_u8() != 0;
-        let epoch = buf.get_u64();
-        let wal_offset_bytes = buf.get_u64();
-        let last_checkpoint_epoch = buf.get_u64();
-        let checkpoints = buf.get_u64();
-        let compactions = buf.get_u64();
-        let total_rows = buf.get_u64();
-        let live_sessions = buf.get_u64();
-        let max_sessions = buf.get_u64();
-        let in_flight = buf.get_u64();
-        let max_in_flight = buf.get_u64();
-        let follower_lag = match buf.get_u8() {
-            0 => None,
-            _ => {
-                if buf.remaining() < 8 {
-                    return Err(trunc());
-                }
-                Some(buf.get_u64())
-            }
-        };
+    fn decode(c: &mut Cursor) -> Result<HealthReport, WireError> {
         Ok(HealthReport {
-            follower,
-            epoch,
-            wal_offset_bytes,
-            last_checkpoint_epoch,
-            checkpoints,
-            compactions,
-            total_rows,
-            live_sessions,
-            max_sessions,
-            in_flight,
-            max_in_flight,
-            follower_lag,
+            follower: c.u8()? != 0,
+            epoch: c.u64()?,
+            wal_offset_bytes: c.u64()?,
+            last_checkpoint_epoch: c.u64()?,
+            checkpoints: c.u64()?,
+            compactions: c.u64()?,
+            total_rows: c.u64()?,
+            live_sessions: c.u64()?,
+            max_sessions: c.u64()?,
+            in_flight: c.u64()?,
+            max_in_flight: c.u64()?,
+            follower_lag: match c.u8()? {
+                0 => None,
+                _ => Some(c.u64()?),
+            },
         })
     }
 }
@@ -531,136 +499,94 @@ pub enum Response {
 
 impl Response {
     /// Encode into a frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             Response::HelloOk { version, epoch } => {
-                buf.put_u8(1);
+                buf.push(1);
                 buf.put_u16(*version);
                 buf.put_u64(*epoch);
             }
             Response::Frame { epoch, df } => {
-                buf.put_u8(2);
+                buf.push(2);
                 buf.put_u64(*epoch);
                 encode_frame(df, &mut buf);
             }
             Response::Pinned { epoch } => {
-                buf.put_u8(3);
+                buf.push(3);
                 buf.put_u64(*epoch);
             }
             Response::Epochs { pinned, latest } => {
-                buf.put_u8(4);
+                buf.push(4);
                 buf.put_u64(*pinned);
                 buf.put_u64(*latest);
             }
             Response::Text { body } => {
-                buf.put_u8(5);
-                put_str(&mut buf, body);
+                buf.push(5);
+                buf.put_str(body);
             }
             Response::Error { code, message } => {
-                buf.put_u8(6);
-                buf.put_u8(code.to_u8());
-                put_str(&mut buf, message);
+                buf.extend_from_slice(&[6, code.to_u8()]);
+                buf.put_str(message);
             }
-            Response::Bye => buf.put_u8(7),
+            Response::Bye => buf.push(7),
             Response::Health(report) => {
-                buf.put_u8(8);
+                buf.push(8);
                 report.encode(&mut buf);
             }
             Response::Traces { traces } => {
-                buf.put_u8(9);
+                buf.push(9);
                 buf.put_u32(traces.len() as u32);
                 for t in traces {
                     encode_trace(t, &mut buf);
                 }
             }
             Response::SlowQueries { records } => {
-                buf.put_u8(10);
+                buf.push(10);
                 buf.put_u32(records.len() as u32);
                 for r in records {
                     encode_slow_query(r, &mut buf);
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a frame payload; trailing bytes are a protocol violation.
-    pub fn decode(mut buf: Bytes) -> Result<Response, WireError> {
-        if buf.remaining() < 1 {
-            return Err(trunc());
-        }
-        let resp = match buf.get_u8() {
-            1 => {
-                if buf.remaining() < 10 {
-                    return Err(trunc());
-                }
-                Response::HelloOk {
-                    version: buf.get_u16(),
-                    epoch: buf.get_u64(),
-                }
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(trunc());
-                }
-                let epoch = buf.get_u64();
-                Response::Frame {
-                    epoch,
-                    df: decode_frame(&mut buf)?,
-                }
-            }
-            3 => {
-                if buf.remaining() < 8 {
-                    return Err(trunc());
-                }
-                Response::Pinned {
-                    epoch: buf.get_u64(),
-                }
-            }
-            4 => {
-                if buf.remaining() < 16 {
-                    return Err(trunc());
-                }
-                Response::Epochs {
-                    pinned: buf.get_u64(),
-                    latest: buf.get_u64(),
-                }
-            }
-            5 => Response::Text {
-                body: get_str(&mut buf)?,
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<Response, WireError> {
+        let mut c = Cursor::new(buf.as_ref());
+        let resp = match c.u8()? {
+            1 => Response::HelloOk {
+                version: c.u16()?,
+                epoch: c.u64()?,
             },
-            6 => {
-                if buf.remaining() < 1 {
-                    return Err(trunc());
-                }
-                let code = ErrorCode::from_u8(buf.get_u8())?;
-                Response::Error {
-                    code,
-                    message: get_str(&mut buf)?,
-                }
-            }
+            2 => Response::Frame {
+                epoch: c.u64()?,
+                df: decode_frame(&mut c)?,
+            },
+            3 => Response::Pinned { epoch: c.u64()? },
+            4 => Response::Epochs {
+                pinned: c.u64()?,
+                latest: c.u64()?,
+            },
+            5 => Response::Text {
+                body: get_str(&mut c)?,
+            },
+            6 => Response::Error {
+                code: ErrorCode::from_u8(c.u8()?)?,
+                message: get_str(&mut c)?,
+            },
             7 => Response::Bye,
-            8 => Response::Health(HealthReport::decode(&mut buf)?),
-            9 => {
-                let n = get_count(&mut buf)?;
-                let mut traces = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    traces.push(decode_trace(&mut buf)?);
-                }
-                Response::Traces { traces }
-            }
-            10 => {
-                let n = get_count(&mut buf)?;
-                let mut records = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    records.push(decode_slow_query(&mut buf)?);
-                }
-                Response::SlowQueries { records }
-            }
+            8 => Response::Health(HealthReport::decode(&mut c)?),
+            9 => Response::Traces {
+                traces: get_list(&mut c, MIN_TRACE_BYTES, decode_trace)?,
+            },
+            10 => Response::SlowQueries {
+                records: get_list(&mut c, MIN_SLOW_QUERY_BYTES, decode_slow_query)?,
+            },
             k => return Err(WireError::UnknownKind(k)),
         };
-        if buf.remaining() > 0 {
+        if !c.is_empty() {
             return Err(malformed("trailing bytes after response"));
         }
         Ok(resp)
@@ -669,57 +595,48 @@ impl Response {
 
 // ---------------------------------------------------------------- frame io
 
-/// Write one `[len][crc][payload]` frame and flush.
+/// Write one frame ([`codec::write_frame`]) and flush. The only cap on
+/// this side is the length field's own range.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let mut head = [0u8; 12];
-    head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    head[4..].copy_from_slice(&fnv1a(payload).to_be_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    codec::write_frame(w, payload, u32::MAX)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame, enforcing the size cap *before* allocating and the
-/// checksum *before* returning the payload.
-pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Bytes, WireError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > max_bytes {
-        return Err(WireError::TooLarge {
+/// Read one frame ([`codec::read_frame`]: the size cap is enforced
+/// *before* allocating, the checksum *before* the payload is returned).
+/// On a socket, a stream that ends — even between frames — is the peer
+/// gone.
+pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Vec<u8>, WireError> {
+    codec::read_frame(r, max_bytes)?.map_err(|end| match end {
+        FrameEnd::Clean | FrameEnd::Partial => {
+            WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
+        }
+        FrameEnd::TooLarge { len } => WireError::TooLarge {
             len,
             max: max_bytes,
-        });
-    }
-    let mut crc_buf = [0u8; 8];
-    r.read_exact(&mut crc_buf)?;
-    let crc = u64::from_be_bytes(crc_buf);
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if fnv1a(&payload) != crc {
-        return Err(WireError::BadChecksum);
-    }
-    Ok(Bytes::from(payload))
+        },
+        FrameEnd::BadChecksum => WireError::BadChecksum,
+    })
 }
 
 // ------------------------------------------------------------- primitives
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// An owned `[len u32][utf8]` string.
+fn get_str(c: &mut Cursor) -> Result<String, WireError> {
+    Ok(c.str(Cursor::u32)?.to_owned())
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    if buf.remaining() < 4 {
-        return Err(trunc());
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(trunc());
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|e| malformed(e.to_string()))
+/// A `[count u32]`-prefixed list of elements that each occupy at least
+/// `min_elem_bytes` (the cursor's `count` rule).
+fn get_list<T>(
+    c: &mut Cursor,
+    min_elem_bytes: usize,
+    elem: fn(&mut Cursor) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    (0..c.count(Cursor::u32, min_elem_bytes)?)
+        .map(|_| elem(c))
+        .collect()
 }
 
 fn cmp_to_u8(op: CmpOp) -> u8 {
@@ -747,217 +664,149 @@ fn cmp_from_u8(b: u8) -> Result<CmpOp, WireError> {
 
 // ------------------------------------------------------------- query plan
 
-fn encode_plan(plan: &QueryPlan, buf: &mut BytesMut) {
+fn encode_plan(plan: &QueryPlan, buf: &mut Vec<u8>) {
     buf.put_u32(plan.names.len() as u32);
     for n in &plan.names {
-        put_str(buf, n);
+        buf.put_str(n);
     }
     buf.put_u32(plan.predicates.len() as u32);
     for p in &plan.predicates {
-        put_str(buf, &p.col);
-        buf.put_u8(cmp_to_u8(p.op));
+        buf.put_str(&p.col);
+        buf.push(cmp_to_u8(p.op));
         encode_value(&p.value, buf);
     }
     match &plan.latest_group {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(group) => {
-            buf.put_u8(1);
+            buf.push(1);
             buf.put_u32(group.len() as u32);
             for g in group {
-                put_str(buf, g);
+                buf.put_str(g);
             }
         }
     }
     buf.put_u32(plan.order_by.len() as u32);
     for (col, asc) in &plan.order_by {
-        put_str(buf, col);
-        buf.put_u8(*asc as u8);
+        buf.put_str(col);
+        buf.push(*asc as u8);
     }
     match plan.limit {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(n) => {
-            buf.put_u8(1);
+            buf.push(1);
             buf.put_u64(n as u64);
         }
     }
 }
 
-fn decode_plan(buf: &mut Bytes) -> Result<QueryPlan, WireError> {
+/// The least a string occupies: its `[len u32]`.
+const MIN_STR_BYTES: usize = 4;
+
+fn decode_plan(c: &mut Cursor) -> Result<QueryPlan, WireError> {
     let mut plan = QueryPlan::new(&[]);
-    let n_names = get_count(buf)?;
-    for _ in 0..n_names {
-        plan.names.push(get_str(buf)?);
+    plan.names = get_list(c, MIN_STR_BYTES, get_str)?;
+    // A predicate is a column name, an operator byte and a tagged value.
+    plan.predicates = get_list(c, MIN_STR_BYTES + 2, |c| {
+        Ok(Predicate {
+            col: get_str(c)?,
+            op: cmp_from_u8(c.u8()?)?,
+            value: decode_value(c)?,
+        })
+    })?;
+    if c.u8()? != 0 {
+        plan.latest_group = Some(get_list(c, MIN_STR_BYTES, get_str)?);
     }
-    let n_preds = get_count(buf)?;
-    for _ in 0..n_preds {
-        let col = get_str(buf)?;
-        let op = {
-            if buf.remaining() < 1 {
-                return Err(trunc());
-            }
-            cmp_from_u8(buf.get_u8())?
-        };
-        let value = decode_value(buf)?;
-        plan.predicates.push(Predicate { col, op, value });
-    }
-    if buf.remaining() < 1 {
-        return Err(trunc());
-    }
-    if buf.get_u8() != 0 {
-        let n = get_count(buf)?;
-        let mut group = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            group.push(get_str(buf)?);
-        }
-        plan.latest_group = Some(group);
-    }
-    let n_order = get_count(buf)?;
-    for _ in 0..n_order {
-        let col = get_str(buf)?;
-        if buf.remaining() < 1 {
-            return Err(trunc());
-        }
-        plan.order_by.push((col, buf.get_u8() != 0));
-    }
-    if buf.remaining() < 1 {
-        return Err(trunc());
-    }
-    if buf.get_u8() != 0 {
-        if buf.remaining() < 8 {
-            return Err(trunc());
-        }
-        plan.limit = Some(buf.get_u64() as usize);
+    plan.order_by = get_list(c, MIN_STR_BYTES + 1, |c| Ok((get_str(c)?, c.u8()? != 0)))?;
+    if c.u8()? != 0 {
+        plan.limit = Some(c.u64()? as usize);
     }
     Ok(plan)
 }
 
-fn get_count(buf: &mut Bytes) -> Result<usize, WireError> {
-    if buf.remaining() < 4 {
-        return Err(trunc());
-    }
-    Ok(buf.get_u32() as usize)
-}
-
 // ----------------------------------------------------------------- traces
 
-fn encode_trace(t: &Trace, buf: &mut BytesMut) {
+fn encode_trace(t: &Trace, buf: &mut Vec<u8>) {
     buf.put_u64(t.id.0);
-    put_str(buf, &t.label);
-    put_str(buf, &t.detail);
+    buf.put_str(&t.label);
+    buf.put_str(&t.detail);
     buf.put_u64(t.started_unix_micros);
     buf.put_u64(t.total_nanos);
     buf.put_u32(t.spans.len() as u32);
     for s in &t.spans {
         buf.put_u32(s.id.0);
         match s.parent {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(p) => {
-                buf.put_u8(1);
+                buf.push(1);
                 buf.put_u32(p.0);
             }
         }
-        put_str(buf, &s.name);
+        buf.put_str(&s.name);
         buf.put_u64(s.start_nanos);
         buf.put_u64(s.duration_nanos);
         buf.put_u32(s.events.len() as u32);
         for e in &s.events {
             buf.put_u64(e.at_nanos);
-            put_str(buf, &e.message);
+            buf.put_str(&e.message);
         }
     }
 }
 
-fn decode_trace(buf: &mut Bytes) -> Result<Trace, WireError> {
-    if buf.remaining() < 8 {
-        return Err(trunc());
-    }
-    let id = TraceId(buf.get_u64());
-    let label = get_str(buf)?;
-    let detail = get_str(buf)?;
-    if buf.remaining() < 16 {
-        return Err(trunc());
-    }
-    let started_unix_micros = buf.get_u64();
-    let total_nanos = buf.get_u64();
-    let n_spans = get_count(buf)?;
-    let mut spans = Vec::with_capacity(n_spans.min(1024));
-    for _ in 0..n_spans {
-        if buf.remaining() < 5 {
-            return Err(trunc());
-        }
-        let id = SpanId(buf.get_u32());
-        let parent = match buf.get_u8() {
-            0 => None,
-            _ => {
-                if buf.remaining() < 4 {
-                    return Err(trunc());
-                }
-                Some(SpanId(buf.get_u32()))
-            }
-        };
-        let name = get_str(buf)?;
-        if buf.remaining() < 16 {
-            return Err(trunc());
-        }
-        let start_nanos = buf.get_u64();
-        let duration_nanos = buf.get_u64();
-        let n_events = get_count(buf)?;
-        let mut events = Vec::with_capacity(n_events.min(1024));
-        for _ in 0..n_events {
-            if buf.remaining() < 8 {
-                return Err(trunc());
-            }
-            let at_nanos = buf.get_u64();
-            events.push(SpanEvent {
-                at_nanos,
-                message: get_str(buf)?,
-            });
-        }
-        spans.push(TraceSpan {
-            id,
-            parent,
-            name,
-            start_nanos,
-            duration_nanos,
-            events,
-        });
-    }
+/// Smallest encodings, by the fixed-width fields and empty strings and
+/// lists of the layouts above: what [`Cursor::count`] holds a declared
+/// count of each against.
+const MIN_EVENT_BYTES: usize = 8 + MIN_STR_BYTES;
+const MIN_SPAN_BYTES: usize = 4 + 1 + MIN_STR_BYTES + 16 + 4;
+const MIN_TRACE_BYTES: usize = 8 + 2 * MIN_STR_BYTES + 16 + 4;
+const MIN_SLOW_QUERY_BYTES: usize = MIN_TRACE_BYTES + 3 * MIN_STR_BYTES + 24;
+
+fn decode_trace(c: &mut Cursor) -> Result<Trace, WireError> {
     Ok(Trace {
-        id,
-        label,
-        detail,
-        started_unix_micros,
-        total_nanos,
-        spans,
+        id: TraceId(c.u64()?),
+        label: get_str(c)?,
+        detail: get_str(c)?,
+        started_unix_micros: c.u64()?,
+        total_nanos: c.u64()?,
+        spans: get_list(c, MIN_SPAN_BYTES, |c| {
+            Ok(TraceSpan {
+                id: SpanId(c.u32()?),
+                parent: match c.u8()? {
+                    0 => None,
+                    _ => Some(SpanId(c.u32()?)),
+                },
+                name: get_str(c)?,
+                start_nanos: c.u64()?,
+                duration_nanos: c.u64()?,
+                events: get_list(c, MIN_EVENT_BYTES, |c| {
+                    Ok(SpanEvent {
+                        at_nanos: c.u64()?,
+                        message: get_str(c)?,
+                    })
+                })?,
+            })
+        })?,
     })
 }
 
-fn encode_slow_query(r: &SlowQueryRecord, buf: &mut BytesMut) {
+fn encode_slow_query(r: &SlowQueryRecord, buf: &mut Vec<u8>) {
     encode_trace(&r.trace, buf);
-    put_str(buf, &r.verb);
-    put_str(buf, &r.plan);
-    put_str(buf, &r.explain);
+    buf.put_str(&r.verb);
+    buf.put_str(&r.plan);
+    buf.put_str(&r.explain);
     buf.put_u64(r.total_nanos);
     buf.put_u64(r.threshold_nanos);
     buf.put_u64(r.at_unix_micros);
 }
 
-fn decode_slow_query(buf: &mut Bytes) -> Result<SlowQueryRecord, WireError> {
-    let trace = decode_trace(buf)?;
-    let verb = get_str(buf)?;
-    let plan = get_str(buf)?;
-    let explain = get_str(buf)?;
-    if buf.remaining() < 24 {
-        return Err(trunc());
-    }
+fn decode_slow_query(c: &mut Cursor) -> Result<SlowQueryRecord, WireError> {
     Ok(SlowQueryRecord {
-        trace,
-        verb,
-        plan,
-        explain,
-        total_nanos: buf.get_u64(),
-        threshold_nanos: buf.get_u64(),
-        at_unix_micros: buf.get_u64(),
+        trace: decode_trace(c)?,
+        verb: get_str(c)?,
+        plan: get_str(c)?,
+        explain: get_str(c)?,
+        total_nanos: c.u64()?,
+        threshold_nanos: c.u64()?,
+        at_unix_micros: c.u64()?,
     })
 }
 
@@ -965,10 +814,10 @@ fn decode_slow_query(buf: &mut Bytes) -> Result<SlowQueryRecord, WireError> {
 
 /// Encode a dataframe column-by-column with the store's value codec, so
 /// two servers at the same epoch produce byte-identical frames.
-fn encode_frame(df: &DataFrame, buf: &mut BytesMut) {
+fn encode_frame(df: &DataFrame, buf: &mut Vec<u8>) {
     buf.put_u32(df.columns().len() as u32);
     for col in df.columns() {
-        put_str(buf, &col.name);
+        buf.put_str(&col.name);
         buf.put_u32(col.values.len() as u32);
         for v in &col.values {
             encode_value(v, buf);
@@ -976,18 +825,18 @@ fn encode_frame(df: &DataFrame, buf: &mut BytesMut) {
     }
 }
 
-fn decode_frame(buf: &mut Bytes) -> Result<DataFrame, WireError> {
-    let n_cols = get_count(buf)?;
-    let mut cols = Vec::with_capacity(n_cols.min(1024));
-    for _ in 0..n_cols {
-        let name = get_str(buf)?;
-        let n_rows = get_count(buf)?;
-        let mut values: Vec<Value> = Vec::with_capacity(n_rows.min(4096));
+fn decode_frame(c: &mut Cursor) -> Result<DataFrame, WireError> {
+    // A column is at least its name and its `[n_rows u32]`; a cell at
+    // least its tag byte.
+    let cols = get_list(c, MIN_STR_BYTES + 4, |c| {
+        let name = get_str(c)?;
+        let n_rows = c.count(Cursor::u32, 1)?;
+        let mut values: Vec<Value> = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
-            values.push(decode_value(buf)?);
+            values.push(decode_value(c)?);
         }
-        cols.push(Column::new(name, values));
-    }
+        Ok(Column::new(name, values))
+    })?;
     DataFrame::from_columns(cols).map_err(|e| malformed(e.to_string()))
 }
 
@@ -1121,6 +970,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_trace_context_is_rejected_without_recursing() {
+        // 200,000 trace headers in a 1.8 MB payload, far under the frame
+        // cap: one stack frame per header would overflow the stack.
+        let mut deep = Vec::new();
+        for id in 0..200_000u64 {
+            deep.push(KIND_TRACED);
+            deep.put_u64(id);
+        }
+        deep.extend_from_slice(&Request::Pin.encode());
+        assert!(matches!(
+            Request::decode(deep),
+            Err(WireError::Codec(CodecError::Malformed(m))) if m == "nested trace context"
+        ));
+    }
+
+    #[test]
     fn ops_responses_roundtrip() {
         roundtrip_resp(Response::Health(HealthReport {
             follower: true,
@@ -1178,7 +1043,7 @@ mod tests {
         .encode();
         for cut in 0..traced.len() {
             assert!(
-                Request::decode(traced.slice(..cut)).is_err(),
+                Request::decode(&traced[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
@@ -1188,7 +1053,7 @@ mod tests {
         .encode();
         for cut in 0..resp.len() {
             assert!(
-                Response::decode(resp.slice(..cut)).is_err(),
+                Response::decode(&resp[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
@@ -1230,22 +1095,59 @@ mod tests {
             QueryPlan::with_latest(&["loss"], &["filename"]).filter("tstamp", CmpOp::Ge, 3i64);
         let full = Request::Query { plan }.encode();
         for cut in 0..full.len() {
-            let res = Request::decode(full.slice(..cut));
+            let res = Request::decode(&full[..cut]);
             assert!(res.is_err(), "prefix of {cut} bytes decoded");
         }
         // And trailing garbage is rejected too.
-        let mut extended = BytesMut::new();
-        extended.put_slice(&full);
-        extended.put_u8(0);
-        assert!(Request::decode(extended.freeze()).is_err());
+        let mut extended = full.clone();
+        extended.push(0);
+        assert!(Request::decode(extended).is_err());
+    }
+
+    /// Payloads and a framed message exactly as builds before the checked
+    /// cursor wrote them: the wire format did not move.
+    #[test]
+    fn wire_bytes_are_what_earlier_builds_sent() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut plan = QueryPlan::with_latest(&["loss", "acc"], &["filename"])
+            .filter("tstamp", CmpOp::Ge, 3i64)
+            .filter("loss", CmpOp::Lt, 0.5f64);
+        plan.order_by.push(("tstamp".into(), false));
+        plan.limit = Some(10);
+        let req = Request::Traced {
+            trace: TraceId(7),
+            inner: Box::new(Request::Query { plan }),
+        };
+        assert_eq!(
+            hex(&req.encode()),
+            "0800000000000000070200000002000000046c6f7373000000036163630000000200\
+             000006747374616d7005020000000000000003000000046c6f737302033fe0000000\
+             00000001000000010000000866696c656e616d650000000100000006747374616d70\
+             0001000000000000000a"
+        );
+        let df = DataFrame::from_rows(
+            vec!["a", "b"],
+            vec![
+                vec![Value::Int(1), Value::from("x")],
+                vec![Value::Null, Value::Float(2.5)],
+                vec![Value::Bool(true), Value::from("")],
+            ],
+        )
+        .expect("frame");
+        assert_eq!(
+            hex(&Response::Frame { epoch: 7, df }.encode()),
+            "02000000000000000700000002000000016100000003020000000000000001000101\
+             0000000162000000030400000001780340040000000000000400000000"
+        );
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Pin.encode()).expect("write");
+        assert_eq!(hex(&wire), "00000001af63be4c8601b99203");
     }
 
     #[test]
     fn unknown_kind_is_typed() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(200);
         assert!(matches!(
-            Request::decode(buf.freeze()),
+            Request::decode([200u8]),
             Err(WireError::UnknownKind(200))
         ));
     }

@@ -139,6 +139,42 @@ fn malformed_frames_get_typed_errors_and_only_that_connection_drops() {
     handle.stop();
 }
 
+/// 200,000 nested trace-context headers — a 1.8 MB payload, far under
+/// the frame cap — as the very first frame, before any handshake or auth:
+/// decoding must not descend once per header (a stack overflow aborts
+/// the whole process, every session with it).
+#[test]
+fn deeply_nested_trace_context_as_first_frame_leaves_the_server_up() {
+    let flor = served_flor();
+    let server = Server::bind(flor, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+    let mut good = Client::connect(addr, None).expect("good client");
+
+    let mut deep = Vec::new();
+    for id in 0..200_000u64 {
+        deep.push(8); // Request::Traced
+        deep.extend_from_slice(&id.to_be_bytes());
+    }
+    deep.extend_from_slice(&Request::Pin.encode());
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    write_frame(&mut s, &deep).expect("nested frame");
+    expect_error_then_eof(&mut s, ErrorCode::BadRequest);
+
+    // The session opened before still answers, and so does a new one.
+    let (_, df) = good
+        .query(&QueryPlan::new(&["loss"]))
+        .expect("query after abuse");
+    assert_eq!(df.n_rows(), 1);
+    let mut fresh = Client::connect(addr, None).expect("fresh client");
+    fresh.pin().expect("fresh pin");
+    fresh.close().expect("close");
+    good.close().expect("close");
+    handle.stop();
+}
+
 #[test]
 fn auth_token_gate_refuses_bad_handshakes() {
     let flor = served_flor();

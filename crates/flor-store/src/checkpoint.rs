@@ -47,13 +47,15 @@
 //!   serialize each distinct string once.
 //!
 //! [`encode_checkpoint`] writes version 2 and rejects the one shape it
-//! cannot express — a table with non-uniform row arity, impossible
-//! through the schema'd write path; [`decode_checkpoint`] and
+//! cannot express — a table whose rows differ in arity or have none,
+//! impossible through the schema'd write path; [`decode_checkpoint`] and
 //! [`peek_sidecar`] share one header parser and accept both versions.
+//! A sidecar is outside input: it is read through [`crate::codec`]'s
+//! checked cursor, and every count in it is held to that module's
+//! `count` rule before anything is sized by it.
 
-use crate::codec::{decode_row, decode_value, encode_value, fnv1a, CodecError};
+use crate::codec::{decode_row, decode_value, encode_value, fnv1a, CodecError, Cursor, Put};
 use crate::db::StoreError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flor_df::Value;
 use std::collections::HashMap;
 use std::fs::File;
@@ -73,6 +75,9 @@ const HEADER_BYTES: usize = 13;
 /// The header plus the body's leading `[epoch u64][max_txn u64]` — all a
 /// [`peek_sidecar`] reads.
 const PEEK_BYTES: usize = HEADER_BYTES + 16;
+/// The least a table block occupies, in either version: an empty name's
+/// `[name_len u16]` and `[n_rows u64]`.
+const MIN_TABLE_BYTES: usize = 10;
 
 /// Plain column payload: `n_rows` tagged values.
 const ENC_PLAIN: u8 = 0;
@@ -106,23 +111,24 @@ pub fn sidecar_path(wal_path: &Path) -> PathBuf {
 }
 
 /// Serialize a checkpoint in the columnar (version 2) layout — the only
-/// one written. A table whose rows disagree on arity has no columnar
-/// form (and cannot come through the schema'd write path): that is an
-/// error, not a reason to switch formats.
+/// one written. A table whose rows disagree on arity, or have no cells,
+/// has no columnar form the reader accepts (and cannot come through the
+/// schema'd write path): that is an error, not a reason to switch
+/// formats.
 pub fn encode_checkpoint(data: &CheckpointData) -> Result<Vec<u8>, CodecError> {
-    let mut body = BytesMut::new();
+    let mut body = Vec::new();
     body.put_u64(data.epoch);
     body.put_u64(data.max_txn);
     body.put_u16(data.tables.len() as u16);
     for (name, rows) in &data.tables {
         let n_cols = rows.first().map_or(0, Vec::len);
-        if rows.iter().any(|r| r.len() != n_cols) {
+        if rows.iter().any(|r| r.len() != n_cols || r.is_empty()) {
             return Err(CodecError::Malformed(format!(
-                "table {name} has rows of differing arity"
+                "table {name} has rows of differing or zero arity"
             )));
         }
         body.put_u16(name.len() as u16);
-        body.put_slice(name.as_bytes());
+        body.extend_from_slice(name.as_bytes());
         body.put_u64(rows.len() as u64);
         body.put_u16(n_cols as u16);
         for c in 0..n_cols {
@@ -140,7 +146,7 @@ pub fn encode_checkpoint(data: &CheckpointData) -> Result<Vec<u8>, CodecError> {
 /// Encode one column of a uniform-arity table. String columns (nulls
 /// allowed) whose distinct count is at most half the row count use the
 /// dictionary layout; everything else is plain tagged values.
-fn encode_column(rows: &[Vec<Value>], c: usize, body: &mut BytesMut) {
+fn encode_column(rows: &[Vec<Value>], c: usize, body: &mut Vec<u8>) {
     let dictable = rows
         .iter()
         .all(|r| matches!(&r[c], Value::Str(_) | Value::Null))
@@ -157,11 +163,10 @@ fn encode_column(rows: &[Vec<Value>], c: usize, body: &mut BytesMut) {
             }
         }
         if dict.len() * 2 <= rows.len() {
-            body.put_u8(ENC_DICT);
+            body.push(ENC_DICT);
             body.put_u32(dict.len() as u32);
             for s in &dict {
-                body.put_u32(s.len() as u32);
-                body.put_slice(s.as_bytes());
+                body.put_str(s);
             }
             let null_code = dict.len() as u32;
             for row in rows {
@@ -173,52 +178,35 @@ fn encode_column(rows: &[Vec<Value>], c: usize, body: &mut BytesMut) {
             return;
         }
     }
-    body.put_u8(ENC_PLAIN);
+    body.push(ENC_PLAIN);
     for row in rows {
         encode_value(&row[c], body);
     }
 }
 
-fn decode_column(b: &mut Bytes, n_rows: usize) -> Result<Vec<Value>, CodecError> {
-    if b.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    match b.get_u8() {
-        ENC_PLAIN => (0..n_rows).map(|_| decode_value(b)).collect(),
+/// Decode one column of `n_rows` cells (the caller has checked that the
+/// body can hold `n_rows` of anything).
+fn decode_column(c: &mut Cursor, n_rows: usize) -> Result<Vec<Value>, CodecError> {
+    match c.u8()? {
+        ENC_PLAIN => (0..n_rows).map(|_| decode_value(c)).collect(),
         ENC_DICT => {
-            if b.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let n_dict = b.get_u32() as usize;
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(n_dict.min(1 << 20));
-            for _ in 0..n_dict {
-                if b.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let len = b.get_u32() as usize;
-                if b.remaining() < len {
-                    return Err(CodecError::Truncated);
-                }
-                let raw = b.copy_to_bytes(len);
-                let s =
-                    std::str::from_utf8(&raw).map_err(|e| CodecError::Malformed(e.to_string()))?;
-                dict.push(Arc::from(s));
-            }
-            let mut out = Vec::with_capacity(n_rows.min(1 << 20));
+            // An entry is at least its `[len u32]`.
+            let n_dict = c.count(Cursor::u32, 4)?;
+            let dict = (0..n_dict)
+                .map(|_| c.str(Cursor::u32).map(Arc::<str>::from))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut out = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
-                if b.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let code = b.get_u32() as usize;
-                if code == n_dict {
-                    out.push(Value::Null);
-                } else if code < n_dict {
-                    out.push(Value::Str(Arc::clone(&dict[code])));
-                } else {
-                    return Err(CodecError::Malformed(format!(
-                        "dictionary code {code} out of range ({n_dict} entries)"
-                    )));
-                }
+                let code = c.u32()? as usize;
+                out.push(match dict.get(code) {
+                    Some(s) => Value::Str(Arc::clone(s)),
+                    None if code == n_dict => Value::Null,
+                    None => {
+                        return Err(CodecError::Malformed(format!(
+                            "dictionary code {code} out of range ({n_dict} entries)"
+                        )))
+                    }
+                });
             }
             Ok(out)
         }
@@ -234,78 +222,61 @@ fn decode_column(b: &mut Bytes, n_rows: usize) -> Result<Vec<Value>, CodecError>
 /// and the sidecar's identity; the checksum is *not* verified here (a
 /// peek never reads the body).
 fn parse_header(bytes: &[u8]) -> Result<(u8, SidecarMark), CodecError> {
-    let Some(h) = bytes.first_chunk::<PEEK_BYTES>() else {
-        return Err(CodecError::Truncated);
-    };
-    let u64_at = |at: usize| u64::from_be_bytes(std::array::from_fn(|i| h[at + i]));
-    if u32::from_be_bytes(std::array::from_fn(|i| h[i])) != MAGIC {
+    let mut c = Cursor::new(bytes);
+    if c.u32()? != MAGIC {
         return Err(CodecError::Malformed("bad checkpoint magic".into()));
     }
-    let version = h[4];
+    let version = c.u8()?;
     if version != VERSION_ROW && version != VERSION_COLUMNAR {
         return Err(CodecError::Malformed(format!(
             "unsupported checkpoint version {version}"
         )));
     }
     let mark = SidecarMark {
-        crc: u64_at(5),
-        epoch: u64_at(HEADER_BYTES),
-        max_txn: u64_at(HEADER_BYTES + 8),
+        crc: c.u64()?,
+        epoch: c.u64()?,
+        max_txn: c.u64()?,
     };
     Ok((version, mark))
 }
 
 /// Decode a checkpoint blob (header, checksum, body) of either body
-/// version. Takes the bytes by value: the body is consumed through a
-/// zero-copy [`Bytes`] view, so the only per-cell copies are the
-/// decoded values themselves.
-pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<CheckpointData, CodecError> {
-    let (version, mark) = parse_header(&bytes)?;
-    let body = Bytes::from(bytes).slice(HEADER_BYTES..);
-    if fnv1a(&body) != mark.crc {
+/// version. The blob is outside input: every table, row, column and
+/// dictionary count goes through [`Cursor::count`], so none of them sizes
+/// an allocation the blob's own length does not cover.
+pub fn decode_checkpoint(bytes: impl AsRef<[u8]>) -> Result<CheckpointData, CodecError> {
+    let bytes = bytes.as_ref();
+    let (version, mark) = parse_header(bytes)?;
+    let mut c = Cursor::new(bytes);
+    c.take(HEADER_BYTES)?;
+    if fnv1a(c.rest()) != mark.crc {
         return Err(CodecError::BadChecksum);
     }
-    let mut b = body.slice(16..); // epoch + max_txn are already in `mark`
-    if b.remaining() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let n_tables = b.get_u16() as usize;
+    c.take(PEEK_BYTES - HEADER_BYTES)?; // epoch + max_txn are already in `mark`
+    let n_tables = c.count(Cursor::u16, MIN_TABLE_BYTES)?;
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
-        if b.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        let nlen = b.get_u16() as usize;
-        if b.remaining() < nlen {
-            return Err(CodecError::Truncated);
-        }
-        let raw = b.copy_to_bytes(nlen);
-        let name = std::str::from_utf8(&raw)
-            .map_err(|e| CodecError::Malformed(e.to_string()))?
-            .to_string();
-        if b.remaining() < 8 {
-            return Err(CodecError::Truncated);
-        }
-        let n_rows = b.get_u64() as usize;
+        let name = c.str(Cursor::u16)?.to_string();
         let rows = if version == VERSION_ROW {
-            let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
-            for _ in 0..n_rows {
-                rows.push(decode_row(&mut b)?);
-            }
-            rows
+            // A row is at least its `[arity u16]`.
+            let n_rows = c.count(Cursor::u64, 2)?;
+            (0..n_rows)
+                .map(|_| decode_row(&mut c))
+                .collect::<Result<Vec<_>, _>>()?
         } else {
-            if b.remaining() < 2 {
-                return Err(CodecError::Truncated);
-            }
-            let n_cols = b.get_u16() as usize;
-            let mut cols = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                cols.push(decode_column(&mut b, n_rows)?);
+            // Every column spends at least a byte per row, so with any
+            // column at all `n_rows` cannot exceed the bytes left.
+            let n_rows = c.count(Cursor::u64, 1)?;
+            let n_cols = c.count(Cursor::u16, 1)?;
+            if n_cols == 0 && n_rows > 0 {
+                return Err(CodecError::Malformed(format!(
+                    "table {name} declares {n_rows} rows and no columns"
+                )));
             }
             // Transpose back to the row-major interchange shape.
             let mut rows = vec![Vec::with_capacity(n_cols); n_rows];
-            for col in cols {
-                for (row, v) in rows.iter_mut().zip(col) {
+            for _ in 0..n_cols {
+                for (row, v) in rows.iter_mut().zip(decode_column(&mut c, n_rows)?) {
                     row.push(v);
                 }
             }
@@ -474,7 +445,7 @@ mod tests {
         };
         let v2 = encode_checkpoint(&data).unwrap();
         // What the row-major layout costs: every row repeats its string.
-        let mut row_major = BytesMut::new();
+        let mut row_major = Vec::new();
         for row in &data.tables[0].1 {
             crate::codec::encode_row(row, &mut row_major);
         }
@@ -529,13 +500,53 @@ mod tests {
     }
 
     #[test]
+    fn rows_without_columns_are_refused_before_allocating() {
+        // A checksum-valid 48-byte sidecar: one table, `n_rows` rows, no
+        // columns — so no cell ever bounds the declared row count.
+        let blob = |n_rows: u64| {
+            let mut body = Vec::new();
+            body.put_u64(1);
+            body.put_u64(1);
+            body.put_u16(1);
+            body.put_u16(5);
+            body.extend_from_slice(b"loops");
+            body.put_u64(n_rows);
+            body.put_u16(0);
+            let mut out = MAGIC.to_be_bytes().to_vec();
+            out.push(VERSION_COLUMNAR);
+            out.put_u64(fnv1a(&body));
+            out.extend_from_slice(&body);
+            assert_eq!(out.len(), 48);
+            out
+        };
+        // 2^44 row vectors would abort the process on allocation.
+        assert_eq!(decode_checkpoint(blob(1 << 44)), Err(CodecError::Truncated));
+        assert!(matches!(
+            decode_checkpoint(blob(1)),
+            Err(CodecError::Malformed(_))
+        ));
+        let empty = decode_checkpoint(blob(0)).unwrap();
+        assert_eq!(empty.tables, vec![("loops".to_string(), Vec::new())]);
+        // The writer refuses the same shape.
+        let data = CheckpointData {
+            epoch: 1,
+            max_txn: 1,
+            tables: vec![("loops".into(), vec![Vec::new()])],
+        };
+        assert!(matches!(
+            encode_checkpoint(&data),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn corruption_is_detected() {
         let data = sample();
         let mut bytes = encode_checkpoint(&data).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         assert!(matches!(
-            decode_checkpoint(bytes[..5].to_vec()),
+            decode_checkpoint(&bytes[..5]),
             Err(CodecError::Truncated)
         ));
         assert!(matches!(

@@ -11,7 +11,10 @@
 //! one loop, [`read_frames`]; every consumer — the leader's open, the
 //! checkpoint truncation, a follower's bootstrap, polls and lag probe —
 //! is a policy over those two (what a torn or corrupt end means to it,
-//! and what it does with a committed transaction).
+//! and what it does with a committed transaction). The frame itself —
+//! layout, writer, reader, and the ways a stream can end — is
+//! [`crate::codec`]'s; this module only maps those ends to [`StreamEnd`]
+//! and holds both sides of the log to one payload cap.
 //!
 //! Recovery *streams* frames from the log (one buffer per frame) instead
 //! of slurping the whole file into memory, so reopening a database costs
@@ -20,8 +23,10 @@
 //! the sidecar snapshot and replays only the records the checkpoint does
 //! not cover (`base_txn` below).
 
-use crate::codec::{decode_payload, encode_record, fnv1a, CodecError, WalRecord};
-use bytes::Bytes;
+use crate::codec::{
+    self, decode_payload, encode_payload, encode_record, CodecError, FrameEnd, WalRecord,
+    FRAME_HEADER_BYTES,
+};
 use flor_df::Value;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -59,11 +64,13 @@ fn open_append(path: &Path) -> std::io::Result<File> {
         .open(path)
 }
 
-/// Upper bound on a single frame's payload. Real frames are far smaller
-/// (rows, plus occasional `obj_store` blobs); a length prefix beyond this
-/// is treated as tail corruption rather than honoured with a giant
-/// allocation.
-const MAX_FRAME_BYTES: usize = 1 << 30;
+/// Upper bound on a single frame's payload, enforced on both sides of
+/// the log. Real frames are far smaller (rows, plus occasional
+/// `obj_store` blobs), so a reader treats a length prefix beyond this as
+/// tail corruption rather than honouring it with a giant allocation —
+/// and [`Wal::append`] refuses to write one, or an acknowledged record
+/// would read back as crash damage.
+const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// Where the WAL lives: a real file, or in memory (for tests and
 /// benchmarks that should not touch disk).
@@ -153,17 +160,17 @@ impl Wal {
 
     /// Append a record. File backend writes through to the OS immediately
     /// (the file is opened in append mode); callers control transaction
-    /// visibility via commit markers, not buffering.
+    /// visibility via commit markers, not buffering. A record whose
+    /// payload exceeds the frame cap recovery enforces is refused
+    /// (`InvalidInput`) and nothing is written.
     pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        let frame = encode_record(rec);
+        let payload = encode_payload(rec);
         match &mut self.backend {
-            WalBackend::File { file, .. } => {
-                file.write_all(&frame)?;
-            }
-            WalBackend::Memory(buf) => buf.extend_from_slice(&frame),
+            WalBackend::File { file, .. } => codec::write_frame(file, &payload, MAX_FRAME_BYTES)?,
+            WalBackend::Memory(buf) => codec::write_frame(buf, &payload, MAX_FRAME_BYTES)?,
         }
         self.records_written += 1;
-        self.bytes_written += frame.len() as u64;
+        self.bytes_written += (FRAME_HEADER_BYTES + payload.len()) as u64;
         Ok(())
     }
 
@@ -308,78 +315,33 @@ impl StreamEnd {
     }
 }
 
-/// Read one `[len:u32][crc:u64][payload]` frame from `r`: the record and
-/// its framed size in bytes (header + payload), or why there is none.
-fn read_frame(r: &mut impl Read) -> std::io::Result<Result<(WalRecord, u64), StreamEnd>> {
-    let mut header = [0u8; 12];
-    match read_exact_or_eof(r, &mut header)? {
-        FillResult::Empty => return Ok(Err(StreamEnd::Clean)),
-        FillResult::Partial => return Ok(Err(StreamEnd::Partial)),
-        FillResult::Full => {}
-    }
-    // audit: allow(panic) — `header` is a [u8; 12] filled by
-    // read_exact_or_eof; the fixed-offset slices always convert.
-    let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u64::from_be_bytes(header[4..12].try_into().expect("8 bytes")); // audit: allow(panic) — fixed [u8; 12] header
-    if len > MAX_FRAME_BYTES {
-        return Ok(Err(StreamEnd::Partial));
-    }
-    let mut payload = vec![0u8; len];
-    if !matches!(read_exact_or_eof(r, &mut payload)?, FillResult::Full) {
-        return Ok(Err(StreamEnd::Partial));
-    }
-    if fnv1a(&payload) != crc {
-        return Ok(Err(StreamEnd::Corrupt(CodecError::BadChecksum)));
-    }
-    Ok(decode_payload(Bytes::from(payload))
-        .map(|rec| (rec, 12 + len as u64))
-        .map_err(StreamEnd::Corrupt))
-}
-
-enum FillResult {
-    Full,
-    Empty,
-    Partial,
-}
-
-/// `read_exact`, but distinguishing "stream ended before the first byte"
-/// from "stream ended mid-buffer" (a torn frame).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<FillResult> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..])? {
-            0 => {
-                return Ok(if filled == 0 {
-                    FillResult::Empty
-                } else {
-                    FillResult::Partial
-                })
-            }
-            n => filled += n,
-        }
-    }
-    Ok(FillResult::Full)
-}
-
-/// The one log reader: stream every whole frame of `r` through `each`, in
-/// log order, and report the bytes those frames occupy and how the stream
-/// ended. It interprets nothing — commit markers are [`TxnFold`]'s job,
-/// and what a torn or corrupt end *means* is the caller's policy
-/// ([`Wal::recover`], [`stage_tail`], [`tail_from`]).
+/// The one log reader: stream every whole frame of `r`
+/// ([`codec::read_frame`]) through `each`, in log order, and report the
+/// bytes those frames occupy and how the stream ended. A length over the
+/// cap is what a torn header looks like — nothing [`Wal::append`]
+/// acknowledged has one. It interprets nothing else — commit markers are
+/// [`TxnFold`]'s job, and what a torn or corrupt end *means* is the
+/// caller's policy ([`Wal::recover`], [`stage_tail`], [`tail_from`]).
 pub fn read_frames(
     mut r: impl Read,
     mut each: impl FnMut(WalRecord),
 ) -> Result<(u64, StreamEnd), WalError> {
     let mut bytes = 0u64;
-    loop {
-        match read_frame(&mut r)? {
-            Ok((rec, n)) => {
-                bytes += n;
-                each(rec);
-            }
-            Err(end) => return Ok((bytes, end)),
+    let end = loop {
+        match codec::read_frame(&mut r, MAX_FRAME_BYTES)? {
+            Ok(payload) => match decode_payload(&payload) {
+                Ok(rec) => {
+                    bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
+                    each(rec);
+                }
+                Err(e) => break StreamEnd::Corrupt(e),
+            },
+            Err(FrameEnd::Clean) => break StreamEnd::Clean,
+            Err(FrameEnd::Partial | FrameEnd::TooLarge { .. }) => break StreamEnd::Partial,
+            Err(FrameEnd::BadChecksum) => break StreamEnd::Corrupt(CodecError::BadChecksum),
         }
-    }
+    };
+    Ok((bytes, end))
 }
 
 /// The records of `read` with `txn > keep_txn_above`, up to a torn tail,
@@ -702,7 +664,7 @@ mod tests {
         let payload = [0xEEu8];
         let mut bytes = frames(&[ins(1, "logs", 1)]);
         bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        bytes.extend_from_slice(&codec::fnv1a(&payload).to_be_bytes());
         bytes.extend_from_slice(&payload);
         let (_, _, end) = replay_bytes(&bytes);
         assert_eq!(end, StreamEnd::Corrupt(CodecError::BadTag(0xEE)));
@@ -769,7 +731,7 @@ mod tests {
         // recovery refuses it and leaves the file alone.
         let payload = [0xEEu8];
         let mut bad = (payload.len() as u32).to_be_bytes().to_vec();
-        bad.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        bad.extend_from_slice(&codec::fnv1a(&payload).to_be_bytes());
         bad.extend_from_slice(&payload);
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&bad).unwrap();

@@ -308,14 +308,14 @@ fn clustering_invariant_after_compacting_shuffled_monolith() {
 /// `[epoch][max_txn][n_tables]` and per table `[name][n_rows][rows…]`.
 /// The writer is gone from the crate; the reader must keep working.
 fn v1_blob(data: &flor_store::checkpoint::CheckpointData) -> Vec<u8> {
-    use bytes::{BufMut, BytesMut};
-    let mut body = BytesMut::new();
+    use flor_store::codec::Put;
+    let mut body = Vec::new();
     body.put_u64(data.epoch);
     body.put_u64(data.max_txn);
     body.put_u16(data.tables.len() as u16);
     for (name, rows) in &data.tables {
         body.put_u16(name.len() as u16);
-        body.put_slice(name.as_bytes());
+        body.extend_from_slice(name.as_bytes());
         body.put_u64(rows.len() as u64);
         for row in rows {
             flor_store::codec::encode_row(row, &mut body);
