@@ -7,13 +7,11 @@
 //! loop-context (`ctx_id`) stack.
 
 use crate::jobs::JobOutcome;
-use flor_df::{DataFrame, DataType, Value};
+use flor_df::{DataFrame, Value};
 use flor_git::{Oid, Repository, VirtualFs};
 use flor_jobs::{JobBoard, JobRunner};
 use flor_obs::{MetricsRegistry, MetricsSnapshot};
-use flor_store::{
-    flor_schema, CompactionTrigger, Database, Snapshot, StoreError, StoreResult, TailProgress,
-};
+use flor_store::{flor_schema, CompactionTrigger, Database, StoreError, StoreResult, TailProgress};
 use flor_view::ViewCatalog;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -559,103 +557,6 @@ impl Flor {
     /// from-scratch equivalent and the correctness oracle.
     pub fn dataframe(&self, names: &[&str]) -> StoreResult<DataFrame> {
         self.query(names).collect()
-    }
-
-    /// The from-scratch pivot behind [`Flor::execute_at`]: resolve the
-    /// loop-context chains of the fetched `logs` rows (in commit order,
-    /// by the store's read-order contract — see `flor_store::segment` —
-    /// which is the order the change feed delivers deltas, so both paths
-    /// produce identical frames) against `snap`'s `loops` table and
-    /// pivot long → wide. All reads are lock-free and reflect exactly
-    /// `snap.epoch()`.
-    pub(crate) fn pivot_logs(snap: &Snapshot, logs: DataFrame) -> StoreResult<DataFrame> {
-        // 1. Resolve ctx chains from the loops table.
-        let loops = snap.scan("loops")?;
-        #[derive(Clone)]
-        struct CtxRow {
-            parent: i64,
-            loop_name: String,
-            iteration: i64,
-            value: String,
-        }
-        let mut ctx: HashMap<i64, CtxRow> = HashMap::new();
-        for r in loops.rows() {
-            let id = r.get("ctx_id").and_then(Value::as_i64).unwrap_or(0);
-            ctx.insert(
-                id,
-                CtxRow {
-                    parent: r.get("parent_ctx_id").and_then(Value::as_i64).unwrap_or(0),
-                    loop_name: r.get("loop_name").map(|v| v.to_text()).unwrap_or_default(),
-                    iteration: r.get("loop_iteration").and_then(Value::as_i64).unwrap_or(0),
-                    value: r
-                        .get("iteration_value")
-                        .map(|v| v.to_text())
-                        .unwrap_or_default(),
-                },
-            );
-        }
-        // 2. Long frame with dimension columns.
-        let mut long = DataFrame::new();
-        for r in logs.rows() {
-            let mut entries: Vec<(String, Value)> = vec![
-                (
-                    "projid".to_string(),
-                    r.get("projid").cloned().unwrap_or(Value::Null),
-                ),
-                (
-                    "tstamp".to_string(),
-                    r.get("tstamp").cloned().unwrap_or(Value::Null),
-                ),
-                (
-                    "filename".to_string(),
-                    r.get("filename").cloned().unwrap_or(Value::Null),
-                ),
-            ];
-            // Walk the ctx chain outward, then reverse to outermost-first.
-            let mut chain = Vec::new();
-            let mut cur = r.get("ctx_id").and_then(Value::as_i64).unwrap_or(0);
-            while cur != 0 {
-                let Some(row) = ctx.get(&cur) else { break };
-                chain.push(row.clone());
-                cur = row.parent;
-            }
-            chain.reverse();
-            for c in &chain {
-                entries.push((
-                    format!("{}_iteration", c.loop_name),
-                    Value::Int(c.iteration),
-                ));
-                entries.push((
-                    format!("{}_value", c.loop_name),
-                    Value::from(c.value.as_str()),
-                ));
-            }
-            // Decode the stored value via its type tag.
-            let tag = r.get("value_type").and_then(Value::as_i64).unwrap_or(4);
-            let text = r.get("value").map(|v| v.to_text()).unwrap_or_default();
-            let value = Value::from_text(&text, DataType::from_tag(tag));
-            entries.push((
-                "value_name".to_string(),
-                r.get("value_name").cloned().unwrap_or(Value::Null),
-            ));
-            entries.push(("value".to_string(), value));
-            let refs: Vec<(&str, Value)> = entries
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            long.push_row(&refs);
-        }
-        if long.n_rows() == 0 {
-            return Ok(DataFrame::new());
-        }
-        // 3. Pivot: index = all columns except value_name/value.
-        let index: Vec<&str> = long
-            .column_names()
-            .into_iter()
-            .filter(|c| *c != "value_name" && *c != "value")
-            .collect();
-        long.pivot(&index, "value_name", "value")
-            .map_err(StoreError::Df)
     }
 
     /// Convenience: dataframe + `latest` (paper Fig. 6's

@@ -13,8 +13,10 @@
 //!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
 //!   Two executors sit behind it: [`Flor::run_plan`] (incremental, view
 //!   catalog) and [`Flor::execute_at`] (from scratch at a pinned
-//!   snapshot — the oracle, and what `flor-serve` answers with); tracing
-//!   is an inert-when-off handle passed to both, never a second path;
+//!   snapshot, index predicates and `latest` / top-K cuts run below the
+//!   pivot — the oracle, and what `flor-serve` answers with, reporting a
+//!   whole-plan [`PlanExplain`]); tracing is an inert-when-off handle
+//!   passed to both, never a second path;
 //! * [`run_script`] — execute a versioned florscript file under full
 //!   instrumentation with a checkpoint policy, persisting replay metadata;
 //! * [`backfill`] — multiversion hindsight logging: propagate new log
@@ -43,6 +45,7 @@
 pub mod hindsight;
 pub mod jobs;
 pub mod kernel;
+mod pivot;
 pub mod query;
 pub mod runtime;
 
@@ -52,5 +55,5 @@ pub use jobs::{
     CHECKPOINT_PRIORITY, COMPACTION_PRIORITY, DEFAULT_REPLAY_PARALLELISM,
 };
 pub use kernel::{Flor, BLOB_SPILL_BYTES, DEFAULT_CHECKPOINT_THRESHOLD_BYTES, DEFAULT_JOB_WORKERS};
-pub use query::{ExplainReport, QueryBuilder};
+pub use query::{ExplainReport, PlanExplain, QueryBuilder};
 pub use runtime::{load_record, persist_record, run_script, RunError, RunOutcome, ScriptRuntime};

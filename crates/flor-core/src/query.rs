@@ -5,18 +5,21 @@
 //! ML-lifecycle context — filter runs by hyperparameter, slice metrics
 //! per epoch, take the latest per group. [`Flor::query`] builds a
 //! [`QueryPlan`] lazily; nothing touches the store until a `collect`
-//! call, at which point the plan lowers through three layers (store
-//! index pushdown → incrementally maintained view → dataframe
-//! post-pass; see [`flor_view::plan`]). The paper's two read calls,
-//! [`Flor::dataframe`] and [`Flor::dataframe_latest`], are one-line
-//! wrappers over this builder.
+//! call. The paper's two read calls, [`Flor::dataframe`] and
+//! [`Flor::dataframe_latest`], are one-line wrappers over this builder.
 //!
-//! There are two executors and no more. [`Flor::run_plan`] serves a plan
-//! incrementally from the view catalog; [`Flor::execute_at`] runs it
-//! from scratch against a pinned snapshot ([`Flor::run_plan_at`] and
-//! [`Flor::run_plan_full`] are its one-line callers) and is both the
-//! oracle every incremental answer is checked against and the path
-//! `flor-serve` answers sessions with. Both take tracing as an
+//! There are two executors and no more, and both end with the plan's
+//! whole [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
+//! incrementally from the view catalog, which maintains `projid` /
+//! `tstamp` / `filename` predicates and `latest` inside the view.
+//! [`Flor::execute_at`] runs it from scratch against a pinned snapshot
+//! ([`Flor::run_plan_at`] and [`Flor::run_plan_full`] are its one-line
+//! callers), pushing index predicates into the `logs` fetch and cutting
+//! `latest` / top-K before the pivot ([`QueryPlan::below_pivot`]; the
+//! table in [`flor_view::plan`] says which step runs where). It is both
+//! the oracle every incremental answer is checked against and the path
+//! `flor-serve` answers sessions with, and it reports every step's rows
+//! in and out as a [`PlanExplain`]. Both take tracing as an
 //! [`ActiveTrace`] handle that is inert when tracing and the slow log
 //! are off, so neither has a traced twin.
 //!
@@ -53,6 +56,7 @@
 //! ```
 
 use crate::kernel::Flor;
+use crate::pivot::{Chains, LogRows, PivotSchema};
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
 use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
@@ -224,10 +228,9 @@ impl Flor {
         })
     }
 
-    /// Execute a [`QueryPlan`] from scratch at the current epoch:
-    /// re-fetch, re-join and re-pivot the base tables, then apply the
-    /// whole plan as a post-pass. The correctness oracle for
-    /// [`Flor::run_plan`].
+    /// Execute a [`QueryPlan`] from scratch at the current epoch
+    /// ([`Flor::execute_at`] on a fresh snapshot, untraced). The
+    /// correctness oracle for [`Flor::run_plan`].
     pub fn run_plan_full(&self, plan: &QueryPlan) -> StoreResult<DataFrame> {
         self.run_plan_at(&self.db.pin(), plan)
     }
@@ -245,57 +248,193 @@ impl Flor {
     }
 
     /// The snapshot executor — the single from-scratch execution body.
-    /// The base `logs` fetch ([`QueryPlan::logs_fetch`], the query the
-    /// view build runs), the loop-context join
-    /// and pivot, and the whole plan post-pass all read `snap`, so the
-    /// frame reflects exactly `snap.epoch()` no matter how many commits
-    /// land meanwhile. This is how `flor-serve` answers every request of
-    /// a session at the epoch the session pinned: byte-identical to what
-    /// [`Flor::run_plan_full`] would have returned at that moment.
+    /// Every read is of `snap`, so the frame reflects exactly
+    /// `snap.epoch()` no matter how many commits land meanwhile. This is
+    /// how `flor-serve` answers every request of a session at the epoch
+    /// the session pinned: byte-identical to what [`Flor::run_plan_full`]
+    /// would have returned at that moment.
     ///
-    /// `tr` records child spans `store.scan` (access path and zone
-    /// pruning as a span event), `pivot`, and `post_pass` when one runs
-    /// — or nothing at all when it is inert; the frame is the same
-    /// either way. The measured [`QueryExplain`] rides along for
-    /// slow-query capture.
+    /// The plan decides, step by step in [`QueryPlan::post_pass`] order,
+    /// what runs below the pivot ([`QueryPlan::below_pivot`]): predicates
+    /// on `projid` / `tstamp` / `filename` join the `logs` fetch
+    /// ([`QueryPlan::logs_fetch`]), so index postings, zone maps and
+    /// binary search prune before rows materialise; predicates on loop
+    /// dimensions test each fetched row's index key; `latest` and top-K
+    /// cut the rows to the keys they would keep. When anything is pushed,
+    /// a schema pass over the `ctx_id` / `value_name` of every projected
+    /// row fixes the full pivot's columns, and the reduced pivot is
+    /// conformed to them. Then the **whole** post-pass runs, whatever was
+    /// pushed: each pushed step is a filter it repeats or a cut its later
+    /// steps would make. A plan with nothing to push (or whose pushed
+    /// columns the schema pass cannot place) takes this same path with
+    /// an empty push set: no schema pass, the plain pivot.
+    ///
+    /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
+    /// when one runs, with each step's rows in and out as span events —
+    /// or nothing at all when it is inert; the frame is the same either
+    /// way. The measured [`PlanExplain`] rides along for slow-query
+    /// capture.
     pub fn execute_at(
         &self,
         snap: &flor_store::Snapshot,
         plan: &QueryPlan,
         tr: &mut ActiveTrace,
-    ) -> StoreResult<(DataFrame, QueryExplain)> {
+    ) -> StoreResult<(DataFrame, PlanExplain)> {
         let scan = tr.begin("store.scan");
-        let (logs, explain) = snap.explain(&plan.logs_fetch())?;
+        let mut chains = Chains::read(snap)?;
+        let lowered = plan.below_pivot();
+        // The schema pass reads the fetch itself when no predicate joins
+        // it, and the projected rows' two columns when one does.
+        let (logs, store, schema) = if lowered.store.is_empty() {
+            let (logs, store) = snap.explain(&plan.logs_fetch())?;
+            let schema = if lowered.is_empty() {
+                None
+            } else {
+                Some(PivotSchema::scan(&logs, &mut chains)?)
+            };
+            (logs, store, schema)
+        } else {
+            let projected = plan.logs_fetch().project(&["ctx_id", "value_name"]);
+            let schema = PivotSchema::scan(&snap.query(&projected)?, &mut chains)?;
+            let mut fetch = plan.logs_fetch();
+            if schema.admits(&lowered, &plan.order_by) {
+                for p in &lowered.store {
+                    fetch = fetch.filter_pred(p.clone());
+                }
+            }
+            let (logs, store) = snap.explain(&fetch)?;
+            (logs, store, Some(schema))
+        };
+        let below = schema
+            .filter(|s| s.admits(&lowered, &plan.order_by))
+            .map(|s| (lowered, s));
         tr.event(|| {
             format!(
                 "access={} segments={}/{} pruned={} rows examined={} returned={}",
-                explain.access,
-                explain.segments_scanned,
-                explain.segments_total,
-                explain.segments_pruned,
-                explain.rows_examined,
-                explain.rows_returned,
+                store.access,
+                store.segments_scanned,
+                store.segments_total,
+                store.segments_pruned,
+                store.rows_examined,
+                store.rows_returned,
             )
         });
+        let mut explain = PlanExplain {
+            schema: below.as_ref().map(|(_, s)| (s.rows_read, s.n_cols())),
+            store,
+            key_predicates: None,
+            latest_cut: None,
+            top_k_cut: None,
+            pivot: (0, 0),
+            post_pass: None,
+        };
+        if let Some((rows, cols)) = explain.schema {
+            tr.event(|| format!("schema pass: {rows} rows read, {cols} columns"));
+        }
         tr.end(scan);
+
         let piv = tr.begin("pivot");
-        let base = Flor::pivot_logs(snap, logs)?;
+        let mut rows = LogRows::join(&logs, &mut chains)?;
+        if let Some((push, schema)) = &below {
+            if !push.key.is_empty() {
+                explain.key_predicates = Some(rows.key_predicates(&push.key));
+            }
+            if let Some(group) = &push.latest {
+                explain.latest_cut = Some(rows.latest_cut(group));
+            }
+            if let Some(n) = push.top_k {
+                explain.top_k_cut = Some(rows.top_k_cut(&plan.order_by, n, schema));
+            }
+        }
+        let wide = rows.pivot()?;
+        let base = match &below {
+            Some((_, schema)) => schema.conform(wide)?,
+            None => wide,
+        };
+        explain.pivot = (rows.len(), base.n_rows());
+        for (step, rows) in explain.steps() {
+            tr.event(|| step_line(step, rows));
+        }
         tr.end(piv);
         if plan.post_pass_is_identity(&plan.predicates, plan.latest_group.is_some()) {
             return Ok((base, explain));
         }
         let pp = tr.begin("post_pass");
         let out = plan.post_pass(&base, &plan.predicates, true)?;
+        let rows = (base.n_rows(), out.n_rows());
+        explain.post_pass = Some(rows);
+        tr.event(|| step_line("post-pass", rows));
         tr.end(pp);
         Ok((out, explain))
+    }
+}
+
+/// How one [`Flor::execute_at`] ran, step by step: the store's report
+/// for the `logs` fetch, then rows into and out of each step that ran
+/// (`None` for one that did not). Every count is a measurement of that
+/// execution. Renders as the store report followed by one line per step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanExplain {
+    /// The `logs` fetch, with any pushed store predicates joined: access
+    /// path, zone-map pruning, rows examined vs returned.
+    pub store: QueryExplain,
+    /// Projected rows the schema pass read and the columns it found —
+    /// run only when something was pushed below the pivot.
+    pub schema: Option<(usize, usize)>,
+    /// Rows into and out of the key predicates.
+    pub key_predicates: Option<(usize, usize)>,
+    /// Rows into and out of the `latest` cut.
+    pub latest_cut: Option<(usize, usize)>,
+    /// Rows into and out of the top-K cut.
+    pub top_k_cut: Option<(usize, usize)>,
+    /// Log rows into the pivot, wide rows out of it.
+    pub pivot: (usize, usize),
+    /// Wide rows into and out of the post-pass.
+    pub post_pass: Option<(usize, usize)>,
+}
+
+impl PlanExplain {
+    /// The steps from the key predicates on that ran, with rows in and
+    /// out — the report's tail and the trace's span events.
+    fn steps(&self) -> impl Iterator<Item = (&'static str, (usize, usize))> {
+        [
+            ("key predicates", self.key_predicates),
+            ("latest cut", self.latest_cut),
+            ("top-K cut", self.top_k_cut),
+            ("pivot", Some(self.pivot)),
+            ("post-pass", self.post_pass),
+        ]
+        .into_iter()
+        .filter_map(|(step, rows)| Some((step, rows?)))
+    }
+}
+
+/// One step of a [`PlanExplain`], as rendered and traced.
+fn step_line(step: &str, (rows_in, rows_out): (usize, usize)) -> String {
+    format!("{step}: {rows_in} rows in, {rows_out} out")
+}
+
+impl std::fmt::Display for PlanExplain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.store)?;
+        match self.schema {
+            Some((rows, cols)) => write!(f, "\n  schema pass: {rows} rows read, {cols} columns")?,
+            None => write!(f, "\n  nothing pushed below the pivot")?,
+        }
+        for (step, rows) in self.steps() {
+            write!(f, "\n  {}", step_line(step, rows))?;
+        }
+        Ok(())
     }
 }
 
 impl<'a> QueryBuilder<'a> {
     /// Keep rows where `col op value` over the pivoted view's columns
     /// (fixed context columns, loop dimensions, or logged values).
-    /// Predicates over `projid`/`tstamp`/`filename` are pushed down and
-    /// maintained inside the materialized view; the rest run as a cheap
+    /// Predicates over `projid`/`tstamp`/`filename` are maintained inside
+    /// the materialized view and, from scratch, join the store's `logs`
+    /// fetch; predicates over loop dimensions run on each fetched row's
+    /// key before the pivot; predicates over logged values run in the
     /// post-pass. A predicate naming an unknown column matches nothing.
     pub fn filter(mut self, col: &str, op: CmpOp, value: impl Into<Value>) -> Self {
         self.plan.predicates.push(Predicate::new(col, op, value));
@@ -367,9 +506,10 @@ impl<'a> QueryBuilder<'a> {
             .explain_report(&self.plan, &before, serve_nanos, frame)
     }
 
-    /// Execute from scratch (the correctness oracle): full re-pivot of
-    /// the projected history, then the whole plan as a post-pass —
-    /// equivalent to post-hoc filtering of the unfiltered pivot.
+    /// Execute from scratch (the correctness oracle): [`Flor::execute_at`]
+    /// on a fresh snapshot — what it pushes below the pivot, then the
+    /// whole plan as a post-pass — equal to post-hoc filtering of the
+    /// unfiltered pivot.
     pub fn collect_full(self) -> StoreResult<DataFrame> {
         self.flor.run_plan_full(&self.plan)
     }
@@ -504,13 +644,25 @@ mod tests {
         let mut tr = ActiveTrace::new(true, None, "query");
         let (traced, explain) = flor.execute_at(&snap, &plan, &mut tr).unwrap();
         assert_eq!(plain, traced);
-        assert!(explain.rows_returned > 0);
+        assert!(explain.store.rows_returned > 0);
         let trace = tr.into_trace().expect("recording handle");
         assert!(trace.span("store.scan").is_some());
         assert!(trace.span("pivot").is_some());
         assert!(trace.span("post_pass").is_some());
         let scan = trace.span("store.scan").unwrap();
         assert!(scan.events.iter().any(|e| e.message.contains("access=")));
+    }
+
+    #[test]
+    fn value_named_like_an_index_column_fails_pushed_or_not() {
+        let flor = seeded();
+        flor.log("epoch_iteration", 7);
+        flor.commit("clash").unwrap();
+        let names = ["loss", "epoch_iteration"];
+        assert!(flor.query(&names).collect_full().is_err());
+        let pushed = flor.query(&names).filter("tstamp", CmpOp::Eq, 2);
+        assert!(!pushed.plan().below_pivot().is_empty());
+        assert!(pushed.collect_full().is_err());
     }
 
     #[test]

@@ -161,6 +161,66 @@ fn slow_log_breach_and_explain_report_the_same_execution() {
     assert!(rendered.ends_with("rows returned to caller: 5"));
 }
 
+/// The snapshot executor's explain covers the whole plan: a selective
+/// plan's `tstamp` predicate joins the store fetch, so the store returns
+/// one run's rows and the pivot takes no more than those.
+#[test]
+fn snapshot_explain_reports_rows_through_every_step() {
+    let flor = Flor::new("explain");
+    flor.set_filename("train.fl");
+    for run in 0..3i64 {
+        flor.for_each("epoch", 0..3, |flor, &e| {
+            flor.log("loss", 1.0 / (run + e + 1) as f64);
+            flor.log("lr", 0.01 * (run + 1) as f64);
+        });
+        flor.commit("run").unwrap();
+    }
+    let plan = flor
+        .query(&["loss", "lr"])
+        .filter("tstamp", CmpOp::Eq, 2)
+        .into_plan();
+    let one_run = flor
+        .db
+        .scan("logs")
+        .unwrap()
+        .filter(|r| r.get("tstamp") == Some(&Value::Int(2)))
+        .n_rows();
+    let mut tr = flor_obs::ActiveTrace::new(true, None, "query");
+    let (df, explain) = flor.execute_at(&flor.db.pin(), &plan, &mut tr).unwrap();
+    assert_eq!(df, flor.run_plan_full(&plan).unwrap());
+    assert_eq!(df.n_rows(), 3);
+
+    assert_eq!(explain.store.rows_returned, one_run);
+    assert!(explain.pivot.0 <= explain.store.rows_returned);
+    assert_eq!(explain.pivot, (one_run, 3));
+    assert_eq!(explain.post_pass, Some((3, 3)));
+    let text = explain.to_string();
+    assert!(
+        text.starts_with("QUERY logs via index-eq(tstamp)"),
+        "{text}"
+    );
+    assert!(
+        text.contains("schema pass: 18 rows read, 7 columns"),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("pivot: {one_run} rows in, 3 out")),
+        "{text}"
+    );
+
+    // The same counts ride on the trace as span events.
+    let trace = tr.into_trace().expect("recording handle");
+    let events = |span: &str| -> Vec<String> {
+        let s = trace.span(span).expect(span);
+        s.events.iter().map(|e| e.message.clone()).collect()
+    };
+    assert!(events("store.scan")
+        .iter()
+        .any(|e| e.contains("schema pass")));
+    assert!(events("pivot").contains(&format!("pivot: {one_run} rows in, 3 out")));
+    assert!(events("post_pass").contains(&"post-pass: 3 rows in, 3 out".to_string()));
+}
+
 #[test]
 fn kernel_metrics_snapshot_sees_every_layer() {
     let flor = seeded();

@@ -15,7 +15,11 @@
 //! call as `run_plan_at`/`run_plan_full` — so results
 //! are repeatable and byte-identical to a local `collect_full` at the
 //! same epoch, no matter how many commits land while the session is
-//! open. `Pin` re-pins on demand.
+//! open. `Pin` re-pins on demand. A narrow plan costs what it selects,
+//! not what the history holds: the executor pushes `projid` / `tstamp` /
+//! `filename` predicates into the store's `logs` fetch, tests loop
+//! dimensions on each fetched row, and cuts `latest` and top-K before
+//! the pivot (see `flor_view::plan` for where each step runs).
 //!
 //! * [`protocol`] — the wire codec: versioned `Hello`, typed
 //!   request/response enums, carried in the store's one frame layout and
@@ -37,8 +41,11 @@
 //! pruning counts — into the served registry's
 //! [`flor_obs::TraceStore`], retrievable over the wire with the
 //! `Traces` verb. Requests that exceed the registry's slow-query
-//! threshold are captured with their full explain report (`SlowQueries`
-//! verb), and the `Health` verb answers a [`protocol::HealthReport`]:
+//! threshold are captured with their whole-plan explain report
+//! ([`flor_core::PlanExplain`]: the store fetch, then rows into and out
+//! of the schema pass, key predicates, `latest` and top-K cuts, pivot
+//! and post-pass; `SlowQueries` verb), and the `Health` verb answers a
+//! [`protocol::HealthReport`]:
 //! epoch, WAL position, checkpoint/compaction counts, session and
 //! in-flight occupancy, and — on a follower — the estimated replication
 //! lag in pending commits. All of it is off by default and costs two

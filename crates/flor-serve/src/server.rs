@@ -24,9 +24,8 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::session::{Gate, Session};
-use flor_core::Flor;
+use flor_core::{Flor, PlanExplain};
 use flor_obs::{unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord};
-use flor_store::QueryExplain;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -541,14 +540,15 @@ fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(
 /// Execute one admitted request against the session's pinned snapshot.
 /// Queries run through the kernel's one snapshot executor, which records
 /// scan/pivot/post-pass child spans into `tr` (or nothing when it is
-/// inert) and returns the measured [`QueryExplain`] for slow-query
-/// capture — the frame is the same either way.
+/// inert) and returns the measured whole-plan [`PlanExplain`] — store
+/// fetch, then rows into and out of every step below and above the
+/// pivot — for slow-query capture; the frame is the same either way.
 fn execute(
     shared: &Shared,
     session: &mut Session,
     req: &Request,
     tr: &mut ActiveTrace,
-) -> (Response, Option<QueryExplain>) {
+) -> (Response, Option<PlanExplain>) {
     let flor = &shared.flor;
     let resp = match req {
         Request::Hello { .. } => Response::Error {

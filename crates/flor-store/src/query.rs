@@ -459,7 +459,18 @@ impl Query {
             matched += sel.count_ones();
             parts.push((seg, sel));
         }
-        let mut df = t.materialise(&parts);
+        // A projection materialises only its own columns and the sort
+        // keys; a projected column the schema lacks errors in `select`
+        // below either way.
+        let cols: Vec<usize> = (0..t.schema.columns.len())
+            .filter(|&ci| {
+                let name = &t.schema.columns[ci].name;
+                self.projection.as_ref().is_none_or(|proj| {
+                    proj.contains(name) || self.order_by.iter().any(|(c, _)| c == name)
+                })
+            })
+            .collect();
+        let mut df = t.materialise(&parts, &cols);
 
         // Drop rows referencing unknown predicate columns conservatively:
         // a predicate over a column the schema lacks matches nothing.
@@ -468,7 +479,7 @@ impl Query {
             .iter()
             .map(|p| p.col.as_str())
             .chain(self.in_predicates.iter().map(|(c, _)| c.as_str()))
-            .any(|c| df.column(c).is_none());
+            .any(|c| t.schema.col_index(c).is_none());
         if unknown_col {
             df = df.head(0);
         }

@@ -429,14 +429,14 @@ impl TableVersion {
     }
 
     /// The one way out of a table: the rows `parts` selects (a selection
-    /// bitmap per visited segment, in segment order) as one frame, in
-    /// ascending rid — commit — order (see the read-order contract in the
-    /// module docs). Whether the physical order already is commit order
-    /// is read off the selected rids themselves: when it is (every table
-    /// no clustered compaction has permuted) this is one linear,
-    /// column-at-a-time pass; otherwise one sort over the selected
-    /// positions restores it.
-    pub fn materialise(&self, parts: &[(&Segment, column::Bitmap)]) -> DataFrame {
+    /// bitmap per visited segment, in segment order) as one frame of the
+    /// schema columns at positions `cols` (ascending), in ascending rid —
+    /// commit — order (see the read-order contract in the module docs).
+    /// Whether the physical order already is commit order is read off the
+    /// selected rids themselves: when it is (every table no clustered
+    /// compaction has permuted) this is one linear, column-at-a-time
+    /// pass; otherwise one sort over the selected positions restores it.
+    pub fn materialise(&self, parts: &[(&Segment, column::Bitmap)], cols: &[usize]) -> DataFrame {
         let (mut n, mut last, mut ascending) = (0usize, None, true);
         for (seg, sel) in parts {
             sel.for_each_set(|local| {
@@ -446,11 +446,11 @@ impl TableVersion {
                 n += 1;
             });
         }
-        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(n); self.schema.columns.len()];
+        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(n); cols.len()];
         if ascending {
             for (seg, sel) in parts {
                 let whole = sel.count_ones() == seg.len();
-                for (col, vals) in seg.cols.iter().zip(&mut out) {
+                for (col, vals) in cols.iter().map(|&ci| &seg.cols[ci]).zip(&mut out) {
                     if whole {
                         col.extend_all(vals);
                     } else {
@@ -464,19 +464,18 @@ impl TableVersion {
                 sel.for_each_set(|local| at.push((seg.rid_at(local), seg, local)));
             }
             at.sort_unstable_by_key(|&(rid, ..)| rid);
-            for (ci, vals) in out.iter_mut().enumerate() {
+            for (&ci, vals) in cols.iter().zip(&mut out) {
                 vals.extend(at.iter().map(|&(_, seg, local)| seg.cell(local, ci)));
             }
         }
-        let cols = self
-            .schema
-            .columns
+        let cols = cols
             .iter()
             .zip(out)
-            .map(|(def, vals)| Column::new(def.name.as_str(), vals))
+            .map(|(&ci, vals)| Column::new(self.schema.columns[ci].name.as_str(), vals))
             .collect();
-        // audit: allow(panic) — one value vec per schema column, each
-        // filled from the same selection: lengths and names are uniform.
+        // audit: allow(panic) — one value vec per requested schema column,
+        // each filled from the same selection: lengths and names are
+        // uniform.
         DataFrame::from_columns(cols).expect("schema columns are uniform")
     }
 
@@ -493,7 +492,8 @@ impl TableVersion {
                 )
             })
             .collect();
-        self.materialise(&all)
+        let cols: Vec<usize> = (0..self.schema.columns.len()).collect();
+        self.materialise(&all, &cols)
     }
 
     /// Whether `col` carries a secondary index.

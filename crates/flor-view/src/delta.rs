@@ -17,6 +17,7 @@
 use crate::plan::FIXED_COLS as FIXED;
 use flor_df::{Column, DataFrame, DataType, Value};
 use flor_store::{CommitBatch, Predicate, RowDelta};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,12 +65,149 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// A logged cell as the pivot shows it: the `logs.value` text re-read as
+/// its `value_type` tag — `Value::from_text(&value.to_text(), tag)`
+/// without the intermediate `String`. A `Str` cell tagged `Str` shares
+/// its `Arc`; other tags parse the borrowed text.
+pub fn logged_value(value: &Value, tag: &Value) -> Value {
+    let ty = DataType::from_tag(tag.as_i64().unwrap_or(DataType::Str.tag()));
+    match (value, ty) {
+        (Value::Str(s), DataType::Str) => Value::Str(Arc::clone(s)),
+        (Value::Str(s), ty) => Value::from_text(s, ty),
+        (other, ty) => Value::from_text(&other.to_text(), ty),
+    }
+}
+
+/// `v.to_text()`, borrowed when `v` already is text (`logs` and `loops`
+/// keep their names and text in `Str` columns, so that is every real
+/// row).
+fn text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_text()),
+    }
+}
+
+/// One loop-dimension cell of a pivot row: its column name
+/// (`{loop}_iteration` or `{loop}_value`) and value.
+pub type Dim = (Arc<str>, Value);
+
 #[derive(Debug, Clone)]
-struct CtxRow {
+struct LoopCtx {
     parent: i64,
-    loop_name: String,
-    iteration: i64,
-    value: String,
+    /// `{loop}_iteration` and `{loop}_value`, shared by every context of
+    /// the same loop.
+    cols: (Arc<str>, Arc<str>),
+    iteration: Value,
+    value: Value,
+}
+
+/// The `loops` table as a `ctx_id` → context map: what turns a log row's
+/// `ctx_id` into its loop-dimension cells. The incremental view feeds it
+/// row by row (a cumulative join state); the kernel's snapshot executor
+/// builds one from a snapshot's `loops`. Dimension column names are
+/// built once per loop name, not per row.
+#[derive(Debug, Clone, Default)]
+pub struct LoopContexts {
+    ctx: HashMap<i64, LoopCtx>,
+    cols: HashMap<Arc<str>, (Arc<str>, Arc<str>)>,
+}
+
+impl LoopContexts {
+    /// Every context in a `loops` frame (columns looked up by name; a
+    /// missing column reads as nulls), later rows replacing earlier ones
+    /// with the same `ctx_id`.
+    pub fn from_frame(loops: &DataFrame) -> LoopContexts {
+        let col = |name: &str| loops.column(name).map(|c| c.values.as_slice());
+        let cols = [
+            col("ctx_id"),
+            col("parent_ctx_id"),
+            col("loop_name"),
+            col("loop_iteration"),
+            col("iteration_value"),
+        ];
+        let cell = |c: usize, i: usize| cols[c].map_or(&Value::Null, |vals| &vals[i]);
+        let mut out = LoopContexts::default();
+        out.ctx.reserve(loops.n_rows());
+        for i in 0..loops.n_rows() {
+            out.insert(cell(0, i), cell(1, i), cell(2, i), cell(3, i), cell(4, i));
+        }
+        out
+    }
+
+    /// Add (or replace) one context.
+    fn insert(
+        &mut self,
+        ctx_id: &Value,
+        parent: &Value,
+        loop_name: &Value,
+        iteration: &Value,
+        value: &Value,
+    ) {
+        let name = text(loop_name);
+        let cols = match self.cols.get(name.as_ref()) {
+            Some(cols) => cols.clone(),
+            None => {
+                let cols: (Arc<str>, Arc<str>) = (
+                    format!("{name}_iteration").into(),
+                    format!("{name}_value").into(),
+                );
+                self.cols.insert(name.as_ref().into(), cols.clone());
+                cols
+            }
+        };
+        let value = match value {
+            Value::Str(s) => Value::Str(Arc::clone(s)),
+            other => Value::from(other.to_text()),
+        };
+        self.ctx.insert(
+            ctx_id.as_i64().unwrap_or(0),
+            LoopCtx {
+                parent: parent.as_i64().unwrap_or(0),
+                cols,
+                iteration: Value::Int(iteration.as_i64().unwrap_or(0)),
+                value,
+            },
+        );
+    }
+
+    /// The loop-dimension cells of a row logged under `ctx_id`: two per
+    /// enclosing loop, outermost loop first. A missing link truncates the
+    /// chain there; a loop nested in a loop of the same name repeats its
+    /// columns, and readers take the first (outermost) occurrence.
+    pub fn dims(&self, ctx_id: i64) -> Vec<Dim> {
+        let mut dims: Vec<Dim> = self
+            .chain(ctx_id)
+            .flat_map(|c| {
+                [
+                    (Arc::clone(&c.cols.1), c.value.clone()),
+                    (Arc::clone(&c.cols.0), c.iteration.clone()),
+                ]
+            })
+            .collect();
+        dims.reverse();
+        dims
+    }
+
+    /// The column names of [`LoopContexts::dims`] without their cells,
+    /// innermost loop first and without allocating — what a schema needs.
+    pub fn dim_names(&self, ctx_id: i64) -> impl Iterator<Item = &Arc<str>> {
+        self.chain(ctx_id).flat_map(|c| [&c.cols.0, &c.cols.1])
+    }
+
+    /// The contexts enclosing a row logged under `ctx_id`, innermost
+    /// first, up to the outermost loop or the first missing link.
+    fn chain(&self, ctx_id: i64) -> impl Iterator<Item = &LoopCtx> {
+        let mut cur = ctx_id;
+        std::iter::from_fn(move || {
+            if cur == 0 {
+                return None;
+            }
+            let c = self.ctx.get(&cur)?;
+            cur = c.parent;
+            Some(c)
+        })
+    }
 }
 
 /// Incrementally maintained pivoted view over `logs ⋈ loops`, projected
@@ -86,10 +224,10 @@ pub struct PivotState {
     /// included one and last-write-wins stays intact.
     pushdown: Vec<Predicate>,
     /// Cumulative loop-context map (incremental join state).
-    ctx: HashMap<i64, CtxRow>,
+    ctx: LoopContexts,
     /// Dimension columns after the three fixed ones, in first-seen order —
     /// the same order a from-scratch long-frame build discovers them.
-    dim_cols: Vec<String>,
+    dim_cols: Vec<Arc<str>>,
     /// Index tuple (fixed + dims, nulls for absent dims) → row position.
     row_pos: HashMap<Vec<Value>, usize>,
     /// The maintained wide frame. Shared out to readers; deltas mutate in
@@ -112,7 +250,7 @@ impl PivotState {
         PivotState {
             names: names.iter().map(|s| s.to_string()).collect(),
             pushdown: pushdown.to_vec(),
-            ctx: HashMap::new(),
+            ctx: LoopContexts::default(),
             dim_cols: Vec::new(),
             row_pos: HashMap::new(),
             frame: Arc::new(DataFrame::new()),
@@ -133,9 +271,7 @@ impl PivotState {
         loops: &DataFrame,
     ) -> Result<PivotState, DeltaError> {
         let mut state = PivotState::filtered(names, pushdown, epoch);
-        for row in loops.rows() {
-            state.apply_loop_row(&row.to_vec())?;
-        }
+        state.ctx = LoopContexts::from_frame(loops);
         for row in logs.rows() {
             state.apply_log_row(&row.to_vec())?;
         }
@@ -157,7 +293,7 @@ impl PivotState {
     /// Index cells are written once when their row is created and never
     /// rewritten by an upsert; value columns can be.
     pub fn is_index_col(&self, col: &str) -> bool {
-        FIXED.contains(&col) || self.dim_cols.iter().any(|d| d == col)
+        FIXED.contains(&col) || self.dim_cols.iter().any(|d| **d == *col)
     }
 
     /// Shared snapshot of the maintained frame. Cheap (`Arc` clone).
@@ -221,15 +357,12 @@ impl PivotState {
                 row.len()
             )));
         }
-        let ctx_id = row[LOOP_CTX].as_i64().unwrap_or(0);
         self.ctx.insert(
-            ctx_id,
-            CtxRow {
-                parent: row[LOOP_PARENT].as_i64().unwrap_or(0),
-                loop_name: row[LOOP_NAME].to_text(),
-                iteration: row[LOOP_ITER].as_i64().unwrap_or(0),
-                value: row[LOOP_VALUE].to_text(),
-            },
+            &row[LOOP_CTX],
+            &row[LOOP_PARENT],
+            &row[LOOP_NAME],
+            &row[LOOP_ITER],
+            &row[LOOP_VALUE],
         );
         Ok(())
     }
@@ -241,39 +374,15 @@ impl PivotState {
                 row.len()
             )));
         }
-        let name = row[LOG_NAME].to_text();
-        if !self.names.contains(&name) {
+        let name = text(&row[LOG_NAME]);
+        let name = name.as_ref();
+        if !self.names.iter().any(|n| n == name) {
             return Ok(None);
         }
-        // Resolve the ctx chain outward, then reverse to outermost-first —
-        // mirroring the kernel's full-recompute walk (a missing link
-        // truncates the chain there, exactly as the oracle does).
-        let mut chain: Vec<&CtxRow> = Vec::new();
-        let mut cur = row[LOG_CTX].as_i64().unwrap_or(0);
-        while cur != 0 {
-            let Some(c) = self.ctx.get(&cur) else { break };
-            chain.push(c);
-            cur = c.parent;
-        }
-        chain.reverse();
-        let dims: Vec<(String, Value)> = chain
-            .iter()
-            .flat_map(|c| {
-                [
-                    (
-                        format!("{}_iteration", c.loop_name),
-                        Value::Int(c.iteration),
-                    ),
-                    (
-                        format!("{}_value", c.loop_name),
-                        Value::from(c.value.as_str()),
-                    ),
-                ]
-            })
-            .collect();
-        // Decode the text-stored value via its type tag, as the oracle does.
-        let tag = row[LOG_TYPE].as_i64().unwrap_or(DataType::Str.tag());
-        let value = Value::from_text(&row[LOG_VALUE].to_text(), DataType::from_tag(tag));
+        // The same chain resolution and value decoding the kernel's
+        // from-scratch executor uses.
+        let dims = self.ctx.dims(row[LOG_CTX].as_i64().unwrap_or(0));
+        let value = logged_value(&row[LOG_VALUE], &row[LOG_TYPE]);
 
         let frame = Arc::make_mut(&mut self.frame);
         // Schema discovery below runs for every projected log row — even
@@ -302,12 +411,12 @@ impl PivotState {
                     .insert_column(
                         pos,
                         Column {
-                            name: d.clone(),
+                            name: d.to_string(),
                             values: vec![Value::Null; frame.n_rows()],
                         },
                     )
                     .map_err(|e| DeltaError::Malformed(e.to_string()))?;
-                self.dim_cols.push(d.clone());
+                self.dim_cols.push(Arc::clone(d));
                 self.row_pos = self
                     .row_pos
                     .drain()
@@ -320,10 +429,10 @@ impl PivotState {
         }
         // New-column discovery for the value: appended after all existing
         // columns, in first-seen order of value_name.
-        if frame.column(&name).is_none() {
+        if frame.column(name).is_none() {
             frame
                 .add_column(Column {
-                    name: name.clone(),
+                    name: name.to_string(),
                     values: vec![Value::Null; frame.n_rows()],
                 })
                 .map_err(|e| DeltaError::Malformed(e.to_string()))?;
@@ -362,7 +471,7 @@ impl PivotState {
             Some(&pos) => {
                 // Same context re-logged the value: last write wins.
                 frame
-                    .set_cell(pos, &name, value)
+                    .set_cell(pos, name, value)
                     .map_err(|e| DeltaError::Malformed(e.to_string()))?;
                 Ok(Some(pos))
             }
@@ -373,9 +482,9 @@ impl PivotState {
                     (FIXED[2], row[LOG_FILENAME].clone()),
                 ];
                 for (d, v) in &dims {
-                    entries.push((d.as_str(), v.clone()));
+                    entries.push((d, v.clone()));
                 }
-                entries.push((name.as_str(), value));
+                entries.push((name, value));
                 frame.push_row(&entries);
                 let pos = frame.n_rows() - 1;
                 self.row_pos.insert(key, pos);

@@ -68,5 +68,5 @@ pub mod delta;
 pub mod plan;
 
 pub use catalog::{CatalogStats, ViewCatalog, ViewInfo, ViewKey};
-pub use delta::{DeltaError, LatestState, PivotState};
-pub use plan::{QueryPlan, FIXED_COLS};
+pub use delta::{logged_value, DeltaError, Dim, LatestState, LoopContexts, PivotState};
+pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

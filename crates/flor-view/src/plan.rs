@@ -6,22 +6,26 @@
 //! predicate vocabulary spans the store, view and kernel layers), an
 //! optional `latest`-per-group dedup, an ordering, and a limit.
 //!
-//! Lowering happens in three layers:
+//! Both executors fetch the projected `logs` rows through the
+//! `value_name` index ([`QueryPlan::logs_fetch`], run lock-free against
+//! one pinned snapshot) and end with [`QueryPlan::post_pass`]. Where the
+//! steps in between run depends on the executor:
 //!
-//! 1. **store** — the name projection is pushed into the `logs` scan via
-//!    the `value_name` index ([`flor_store::Query::filter_in`], executed
-//!    lock-free against one pinned, epoch-consistent snapshot through
-//!    [`flor_store::Snapshot::query`]);
-//! 2. **view** — predicates over the *fixed context columns* (`projid`,
-//!    `tstamp`, `filename`) are maintained inside the materialized view
-//!    itself: [`crate::PivotState`] skips non-matching rows at upsert
-//!    time, so the cached frame holds only qualifying rows and stays
-//!    current by delta application;
-//! 3. **dataframe** — whatever cannot be maintained (predicates over loop
-//!    dimensions or value columns, `latest` after a residual filter,
-//!    ordering, limits) runs as a cheap post-pass over the maintained
-//!    frame, via the same row-level operators the from-scratch oracle
-//!    uses — which is what makes the two paths cell-for-cell identical.
+//! | step | view catalog ([`crate::ViewCatalog::plan`]) | snapshot executor (`Flor::execute_at`) |
+//! |---|---|---|
+//! | predicates on [`FIXED_COLS`] | maintained in the view: [`crate::PivotState`] skips rows at upsert | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
+//! | predicates on loop dimensions | post-pass | on each fetched row's resolved index key, before the pivot |
+//! | predicates on value columns | post-pass | post-pass |
+//! | `latest(group)` | maintained ([`crate::LatestState`]) unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
+//! | `order_by` + `limit` | post-pass | top-K cut before the pivot when every earlier step ran below it |
+//!
+//! [`QueryPlan::below_pivot`] is the snapshot executor's lowering; the
+//! columns it cannot place from the plan alone (a dimension the history
+//! never logged, a value name that collides with an index column) make
+//! the executor push nothing. Either way the *whole* post-pass then runs
+//! over what the lower steps left: each of them is a filter the post-pass
+//! repeats or a cut the post-pass's own later steps would have made, so
+//! the answer is the post-hoc one, cell for cell.
 
 use flor_df::{DataFrame, DfError};
 use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
@@ -31,6 +35,29 @@ use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
 /// materialized view: their cells are written once per row, straight from
 /// the log record, and never rewritten by an upsert.
 pub const FIXED_COLS: [&str; 3] = ["projid", "tstamp", "filename"];
+
+/// What [`QueryPlan::below_pivot`] lowers below the pivot. Each step is a
+/// filter the post-pass repeats or a cut its later steps would make, so
+/// the empty default — nothing pushed — is the plain pivot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BelowPivot {
+    /// Predicates over [`FIXED_COLS`]: they join the `logs` fetch.
+    pub store: Vec<Predicate>,
+    /// Predicates over loop dimensions: tested on each fetched row's
+    /// resolved index key.
+    pub key: Vec<Predicate>,
+    /// The `latest` group, cut to the max-`tstamp` keys per group.
+    pub latest: Option<Vec<String>>,
+    /// The `limit` of the top-K cut: the keys `order_by` + `limit` keep.
+    pub top_k: Option<usize>,
+}
+
+impl BelowPivot {
+    /// Whether nothing runs below the pivot.
+    pub fn is_empty(&self) -> bool {
+        *self == BelowPivot::default()
+    }
+}
 
 /// A canonical, declarative dataframe query: what `Flor::query` builds
 /// and every layer lowers.
@@ -101,6 +128,39 @@ impl QueryPlan {
             .partition(|p| FIXED_COLS.contains(&p.col.as_str()))
     }
 
+    /// The snapshot executor's lowering: the plan's steps that run below
+    /// the pivot, decided in [`QueryPlan::post_pass`] order. Predicates
+    /// split as [`QueryPlan::split_predicates`] splits them — its pushdown
+    /// set joins the `logs` fetch — and a residual predicate over a column
+    /// no projected name fills (a loop dimension) is tested on the row's
+    /// key. `latest` is cut when nothing is left for the post-pass to
+    /// filter first and its group is index columns; top-K when every
+    /// earlier step was pushed.
+    pub fn below_pivot(&self) -> BelowPivot {
+        let (store, residual) = self.split_predicates();
+        let (key, value): (Vec<_>, Vec<_>) =
+            residual.into_iter().partition(|p| !self.projects(&p.col));
+        let latest = self
+            .latest_group
+            .clone()
+            .filter(|g| value.is_empty() && g.iter().all(|c| !self.projects(c)));
+        let top_k = self
+            .limit
+            .filter(|_| value.is_empty() && latest.is_some() == self.latest_group.is_some());
+        BelowPivot {
+            store,
+            key,
+            latest,
+            top_k,
+        }
+    }
+
+    /// Whether a projected value is named `col` (so `col` is a value
+    /// column of the pivot, not an index column).
+    fn projects(&self, col: &str) -> bool {
+        self.names.iter().any(|n| n == col)
+    }
+
     /// Whether running [`QueryPlan::post_pass`] with these inputs would be
     /// the identity — in which case a caller holding a shared snapshot can
     /// hand it out without copying.
@@ -113,7 +173,8 @@ impl QueryPlan {
     ///
     /// This one function is shared by the incremental path (over the
     /// maintained frame, with only the residual predicates) and the
-    /// from-scratch oracle (over a full re-pivot, with *every* predicate),
+    /// from-scratch oracle (over the pivot of the rows
+    /// [`QueryPlan::below_pivot`]'s steps kept, with *every* predicate),
     /// so the two can only diverge in what they feed it — which the
     /// property tests pin down.
     pub fn post_pass(
@@ -187,6 +248,40 @@ mod tests {
         let cols = |ps: &[Predicate]| ps.iter().map(|p| p.col.clone()).collect::<Vec<_>>();
         assert_eq!(cols(&push), vec!["tstamp", "projid"]);
         assert_eq!(cols(&residual), vec!["loss", "doc_value"]);
+    }
+
+    #[test]
+    fn below_pivot_pushes_in_post_pass_order() {
+        let cols = |ps: &[Predicate]| ps.iter().map(|p| p.col.clone()).collect::<Vec<_>>();
+        let plain = QueryPlan::new(&["loss"]);
+        assert!(plain.below_pivot().is_empty());
+
+        let pushed = QueryPlan {
+            latest_group: Some(vec!["epoch_iteration".into()]),
+            order_by: vec![("loss".into(), true)],
+            limit: Some(3),
+            ..QueryPlan::new(&["loss", "acc"])
+        }
+        .filter("tstamp", CmpOp::Ge, 2)
+        .filter("epoch_value", CmpOp::Ne, "0");
+        let lowered = pushed.below_pivot();
+        assert_eq!(cols(&lowered.store), vec!["tstamp"]);
+        assert_eq!(cols(&lowered.key), vec!["epoch_value"]);
+        assert_eq!(lowered.latest, Some(vec!["epoch_iteration".to_string()]));
+        assert_eq!(lowered.top_k, Some(3));
+
+        // A value predicate stays for the post-pass, so nothing after it
+        // is cut; the index predicates still run below the pivot.
+        let residual = pushed.clone().filter("acc", CmpOp::Gt, 0.5).below_pivot();
+        assert_eq!(cols(&residual.key), vec!["epoch_value"]);
+        assert_eq!((residual.latest, residual.top_k), (None, None));
+        // A `latest` over a value column is not cut, and neither is top-K.
+        let by_value = QueryPlan {
+            latest_group: Some(vec!["acc".into()]),
+            ..pushed
+        }
+        .below_pivot();
+        assert_eq!((by_value.latest, by_value.top_k), (None, None));
     }
 
     #[test]

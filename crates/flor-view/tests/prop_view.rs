@@ -230,6 +230,124 @@ fn posthoc_oracle(flor: &Flor, plan: &QueryPlan) -> StoreResult<DataFrame> {
     Ok(df)
 }
 
+/// Session steps for the pushed-executor oracle: [`arb_op`]'s mix with
+/// NaN among the logged values, more logs per context (so a name is
+/// often re-logged under one key), and loops re-entered at small
+/// iteration numbers so one run often repeats a context — distinct
+/// `ctx_id`s, one index key, rows that must merge.
+fn arb_pushed_op() -> impl Strategy<Value = Op> {
+    let value = prop_oneof![
+        4 => arb_value(),
+        1 => Just(Value::Float(f64::NAN)),
+    ];
+    prop_oneof![
+        9 => (0usize..NAMES.len(), value).prop_map(|(i, v)| Op::Log(i, v)),
+        3 => (0usize..LOOPS.len(), 0usize..2).prop_map(|(i, it)| Op::LoopPush(i, it)),
+        3 => Just(Op::LoopPop),
+        2 => Just(Op::Commit),
+        1 => Just(Op::Rollback),
+    ]
+}
+
+/// [`arb_plan`]'s shapes plus what the snapshot executor pushes below
+/// the pivot: predicates, `latest` groups and sort keys over loop
+/// dimensions (the script's `epoch` among them), the empty group, and
+/// columns no frame has.
+fn arb_pushed_plan() -> impl Strategy<Value = QueryPlan> {
+    let col = prop_oneof![
+        Just("projid"),
+        Just("tstamp"),
+        Just("filename"),
+        Just("document_iteration"),
+        Just("document_value"),
+        Just("page_iteration"),
+        Just("page_value"),
+        Just("epoch_iteration"),
+        Just("loss"),
+        Just("acc"),
+        Just("missing_col"),
+    ];
+    let op = prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+    ];
+    let predicate = (col, op, arb_pred_value()).prop_map(|(c, o, v)| Predicate::new(c, o, v));
+    let group = |cols: &[&str]| Some(cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+    let latest = prop_oneof![
+        3 => Just(None),
+        1 => Just(group(&["projid"])),
+        1 => Just(group(&["document_value"])),
+        1 => Just(group(&["epoch_iteration"])),
+        1 => Just(group(&["filename", "page_iteration"])),
+        1 => Just(group(&[])),
+        2 => Just(group(&["missing_col"])),
+        1 => Just(group(&["acc"])),
+    ];
+    let key = |c: &str, asc: bool| (c.to_string(), asc);
+    let order = prop_oneof![
+        Just(Vec::new()),
+        Just(vec![key("tstamp", false)]),
+        Just(vec![key("loss", true), key("tstamp", false)]),
+        Just(vec![key("acc", false)]),
+        Just(vec![key("document_iteration", true), key("note", false)]),
+        Just(vec![key("epoch_iteration", false)]),
+        Just(vec![key("missing_col", true)]),
+    ];
+    // Small limits, zero included, are where a wrong cut shows.
+    let limit = prop_oneof![
+        2 => Just(None),
+        1 => Just(Some(0)),
+        3 => (1usize..4).prop_map(Some),
+        1 => (4usize..12).prop_map(Some),
+    ];
+    let names = prop_oneof![
+        Just(vec!["loss", "acc", "note"]),
+        Just(vec!["loss"]),
+        Just(vec!["acc", "loss"]),
+        Just(vec!["note"]),
+    ];
+    (
+        names,
+        proptest::collection::vec(predicate, 0..3),
+        latest,
+        order,
+        limit,
+    )
+        .prop_map(
+            |(names, predicates, latest_group, order_by, limit)| QueryPlan {
+                names: names.into_iter().map(String::from).collect(),
+                predicates,
+                latest_group,
+                order_by,
+                limit,
+            },
+        )
+}
+
+/// `collect_full` of every plan against [`posthoc_oracle`], which pivots
+/// the *plain* projection and filters after the fact; both failing
+/// counts as agreement.
+fn pushed_equals_posthoc(flor: &Flor, plans: &[QueryPlan], when: &str) {
+    for plan in plans {
+        match (flor.run_plan_full(plan), posthoc_oracle(flor, plan)) {
+            (Ok(pushed), Ok(oracle)) => assert_eq!(
+                pushed, oracle,
+                "{when}: pushed execution diverged from post-hoc oracle: {plan:?}"
+            ),
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "{when}: divergent outcomes for {plan:?}: {:?} vs {:?}",
+                a.map(|d| d.n_rows()),
+                b.map(|d| d.n_rows())
+            ),
+        }
+    }
+}
+
 const TRAIN_V1: &str = r#"
 let data = load_dataset("first_page", 30, 42);
 let net = make_model(5, 4, 2, 7);
@@ -405,6 +523,57 @@ proptest! {
                 flor.query(&["loss", "acc"]).latest(&["projid"]).collect_full().unwrap(),
                 inc.clone()
             );
+        }
+        drop(flor);
+        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_file(&sidecar);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The snapshot executor's steps below the pivot — store and key
+    /// predicates, the `latest` cut, the top-K cut, the schema pass that
+    /// conforms the reduced pivot — are exact: random plans over random
+    /// sessions (nested and repeated loops, re-logged and NaN / null
+    /// values, columns first seen outside a filtered window, unknown
+    /// columns) equal the post-hoc oracle, and keep doing so once a
+    /// backfill appends rows at old timestamps and compaction and
+    /// checkpoint + reopen rearrange them.
+    #[test]
+    fn random_plans_pushed_equal_posthoc_oracle(
+        ops in proptest::collection::vec(arb_pushed_op(), 0..40),
+        later in proptest::collection::vec(arb_pushed_op(), 0..10),
+        plans in proptest::collection::vec(arb_pushed_plan(), 1..6),
+        upkeep in proptest::collection::vec(any::<bool>(), 1..3),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let wal = std::env::temp_dir().join(format!(
+            "flor-prop-pushed-{}-{}.wal",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let sidecar = flor_store::checkpoint::sidecar_path(&wal);
+        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_file(&sidecar);
+        let mut flor = drive(Flor::open("prop", &wal).unwrap(), &ops);
+        pushed_equals_posthoc(&flor, &plans, "live");
+        flor.fs.write("train.fl", TRAIN_V1);
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        flor.fs.write("train.fl", TRAIN_V2);
+        flor = drive(flor, &later);
+        backfill(&flor, "train.fl", &["acc"], 2).unwrap();
+        pushed_equals_posthoc(&flor, &plans, "after backfill");
+        for compact in upkeep {
+            if compact {
+                flor.compact().unwrap();
+            } else {
+                flor.checkpoint().unwrap();
+                drop(flor);
+                flor = Flor::open("prop", &wal).unwrap();
+            }
+            pushed_equals_posthoc(&flor, &plans, "after upkeep");
         }
         drop(flor);
         let _ = std::fs::remove_file(&wal);

@@ -30,7 +30,10 @@
 //! then `collect`. The plan lowers through three layers: index-backed
 //! predicate pushdown in the store, an incrementally maintained
 //! materialized view (deltas, not re-pivots), and a cheap dataframe
-//! post-pass for whatever remains.
+//! post-pass for whatever remains. Served from scratch
+//! ([`core::Flor::execute_at`]), the same plan pushes its index
+//! predicates into the store fetch and cuts `latest` / top-K before the
+//! pivot, so a narrow answer costs what it selects.
 //!
 //! ```
 //! use flordb::prelude::*;
