@@ -8,11 +8,22 @@
 //!
 //! [`backfill`] does exactly that: for every prior run of a script missing
 //! the requested values, it checks out that version's source, propagates
-//! the new `flor.log` statements into it (`flor-diff`), replays only the
-//! iterations that need to produce values (`flor-record`, restoring from
-//! stored checkpoints, in parallel), and ingests the recovered values into
-//! the `logs` table *at the original run's timestamp* — so the next
-//! `flor.dataframe` call sees a complete history.
+//! the new `flor.log` statements into it (`flor-diff`), replays only what
+//! produces the missing values (`flor-record`, restoring from stored
+//! checkpoints, in parallel), and ingests them into the `logs` table *at
+//! the original run's timestamp* — so the next `flor.dataframe` call sees
+//! a complete history.
+//!
+//! What "only what produces them" means follows from where propagation
+//! put each statement ([`Placement`]): a statement before the checkpoint
+//! loop needs no iteration; one after it needs the last iteration alone,
+//! resumed from its checkpoint; statements forming the loop body's tail
+//! are run by themselves from each lacking iteration's own checkpoint;
+//! anything else (mid-body, nested) replays whole iterations from the
+//! nearest checkpoint below. A name counts as held when the run logged it
+//! at top level or in every iteration, and only values the run lacked are
+//! ingested. The exactness contract is `flor_record::replay`'s: injected
+//! statements write nothing the original program reads.
 //!
 //! Since the flor-jobs control plane landed, [`backfill`] is a thin
 //! submit-then-wait wrapper over [`Flor::submit_backfill`]: the work is
@@ -26,7 +37,9 @@ use crate::kernel::Flor;
 use crate::runtime::load_record;
 use flor_df::Value;
 use flor_diff::propagate_logs;
-use flor_record::{iterations_logging, replay_with, LogRecord, ReplayControl};
+use flor_record::{
+    iterations_logging, replay_with, LogRecord, Placement, ReplayControl, RunRecord, Site,
+};
 use flor_script::{parse, Program};
 use flor_store::{Query, StoreResult};
 use std::collections::HashMap;
@@ -142,8 +155,8 @@ pub(crate) fn source_at(flor: &Flor, vid: &str, filename: &str) -> StoreResult<O
 pub struct VersionResult {
     /// The per-version outcome.
     pub outcome: VersionOutcome,
-    /// Recovered log records (filtered to the requested names), pending
-    /// ingestion at the original run's timestamp.
+    /// Recovered log records (the requested values the run lacked),
+    /// pending ingestion at the original run's timestamp.
     pub new_logs: Vec<LogRecord>,
     /// Iterations a naive full re-execution of this version would run
     /// (0 when the version was skipped).
@@ -161,9 +174,9 @@ pub(crate) struct BackfillTask<'a> {
 }
 
 /// The compute phase of one backfill unit: load the run's record, find
-/// the iterations lacking the requested names, propagate the new log
-/// statements into that version's source, and incrementally replay only
-/// what is needed. Pure with respect to the store — nothing is staged or
+/// the requested names it lacks, propagate the new log statements into
+/// that version's source, locate them, and incrementally replay only what
+/// their sites need. Pure with respect to the store — nothing is staged or
 /// committed — so any number of versions can compute concurrently while
 /// readers keep flowing; [`stage_version`] applies the results.
 pub(crate) fn compute_version(
@@ -194,24 +207,17 @@ pub(crate) fn compute_version(
     };
     let outcome = &mut result.outcome;
     let record = load_record(flor, filename, tstamp)?;
-    let Some((_, total)) = record.ckpt_loop.clone() else {
+    let Some((loop_name, total)) = record.ckpt_loop.clone() else {
         outcome.skipped = Some("run had no checkpoint loop".to_string());
         return Ok(result);
     };
     outcome.iterations_total = total;
-    // Which iterations lack which names?
-    let mut needed: Vec<usize> = Vec::new();
-    for name in names {
-        let have = iterations_logging(&record.logs, name);
-        for i in 0..total {
-            if !have.contains(&i) {
-                needed.push(i);
-            }
-        }
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    if needed.is_empty() {
+    let lacking: Vec<Held<'_>> = names
+        .iter()
+        .map(|name| Held::of(&record, name))
+        .filter(|held| !held.complete(total))
+        .collect();
+    if lacking.is_empty() {
         outcome.skipped = Some("all requested values already logged".to_string());
         return Ok(result);
     }
@@ -228,9 +234,16 @@ pub(crate) fn compute_version(
     // (a) inject the new statements into the old version.
     let prop = propagate_logs(&old_prog, new_prog);
     outcome.injected = prop.injected.len();
-    // (b) incremental replay of only the needed iterations, with the
-    // job's cancellation token and progress counter threaded through.
-    match replay_with(&prop.patched, &record, &needed, parallelism, ctl) {
+    // (b) incremental replay of only what the injected statements' sites
+    // need, with the job's cancellation token and progress counter
+    // threaded through.
+    let injected = prop
+        .injected
+        .iter()
+        .map(|i| (i.log_name.as_str(), &i.old_path));
+    let placement = Placement::locate(&prop.patched, &loop_name, injected);
+    let (needed, tail) = needs(&placement, &lacking, total);
+    match replay_with(&prop.patched, &record, &needed, tail, parallelism, ctl) {
         Ok(replayed) if replayed.cancelled => {
             // Partial logs must not be ingested; the executor surfaces
             // the cancellation from the control flag.
@@ -240,7 +253,7 @@ pub(crate) fn compute_version(
             result.new_logs = replayed
                 .new_logs
                 .into_iter()
-                .filter(|l| names.iter().any(|n| n == &l.name))
+                .filter(|l| lacking.iter().any(|held| held.lacks(l)))
                 .collect();
             outcome.values_recovered = result.new_logs.len();
         }
@@ -249,6 +262,81 @@ pub(crate) fn compute_version(
         }
     }
     Ok(result)
+}
+
+/// What a recorded run already holds of one requested name.
+struct Held<'n> {
+    name: &'n str,
+    /// Checkpoint-loop iterations that logged it (sorted).
+    iterations: Vec<usize>,
+    /// Whether the run logged it outside any loop.
+    top_level: bool,
+}
+
+impl<'n> Held<'n> {
+    fn of(record: &RunRecord, name: &'n str) -> Held<'n> {
+        Held {
+            name,
+            iterations: iterations_logging(&record.logs, name),
+            top_level: record
+                .logs
+                .iter()
+                .any(|l| l.name == name && l.loops.is_empty()),
+        }
+    }
+
+    /// Whether the run needs nothing more of this name: logged at top
+    /// level, or in every iteration.
+    fn complete(&self, total: usize) -> bool {
+        self.top_level || (0..total).all(|i| self.has(i))
+    }
+
+    fn has(&self, iteration: usize) -> bool {
+        self.iterations.binary_search(&iteration).is_ok()
+    }
+
+    /// Iterations that did not log it.
+    fn missing(&self, total: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..total).filter(|&i| !self.has(i))
+    }
+
+    /// Whether a replayed log is a value of this name the run lacks.
+    fn lacks(&self, log: &LogRecord) -> bool {
+        log.name == self.name
+            && match log.outer_iteration() {
+                Some(i) => !self.has(i),
+                None => !self.top_level,
+            }
+    }
+}
+
+/// The iterations a replay must execute for the `lacking` names, and the
+/// tail each may resume. Per name, from where its injected statements
+/// sit: before the checkpoint loop needs no iteration (every replay runs
+/// the statements before the loop), after it only the last, inside it
+/// every iteration lacking the name. A name nothing was injected for is
+/// planned whole, without a tail: its lacking iterations.
+fn needs(placement: &Placement, lacking: &[Held<'_>], total: usize) -> (Vec<usize>, Option<usize>) {
+    let mut needed = Vec::new();
+    let mut tail = placement.tail;
+    for held in lacking {
+        let mut located = false;
+        for site in placement.sites_of(held.name) {
+            located = true;
+            match site {
+                Site::BeforeLoop => {}
+                Site::InLoop => needed.extend(held.missing(total)),
+                Site::AfterLoop => needed.extend(total.checked_sub(1)),
+            }
+        }
+        if !located {
+            needed.extend(held.missing(total));
+            tail = None;
+        }
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    (needed, tail)
 }
 
 /// The staging phase of one backfill unit: write the recovered values
@@ -550,6 +638,49 @@ with flor.checkpointing(net) {
         assert_eq!(report.values_recovered, 0);
         assert_eq!(report.versions.len(), 1);
         assert!(report.versions[0].skipped.is_some());
+    }
+
+    #[test]
+    fn backfill_skips_top_level_names_the_run_logged() {
+        let after_loop =
+            format!("{TRAIN_V2}let fm = eval_model(net, data);\nflor.log(\"final_acc\", fm[0]);\n");
+        let flor = Flor::new("demo");
+        flor.fs.write("train.fl", &after_loop);
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        let report = backfill(&flor, "train.fl", &["final_acc"], 1).unwrap();
+        assert_eq!(report.iterations_replayed, 0);
+        assert_eq!(report.values_recovered, 0);
+        assert!(report.versions[0].skipped.is_some());
+        let rows = flor
+            .db
+            .scan("logs")
+            .unwrap()
+            .filter_eq("value_name", &Value::from("final_acc"))
+            .n_rows();
+        assert_eq!(rows, 1);
+    }
+
+    #[test]
+    fn randint_programs_replay_the_recorded_draws() {
+        let src = |hindsight: &str| {
+            format!(
+                "let x = 0;\nwith flor.checkpointing(x) {{\n    for e in flor.loop(\"epoch\", range(0, 6)) {{\n        let r = randint(0, 1000000);\n        x = x + r;\n{hindsight}    }}\n}}\n"
+            )
+        };
+        let flor = Flor::new("demo");
+        flor.fs.write("train.fl", &src(""));
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        let patched = src("        flor.log(\"r\", r);\n");
+        flor.fs.write("train.fl", &patched);
+        let report = backfill(&flor, "train.fl", &["r"], 2).unwrap();
+        assert_eq!(report.values_recovered, 6);
+        let hindsight = flor.dataframe(&["r"]).unwrap();
+
+        let truth = Flor::new("truth");
+        truth.fs.write("train.fl", &patched);
+        run_script(&truth, "train.fl", CheckpointPolicy::None).unwrap();
+        let foresight = truth.dataframe(&["r"]).unwrap();
+        assert_eq!(hindsight.column("r"), foresight.column("r"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use flor_record::{CheckpointPolicy, LogRecord, Recorder, RunRecord};
 use flor_script::{
     parse, Directive, FlorRuntime, Interpreter, LoopFrame, RtError, RtResult, RtValue,
 };
-use flor_store::StoreResult;
+use flor_store::{Query, StoreResult};
 
 /// Convert an interpreter value to a storable dataframe value.
 pub fn rt_to_value(v: &RtValue) -> Value {
@@ -114,7 +114,7 @@ impl FlorRuntime for ScriptRuntime<'_> {
         let _ = self.flor.commit("flor.commit()");
     }
 
-    fn plan(&mut self, loop_name: &str, iteration: usize) -> Directive {
+    fn plan(&mut self, loop_name: &str, iteration: usize) -> Directive<'_> {
         self.recorder.plan(loop_name, iteration)
     }
 
@@ -226,8 +226,22 @@ pub fn persist_record(
 /// args from `arg::` log rows.
 pub fn load_record(flor: &Flor, filename: &str, tstamp: i64) -> StoreResult<RunRecord> {
     let mut record = RunRecord::default();
-    // Loop contexts for frame reconstruction.
-    let loops = flor.db.scan("loops")?;
+    let snap = flor.db.pin();
+    // This run's loop contexts, for frame reconstruction: every chain a
+    // run's log rows hang off was minted by that run (or by a backfill
+    // ingesting at its timestamp).
+    let loops = snap.query(
+        &Query::table("loops")
+            .filter_eq("tstamp", tstamp)
+            .filter_eq("filename", filename)
+            .project(&[
+                "ctx_id",
+                "parent_ctx_id",
+                "loop_name",
+                "loop_iteration",
+                "iteration_value",
+            ]),
+    )?;
     let mut ctx: std::collections::HashMap<i64, (i64, String, usize, String)> =
         std::collections::HashMap::new();
     for r in loops.rows() {
@@ -262,8 +276,7 @@ pub fn load_record(flor: &Flor, filename: &str, tstamp: i64) -> StoreResult<RunR
         chain
     };
     // Logs of this run.
-    let logs = flor
-        .db
+    let logs = snap
         .lookup("logs", "tstamp", &Value::Int(tstamp))?
         .filter_eq("filename", &Value::from(filename));
     for r in logs.rows() {
@@ -288,8 +301,7 @@ pub fn load_record(flor: &Flor, filename: &str, tstamp: i64) -> StoreResult<RunR
         });
     }
     // Checkpoints from obj_store.
-    let objs = flor
-        .db
+    let objs = snap
         .lookup("obj_store", "tstamp", &Value::Int(tstamp))?
         .filter_eq("filename", &Value::from(filename));
     for r in objs.rows() {
@@ -368,6 +380,51 @@ with flor.checkpointing(net) {
         // Frames reconstructed from loops table.
         let last = loaded.logs.iter().rfind(|l| l.name == "loss").unwrap();
         assert_eq!(last.outer_iteration(), Some(2));
+    }
+
+    #[test]
+    fn load_record_frames_come_from_the_runs_own_contexts() {
+        let flor = Flor::new("demo");
+        flor.fs.write("train.fl", TRAIN);
+        let a = run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        flor.fs.write(
+            "eval.fl",
+            "for s in flor.loop(\"step\", range(0, 2)) {\n    flor.log(\"s\", s);\n}\n",
+        );
+        let b = run_script(&flor, "eval.fl", CheckpointPolicy::None).unwrap();
+        // A row of the other run reusing a context id of `a`'s must not
+        // reach `a`'s frames.
+        let a_ctx = flor
+            .db
+            .lookup("logs", "ctx_id", &Value::Int(1))
+            .unwrap()
+            .filter_eq("tstamp", &Value::Int(a.tstamp));
+        assert!(a_ctx.n_rows() > 0, "run a logs under context 1");
+        flor.db
+            .insert(
+                "loops",
+                vec![
+                    Value::from(flor.projid.as_str()),
+                    Value::Int(b.tstamp),
+                    Value::from("eval.fl"),
+                    Value::Int(1),
+                    Value::Int(0),
+                    Value::from("intruder"),
+                    Value::Int(9),
+                    Value::from("9"),
+                ],
+            )
+            .unwrap();
+        flor.db.commit().unwrap();
+        let frames = |logs: &[LogRecord]| -> Vec<(String, Vec<LoopFrame>, String)> {
+            logs.iter()
+                .map(|l| (l.name.clone(), l.loops.clone(), l.value.clone()))
+                .collect()
+        };
+        for (run, file) in [(&a, "train.fl"), (&b, "eval.fl")] {
+            let loaded = load_record(&flor, file, run.tstamp).unwrap();
+            assert_eq!(frames(&loaded.logs), frames(&run.record.logs), "{file}");
+        }
     }
 
     #[test]

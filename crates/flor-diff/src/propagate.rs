@@ -22,7 +22,7 @@ use flor_script::ast::{Program, Stmt, StmtPath};
 pub struct Injected {
     /// The logged value's name (`flor.log(name, ...)`).
     pub log_name: String,
-    /// Where it was inserted in the old program.
+    /// Where it sits in the patched old program ([`Propagation::patched`]).
     pub old_path: StmtPath,
     /// Pretty-printed statement text.
     pub source: String,
@@ -139,26 +139,44 @@ pub fn propagate_logs(old: &Program, new: &Program) -> Propagation {
         order += 1;
     }
 
-    // Apply insertions: group by block, ascending index, preserving
-    // new-program order among equal anchors; offset accounts for earlier
-    // insertions into the same block.
-    pending.sort_by(|a, b| {
-        a.old_block_prefix
-            .cmp(&b.old_block_prefix)
-            .then(a.insert_index.cmp(&b.insert_index))
-            .then(a.order.cmp(&b.order))
+    // Every anchor above is in old-program coordinates. Translate each into
+    // its path in the patched program: at every hop, count the insertions
+    // into that block that land at or before it (new-program order breaks
+    // ties between equal anchors).
+    let into = |block: &[(usize, usize)], before: &dyn Fn(&Pending) -> bool| {
+        pending
+            .iter()
+            .filter(|q| q.old_block_prefix == block && before(q))
+            .count()
+    };
+    let new_paths: Vec<StmtPath> = pending
+        .iter()
+        .map(|p| {
+            let prefix = &p.old_block_prefix;
+            let mut path: StmtPath = prefix
+                .iter()
+                .enumerate()
+                .map(|(hop, &(sel, idx))| {
+                    (sel, idx + into(&prefix[..hop], &|q| q.insert_index <= idx))
+                })
+                .collect();
+            let own = (p.insert_index, p.order);
+            let before_own = into(prefix, &|q| (q.insert_index, q.order) < own);
+            path.push((0, p.insert_index + before_own));
+            path
+        })
+        .collect();
+    let mut placed: Vec<(StmtPath, Pending)> = new_paths.into_iter().zip(pending).collect();
+    // Insert in the patched program's statement order: everything ahead
+    // of a statement is then in place, so its path is valid as it lands.
+    placed.sort_by_key(|(path, _)| {
+        path.iter()
+            .map(|&(sel, idx)| (idx, sel))
+            .collect::<Vec<_>>()
     });
     let mut patched = old.clone();
     let mut injected = Vec::new();
-    let mut last_block: Option<StmtPath> = None;
-    let mut offset = 0usize;
-    for p in pending {
-        if last_block.as_ref() != Some(&p.old_block_prefix) {
-            last_block = Some(p.old_block_prefix.clone());
-            offset = 0;
-        }
-        let mut path = p.old_block_prefix.clone();
-        path.push((0, p.insert_index + offset));
+    for (path, p) in placed {
         let single = Program {
             stmts: vec![p.stmt.clone()],
         };
@@ -169,7 +187,6 @@ pub fn propagate_logs(old: &Program, new: &Program) -> Propagation {
                 old_path: path,
                 source,
             });
-            offset += 1;
         } else {
             skipped.push(Skipped {
                 log_name: p.log_name,
@@ -303,17 +320,10 @@ fn stmt_at<'p>(p: &'p Program, node: &crate::tree::TreeNode) -> &'p Stmt {
         // filters to Stmt nodes first; reaching here is a logic bug.
         panic!("stmt_at on non-stmt node");
     };
-    let mut block = &p.stmts;
-    for (hop, &(sel, idx)) in path.iter().enumerate() {
-        let s = &block[idx];
-        if hop == path.len() - 1 {
-            return s;
-        }
-        block = s.blocks()[sel];
-    }
-    // audit: allow(panic) — the loop returns on the last hop and Stmt
-    // paths are non-empty by construction, so fallthrough is impossible.
-    unreachable!("paths are non-empty")
+    let along = p.stmts_along(path);
+    // Tree paths are built from this very program and are non-empty.
+    assert_eq!(along.len(), path.len(), "tree path leaves its program");
+    along[along.len() - 1]
 }
 
 /// Resolve a dst block node to the corresponding old block prefix.
@@ -469,6 +479,29 @@ mod tests {
         let out = prop(old, new);
         assert_eq!(out.injected.len(), 1);
         assert_eq!(to_source(&out.patched), to_source(&parse(new).unwrap()));
+    }
+
+    #[test]
+    fn injected_paths_address_the_patched_program() {
+        // Insertions ahead of a block shift it; insertions into that block
+        // (then-, else- and loop bodies alike) must still land where the
+        // new version has them, and every reported path must address its
+        // statement in the patched program.
+        let old = "let a = 1;\nif a > 0 {\n  a = a + 1;\n} else {\n  a = a - 1;\n}\nwith flor.checkpointing(a) {\n  for e in flor.loop(\"ep\", range(0, 2)) {\n    a = a + e;\n  }\n}";
+        let new = "let a = 1;\nflor.log(\"pre\", a);\nif a > 0 {\n  a = a + 1;\n} else {\n  flor.log(\"neg\", a);\n  a = a - 1;\n}\nflor.log(\"mid\", a);\nwith flor.checkpointing(a) {\n  for e in flor.loop(\"ep\", range(0, 2)) {\n    a = a + e;\n    flor.log(\"tail\", a);\n  }\n}\nflor.log(\"post\", a);";
+        let out = prop(old, new);
+        assert!(out.skipped.is_empty(), "{:?}", out.skipped);
+        assert_eq!(out.injected.len(), 5);
+        assert_eq!(to_source(&out.patched), to_source(&parse(new).unwrap()));
+        for inj in &out.injected {
+            let along = out.patched.stmts_along(&inj.old_path);
+            assert_eq!(along.len(), inj.old_path.len(), "{inj:?}");
+            assert_eq!(
+                crate::tree::is_log_stmt(along[along.len() - 1]),
+                Some(inj.log_name.as_str()),
+                "{inj:?}"
+            );
+        }
     }
 
     #[test]

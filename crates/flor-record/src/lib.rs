@@ -7,10 +7,14 @@
 //!   `flor.log` with loop context, resolved `flor.arg`s, and state
 //!   snapshots at checkpoint-loop boundaries under a [`CheckpointPolicy`]
 //!   (`None` / `EveryK` / the paper's `Adaptive` low-overhead policy);
+//! * [`Placement`] — where a patched program's injected statements sit
+//!   relative to its checkpoint loop (before, inside — as the body's tail
+//!   or not — or after);
 //! * [`replay()`](fn@replay) — given a (patched) program and a prior [`RunRecord`],
 //!   plan the minimal set of iterations to execute ([`plan_replay`]),
-//!   restore from the nearest checkpoints, skip memoized iterations, and
-//!   fan work out across threads;
+//!   restore from the nearest checkpoints, resume only an injected tail
+//!   where the placement allows, skip memoized iterations, and fan work
+//!   out across threads;
 //! * [`merge_logs`] — combine memoized recorded values with freshly
 //!   replayed ones into the complete log of the patched program.
 //!
@@ -20,9 +24,11 @@
 
 #![warn(missing_docs)]
 
+pub mod placement;
 pub mod record;
 pub mod replay;
 
+pub use placement::{Placement, Site};
 pub use record::{record, CheckpointPolicy, LogRecord, Recorder, RunRecord};
 pub use replay::{
     iterations_logging, merge_logs, plan_replay, replay, replay_with, IterAction, ReplayControl,

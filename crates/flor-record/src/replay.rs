@@ -6,11 +6,45 @@
 //! execution and parallelism, allowing FlorDB to efficiently replay only
 //! the necessary parts of the pipeline."
 //!
-//! Mechanics: the planner turns (recorded checkpoints × needed iterations)
-//! into per-iteration [`IterAction`]s — skip, restore-then-run, run, or
-//! stop. Skipped iterations are *memoized*: their log values are served
-//! from the recorded run. Independent needed iterations are partitioned
-//! across worker threads, each replaying from its nearest checkpoint.
+//! # Plan shapes
+//!
+//! [`plan_replay`] turns (needed iterations × recorded checkpoints × the
+//! injected tail) into one [`IterAction`] per checkpoint-loop iteration:
+//!
+//! * **skip** — the recorded run covers the iteration (its values are
+//!   *memoized*); nothing executes;
+//! * **restore-then-run** — install the nearest checkpoint below a needed
+//!   iteration and run whole iterations up to it, or keep running from
+//!   the last executed one when that is shorter (from the start when no
+//!   checkpoint precedes it);
+//! * **resume-tail** — when the injected in-loop statements are exactly
+//!   the body's last `k` statements ([`Placement::tail`]), a needed
+//!   iteration whose own end-of-iteration checkpoint exists installs it
+//!   and runs only those `k`;
+//! * **stop** — halt the program after the last needed iteration. When
+//!   the last iteration is needed nothing stops, and the program runs on
+//!   past the loop: that is how statements after it see the final state,
+//!   and why a name logged only after the loop needs the last iteration
+//!   alone.
+//!
+//! A replay given no tail plans only the first, second and last shapes —
+//! the planner as it was before placements existed.
+//!
+//! # Exactness contract
+//!
+//! Replayed values equal those of the patched program run from scratch as
+//! long as the injected statements write no state the original program
+//! reads: a checkpoint recorded by the original program is then as good
+//! as one the patched program would have taken. Every restore relies on
+//! this, the tail resume included. The one state a snapshot omits is the
+//! interpreter's `randint` generator, so a program that calls `randint`
+//! replays from the start on one worker, drawing the recording's sequence.
+//!
+//! Needed iterations are partitioned contiguously across worker threads;
+//! every worker runs the statements before the loop, and only the first
+//! reports what they log.
+//!
+//! [`Placement::tail`]: crate::Placement::tail
 
 use crate::record::{LogRecord, RunRecord};
 use flor_script::{
@@ -87,6 +121,14 @@ pub enum IterAction {
         /// Boundary iteration whose snapshot to install.
         ckpt: usize,
     },
+    /// Restore the checkpoint taken at the end of this very iteration,
+    /// then run only the loop body's last `tail` statements.
+    ResumeTail {
+        /// Boundary iteration whose snapshot to install (this one).
+        ckpt: usize,
+        /// Trailing body statements to run.
+        tail: usize,
+    },
     /// Run normally (state already correct from a prior iteration).
     Run,
     /// Halt the program at this iteration.
@@ -105,13 +147,16 @@ pub struct ReplayPlan {
 /// Compute the minimal-execution plan to run exactly the `needed`
 /// iterations of a loop of `total` iterations, given recorded checkpoints.
 ///
-/// Greedy: for each needed iteration choose the cheaper of (a) continuing
-/// from the previously executed position or (b) restoring the nearest
-/// checkpoint below it.
+/// With a `tail` (see [`Placement::tail`](crate::Placement::tail)), a
+/// needed iteration whose own checkpoint exists resumes that tail from it.
+/// Otherwise greedy: choose the cheaper of (a) continuing from the
+/// previously executed position or (b) restoring the nearest checkpoint
+/// below it.
 pub fn plan_replay(
     total: usize,
     needed: &[usize],
     checkpoints: &BTreeMap<usize, String>,
+    tail: Option<usize>,
 ) -> ReplayPlan {
     let mut needed: Vec<usize> = needed.iter().copied().filter(|&i| i < total).collect();
     needed.sort_unstable();
@@ -133,6 +178,11 @@ pub fn plan_replay(
             if p >= i {
                 continue; // already executed on the way to a previous target
             }
+        }
+        if let Some(tail) = tail.filter(|_| checkpoints.contains_key(&i)) {
+            actions[i] = IterAction::ResumeTail { ckpt: i, tail };
+            pos = Some(i);
+            continue;
         }
         // Option a: continue from pos (cost i - pos).
         let cont_cost = pos.map(|p| i - p);
@@ -187,7 +237,7 @@ pub fn plan_replay(
     }
     let will_run = actions
         .iter()
-        .filter(|a| matches!(a, IterAction::Run | IterAction::RestoreThenRun { .. }))
+        .filter(|a| !matches!(a, IterAction::Skip | IterAction::Stop))
         .count();
     ReplayPlan { actions, will_run }
 }
@@ -201,6 +251,8 @@ pub struct Replayer<'a> {
     pub logs: Vec<LogRecord>,
     ckpt_loop_name: Option<String>,
     control: ReplayControl,
+    /// How many of `logs` were captured before the checkpoint loop began.
+    prefix_logs: Option<usize>,
 }
 
 impl<'a> Replayer<'a> {
@@ -222,6 +274,7 @@ impl<'a> Replayer<'a> {
             logs: Vec::new(),
             ckpt_loop_name: record.ckpt_loop.as_ref().map(|(n, _)| n.clone()),
             control,
+            prefix_logs: None,
         }
     }
 }
@@ -244,7 +297,13 @@ impl FlorRuntime for Replayer<'_> {
         });
     }
 
-    fn plan(&mut self, loop_name: &str, iteration: usize) -> Directive {
+    fn loop_begin(&mut self, name: &str, _length: usize, loops: &[LoopFrame]) {
+        if loops.is_empty() && self.ckpt_loop_name.as_deref() == Some(name) {
+            self.prefix_logs.get_or_insert(self.logs.len());
+        }
+    }
+
+    fn plan(&mut self, loop_name: &str, iteration: usize) -> Directive<'_> {
         if self.ckpt_loop_name.as_deref() != Some(loop_name) {
             return Directive::Run;
         }
@@ -253,21 +312,24 @@ impl FlorRuntime for Replayer<'_> {
         if self.control.is_cancelled() {
             return Directive::Stop;
         }
-        match self.plan.actions.get(iteration) {
-            Some(IterAction::Skip) | None => Directive::Skip,
-            Some(IterAction::Run) => {
-                self.control.tick();
-                Directive::Run
-            }
+        let snapshot = |ckpt: &usize| self.record.checkpoints.get(ckpt);
+        let directive = match self.plan.actions.get(iteration) {
+            Some(IterAction::Skip) | None => return Directive::Skip,
+            Some(IterAction::Stop) => return Directive::Stop,
+            Some(IterAction::Run) => Directive::Run,
+            // A plan naming a missing checkpoint runs the iteration as is.
             Some(IterAction::RestoreThenRun { ckpt }) => {
-                self.control.tick();
-                match self.record.checkpoints.get(ckpt) {
-                    Some(snap) => Directive::Restore(snap.clone()),
-                    None => Directive::Run, // defensive: plan referenced a missing ckpt
-                }
+                snapshot(ckpt).map_or(Directive::Run, |s| Directive::Restore(s))
             }
-            Some(IterAction::Stop) => Directive::Stop,
-        }
+            Some(IterAction::ResumeTail { ckpt, tail }) => {
+                snapshot(ckpt).map_or(Directive::Run, |s| Directive::ResumeTail {
+                    snapshot: s,
+                    tail: *tail,
+                })
+            }
+        };
+        self.control.tick();
+        directive
     }
 }
 
@@ -314,7 +376,8 @@ pub struct ReplayOutcome {
 }
 
 /// Replay `needed` iterations of `prog` (typically a patched prior
-/// version) against `record`, using up to `parallelism` worker threads.
+/// version) against `record`, using up to `parallelism` worker threads,
+/// with no placement information: whole iterations only.
 ///
 /// Workers partition the needed iterations; each restores from its own
 /// nearest checkpoint, so wall-clock scales down with workers — the
@@ -325,18 +388,32 @@ pub fn replay(
     needed: &[usize],
     parallelism: usize,
 ) -> RtResult<ReplayOutcome> {
-    replay_with(prog, record, needed, parallelism, &ReplayControl::new())
+    replay_with(
+        prog,
+        record,
+        needed,
+        None,
+        parallelism,
+        &ReplayControl::new(),
+    )
 }
 
-/// [`replay`] with a shared [`ReplayControl`]: the caller can cancel the
-/// replay mid-flight (workers halt at the next iteration boundary and the
-/// outcome comes back with `cancelled = true`) and read live progress via
+/// [`replay`] given the injected `tail` ([`Placement::tail`]) and a shared
+/// [`ReplayControl`]: the caller can cancel the replay mid-flight (workers
+/// halt at the next iteration boundary and the outcome comes back with
+/// `cancelled = true`) and read live progress via
 /// [`ReplayControl::iterations_executed`] — the hooks the flor-jobs
 /// background scheduler threads through every unit of backfill work.
+///
+/// At least one worker runs even when no iteration is needed: it executes
+/// the statements before the loop, then stops.
+///
+/// [`Placement::tail`]: crate::Placement::tail
 pub fn replay_with(
     prog: &Program,
     record: &RunRecord,
     needed: &[usize],
+    tail: Option<usize>,
     parallelism: usize,
     control: &ReplayControl,
 ) -> RtResult<ReplayOutcome> {
@@ -344,21 +421,33 @@ pub fn replay_with(
     let mut needed: Vec<usize> = needed.iter().copied().filter(|&i| i < total).collect();
     needed.sort_unstable();
     needed.dedup();
+    // Snapshots omit the `randint` generator: such a program replays from
+    // the start on one worker, whose generator is seeded as the
+    // recording's was.
+    let no_checkpoints = BTreeMap::new();
+    let (checkpoints, tail, parallelism) = if prog.calls("randint") {
+        (&no_checkpoints, None, 1)
+    } else {
+        (&record.checkpoints, tail, parallelism)
+    };
     let workers = parallelism.max(1).min(needed.len().max(1));
     // Partition needed iterations contiguously across workers.
     let chunk = needed.len().div_ceil(workers).max(1);
-    let parts: Vec<Vec<usize>> = needed.chunks(chunk).map(<[usize]>::to_vec).collect();
+    let mut parts: Vec<&[usize]> = needed.chunks(chunk).collect();
+    if parts.is_empty() {
+        parts.push(&[]);
+    }
+    let worker = |w: usize| {
+        let plan = plan_replay(total, parts[w], checkpoints, tail);
+        run_worker(prog, record, &plan, parts[w], w == 0, control)
+    };
 
     let results: Vec<RtResult<(Vec<LogRecord>, ExecStats, usize)>> = if parts.len() <= 1 {
-        parts
-            .iter()
-            .map(|part| run_worker(prog, record, part, total, control))
-            .collect()
+        (0..parts.len()).map(worker).collect()
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| scope.spawn(move || run_worker(prog, record, part, total, control)))
+            let handles: Vec<_> = (0..parts.len())
+                .map(|w| scope.spawn(move || worker(w)))
                 .collect();
             handles
                 .into_iter()
@@ -395,14 +484,21 @@ pub fn replay_with(
 fn run_worker(
     prog: &Program,
     record: &RunRecord,
+    plan: &ReplayPlan,
     part: &[usize],
-    total: usize,
+    first: bool,
     control: &ReplayControl,
 ) -> RtResult<(Vec<LogRecord>, ExecStats, usize)> {
-    let plan = plan_replay(total, part, &record.checkpoints);
-    let mut replayer = Replayer::with_control(&plan, record, control.clone());
+    let mut replayer = Replayer::with_control(plan, record, control.clone());
     let mut interp = Interpreter::new();
     let stats = interp.run(prog, &mut replayer)?;
+    // Every worker ran the statements before the loop; the first reports
+    // their logs.
+    let prefix = if first {
+        0
+    } else {
+        replayer.prefix_logs.unwrap_or(replayer.logs.len())
+    };
     // Keep only logs from iterations this worker was asked for (it may have
     // executed warm-up iterations whose logs belong to another worker or
     // are already recorded).
@@ -410,6 +506,7 @@ fn run_worker(
     let logs: Vec<LogRecord> = replayer
         .logs
         .into_iter()
+        .skip(prefix)
         .filter(|l| l.outer_iteration().is_none_or(|i| wanted.contains(&i)))
         .collect();
     Ok((logs, stats, plan.will_run))
@@ -502,7 +599,7 @@ with flor.checkpointing(net) {
         for i in 0..10 {
             ckpts.insert(i, format!("snap{i}"));
         }
-        let plan = plan_replay(10, &[7], &ckpts);
+        let plan = plan_replay(10, &[7], &ckpts, None);
         assert_eq!(plan.will_run, 1);
         assert_eq!(plan.actions[7], IterAction::RestoreThenRun { ckpt: 6 });
         assert_eq!(plan.actions[8], IterAction::Stop);
@@ -511,7 +608,7 @@ with flor.checkpointing(net) {
 
     #[test]
     fn plan_without_checkpoints_runs_prefix() {
-        let plan = plan_replay(10, &[7], &BTreeMap::new());
+        let plan = plan_replay(10, &[7], &BTreeMap::new(), None);
         assert_eq!(plan.will_run, 8); // 0..=7
         assert!(matches!(plan.actions[0], IterAction::Run));
         assert_eq!(plan.actions[8], IterAction::Stop);
@@ -523,7 +620,7 @@ with flor.checkpointing(net) {
         // to continue 4..=5 than to restore ckpt 0 and run 1..=5.
         let mut ckpts = BTreeMap::new();
         ckpts.insert(0usize, "s0".to_string());
-        let plan = plan_replay(8, &[3, 5], &ckpts);
+        let plan = plan_replay(8, &[3, 5], &ckpts, None);
         assert_eq!(plan.actions[1], IterAction::RestoreThenRun { ckpt: 0 });
         for i in 2..=5 {
             assert_eq!(plan.actions[i], IterAction::Run, "iteration {i}");
@@ -539,7 +636,7 @@ with flor.checkpointing(net) {
         for i in 0..10 {
             ckpts.insert(i, format!("s{i}"));
         }
-        let plan = plan_replay(10, &[1, 8], &ckpts);
+        let plan = plan_replay(10, &[1, 8], &ckpts, None);
         assert_eq!(plan.actions[1], IterAction::RestoreThenRun { ckpt: 0 });
         assert_eq!(plan.actions[8], IterAction::RestoreThenRun { ckpt: 7 });
         assert_eq!(plan.will_run, 2);
@@ -547,9 +644,93 @@ with flor.checkpointing(net) {
 
     #[test]
     fn plan_empty_needed_stops_immediately() {
-        let plan = plan_replay(5, &[], &BTreeMap::new());
+        let plan = plan_replay(5, &[], &BTreeMap::new(), None);
         assert_eq!(plan.will_run, 0);
         assert_eq!(plan.actions[0], IterAction::Stop);
+    }
+
+    #[test]
+    fn plan_resumes_tails_from_each_iterations_own_checkpoint() {
+        let every: BTreeMap<usize, String> = (0..6).map(|i| (i, format!("s{i}"))).collect();
+        let even: BTreeMap<usize, String> = [0, 2, 4].map(|i| (i, format!("s{i}"))).into();
+        let all: Vec<usize> = (0..6).collect();
+        let resume = |i| IterAction::ResumeTail { ckpt: i, tail: 2 };
+        // Every iteration resumes its own tail; nothing stops the program.
+        let plan = plan_replay(6, &all, &every, Some(2));
+        assert_eq!(plan.actions, (0..6).map(resume).collect::<Vec<_>>());
+        assert_eq!(plan.will_run, 6);
+        // An iteration without its own checkpoint runs whole, continuing.
+        let plan = plan_replay(6, &all, &even, Some(2));
+        use IterAction::Run;
+        assert_eq!(
+            plan.actions,
+            vec![resume(0), Run, resume(2), Run, resume(4), Run]
+        );
+        // The last iteration alone (a name logged after the loop): resume
+        // it with an empty tail, or restore below it when its checkpoint
+        // is missing or no tail is known.
+        let plan = plan_replay(6, &[5], &every, Some(0));
+        assert_eq!(plan.actions[5], IterAction::ResumeTail { ckpt: 5, tail: 0 });
+        assert_eq!(plan.will_run, 1);
+        let plan = plan_replay(6, &[5], &even, Some(0));
+        assert_eq!(plan.actions[5], IterAction::RestoreThenRun { ckpt: 4 });
+        let plan = plan_replay(6, &[5], &every, None);
+        assert_eq!(plan.actions[5], IterAction::RestoreThenRun { ckpt: 4 });
+        // Stops after the last needed iteration, as without a tail.
+        let plan = plan_replay(6, &[1, 3], &every, Some(1));
+        assert_eq!(plan.actions[4], IterAction::Stop);
+        assert_eq!(plan.will_run, 2);
+    }
+
+    #[test]
+    fn tail_replay_matches_foresight_without_running_the_body() {
+        let orig = parse(TRAIN).unwrap();
+        let (rec, _) = record(&orig, CheckpointPolicy::EveryK(1), &[]).unwrap();
+        let patched = parse(TRAIN_PATCHED).unwrap();
+        let (truth, _) = record(&patched, CheckpointPolicy::None, &[]).unwrap();
+        let needed: Vec<usize> = (0..6).collect();
+        for workers in [1, 2, 4] {
+            let out = replay_with(
+                &patched,
+                &rec,
+                &needed,
+                Some(2),
+                workers,
+                &ReplayControl::new(),
+            )
+            .unwrap();
+            let accs: Vec<&str> = out
+                .new_logs
+                .iter()
+                .filter(|l| l.name == "acc")
+                .map(|l| l.value.as_str())
+                .collect();
+            assert_eq!(accs, truth.values_of("acc"));
+            assert_eq!(out.stats.restores, 6);
+            assert_eq!(out.iterations_executed, 6);
+            // No train_step ran: only the injected eval_model's work.
+            assert_eq!(out.stats.work_units, 6 * 80 / 4);
+            assert!(out.new_logs.iter().all(|l| l.name != "loss"));
+        }
+    }
+
+    #[test]
+    fn only_the_first_worker_reports_statements_before_the_loop() {
+        let with_prefix_log = format!("flor.log(\"lr\", 0.5);\n{TRAIN_PATCHED}");
+        let orig = parse(TRAIN).unwrap();
+        let (rec, _) = record(&orig, CheckpointPolicy::EveryK(1), &[]).unwrap();
+        let patched = parse(&with_prefix_log).unwrap();
+        let needed: Vec<usize> = (0..6).collect();
+        let out = replay_with(&patched, &rec, &needed, Some(2), 3, &ReplayControl::new()).unwrap();
+        assert_eq!(out.workers, 3);
+        assert_eq!(out.new_logs.iter().filter(|l| l.name == "lr").count(), 1);
+        // With nothing needed in the loop, one worker still runs them.
+        let out = replay(&patched, &rec, &[], 3).unwrap();
+        assert_eq!((out.workers, out.iterations_executed), (1, 0));
+        assert_eq!(
+            out.new_logs.iter().map(|l| &l.name).collect::<Vec<_>>(),
+            ["lr"]
+        );
     }
 
     #[test]
@@ -652,7 +833,7 @@ with flor.checkpointing(net) {
         let needed: Vec<usize> = (0..6).collect();
         let ctl = ReplayControl::new();
         ctl.cancel();
-        let out = replay_with(&patched, &rec, &needed, 1, &ctl).unwrap();
+        let out = replay_with(&patched, &rec, &needed, None, 1, &ctl).unwrap();
         assert!(out.cancelled);
         assert_eq!(out.stats.iterations_run, 0, "cancelled before any work");
     }
@@ -664,7 +845,7 @@ with flor.checkpointing(net) {
         let patched = parse(TRAIN_PATCHED).unwrap();
         let needed: Vec<usize> = (0..6).collect();
         let ctl = ReplayControl::new();
-        let out = replay_with(&patched, &rec, &needed, 2, &ctl).unwrap();
+        let out = replay_with(&patched, &rec, &needed, None, 2, &ctl).unwrap();
         assert!(!out.cancelled);
         assert_eq!(ctl.iterations_executed(), out.iterations_executed);
         assert_eq!(out.iterations_executed, 6);

@@ -546,6 +546,36 @@ impl Program {
         }
     }
 
+    /// The statements `path` passes through, outermost first: every
+    /// enclosing statement, then the addressed one. Shorter than `path`
+    /// when the path is invalid.
+    pub fn stmts_along(&self, path: &StmtPath) -> Vec<&Stmt> {
+        let mut out = Vec::with_capacity(path.len());
+        let mut block = &self.stmts;
+        for &(sel, idx) in path {
+            let Some(stmt) = block.get(idx) else { break };
+            out.push(stmt);
+            match stmt.blocks().get(sel) {
+                Some(inner) => block = inner,
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// Whether any expression in the program calls the builtin `name`.
+    pub fn calls(&self, name: &str) -> bool {
+        fn in_expr(e: &Expr, name: &str) -> bool {
+            matches!(e, Expr::Call { name: n, .. } if n == name)
+                || e.children().into_iter().any(|c| in_expr(c, name))
+        }
+        let mut found = false;
+        self.visit_stmts(&mut |s, _| {
+            found = found || s.exprs().into_iter().any(|e| in_expr(e, name));
+        });
+        found
+    }
+
     /// Total node count (statements + expressions).
     pub fn node_count(&self) -> usize {
         let mut count = 0usize;
@@ -624,6 +654,34 @@ mod tests {
         // invalid paths rejected
         assert!(!p.insert_at(&vec![(0, 9), (0, 0)], new_stmt.clone()));
         assert!(!p.insert_at(&vec![], new_stmt));
+    }
+
+    #[test]
+    fn stmts_along_walks_enclosing_statements() {
+        let p = parse("let a = 1;\nif a > 0 { let b = 2; } else { for x in [1] { let c = x; } }")
+            .unwrap();
+        let labels = |path: &StmtPath| -> Vec<String> {
+            p.stmts_along(path).into_iter().map(Stmt::label).collect()
+        };
+        assert_eq!(labels(&vec![(0, 0)]), vec!["let:a"]);
+        assert_eq!(labels(&vec![(0, 1), (0, 0)]), vec!["if", "let:b"]);
+        assert_eq!(
+            labels(&vec![(1, 1), (0, 0), (0, 0)]),
+            vec!["if", "for:x", "let:c"]
+        );
+        // Invalid paths stop where they leave the program.
+        assert_eq!(labels(&vec![(0, 0), (0, 0)]), vec!["let:a"]);
+        assert!(labels(&vec![(0, 7)]).is_empty());
+    }
+
+    #[test]
+    fn calls_finds_nested_builtin_calls() {
+        let p =
+            parse("let a = 1;\nfor e in range(0, 2) { if e > 0 { a = a + abs(randint(0, 9)); } }")
+                .unwrap();
+        assert!(p.calls("randint"));
+        assert!(p.calls("range"));
+        assert!(!p.calls("work"));
     }
 
     #[test]

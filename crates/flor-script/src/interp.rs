@@ -7,6 +7,7 @@
 //!   entered becomes the **checkpoint loop**: the runtime is offered a
 //!   state snapshot at every iteration boundary (recording), and may steer
 //!   each iteration with a [`Directive`] (replay) — Run, Skip, Restore a
+//!   checkpoint, resume the body's tail from the iteration's own
 //!   checkpoint, or Stop the program.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
@@ -57,14 +58,30 @@ pub struct LoopFrame {
 }
 
 /// Replay steering for checkpoint-loop iterations.
-#[derive(Debug, Clone)]
-pub enum Directive {
+///
+/// Snapshots are borrowed from the runtime (a replayer holds the recorded
+/// run's checkpoints), so steering an iteration never copies one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Directive<'s> {
     /// Execute the iteration normally.
     Run,
     /// Skip the iteration entirely (its effects are memoized elsewhere).
     Skip,
-    /// Install the given snapshot, then run the iteration.
-    Restore(String),
+    /// Install the snapshot (state entering this iteration), then run the
+    /// whole iteration.
+    Restore(&'s str),
+    /// Install the snapshot taken at the *end* of this iteration, then run
+    /// only the loop body's last `tail` statements, with this iteration's
+    /// loop variable and loop frame set. The environment is flat and the
+    /// boundary snapshot is taken right after the body, so that snapshot
+    /// is the state just before those statements — exact as long as they
+    /// write nothing the original body reads.
+    ResumeTail {
+        /// The end-of-iteration snapshot.
+        snapshot: &'s str,
+        /// How many trailing body statements to run.
+        tail: usize,
+    },
     /// Stop the whole program before this iteration.
     Stop,
 }
@@ -103,7 +120,7 @@ pub trait FlorRuntime {
     fn commit(&mut self) {}
 
     /// Steer one checkpoint-loop iteration (replay hook).
-    fn plan(&mut self, _loop_name: &str, _iteration: usize) -> Directive {
+    fn plan(&mut self, _loop_name: &str, _iteration: usize) -> Directive<'_> {
         Directive::Run
     }
 
@@ -321,6 +338,8 @@ impl Interpreter {
         };
         rt.loop_begin(loop_name, items.len(), &self.loop_stack);
         for (i, item) in items.into_iter().enumerate() {
+            // First body statement this iteration runs.
+            let mut from = 0;
             if is_ckpt {
                 match rt.plan(loop_name, i) {
                     Directive::Run => {}
@@ -329,7 +348,16 @@ impl Interpreter {
                         continue;
                     }
                     Directive::Restore(snap) => {
-                        self.restore(&snap)?;
+                        self.restore(snap)?;
+                    }
+                    Directive::ResumeTail { snapshot, tail } => {
+                        self.restore(snapshot)?;
+                        from = body.len().checked_sub(tail).ok_or_else(|| {
+                            RtError::new(format!(
+                                "cannot resume the last {tail} of {} loop-body statements",
+                                body.len()
+                            ))
+                        })?;
                     }
                     Directive::Stop => {
                         self.stop = true;
@@ -345,7 +373,7 @@ impl Interpreter {
                 value: item.display_text(),
             });
             rt.loop_iter(loop_name, i, &item, &self.loop_stack);
-            let body_result = self.exec_block(body, rt);
+            let body_result = self.exec_block(&body[from..], rt);
             self.loop_stack.pop();
             body_result?;
             if self.stop {
@@ -813,10 +841,10 @@ mod tests {
     }
 
     impl FlorRuntime for SkipTo {
-        fn plan(&mut self, _loop_name: &str, iteration: usize) -> Directive {
+        fn plan(&mut self, _loop_name: &str, iteration: usize) -> Directive<'_> {
             match iteration.cmp(&self.target) {
                 std::cmp::Ordering::Less => Directive::Skip,
-                std::cmp::Ordering::Equal => Directive::Restore(self.snapshot.clone()),
+                std::cmp::Ordering::Equal => Directive::Restore(&self.snapshot),
                 std::cmp::Ordering::Greater => Directive::Stop,
             }
         }
@@ -853,10 +881,58 @@ mod tests {
     }
 
     #[test]
+    fn resume_tail_runs_only_the_trailing_statements() {
+        let src = "let model = 100;\nwith flor.checkpointing(model) {\n  for e in flor.loop(\"epoch\", range(0, 4)) {\n    model = model + e;\n    work(1);\n    flor.log(\"m\", model * 2);\n  }\n}";
+        let prog = parse(src).unwrap();
+        let mut rec = Recorder::default();
+        Interpreter::new().run(&prog, &mut rec).unwrap();
+
+        /// Resumes the last `tail` statements of iteration `target` from
+        /// that iteration's own checkpoint; skips before, stops after.
+        struct Tail {
+            target: usize,
+            tail: usize,
+            snapshot: String,
+            logs: Vec<(String, String, Vec<LoopFrame>)>,
+        }
+        impl FlorRuntime for Tail {
+            fn plan(&mut self, _loop_name: &str, iteration: usize) -> Directive<'_> {
+                match iteration.cmp(&self.target) {
+                    std::cmp::Ordering::Less => Directive::Skip,
+                    std::cmp::Ordering::Equal => Directive::ResumeTail {
+                        snapshot: &self.snapshot,
+                        tail: self.tail,
+                    },
+                    std::cmp::Ordering::Greater => Directive::Stop,
+                }
+            }
+            fn log(&mut self, name: &str, value: &RtValue, loops: &[LoopFrame]) {
+                self.logs
+                    .push((name.to_string(), value.display_text(), loops.to_vec()));
+            }
+        }
+        let mut rt = Tail {
+            target: 2,
+            tail: 1,
+            snapshot: rec.checkpoints[2].1.clone(),
+            logs: vec![],
+        };
+        let mut partial = Interpreter::new();
+        partial.run(&prog, &mut rt).unwrap();
+        assert_eq!(rt.logs, vec![rec.logs[2].clone()]);
+        assert_eq!(partial.stats.work_units, 0, "only the tail ran");
+        assert_eq!(partial.stats.restores, 1);
+        assert_eq!(partial.stats.iterations_run, 1);
+        // A tail longer than the body is an error, not a panic.
+        rt.tail = 4;
+        assert!(Interpreter::new().run(&prog, &mut rt).is_err());
+    }
+
+    #[test]
     fn stop_directive_halts_program() {
         struct StopAt1;
         impl FlorRuntime for StopAt1 {
-            fn plan(&mut self, _l: &str, i: usize) -> Directive {
+            fn plan(&mut self, _l: &str, i: usize) -> Directive<'_> {
                 if i >= 1 {
                     Directive::Stop
                 } else {

@@ -12,8 +12,10 @@
 //!   ([`value::snapshot_state`]), so replay from a checkpoint is provably
 //!   equivalent to uninterrupted execution.
 //! * **Replay steering** — a runtime can [`Directive::Skip`] iterations,
-//!   [`Directive::Restore`] a checkpoint, or [`Directive::Stop`] the
-//!   program: the primitive moves behind multiversion hindsight replay.
+//!   [`Directive::Restore`] a checkpoint, [`Directive::ResumeTail`] (run
+//!   only the body's last statements from the iteration's own
+//!   checkpoint), or [`Directive::Stop`] the program: the primitive moves
+//!   behind multiversion hindsight replay.
 //! * **Diffable ASTs** — canonical node ids, structural labels and a
 //!   round-tripping pretty-printer ([`printer::to_source`]) support
 //!   GumTree-style differencing and statement injection in `flor-diff`.
