@@ -683,6 +683,67 @@ with flor.checkpointing(net) {
         assert_eq!(hindsight.column("r"), foresight.column("r"));
     }
 
+    /// Record `old`, backfill `name` from `new` with `parallelism`
+    /// workers, and check the values against a foresight run of `new`.
+    fn backfill_matches_foresight(old: &str, new: &str, name: &str, parallelism: usize) {
+        let flor = Flor::new("demo");
+        flor.fs.write("train.fl", old);
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        flor.fs.write("train.fl", new);
+        let report = backfill(&flor, "train.fl", &[name], parallelism).unwrap();
+        assert_eq!(report.versions[0].skipped, None);
+        assert_eq!(report.values_recovered, 4);
+        let hindsight = flor.dataframe(&[name]).unwrap();
+
+        let truth = Flor::new("truth");
+        truth.fs.write("train.fl", new);
+        run_script(&truth, "train.fl", CheckpointPolicy::None).unwrap();
+        let foresight = truth.dataframe(&[name]).unwrap();
+        assert_eq!(hindsight.column(name), foresight.column(name));
+    }
+
+    #[test]
+    fn in_loop_statements_read_bindings_made_before_the_loop() {
+        let new = TRAIN_V1
+            .replace("with flor", "let k = 2.0;\nflor.log(\"k\", k);\nwith flor")
+            .replace(
+                "flor.log(\"loss\", loss);\n",
+                "flor.log(\"loss\", loss);\n        flor.log(\"h\", loss * k);\n",
+            );
+        backfill_matches_foresight(TRAIN_V1, &new, "h", 1);
+    }
+
+    #[test]
+    fn models_shared_by_two_bindings_restore_as_one() {
+        // Worker 2 of 2 restores boundary 1 and trains `net` on: `alias`
+        // must see every step, as it did when recorded.
+        let src = |hindsight: &str| {
+            format!(
+                "let data = load_dataset(\"first_page\", 60, 42);\nlet net = make_model(5, 4, 2, 7);\nlet alias = net;\nwith flor.checkpointing(net) {{\n    for e in flor.loop(\"epoch\", range(0, 4)) {{\n        let loss = train_step(net, data, 0.5);\n{hindsight}        flor.log(\"loss\", loss);\n    }}\n}}\n"
+            )
+        };
+        let new =
+            src("        let a = train_step(alias, data, 0.0);\n        flor.log(\"a\", a);\n");
+        backfill_matches_foresight(&src(""), &new, "a", 2);
+    }
+
+    #[test]
+    fn a_before_loop_alias_sees_the_model_the_loop_trains_under_another_name() {
+        // Each checkpoint meets the model under `model`, which the loop
+        // binds, before `net`: every resumed tail must still evaluate
+        // the trained model through `k`, made before the loop.
+        let src = |before: &str, tail: &str| {
+            format!(
+                "let data = load_dataset(\"first_page\", 60, 42);\nlet net = make_model(5, 4, 2, 7);\n{before}with flor.checkpointing(net) {{\n    for e in flor.loop(\"epoch\", range(0, 4)) {{\n        let model = net;\n        let loss = train_step(model, data, 0.5);\n        flor.log(\"loss\", loss);\n{tail}    }}\n}}\n"
+            )
+        };
+        let new = src(
+            "let k = net;\nflor.log(\"k\", eval_model(k, data)[0]);\n",
+            "        flor.log(\"h\", eval_model(k, data)[0]);\n",
+        );
+        backfill_matches_foresight(&src("", ""), &new, "h", 1);
+    }
+
     #[test]
     fn backfill_replays_less_than_full_when_partial() {
         // v1 logs acc only on even epochs; backfill needs odd epochs only.

@@ -4,22 +4,35 @@
 //! new source logs, and it never replays more iterations than
 //! whole-iteration replay (a replay given no placement) does.
 //!
-//! Random programs: pre-loop `let`s, then `with flor.checkpointing` around
-//! a `flor.loop` of 1–6 iterations whose body holds 1–4 of loop-carried
-//! int and float updates, `train_step`, a nested plain `for`, an
-//! `if e % 2 == 0`, a `flor.log` of an existing name and `randint`. The
-//! new version adds side-effect-free log statements under fresh names
+//! Random programs: pre-loop `let`s (among them `alias`, a second binding
+//! of the model), then `with flor.checkpointing` around a `flor.loop` of
+//! 1–6 iterations whose body holds 1–4 of loop-carried int and float
+//! updates, `train_step`, `poison` of the dataset, a nested plain `for`,
+//! an `if e % 2 == 0`, a `flor.log` of an existing name, `randint` and a
+//! loop-body alias of the model, alone or trained through.
+//! The new version adds side-effect-free log statements under fresh names
 //! (some with a fresh `let` they read) at random sites: the body's tail,
-//! mid-body, inside the `if`, after the loop, before the loop. Each case
-//! runs under every checkpoint policy with 1–3 replay workers and
-//! backfills a random subset of the new names.
+//! mid-body, inside the `if`, after the loop, before the loop. Some read
+//! the model through `alias`, some the nested loop's variable, and some
+//! `k`, a binding the new version makes before the loop (a scalar or one
+//! more alias of the model). Each case runs under every checkpoint policy
+//! with 1–3 replay workers and backfills a random subset of the new names.
+//!
+//! Checkpoints hold only what the loop can change, so each case also
+//! checks the recorded version's checkpoints directly: installed over the
+//! state the statements before the loop leave, each reproduces the whole
+//! state at its boundary, and none is larger than that whole state
+//! written out (which, sharing aliased objects, is no larger than a
+//! whole-state snapshot that writes each binding's objects inline).
 //!
 //! Then deterministic cases for each plan shape on a ledger-shaped script.
 
 use flor_core::{backfill, load_record, run_script, Flor};
 use flor_diff::propagate_logs;
-use flor_record::{replay, replay_with, CheckpointPolicy, LogRecord, Placement, ReplayControl};
-use flor_script::{parse, to_source};
+use flor_record::{
+    record, replay, replay_with, CheckpointPolicy, LogRecord, Placement, ReplayControl,
+};
+use flor_script::{parse, to_source, Directive, FlorRuntime, Interpreter, Program};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -40,13 +53,29 @@ enum BodyStmt {
     If(Vec<String>),
 }
 
-const BODY_LINES: [&str; 6] = [
+/// `a` and `a0` sort before `alias`, so a checkpoint meets the model
+/// first under a name the loop binds.
+const BODY_LINES: [&str; 9] = [
     "x = x + e * 3 + 1;",
     "y = y * 0.5 + e;",
     "let loss = train_step(net, data, 0.3);",
     "for j in range(0, 3) { acc = acc + j * e; }",
     "flor.log(\"x\", x);",
     "r = randint(0, 1000);",
+    "poison(data, 0.1);",
+    "let a = net;",
+    "let a0 = net; train_step(a0, data, 0.1);",
+];
+
+/// The body line binding `j`.
+const NESTED_FOR: usize = 3;
+
+/// Bindings the new version may make before the loop, as `let k = ..;`,
+/// each with an expression reading `k`.
+const PRE_BINDINGS: [(&str, &str); 3] = [
+    ("2.5", "x * k"),
+    ("net", "eval_model(k, data)[0]"),
+    ("alias", "train_step(k, data, 0.0)"),
 ];
 
 /// Where an injected statement goes in the new version.
@@ -92,16 +121,44 @@ fn gen_case(rng: &mut TestRng) -> Case {
         sites.push(Site::InIf);
     }
     let injections: Vec<Site> = (0..1 + rng.below(3)).map(|_| pick(rng, &sites)).collect();
+    let pre_binding = (rng.below(4) > 0).then(|| pick(rng, &PRE_BINDINGS));
+    let nested = body
+        .iter()
+        .any(|s| matches!(s, BodyStmt::Line(l) if l == BODY_LINES[NESTED_FOR]));
 
     // The injected lines, by where they go.
     let (mut pre, mut post, mut tail, mut in_if) = (vec![], vec![], vec![], vec![]);
     let mut ahead_of: Vec<Vec<String>> = vec![Vec::new(); body.len()];
     let mut names = Vec::new();
+    if let Some((value, reader)) = pre_binding {
+        pre.push(format!("let k = {value};"));
+        pre.push(format!("flor.log(\"hk\", {reader});"));
+        names.push("hk".to_string());
+    }
     for (k, site) in injections.iter().enumerate() {
         let name = format!("h{k}");
-        let mut exprs = vec!["x", "y * 2.0", "x + acc", "acc"];
+        let mut exprs = vec![
+            "x",
+            "y * 2.0",
+            "x + acc",
+            "acc",
+            "eval_model(alias, data)[0]",
+        ];
         if !matches!(site, Site::Before) {
-            exprs.extend(["x * 3 + e", "loss", "r", "y + e"]);
+            exprs.extend([
+                "x * 3 + e",
+                "loss",
+                "r",
+                "y + e",
+                "train_step(alias, data, 0.0)",
+            ]);
+        }
+        // `j` is bound once the nested loop has run in some iteration.
+        if nested && matches!(site, Site::Tail | Site::After) {
+            exprs.push("acc + j");
+        }
+        if let Some((_, reader)) = pre_binding {
+            exprs.extend([reader, reader]);
         }
         let expr = pick(rng, &exprs);
         let lines = if rng.below(3) == 0 {
@@ -140,7 +197,7 @@ fn gen_case(rng: &mut TestRng) -> Case {
 
 fn render(epochs: u64, pre: &[String], body: &[BodyStmt], post: &[String]) -> String {
     let mut src = String::from(
-        "let data = load_dataset(\"first_page\", 24, 5);\nlet net = make_model(5, 3, 2, 9);\nlet x = 2;\nlet y = 0.25;\nlet acc = 0;\nlet loss = 0.0;\nlet r = 0;\n",
+        "let data = load_dataset(\"first_page\", 24, 5);\nlet net = make_model(5, 3, 2, 9);\nlet alias = net;\nlet x = 2;\nlet y = 0.25;\nlet acc = 0;\nlet loss = 0.0;\nlet r = 0;\n",
     );
     for line in pre {
         src += &format!("{line}\n");
@@ -223,6 +280,54 @@ fn hindsight(
     (keyed(&held.logs, names), report.iterations_replayed, whole)
 }
 
+/// Runs every checkpoint-loop iteration before `.0`, then stops the
+/// program.
+struct StopAt(usize);
+
+impl FlorRuntime for StopAt {
+    fn plan(&mut self, _loop_name: &str, iteration: usize) -> Directive<'_> {
+        if iteration < self.0 {
+            Directive::Run
+        } else {
+            Directive::Stop
+        }
+    }
+}
+
+/// The interpreter after `prog` ran its first `iterations` iterations:
+/// with 0, the state the statements before the loop leave.
+fn stopped_at(prog: &Program, iterations: usize) -> Interpreter {
+    let mut interp = Interpreter::new();
+    interp
+        .run(prog, &mut StopAt(iterations))
+        .expect("program runs");
+    interp
+}
+
+/// Each checkpoint of `src` recorded at every boundary, installed over
+/// the state before the loop, reproduces the whole state at its boundary
+/// (written out whole, byte for byte), and is no larger than it.
+fn checkpoints_restore_whole_states(src: &str) {
+    let prog = parse(src).expect("old");
+    let (rec, _) = record(&prog, CheckpointPolicy::EveryK(1), &[]).expect("record");
+    for (&i, ckpt) in &rec.checkpoints {
+        let whole = stopped_at(&prog, i + 1).snapshot().expect("whole state");
+        assert!(
+            ckpt.len() <= whole.len(),
+            "boundary {i}: {} > {} bytes\n{src}",
+            ckpt.len(),
+            whole.len()
+        );
+        let mut restored = stopped_at(&prog, 0);
+        restored.restore(ckpt).expect("restore");
+        assert_eq!(
+            restored.snapshot().expect("restored state"),
+            whole,
+            "boundary {i}\n{src}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -230,6 +335,7 @@ proptest! {
     fn backfill_equals_foresight_under_every_plan(seed in any::<u64>()) {
         let mut rng = TestRng::for_case(seed);
         let case = gen_case(&mut rng);
+        checkpoints_restore_whole_states(&case.old);
         let truth = Flor::new("foresight");
         truth.fs.write(FILE, &case.new);
         let foresight = run_script(&truth, FILE, CheckpointPolicy::None).expect("foresight run");

@@ -4,8 +4,9 @@
 //! get data from the past.
 //!
 //! * [`record()`](fn@record) — run a program under a [`Recorder`], capturing every
-//!   `flor.log` with loop context, resolved `flor.arg`s, and state
-//!   snapshots at checkpoint-loop boundaries under a [`CheckpointPolicy`]
+//!   `flor.log` with loop context, resolved `flor.arg`s, and snapshots of
+//!   what the checkpoint loop can change, at its iteration boundaries
+//!   under a [`CheckpointPolicy`]
 //!   (`None` / `EveryK` / the paper's `Adaptive` low-overhead policy);
 //! * [`Placement`] — where a patched program's injected statements sit
 //!   relative to its checkpoint loop (before, inside — as the body's tail

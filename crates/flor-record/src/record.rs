@@ -3,8 +3,9 @@
 //! Flor's record side (paper §2) provides "low-overhead adaptive
 //! checkpointing, minimizing computational resources during model
 //! training". The [`Recorder`] runtime captures every `flor.log` with its
-//! loop context, resolves `flor.arg`s, and snapshots interpreter state at
-//! checkpoint-loop iteration boundaries according to a [`CheckpointPolicy`].
+//! loop context, resolves `flor.arg`s, and snapshots what the checkpoint
+//! loop can change at its iteration boundaries according to a
+//! [`CheckpointPolicy`].
 
 use flor_script::{ExecStats, FlorRuntime, Interpreter, LoopFrame, Program, RtResult, RtValue};
 use std::collections::{BTreeMap, HashMap};
@@ -321,13 +322,14 @@ with flor.checkpointing(net) {
         // The snapshot at the last boundary equals the final state of the
         // checkpointed variables.
         let snap = &rec.checkpoints[&3];
-        let (env, heap) = flor_script::restore_state(snap).unwrap();
+        let mut restored = Interpreter::new();
+        restored.restore(snap).unwrap();
         let net_final = match final_interp.env["net"] {
             RtValue::Model(h) => final_interp.heap.models[h].clone(),
             _ => panic!(),
         };
-        let net_snap = match env["net"] {
-            RtValue::Model(h) => heap.models[h].clone(),
+        let net_snap = match restored.env["net"] {
+            RtValue::Model(h) => restored.heap.models[h].clone(),
             _ => panic!(),
         };
         assert_eq!(net_final, net_snap);

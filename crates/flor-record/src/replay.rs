@@ -36,9 +36,14 @@
 //! long as the injected statements write no state the original program
 //! reads: a checkpoint recorded by the original program is then as good
 //! as one the patched program would have taken. Every restore relies on
-//! this, the tail resume included. The one state a snapshot omits is the
-//! interpreter's `randint` generator, so a program that calls `randint`
-//! replays from the start on one worker, drawing the recording's sequence.
+//! this, the tail resume included. A checkpoint holds only what the
+//! original loop can change and is installed over the state the replay's
+//! own run of the statements before the loop built, so those statements
+//! must be deterministic given the recorded args, and injected statements
+//! must not carry state of their own from one iteration to the next. The
+//! one state a snapshot omits is the interpreter's `randint` generator, so
+//! a program that calls `randint` replays from the start on one worker,
+//! drawing the recording's sequence.
 //!
 //! Needed iterations are partitioned contiguously across worker threads;
 //! every worker runs the statements before the loop, and only the first

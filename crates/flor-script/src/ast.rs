@@ -6,6 +6,7 @@
 //! [`StmtPath`]s so propagated log statements can be spliced into exact
 //! positions in prior versions.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Node identifier, unique within one parsed [`Program`] (pre-order).
@@ -565,15 +566,7 @@ impl Program {
 
     /// Whether any expression in the program calls the builtin `name`.
     pub fn calls(&self, name: &str) -> bool {
-        fn in_expr(e: &Expr, name: &str) -> bool {
-            matches!(e, Expr::Call { name: n, .. } if n == name)
-                || e.children().into_iter().any(|c| in_expr(c, name))
-        }
-        let mut found = false;
-        self.visit_stmts(&mut |s, _| {
-            found = found || s.exprs().into_iter().any(|e| in_expr(e, name));
-        });
-        found
+        BlockWrites::of(&self.stmts).calls.contains(name)
     }
 
     /// Total node count (statements + expressions).
@@ -592,6 +585,52 @@ impl Program {
             }
         });
         count
+    }
+}
+
+/// What a statement block may write: the names it binds — `let` and
+/// assignment targets, `for` and `flor.loop` variables, at any depth —
+/// and the builtins it calls, which may change the heap objects they are
+/// passed (`builtins::MUTATORS` says which do).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct BlockWrites {
+    /// Names bound anywhere in the block.
+    pub(crate) names: BTreeSet<String>,
+    /// Builtins called anywhere in the block.
+    pub(crate) calls: BTreeSet<String>,
+}
+
+impl BlockWrites {
+    /// Collect them from `block`.
+    pub(crate) fn of(block: &[Stmt]) -> BlockWrites {
+        fn expr(e: &Expr, out: &mut BlockWrites) {
+            if let Expr::Call { name, .. } = e {
+                out.calls.insert(name.clone());
+            }
+            for c in e.children() {
+                expr(c, out);
+            }
+        }
+        fn walk(stmts: &[Stmt], out: &mut BlockWrites) {
+            for s in stmts {
+                if let Stmt::Let { name, .. }
+                | Stmt::Assign { name, .. }
+                | Stmt::For { var: name, .. }
+                | Stmt::FlorLoop { var: name, .. } = s
+                {
+                    out.names.insert(name.clone());
+                }
+                for e in s.exprs() {
+                    expr(e, out);
+                }
+                for b in s.blocks() {
+                    walk(b, out);
+                }
+            }
+        }
+        let mut out = BlockWrites::default();
+        walk(block, &mut out);
+        out
     }
 }
 
@@ -682,6 +721,20 @@ mod tests {
         assert!(p.calls("randint"));
         assert!(p.calls("range"));
         assert!(!p.calls("work"));
+    }
+
+    #[test]
+    fn block_writes_collect_bound_names_and_calls_at_any_depth() {
+        let p = parse(
+            "let a = len([1]);\nb = 2;\nif a > 0 { while b < 3 { b = b + abs(-1); } } else { for x in range(0, 2) { for y in flor.loop(\"s\", [x]) { flor.log(\"y\", train_step(n, d, y)); } } }",
+        )
+        .unwrap();
+        let w = BlockWrites::of(&p.stmts);
+        let names: Vec<&str> = w.names.iter().map(String::as_str).collect();
+        assert_eq!(names, ["a", "b", "x", "y"]);
+        let calls: Vec<&str> = w.calls.iter().map(String::as_str).collect();
+        assert_eq!(calls, ["abs", "len", "range", "train_step"]);
+        assert_eq!(BlockWrites::of(&p.stmts[1..2]).names.len(), 1);
     }
 
     #[test]

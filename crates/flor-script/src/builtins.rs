@@ -9,9 +9,19 @@
 //!   `eval_model`, `poison` — the Fig. 5 training loop's vocabulary.
 
 use crate::interp::{Interpreter, RtError, RtResult};
-use crate::value::RtValue;
+use crate::value::{Heap, HeapKind, RtValue};
 use flor_ml::{acc_recall, first_page_dataset, gaussian_blobs, poison_labels, Mlp};
 use rand::Rng;
+
+/// The builtins that change a heap object in place, with the kind each
+/// changes. Every other builtin only reads its arguments or allocates a
+/// new object, so a checkpoint loop calling none of these leaves every
+/// existing object of that kind as it found it, and its checkpoints leave
+/// such objects out. A builtin that mutates must be listed here.
+pub(crate) const MUTATORS: [(&str, HeapKind); 2] = [
+    ("train_step", HeapKind::Model),
+    ("poison", HeapKind::Dataset),
+];
 
 /// Dispatch a builtin call.
 pub fn call(interp: &mut Interpreter, name: &str, args: Vec<RtValue>) -> RtResult<RtValue> {
@@ -241,18 +251,14 @@ pub fn call(interp: &mut Interpreter, name: &str, args: Vec<RtValue>) -> RtResul
             let lr = args[2]
                 .as_f64()
                 .ok_or_else(|| RtError::new("lr must be a number"))?;
-            let ds = interp
-                .heap
-                .datasets
+            let Heap { models, datasets } = &mut interp.heap;
+            let ds = datasets
                 .get(dh)
-                .cloned()
                 .ok_or_else(|| RtError::new("dangling dataset handle"))?;
-            let model = interp
-                .heap
-                .models
+            let model = models
                 .get_mut(mh)
                 .ok_or_else(|| RtError::new("dangling model handle"))?;
-            let loss = model.train_step(&ds, lr);
+            let loss = model.train_step(ds, lr);
             interp.stats.work_units += ds.len() as u64;
             Ok(RtValue::Float(loss))
         }

@@ -5,17 +5,17 @@
 //! * `flor.*` calls and loop iterations are reported to a [`FlorRuntime`];
 //! * inside a `with flor.checkpointing(..)` block, the first `flor.loop`
 //!   entered becomes the **checkpoint loop**: the runtime is offered a
-//!   state snapshot at every iteration boundary (recording), and may steer
-//!   each iteration with a [`Directive`] (replay) — Run, Skip, Restore a
-//!   checkpoint, resume the body's tail from the iteration's own
-//!   checkpoint, or Stop the program.
+//!   snapshot of the loop's write set at every iteration boundary
+//!   (recording), and may steer each iteration with a [`Directive`]
+//!   (replay) — Run, Skip, Restore a checkpoint, resume the body's tail
+//!   from the iteration's own checkpoint, or Stop the program.
 
-use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
+use crate::ast::{BinOp, BlockWrites, Expr, Program, Stmt, UnOp};
 use crate::builtins;
-use crate::value::{restore_state, snapshot_state, Heap, RtValue};
+use crate::value::{restore_over, snapshot_state, Heap, HeapKind, RtValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Runtime errors.
@@ -60,7 +60,10 @@ pub struct LoopFrame {
 /// Replay steering for checkpoint-loop iterations.
 ///
 /// Snapshots are borrowed from the runtime (a replayer holds the recorded
-/// run's checkpoints), so steering an iteration never copies one.
+/// run's checkpoints), so steering an iteration never copies one. A
+/// snapshot holds the loop's write set; installing one overlays it on the
+/// current state ([`Interpreter::restore`]), whose other bindings are what
+/// the statements before the loop left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Directive<'s> {
     /// Execute the iteration normally.
@@ -73,9 +76,9 @@ pub enum Directive<'s> {
     /// Install the snapshot taken at the *end* of this iteration, then run
     /// only the loop body's last `tail` statements, with this iteration's
     /// loop variable and loop frame set. The environment is flat and the
-    /// boundary snapshot is taken right after the body, so that snapshot
-    /// is the state just before those statements — exact as long as they
-    /// write nothing the original body reads.
+    /// boundary snapshot is taken right after the body, so the installed
+    /// state is the state just before those statements — exact as long as
+    /// they write nothing the original body reads.
     ResumeTail {
         /// The end-of-iteration snapshot.
         snapshot: &'s str,
@@ -125,9 +128,9 @@ pub trait FlorRuntime {
     }
 
     /// Offered at the end of each executed checkpoint-loop iteration.
-    /// Calling `snapshot()` materialises the full interpreter state; the
-    /// runtime decides (per its checkpointing policy) whether to pay that
-    /// cost and keep it.
+    /// Calling `snapshot()` materialises the loop's write set; the runtime
+    /// decides (per its checkpointing policy) whether to pay that cost and
+    /// keep it.
     fn on_checkpoint_boundary(
         &mut self,
         _loop_name: &str,
@@ -216,16 +219,25 @@ impl Interpreter {
         Ok(self.stats)
     }
 
-    /// Serialize current state (used by checkpoint boundaries and tests).
+    /// Serialize the whole current state.
     pub fn snapshot(&self) -> RtResult<String> {
-        snapshot_state(&self.env, &self.heap).map_err(RtError::new)
+        snapshot_state(&self.env, &self.heap, |_, _| true).map_err(RtError::new)
     }
 
-    /// Replace state from a snapshot.
+    /// Install a snapshot over the current state: its bindings replace
+    /// the live ones, every other binding stays, and each heap object is
+    /// written into a slot a binding reaching it holds now, so aliases see
+    /// it (`value::restore_over` says which). Into a fresh interpreter, a
+    /// whole-state snapshot restores exactly.
     pub fn restore(&mut self, snapshot: &str) -> RtResult<()> {
-        let (env, heap) = restore_state(snapshot).map_err(RtError::new)?;
-        self.env = env;
-        self.heap = heap;
+        self.overlay(snapshot, |_| false)
+    }
+
+    /// [`Interpreter::restore`] for a checkpoint loop whose body assigns
+    /// the names `rebound` accepts: their live slots take their objects
+    /// only when no binding outside the snapshot holds them.
+    fn overlay(&mut self, snapshot: &str, rebound: impl Fn(&str) -> bool) -> RtResult<()> {
+        restore_over(snapshot, &mut self.env, &mut self.heap, rebound).map_err(RtError::new)?;
         self.stats.restores += 1;
         Ok(())
     }
@@ -336,11 +348,13 @@ impl Interpreter {
         } else {
             false
         };
+        let writes = is_ckpt.then(|| WriteSet::of(var, body));
         rt.loop_begin(loop_name, items.len(), &self.loop_stack);
         for (i, item) in items.into_iter().enumerate() {
             // First body statement this iteration runs.
             let mut from = 0;
-            if is_ckpt {
+            if let Some(writes) = &writes {
+                let rebound = |name: &str| writes.names.contains(name);
                 match rt.plan(loop_name, i) {
                     Directive::Run => {}
                     Directive::Skip => {
@@ -348,10 +362,10 @@ impl Interpreter {
                         continue;
                     }
                     Directive::Restore(snap) => {
-                        self.restore(snap)?;
+                        self.overlay(snap, rebound)?;
                     }
                     Directive::ResumeTail { snapshot, tail } => {
-                        self.restore(snapshot)?;
+                        self.overlay(snapshot, rebound)?;
                         from = body.len().checked_sub(tail).ok_or_else(|| {
                             RtError::new(format!(
                                 "cannot resume the last {tail} of {} loop-body statements",
@@ -379,12 +393,16 @@ impl Interpreter {
             if self.stop {
                 break;
             }
-            if is_ckpt {
-                // Offer a snapshot at the iteration boundary. The closure
-                // borrows env/heap immutably; rt is a separate borrow.
+            if let Some(writes) = &writes {
+                // Offer a snapshot of the write set at the iteration
+                // boundary. The closure borrows env/heap immutably; rt is
+                // a separate borrow.
                 let env = &self.env;
                 let heap = &self.heap;
-                let mut snap_fn = move || snapshot_state(env, heap).map_err(RtError::new);
+                let mut snap_fn = move || {
+                    snapshot_state(env, heap, |name, v| writes.covers(name, v))
+                        .map_err(RtError::new)
+                };
                 rt.on_checkpoint_boundary(loop_name, i, &mut snap_fn);
             }
         }
@@ -552,6 +570,34 @@ impl Interpreter {
             )),
             other => Err(RtError::new(format!("unknown flor API: flor.{other}"))),
         }
+    }
+}
+
+/// What a checkpoint loop's body can change, fixed on entering the loop:
+/// the names it binds, its own variable included, and the kinds of heap
+/// object its builtins mutate ([`builtins::MUTATORS`]). A boundary
+/// snapshot holds the bindings this covers. Every other binding, and
+/// every object of a kind nothing mutates, is as the statements before
+/// the loop left it.
+struct WriteSet {
+    names: BTreeSet<String>,
+    mutated: Vec<HeapKind>,
+}
+
+impl WriteSet {
+    fn of(var: &str, body: &[Stmt]) -> WriteSet {
+        let BlockWrites { mut names, calls } = BlockWrites::of(body);
+        names.insert(var.to_string());
+        let mutated = builtins::MUTATORS
+            .iter()
+            .filter(|(f, _)| calls.contains(*f))
+            .map(|&(_, kind)| kind)
+            .collect();
+        WriteSet { names, mutated }
+    }
+
+    fn covers(&self, name: &str, value: &RtValue) -> bool {
+        self.names.contains(name) || self.mutated.iter().any(|&kind| value.holds(kind))
     }
 }
 
@@ -806,8 +852,85 @@ mod tests {
         // 3 epoch boundaries, not 12 step boundaries.
         assert_eq!(rec.checkpoints.len(), 3);
         // Snapshot at epoch boundary i has model == (i+1)*4.
-        let (env, _) = restore_state(&rec.checkpoints[1].1).unwrap();
-        assert_eq!(env["model"], RtValue::Int(8));
+        assert_eq!(
+            restored(&rec.checkpoints[1].1).env["model"],
+            RtValue::Int(8)
+        );
+    }
+
+    /// A fresh interpreter with `snapshot` restored.
+    fn restored(snapshot: &str) -> Interpreter {
+        let mut interp = Interpreter::new();
+        interp.restore(snapshot).unwrap();
+        interp
+    }
+
+    #[test]
+    fn boundary_snapshots_hold_the_loops_write_set() {
+        let src = "let data = load_dataset(\"blobs\", 20, 1);\nlet test = load_dataset(\"blobs\", 8, 2);\nlet net = make_model(4, 3, 3, 1);\nlet nets = [net];\nlet other = make_model(4, 3, 3, 2);\nlet lr = 0.3;\nwith flor.checkpointing(net) {\n  for e in flor.loop(\"epoch\", range(0, 2)) {\n    if e > 0 { for j in [1] { let loss = train_step(net, data, lr); } }\n  }\n}";
+        let names = |src: &str| -> Vec<String> {
+            let mut rec = Recorder::default();
+            Interpreter::new()
+                .run(&parse(src).unwrap(), &mut rec)
+                .unwrap();
+            restored(&rec.checkpoints[1].1).env.into_keys().collect()
+        };
+        // The loop variable, names bound at any depth, and every binding
+        // holding a model (train_step mutates models) — not the datasets
+        // or the learning rate, which the loop only reads.
+        assert_eq!(names(src), ["e", "j", "loss", "net", "nets", "other"]);
+        // poison mutates datasets: then every binding holding one too.
+        let poisoned = src.replace("let loss", "poison(test, 0.1);\nlet loss");
+        assert_eq!(
+            names(&poisoned),
+            ["data", "e", "j", "loss", "net", "nets", "other", "test"]
+        );
+    }
+
+    #[test]
+    fn a_binding_the_loop_rebinds_is_restored_without_touching_its_old_alias() {
+        // `cur` shares `data`'s slot before the loop and is rebound to a
+        // fresh batch in it: a restore must not write that batch over
+        // `data`, which the next iteration reads.
+        let src = "let data = load_dataset(\"blobs\", 40, 1);\nlet cur = data;\nlet net = make_model(4, 3, 3, 1);\nwith flor.checkpointing(net) {\n  for e in flor.loop(\"epoch\", range(0, 4)) {\n    cur = batch(data, e * 10, e * 10 + 10);\n    let loss = train_step(net, cur, 0.3);\n    flor.log(\"acc\", eval_model(net, cur)[0]);\n  }\n}";
+        let prog = parse(src).unwrap();
+        let mut rec = Recorder::default();
+        Interpreter::new().run(&prog, &mut rec).unwrap();
+        let mut replay = SkipTo {
+            target: 2,
+            snapshot: rec.checkpoints[1].1.clone(),
+            ran: vec![],
+            logs: vec![],
+        };
+        Interpreter::new().run(&prog, &mut replay).unwrap();
+        assert_eq!(replay.logs, [rec.logs[2].1.clone()]);
+
+        // Resuming each iteration's last statement from its own
+        // checkpoint: the first restore gives the batch a slot of its
+        // own, and every later one writes the next batch there, since
+        // only `cur` holds it.
+        struct Tails(Vec<(usize, String)>, Vec<String>);
+        impl FlorRuntime for Tails {
+            fn plan(&mut self, _loop_name: &str, i: usize) -> Directive<'_> {
+                Directive::ResumeTail {
+                    snapshot: &self.0[i].1,
+                    tail: 1,
+                }
+            }
+            fn log(&mut self, _name: &str, value: &RtValue, _loops: &[LoopFrame]) {
+                self.1.push(value.display_text());
+            }
+        }
+        let mut tails = Tails(rec.checkpoints.clone(), vec![]);
+        let mut interp = Interpreter::new();
+        interp.run(&prog, &mut tails).unwrap();
+        let recorded: Vec<String> = rec.logs.iter().map(|l| l.1.clone()).collect();
+        assert_eq!(tails.1, recorded);
+        assert_eq!(interp.stats.restores, 4);
+        assert_eq!(
+            (interp.heap.models.len(), interp.heap.datasets.len()),
+            (1, 2)
+        );
     }
 
     #[test]
@@ -833,11 +956,12 @@ mod tests {
     }
 
     /// Replay runtime: skip all iterations except a target one, restoring
-    /// its checkpoint first.
+    /// its checkpoint first; keeps the values logged.
     struct SkipTo {
         target: usize,
         snapshot: String,
         ran: Vec<usize>,
+        logs: Vec<String>,
     }
 
     impl FlorRuntime for SkipTo {
@@ -852,6 +976,9 @@ mod tests {
             if loops.len() == 1 {
                 self.ran.push(i);
             }
+        }
+        fn log(&mut self, _name: &str, value: &RtValue, _loops: &[LoopFrame]) {
+            self.logs.push(value.display_text());
         }
     }
 
@@ -870,6 +997,7 @@ mod tests {
             target: 4,
             snapshot: snap,
             ran: vec![],
+            logs: vec![],
         };
         let mut partial = Interpreter::new();
         partial.run(&prog, &mut replay_rt).unwrap();

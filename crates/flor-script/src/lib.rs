@@ -7,10 +7,11 @@
 //! * **Instrumentation API** — `flor.log`, `flor.arg`, `flor.loop`,
 //!   `flor.commit`, `with flor.checkpointing(..)` are first-class syntax,
 //!   reported to a pluggable [`FlorRuntime`] (the FlorDB kernel).
-//! * **Checkpointable state** — the interpreter's entire live state
-//!   (environment + model/dataset heap) serializes to text bit-exactly
-//!   ([`value::snapshot_state`]), so replay from a checkpoint is provably
-//!   equivalent to uninterrupted execution.
+//! * **Checkpointable state** — at each checkpoint-loop boundary the
+//!   bindings the loop can change serialize to text bit-exactly
+//!   ([`value::snapshot_state`]); restored over the state the statements
+//!   before the loop rebuild ([`Interpreter::restore`]), they resume
+//!   execution as if it had never stopped.
 //! * **Replay steering** — a runtime can [`Directive::Skip`] iterations,
 //!   [`Directive::Restore`] a checkpoint, [`Directive::ResumeTail`] (run
 //!   only the body's last statements from the iteration's own
@@ -44,4 +45,4 @@ pub use interp::{
 };
 pub use parser::{parse, ParseError};
 pub use printer::to_source;
-pub use value::{dataset_from_text, dataset_to_text, restore_state, snapshot_state, Heap, RtValue};
+pub use value::{dataset_from_text, dataset_to_text, snapshot_state, Heap, RtValue};
