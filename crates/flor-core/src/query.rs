@@ -56,11 +56,11 @@
 //! ```
 
 use crate::kernel::Flor;
-use crate::pivot::{Chains, LogRows, PivotSchema};
+use crate::pivot::{admits, discover, LogRows};
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
 use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
-use flor_view::{CatalogStats, QueryPlan};
+use flor_view::{CatalogStats, LogRow, LoopContexts, Pivot, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -260,14 +260,16 @@ impl Flor {
     /// ([`QueryPlan::logs_fetch`]), so index postings, zone maps and
     /// binary search prune before rows materialise; predicates on loop
     /// dimensions test each fetched row's index key; `latest` and top-K
-    /// cut the rows to the keys they would keep. When anything is pushed,
-    /// a schema pass over the `ctx_id` / `value_name` of every projected
-    /// row fixes the full pivot's columns, and the reduced pivot is
-    /// conformed to them. Then the **whole** post-pass runs, whatever was
-    /// pushed: each pushed step is a filter it repeats or a cut its later
-    /// steps would make. A plan with nothing to push (or whose pushed
-    /// columns the schema pass cannot place) takes this same path with
-    /// an empty push set: no schema pass, the plain pivot.
+    /// cut the rows to the keys they would keep. The rows left go through
+    /// one [`flor_view::Pivot`], the operator the view catalog maintains
+    /// its views with. When anything is pushed, it first discovers the
+    /// columns of every projected row from their `ctx_id` / `value_name`
+    /// (the schema pass), so the reduced frame has the full pivot's
+    /// columns. Then the **whole** post-pass runs, whatever was pushed:
+    /// each pushed step is a filter it repeats or a cut its later steps
+    /// would make. A plan with nothing to push (or whose pushed columns
+    /// the schema pass cannot place) takes this same path with an empty
+    /// push set: no schema pass, every fetched row written.
     ///
     /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
     /// when one runs, with each step's rows in and out as span events —
@@ -281,33 +283,34 @@ impl Flor {
         tr: &mut ActiveTrace,
     ) -> StoreResult<(DataFrame, PlanExplain)> {
         let scan = tr.begin("store.scan");
-        let mut chains = Chains::read(snap)?;
+        let mut pivot = Pivot::new(LoopContexts::read(snap)?);
         let lowered = plan.below_pivot();
-        // The schema pass reads the fetch itself when no predicate joins
-        // it, and the projected rows' two columns when one does.
-        let (logs, store, schema) = if lowered.store.is_empty() {
+        // With anything to push, the pivot first discovers the columns of
+        // every projected row: from the fetch itself when no predicate
+        // joins it, from the projected rows' two columns when one does.
+        let (logs, store, schema_rows) = if lowered.store.is_empty() {
             let (logs, store) = snap.explain(&plan.logs_fetch())?;
-            let schema = if lowered.is_empty() {
+            let schema_rows = if lowered.is_empty() {
                 None
             } else {
-                Some(PivotSchema::scan(&logs, &mut chains)?)
+                Some(discover(&mut pivot, &logs)?)
             };
-            (logs, store, schema)
+            (logs, store, schema_rows)
         } else {
             let projected = plan.logs_fetch().project(&["ctx_id", "value_name"]);
-            let schema = PivotSchema::scan(&snap.query(&projected)?, &mut chains)?;
+            let schema_rows = discover(&mut pivot, &snap.query(&projected)?)?;
             let mut fetch = plan.logs_fetch();
-            if schema.admits(&lowered, &plan.order_by) {
+            if admits(&pivot, &lowered, &plan.order_by) {
                 for p in &lowered.store {
                     fetch = fetch.filter_pred(p.clone());
                 }
             }
             let (logs, store) = snap.explain(&fetch)?;
-            (logs, store, Some(schema))
+            (logs, store, Some(schema_rows))
         };
-        let below = schema
-            .filter(|s| s.admits(&lowered, &plan.order_by))
-            .map(|s| (lowered, s));
+        let below = schema_rows
+            .filter(|_| admits(&pivot, &lowered, &plan.order_by))
+            .map(|rows| (lowered, rows));
         tr.event(|| {
             format!(
                 "access={} segments={}/{} pruned={} rows examined={} returned={}",
@@ -320,7 +323,9 @@ impl Flor {
             )
         });
         let mut explain = PlanExplain {
-            schema: below.as_ref().map(|(_, s)| (s.rows_read, s.n_cols())),
+            schema: below
+                .as_ref()
+                .map(|(_, rows)| (*rows, pivot.frame().n_cols())),
             store,
             key_predicates: None,
             latest_cut: None,
@@ -334,24 +339,32 @@ impl Flor {
         tr.end(scan);
 
         let piv = tr.begin("pivot");
-        let mut rows = LogRows::join(&logs, &mut chains)?;
-        if let Some((push, schema)) = &below {
-            if !push.key.is_empty() {
-                explain.key_predicates = Some(rows.key_predicates(&push.key));
+        let fetched = LogRow::all(&logs)?;
+        let rows_in = match &below {
+            Some((push, _)) => {
+                let mut rows = LogRows::join(fetched, &mut pivot)?;
+                if !push.key.is_empty() {
+                    explain.key_predicates = Some(rows.key_predicates(&push.key));
+                }
+                if let Some(group) = &push.latest {
+                    explain.latest_cut = Some(rows.latest_cut(group));
+                }
+                if let Some(n) = push.top_k {
+                    explain.top_k_cut = Some(rows.top_k_cut(&plan.order_by, n, &pivot));
+                }
+                let rows_in = rows.len();
+                rows.upsert_into(&mut pivot)?;
+                rows_in
             }
-            if let Some(group) = &push.latest {
-                explain.latest_cut = Some(rows.latest_cut(group));
+            None => {
+                for row in fetched {
+                    pivot.upsert(row)?;
+                }
+                logs.n_rows()
             }
-            if let Some(n) = push.top_k {
-                explain.top_k_cut = Some(rows.top_k_cut(&plan.order_by, n, schema));
-            }
-        }
-        let wide = rows.pivot()?;
-        let base = match &below {
-            Some((_, schema)) => schema.conform(wide)?,
-            None => wide,
         };
-        explain.pivot = (rows.len(), base.n_rows());
+        let base = pivot.into_frame();
+        explain.pivot = (rows_in, base.n_rows());
         for (step, rows) in explain.steps() {
             tr.event(|| step_line(step, rows));
         }

@@ -208,17 +208,19 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Overwrite one cell in place. Errors on an unknown column; panics on
-    /// a row index past the end (same contract as slice indexing).
-    pub fn set_cell(&mut self, row: usize, col: &str, value: Value) -> DfResult<()> {
-        let n = self.n_rows();
-        match self.columns.iter_mut().find(|c| c.name == col) {
-            Some(c) => {
-                assert!(row < n, "row {row} out of bounds ({n} rows)");
-                c.values[row] = value;
-                Ok(())
-            }
-            None => Err(DfError::UnknownColumn(col.to_string())),
+    /// Overwrite the cell at row `row` of the column at position `col`.
+    /// Panics on either index past the end (same contract as slice
+    /// indexing).
+    pub fn set_at(&mut self, row: usize, col: usize, value: Value) {
+        self.columns[col].values[row] = value;
+    }
+
+    /// Append one row whose cell in the column at position `i` is
+    /// `cell(i)` — [`DataFrame::push_row`] by position, for a writer that
+    /// already knows where every column is.
+    pub fn push_row_with(&mut self, mut cell: impl FnMut(usize) -> Value) {
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            col.values.push(cell(i));
         }
     }
 
@@ -656,9 +658,18 @@ mod tests {
     #[test]
     fn set_cell_overwrites() {
         let mut df = sample();
-        df.set_cell(2, "x", Value::Int(99)).unwrap();
+        df.set_at(2, 1, Value::Int(99));
         assert_eq!(df.get(2, "x"), Some(&Value::Int(99)));
-        assert!(df.set_cell(0, "missing", Value::Null).is_err());
+        assert_eq!(df.n_rows(), 4);
+    }
+
+    #[test]
+    fn push_row_with_appends_by_position() {
+        let mut df = sample();
+        df.push_row_with(|i| Value::Int(i as i64));
+        assert_eq!(df.n_rows(), 5);
+        assert_eq!(df.get(4, "name"), Some(&Value::Int(0)));
+        assert_eq!(df.get(4, "y"), Some(&Value::Int(2)));
     }
 
     #[test]

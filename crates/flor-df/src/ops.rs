@@ -271,16 +271,22 @@ impl DataFrame {
     /// each logging statement becomes a column.
     ///
     /// When multiple rows share (index, name) the last one wins — matching
-    /// the paper's semantics where a re-logged value supersedes.
-    // audit: allow(panic) — every column name used below is checked
-    // against this frame at entry (UnknownColumn otherwise), so the
-    // lookups cannot fail.
+    /// the paper's semantics where a re-logged value supersedes. A
+    /// `name_col` value equal to an index column's name is a
+    /// [`DfError::DuplicateColumn`].
+    ///
+    /// This is the generic, obviously-correct form. `flor.dataframe`
+    /// itself runs `flor_view::Pivot`, which writes the same frame
+    /// without a long frame in between; the property tests check the
+    /// two against each other.
     pub fn pivot(&self, index: &[&str], name_col: &str, value_col: &str) -> DfResult<DataFrame> {
-        for k in index {
-            if self.column(k).is_none() {
-                return Err(DfError::UnknownColumn((*k).to_string()));
-            }
-        }
+        let keys = index
+            .iter()
+            .map(|k| {
+                self.column(k)
+                    .ok_or_else(|| DfError::UnknownColumn((*k).to_string()))
+            })
+            .collect::<DfResult<Vec<&Column>>>()?;
         let names = self
             .column(name_col)
             .ok_or_else(|| DfError::UnknownColumn(name_col.to_string()))?;
@@ -288,50 +294,50 @@ impl DataFrame {
             .column(value_col)
             .ok_or_else(|| DfError::UnknownColumn(value_col.to_string()))?;
 
-        // Distinct output columns in first-seen order.
+        // Distinct output columns in first-seen order, and each input
+        // row's output column.
         let mut col_order: Vec<String> = Vec::new();
         let mut col_pos: HashMap<String, usize> = HashMap::new();
-        for v in &names.values {
-            let n = v.to_text();
-            if !col_pos.contains_key(&n) {
-                col_pos.insert(n.clone(), col_order.len());
-                col_order.push(n);
-            }
-        }
-        // Distinct index tuples in first-seen order.
-        let mut row_order: Vec<Vec<Value>> = Vec::new();
-        let mut row_pos: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut cells: Vec<Vec<Value>> = Vec::new();
-        for i in 0..self.n_rows() {
-            let key: Vec<Value> = index
-                .iter()
-                .map(|k| self.column(k).unwrap().values[i].clone())
-                .collect();
-            let r = *row_pos.entry(key.clone()).or_insert_with(|| {
-                row_order.push(key);
-                cells.push(vec![Value::Null; col_order.len()]);
-                row_order.len() - 1
-            });
-            let c = col_pos[&names.values[i].to_text()];
-            cells[r][c] = values.values[i].clone();
-        }
-        let mut cols: Vec<Column> = index
+        let row_col: Vec<usize> = names
+            .values
             .iter()
-            .map(|k| Column {
-                name: (*k).to_string(),
-                values: row_order.iter().map(|key| key[0].clone()).collect(),
+            .map(|v| {
+                *col_pos.entry(v.to_text()).or_insert_with_key(|n| {
+                    col_order.push(n.clone());
+                    col_order.len() - 1
+                })
             })
             .collect();
-        // Fix up: each index column takes its own position from the tuple.
-        for (pos, col) in cols.iter_mut().enumerate() {
-            col.values = row_order.iter().map(|key| key[pos].clone()).collect();
+        // Distinct index tuples in first-seen order, written straight
+        // into the output columns; a later row for a tuple overwrites.
+        let mut row_pos: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut index_cells: Vec<Vec<Value>> = vec![Vec::new(); index.len()];
+        let mut cells: Vec<Vec<Value>> = vec![Vec::new(); col_order.len()];
+        for (i, &c) in row_col.iter().enumerate() {
+            let key: Vec<Value> = keys.iter().map(|k| k.values[i].clone()).collect();
+            let r = match row_pos.get(&key) {
+                Some(&r) => r,
+                None => {
+                    let r = row_pos.len();
+                    for (col, v) in index_cells.iter_mut().zip(&key) {
+                        col.push(v.clone());
+                    }
+                    for col in &mut cells {
+                        col.push(Value::Null);
+                    }
+                    row_pos.insert(key, r);
+                    r
+                }
+            };
+            cells[c][r] = values.values[i].clone();
         }
-        for (c, cname) in col_order.iter().enumerate() {
-            cols.push(Column {
-                name: cname.clone(),
-                values: cells.iter().map(|row| row[c].clone()).collect(),
-            });
-        }
+        let cols = index
+            .iter()
+            .map(|k| k.to_string())
+            .zip(index_cells)
+            .chain(col_order.into_iter().zip(cells))
+            .map(|(name, values)| Column { name, values })
+            .collect();
         DataFrame::from_columns(cols)
     }
 

@@ -5,8 +5,9 @@
 //! pinned at the session's epoch — the snapshot-per-request guarantee.
 
 use flor_core::Flor;
-use flor_serve::{Client, Response, ServeExt, ServerConfig};
-use flor_store::{CmpOp, Snapshot};
+use flor_df::DfError;
+use flor_serve::{Client, ErrorCode, Response, ServeError, ServeExt, ServerConfig};
+use flor_store::{CmpOp, Snapshot, StoreError};
 use flor_view::QueryPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,6 +153,38 @@ fn metrics_verbs_serve_both_renderings() {
     assert!(prom.contains("store_commit_nanos_bucket{le=\"+Inf\"}"));
     assert!(prom.contains("# TYPE store_commit_rows_total counter"));
 
+    client.close().expect("close");
+    handle.stop();
+}
+
+#[test]
+fn a_value_named_like_an_index_column_is_the_same_error_over_the_wire() {
+    let flor = Flor::new("serve-collide");
+    flor.set_filename("c.fl");
+    flor.log("tstamp", 99);
+    flor.log("loss", 0.5);
+    flor.commit("seed").expect("commit");
+    let plan = QueryPlan::new(&["tstamp", "loss"]);
+    let local = flor.run_plan_full(&plan).expect_err("tstamp collides");
+    assert!(
+        matches!(&local, StoreError::Df(DfError::DuplicateColumn(c)) if c == "tstamp"),
+        "{local:?}"
+    );
+
+    let handle = flor
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("serve");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    match client.query(&plan) {
+        Err(ServeError::Remote {
+            code: ErrorCode::Internal,
+            message,
+        }) => assert_eq!(message, local.to_string()),
+        other => panic!("expected the duplicate-column error, got {other:?}"),
+    }
+    // The session outlives the refused plan.
+    let (_, df) = client.query(&QueryPlan::new(&["loss"])).expect("query");
+    assert_eq!(df.n_rows(), 1);
     client.close().expect("close");
     handle.stop();
 }

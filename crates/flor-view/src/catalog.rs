@@ -6,15 +6,17 @@
 //! *all* cached views (each view skips batches at or below its own
 //! epoch), then serves the requested view — building it from an
 //! epoch-stamped consistent snapshot on a miss. If a delta cannot be
-//! applied (epoch gap, malformed row, schema surprise), the view is
-//! rebuilt from scratch instead of serving wrong data; the event is
-//! counted in [`CatalogStats::fallback_rebuilds`].
+//! applied (epoch gap, malformed row, a value name colliding with an
+//! index column), the view is rebuilt from scratch instead of serving
+//! wrong data; the event is counted in
+//! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
+//! dropped, and the next plan that needs it gets the build's error.
 
-use crate::delta::{DeltaError, LatestState, PivotState};
+use crate::delta::{DeltaError, LatestState, LoopContexts, PivotState};
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfError};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
-use flor_store::{Database, Predicate, Query, StoreError, StoreResult, Subscription};
+use flor_store::{Database, Predicate, StoreError, StoreResult, Subscription};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -218,7 +220,7 @@ impl ViewCatalog {
         let key = ViewKey::from_split(plan, pushdown, residual.is_empty());
         let base = {
             let mut g = self.inner.lock();
-            self.drain_and_apply(&mut g)?;
+            self.drain_and_apply(&mut g);
             self.ensure_view(&mut g, &key)?;
             if key.group.is_some() {
                 self.materialize_latest(&mut g, &key)?
@@ -332,18 +334,19 @@ impl ViewCatalog {
     }
 
     /// Drain the feed and bring every cached view up to date, falling back
-    /// to a rebuild for any view that rejects a delta.
-    fn drain_and_apply(&self, g: &mut CatalogInner) -> StoreResult<()> {
+    /// to a rebuild for any view that rejects a delta and dropping one
+    /// whose rebuild fails.
+    fn drain_and_apply(&self, g: &mut CatalogInner) {
         let Some(sub) = &g.sub else {
             // First access ever: start listening. Views built later this
             // access snapshot at an epoch >= the subscription's, so
             // nothing is missed.
             g.sub = Some(self.db.subscribe());
-            return Ok(());
+            return;
         };
         let batches = sub.poll();
         if batches.is_empty() {
-            return Ok(());
+            return;
         }
         // Time the whole incremental pass (every cached view, all pending
         // batches) — the counterpart of `view.build_nanos` for full
@@ -385,7 +388,10 @@ impl ViewCatalog {
                 }
             }
             if failed.is_some() {
-                // Transparent fallback: rebuild from a fresh snapshot.
+                // Transparent fallback: rebuild from a fresh snapshot. A
+                // view that cannot be rebuilt (a value name now collides
+                // with an index column) is dropped, so the next plan that
+                // needs it builds it and gets the error.
                 g.stats.fallback_rebuilds += 1;
                 if self.metrics.registry.enabled() {
                     self.metrics.rebuilds.inc();
@@ -395,18 +401,18 @@ impl ViewCatalog {
                         key.fingerprint(),
                     );
                 }
-                let last_used = g.views[&key].last_used;
-                let rebuilt = self.build(&key)?;
-                g.views.insert(
-                    key,
-                    CachedView {
-                        last_used,
-                        ..rebuilt
-                    },
-                );
+                let last_used = g.views.remove(&key).map_or(0, |v| v.last_used);
+                if let Ok(rebuilt) = self.build(&key) {
+                    g.views.insert(
+                        key,
+                        CachedView {
+                            last_used,
+                            ..rebuilt
+                        },
+                    );
+                }
             }
         }
-        Ok(())
     }
 
     /// Serve `key` from cache or build it; touches the LRU clock and
@@ -466,9 +472,8 @@ impl ViewCatalog {
         let (snap, stats) = self.db.pin_with_stats();
         let epoch = snap.epoch();
         let logs = snap.query(&QueryPlan::new(&names).logs_fetch())?;
-        let loops = snap.query(&Query::table("loops"))?;
-        let pivot = PivotState::from_snapshot_filtered(&names, &key.pushdown, epoch, &logs, &loops)
-            .map_err(|e| StoreError::Invalid(format!("view build: {e}")))?;
+        let loops = LoopContexts::read(&snap)?;
+        let pivot = PivotState::from_snapshot_filtered(&names, &key.pushdown, epoch, &logs, loops)?;
         // Latest views always carry upsert state; whether it is *used*
         // (vs. recomputing from the frame) is decided per materialization,
         // based on the pivot's actual index columns.

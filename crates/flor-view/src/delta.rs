@@ -1,41 +1,29 @@
-//! Delta operators: incremental maintenance of the pivoted context view.
+//! Delta operators: the one pivot of `logs ⋈ loops`, and `latest` on top.
 //!
-//! [`PivotState`] holds the wide `flor.dataframe` result and applies
-//! change-feed batches to it instead of rebuilding. Per log row the work
-//! is: resolve the loop-context chain against a cumulative ctx map
-//! (incremental join with `loops`), widen the schema if the row carries a
-//! never-seen loop dimension or `value_name` (new-column discovery), and
-//! upsert one cell keyed by the row's index tuple (incremental
-//! group-by/pivot). [`LatestState`] layers `flor.utils.latest` on top via
-//! a per-group-key max-timestamp upsert.
+//! [`Pivot`] turns `logs` rows into the wide `flor.dataframe` frame. It
+//! joins each row to its loop context (resolved once per `ctx_id`),
+//! widens the schema when a row names a loop dimension or `value_name`
+//! it has not seen, and writes the row's one cell straight into the
+//! output column at the row its key names, last write wins. Every answer
+//! comes from it: [`PivotState`] keeps one up to date under change-feed
+//! batches, and the kernel's snapshot executor (`Flor::execute_at`) runs
+//! one over a snapshot's rows. [`LatestState`] layers `flor.utils.latest`
+//! on top via a per-group-key max-timestamp upsert.
 //!
-//! The invariant, enforced by `tests/prop_view.rs` against the kernel's
-//! from-scratch recompute as oracle: after any interleaving of inserts,
-//! commits and backfills, the maintained frame is cell-for-cell identical
-//! to a full rebuild — including column order, row order, and nulls.
+//! The invariant, enforced by `tests/prop_pivot.rs` (the operator against
+//! a long-frame `DataFrame::pivot` reference, fed once or in batches) and
+//! `tests/prop_view.rs` (kernel sessions, both executors against the same
+//! reference): the frame is cell-for-cell the reference's — including
+//! column order, row order, and nulls.
 
 use crate::plan::FIXED_COLS as FIXED;
-use flor_df::{Column, DataFrame, DataType, Value};
-use flor_store::{CommitBatch, Predicate, RowDelta};
+use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
+use flor_store::{CommitBatch, Predicate, Query, RowDelta, Snapshot, StoreResult};
 use std::borrow::Cow;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-// Column positions in the Fig. 1 `logs` and `loops` schemas.
-const LOG_PROJID: usize = 0;
-const LOG_TSTAMP: usize = 1;
-const LOG_FILENAME: usize = 2;
-const LOG_CTX: usize = 3;
-const LOG_NAME: usize = 4;
-const LOG_VALUE: usize = 5;
-const LOG_TYPE: usize = 6;
-const LOG_ARITY: usize = 7;
-const LOOP_CTX: usize = 3;
-const LOOP_PARENT: usize = 4;
-const LOOP_NAME: usize = 5;
-const LOOP_ITER: usize = 6;
-const LOOP_VALUE: usize = 7;
-const LOOP_ARITY: usize = 8;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Why a delta batch could not be applied; the catalog reacts by falling
 /// back to a full rebuild of the view.
@@ -50,6 +38,9 @@ pub enum DeltaError {
     },
     /// A delta row does not match the expected table schema.
     Malformed(String),
+    /// The pivot refused a row: a value name that collides with an index
+    /// column ([`DfError::DuplicateColumn`]), which a rebuild reports too.
+    Df(DfError),
 }
 
 impl std::fmt::Display for DeltaError {
@@ -59,6 +50,7 @@ impl std::fmt::Display for DeltaError {
                 write!(f, "epoch gap: view at {have}, batch at {got}")
             }
             DeltaError::Malformed(m) => write!(f, "malformed delta: {m}"),
+            DeltaError::Df(e) => write!(f, "pivot: {e}"),
         }
     }
 }
@@ -90,7 +82,7 @@ fn text(v: &Value) -> Cow<'_, str> {
 
 /// One loop-dimension cell of a pivot row: its column name
 /// (`{loop}_iteration` or `{loop}_value`) and value.
-pub type Dim = (Arc<str>, Value);
+type Dim = (Arc<str>, Value);
 
 #[derive(Debug, Clone)]
 struct LoopCtx {
@@ -103,10 +95,9 @@ struct LoopCtx {
 }
 
 /// The `loops` table as a `ctx_id` → context map: what turns a log row's
-/// `ctx_id` into its loop-dimension cells. The incremental view feeds it
-/// row by row (a cumulative join state); the kernel's snapshot executor
-/// builds one from a snapshot's `loops`. Dimension column names are
-/// built once per loop name, not per row.
+/// `ctx_id` into its loop-dimension cells. A [`Pivot`] holds one — read
+/// whole from a snapshot, then fed row by row from the change feed.
+/// Dimension column names are built once per loop name, not per row.
 #[derive(Debug, Clone, Default)]
 pub struct LoopContexts {
     ctx: HashMap<i64, LoopCtx>,
@@ -114,6 +105,19 @@ pub struct LoopContexts {
 }
 
 impl LoopContexts {
+    /// Every context in `snap`'s `loops`, reading only the five columns a
+    /// chain needs.
+    pub fn read(snap: &Snapshot) -> StoreResult<LoopContexts> {
+        let loops = snap.query(&Query::table("loops").project(&[
+            "ctx_id",
+            "parent_ctx_id",
+            "loop_name",
+            "loop_iteration",
+            "iteration_value",
+        ]))?;
+        Ok(LoopContexts::from_frame(&loops))
+    }
+
     /// Every context in a `loops` frame (columns looked up by name; a
     /// missing column reads as nulls), later rows replacing earlier ones
     /// with the same `ctx_id`.
@@ -135,7 +139,7 @@ impl LoopContexts {
         out
     }
 
-    /// Add (or replace) one context.
+    /// Add (or replace) one context; whether it replaced one.
     fn insert(
         &mut self,
         ctx_id: &Value,
@@ -143,7 +147,7 @@ impl LoopContexts {
         loop_name: &Value,
         iteration: &Value,
         value: &Value,
-    ) {
+    ) -> bool {
         let name = text(loop_name);
         let cols = match self.cols.get(name.as_ref()) {
             Some(cols) => cols.clone(),
@@ -160,38 +164,37 @@ impl LoopContexts {
             Value::Str(s) => Value::Str(Arc::clone(s)),
             other => Value::from(other.to_text()),
         };
-        self.ctx.insert(
-            ctx_id.as_i64().unwrap_or(0),
-            LoopCtx {
-                parent: parent.as_i64().unwrap_or(0),
-                cols,
-                iteration: Value::Int(iteration.as_i64().unwrap_or(0)),
-                value,
-            },
-        );
+        let link = LoopCtx {
+            parent: parent.as_i64().unwrap_or(0),
+            cols,
+            iteration: Value::Int(iteration.as_i64().unwrap_or(0)),
+            value,
+        };
+        self.ctx
+            .insert(ctx_id.as_i64().unwrap_or(0), link)
+            .is_some()
     }
 
     /// The loop-dimension cells of a row logged under `ctx_id`: two per
     /// enclosing loop, outermost loop first. A missing link truncates the
-    /// chain there; a loop nested in a loop of the same name repeats its
+    /// chain there (and the flag is `false`: a later `loops` row can
+    /// lengthen it); a loop nested in a loop of the same name repeats its
     /// columns, and readers take the first (outermost) occurrence.
-    pub fn dims(&self, ctx_id: i64) -> Vec<Dim> {
-        let mut dims: Vec<Dim> = self
-            .chain(ctx_id)
-            .flat_map(|c| {
-                [
-                    (Arc::clone(&c.cols.1), c.value.clone()),
-                    (Arc::clone(&c.cols.0), c.iteration.clone()),
-                ]
-            })
-            .collect();
+    fn dims(&self, ctx_id: i64) -> (Vec<Dim>, bool) {
+        let mut dims: Vec<Dim> = Vec::new();
+        let mut complete = ctx_id == 0;
+        for c in self.chain(ctx_id) {
+            dims.push((Arc::clone(&c.cols.1), c.value.clone()));
+            dims.push((Arc::clone(&c.cols.0), c.iteration.clone()));
+            complete = c.parent == 0;
+        }
         dims.reverse();
-        dims
+        (dims, complete)
     }
 
     /// The column names of [`LoopContexts::dims`] without their cells,
-    /// innermost loop first and without allocating — what a schema needs.
-    pub fn dim_names(&self, ctx_id: i64) -> impl Iterator<Item = &Arc<str>> {
+    /// innermost loop first and without allocating.
+    fn dim_names(&self, ctx_id: i64) -> impl Iterator<Item = &Arc<str>> {
         self.chain(ctx_id).flat_map(|c| [&c.cols.0, &c.cols.1])
     }
 
@@ -210,8 +213,346 @@ impl LoopContexts {
     }
 }
 
-/// Incrementally maintained pivoted view over `logs ⋈ loops`, projected
-/// onto a set of requested `value_name`s.
+/// A `logs` row as the pivot reads it, borrowed from wherever it lives —
+/// a fetched frame's columns ([`LogRow::all`]) or a change-feed delta.
+#[derive(Debug, Clone, Copy)]
+pub struct LogRow<'a> {
+    /// `projid`, `tstamp`, `filename`: the row key's fixed cells, in
+    /// [`crate::FIXED_COLS`] order.
+    pub fixed: [&'a Value; 3],
+    /// The loop context the row was logged under.
+    pub ctx_id: &'a Value,
+    /// The value column the row fills.
+    pub value_name: &'a Value,
+    /// The logged text.
+    pub value: &'a Value,
+    /// The `value_type` tag [`logged_value`] reads `value` as.
+    pub value_type: &'a Value,
+}
+
+impl<'a> LogRow<'a> {
+    /// Every row of a fetched `logs` frame, in order; a missing column is
+    /// [`DfError::UnknownColumn`].
+    pub fn all(logs: &'a DataFrame) -> DfResult<impl Iterator<Item = LogRow<'a>>> {
+        let col = |name: &str| {
+            logs.column(name)
+                .map(|c| c.values.as_slice())
+                .ok_or_else(|| DfError::UnknownColumn(name.to_string()))
+        };
+        let (projid, tstamp, filename) = (col("projid")?, col("tstamp")?, col("filename")?);
+        let (ctx_id, value_name) = (col("ctx_id")?, col("value_name")?);
+        let (value, value_type) = (col("value")?, col("value_type")?);
+        Ok((0..logs.n_rows()).map(move |at| LogRow {
+            fixed: [&projid[at], &tstamp[at], &filename[at]],
+            ctx_id: &ctx_id[at],
+            value_name: &value_name[at],
+            value: &value[at],
+            value_type: &value_type[at],
+        }))
+    }
+
+    /// A row in the `logs` schema's column order (a change-feed delta).
+    fn from_slice(row: &'a [Value]) -> Result<LogRow<'a>, DeltaError> {
+        match row {
+            [projid, tstamp, filename, ctx_id, value_name, value, value_type] => Ok(LogRow {
+                fixed: [projid, tstamp, filename],
+                ctx_id,
+                value_name,
+                value,
+                value_type,
+            }),
+            _ => Err(DeltaError::Malformed(format!(
+                "logs row has {} columns, expected 7",
+                row.len()
+            ))),
+        }
+    }
+
+    /// The row's cell in index column `col` under context `ctx`: a fixed
+    /// column's, a dimension's ([`Ctx::cell`]), or null.
+    pub fn cell<'c>(&self, ctx: &'c Ctx, col: &str) -> &'c Value
+    where
+        'a: 'c,
+    {
+        match FIXED.iter().position(|f| *f == col) {
+            Some(i) => self.fixed[i],
+            None => ctx.cell(col),
+        }
+    }
+}
+
+/// One loop context as a row key sees it, resolved once per `ctx_id` by
+/// [`Pivot::ctx`].
+#[derive(Debug)]
+pub struct Ctx {
+    /// [`LoopContexts::dims`] of the context.
+    dims: Vec<Dim>,
+    /// [`Ctx::hash`], computed on first use: the pre-cuts resolve every
+    /// fetched row's context but write only the rows they keep.
+    hash: OnceLock<u64>,
+}
+
+impl Ctx {
+    /// The sum of one hash per key cell — each column's first (outermost)
+    /// cell, nulls left out — so neither column order nor a dimension
+    /// discovered later changes it.
+    fn hash(&self) -> u64 {
+        *self.hash.get_or_init(|| {
+            let mut hash = 0u64;
+            for (i, (d, v)) in self.dims.iter().enumerate() {
+                if !v.is_null() && !self.dims[..i].iter().any(|(e, _)| e == d) {
+                    let mut h = DefaultHasher::new();
+                    (d, v).hash(&mut h);
+                    hash = hash.wrapping_add(h.finish());
+                }
+            }
+            hash
+        })
+    }
+
+    /// The cell of dimension column `col`: the first (outermost) with
+    /// that name, or null.
+    pub fn cell(&self, col: &str) -> &Value {
+        self.dims
+            .iter()
+            .find(|(d, _)| **d == *col)
+            .map_or(&Value::Null, |(_, v)| v)
+    }
+}
+
+/// No further row in a [`Pivot`]'s hash chain.
+const END: usize = usize::MAX;
+
+/// The one pivot of `logs ⋈ loops`, long → wide: one row per distinct
+/// key — the fixed context columns plus the loop dimensions — in
+/// first-seen order, and the columns [`crate::FIXED_COLS`], then loop
+/// dimensions, then value names, each in first-seen order.
+///
+/// Per row there is no long frame and no owned key: the context is
+/// resolved once per `ctx_id`; a row with the same context and fixed
+/// cells as the row written before it goes to that row; otherwise the
+/// key's hash finds candidate rows, whose index cells *are* the keys.
+/// The one cell is written by column position. A value name equal to an
+/// index column's name is [`DfError::DuplicateColumn`], as it is for
+/// [`DataFrame::pivot`].
+#[derive(Debug, Clone, Default)]
+pub struct Pivot {
+    loops: LoopContexts,
+    /// Every `ctx_id` resolved so far; emptied when a `loops` row may
+    /// change one of their chains.
+    ctxs: HashMap<i64, Arc<Ctx>>,
+    /// Whether a chain in `ctxs` stopped at a missing link.
+    truncated: bool,
+    /// Dimension columns, in first-seen order.
+    dims: Vec<Arc<str>>,
+    /// Value columns, in first-seen order.
+    names: Vec<Arc<str>>,
+    /// Row-key hash → the newest row with that hash; `chain[r]` is the
+    /// next older row sharing row `r`'s hash, or [`END`].
+    heads: HashMap<u64, usize>,
+    chain: Vec<usize>,
+    /// The last row written and its context.
+    last: Option<(Arc<Ctx>, usize)>,
+    /// The `ctx_id` of the last row discovered: its dimensions are known.
+    discovered: Option<i64>,
+    /// The wide frame. Shared out by [`Pivot::frame`]; writes go through
+    /// `Arc::make_mut` (a copy only while a reader holds an old frame).
+    frame: Arc<DataFrame>,
+}
+
+impl Pivot {
+    /// An empty pivot over the contexts in `loops`.
+    pub fn new(loops: LoopContexts) -> Pivot {
+        Pivot {
+            loops,
+            ..Pivot::default()
+        }
+    }
+
+    /// The dimension columns, in first-seen order.
+    pub fn dims(&self) -> &[Arc<str>] {
+        &self.dims
+    }
+
+    /// Whether `col` is an index column — one of the three fixed context
+    /// columns or a discovered loop dimension. Index cells are written
+    /// once when their row is created and never rewritten; value cells
+    /// can be.
+    pub fn is_index(&self, col: &str) -> bool {
+        FIXED.contains(&col) || self.dims.iter().any(|d| **d == *col)
+    }
+
+    /// The wide frame so far. Cheap (`Arc` clone).
+    pub fn frame(&self) -> Arc<DataFrame> {
+        Arc::clone(&self.frame)
+    }
+
+    /// The wide frame, without a copy when no reader shares it.
+    pub fn into_frame(self) -> DataFrame {
+        Arc::unwrap_or_clone(self.frame)
+    }
+
+    /// Add (or replace) one `loops` row, in the table's column order.
+    fn insert_loop(&mut self, row: &[Value]) -> Result<(), DeltaError> {
+        let [_, _, _, ctx_id, parent, loop_name, iteration, value] = row else {
+            return Err(DeltaError::Malformed(format!(
+                "loops row has {} columns, expected 8",
+                row.len()
+            )));
+        };
+        let replaced = self
+            .loops
+            .insert(ctx_id, parent, loop_name, iteration, value);
+        // A resolved chain may run through a replaced context, or stop
+        // short of a new one where a link was missing.
+        if replaced || self.truncated {
+            self.ctxs.clear();
+            self.truncated = false;
+            self.last = None;
+            self.discovered = None;
+        }
+        Ok(())
+    }
+
+    /// The context of a row logged under `ctx_id`. Resolving it the first
+    /// time widens the schema by the dimensions it names that are new, in
+    /// its chain's order (outermost first).
+    pub fn ctx(&mut self, ctx_id: &Value) -> DfResult<Arc<Ctx>> {
+        let id = ctx_id.as_i64().unwrap_or(0);
+        let slot = match self.ctxs.entry(id) {
+            Entry::Occupied(known) => return Ok(Arc::clone(known.get())),
+            Entry::Vacant(slot) => slot,
+        };
+        let (dims, complete) = self.loops.dims(id);
+        self.truncated |= !complete;
+        let ctx = Arc::new(Ctx {
+            dims,
+            hash: OnceLock::new(),
+        });
+        let frame = with_fixed(&mut self.frame)?;
+        for (d, _) in &ctx.dims {
+            if !self.dims.contains(d) {
+                frame.insert_column(FIXED.len() + self.dims.len(), nulls(d, frame))?;
+                self.dims.push(Arc::clone(d));
+            }
+        }
+        slot.insert(Arc::clone(&ctx));
+        Ok(ctx)
+    }
+
+    /// The position of value column `value_name` among the value columns,
+    /// added on first sight.
+    fn name(&mut self, value_name: &Value) -> DfResult<usize> {
+        let name = text(value_name);
+        if let Some(at) = self.names.iter().position(|n| **n == *name) {
+            return Ok(at);
+        }
+        let frame = with_fixed(&mut self.frame)?;
+        frame.add_column(nulls(&name, frame))?;
+        self.names.push(name.into());
+        Ok(self.names.len() - 1)
+    }
+
+    /// Widen the schema for a row logged under `ctx_id` as `value_name`
+    /// without writing the row: what a row the caller filters out still
+    /// contributes, so the columns are those of the pivot of every row.
+    pub fn discover(&mut self, ctx_id: &Value, value_name: &Value) -> DfResult<()> {
+        // Resolving a context only to learn that it names no new
+        // dimension is most of a schema pass's cost; its names alone say,
+        // and a row under the previous row's context needs not even them.
+        let id = ctx_id.as_i64().unwrap_or(0);
+        if self.discovered != Some(id) && !self.loops.dim_names(id).all(|d| self.dims.contains(d)) {
+            self.ctx(ctx_id)?;
+        }
+        self.discovered = Some(id);
+        self.name(value_name).map(drop)
+    }
+
+    /// Write one row: discover its columns, then set its one cell in the
+    /// row its key names — a new last row on first sight of the key, else
+    /// the existing row (last write wins). Returns the row's position.
+    pub fn upsert(&mut self, row: LogRow<'_>) -> DfResult<usize> {
+        let ctx = self.ctx(row.ctx_id)?;
+        let col = FIXED.len() + self.dims.len() + self.name(row.value_name)?;
+        let value = logged_value(row.value, row.value_type);
+        let dims = &self.dims;
+        let frame = Arc::make_mut(&mut self.frame);
+        let same_as_last = self
+            .last
+            .as_ref()
+            .filter(|(c, at)| Arc::ptr_eq(c, &ctx) && fixed_at(frame, *at, row.fixed))
+            .map(|(_, at)| *at);
+        let at = match same_as_last {
+            Some(at) => at,
+            None => {
+                let mut h = DefaultHasher::new();
+                row.fixed.hash(&mut h);
+                h.write_u64(ctx.hash());
+                let hash = h.finish();
+                let mut at = self.heads.get(&hash).copied().unwrap_or(END);
+                while at != END && !key_at(frame, at, row.fixed, &ctx, dims) {
+                    at = self.chain[at];
+                }
+                if at == END {
+                    at = frame.n_rows();
+                    frame.push_row_with(|c| match c {
+                        c if c < FIXED.len() => row.fixed[c].clone(),
+                        c => dims
+                            .get(c - FIXED.len())
+                            .map_or(Value::Null, |d| ctx.cell(d).clone()),
+                    });
+                    self.chain.push(self.heads.insert(hash, at).unwrap_or(END));
+                }
+                at
+            }
+        };
+        frame.set_at(at, col, value);
+        self.last = Some((ctx, at));
+        Ok(at)
+    }
+}
+
+/// `frame`, made unique, with the fixed columns once it has any.
+fn with_fixed(frame: &mut Arc<DataFrame>) -> DfResult<&mut DataFrame> {
+    let frame = Arc::make_mut(frame);
+    if frame.n_cols() == 0 {
+        for f in FIXED {
+            frame.add_column(nulls(f, frame))?;
+        }
+    }
+    Ok(frame)
+}
+
+/// An all-null column named `name` as long as `frame`.
+fn nulls(name: &str, frame: &DataFrame) -> Column {
+    Column {
+        name: name.to_string(),
+        values: vec![Value::Null; frame.n_rows()],
+    }
+}
+
+/// Whether row `at` has the fixed cells `fixed`.
+fn fixed_at(frame: &DataFrame, at: usize, fixed: [&Value; 3]) -> bool {
+    frame
+        .columns()
+        .iter()
+        .zip(fixed)
+        .all(|(c, v)| c.values[at] == *v)
+}
+
+/// Whether row `at`'s key is `fixed` plus `ctx`'s cells in the
+/// dimension columns `dims`.
+fn key_at(frame: &DataFrame, at: usize, fixed: [&Value; 3], ctx: &Ctx, dims: &[Arc<str>]) -> bool {
+    fixed_at(frame, at, fixed)
+        && frame.columns()[FIXED.len()..]
+            .iter()
+            .zip(dims)
+            .all(|(c, d)| c.values[at] == *ctx.cell(d))
+}
+
+/// The pivot of `logs ⋈ loops` projected onto a set of `value_name`s and
+/// maintained under change-feed batches: a [`Pivot`] plus the projection,
+/// the view's pushdown predicates and the epoch it reflects.
 #[derive(Debug, Clone)]
 pub struct PivotState {
     names: Vec<String>,
@@ -223,17 +564,7 @@ pub struct PivotState {
     /// row key, so an excluded log row can never share a pivot row with an
     /// included one and last-write-wins stays intact.
     pushdown: Vec<Predicate>,
-    /// Cumulative loop-context map (incremental join state).
-    ctx: LoopContexts,
-    /// Dimension columns after the three fixed ones, in first-seen order —
-    /// the same order a from-scratch long-frame build discovers them.
-    dim_cols: Vec<Arc<str>>,
-    /// Index tuple (fixed + dims, nulls for absent dims) → row position.
-    row_pos: HashMap<Vec<Value>, usize>,
-    /// The maintained wide frame. Shared out to readers; deltas mutate in
-    /// place via `Arc::make_mut` (copy-on-write only while a reader still
-    /// holds an old snapshot).
-    frame: Arc<DataFrame>,
+    pivot: Pivot,
     epoch: u64,
 }
 
@@ -250,30 +581,29 @@ impl PivotState {
         PivotState {
             names: names.iter().map(|s| s.to_string()).collect(),
             pushdown: pushdown.to_vec(),
-            ctx: LoopContexts::default(),
-            dim_cols: Vec::new(),
-            row_pos: HashMap::new(),
-            frame: Arc::new(DataFrame::new()),
+            pivot: Pivot::default(),
             epoch,
         }
     }
 
-    /// Build from a consistent `(epoch, logs, loops)` snapshot by feeding
-    /// every historical row through the same delta path a live batch
-    /// takes. Insertion order is preserved, so the result is identical to
-    /// an incremental build that watched the log grow row by row.
-    /// `pushdown` as in [`PivotState::filtered`].
+    /// Build from a consistent snapshot at `epoch` — its `logs` rows and
+    /// its [`LoopContexts`] — by feeding every row through the step a
+    /// live batch's rows take, in order, so the result is identical to an
+    /// incremental build that watched the log grow row by row. `pushdown`
+    /// as in [`PivotState::filtered`].
     pub fn from_snapshot_filtered(
         names: &[&str],
         pushdown: &[Predicate],
         epoch: u64,
         logs: &DataFrame,
-        loops: &DataFrame,
-    ) -> Result<PivotState, DeltaError> {
-        let mut state = PivotState::filtered(names, pushdown, epoch);
-        state.ctx = LoopContexts::from_frame(loops);
-        for row in logs.rows() {
-            state.apply_log_row(&row.to_vec())?;
+        loops: LoopContexts,
+    ) -> DfResult<PivotState> {
+        let mut state = PivotState {
+            pivot: Pivot::new(loops),
+            ..PivotState::filtered(names, pushdown, epoch)
+        };
+        for row in LogRow::all(logs)? {
+            state.apply_log_row(row)?;
         }
         Ok(state)
     }
@@ -283,22 +613,15 @@ impl PivotState {
         self.epoch
     }
 
-    /// The requested projection.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Whether `col` is an index column of the maintained frame — one of
-    /// the three fixed context columns or a discovered loop dimension.
-    /// Index cells are written once when their row is created and never
-    /// rewritten by an upsert; value columns can be.
+    /// Whether `col` is an index column of the maintained frame
+    /// ([`Pivot::is_index`]).
     pub fn is_index_col(&self, col: &str) -> bool {
-        FIXED.contains(&col) || self.dim_cols.iter().any(|d| **d == *col)
+        self.pivot.is_index(col)
     }
 
     /// Shared snapshot of the maintained frame. Cheap (`Arc` clone).
     pub fn frame(&self) -> Arc<DataFrame> {
-        Arc::clone(&self.frame)
+        self.pivot.frame()
     }
 
     /// Apply one commit batch. Returns the positions of rows added or
@@ -324,13 +647,14 @@ impl PivotState {
         // oracle resolves chains against the complete loops table.
         for delta in batch.deltas.iter() {
             if delta.table == "loops" {
-                self.apply_loop_row(&delta.row)?;
+                self.pivot.insert_loop(&delta.row)?;
             }
         }
         let mut changed = Vec::new();
         for delta in batch.deltas.iter() {
             if delta.table == "logs" {
-                if let Some(pos) = self.apply_log_row(&delta.row)? {
+                let row = LogRow::from_slice(&delta.row)?;
+                if let Some(pos) = self.apply_log_row(row).map_err(DeltaError::Df)? {
                     changed.push(pos);
                 }
             }
@@ -350,147 +674,26 @@ impl PivotState {
             .count()
     }
 
-    fn apply_loop_row(&mut self, row: &[Value]) -> Result<(), DeltaError> {
-        if row.len() != LOOP_ARITY {
-            return Err(DeltaError::Malformed(format!(
-                "loops row has {} columns, expected {LOOP_ARITY}",
-                row.len()
-            )));
-        }
-        self.ctx.insert(
-            &row[LOOP_CTX],
-            &row[LOOP_PARENT],
-            &row[LOOP_NAME],
-            &row[LOOP_ITER],
-            &row[LOOP_VALUE],
-        );
-        Ok(())
-    }
-
-    fn apply_log_row(&mut self, row: &[Value]) -> Result<Option<usize>, DeltaError> {
-        if row.len() != LOG_ARITY {
-            return Err(DeltaError::Malformed(format!(
-                "logs row has {} columns, expected {LOG_ARITY}",
-                row.len()
-            )));
-        }
-        let name = text(&row[LOG_NAME]);
-        let name = name.as_ref();
-        if !self.names.iter().any(|n| n == name) {
+    /// One `logs` row: ignored unless the view projects its name;
+    /// discovered whatever the pushdown says; written (and its position
+    /// returned) only when every pushdown predicate admits it.
+    fn apply_log_row(&mut self, row: LogRow<'_>) -> DfResult<Option<usize>> {
+        let name = text(row.value_name);
+        if !self.names.iter().any(|n| *n == *name) {
             return Ok(None);
         }
-        // The same chain resolution and value decoding the kernel's
-        // from-scratch executor uses.
-        let dims = self.ctx.dims(row[LOG_CTX].as_i64().unwrap_or(0));
-        let value = logged_value(&row[LOG_VALUE], &row[LOG_TYPE]);
-
-        let frame = Arc::make_mut(&mut self.frame);
-        // Schema discovery below runs for every projected log row — even
-        // one the pushdown gate will exclude — because the from-scratch
-        // oracle's column set and column order are determined by all
-        // matching-name rows, filtered or not.
-        if frame.n_cols() == 0 {
-            for f in FIXED {
-                frame
-                    .add_column(Column {
-                        name: f.to_string(),
-                        values: Vec::new(),
-                    })
-                    // audit: allow(panic) — the frame has zero columns, so
-                    // adding a fresh named column cannot collide or mismatch.
-                    .expect("empty frame accepts the fixed columns");
-            }
-        }
-        // New-dimension discovery: a never-seen loop name widens the index
-        // region (inserted before the value columns, nulls backfilled) and
-        // extends every existing index key with a null.
-        for (d, _) in &dims {
-            if !self.dim_cols.contains(d) {
-                let pos = FIXED.len() + self.dim_cols.len();
-                frame
-                    .insert_column(
-                        pos,
-                        Column {
-                            name: d.to_string(),
-                            values: vec![Value::Null; frame.n_rows()],
-                        },
-                    )
-                    .map_err(|e| DeltaError::Malformed(e.to_string()))?;
-                self.dim_cols.push(Arc::clone(d));
-                self.row_pos = self
-                    .row_pos
-                    .drain()
-                    .map(|(mut key, pos)| {
-                        key.push(Value::Null);
-                        (key, pos)
-                    })
-                    .collect();
-            }
-        }
-        // New-column discovery for the value: appended after all existing
-        // columns, in first-seen order of value_name.
-        if frame.column(name).is_none() {
-            frame
-                .add_column(Column {
-                    name: name.to_string(),
-                    values: vec![Value::Null; frame.n_rows()],
-                })
-                .map_err(|e| DeltaError::Malformed(e.to_string()))?;
-        }
-        // Pushdown gate: rows failing a maintained predicate are excluded
-        // from materialization (discovery above already happened). The
-        // predicate columns are fixed context columns by caller contract;
-        // anything else conservatively matches nothing.
-        let excluded = self.pushdown.iter().any(|p| {
-            let cell = match p.col.as_str() {
-                c if c == FIXED[0] => &row[LOG_PROJID],
-                c if c == FIXED[1] => &row[LOG_TSTAMP],
-                c if c == FIXED[2] => &row[LOG_FILENAME],
-                _ => return true,
-            };
-            !p.matches(cell)
-        });
+        let excluded = self
+            .pushdown
+            .iter()
+            .any(|p| match FIXED.iter().position(|f| *f == p.col) {
+                Some(i) => !p.matches(row.fixed[i]),
+                None => true,
+            });
         if excluded {
+            self.pivot.discover(row.ctx_id, row.value_name)?;
             return Ok(None);
         }
-        // Upsert keyed by the index tuple.
-        let mut key: Vec<Value> = vec![
-            row[LOG_PROJID].clone(),
-            row[LOG_TSTAMP].clone(),
-            row[LOG_FILENAME].clone(),
-        ];
-        for d in &self.dim_cols {
-            let v = dims
-                .iter()
-                .find(|(n, _)| n == d)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Null);
-            key.push(v);
-        }
-        match self.row_pos.get(&key) {
-            Some(&pos) => {
-                // Same context re-logged the value: last write wins.
-                frame
-                    .set_cell(pos, name, value)
-                    .map_err(|e| DeltaError::Malformed(e.to_string()))?;
-                Ok(Some(pos))
-            }
-            None => {
-                let mut entries: Vec<(&str, Value)> = vec![
-                    (FIXED[0], row[LOG_PROJID].clone()),
-                    (FIXED[1], row[LOG_TSTAMP].clone()),
-                    (FIXED[2], row[LOG_FILENAME].clone()),
-                ];
-                for (d, v) in &dims {
-                    entries.push((d, v.clone()));
-                }
-                entries.push((name, value));
-                frame.push_row(&entries);
-                let pos = frame.n_rows() - 1;
-                self.row_pos.insert(key, pos);
-                Ok(Some(pos))
-            }
-        }
+        self.pivot.upsert(row).map(Some)
     }
 }
 
@@ -724,10 +927,38 @@ mod tests {
     }
 
     #[test]
+    fn loop_rows_reresolve_the_contexts_they_change() {
+        // Context 5 sits in loop "inner" under context 9, not known yet.
+        let mut pivot = Pivot::default();
+        let write = |pivot: &mut Pivot, ts: i64| {
+            let row = log_row(ts, 5, "loss", &ts.to_string(), 2);
+            pivot.upsert(LogRow::from_slice(&row).unwrap()).unwrap();
+        };
+        pivot
+            .insert_loop(&loop_row(1, 5, 9, "inner", 0, "0"))
+            .unwrap();
+        write(&mut pivot, 1);
+        // The missing link arrives: later rows see the outer loop...
+        pivot
+            .insert_loop(&loop_row(1, 9, 0, "outer", 3, "3"))
+            .unwrap();
+        write(&mut pivot, 2);
+        // ...and a replaced context's new cells.
+        pivot
+            .insert_loop(&loop_row(1, 9, 0, "outer", 4, "4"))
+            .unwrap();
+        write(&mut pivot, 3);
+        let f = pivot.frame();
+        let outer: Vec<_> = (0..3).map(|r| f.get(r, "outer_iteration")).collect();
+        let want = [Value::Null, Value::Int(3), Value::Int(4)];
+        assert_eq!(outer, want.iter().map(Some).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn malformed_rows_rejected() {
-        let mut view = PivotState::filtered(&["x"], &[], 0);
-        assert!(view.apply_log_row(&["p".into()]).is_err());
-        assert!(view.apply_loop_row(&["p".into()]).is_err());
+        assert!(LogRow::from_slice(&["p".into()]).is_err());
+        let mut pivot = Pivot::new(LoopContexts::default());
+        assert!(pivot.insert_loop(&["p".into()]).is_err());
     }
 
     #[test]

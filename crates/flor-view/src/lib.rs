@@ -6,14 +6,17 @@
 //! from the base tables on every query. This crate delivers that promise
 //! for the Rust reproduction:
 //!
-//! * [`PivotState`] — a delta operator that applies change-feed batches
-//!   ([`flor_store::CommitBatch`]) to a maintained wide
-//!   [`flor_df::DataFrame`]: incremental join against `loops` (a
-//!   cumulative ctx map), new-column discovery on first sight of a
-//!   `value_name` or loop dimension, and per-index-tuple cell upsert.
-//!   The maintained frame is **cell-for-cell identical** to the kernel's
+//! * [`Pivot`] — the one long → wide pivot of `logs ⋈ loops`: join to
+//!   the loop context (resolved once per `ctx_id`), new-column discovery
+//!   on first sight of a `value_name` or loop dimension, and a per-key
+//!   cell upsert written straight into the output columns. The kernel's
 //!   from-scratch executor (`Flor::execute_at`, reached as
-//!   `collect_full`; property-tested in `tests/prop_view.rs`).
+//!   `collect_full`) runs one over a snapshot.
+//! * [`PivotState`] — the same operator maintained under change-feed
+//!   batches ([`flor_store::CommitBatch`]), projected and filtered. Both
+//!   are **cell-for-cell identical** to a long-frame
+//!   [`flor_df::DataFrame::pivot`] reference (property-tested in
+//!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
 //! * [`LatestState`] — incremental `flor.utils.latest` via per-group-key
 //!   max-timestamp upsert.
 //! * [`ViewCatalog`] — named views keyed by a [`ViewKey`] plan
@@ -68,5 +71,7 @@ pub mod delta;
 pub mod plan;
 
 pub use catalog::{CatalogStats, ViewCatalog, ViewInfo, ViewKey};
-pub use delta::{logged_value, DeltaError, Dim, LatestState, LoopContexts, PivotState};
+pub use delta::{
+    logged_value, Ctx, DeltaError, LatestState, LogRow, LoopContexts, Pivot, PivotState,
+};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

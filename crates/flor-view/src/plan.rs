@@ -19,10 +19,11 @@
 //! | `latest(group)` | maintained ([`crate::LatestState`]) unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
 //! | `order_by` + `limit` | post-pass | top-K cut before the pivot when every earlier step ran below it |
 //!
-//! [`QueryPlan::below_pivot`] is the snapshot executor's lowering; the
-//! columns it cannot place from the plan alone (a dimension the history
-//! never logged, a value name that collides with an index column) make
-//! the executor push nothing. Either way the *whole* post-pass then runs
+//! [`QueryPlan::below_pivot`] is the snapshot executor's lowering; a
+//! column it cannot place from the plan alone (a dimension the history
+//! never logged) makes the executor push nothing. Both executors write
+//! the rows left through the one [`crate::Pivot`], which refuses a value
+//! name that collides with an index column. Either way the *whole* post-pass then runs
 //! over what the lower steps left: each of them is a filter the post-pass
 //! repeats or a cut the post-pass's own later steps would have made, so
 //! the answer is the post-hoc one, cell for cell.

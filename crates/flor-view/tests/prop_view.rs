@@ -3,14 +3,20 @@
 //! queries, an incrementally maintained view is **cell-for-cell
 //! identical** — columns, order, nulls and all — to the kernel's
 //! from-scratch recompute (the oracle), and it gets there by applying
-//! deltas, never by falling back to a rebuild.
+//! deltas, never by falling back to a rebuild. Both executors run the
+//! same pivot operator, so the plain pivot under every oracle is also
+//! checked against an independent long-frame reference
+//! ([`reference::reference_pivot`]).
+
+mod reference;
 
 use flor_core::{backfill, run_script, Flor};
 use flor_df::{DataFrame, Value};
 use flor_record::CheckpointPolicy;
-use flor_store::{CmpOp, Predicate, StoreResult};
+use flor_store::{CmpOp, Predicate, Query, StoreResult};
 use flor_view::QueryPlan;
 use proptest::prelude::*;
+use reference::reference_pivot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NAMES: [&str; 3] = ["loss", "acc", "note"];
@@ -101,12 +107,32 @@ fn drive(flor: Flor, ops: &[Op]) -> Flor {
     flor
 }
 
+/// The from-scratch pivot of `names` (`collect_full`), checked against
+/// the long-frame reference over the same snapshot's rows: equal frames,
+/// or both refusing the projection.
+fn full_pivot(flor: &Flor, names: &[&str]) -> StoreResult<DataFrame> {
+    let snap = flor.db.pin();
+    let logs = snap.query(&Query::table("logs"))?;
+    let loops = snap.query(&Query::table("loops"))?;
+    let full = flor.run_plan_at(&snap, &QueryPlan::new(names));
+    match (&full, reference_pivot(&logs, &loops, names)) {
+        (Ok(got), Ok(want)) => assert_eq!(
+            *got, want,
+            "from-scratch pivot diverged from the reference for {names:?}"
+        ),
+        (Err(_), Err(_)) => {}
+        (got, want) => panic!("divergent outcomes for {names:?}: {got:?} vs {want:?}"),
+    }
+    full
+}
+
 /// Compare the maintained view against the from-scratch oracle for one
 /// projection, cell for cell (frame equality covers column names, column
-/// order, row order and every value).
+/// order, row order and every value) — and the oracle against the
+/// reference.
 fn assert_matches_oracle(flor: &Flor, names: &[&str]) {
     let incremental = flor.dataframe(names).unwrap();
-    let oracle = flor.query(names).collect_full().unwrap();
+    let oracle = full_pivot(flor, names).unwrap();
     assert_eq!(
         incremental, oracle,
         "incremental view diverged from recompute for {names:?}"
@@ -197,12 +223,13 @@ fn arb_plan() -> impl Strategy<Value = QueryPlan> {
         )
 }
 
-/// The independent oracle for a full plan: `collect_full` (from-scratch
-/// re-pivot), then *post-hoc* filtering/dedup/order/limit written with
-/// different operators than the production post-pass uses.
+/// The independent oracle for a full plan: the from-scratch re-pivot
+/// ([`full_pivot`], checked against the reference), then *post-hoc*
+/// filtering/dedup/order/limit written with different operators than the
+/// production post-pass uses.
 fn posthoc_oracle(flor: &Flor, plan: &QueryPlan) -> StoreResult<DataFrame> {
     let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-    let mut df = flor.query(&names).collect_full()?;
+    let mut df = full_pivot(flor, &names)?;
     for p in &plan.predicates {
         df = if df.column(&p.col).is_none() {
             df.head(0)
@@ -395,6 +422,8 @@ proptest! {
         let flor = run_ops(&ops);
         let inc = flor.dataframe_latest(&["loss", "acc"], &["projid"]).unwrap();
         let full = flor.query(&["loss", "acc"]).latest(&["projid"]).collect_full().unwrap();
+        let reference = posthoc_oracle(&flor, &QueryPlan::with_latest(&["loss", "acc"], &["projid"]));
+        prop_assert_eq!(&full, &reference.unwrap());
         prop_assert_eq!(inc, full);
         let dim_group = ["document_iteration"];
         match (
@@ -535,7 +564,7 @@ proptest! {
 
     /// The snapshot executor's steps below the pivot — store and key
     /// predicates, the `latest` cut, the top-K cut, the schema pass that
-    /// conforms the reduced pivot — are exact: random plans over random
+    /// gives the reduced pivot the full one's columns — are exact: random plans over random
     /// sessions (nested and repeated loops, re-logged and NaN / null
     /// values, columns first seen outside a filtered window, unknown
     /// columns) equal the post-hoc oracle, and keep doing so once a

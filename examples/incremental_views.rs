@@ -68,6 +68,15 @@ fn main() {
          {} fallback rebuild(s)",
         stats.misses, stats.hits, stats.batches_applied, stats.fallback_rebuilds
     );
+    // One build per view (the pivot and the `latest` view); every other
+    // read was served by a view brought up to date with deltas.
+    assert_eq!(stats.misses, 2, "each view is built once");
+    assert_eq!(stats.hits, 10, "the monitoring reads reuse the view");
+    assert_eq!(stats.batches_applied, 10, "one delta batch per run");
+    assert_eq!(
+        stats.fallback_rebuilds, 0,
+        "no delta fell back to a rebuild"
+    );
 
     // The incremental frames are not approximations: they equal a full
     // recompute, cell for cell.
