@@ -13,7 +13,7 @@
 //!   per-version landing times).
 //!
 //! A `jobs_listing` bench covers the observability read path
-//! (`Flor::jobs`, served by the feed-maintained board).
+//! (`Flor::jobs`, the store's latest-wins fold of the `jobs` table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flor_bench::flor_with_history;
@@ -60,8 +60,8 @@ fn bench_backfill_jobs(c: &mut Criterion) {
             |b, &w| b.iter(|| timed_backfill(w).0),
         );
     }
-    // Observability read path: the feed-maintained jobs listing after a
-    // burst of transitions.
+    // Observability read path: the jobs listing (a latest-wins fold of
+    // the `jobs` table) after a burst of transitions.
     let flor = flor_with_history(2, 4, 50);
     for _ in 0..8 {
         flor.submit_backfill_with("train.fl", &["acc"], 0, 1)

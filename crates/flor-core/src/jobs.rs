@@ -440,12 +440,13 @@ impl Flor {
 
     /// Submit a background checkpoint: serialize the committed state to
     /// the WAL sidecar and truncate the log, scheduled on the kernel's
-    /// job runner (so it shows up on the jobs board like any other job)
+    /// job runner (so it is listed in [`Flor::jobs`] like any other job)
     /// at [`CHECKPOINT_PRIORITY`]. Returns immediately.
     ///
-    /// [`Flor::commit`] submits one automatically whenever the WAL grows
-    /// past the configured threshold (see
-    /// [`Flor::set_checkpoint_threshold`]).
+    /// The automatic checkpoint a commit triggers once the WAL grows past
+    /// the configured threshold (see [`Flor::set_checkpoint_threshold`])
+    /// is not a job: the store runs it on a plain thread, and it never
+    /// appears in [`Flor::jobs`].
     pub fn submit_checkpoint(&self) -> StoreResult<CheckpointHandle> {
         let spec = JobSpec {
             kind: CHECKPOINT_KIND.to_string(),
@@ -477,12 +478,13 @@ impl Flor {
     /// Submit a background segment compaction: merge cold sealed
     /// segments and drop latest-wins dead rows (superseded `jobs`
     /// transitions), scheduled on the kernel's job runner at
-    /// [`COMPACTION_PRIORITY`] so it is board-visible and resumed on
-    /// reopen like any other job. Returns immediately.
+    /// [`COMPACTION_PRIORITY`] so it is listed in [`Flor::jobs`] and
+    /// resumed on reopen like any other job. Returns immediately.
     ///
-    /// The store also auto-triggers compaction from the commit layer when
-    /// a table's dead-row ratio crosses the configured threshold (see
-    /// [`Flor::set_compaction_trigger`]).
+    /// The compaction the commit layer triggers when a table's dead-row
+    /// ratio crosses the configured threshold (see
+    /// [`Flor::set_compaction_trigger`]) is not a job: the store runs it
+    /// on a plain thread, and it never appears in [`Flor::jobs`].
     pub fn submit_compaction(&self) -> StoreResult<CompactionHandle> {
         let spec = JobSpec {
             kind: COMPACTION_KIND.to_string(),
@@ -547,15 +549,19 @@ impl Flor {
         Ok(out)
     }
 
-    /// Every job's latest durable state, ordered by job id — served from
-    /// the incrementally maintained [`flor_jobs::JobBoard`].
+    /// Every job's latest durable state, ordered by job id: the store's
+    /// latest-wins fold of the `jobs` table ([`recover_records`]).
     pub fn jobs(&self) -> StoreResult<Vec<JobRecord>> {
-        self.board.list()
+        recover_records(&self.db)
     }
 
     /// Job counts by state (queued/running/done/failed/cancelled).
     pub fn job_stats(&self) -> StoreResult<JobStats> {
-        self.board.stats()
+        let mut stats = JobStats::default();
+        for rec in self.jobs()? {
+            stats.count(rec.state);
+        }
+        Ok(stats)
     }
 
     /// The kernel's shared background-job runner (worker-pool sizing,
@@ -729,7 +735,7 @@ with flor.checkpointing(net) {
             "every raw log row survives — replay depends on them"
         );
         flor.job_runner().wait_idle();
-        // Board-visible like any other job.
+        // Listed in `jobs()` like any other job.
         assert!(flor
             .jobs()
             .unwrap()

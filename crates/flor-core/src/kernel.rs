@@ -9,7 +9,7 @@
 use crate::jobs::JobOutcome;
 use flor_df::{DataFrame, Value};
 use flor_git::{Oid, Repository, VirtualFs};
-use flor_jobs::{JobBoard, JobRunner};
+use flor_jobs::JobRunner;
 use flor_obs::{MetricsRegistry, MetricsSnapshot};
 use flor_store::{flor_schema, CompactionTrigger, Database, StoreError, StoreResult, TailProgress};
 use flor_view::ViewCatalog;
@@ -76,9 +76,6 @@ pub struct Flor {
     /// [`Flor::submit_backfill`] schedules per-version replay units (and
     /// [`Flor::submit_checkpoint`] WAL checkpoints) here.
     pub(crate) runner: JobRunner<JobOutcome>,
-    /// Incrementally maintained `jobs`-table listing behind
-    /// [`Flor::jobs`] / [`Flor::job_stats`].
-    pub(crate) board: JobBoard,
     pub(crate) state: Arc<Mutex<KernelState>>,
 }
 
@@ -179,7 +176,6 @@ impl Flor {
         Flor {
             views: ViewCatalog::new(db.clone(), VIEW_CACHE_CAPACITY),
             runner: JobRunner::new(db.clone(), workers),
-            board: JobBoard::new(db.clone()),
             db,
             repo: Repository::new(),
             fs: VirtualFs::new(),
@@ -207,8 +203,8 @@ impl Flor {
     /// every `check_every_rows` appended rows a background pass evaluates
     /// dead-row ratios and compacts tables past the policy thresholds.
     /// Enforced at the store layer like auto-checkpointing; defaults to
-    /// [`CompactionTrigger::default`]. For a one-off, board-visible pass
-    /// use [`Flor::submit_compaction`] instead.
+    /// [`CompactionTrigger::default`]. For a one-off pass listed in
+    /// [`Flor::jobs`] use [`Flor::submit_compaction`] instead.
     pub fn set_compaction_trigger(&self, trigger: Option<CompactionTrigger>) {
         self.db.set_auto_compact(trigger);
     }

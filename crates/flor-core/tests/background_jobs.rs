@@ -87,3 +87,57 @@ fn queries_stay_correct_while_backfill_runs() {
     assert_eq!(flor.views.stats().fallback_rebuilds, 0);
     assert_eq!(flor.job_stats().unwrap().done, 1);
 }
+
+#[test]
+fn job_listing_is_the_same_across_compaction_and_reopen() {
+    // `Flor::jobs()` is the store's latest-wins fold of the `jobs` table:
+    // dropping dead transitions, or replaying every one of them on
+    // reopen, must not change it, and each job's payload — persisted only
+    // on its first transition — is carried into its latest record.
+    let dir = std::env::temp_dir().join(format!("flordb-listing-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("listing.wal");
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(flor_store::checkpoint::sidecar_path(&wal));
+    let flor = Flor::open_with_workers("listing", &wal, 1).unwrap();
+    flor.set_compaction_trigger(None);
+    flor.fs.write("train.fl", &script(false));
+    for _ in 0..2 {
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+    }
+    flor.fs.write("train.fl", &script(true));
+    flor.submit_backfill_with("train.fl", &["acc"], 0, 1)
+        .unwrap()
+        .wait();
+    flor.job_runner().wait_idle();
+
+    let before = flor.jobs().unwrap();
+    assert_eq!(before.len(), 1);
+    let first = flor.db.pin();
+    let first = first
+        .lookup("jobs", "job_id", &before[0].job_id.into())
+        .unwrap();
+    assert_eq!(first.get(0, "seq"), Some(&1i64.into()));
+    let payload = first.get(0, "payload").unwrap().to_text();
+    assert!(!payload.is_empty());
+    assert!(before[0].seq > 1);
+    assert_eq!(before[0].payload, payload, "carried from seq 1");
+
+    assert!(flor.db.dead_rows("jobs").unwrap() > 0);
+    assert!(flor.compact().unwrap().rows_dropped > 0);
+    flor.job_runner().wait_idle();
+    let after = flor.jobs().unwrap();
+    assert_eq!(after[..1], before[..], "compaction left the listing alone");
+    assert_eq!(after.len(), 2, "plus the compaction job itself");
+
+    drop(flor);
+    let reopened = Flor::open_with_workers("listing", &wal, 1).unwrap();
+    assert_eq!(
+        reopened.jobs().unwrap(),
+        after,
+        "reopen replays the same fold"
+    );
+    drop(reopened);
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(flor_store::checkpoint::sidecar_path(&wal));
+}

@@ -1,5 +1,5 @@
 //! The [`DataFrame`] type: a small column-oriented table with the operators
-//! `flor.dataframe` needs — select, filter, sort, join, group-by, pivot and
+//! `flor.dataframe` needs — select, filter, sort, join, pivot and
 //! `latest`.
 
 use crate::error::{DfError, DfResult};
@@ -264,32 +264,6 @@ impl DataFrame {
         DataFrame::from_columns(cols)
     }
 
-    /// Drop columns by name (unknown names ignored).
-    pub fn drop(&self, names: &[&str]) -> DataFrame {
-        DataFrame {
-            columns: self
-                .columns
-                .iter()
-                .filter(|c| !names.contains(&c.name.as_str()))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Rename a column.
-    pub fn rename(&mut self, from: &str, to: &str) -> DfResult<()> {
-        if self.column(to).is_some() {
-            return Err(DfError::DuplicateColumn(to.to_string()));
-        }
-        match self.columns.iter_mut().find(|c| c.name == from) {
-            Some(c) => {
-                c.name = to.to_string();
-                Ok(())
-            }
-            None => Err(DfError::UnknownColumn(from.to_string())),
-        }
-    }
-
     /// Keep rows where `pred` returns true.
     pub fn filter<F: FnMut(RowView<'_>) -> bool>(&self, mut pred: F) -> DataFrame {
         let keep: Vec<usize> = (0..self.n_rows())
@@ -366,58 +340,6 @@ impl DataFrame {
             std::cmp::Ordering::Equal
         });
         Ok(self.take(&idx))
-    }
-
-    /// Distinct rows over the given key columns, keeping first occurrence.
-    // audit: allow(panic) — every column name used below is checked
-    // against this frame at entry (UnknownColumn otherwise), so the
-    // lookups cannot fail.
-    pub fn unique_by(&self, keys: &[&str]) -> DfResult<DataFrame> {
-        for k in keys {
-            if self.column(k).is_none() {
-                return Err(DfError::UnknownColumn((*k).to_string()));
-            }
-        }
-        let mut seen: HashMap<Vec<Value>, ()> = HashMap::new();
-        let mut keep = Vec::new();
-        for idx in 0..self.n_rows() {
-            let key: Vec<Value> = keys
-                .iter()
-                .map(|k| self.column(k).unwrap().values[idx].clone())
-                .collect();
-            if seen.insert(key, ()).is_none() {
-                keep.push(idx);
-            }
-        }
-        Ok(self.take(&keep))
-    }
-
-    /// Vertically concatenate two frames with identical column names
-    /// (order-insensitive; `other`'s columns are aligned by name).
-    pub fn concat(&self, other: &DataFrame) -> DfResult<DataFrame> {
-        if self.columns.is_empty() {
-            return Ok(other.clone());
-        }
-        if other.columns.is_empty() {
-            return Ok(self.clone());
-        }
-        let mut cols = self.columns.clone();
-        for c in &mut cols {
-            let oc = other
-                .column(&c.name)
-                .ok_or_else(|| DfError::UnknownColumn(c.name.clone()))?;
-            c.values.extend(oc.values.iter().cloned());
-        }
-        if other.n_cols() != self.n_cols() {
-            let extra = other
-                .columns
-                .iter()
-                .find(|c| self.column(&c.name).is_none())
-                .map(|c| c.name.clone())
-                .unwrap_or_default();
-            return Err(DfError::UnknownColumn(extra));
-        }
-        DataFrame::from_columns(cols)
     }
 
     /// Row-major dump (useful in tests).
@@ -580,47 +502,12 @@ mod tests {
     }
 
     #[test]
-    fn unique_by_keeps_first() {
-        let df = sample().unique_by(&["name"]).unwrap();
-        assert_eq!(df.n_rows(), 3);
-        assert_eq!(df.get(0, "x"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    fn concat_aligns_by_name() {
-        let a = sample();
-        let b = sample().select(&["y", "x", "name"]).unwrap();
-        let c = a.concat(&b).unwrap();
-        assert_eq!(c.n_rows(), 8);
-        assert_eq!(c.column_names(), vec!["name", "x", "y"]);
-        assert_eq!(c.get(4, "x"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    fn concat_mismatch_errors() {
-        let a = sample();
-        let b = DataFrame::from_columns(vec![Column::new("other", vec![1i64])]).unwrap();
-        assert!(a.concat(&b).is_err());
-    }
-
-    #[test]
     fn head_and_take() {
         let df = sample().head(2);
         assert_eq!(df.n_rows(), 2);
         let df2 = sample().take(&[3, 0, 0]);
         assert_eq!(df2.get(0, "x"), Some(&Value::Int(4)));
         assert_eq!(df2.get(2, "x"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    fn rename_and_drop() {
-        let mut df = sample();
-        df.rename("x", "x2").unwrap();
-        assert!(df.column("x2").is_some());
-        assert!(df.rename("missing", "z").is_err());
-        assert!(df.rename("y", "x2").is_err());
-        let dropped = df.drop(&["x2", "nope"]);
-        assert_eq!(dropped.column_names(), vec!["name", "y"]);
     }
 
     #[test]

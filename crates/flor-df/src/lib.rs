@@ -8,9 +8,8 @@
 //!
 //! * dynamic [`Value`] cells matching the `value_type`-tagged text storage
 //!   of the paper's `logs` table (Fig. 1);
-//! * projection, filtering, sorting, vertical concat;
+//! * projection, filtering, sorting;
 //! * hash [`DataFrame::join`] (inner/left/outer) for `logs ⋈ loops ⋈ ts2vid`;
-//! * [`DataFrame::group_by`] aggregation;
 //! * [`DataFrame::pivot`] — the long→wide transform that turns each logging
 //!   statement into a column (paper §2, Fig. 3);
 //! * [`DataFrame::latest`] — `flor.utils.latest` (paper Fig. 6).
@@ -38,5 +37,5 @@ mod value;
 
 pub use error::{DfError, DfResult};
 pub use frame::{Column, DataFrame, RowView};
-pub use ops::{AggFn, JoinKind};
+pub use ops::JoinKind;
 pub use value::{DataType, Value};

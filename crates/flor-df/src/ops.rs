@@ -1,6 +1,5 @@
-//! Relational operators over [`DataFrame`]: hash joins, group-by
-//! aggregation, the pivoted wide view used by `flor.dataframe`, and
-//! `flor.utils.latest` (paper Fig. 6).
+//! Relational operators over [`DataFrame`]: hash joins, the pivoted wide
+//! view used by `flor.dataframe`, and `flor.utils.latest` (paper Fig. 6).
 
 use crate::error::{DfError, DfResult};
 use crate::frame::{Column, DataFrame};
@@ -16,94 +15,6 @@ pub enum JoinKind {
     Left,
     /// Keep all rows from both sides.
     Outer,
-}
-
-/// Aggregate functions for [`DataFrame::group_by`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFn {
-    /// Count of non-null values.
-    Count,
-    /// Numeric sum (nulls skipped).
-    Sum,
-    /// Numeric mean (nulls skipped).
-    Mean,
-    /// Minimum by total value order.
-    Min,
-    /// Maximum by total value order.
-    Max,
-    /// First non-null value in row order.
-    First,
-    /// Last non-null value in row order.
-    Last,
-}
-
-impl AggFn {
-    /// Column-name suffix used for the output (`loss_mean` etc.).
-    pub fn suffix(&self) -> &'static str {
-        match self {
-            AggFn::Count => "count",
-            AggFn::Sum => "sum",
-            AggFn::Mean => "mean",
-            AggFn::Min => "min",
-            AggFn::Max => "max",
-            AggFn::First => "first",
-            AggFn::Last => "last",
-        }
-    }
-
-    fn apply(&self, values: &[&Value]) -> Value {
-        let non_null: Vec<&&Value> = values.iter().filter(|v| !v.is_null()).collect();
-        match self {
-            AggFn::Count => Value::Int(non_null.len() as i64),
-            AggFn::Sum => {
-                let mut acc = 0.0;
-                let mut any_int = true;
-                let mut any = false;
-                for v in &non_null {
-                    if let Some(f) = v.as_f64() {
-                        acc += f;
-                        any = true;
-                        if !matches!(***v, Value::Int(_) | Value::Bool(_)) {
-                            any_int = false;
-                        }
-                    }
-                }
-                if !any {
-                    Value::Null
-                } else if any_int {
-                    Value::Int(acc as i64)
-                } else {
-                    Value::Float(acc)
-                }
-            }
-            AggFn::Mean => {
-                let nums: Vec<f64> = non_null.iter().filter_map(|v| v.as_f64()).collect();
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Float(nums.iter().sum::<f64>() / nums.len() as f64)
-                }
-            }
-            AggFn::Min => non_null
-                .iter()
-                .map(|v| (**v).clone())
-                .min()
-                .unwrap_or(Value::Null),
-            AggFn::Max => non_null
-                .iter()
-                .map(|v| (**v).clone())
-                .max()
-                .unwrap_or(Value::Null),
-            AggFn::First => non_null
-                .first()
-                .map(|v| (***v).clone())
-                .unwrap_or(Value::Null),
-            AggFn::Last => non_null
-                .last()
-                .map(|v| (***v).clone())
-                .unwrap_or(Value::Null),
-        }
-    }
 }
 
 impl DataFrame {
@@ -206,64 +117,6 @@ impl DataFrame {
         DataFrame::from_columns(out)
     }
 
-    /// Group by `keys` and aggregate `(column, fn)` pairs. Output columns
-    /// are named `col_fn` (e.g. `loss_mean`). Groups appear in order of
-    /// first occurrence.
-    // audit: allow(panic) — every column name used below is checked
-    // against this frame at entry (UnknownColumn otherwise), so the
-    // lookups cannot fail.
-    pub fn group_by(&self, keys: &[&str], aggs: &[(&str, AggFn)]) -> DfResult<DataFrame> {
-        for k in keys {
-            if self.column(k).is_none() {
-                return Err(DfError::UnknownColumn((*k).to_string()));
-            }
-        }
-        for (c, _) in aggs {
-            if self.column(c).is_none() {
-                return Err(DfError::UnknownColumn((*c).to_string()));
-            }
-        }
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for i in 0..self.n_rows() {
-            let key: Vec<Value> = keys
-                .iter()
-                .map(|k| self.column(k).unwrap().values[i].clone())
-                .collect();
-            let entry = groups.entry(key.clone()).or_default();
-            if entry.is_empty() {
-                order.push(key);
-            }
-            entry.push(i);
-        }
-        let mut cols: Vec<Column> = keys
-            .iter()
-            .map(|k| Column {
-                name: (*k).to_string(),
-                values: Vec::with_capacity(order.len()),
-            })
-            .collect();
-        for key in &order {
-            for (c, v) in cols.iter_mut().zip(key) {
-                c.values.push(v.clone());
-            }
-        }
-        for (cname, agg) in aggs {
-            let src = self.column(cname).unwrap();
-            let mut vals = Vec::with_capacity(order.len());
-            for key in &order {
-                let idxs = &groups[key];
-                let group_vals: Vec<&Value> = idxs.iter().map(|&i| &src.values[i]).collect();
-                vals.push(agg.apply(&group_vals));
-            }
-            cols.push(Column {
-                name: format!("{cname}_{}", agg.suffix()),
-                values: vals,
-            });
-        }
-        DataFrame::from_columns(cols)
-    }
-
     /// Pivot a long `(index..., name, value)` frame into a wide view: one
     /// output row per distinct index tuple, one output column per distinct
     /// value of `name_col`. This is exactly the transformation
@@ -339,45 +192,6 @@ impl DataFrame {
             .map(|(name, values)| Column { name, values })
             .collect();
         DataFrame::from_columns(cols)
-    }
-
-    /// The inverse of [`DataFrame::pivot`]: melt wide columns back into
-    /// long `(index..., name, value)` rows, skipping null cells.
-    // audit: allow(panic) — every column name used below is checked
-    // against this frame at entry (UnknownColumn otherwise), so the
-    // lookups cannot fail.
-    pub fn melt(
-        &self,
-        index: &[&str],
-        value_cols: &[&str],
-        name_col: &str,
-        value_col: &str,
-    ) -> DfResult<DataFrame> {
-        for k in index.iter().chain(value_cols) {
-            if self.column(k).is_none() {
-                return Err(DfError::UnknownColumn((*k).to_string()));
-            }
-        }
-        let mut names: Vec<String> = index.iter().map(|s| s.to_string()).collect();
-        names.push(name_col.to_string());
-        names.push(value_col.to_string());
-        let mut rows = Vec::new();
-        for i in 0..self.n_rows() {
-            for vc in value_cols {
-                let v = self.column(vc).unwrap().values[i].clone();
-                if v.is_null() {
-                    continue;
-                }
-                let mut row: Vec<Value> = index
-                    .iter()
-                    .map(|k| self.column(k).unwrap().values[i].clone())
-                    .collect();
-                row.push(Value::from(*vc));
-                row.push(v);
-                rows.push(row);
-            }
-        }
-        DataFrame::from_rows(names, rows)
     }
 
     /// `flor.utils.latest` (paper Fig. 6): keep, for each distinct tuple of
@@ -482,18 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn melt_inverts_pivot() {
-        let wide = long_logs().pivot(&["tstamp"], "name", "value").unwrap();
-        let long = wide
-            .melt(&["tstamp"], &["acc", "recall"], "name", "value")
-            .unwrap();
-        // Original had 5 non-null entries.
-        assert_eq!(long.n_rows(), 5);
-        let re_wide = long.pivot(&["tstamp"], "name", "value").unwrap();
-        assert_eq!(re_wide, wide);
-    }
-
-    #[test]
     fn inner_join_basic() {
         let a = DataFrame::from_rows(
             vec!["k", "va"],
@@ -557,55 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_aggregates() {
-        let df = DataFrame::from_rows(
-            vec!["g", "x"],
-            vec![
-                vec!["a".into(), 1.into()],
-                vec!["a".into(), 3.into()],
-                vec!["b".into(), 5.into()],
-            ],
-        )
-        .unwrap();
-        let g = df
-            .group_by(
-                &["g"],
-                &[
-                    ("x", AggFn::Sum),
-                    ("x", AggFn::Mean),
-                    ("x", AggFn::Count),
-                    ("x", AggFn::Min),
-                    ("x", AggFn::Max),
-                ],
-            )
-            .unwrap();
-        assert_eq!(g.n_rows(), 2);
-        assert_eq!(g.get(0, "x_sum"), Some(&Value::Int(4)));
-        assert_eq!(g.get(0, "x_mean"), Some(&Value::Float(2.0)));
-        assert_eq!(g.get(0, "x_count"), Some(&Value::Int(2)));
-        assert_eq!(g.get(1, "x_min"), Some(&Value::Int(5)));
-        assert_eq!(g.get(1, "x_max"), Some(&Value::Int(5)));
-    }
-
-    #[test]
-    fn group_by_first_last_skip_null() {
-        let df = DataFrame::from_rows(
-            vec!["g", "x"],
-            vec![
-                vec!["a".into(), Value::Null],
-                vec!["a".into(), 7.into()],
-                vec!["a".into(), Value::Null],
-            ],
-        )
-        .unwrap();
-        let g = df
-            .group_by(&["g"], &[("x", AggFn::First), ("x", AggFn::Last)])
-            .unwrap();
-        assert_eq!(g.get(0, "x_first"), Some(&Value::Int(7)));
-        assert_eq!(g.get(0, "x_last"), Some(&Value::Int(7)));
-    }
-
-    #[test]
     fn latest_keeps_max_time_per_group() {
         let df = DataFrame::from_rows(
             vec!["doc", "tstamp", "v"],
@@ -653,7 +406,6 @@ mod tests {
     fn unknown_columns_error() {
         let df = long_logs();
         assert!(df.pivot(&["zzz"], "name", "value").is_err());
-        assert!(df.group_by(&["zzz"], &[]).is_err());
         assert!(df.latest(&["zzz"], "tstamp").is_err());
         assert!(df.join(&df, &["zzz"], JoinKind::Inner).is_err());
         assert!(df.cumsum("zzz").is_err());

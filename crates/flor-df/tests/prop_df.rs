@@ -1,6 +1,6 @@
 //! Property-based tests for flor-df invariants.
 
-use flor_df::{AggFn, DataFrame, JoinKind, Value};
+use flor_df::{DataFrame, JoinKind, Value};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -52,30 +52,9 @@ proptest! {
     #[test]
     fn pivot_row_count_is_distinct_keys(df in arb_long()) {
         let wide = df.pivot(&["run"], "name", "value").unwrap();
-        let distinct = df.unique_by(&["run"]).unwrap().n_rows();
+        let distinct = df.column("run").unwrap().values.iter()
+            .collect::<std::collections::HashSet<_>>().len();
         prop_assert_eq!(wide.n_rows(), distinct);
-    }
-
-    /// melt(pivot(df)) re-pivots to the same wide frame (pivot is a
-    /// fixpoint under melt for non-null cells).
-    #[test]
-    fn pivot_melt_pivot_fixpoint(df in arb_long()) {
-        let wide = df.pivot(&["run"], "name", "value").unwrap();
-        let value_cols: Vec<&str> = wide.column_names().into_iter()
-            .filter(|c| *c != "run").collect();
-        let long = wide.melt(&["run"], &value_cols, "name", "value").unwrap();
-        let rewide = long.pivot(&["run"], "name", "value").unwrap();
-        // Columns may differ if a column was all-null; compare cell-wise on
-        // rewide's columns.
-        for r in 0..rewide.n_rows() {
-            let run = rewide.get(r, "run").unwrap();
-            let orig_row = (0..wide.n_rows())
-                .find(|&i| wide.get(i, "run").unwrap() == run).unwrap();
-            for c in rewide.column_names() {
-                if c == "run" { continue; }
-                prop_assert_eq!(rewide.get(r, c).unwrap(), wide.get(orig_row, c).unwrap());
-            }
-        }
     }
 
     /// Inner self-join on a unique key is the identity (modulo suffixed
@@ -140,16 +119,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// group_by count sums to total row count.
-    #[test]
-    fn group_counts_sum_to_total(df in arb_long()) {
-        prop_assume!(df.n_rows() > 0);
-        let g = df.group_by(&["run"], &[("value", AggFn::Count), ("name", AggFn::Count)]).unwrap();
-        let total: i64 = g.column("name_count").unwrap().values.iter()
-            .map(|v| v.as_i64().unwrap()).sum();
-        prop_assert_eq!(total as usize, df.n_rows());
-    }
-
     /// latest() only keeps rows whose timestamp is maximal for their group.
     #[test]
     fn latest_rows_are_maximal(rows in proptest::collection::vec((0i64..4, 0i64..10), 1..40)) {
@@ -179,11 +148,9 @@ proptest! {
         prop_assert_eq!(back, v);
     }
 
-    /// concat length adds; filter never grows.
+    /// filter never grows.
     #[test]
     fn concat_and_filter_lengths(df in arb_long()) {
-        let doubled = df.concat(&df).unwrap();
-        prop_assert_eq!(doubled.n_rows(), df.n_rows() * 2);
         let f = df.filter(|r| r.get("run").unwrap().as_i64().unwrap_or(0) % 2 == 0);
         prop_assert!(f.n_rows() <= df.n_rows());
     }

@@ -4,13 +4,12 @@
 //! sequence of rows in the `jobs` table — one per transition, stamped
 //! with a monotonically increasing `seq`. The row with the maximum `seq`
 //! per `job_id` *is* the job's current state (latest-wins, the same
-//! discipline `flor.utils.latest` applies to log rows). [`recover_records`]
-//! folds the table back into one [`JobRecord`] per job; the incremental
-//! equivalent lives in [`crate::JobBoard`].
+//! discipline `flor.utils.latest` applies to log rows). The store folds
+//! the table by that rule, and [`recover_records`] reads the fold back as
+//! one [`JobRecord`] per job.
 
 use flor_df::Value;
 use flor_store::{Database, StoreResult};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies one background job across process restarts.
@@ -111,7 +110,7 @@ pub struct UnitSpec {
 }
 
 /// The latest-wins materialized state of one job — what one `jobs`-table
-/// row encodes, and what [`recover_records`] / [`crate::JobBoard`] return.
+/// row encodes, and what [`recover_records`] returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord {
     /// The job's id.
@@ -223,41 +222,17 @@ impl JobStats {
     }
 }
 
-/// Fold the append-only `jobs` table into one latest-wins [`JobRecord`]
-/// per job, ordered by `job_id`. The full-scan equivalent of the
-/// incrementally maintained [`crate::JobBoard`]; `Flor::open` uses it to
-/// find incomplete jobs to resume.
-///
-/// The payload is persisted only on a job's first transition (it is
-/// immutable and can be large), so the fold carries it forward into the
-/// latest record.
+/// One latest-wins [`JobRecord`] per job, ordered by `job_id`: the
+/// store's fold of the append-only `jobs` table
+/// ([`flor_store::Snapshot::latest_wins`]), which also carries each job's
+/// payload — persisted only on its first transition — into its latest
+/// record. `Flor::open` uses it to find incomplete jobs to resume.
 pub fn recover_records(db: &Database) -> StoreResult<Vec<JobRecord>> {
-    let df = db.scan("jobs")?;
-    let mut best: HashMap<JobId, JobRecord> = HashMap::new();
-    let mut payloads: HashMap<JobId, String> = HashMap::new();
-    for row in df.rows() {
-        if let Some(rec) = JobRecord::from_row(&row.to_vec()) {
-            if !rec.payload.is_empty() {
-                payloads
-                    .entry(rec.job_id)
-                    .or_insert_with(|| rec.payload.clone());
-            }
-            match best.get(&rec.job_id) {
-                Some(prev) if prev.seq >= rec.seq => {}
-                _ => {
-                    best.insert(rec.job_id, rec);
-                }
-            }
-        }
-    }
-    let mut out: Vec<JobRecord> = best.into_values().collect();
-    for rec in &mut out {
-        if rec.payload.is_empty() {
-            if let Some(p) = payloads.get(&rec.job_id) {
-                rec.payload = p.clone();
-            }
-        }
-    }
+    let df = db.pin().latest_wins("jobs")?;
+    let mut out: Vec<JobRecord> = df
+        .rows()
+        .filter_map(|row| JobRecord::from_row(&row.to_vec()))
+        .collect();
     out.sort_by_key(|r| r.job_id);
     Ok(out)
 }

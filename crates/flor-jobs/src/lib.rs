@@ -11,15 +11,13 @@
 //!   become visible (and materialized views refresh, via the change feed)
 //!   per unit, not per job.
 //! * **Durability** — the store has no in-place update, so job state is an
-//!   append-only sequence of `jobs`-table rows, folded latest-wins by
-//!   `seq` ([`recover_records`]). A process killed mid-job resumes from
-//!   the persisted `done_keys` cursor ([`JobRunner::resume`]) and
-//!   converges to the uninterrupted result.
+//!   append-only sequence of `jobs`-table rows, which the store folds
+//!   latest-wins by `seq` (the table's declared policy;
+//!   [`recover_records`] reads that fold). A process killed mid-job
+//!   resumes from the persisted `done_keys` cursor
+//!   ([`JobRunner::resume`]) and converges to the uninterrupted result.
 //! * [`JobHandle`] — status, live progress, incremental per-unit
 //!   outcomes, blocking `wait`, and durable `cancel`.
-//! * [`JobBoard`] — an incrementally maintained listing of every job's
-//!   latest state, reusing the flor-view change-feed + `LatestState`
-//!   machinery.
 //!
 //! ```
 //! use flor_jobs::{JobControl, JobExecutor, JobRunner, JobSpec, JobState, UnitSpec};
@@ -55,10 +53,8 @@
 
 #![warn(missing_docs)]
 
-pub mod board;
 pub mod job;
 pub mod runner;
 
-pub use board::JobBoard;
 pub use job::{recover_records, JobId, JobRecord, JobSpec, JobState, JobStats, UnitSpec};
 pub use runner::{JobControl, JobExecutor, JobHandle, JobProgress, JobReport, JobRunner};

@@ -80,7 +80,7 @@ impl JobControl {
 
     /// Request cancellation.
     // audit: ordering — cold control-plane flag: SeqCst guarantees the
-    // executor sees the cancel no later than any board state written
+    // executor sees the cancel no later than any job state written
     // after it, and costs nothing at this frequency.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::SeqCst);
@@ -200,9 +200,9 @@ impl<O> ActiveJob<O> {
             // The payload is immutable per job, so only the first
             // transition persists it (for backfill it carries the whole
             // script source — repeating it on every progress row would
-            // grow the WAL by O(units × |source|)). The recovery folds
-            // ([`crate::recover_records`], [`crate::JobBoard`]) merge it
-            // back into the latest-wins record.
+            // grow the WAL by O(units × |source|)). The store's
+            // latest-wins fold carries it forward into the job's latest
+            // record ([`crate::recover_records`]).
             payload: if self.seq == 1 {
                 self.spec.payload.clone()
             } else {

@@ -8,12 +8,13 @@
 //! [`crate::Database::compact_with`] executes:
 //!
 //! 1. **Liveness fold.** For tables with a declared
-//!    [`LatestWins`] policy, one pass over the pinned version computes
-//!    the winning row per key (max `ord`, ties to the oldest row — the
-//!    `recover_records` convention — or pure insertion order without an
-//!    `ord` column) and the carry-forward rows the fold still needs
-//!    (`jobs.payload` lands only on a job's first transition).
-//!    Everything else is dead.
+//!    [`crate::schema::LatestWins`] policy, one pass over the pinned
+//!    version computes the winning row per key (max `ord`, ties to the
+//!    smallest rid; without an `ord` column the largest rid) and, per
+//!    carry-forward column, the smallest-rid row holding a value
+//!    (`jobs.payload` lands only on a job's first transition). Winners
+//!    and carriers are live; everything else is dead. The same fold is
+//!    the store's one latest-wins read, [`crate::Snapshot::latest_wins`].
 //! 2. **Run selection.** Adjacent segments are grouped into runs of at
 //!    most `target_segment_rows` live rows; a run is rewritten when it
 //!    merges ≥ 2 segments, drops ≥ 1 dead row, or — on a table with a
@@ -33,10 +34,9 @@
 //!
 //! Rewritten segments keep their rows' original global row ids through an
 //! explicit rid map (`Segment::seal_mapped`), so index postings and
-//! pinned readers agree on identity across compactions; rid holes are why
-//! `TableVersion::row` returns `Option`.
+//! pinned readers agree on identity across compactions, and the
+//! latest-wins fold, which decides by rid, reads the same afterwards.
 
-use crate::schema::LatestWins;
 use crate::segment::{Segment, TableVersion};
 use flor_df::Value;
 use std::collections::{HashMap, HashSet};
@@ -126,92 +126,106 @@ pub(crate) struct TableCompaction {
     pub rows_rewritten: usize,
 }
 
-/// The global row ids a latest-wins fold of `t` retains: per key, the
-/// winning row (max `ord`, ties to the oldest rid — the
-/// `recover_records` convention) plus — per carry-forward column whose
-/// winner cell is empty — the oldest row holding a non-empty value.
-fn retained_rids(t: &TableVersion, lw: &LatestWins) -> HashSet<usize> {
-    let key_pos: Vec<usize> = lw
-        .key
-        .iter()
-        .filter_map(|c| t.schema.col_index(c))
-        .collect();
-    let ord_pos = lw.ord.as_ref().and_then(|c| t.schema.col_index(c));
-    let carry_pos: Vec<usize> = lw
-        .carry_first
-        .iter()
-        .filter_map(|c| t.schema.col_index(c))
-        .collect();
-    // A policy naming any unknown column can't be folded faithfully —
-    // a typo'd `ord` would silently change which row wins, a typo'd
-    // carry column would drop the carrier. Keep every row instead.
-    if key_pos.len() != lw.key.len()
-        || ord_pos.is_none() != lw.ord.is_none()
-        || carry_pos.len() != lw.carry_first.len()
-    {
-        return all_rids(t);
-    }
-    struct KeyState {
-        winner_rid: usize,
-        winner_ord: Option<Value>,
-        /// Per carry column: oldest rid with a non-empty cell.
-        carry_rid: Vec<Option<usize>>,
-    }
-    let mut keys: HashMap<Vec<Value>, KeyState> = HashMap::new();
-    for seg in &t.segments {
-        for local in 0..seg.len() {
-            let rid = seg.rid_at(local);
-            let key: Vec<Value> = key_pos.iter().map(|&p| seg.cell(local, p)).collect();
-            let ord = ord_pos.map(|p| seg.cell(local, p));
-            let entry = keys.entry(key).or_insert_with(|| KeyState {
-                winner_rid: rid,
-                winner_ord: ord.clone(),
-                carry_rid: vec![None; carry_pos.len()],
-            });
-            // Segments are walked in ascending rid order. With an `ord`
-            // column a strictly greater value wins (ties keep the older
-            // row — the `recover_records` fold convention); without one,
-            // insertion order decides and the newest row wins.
-            let wins = match (&ord, &entry.winner_ord) {
-                (Some(a), Some(b)) => a > b,
-                _ => true,
-            };
-            if rid != entry.winner_rid && wins {
-                entry.winner_rid = rid;
-                entry.winner_ord = ord;
-            }
-            for (ci, &p) in carry_pos.iter().enumerate() {
-                if entry.carry_rid[ci].is_none() && !cell_is_empty(&seg.cell(local, p)) {
-                    entry.carry_rid[ci] = Some(rid);
-                }
-            }
-        }
-    }
-    let mut retained = HashSet::with_capacity(keys.len());
-    for state in keys.values() {
-        retained.insert(state.winner_rid);
-        if carry_pos.is_empty() {
-            continue;
-        }
-        // audit: allow(panic) — winner_rid was recorded while scanning
-        // this same table's rows, so the row lookup cannot miss.
-        let winner = t.row(state.winner_rid).expect("winner rid is retained");
-        for (ci, &p) in carry_pos.iter().enumerate() {
-            if cell_is_empty(&winner[p]) {
-                if let Some(rid) = state.carry_rid[ci] {
-                    retained.insert(rid);
-                }
-            }
-        }
-    }
-    retained
+/// Where a row of a table version sits: its rid, segment and offset.
+#[derive(Clone, Copy)]
+struct RowAt {
+    rid: usize,
+    seg: usize,
+    local: usize,
 }
 
-fn all_rids(t: &TableVersion) -> HashSet<usize> {
-    t.segments
+/// One key's latest-wins decision.
+struct KeyFold {
+    /// The max-`ord` row, ties to the smallest rid (without an `ord`
+    /// column: the largest rid).
+    winner: RowAt,
+    /// The winner's `ord` cell.
+    ord: Option<Value>,
+    /// Per carry column: the smallest-rid row whose cell is non-empty.
+    carriers: Vec<Option<RowAt>>,
+}
+
+/// The latest-wins fold of `t` under its declared policy — one
+/// [`KeyFold`] per key, in no particular order — and the carry columns'
+/// positions. `None` when the table declares no policy, or one naming a
+/// column it lacks: a typo'd `ord` would silently change which row wins
+/// and a typo'd carry column would lose the carrier, so such a table is
+/// read and kept whole.
+///
+/// Every decision compares rids, never walk order: a clustered
+/// compaction permutes rows physically, and the fold must read the same
+/// before and after it.
+fn fold(t: &TableVersion) -> Option<(Vec<KeyFold>, Vec<usize>)> {
+    let lw = t.schema.latest_wins.as_ref()?;
+    let positions = |cols: &[String]| -> Option<Vec<usize>> {
+        cols.iter().map(|c| t.schema.col_index(c)).collect()
+    };
+    let key_pos = positions(&lw.key)?;
+    let carry_pos = positions(&lw.carry_first)?;
+    let ord_pos = match &lw.ord {
+        Some(c) => Some(t.schema.col_index(c)?),
+        None => None,
+    };
+    let mut keys: HashMap<Vec<Value>, KeyFold> = HashMap::new();
+    for (seg_i, seg) in t.segments.iter().enumerate() {
+        for local in 0..seg.len() {
+            let at = RowAt {
+                rid: seg.rid_at(local),
+                seg: seg_i,
+                local,
+            };
+            let key: Vec<Value> = key_pos.iter().map(|&p| seg.cell(local, p)).collect();
+            let ord = ord_pos.map(|p| seg.cell(local, p));
+            let k = keys.entry(key).or_insert_with(|| KeyFold {
+                winner: at,
+                ord: ord.clone(),
+                carriers: vec![None; carry_pos.len()],
+            });
+            let wins = match (&ord, &k.ord) {
+                (Some(a), Some(b)) => a > b || (a == b && at.rid < k.winner.rid),
+                _ => at.rid > k.winner.rid,
+            };
+            if wins {
+                k.winner = at;
+                k.ord = ord;
+            }
+            for (carrier, &p) in k.carriers.iter_mut().zip(&carry_pos) {
+                if carrier.is_none_or(|c| at.rid < c.rid) && !cell_is_empty(&seg.cell(local, p)) {
+                    *carrier = Some(at);
+                }
+            }
+        }
+    }
+    Some((keys.into_values().collect(), carry_pos))
+}
+
+/// The rows a latest-wins fold of `t` needs — every key's winner and
+/// carriers — or `None` when the table is not folded (see [`fold`]).
+fn retained_rids(t: &TableVersion) -> Option<HashSet<usize>> {
+    let (keys, _) = fold(t)?;
+    let rows = keys
         .iter()
-        .flat_map(|s| (0..s.len()).map(move |i| s.rid_at(i)))
-        .collect()
+        .flat_map(|k| std::iter::once(&k.winner).chain(k.carriers.iter().flatten()));
+    Some(rows.map(|at| at.rid).collect())
+}
+
+/// `t` as its latest-wins fold reads it: per key the winner, each empty
+/// carry cell filled from that column's carrier, in winner-rid order;
+/// `None` when the table is not folded (see [`fold`]). What
+/// [`crate::Snapshot::latest_wins`] returns.
+pub(crate) fn latest_rows(t: &TableVersion) -> Option<Vec<Vec<Value>>> {
+    let (mut keys, carry_pos) = fold(t)?;
+    keys.sort_unstable_by_key(|k| k.winner.rid);
+    let rows = keys.iter().map(|k| {
+        let mut row = t.segments[k.winner.seg].row_at(k.winner.local);
+        for (&p, carrier) in carry_pos.iter().zip(&k.carriers) {
+            if let Some(c) = carrier.filter(|_| cell_is_empty(&row[p])) {
+                row[p] = t.segments[c.seg].cell(c.local, p);
+            }
+        }
+        row
+    });
+    Some(rows.collect())
 }
 
 /// "Empty" for carry-forward purposes: a null, or text of length zero —
@@ -229,10 +243,7 @@ fn cell_is_empty(v: &Value) -> bool {
 /// without one) — the observability fold behind
 /// [`crate::Database::dead_rows`].
 pub(crate) fn dead_rows(t: &TableVersion) -> usize {
-    match &t.schema.latest_wins {
-        None => 0,
-        Some(lw) => t.total_rows - retained_rids(t, lw).len(),
-    }
+    retained_rids(t).map_or(0, |r| t.total_rows - r.len())
 }
 
 /// Plan one table's compaction, or `None` when there is nothing worth
@@ -243,11 +254,8 @@ pub(crate) fn plan_table(t: &TableVersion, policy: &CompactionPolicy) -> Option<
     if k == 0 {
         return None;
     }
-    let retained = t.schema.latest_wins.as_ref().map(|lw| retained_rids(t, lw));
-    let droppable: usize = match &retained {
-        None => 0,
-        Some(r) => t.total_rows - r.len(),
-    };
+    let retained = retained_rids(t);
+    let droppable = retained.as_ref().map_or(0, |r| t.total_rows - r.len());
     let drop_mode = droppable >= policy.min_dead_rows.max(1)
         && droppable as f64 >= policy.min_dead_ratio * t.total_rows as f64;
     let keep =
@@ -360,10 +368,46 @@ mod tests {
     use super::*;
     use crate::db::Database;
     use crate::query::{CmpOp, Predicate};
+    use crate::schema::{ColType, ColumnDef, LatestWins, TableSchema};
     use crate::segment::SEGMENT_COALESCE_ROWS;
     use crate::testing::{lw_schema, tiny_schema};
     use flor_df::{DataFrame, Value};
     use std::collections::HashMap;
+
+    /// The latest-wins fold of a `(k, s, p)` frame, computed from its rows
+    /// in frame (commit) order: max `s` per key, ties to the first row,
+    /// the first non-empty `p` carried into an empty winner; sorted.
+    fn fold(df: &DataFrame) -> Vec<(i64, i64, String)> {
+        let mut best: HashMap<i64, (i64, String)> = HashMap::new();
+        let mut pay: HashMap<i64, String> = HashMap::new();
+        for r in df.rows() {
+            let k = r.get("k").and_then(Value::as_i64).unwrap();
+            let s = r.get("s").and_then(Value::as_i64).unwrap();
+            let p = r.get("p").map(|v| v.to_text()).unwrap_or_default();
+            if !p.is_empty() {
+                pay.entry(k).or_insert(p.clone());
+            }
+            match best.get(&k) {
+                Some((prev, _)) if *prev >= s => {}
+                _ => {
+                    best.insert(k, (s, p));
+                }
+            }
+        }
+        let mut out: Vec<(i64, i64, String)> = best
+            .into_iter()
+            .map(|(k, (s, p))| {
+                let p = if p.is_empty() {
+                    pay.get(&k).cloned().unwrap_or_default()
+                } else {
+                    p
+                };
+                (k, s, p)
+            })
+            .collect();
+        out.sort();
+        out
+    }
 
     #[test]
     fn default_policy_is_eager_and_trigger_is_conservative() {
@@ -446,38 +490,8 @@ mod tests {
         let df = snap.scan("t").unwrap();
         // The latest-wins fold over the compacted scan matches the fold
         // over the uncompacted oracle: max s per key, payload carried.
-        let fold = |df: &DataFrame| -> Vec<(i64, i64, String)> {
-            let mut best: HashMap<i64, (i64, String)> = HashMap::new();
-            let mut pay: HashMap<i64, String> = HashMap::new();
-            for r in df.rows() {
-                let k = r.get("k").and_then(Value::as_i64).unwrap();
-                let s = r.get("s").and_then(Value::as_i64).unwrap();
-                let p = r.get("p").map(|v| v.to_text()).unwrap_or_default();
-                if !p.is_empty() {
-                    pay.entry(k).or_insert(p.clone());
-                }
-                match best.get(&k) {
-                    Some((prev, _)) if *prev >= s => {}
-                    _ => {
-                        best.insert(k, (s, p));
-                    }
-                }
-            }
-            let mut out: Vec<(i64, i64, String)> = best
-                .into_iter()
-                .map(|(k, (s, p))| {
-                    let p = if p.is_empty() {
-                        pay.get(&k).cloned().unwrap_or_default()
-                    } else {
-                        p
-                    };
-                    (k, s, p)
-                })
-                .collect();
-            out.sort();
-            out
-        };
         assert_eq!(fold(&df), fold(&before));
+        assert_eq!(fold(&snap.latest_wins("t").unwrap()), fold(&before));
         assert_eq!(fold(&df)[5], (5, 3, "pay5".to_string()));
         // The pre-compaction pin still re-reads every superseded row.
         assert_eq!(pinned.scan("t").unwrap(), before);
@@ -488,6 +502,100 @@ mod tests {
         assert_eq!(hits.n_rows(), 2);
         assert_eq!(hits.get(0, "s"), Some(&Value::Int(0)));
         assert_eq!(hits.get(1, "s"), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn clustered_compaction_keeps_the_fold() {
+        // `t(k, s, c, p)` clustered by `c`: a rewrite sorts rows by `c`,
+        // against commit order. One commit per row; each case is `(s, c,
+        // p)` rows of key 1 and the fold's `(s, p)`.
+        let schema = || {
+            vec![TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::indexed("k", ColType::Int),
+                    ColumnDef::new("s", ColType::Int),
+                    ColumnDef::new("c", ColType::Int),
+                    ColumnDef::new("p", ColType::Str),
+                ],
+            )
+            .with_latest_wins(LatestWins::new(&["k"], Some("s")).carry_first(&["p"]))
+            .with_cluster_by("c")]
+        };
+        // Carry: the oldest payload, not the first in `c` order.
+        let carry = (vec![(1, 9, "A"), (2, 1, "B"), (3, 5, "")], (3, "A"));
+        // Tie: the older of two equal-`s` rows wins.
+        let tie = (vec![(5, 9, "old"), (5, 1, "new")], (5, "old"));
+        for (rows, (s, p)) in [carry, tie] {
+            let db = Database::in_memory(schema());
+            for (s, c, p) in rows {
+                db.insert("t", vec![1i64.into(), s.into(), c.into(), p.into()])
+                    .unwrap();
+                db.commit().unwrap();
+            }
+            let want = vec![(1, s, p.to_string())];
+            let check = |when: &str| {
+                let snap = db.pin();
+                assert_eq!(fold(&snap.scan("t").unwrap()), want, "scan {when}");
+                assert_eq!(
+                    fold(&snap.latest_wins("t").unwrap()),
+                    want,
+                    "latest_wins {when}"
+                );
+            };
+            check("before compaction");
+            let merge_only = CompactionPolicy {
+                min_dead_rows: 1_000_000,
+                ..CompactionPolicy::default()
+            };
+            assert_eq!(db.compact_with(&merge_only).unwrap().rows_dropped, 0);
+            check("after the clustering merge");
+            let dropped = db.compact_with(&CompactionPolicy::default()).unwrap();
+            assert_eq!(dropped.rows_dropped, 1);
+            check("after dropping dead rows");
+        }
+    }
+
+    #[test]
+    fn unfolded_tables_read_and_keep_every_row() {
+        // No `ord` column: the newest row wins. A policy naming a column
+        // the table lacks folds nothing, like a table without one.
+        let table = |lw: LatestWins| {
+            let db = Database::in_memory(vec![TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("k", ColType::Int),
+                    ColumnDef::new("s", ColType::Int),
+                ],
+            )
+            .with_latest_wins(lw)]);
+            for (k, s) in [(1i64, 2i64), (2, 1), (1, 1)] {
+                db.insert("t", vec![k.into(), s.into()]).unwrap();
+            }
+            db.commit().unwrap();
+            db
+        };
+        let newest = table(LatestWins::new(&["k"], None));
+        let folded = newest.pin().latest_wins("t").unwrap().to_rows();
+        assert_eq!(
+            folded,
+            vec![vec![2.into(), 1.into()], vec![1.into(), 1.into()]]
+        );
+        assert_eq!(newest.dead_rows("t").unwrap(), 1);
+        let typo = table(LatestWins::new(&["k"], Some("seq")));
+        assert_eq!(
+            typo.pin().latest_wins("t").unwrap(),
+            typo.scan("t").unwrap()
+        );
+        assert_eq!(typo.dead_rows("t").unwrap(), 0);
+        assert_eq!(typo.compact().unwrap().rows_dropped, 0);
+        let plain = Database::in_memory(tiny_schema());
+        plain.insert("t", vec!["a".into(), 1i64.into()]).unwrap();
+        plain.commit().unwrap();
+        assert_eq!(
+            plain.pin().latest_wins("t").unwrap(),
+            plain.scan("t").unwrap()
+        );
     }
 
     #[test]

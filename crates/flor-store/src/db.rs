@@ -688,13 +688,6 @@ impl Database {
         self.pin().lookup(table, col, value)
     }
 
-    /// Multi-value point lookup: rows where `col` equals any of `values`,
-    /// in commit order like every read, via the secondary index when one
-    /// exists ([`Snapshot::lookup_many`]).
-    pub fn lookup_many(&self, table: &str, col: &str, values: &[Value]) -> StoreResult<DataFrame> {
-        self.pin().lookup_many(table, col, values)
-    }
-
     /// Whether `col` has a secondary index on `table`.
     pub fn has_index(&self, table: &str, col: &str) -> bool {
         self.pin().table(table).is_ok_and(|t| t.has_index(col))

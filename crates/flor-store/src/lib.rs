@@ -53,7 +53,8 @@
 //!   declared [`schema::LatestWins`] policy, so scans touch only live
 //!   data — published by the same pointer swap commits use, invisible to
 //!   pinned snapshots and the change feed (see the [`segment`] module
-//!   docs on the seal → coalesce → compact → checkpoint lifecycle);
+//!   docs on the seal → coalesce → compact → checkpoint lifecycle); the
+//!   same fold is the one latest-wins read, [`Snapshot::latest_wins`];
 //! * secondary hash indexes (per sealed segment) and a [`query::Query`]
 //!   layer with predicate pushdown plus seal-time zone maps (per-segment
 //!   min/max) that prune whole segments from range scans ("NoSQL-like

@@ -81,27 +81,22 @@ impl ColumnDef {
 
 /// A declared latest-wins policy: the store is append-only, so "updates"
 /// to these tables land as fresh rows and only the newest row per key
-/// tuple is semantically live. Segment compaction uses the declaration to
-/// drop superseded rows; every consumer of such a table must already fold
-/// by this rule (the `jobs` recovery fold, the pivot's last-write-wins
-/// upserts), so the fold result is identical before and after compaction.
+/// tuple is semantically live. [`crate::Snapshot::latest_wins`] reads a
+/// table folded by this rule, and segment compaction drops only rows
+/// that fold does not need, so the read is identical before and after a
+/// compaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatestWins {
     /// Key columns: one live row per distinct key tuple.
     pub key: Vec<String>,
-    /// Ordering column deciding the winner (max wins). `None` falls back
-    /// to insertion (global row id) order, newest row wins. With an
-    /// `ord` column, a tie keeps the *oldest* row — the `recover_records`
-    /// fold convention — but writers should keep `(key, ord)` pairs
-    /// unique (the jobs runner's `seq` is strictly monotonic per job):
-    /// consumers that retain *all* rows at the max `ord` (a
-    /// `LatestState`-backed listing) would otherwise observe a tied
-    /// duplicate disappear when compaction drops it.
+    /// Ordering column deciding the winner: max wins, and a tie keeps
+    /// the *oldest* row. `None` falls back to commit (global row id)
+    /// order: the newest row wins.
     pub ord: Option<String>,
     /// Columns written only on a key's *first* row and carried forward by
-    /// the fold (`jobs.payload`): when the winner's own cell is empty,
-    /// compaction retains the earliest row holding a non-empty value so
-    /// the fold keeps finding it.
+    /// the fold (`jobs.payload`): a winner whose own cell is empty reads
+    /// the oldest non-empty value, and compaction keeps the row holding
+    /// it.
     pub carry_first: Vec<String>,
 }
 

@@ -119,14 +119,6 @@ pub(crate) struct Segment {
     /// compacted segments where dropped rows left holes in the rid space
     /// or clustering reordered rows.
     pub rids: Option<Vec<usize>>,
-    /// For clustered (row-reordered) segments: local offsets sorted by
-    /// rid, so [`Segment::local_of`] can still binary-search. `None`
-    /// when `rids` is already ascending.
-    rid_perm: Option<Vec<u32>>,
-    /// Smallest and largest rid in this segment (quick reject for
-    /// [`TableVersion::row`]).
-    pub min_rid: usize,
-    pub max_rid: usize,
     /// column name → value → local row offsets (ascending). Built once
     /// at seal time.
     pub indexes: HashMap<String, HashMap<Value, Vec<u32>>>,
@@ -213,29 +205,11 @@ impl Segment {
             .as_ref()
             .and_then(|c| schema.col_index(&c.column))
             .filter(|&ci| len > 0 && cols[ci].is_non_decreasing());
-        let (min_rid, max_rid, rid_perm) = match &rids {
-            None => (start, start + len.saturating_sub(1), None),
-            Some(rids) => {
-                let min = rids.iter().copied().min().unwrap_or(0);
-                let max = rids.iter().copied().max().unwrap_or(0);
-                let perm = if rids.windows(2).all(|w| w[0] < w[1]) {
-                    None
-                } else {
-                    let mut perm: Vec<u32> = (0..len as u32).collect();
-                    perm.sort_unstable_by_key(|&l| rids[l as usize]);
-                    Some(perm)
-                };
-                (min, max, perm)
-            }
-        };
         Segment {
             start,
             len,
             cols,
             rids,
-            rid_perm,
-            min_rid,
-            max_rid,
             indexes,
             zones,
             sorted_by,
@@ -280,21 +254,6 @@ impl Segment {
         match &self.rids {
             Some(rids) => rids[local],
             None => self.start + local,
-        }
-    }
-
-    /// The local offset of global row id `rid`, if this segment retains
-    /// it (a compacted segment may have dropped it).
-    pub fn local_of(&self, rid: usize) -> Option<usize> {
-        match (&self.rids, &self.rid_perm) {
-            (Some(rids), None) => rids.binary_search(&rid).ok(),
-            (Some(rids), Some(perm)) => perm
-                .binary_search_by(|&l| rids[l as usize].cmp(&rid))
-                .ok()
-                .map(|i| perm[i] as usize),
-            (None, _) => {
-                (rid >= self.start && rid < self.start + self.len).then(|| rid - self.start)
-            }
         }
     }
 
@@ -408,24 +367,6 @@ impl TableVersion {
             },
             copied,
         )
-    }
-
-    /// Row by global id, materialized from its segment's columns. `None`
-    /// for rids past the high watermark or dropped by compaction —
-    /// callers must not assume every rid below [`TableVersion::next_rid`]
-    /// is still retained. (Clustered segments reorder rows, so segment
-    /// `start`s are not globally sorted; each segment's `[min_rid,
-    /// max_rid]` span gives the quick reject instead.)
-    pub fn row(&self, rid: usize) -> Option<Vec<Value>> {
-        for seg in self.segments.iter().rev() {
-            if rid < seg.min_rid || rid > seg.max_rid {
-                continue;
-            }
-            if let Some(local) = seg.local_of(rid) {
-                return Some(seg.row_at(local));
-            }
-        }
-        None
     }
 
     /// The one way out of a table: the rows `parts` selects (a selection
@@ -542,6 +483,16 @@ mod tests {
     use crate::db::Database;
     use crate::testing::{lw_schema, tiny_schema};
 
+    /// The row holding global id `rid`, or `None` for a rid the table
+    /// never issued or compaction dropped.
+    fn row(t: &TableVersion, rid: usize) -> Option<Vec<Value>> {
+        t.segments.iter().find_map(|seg| {
+            (0..seg.len())
+                .find(|&local| seg.rid_at(local) == rid)
+                .map(|local| seg.row_at(local))
+        })
+    }
+
     #[test]
     fn small_commits_coalesce_segments() {
         let db = Database::in_memory(tiny_schema());
@@ -605,9 +556,9 @@ mod tests {
         db.commit().unwrap();
         let g = db.inner.read();
         let t = g.tables.get("t").unwrap();
-        assert_eq!(t.row(0).map(|r| r[2].clone()), Some(Value::from("pay")));
-        assert!(t.row(1).is_none(), "dropped rid stays a hole forever");
-        assert_eq!(t.row(2).map(|r| r[0].clone()), Some(Value::Int(2)));
+        assert_eq!(row(t, 0).map(|r| r[2].clone()), Some(Value::from("pay")));
+        assert!(row(t, 1).is_none(), "dropped rid stays a hole forever");
+        assert_eq!(row(t, 2).map(|r| r[0].clone()), Some(Value::Int(2)));
         assert_eq!(t.next_rid, 3);
         drop(g);
         let hits = db.lookup("t", "k", &2i64.into()).unwrap();
@@ -663,7 +614,7 @@ mod tests {
         {
             let g = db.inner.read();
             let t = g.tables.get("t").unwrap();
-            assert!(t.row(0).is_none(), "empty table has no rows");
+            assert!(row(t, 0).is_none(), "empty table has no rows");
         }
         for gen in 0..2i64 {
             for k in 0..256i64 {
@@ -676,9 +627,9 @@ mod tests {
         let g = db.inner.read();
         let t = g.tables.get("t").unwrap();
         // Generation-0 rows (rids 0..256) were dropped: holes, not panics.
-        assert!(t.row(3).is_none(), "dead rid resolves to None");
-        assert_eq!(t.row(256 + 3).map(|r| r[1].clone()), Some(Value::Int(1)));
-        assert!(t.row(999_999).is_none(), "past the high watermark");
+        assert!(row(t, 3).is_none(), "dead rid resolves to None");
+        assert_eq!(row(t, 256 + 3).map(|r| r[1].clone()), Some(Value::Int(1)));
+        assert!(row(t, 999_999).is_none(), "past the high watermark");
         assert_eq!(t.total_rows, 256);
         assert_eq!(t.next_rid, 512);
     }

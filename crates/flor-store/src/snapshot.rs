@@ -15,6 +15,7 @@
 //! every read is planned, zone-pruned and accounted the same way.
 
 use crate::checkpoint::CheckpointData;
+use crate::compact;
 use crate::db::{StoreError, StoreResult};
 use crate::metrics::StoreMetrics;
 use crate::query::{Predicate, Query, QueryExplain};
@@ -67,6 +68,23 @@ impl Snapshot {
     /// the [read-order contract](crate::segment#read-order).
     pub fn scan(&self, table: &str) -> StoreResult<DataFrame> {
         Ok(self.table(table)?.scan())
+    }
+
+    /// `table` folded by its declared [`crate::schema::LatestWins`]
+    /// policy: one row per key — the winner (max `ord`, ties to the
+    /// oldest row; without `ord`, the newest row), each empty carry
+    /// column filled from the oldest row holding a value — in the
+    /// winners' commit order. Compaction keeps every row this needs, so
+    /// it reads the same before and after one. A table with no
+    /// policy, or one naming a column the table lacks, returns every row,
+    /// like [`Snapshot::scan`].
+    pub fn latest_wins(&self, table: &str) -> StoreResult<DataFrame> {
+        let t = self.table(table)?;
+        let Some(rows) = compact::latest_rows(t) else {
+            return Ok(t.scan());
+        };
+        let names = t.schema.columns.iter().map(|c| c.name.as_str()).collect();
+        Ok(DataFrame::from_rows(names, rows)?)
     }
 
     /// Approximate resident heap bytes of `table`'s sealed column data —
@@ -256,7 +274,10 @@ mod tests {
                 .unwrap();
         }
         db.commit().unwrap();
-        let df = db.lookup_many("t", "k", &["a".into(), "b".into()]).unwrap();
+        let df = db
+            .pin()
+            .lookup_many("t", "k", &["a".into(), "b".into()])
+            .unwrap();
         let order: Vec<i64> = df
             .column("v")
             .unwrap()
@@ -266,7 +287,10 @@ mod tests {
             .collect();
         assert_eq!(order, vec![0, 1, 2, 4], "scan order, not per-key order");
         // Unindexed column falls back to a filtered scan, same order.
-        let df2 = db.lookup_many("t", "v", &[1.into(), 0.into()]).unwrap();
+        let df2 = db
+            .pin()
+            .lookup_many("t", "v", &[1.into(), 0.into()])
+            .unwrap();
         assert_eq!(df2.n_rows(), 2);
         assert_eq!(df2.get(0, "k"), Some(&Value::from("b")));
     }
@@ -285,7 +309,7 @@ mod tests {
             Err(StoreError::Invalid(m)) if m == "no column nope"
         ));
         assert!(matches!(
-            db.lookup_many("t", "nope", &[7.into()]),
+            db.pin().lookup_many("t", "nope", &[7.into()]),
             Err(StoreError::Invalid(_))
         ));
     }

@@ -6,10 +6,13 @@
 //! never compacting (and never checkpointing). After every step we check:
 //!
 //! * tables **without** a latest-wins policy scan byte-identically;
-//! * tables **with** one (here: a `jobs`-shaped table) agree on the
-//!   latest-wins fold — winner per key by max `ord`, ties to the oldest
-//!   row, carry-forward columns restored — which is the only view any
-//!   consumer of such a table reads;
+//! * tables **with** one (here: a `jobs`-shaped table, and a clustered
+//!   variant whose compactions permute rows against commit order, with
+//!   tied `seq`s and payloads on any row) agree on the latest-wins fold —
+//!   winner per key by max `ord`, ties to the oldest row, carry-forward
+//!   columns restored — which is the only view any consumer of such a
+//!   table reads, and the store's own fold (`Snapshot::latest_wins`)
+//!   equals it;
 //! * snapshots pinned *before* a compaction keep re-scanning their
 //!   original rows byte-identically afterwards;
 //! * zone-map-pruned range queries equal the oracle's unpruned filter;
@@ -23,8 +26,9 @@ use flor_store::{
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Two tables: an append-only one (`events`) and a latest-wins one with a
-/// carry-forward column (`state`, shaped like `jobs`).
+/// Three tables: an append-only one (`events`), a latest-wins one with a
+/// carry-forward column (`state`, shaped like `jobs`), and `clustered`:
+/// `state` plus a cluster column `c` that compaction sorts rows by.
 fn schemas() -> Vec<TableSchema> {
     vec![
         TableSchema::new(
@@ -43,38 +47,66 @@ fn schemas() -> Vec<TableSchema> {
             ],
         )
         .with_latest_wins(LatestWins::new(&["key"], Some("seq")).carry_first(&["payload"])),
+        TableSchema::new(
+            "clustered",
+            vec![
+                ColumnDef::indexed("key", ColType::Int),
+                ColumnDef::new("seq", ColType::Int),
+                ColumnDef::new("c", ColType::Int),
+                ColumnDef::new("payload", ColType::Str),
+            ],
+        )
+        .with_latest_wins(LatestWins::new(&["key"], Some("seq")).carry_first(&["payload"]))
+        .with_cluster_by("c"),
     ]
 }
+
+/// The fold tables, each checked against the oracle's fold.
+const FOLDED: [&str; 2] = ["state", "clustered"];
 
 /// One step of the interleaving.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Commit `events` rows (append-only) and `state` transitions.
+    /// Commit `events` rows (append-only), `state` transitions and
+    /// `clustered` rows `(key, same seq as the key's last row, with a
+    /// payload, c)`.
     Commit {
         events: usize,
         transitions: Vec<(i64, bool)>,
+        clustered: Vec<(i64, bool, bool, i64)>,
     },
     Compact,
+    /// A compaction that merges (and clusters) but drops nothing.
+    Merge,
     Checkpoint,
     Reopen,
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        4 => (1usize..40, proptest::collection::vec((0i64..12, any::<bool>()), 0..6))
-            .prop_map(|(events, transitions)| Step::Commit { events, transitions }),
+        4 => (
+            1usize..40,
+            proptest::collection::vec((0i64..12, any::<bool>()), 0..6),
+            proptest::collection::vec((0i64..6, any::<bool>(), any::<bool>(), 0i64..16), 0..6),
+        )
+            .prop_map(|(events, transitions, clustered)| Step::Commit {
+                events,
+                transitions,
+                clustered,
+            }),
         2 => Just(Step::Compact),
+        1 => Just(Step::Merge),
         1 => Just(Step::Checkpoint),
         1 => Just(Step::Reopen),
     ]
 }
 
-/// The latest-wins fold every `state` consumer applies: per key the row
-/// with max `seq` (ties: oldest), with the first non-empty payload
+/// The latest-wins fold every consumer of `table` applies: per key the
+/// row with max `seq` (ties: oldest), with the first non-empty payload
 /// carried forward. Computed from a raw scan, so it works identically on
 /// compacted and uncompacted databases.
-fn fold_state(db: &Database) -> Vec<(i64, i64, String)> {
-    let df = db.scan("state").expect("state scans");
+fn fold_state(db: &Database, table: &str) -> Vec<(i64, i64, String)> {
+    let df = db.scan(table).expect("table scans");
     let mut best: HashMap<i64, (i64, String)> = HashMap::new();
     let mut payloads: HashMap<i64, String> = HashMap::new();
     for row in df.rows() {
@@ -106,6 +138,21 @@ fn fold_state(db: &Database) -> Vec<(i64, i64, String)> {
     out
 }
 
+/// The store's own fold of `table`, as `fold_state` lays it out.
+fn latest_wins(db: &Database, table: &str) -> Vec<(i64, i64, String)> {
+    let df = db.pin().latest_wins(table).expect("table folds");
+    let mut out: Vec<(i64, i64, String)> = df
+        .rows()
+        .map(|row| {
+            let key = row.get("key").and_then(Value::as_i64).unwrap();
+            let seq = row.get("seq").and_then(Value::as_i64).unwrap();
+            (key, seq, row.get("payload").unwrap().to_text())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 fn check_equivalence(db: &Database, oracle: &Database, ts_hi: i64, ctx: &str) {
     // Append-only tables: raw scans byte-identical.
     assert_eq!(
@@ -113,12 +160,12 @@ fn check_equivalence(db: &Database, oracle: &Database, ts_hi: i64, ctx: &str) {
         oracle.scan("events").unwrap(),
         "events scan diverged {ctx}"
     );
-    // Latest-wins tables: the fold agrees.
-    assert_eq!(
-        fold_state(db),
-        fold_state(oracle),
-        "state fold diverged {ctx}"
-    );
+    // Latest-wins tables: the fold agrees, and so does the store's.
+    for table in FOLDED {
+        let want = fold_state(oracle, table);
+        assert_eq!(fold_state(db, table), want, "{table} fold diverged {ctx}");
+        assert_eq!(latest_wins(db, table), want, "{table} latest_wins {ctx}");
+    }
     // Zone-map-pruned range windows equal the oracle's unpruned filter.
     for (lo, hi) in [(0, ts_hi / 3), (ts_hi / 2, ts_hi), (ts_hi + 10, ts_hi + 20)] {
         let q = Query::table("events")
@@ -171,13 +218,15 @@ proptest! {
         };
         let mut ts = 0i64;
         let mut seqs: HashMap<i64, i64> = HashMap::new();
+        let mut clustered_seqs: HashMap<i64, i64> = HashMap::new();
+        let mut payloads = 0usize;
         // A snapshot pinned mid-history, with its expected frames.
         type PinnedView = (flor_store::Snapshot, Vec<Vec<Value>>, Vec<Vec<Value>>);
         let mut pinned: Option<PinnedView> = None;
 
         for (i, step) in steps.iter().enumerate() {
             match step {
-                Step::Commit { events, transitions } => {
+                Step::Commit { events, transitions, clustered } => {
                     for _ in 0..*events {
                         ts += 1;
                         let kind = if ts % 3 == 0 { "a" } else { "b" };
@@ -200,8 +249,34 @@ proptest! {
                             .unwrap();
                         }
                     }
+                    for &(key, same_seq, with_payload, c) in clustered {
+                        let last = clustered_seqs.entry(key).or_insert(0);
+                        if !same_seq || *last == 0 {
+                            *last += 1;
+                        }
+                        payloads += 1;
+                        let payload = if with_payload {
+                            format!("payload-{payloads}")
+                        } else {
+                            String::new()
+                        };
+                        for d in [&db, &oracle] {
+                            d.insert(
+                                "clustered",
+                                vec![key.into(), (*last).into(), c.into(), payload.as_str().into()],
+                            )
+                            .unwrap();
+                        }
+                    }
                     db.commit().unwrap();
                     oracle.commit().unwrap();
+                }
+                Step::Merge => {
+                    let merge_only = CompactionPolicy {
+                        min_dead_rows: usize::MAX,
+                        ..policy.clone()
+                    };
+                    db.compact_with(&merge_only).unwrap();
                 }
                 Step::Compact => {
                     // Pin before compacting: the pinned view must keep

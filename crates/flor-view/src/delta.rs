@@ -703,27 +703,15 @@ impl PivotState {
 #[derive(Debug, Clone)]
 pub struct LatestState {
     group: Vec<String>,
-    /// The column whose maximum decides the winner per group key
-    /// (`tstamp` for log views; `seq` for the flor-jobs board).
-    ts_col: String,
-    /// group key → (max ts_col value, row positions at that value).
+    /// group key → (max `tstamp`, row positions at that value).
     best: HashMap<Vec<Value>, (Value, Vec<usize>)>,
 }
 
 impl LatestState {
-    /// Empty state for the given group columns, keyed by `tstamp`.
+    /// Empty state for the given group columns.
     pub fn new(group: &[&str]) -> LatestState {
-        LatestState::keyed(group, "tstamp")
-    }
-
-    /// Empty state keyed by an arbitrary latest-wins column: the rows
-    /// surviving are those carrying the maximum `ts_col` per group key.
-    /// This is what lets non-log consumers (the flor-jobs board folds
-    /// append-only job transitions by max `seq`) reuse the upsert state.
-    pub fn keyed(group: &[&str], ts_col: &str) -> LatestState {
         LatestState {
             group: group.iter().map(|s| s.to_string()).collect(),
-            ts_col: ts_col.to_string(),
             best: HashMap::new(),
         }
     }
@@ -741,7 +729,7 @@ impl LatestState {
                 .iter()
                 .map(|g| frame.get(r, g).cloned().unwrap_or(Value::Null))
                 .collect();
-            let ts = frame.get(r, &self.ts_col).cloned().unwrap_or(Value::Null);
+            let ts = frame.get(r, "tstamp").cloned().unwrap_or(Value::Null);
             match self.best.get_mut(&key) {
                 None => {
                     self.best.insert(key, (ts, vec![r]));
@@ -959,17 +947,6 @@ mod tests {
         assert!(LogRow::from_slice(&["p".into()]).is_err());
         let mut pivot = Pivot::new(LoopContexts::default());
         assert!(pivot.insert_loop(&["p".into()]).is_err());
-    }
-
-    #[test]
-    fn latest_state_keyed_by_custom_column() {
-        let mut frame = DataFrame::new();
-        frame.push_row(&[("seq", 1.into()), ("job_id", 7.into())]);
-        frame.push_row(&[("seq", 3.into()), ("job_id", 7.into())]);
-        frame.push_row(&[("seq", 2.into()), ("job_id", 8.into())]);
-        let mut latest = LatestState::keyed(&["job_id"], "seq");
-        latest.observe(&frame, &[0, 1, 2]);
-        assert_eq!(latest.surviving_rows(), vec![1, 2]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Background backfill with flor-jobs: submit, poll progress, query
-//! concurrently, cancel.
+//! concurrently, cancel, and list jobs across a compaction.
 //!
 //! The paper's "magic trick" — retroactive logging via incremental replay
 //! — is a long-running batch computation, so FlorDB schedules it as a
@@ -126,5 +126,17 @@ fn main() {
         stats.done,
         stats.cancelled,
         flor.db.row_count("jobs").expect("row count")
+    );
+    assert_eq!((stats.done, stats.cancelled), (1, 1));
+
+    // Compaction drops superseded transitions, never what the listing
+    // reads: the two jobs are listed the same afterwards (followed by the
+    // compaction job itself).
+    let listed = flor.jobs().expect("jobs");
+    let compacted = flor.compact().expect("compact");
+    assert_eq!(flor.jobs().expect("jobs")[..listed.len()], listed[..]);
+    println!(
+        "compaction dropped {} dead transitions; job listing unchanged",
+        compacted.rows_dropped
     );
 }

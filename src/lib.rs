@@ -152,10 +152,9 @@
 //!
 //! * **Lock order.** Every mutex/rwlock in the workspace is classified
 //!   into a named class, and classes form a single hierarchy (outermost
-//!   first): `kernel_state` → `jobs_board` → `jobs_ingest` →
-//!   `jobs_runner` → `view_catalog` → `git_repo` → `git_vfs` →
-//!   `serve_buckets` → `ckpt_serial` → `store_commit` → `feed_queue` →
-//!   `obs`. A lock may only be acquired while holding locks that
+//!   first): `kernel_state` → `jobs_ingest` → `jobs_runner` →
+//!   `view_catalog` → `git_repo` → `git_vfs` → `serve_buckets` →
+//!   `ckpt_serial` → `store_commit` → `feed_queue` → `obs`. A lock may only be acquired while holding locks that
 //!   precede it; the audit also rejects cycles in the *observed*
 //!   acquisition graph and any `.lock()`/`.read()`/`.write()` on a
 //!   receiver the manifest does not classify. Notably: checkpoints and
@@ -199,7 +198,7 @@ pub mod prelude {
         backfill, run_script, BackfillHandle, BackfillReport, ExplainReport, Flor, QueryBuilder,
         RunOutcome, VersionOutcome,
     };
-    pub use flor_df::{AggFn, DataFrame, JoinKind, Value};
+    pub use flor_df::{DataFrame, JoinKind, Value};
     pub use flor_git::{Repository, VirtualFs};
     pub use flor_jobs::{JobProgress, JobRecord, JobState, JobStats};
     pub use flor_make::{parse_makefile, Makefile};
