@@ -3,9 +3,13 @@
 //! [`QueryPlan::below_pivot`] lowered steps — key predicates, the
 //! `latest` cut, the top-K cut — this module first runs them over the
 //! fetched rows joined to their loop contexts, so the pivot writes only
-//! the rows they keep. By then the operator has discovered the columns
-//! of every projected row ([`discover`]), so the reduced frame has the
-//! columns the pivot of every row would have.
+//! the rows they keep. By then the operator has fixed the columns of
+//! every projected row (`Pivot::discover_all`: a merge by first rid of
+//! per-segment summaries — first-seen order is rid order — made once per
+//! sealed `logs` segment), and its loop contexts come from the sealed
+//! `loops` segments, each resolved once per segment, so the reduced frame
+//! has the columns the pivot of every row would have without a query
+//! re-reading history.
 //!
 //! Every read is against one pinned snapshot, so the frame reflects
 //! exactly its epoch. Rows stay in commit order throughout (the store's
@@ -16,28 +20,13 @@
 //! [`Flor::execute_at`]: crate::Flor::execute_at
 //! [`QueryPlan::below_pivot`]: flor_view::QueryPlan::below_pivot
 
-use flor_df::{DataFrame, DfError, DfResult, Value};
+use flor_df::{DfResult, Value};
 use flor_store::{Predicate, StoreResult};
-use flor_view::{logged_value, BelowPivot, Ctx, LogRow, Pivot, FIXED_COLS};
+use flor_view::{key_hash, logged_value, BelowPivot, Ctx, KeyIndex, LogRow, Pivot};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// The schema pass: discover the columns of every row of `rows` — a
-/// `logs` fetch with at least `ctx_id` and `value_name` — without
-/// writing any. Returns the rows read.
-pub(crate) fn discover(pivot: &mut Pivot, rows: &DataFrame) -> StoreResult<usize> {
-    let column = |name: &str| {
-        rows.column(name)
-            .map(|c| c.values.as_slice())
-            .ok_or_else(|| DfError::UnknownColumn(name.to_string()))
-    };
-    let ctx_ids = column("ctx_id")?;
-    for (ctx_id, name) in ctx_ids.iter().zip(column("value_name")?) {
-        pivot.discover(ctx_id, name)?;
-    }
-    Ok(ctx_ids.len())
-}
 
 /// Whether `push` runs exactly against the columns `pivot` discovered:
 /// every column a pushed step names exists in the role the lowering
@@ -92,71 +81,81 @@ impl<'a> LogRows<'a> {
     /// Keep the rows whose key carries the maximum `tstamp` of its
     /// `group` — the keys `DataFrame::latest(group, "tstamp")` keeps.
     pub(crate) fn latest_cut(&mut self, group: &[String]) -> (usize, usize) {
-        let mut group_of: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut max: Vec<&'a Value> = Vec::new();
-        let mut groups = Vec::with_capacity(self.rows.len());
-        for (row, ctx) in &self.rows {
-            let key = group.iter().map(|g| row.cell(ctx, g).clone()).collect();
+        let rows = &self.rows;
+        let cells = |r: usize| {
+            let (row, ctx) = &rows[r];
+            group.iter().map(move |g| row.cell(ctx, g))
+        };
+        let mut keys = KeyIndex::default();
+        // Per group: its first row and maximum `tstamp`.
+        let mut groups: Vec<(usize, &'a Value)> = Vec::new();
+        let mut group_of = Vec::with_capacity(rows.len());
+        for (r, (row, _)) in rows.iter().enumerate() {
+            let mut h = DefaultHasher::new();
+            cells(r).for_each(|c| c.hash(&mut h));
             let ts = row.fixed[1];
-            let g = *group_of.entry(key).or_insert_with(|| {
-                max.push(ts);
-                max.len() - 1
-            });
-            if ts > max[g] {
-                max[g] = ts;
+            let (g, new) = keys.find_or_add(h.finish(), |g| cells(groups[g].0).eq(cells(r)));
+            if new {
+                groups.push((r, ts));
+            } else if ts > groups[g].1 {
+                groups[g].1 = ts;
             }
-            groups.push(g);
+            group_of.push(g);
         }
-        let mut groups = groups.into_iter();
-        self.retain(|(row, _)| groups.next().is_some_and(|g| row.fixed[1] == max[g]))
+        let mut group_of = group_of.into_iter();
+        self.retain(|(row, _)| group_of.next().is_some_and(|g| row.fixed[1] == groups[g].1))
     }
 
     /// Keep the rows of the `n` keys `sort_by(order_by).head(n)` keeps:
     /// keys compared by their `order_by` cells under `Value`'s order —
     /// index cells from the key, value cells last-write-wins per
     /// (key, name) as the pivot writes them — ties broken by first
-    /// appearance, as the stable sort breaks them.
+    /// appearance, as the stable sort breaks them. Rows are keyed as
+    /// [`Pivot::upsert`] keys them: by [`key_hash`], candidates compared
+    /// by their cells.
     pub(crate) fn top_k_cut(
         &mut self,
         order_by: &[(String, bool)],
         n: usize,
         pivot: &Pivot,
     ) -> (usize, usize) {
-        let index: Vec<&str> = FIXED_COLS
-            .iter()
-            .copied()
-            .chain(pivot.dims().iter().map(|d| &**d))
-            .collect();
-        let mut slot_of: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut sort: Vec<Vec<Value>> = Vec::new();
-        let mut slots = Vec::with_capacity(self.rows.len());
-        for (row, ctx) in &self.rows {
-            let key = index.iter().map(|c| row.cell(ctx, c).clone()).collect();
-            let slot = *slot_of.entry(key).or_insert_with(|| {
-                sort.push(
-                    order_by
-                        .iter()
-                        .map(|(c, _)| row.cell(ctx, c).clone())
-                        .collect(),
-                );
-                sort.len() - 1
-            });
+        let rows = &self.rows;
+        let dims = pivot.dims();
+        let same_key = |a: usize, b: usize| {
+            let ((ra, ca), (rb, cb)) = (&rows[a], &rows[b]);
+            ra.fixed == rb.fixed
+                && (Arc::ptr_eq(ca, cb) || dims.iter().all(|d| ca.cell(d) == cb.cell(d)))
+        };
+        let k = order_by.len();
+        let mut keys = KeyIndex::default();
+        // Per key: its first row, and its `k` sort cells in `sort`.
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut sort: Vec<Value> = Vec::new();
+        let mut slots = Vec::with_capacity(rows.len());
+        for (r, (row, ctx)) in rows.iter().enumerate() {
+            let hash = key_hash(row.fixed, ctx);
+            let (slot, new) = keys.find_or_add(hash, |slot| same_key(firsts[slot], r));
+            if new {
+                firsts.push(r);
+                sort.extend(order_by.iter().map(|(c, _)| row.cell(ctx, c).clone()));
+            }
             let name = row.value_name.as_str();
-            for (k, (c, _)) in order_by.iter().enumerate() {
+            for (i, (c, _)) in order_by.iter().enumerate() {
                 if name == Some(c.as_str()) {
-                    sort[slot][k] = logged_value(row.value, row.value_type);
+                    sort[slot * k + i] = logged_value(row.value, row.value_type);
                 }
             }
             slots.push(slot);
         }
-        let mut best: Vec<usize> = (0..sort.len()).collect();
+        let cell = |slot: usize, i: usize| &sort[slot * k + i];
+        let mut best: Vec<usize> = (0..keys.len()).collect();
         if n < best.len() {
             best.select_nth_unstable_by(n, |&a, &b| {
                 order_by
                     .iter()
                     .enumerate()
-                    .map(|(k, (_, asc))| {
-                        let ord = sort[a][k].cmp(&sort[b][k]);
+                    .map(|(i, (_, asc))| {
+                        let ord = cell(a, i).cmp(cell(b, i));
                         if *asc {
                             ord
                         } else {
@@ -169,7 +168,7 @@ impl<'a> LogRows<'a> {
             });
             best.truncate(n);
         }
-        let mut keep = vec![false; sort.len()];
+        let mut keep = vec![false; keys.len()];
         for slot in best {
             keep[slot] = true;
         }

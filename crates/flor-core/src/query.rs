@@ -56,7 +56,7 @@
 //! ```
 
 use crate::kernel::Flor;
-use crate::pivot::{admits, discover, LogRows};
+use crate::pivot::{admits, LogRows};
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
 use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
@@ -262,14 +262,18 @@ impl Flor {
     /// dimensions test each fetched row's index key; `latest` and top-K
     /// cut the rows to the keys they would keep. The rows left go through
     /// one [`flor_view::Pivot`], the operator the view catalog maintains
-    /// its views with. When anything is pushed, it first discovers the
-    /// columns of every projected row from their `ctx_id` / `value_name`
-    /// (the schema pass), so the reduced frame has the full pivot's
-    /// columns. Then the **whole** post-pass runs, whatever was pushed:
-    /// each pushed step is a filter it repeats or a cut its later steps
-    /// would make. A plan with nothing to push (or whose pushed columns
-    /// the schema pass cannot place) takes this same path with an empty
-    /// push set: no schema pass, every fetched row written.
+    /// its views with; loop contexts come from the snapshot's sealed
+    /// `loops` segments, each resolved once per segment
+    /// ([`flor_view::LoopContexts::of`]). When anything is pushed, the
+    /// pivot first fixes the columns of every projected row (the schema
+    /// pass, [`Pivot::discover_all`]): a merge by first rid of per-segment
+    /// summaries, made once per sealed `logs` segment and shared by every
+    /// later query, so the reduced frame has the full pivot's columns
+    /// without re-reading history. Then the **whole** post-pass runs,
+    /// whatever was pushed: each pushed step is a filter it repeats or a
+    /// cut its later steps would make. A plan with nothing to push (or
+    /// whose pushed columns the schema pass cannot place) takes this same
+    /// path with an empty push set: every fetched row written.
     ///
     /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
     /// when one runs, with each step's rows in and out as span events —
@@ -283,34 +287,23 @@ impl Flor {
         tr: &mut ActiveTrace,
     ) -> StoreResult<(DataFrame, PlanExplain)> {
         let scan = tr.begin("store.scan");
-        let mut pivot = Pivot::new(LoopContexts::read(snap)?);
+        let mut pivot = Pivot::new(LoopContexts::of(snap)?);
         let lowered = plan.below_pivot();
-        // With anything to push, the pivot first discovers the columns of
-        // every projected row: from the fetch itself when no predicate
-        // joins it, from the projected rows' two columns when one does.
-        let (logs, store, schema_rows) = if lowered.store.is_empty() {
-            let (logs, store) = snap.explain(&plan.logs_fetch())?;
-            let schema_rows = if lowered.is_empty() {
-                None
-            } else {
-                Some(discover(&mut pivot, &logs)?)
-            };
-            (logs, store, schema_rows)
+        // With anything to push, the pivot first takes the columns of
+        // every projected row from the snapshot's per-segment summaries.
+        let schema_rows = if lowered.is_empty() {
+            None
         } else {
-            let projected = plan.logs_fetch().project(&["ctx_id", "value_name"]);
-            let schema_rows = discover(&mut pivot, &snap.query(&projected)?)?;
-            let mut fetch = plan.logs_fetch();
-            if admits(&pivot, &lowered, &plan.order_by) {
-                for p in &lowered.store {
-                    fetch = fetch.filter_pred(p.clone());
-                }
-            }
-            let (logs, store) = snap.explain(&fetch)?;
-            (logs, store, Some(schema_rows))
+            Some(pivot.discover_all(snap, &plan.names)?)
         };
         let below = schema_rows
             .filter(|_| admits(&pivot, &lowered, &plan.order_by))
             .map(|rows| (lowered, rows));
+        let mut fetch = plan.logs_fetch();
+        for p in below.iter().flat_map(|(push, _)| &push.store) {
+            fetch = fetch.filter_pred(p.clone());
+        }
+        let (logs, store) = snap.explain(&fetch)?;
         tr.event(|| {
             format!(
                 "access={} segments={}/{} pruned={} rows examined={} returned={}",
@@ -334,7 +327,7 @@ impl Flor {
             post_pass: None,
         };
         if let Some((rows, cols)) = explain.schema {
-            tr.event(|| format!("schema pass: {rows} rows read, {cols} columns"));
+            tr.event(|| format!("schema pass: {rows} rows summarised, {cols} columns"));
         }
         tr.end(scan);
 
@@ -391,8 +384,9 @@ pub struct PlanExplain {
     /// The `logs` fetch, with any pushed store predicates joined: access
     /// path, zone-map pruning, rows examined vs returned.
     pub store: QueryExplain,
-    /// Projected rows the schema pass read and the columns it found —
-    /// run only when something was pushed below the pivot.
+    /// `logs` rows the schema pass summarised in this execution (0 when
+    /// every sealed segment's summary was already made) and the columns
+    /// it found — run only when something was pushed below the pivot.
     pub schema: Option<(usize, usize)>,
     /// Rows into and out of the key predicates.
     pub key_predicates: Option<(usize, usize)>,
@@ -431,7 +425,9 @@ impl std::fmt::Display for PlanExplain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.store)?;
         match self.schema {
-            Some((rows, cols)) => write!(f, "\n  schema pass: {rows} rows read, {cols} columns")?,
+            Some((rows, cols)) => {
+                write!(f, "\n  schema pass: {rows} rows summarised, {cols} columns")?
+            }
             None => write!(f, "\n  nothing pushed below the pivot")?,
         }
         for (step, rows) in self.steps() {

@@ -199,10 +199,18 @@ fn snapshot_explain_reports_rows_through_every_step() {
         text.starts_with("QUERY logs via index-eq(tstamp)"),
         "{text}"
     );
+    // The first execution summarises every sealed `logs` segment — all
+    // 18 rows, whatever the plan projects; the summaries stay with the
+    // segments, so running again (on a new pin of the same segments)
+    // summarises nothing.
     assert!(
-        text.contains("schema pass: 18 rows read, 7 columns"),
+        text.contains("schema pass: 18 rows summarised, 7 columns"),
         "{text}"
     );
+    let mut inert = flor_obs::ActiveTrace::new(false, None, "");
+    let (again, explain_again) = flor.execute_at(&flor.db.pin(), &plan, &mut inert).unwrap();
+    assert_eq!(again, df);
+    assert_eq!(explain_again.schema, Some((0, 7)));
     assert!(
         text.contains(&format!("pivot: {one_run} rows in, 3 out")),
         "{text}"

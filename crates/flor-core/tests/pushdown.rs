@@ -98,11 +98,16 @@ fn serve_point_plans_run_below_the_pivot_on_a_ledger_shaped_history() {
         ex.store
     );
     assert_eq!(ex.store.rows_returned, EPOCHS * NAMES.len());
+    // The first execution on the snapshot summarises each sealed `logs`
+    // segment once: all 16,000 rows.
     assert_eq!(
         ex.schema,
         Some((RUNS * EPOCHS * NAMES.len(), 3 + 2 + NAMES.len()))
     );
     assert_eq!(ex.pivot, (EPOCHS * NAMES.len(), EPOCHS));
+    // Every later one merges the kept summaries and reads no row.
+    let (_, ex) = run(&selective, EPOCHS);
+    assert_eq!(ex.schema, Some((0, 3 + 2 + NAMES.len())));
 
     // A ten-run window: binary search into the clustered segments reads
     // only its rows.
@@ -111,13 +116,16 @@ fn serve_point_plans_run_below_the_pivot_on_a_ledger_shaped_history() {
     assert_eq!(ex.store.rows_examined, 10 * EPOCHS * NAMES.len());
     assert_eq!(ex.store.rows_returned, 10 * EPOCHS * NAMES.len());
     assert_eq!(ex.pivot, (10 * EPOCHS * NAMES.len(), 10 * EPOCHS));
+    assert_eq!(ex.schema, Some((0, 3 + 2 + NAMES.len())));
 
     // Top-K and `latest` cut 4,000 rows to the keys they keep.
     let (_, ex) = run(&top_k, 10);
     assert_eq!(ex.top_k_cut, Some((RUNS * EPOCHS, 10)));
     assert_eq!(ex.pivot, (10, 10));
+    assert_eq!(ex.schema, Some((0, 3 + 2 + 1)));
     let (df, ex) = run(&latest, EPOCHS);
     assert_eq!(ex.latest_cut, Some((RUNS * EPOCHS, EPOCHS)));
+    assert_eq!(ex.schema, Some((0, 3 + 2 + 1)));
     assert_eq!(ex.pivot, (EPOCHS, EPOCHS));
     let last_run = Value::Int(RUNS as i64);
     assert!(df

@@ -74,13 +74,27 @@
 //!    eventually leave the log too (see
 //!    [`crate::checkpoint`] for the crash-safety argument). Compactions
 //!    and checkpoints are serialized against each other.
+//!
+//! # Summaries
+//!
+//! Next to its zone maps a segment keeps one more per-segment fact: a
+//! **summary**, an arbitrary value a reader derives from the segment's
+//! rows (the pivot keeps its loop contexts per `loops` segment and its
+//! first-seen names per `logs` segment). Unlike a zone map it is built
+//! lazily — by the first [`crate::Snapshot::summaries`] call that needs
+//! it, never at seal or commit time — and then shared by `Arc` with every
+//! snapshot that pins the segment, for the segment's life. A segment a
+//! commit coalesces or a compaction merges is a new segment with an
+//! empty slot, so a summary never outlives the rows it describes; nothing
+//! is persisted, and a reopened table starts with empty slots.
 
 use crate::column;
 use crate::query::{CmpOp, Predicate};
 use crate::schema::TableSchema;
 use flor_df::{Column, DataFrame, Value};
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Tail segments smaller than this participate in commit-time coalescing.
 /// Folding is geometric — a trailing segment is absorbed only when the
@@ -131,6 +145,10 @@ pub(crate) struct Segment {
     /// on the schema's [`crate::schema::ClusterBy`] column — range scans
     /// then binary-search into the segment instead of filtering it.
     pub sorted_by: Option<usize>,
+    /// The reader-defined [summary](self#summaries) of this segment's
+    /// rows: empty until the first [`crate::Snapshot::summaries`] call
+    /// that needs it, then fixed.
+    pub summary: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Segment {
@@ -213,6 +231,7 @@ impl Segment {
             indexes,
             zones,
             sorted_by,
+            summary: OnceLock::new(),
         }
     }
 
@@ -418,6 +437,16 @@ impl TableVersion {
         // each filled from the same selection: lengths and names are
         // uniform.
         DataFrame::from_columns(cols).expect("schema columns are uniform")
+    }
+
+    /// Every row of `seg`, one of this version's segments, as columns
+    /// `cols` in rid order, with those rids — what a
+    /// [summary](self#summaries) is made from.
+    pub fn segment_rows(&self, seg: &Segment, cols: &[usize]) -> (DataFrame, Vec<usize>) {
+        let all = column::Bitmap::ones_in_range(seg.len(), 0, seg.len());
+        let mut rids: Vec<usize> = (0..seg.len()).map(|local| seg.rid_at(local)).collect();
+        rids.sort_unstable();
+        (self.materialise(&[(seg, all)], cols), rids)
     }
 
     /// Every row — the all-ones selection a full scan and a checkpoint

@@ -19,8 +19,9 @@ use crate::compact;
 use crate::db::{StoreError, StoreResult};
 use crate::metrics::StoreMetrics;
 use crate::query::{Predicate, Query, QueryExplain};
-use crate::segment::TableVersion;
+use crate::segment::{Segment, TableVersion};
 use flor_df::{DataFrame, Value};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,6 +86,51 @@ impl Snapshot {
         };
         let names = t.schema.columns.iter().map(|c| c.name.as_str()).collect();
         Ok(DataFrame::from_rows(names, rows)?)
+    }
+
+    /// The [summary](crate::segment#summaries) of each sealed segment of
+    /// `table`, in segment order, and how many rows this call summarised.
+    /// A segment whose slot is empty is summarised now — `summarise` gets
+    /// its rows as columns `cols` in commit order, and their rids — and
+    /// keeps the result for every snapshot that pins it, so a later call
+    /// from any snapshot only clones an `Arc`. A kept summary `reuse`
+    /// refuses (made under facts this caller does not share), or one of
+    /// another type, is made again for this call only.
+    pub fn summaries<T: Any + Send + Sync>(
+        &self,
+        table: &str,
+        cols: &[&str],
+        reuse: impl Fn(&T) -> bool,
+        summarise: impl Fn(&DataFrame, &[usize]) -> T,
+    ) -> StoreResult<(Vec<Arc<T>>, usize)> {
+        let t = self.table(table)?;
+        let cols = cols
+            .iter()
+            .map(|c| {
+                t.schema
+                    .col_index(c)
+                    .ok_or_else(|| StoreError::Invalid(format!("no column {c}")))
+            })
+            .collect::<StoreResult<Vec<usize>>>()?;
+        let mut rows = 0;
+        let make = |seg: &Segment, rows: &mut usize| {
+            *rows += seg.len();
+            let (df, rids) = t.segment_rows(seg, &cols);
+            summarise(&df, &rids)
+        };
+        let mut out = Vec::with_capacity(t.segments.len());
+        for seg in &t.segments {
+            let mut fresh = false;
+            let kept = seg.summary.get_or_init(|| {
+                fresh = true;
+                Arc::new(make(seg, &mut rows))
+            });
+            out.push(match Arc::clone(kept).downcast::<T>() {
+                Ok(kept) if fresh || reuse(&kept) => kept,
+                _ => Arc::new(make(seg, &mut rows)),
+            });
+        }
+        Ok((out, rows))
     }
 
     /// Approximate resident heap bytes of `table`'s sealed column data —

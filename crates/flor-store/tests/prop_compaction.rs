@@ -16,12 +16,16 @@
 //! * snapshots pinned *before* a compaction keep re-scanning their
 //!   original rows byte-identically afterwards;
 //! * zone-map-pruned range queries equal the oracle's unpruned filter;
+//! * per-segment summaries (`Snapshot::summaries`), merged across
+//!   segments by smallest rid, equal the summary of the table's rows —
+//!   across merges, clustered merges that permute rows against commit
+//!   order, and reopens — and each segment is summarised once;
 //! * a reopen (checkpoint sidecar + WAL tail) converges to the same
 //!   state.
 
 use flor_df::Value;
 use flor_store::{
-    CmpOp, ColType, ColumnDef, CompactionPolicy, Database, LatestWins, Query, TableSchema,
+    CmpOp, ColType, ColumnDef, CompactionPolicy, Database, LatestWins, Query, Snapshot, TableSchema,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -153,7 +157,67 @@ fn latest_wins(db: &Database, table: &str) -> Vec<(i64, i64, String)> {
     out
 }
 
+/// Per key of column `col`: its first rid and its row count in one
+/// segment — a per-segment summary of the shape the pivot keeps.
+type KeyFirsts = HashMap<Value, (usize, usize)>;
+
+/// `snap`'s per-segment summaries of `table` merged across segments —
+/// each key's smallest rid, counts summed — as keys in rid order with
+/// their counts.
+fn merged_summaries(snap: &Snapshot, table: &str, col: &str) -> Vec<(Value, usize)> {
+    let summarise = |rows: &flor_df::DataFrame, rids: &[usize]| {
+        let mut firsts = KeyFirsts::new();
+        for (key, &rid) in rows.column(col).unwrap().values.iter().zip(rids) {
+            firsts.entry(key.clone()).or_insert((rid, 0)).1 += 1;
+        }
+        firsts
+    };
+    let (segments, _) = snap.summaries(table, &[col], |_| true, summarise).unwrap();
+    let mut merged = KeyFirsts::new();
+    for (key, &(rid, n)) in segments.iter().flat_map(|s| s.iter()) {
+        let slot = merged.entry(key.clone()).or_insert((rid, 0));
+        slot.0 = slot.0.min(rid);
+        slot.1 += n;
+    }
+    let mut merged: Vec<(usize, Value, usize)> = merged
+        .into_iter()
+        .map(|(k, (rid, n))| (rid, k, n))
+        .collect();
+    merged.sort_by_key(|(rid, ..)| *rid);
+    merged.into_iter().map(|(_, k, n)| (k, n)).collect()
+}
+
+/// The same facts read off `table`'s rows: keys in first-seen order —
+/// commit order, the store's read-order contract — with their counts.
+fn first_seen(snap: &Snapshot, table: &str, col: &str) -> Vec<(Value, usize)> {
+    let mut out: Vec<(Value, usize)> = Vec::new();
+    for key in &snap.scan(table).unwrap().column(col).unwrap().values {
+        match out.iter_mut().find(|(k, _)| k == key) {
+            Some((_, n)) => *n += 1,
+            None => out.push((key.clone(), 1)),
+        }
+    }
+    out
+}
+
+/// Summaries of merged, clustered and recovered segments equal the
+/// summary of their rows, and a summary is made once per segment.
+fn check_summaries(snap: &Snapshot, ctx: &str) {
+    for (table, col) in [("events", "kind"), ("state", "key"), ("clustered", "key")] {
+        assert_eq!(
+            merged_summaries(snap, table, col),
+            first_seen(snap, table, col),
+            "{table} summaries diverged from its rows {ctx}"
+        );
+        let (_, rows) = snap
+            .summaries(table, &[col], |_: &KeyFirsts| true, |_, _| KeyFirsts::new())
+            .unwrap();
+        assert_eq!(rows, 0, "{table} summarised twice {ctx}");
+    }
+}
+
 fn check_equivalence(db: &Database, oracle: &Database, ts_hi: i64, ctx: &str) {
+    check_summaries(&db.pin(), ctx);
     // Append-only tables: raw scans byte-identical.
     assert_eq!(
         db.scan("events").unwrap(),
@@ -310,6 +374,7 @@ proptest! {
             if let Some((snap, ev, st)) = &pinned {
                 prop_assert_eq!(&snap.scan("events").unwrap().to_rows(), ev);
                 prop_assert_eq!(&snap.scan("state").unwrap().to_rows(), st);
+                check_summaries(snap, &format!("pinned, at step {i}"));
             }
         }
         // Final convergence through one more checkpoint + reopen.

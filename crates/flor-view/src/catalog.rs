@@ -461,7 +461,10 @@ impl ViewCatalog {
     /// a build touches only the log rows the view projects — not the
     /// whole history. The key's pushdown predicates are *not* pushed into
     /// the fetch: excluded rows still drive schema discovery (see
-    /// [`PivotState::filtered`]), so the pivot state must see them.
+    /// [`PivotState::filtered`]), so the pivot state must see them. The
+    /// loop contexts are the snapshot's per-segment ones
+    /// ([`LoopContexts::of`]), shared with every other view and query
+    /// rather than read and resolved again per build.
     fn build(&self, key: &ViewKey) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
         let names: Vec<&str> = key.names.iter().map(String::as_str).collect();
@@ -472,7 +475,7 @@ impl ViewCatalog {
         let (snap, stats) = self.db.pin_with_stats();
         let epoch = snap.epoch();
         let logs = snap.query(&QueryPlan::new(&names).logs_fetch())?;
-        let loops = LoopContexts::read(&snap)?;
+        let loops = LoopContexts::of(&snap)?;
         let pivot = PivotState::from_snapshot_filtered(&names, &key.pushdown, epoch, &logs, loops)?;
         // Latest views always carry upsert state; whether it is *used*
         // (vs. recomputing from the frame) is decided per materialization,

@@ -1,14 +1,27 @@
 //! Delta operators: the one pivot of `logs ⋈ loops`, and `latest` on top.
 //!
 //! [`Pivot`] turns `logs` rows into the wide `flor.dataframe` frame. It
-//! joins each row to its loop context (resolved once per `ctx_id`),
-//! widens the schema when a row names a loop dimension or `value_name`
-//! it has not seen, and writes the row's one cell straight into the
-//! output column at the row its key names, last write wins. Every answer
-//! comes from it: [`PivotState`] keeps one up to date under change-feed
-//! batches, and the kernel's snapshot executor (`Flor::execute_at`) runs
-//! one over a snapshot's rows. [`LatestState`] layers `flor.utils.latest`
-//! on top via a per-group-key max-timestamp upsert.
+//! joins each row to its loop context, widens the schema when a row
+//! names a loop dimension or `value_name` it has not seen, and writes the
+//! row's one cell straight into the output column at the row its key
+//! names, last write wins. Every answer comes from it: [`PivotState`]
+//! keeps one up to date under change-feed batches, and the kernel's
+//! snapshot executor (`Flor::execute_at`) runs one over a snapshot's
+//! rows. [`LatestState`] layers `flor.utils.latest` on top via a
+//! per-group-key max-timestamp upsert.
+//!
+//! Neither reads history whole per query. The loop contexts are a stack
+//! ([`LoopContexts`]): one context map per sealed `loops` segment, each
+//! context resolved once per segment when its chain lies there, made by
+//! the first reader of the segment and shared by `Arc` with every later
+//! snapshot and cached view ([`flor_store::Snapshot::summaries`]), plus
+//! the tail the change feed adds. The snapshot executor's schema pass
+//! ([`Pivot::discover_all`]) is a merge, by smallest rid, of one summary
+//! per sealed `logs` segment — each value name's first rid and the first
+//! rid of each dimension signature it was logged under — since
+//! first-seen order is rid order. Where a summary cannot be exact — a
+//! chain incomplete when summarised, a `ctx_id` some `loops` row
+//! redefines — the context is resolved at query time instead.
 //!
 //! The invariant, enforced by `tests/prop_pivot.rs` (the operator against
 //! a long-frame `DataFrame::pivot` reference, fed once or in batches) and
@@ -18,7 +31,7 @@
 
 use crate::plan::FIXED_COLS as FIXED;
 use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
-use flor_store::{CommitBatch, Predicate, Query, RowDelta, Snapshot, StoreResult};
+use flor_store::{CommitBatch, Predicate, RowDelta, Snapshot, StoreResult};
 use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -84,6 +97,10 @@ fn text(v: &Value) -> Cow<'_, str> {
 /// (`{loop}_iteration` or `{loop}_value`) and value.
 type Dim = (Arc<str>, Value);
 
+/// The dimension column names of a context, outermost loop first: what
+/// a row logged under it adds to the schema.
+type Signature = Arc<[Arc<str>]>;
+
 #[derive(Debug, Clone)]
 struct LoopCtx {
     parent: i64,
@@ -94,49 +111,233 @@ struct LoopCtx {
     value: Value,
 }
 
+/// Dimension column names per loop name, built once per loop name, not
+/// per row.
+#[derive(Debug, Clone, Default)]
+struct DimNames(HashMap<Arc<str>, (Arc<str>, Arc<str>)>);
+
+impl DimNames {
+    /// The link a `loops` row adds.
+    fn link(
+        &mut self,
+        parent: &Value,
+        loop_name: &Value,
+        iteration: &Value,
+        value: &Value,
+    ) -> LoopCtx {
+        let name = text(loop_name);
+        let cols = match self.0.get(name.as_ref()) {
+            Some(cols) => cols.clone(),
+            None => {
+                let cols: (Arc<str>, Arc<str>) = (
+                    format!("{name}_iteration").into(),
+                    format!("{name}_value").into(),
+                );
+                self.0.insert(name.as_ref().into(), cols.clone());
+                cols
+            }
+        };
+        let value = match value {
+            Value::Str(s) => Value::Str(Arc::clone(s)),
+            other => Value::from(other.to_text()),
+        };
+        LoopCtx {
+            parent: parent.as_i64().unwrap_or(0),
+            cols,
+            iteration: Value::Int(iteration.as_i64().unwrap_or(0)),
+            value,
+        }
+    }
+}
+
+/// The `loops` columns a chain needs, in the order [`loop_rows`] yields.
+const LOOP_COLS: [&str; 5] = [
+    "ctx_id",
+    "parent_ctx_id",
+    "loop_name",
+    "loop_iteration",
+    "iteration_value",
+];
+
+/// The rows of a `loops` frame as `(ctx_id, [parent, loop_name,
+/// iteration, value])` (columns looked up by name; a missing column
+/// reads as nulls).
+fn loop_rows(loops: &DataFrame) -> impl Iterator<Item = (i64, [&Value; 4])> {
+    let cols = LOOP_COLS.map(|name| loops.column(name).map(|c| c.values.as_slice()));
+    (0..loops.n_rows()).map(move |i| {
+        let cell = |c: usize| cols[c].map_or(&Value::Null, |vals| &vals[i]);
+        let id = cell(0).as_i64().unwrap_or(0);
+        (id, [cell(1), cell(2), cell(3), cell(4)])
+    })
+}
+
+/// The contexts enclosing a row logged under `ctx_id`, innermost first,
+/// up to the outermost loop or the first link `link` lacks.
+fn chain<'c>(
+    link: impl Fn(i64) -> Option<&'c LoopCtx>,
+    ctx_id: i64,
+) -> impl Iterator<Item = &'c LoopCtx> {
+    let mut cur = ctx_id;
+    std::iter::from_fn(move || {
+        if cur == 0 {
+            return None;
+        }
+        let c = link(cur)?;
+        cur = c.parent;
+        Some(c)
+    })
+}
+
+/// The loop-dimension cells of a row logged under `ctx_id`: two per
+/// enclosing loop, outermost loop first. A missing link truncates the
+/// chain there (and the flag is `false`: a later `loops` row can
+/// lengthen it); a loop nested in a loop of the same name repeats its
+/// columns, and readers take the first (outermost) occurrence.
+fn dims<'c>(link: impl Fn(i64) -> Option<&'c LoopCtx>, ctx_id: i64) -> (Vec<Dim>, bool) {
+    let mut dims: Vec<Dim> = Vec::new();
+    let mut complete = ctx_id == 0;
+    for c in chain(link, ctx_id) {
+        dims.push((Arc::clone(&c.cols.1), c.value.clone()));
+        dims.push((Arc::clone(&c.cols.0), c.iteration.clone()));
+        complete = c.parent == 0;
+    }
+    dims.reverse();
+    (dims, complete)
+}
+
+/// One context of a sealed `loops` segment.
+#[derive(Debug)]
+struct SealedCtx {
+    link: LoopCtx,
+    /// The rid of the `loops` row that defines it.
+    rid: usize,
+    /// The context, resolved once when its whole chain lies in the
+    /// segment.
+    resolved: Option<Arc<Ctx>>,
+}
+
+/// The contexts one sealed `loops` segment defines: the summary the store
+/// keeps beside the segment ([`Snapshot::summaries`]), made once and
+/// shared by every snapshot that pins the segment.
+#[derive(Debug, Default)]
+struct SegmentContexts {
+    ctx: HashMap<i64, SealedCtx>,
+    /// The smallest and largest `ctx_id` defined here.
+    ids: Option<(i64, i64)>,
+    /// Whether two rows here define the same `ctx_id` (the later wins).
+    redefines: bool,
+    /// The largest rid here.
+    last_rid: usize,
+}
+
+impl SegmentContexts {
+    /// Summarise a segment's `loops` rows ([`LOOP_COLS`], in rid order).
+    fn of(loops: &DataFrame, rids: &[usize]) -> SegmentContexts {
+        let mut names = DimNames::default();
+        let mut out = SegmentContexts::default();
+        for ((id, [parent, name, iteration, value]), &rid) in loop_rows(loops).zip(rids) {
+            let link = names.link(parent, name, iteration, value);
+            let sealed = SealedCtx {
+                link,
+                rid,
+                resolved: None,
+            };
+            out.redefines |= out.ctx.insert(id, sealed).is_some();
+            out.ids = Some(
+                out.ids
+                    .map_or((id, id), |(lo, hi)| (lo.min(id), hi.max(id))),
+            );
+            out.last_rid = rid;
+        }
+        let resolved: Vec<(i64, Arc<Ctx>)> = out
+            .ctx
+            .keys()
+            .filter_map(|&id| {
+                let (dims, complete) = dims(|id| out.get(id).map(|c| &c.link), id);
+                complete.then(|| (id, Arc::new(Ctx::new(dims))))
+            })
+            .collect();
+        for (id, ctx) in resolved {
+            if let Some(c) = out.ctx.get_mut(&id) {
+                c.resolved = Some(ctx);
+            }
+        }
+        out
+    }
+
+    fn get(&self, id: i64) -> Option<&SealedCtx> {
+        let (lo, hi) = self.ids?;
+        if id < lo || id > hi {
+            return None;
+        }
+        self.ctx.get(&id)
+    }
+}
+
 /// The `loops` table as a `ctx_id` → context map: what turns a log row's
-/// `ctx_id` into its loop-dimension cells. A [`Pivot`] holds one — read
-/// whole from a snapshot, then fed row by row from the change feed.
-/// Dimension column names are built once per loop name, not per row.
+/// `ctx_id` into its loop-dimension cells. A [`Pivot`] holds one — the
+/// per-segment contexts of a snapshot ([`LoopContexts::of`]), looked up
+/// newest first, plus a tail fed row by row from the change feed.
 #[derive(Debug, Clone, Default)]
 pub struct LoopContexts {
-    ctx: HashMap<i64, LoopCtx>,
-    cols: HashMap<Arc<str>, (Arc<str>, Arc<str>)>,
+    /// Each sealed segment's contexts, oldest first. No `ctx_id` is
+    /// defined twice across them and the tail, so a context resolved
+    /// within its segment is the snapshot's.
+    sealed: Vec<Arc<SegmentContexts>>,
+    /// Contexts added after the sealed ones — or every context, once a
+    /// `ctx_id` is defined twice and the sealed resolutions cannot be
+    /// trusted.
+    tail: HashMap<i64, LoopCtx>,
+    names: DimNames,
 }
 
 impl LoopContexts {
-    /// Every context in `snap`'s `loops`, reading only the five columns a
-    /// chain needs.
-    pub fn read(snap: &Snapshot) -> StoreResult<LoopContexts> {
-        let loops = snap.query(&Query::table("loops").project(&[
-            "ctx_id",
-            "parent_ctx_id",
-            "loop_name",
-            "loop_iteration",
-            "iteration_value",
-        ]))?;
-        Ok(LoopContexts::from_frame(&loops))
+    /// The contexts of `snap`'s `loops`: one summary per sealed segment,
+    /// made by the first reader of the segment and shared by every later
+    /// one, so no query re-reads the table. When some `ctx_id` is defined
+    /// twice (the kernel mints each once; raw `Database` writers need
+    /// not), they fold into one map, later rows winning, as a row-by-row
+    /// read would.
+    pub fn of(snap: &Snapshot) -> StoreResult<LoopContexts> {
+        let (sealed, _) = snap.summaries("loops", &LOOP_COLS, |_| true, SegmentContexts::of)?;
+        let mut out = LoopContexts {
+            sealed,
+            ..LoopContexts::default()
+        };
+        let mut ranges: Vec<(i64, i64)> = out.sealed.iter().filter_map(|s| s.ids).collect();
+        ranges.sort_unstable();
+        if out.sealed.iter().any(|s| s.redefines) || ranges.windows(2).any(|w| w[0].1 >= w[1].0) {
+            out.flatten();
+        }
+        Ok(out)
     }
 
-    /// Every context in a `loops` frame (columns looked up by name; a
-    /// missing column reads as nulls), later rows replacing earlier ones
-    /// with the same `ctx_id`.
+    /// Every context in a `loops` frame, later rows replacing earlier
+    /// ones with the same `ctx_id`.
     pub fn from_frame(loops: &DataFrame) -> LoopContexts {
-        let col = |name: &str| loops.column(name).map(|c| c.values.as_slice());
-        let cols = [
-            col("ctx_id"),
-            col("parent_ctx_id"),
-            col("loop_name"),
-            col("loop_iteration"),
-            col("iteration_value"),
-        ];
-        let cell = |c: usize, i: usize| cols[c].map_or(&Value::Null, |vals| &vals[i]);
         let mut out = LoopContexts::default();
-        out.ctx.reserve(loops.n_rows());
-        for i in 0..loops.n_rows() {
-            out.insert(cell(0, i), cell(1, i), cell(2, i), cell(3, i), cell(4, i));
+        out.tail.reserve(loops.n_rows());
+        for (id, [parent, name, iteration, value]) in loop_rows(loops) {
+            let link = out.names.link(parent, name, iteration, value);
+            out.tail.insert(id, link);
         }
         out
+    }
+
+    /// Fold the sealed contexts into the tail, the latest row per
+    /// `ctx_id` winning (the tail is newer than every sealed row).
+    fn flatten(&mut self) {
+        let mut latest: HashMap<i64, &SealedCtx> = HashMap::new();
+        for (&id, c) in self.sealed.iter().flat_map(|s| &s.ctx) {
+            let slot = latest.entry(id).or_insert(c);
+            if c.rid > slot.rid {
+                *slot = c;
+            }
+        }
+        for (id, c) in latest {
+            self.tail.entry(id).or_insert_with(|| c.link.clone());
+        }
+        self.sealed.clear();
     }
 
     /// Add (or replace) one context; whether it replaced one.
@@ -148,68 +349,62 @@ impl LoopContexts {
         iteration: &Value,
         value: &Value,
     ) -> bool {
-        let name = text(loop_name);
-        let cols = match self.cols.get(name.as_ref()) {
-            Some(cols) => cols.clone(),
-            None => {
-                let cols: (Arc<str>, Arc<str>) = (
-                    format!("{name}_iteration").into(),
-                    format!("{name}_value").into(),
-                );
-                self.cols.insert(name.as_ref().into(), cols.clone());
-                cols
-            }
-        };
-        let value = match value {
-            Value::Str(s) => Value::Str(Arc::clone(s)),
-            other => Value::from(other.to_text()),
-        };
-        let link = LoopCtx {
-            parent: parent.as_i64().unwrap_or(0),
-            cols,
-            iteration: Value::Int(iteration.as_i64().unwrap_or(0)),
-            value,
-        };
-        self.ctx
-            .insert(ctx_id.as_i64().unwrap_or(0), link)
-            .is_some()
+        let id = ctx_id.as_i64().unwrap_or(0);
+        let sealed = self.sealed.iter().any(|s| s.get(id).is_some());
+        if sealed {
+            self.flatten();
+        }
+        let link = self.names.link(parent, loop_name, iteration, value);
+        self.tail.insert(id, link).is_some() || sealed
     }
 
-    /// The loop-dimension cells of a row logged under `ctx_id`: two per
-    /// enclosing loop, outermost loop first. A missing link truncates the
-    /// chain there (and the flag is `false`: a later `loops` row can
-    /// lengthen it); a loop nested in a loop of the same name repeats its
-    /// columns, and readers take the first (outermost) occurrence.
-    fn dims(&self, ctx_id: i64) -> (Vec<Dim>, bool) {
-        let mut dims: Vec<Dim> = Vec::new();
-        let mut complete = ctx_id == 0;
-        for c in self.chain(ctx_id) {
-            dims.push((Arc::clone(&c.cols.1), c.value.clone()));
-            dims.push((Arc::clone(&c.cols.0), c.iteration.clone()));
-            complete = c.parent == 0;
+    /// The link defining `ctx_id`.
+    fn link(&self, ctx_id: i64) -> Option<&LoopCtx> {
+        match self.tail.get(&ctx_id) {
+            Some(link) => Some(link),
+            None => self.sealed(ctx_id).map(|c| &c.link),
         }
-        dims.reverse();
-        (dims, complete)
+    }
+
+    fn sealed(&self, ctx_id: i64) -> Option<&SealedCtx> {
+        self.sealed.iter().rev().find_map(|s| s.get(ctx_id))
+    }
+
+    /// [`dims`] of `ctx_id` through every link.
+    fn dims(&self, ctx_id: i64) -> (Vec<Dim>, bool) {
+        dims(|id| self.link(id), ctx_id)
     }
 
     /// The column names of [`LoopContexts::dims`] without their cells,
     /// innermost loop first and without allocating.
     fn dim_names(&self, ctx_id: i64) -> impl Iterator<Item = &Arc<str>> {
-        self.chain(ctx_id).flat_map(|c| [&c.cols.0, &c.cols.1])
+        chain(|id| self.link(id), ctx_id).flat_map(|c| [&c.cols.0, &c.cols.1])
     }
 
-    /// The contexts enclosing a row logged under `ctx_id`, innermost
-    /// first, up to the outermost loop or the first missing link.
-    fn chain(&self, ctx_id: i64) -> impl Iterator<Item = &LoopCtx> {
-        let mut cur = ctx_id;
-        std::iter::from_fn(move || {
-            if cur == 0 {
-                return None;
-            }
-            let c = self.ctx.get(&cur)?;
-            cur = c.parent;
-            Some(c)
-        })
+    /// `ctx_id`'s dimension column names, outermost loop first, and the
+    /// largest rid among its links, through the sealed links only —
+    /// `None` while a link is missing.
+    fn signature(&self, ctx_id: i64) -> Option<(Signature, Option<usize>)> {
+        let (mut names, mut last_rid, mut cur) = (Vec::new(), None, ctx_id);
+        while cur != 0 {
+            let c = self.sealed(cur)?;
+            names.push(Arc::clone(&c.link.cols.1));
+            names.push(Arc::clone(&c.link.cols.0));
+            last_rid = last_rid.max(Some(c.rid));
+            cur = c.link.parent;
+        }
+        names.reverse();
+        Some((names.into(), last_rid))
+    }
+
+    /// The rid below which every sealed link lies, when each `ctx_id` is
+    /// defined once and nothing has been fed since; 0 otherwise. A schema
+    /// summary whose chains lie below it is exact here.
+    fn trusted_below(&self) -> usize {
+        match self.sealed.iter().map(|s| s.last_rid).max() {
+            Some(last) if self.tail.is_empty() => last + 1,
+            _ => 0,
+        }
     }
 }
 
@@ -281,8 +476,9 @@ impl<'a> LogRow<'a> {
     }
 }
 
-/// One loop context as a row key sees it, resolved once per `ctx_id` by
-/// [`Pivot::ctx`].
+/// One loop context as a row key sees it: resolved once per sealed
+/// `loops` segment when its chain lies in the segment, else once per
+/// `ctx_id` by [`Pivot::ctx`].
 #[derive(Debug)]
 pub struct Ctx {
     /// [`LoopContexts::dims`] of the context.
@@ -293,6 +489,13 @@ pub struct Ctx {
 }
 
 impl Ctx {
+    fn new(dims: Vec<Dim>) -> Ctx {
+        Ctx {
+            dims,
+            hash: OnceLock::new(),
+        }
+    }
+
     /// The sum of one hash per key cell — each column's first (outermost)
     /// cell, nulls left out — so neither column order nor a dimension
     /// discovered later changes it.
@@ -320,26 +523,131 @@ impl Ctx {
     }
 }
 
-/// No further row in a [`Pivot`]'s hash chain.
+/// Where a value name was first logged in one sealed `logs` segment.
+#[derive(Debug)]
+struct NameFirsts {
+    /// The name's first rid.
+    first: usize,
+    /// The first rid under each dimension signature.
+    signatures: Vec<(Signature, usize)>,
+    /// The first rid under each context whose chain was incomplete when
+    /// summarised; resolved by every query.
+    open: Vec<(i64, usize)>,
+}
+
+/// The schema facts of one sealed `logs` segment: the summary the store
+/// keeps beside the segment ([`Snapshot::summaries`]). The pivot's
+/// columns are in first-seen order, and first-seen order is rid order
+/// (the store's read-order contract), so the columns of any projection
+/// follow from each name's and each signature's smallest rid, merged
+/// across segments.
+#[derive(Debug, Default)]
+struct SegmentNames {
+    names: HashMap<Value, NameFirsts>,
+    /// Every signature's chain lies in `loops` rows below this rid; a
+    /// [`LoopContexts`] whose [`LoopContexts::trusted_below`] reaches it
+    /// resolves them the same way.
+    needs: usize,
+}
+
+impl SegmentNames {
+    /// Summarise a segment's `ctx_id` / `value_name` rows (in rid order)
+    /// against `loops`, whose sealed links are trusted below `trusted`.
+    fn of(logs: &DataFrame, rids: &[usize], loops: &LoopContexts, trusted: usize) -> SegmentNames {
+        let column = |name: &str| logs.column(name).map_or(&[][..], |c| c.values.as_slice());
+        let mut out = SegmentNames::default();
+        let mut resolved: HashMap<i64, Option<Signature>> = HashMap::new();
+        for ((ctx_id, name), &rid) in column("ctx_id").iter().zip(column("value_name")).zip(rids) {
+            let id = ctx_id.as_i64().unwrap_or(0);
+            let signature = resolved.entry(id).or_insert_with(|| {
+                let (signature, last) = loops.signature(id)?;
+                match last {
+                    Some(last) if last < trusted => out.needs = out.needs.max(last + 1),
+                    Some(_) => return None,
+                    None => {}
+                }
+                Some(signature)
+            });
+            let firsts = match out.names.entry(name.clone()) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(NameFirsts {
+                    first: rid,
+                    signatures: Vec::new(),
+                    open: Vec::new(),
+                }),
+            };
+            match signature {
+                Some(sig) if !firsts.signatures.iter().any(|(s, _)| s == sig) => {
+                    firsts.signatures.push((Arc::clone(sig), rid));
+                }
+                Some(_) => {}
+                None if !firsts.open.iter().any(|&(c, _)| c == id) => firsts.open.push((id, rid)),
+                None => {}
+            }
+        }
+        out
+    }
+}
+
+/// No older key in a [`KeyIndex`] hash chain.
 const END: usize = usize::MAX;
+
+/// Distinct row keys numbered in first-seen order, found by hash without
+/// an owned key: keys sharing a hash are told apart by the caller, which
+/// compares the cells it keeps for each key number.
+#[derive(Debug, Clone, Default)]
+pub struct KeyIndex {
+    /// Key hash → the newest key with that hash.
+    heads: HashMap<u64, usize>,
+    /// Per key, the next older key sharing its hash, or [`END`].
+    next: Vec<usize>,
+}
+
+impl KeyIndex {
+    /// The number of keys.
+    pub fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Whether there is no key yet.
+    pub fn is_empty(&self) -> bool {
+        self.next.is_empty()
+    }
+
+    /// The key hashing to `hash` that `same` accepts, else a new key
+    /// numbered [`KeyIndex::len`]; and whether it is new.
+    pub fn find_or_add(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> (usize, bool) {
+        let mut at = self.heads.get(&hash).copied().unwrap_or(END);
+        while at != END && !same(at) {
+            at = self.next[at];
+        }
+        if at != END {
+            return (at, false);
+        }
+        let at = self.next.len();
+        self.next.push(self.heads.insert(hash, at).unwrap_or(END));
+        (at, true)
+    }
+}
 
 /// The one pivot of `logs ⋈ loops`, long → wide: one row per distinct
 /// key — the fixed context columns plus the loop dimensions — in
 /// first-seen order, and the columns [`crate::FIXED_COLS`], then loop
 /// dimensions, then value names, each in first-seen order.
 ///
-/// Per row there is no long frame and no owned key: the context is
-/// resolved once per `ctx_id`; a row with the same context and fixed
-/// cells as the row written before it goes to that row; otherwise the
-/// key's hash finds candidate rows, whose index cells *are* the keys.
-/// The one cell is written by column position. A value name equal to an
-/// index column's name is [`DfError::DuplicateColumn`], as it is for
-/// [`DataFrame::pivot`].
+/// Per row there is no long frame and no owned key: the context comes
+/// resolved from its sealed segment or is resolved once per `ctx_id`; a
+/// row with the same context and fixed cells as the row written before
+/// it goes to that row; otherwise the key's hash finds candidate rows
+/// ([`KeyIndex`]), whose index cells *are* the keys. The one cell is written by column
+/// position. A value name equal to an index column's name is
+/// [`DfError::DuplicateColumn`], as it is for [`DataFrame::pivot`].
 #[derive(Debug, Clone, Default)]
 pub struct Pivot {
     loops: LoopContexts,
-    /// Every `ctx_id` resolved so far; emptied when a `loops` row may
-    /// change one of their chains.
+    /// Every `ctx_id` resolved here rather than taken from its sealed
+    /// segment; emptied when a `loops` row may change one of their
+    /// chains.
     ctxs: HashMap<i64, Arc<Ctx>>,
     /// Whether a chain in `ctxs` stopped at a missing link.
     truncated: bool,
@@ -347,10 +655,8 @@ pub struct Pivot {
     dims: Vec<Arc<str>>,
     /// Value columns, in first-seen order.
     names: Vec<Arc<str>>,
-    /// Row-key hash → the newest row with that hash; `chain[r]` is the
-    /// next older row sharing row `r`'s hash, or [`END`].
-    heads: HashMap<u64, usize>,
-    chain: Vec<usize>,
+    /// The frame's row keys: key `r` is row `r`.
+    keys: KeyIndex,
     /// The last row written and its context.
     last: Option<(Arc<Ctx>, usize)>,
     /// The `ctx_id` of the last row discovered: its dimensions are known.
@@ -409,35 +715,44 @@ impl Pivot {
             self.ctxs.clear();
             self.truncated = false;
             self.last = None;
-            self.discovered = None;
         }
+        // The last row discovered may sit under a chain this row
+        // lengthens: `discover` resolves no context whose names it knows,
+        // so `truncated` need not have seen it.
+        self.discovered = None;
         Ok(())
     }
 
-    /// The context of a row logged under `ctx_id`. Resolving it the first
-    /// time widens the schema by the dimensions it names that are new, in
-    /// its chain's order (outermost first).
+    /// The context of a row logged under `ctx_id`. The first sight of a
+    /// context widens the schema by the dimensions it names that are
+    /// new, in its chain's order (outermost first).
     pub fn ctx(&mut self, ctx_id: &Value) -> DfResult<Arc<Ctx>> {
         let id = ctx_id.as_i64().unwrap_or(0);
-        let slot = match self.ctxs.entry(id) {
-            Entry::Occupied(known) => return Ok(Arc::clone(known.get())),
-            Entry::Vacant(slot) => slot,
+        let ctx = match self.loops.sealed(id).and_then(|c| c.resolved.as_ref()) {
+            Some(ctx) => Arc::clone(ctx),
+            None => match self.ctxs.entry(id) {
+                Entry::Occupied(known) => return Ok(Arc::clone(known.get())),
+                Entry::Vacant(slot) => {
+                    let (dims, complete) = self.loops.dims(id);
+                    self.truncated |= !complete;
+                    Arc::clone(slot.insert(Arc::new(Ctx::new(dims))))
+                }
+            },
         };
-        let (dims, complete) = self.loops.dims(id);
-        self.truncated |= !complete;
-        let ctx = Arc::new(Ctx {
-            dims,
-            hash: OnceLock::new(),
-        });
-        let frame = with_fixed(&mut self.frame)?;
-        for (d, _) in &ctx.dims {
-            if !self.dims.contains(d) {
+        self.widen(ctx.dims.iter().map(|(d, _)| d))?;
+        Ok(ctx)
+    }
+
+    /// Add the dimension columns among `dims` not yet known, in order.
+    fn widen<'d>(&mut self, dims: impl IntoIterator<Item = &'d Arc<str>>) -> DfResult<()> {
+        for d in dims {
+            if !self.dims.iter().any(|k| Arc::ptr_eq(k, d) || k == d) {
+                let frame = with_fixed(&mut self.frame)?;
                 frame.insert_column(FIXED.len() + self.dims.len(), nulls(d, frame))?;
                 self.dims.push(Arc::clone(d));
             }
         }
-        slot.insert(Arc::clone(&ctx));
-        Ok(ctx)
+        Ok(())
     }
 
     /// The position of value column `value_name` among the value columns,
@@ -468,6 +783,49 @@ impl Pivot {
         self.name(value_name).map(drop)
     }
 
+    /// The schema pass: widen the schema to the columns of the pivot of
+    /// every `logs` row of `snap` named in `names`, without reading those
+    /// rows. Each sealed `logs` segment's summary is made once and
+    /// shared; the columns are then a merge by first rid — over dimension
+    /// signatures and value names, plus the contexts whose chains were
+    /// incomplete when a segment was summarised, resolved now. Returns
+    /// the rows summarised by this call.
+    pub fn discover_all(&mut self, snap: &Snapshot, names: &[String]) -> StoreResult<usize> {
+        let trusted = self.loops.trusted_below();
+        let loops = &self.loops;
+        let (segments, rows) = snap.summaries(
+            "logs",
+            &["ctx_id", "value_name"],
+            |s: &SegmentNames| s.needs <= trusted,
+            |logs, rids| SegmentNames::of(logs, rids, loops, trusted),
+        )?;
+        let keys: Vec<Value> = names.iter().map(|n| Value::from(n.as_str())).collect();
+        let mut firsts: Vec<(usize, &Value)> = Vec::new();
+        let mut signatures: Vec<(usize, Signature)> = Vec::new();
+        for (key, firsts_in) in segments
+            .iter()
+            .flat_map(|s| keys.iter().filter_map(|k| Some((k, s.names.get(k)?))))
+        {
+            firsts.push((firsts_in.first, key));
+            for (sig, rid) in &firsts_in.signatures {
+                signatures.push((*rid, Arc::clone(sig)));
+            }
+            for &(id, rid) in &firsts_in.open {
+                let (dims, _) = loops.dims(id);
+                signatures.push((rid, dims.into_iter().map(|(d, _)| d).collect()));
+            }
+        }
+        signatures.sort_by_key(|(rid, _)| *rid);
+        firsts.sort_by_key(|(rid, _)| *rid);
+        for (_, sig) in &signatures {
+            self.widen(sig.iter())?;
+        }
+        for (_, name) in firsts {
+            self.name(name)?;
+        }
+        Ok(rows)
+    }
+
     /// Write one row: discover its columns, then set its one cell in the
     /// row its key names — a new last row on first sight of the key, else
     /// the existing row (last write wins). Returns the row's position.
@@ -485,23 +843,17 @@ impl Pivot {
         let at = match same_as_last {
             Some(at) => at,
             None => {
-                let mut h = DefaultHasher::new();
-                row.fixed.hash(&mut h);
-                h.write_u64(ctx.hash());
-                let hash = h.finish();
-                let mut at = self.heads.get(&hash).copied().unwrap_or(END);
-                while at != END && !key_at(frame, at, row.fixed, &ctx, dims) {
-                    at = self.chain[at];
-                }
-                if at == END {
-                    at = frame.n_rows();
+                let hash = key_hash(row.fixed, &ctx);
+                let (at, new) = self
+                    .keys
+                    .find_or_add(hash, |at| key_at(frame, at, row.fixed, &ctx, dims));
+                if new {
                     frame.push_row_with(|c| match c {
                         c if c < FIXED.len() => row.fixed[c].clone(),
                         c => dims
                             .get(c - FIXED.len())
                             .map_or(Value::Null, |d| ctx.cell(d).clone()),
                     });
-                    self.chain.push(self.heads.insert(hash, at).unwrap_or(END));
                 }
                 at
             }
@@ -510,6 +862,15 @@ impl Pivot {
         self.last = Some((ctx, at));
         Ok(at)
     }
+}
+
+/// The hash of the row key with fixed cells `fixed` under `ctx`: equal
+/// keys hash equal whatever dimensions the pivot has discovered.
+pub fn key_hash(fixed: [&Value; 3], ctx: &Ctx) -> u64 {
+    let mut h = DefaultHasher::new();
+    fixed.hash(&mut h);
+    h.write_u64(ctx.hash());
+    h.finish()
 }
 
 /// `frame`, made unique, with the fixed columns once it has any.
@@ -940,6 +1301,161 @@ mod tests {
         let outer: Vec<_> = (0..3).map(|r| f.get(r, "outer_iteration")).collect();
         let want = [Value::Null, Value::Int(3), Value::Int(4)];
         assert_eq!(outer, want.iter().map(Some).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_loop_row_completing_a_chain_widens_a_views_schema() {
+        use flor_store::CmpOp;
+        // The pushdown excludes every row, so each is only discovered.
+        let pushdown = [Predicate::new("tstamp", CmpOp::Gt, 100)];
+        let db = Database::in_memory(flor_schema());
+        let sub = db.subscribe();
+        let mut view = PivotState::filtered(&["loss"], &pushdown, 0);
+        // Context 7 ("inner") under 8 ("outer"); context 5 ("inner")
+        // under 9, not known yet.
+        for row in [
+            loop_row(1, 8, 0, "outer", 0, "0"),
+            loop_row(1, 7, 8, "inner", 0, "0"),
+            loop_row(1, 5, 9, "inner", 1, "1"),
+        ] {
+            db.insert("loops", row).unwrap();
+        }
+        db.insert("logs", log_row(1, 7, "loss", "1", 2)).unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "2", 2)).unwrap();
+        db.commit().unwrap();
+        // Context 9 ("top") arrives; another row under 5 names it.
+        db.insert("loops", loop_row(2, 9, 0, "top", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(2, 5, "loss", "3", 2)).unwrap();
+        db.commit().unwrap();
+        for batch in sub.poll() {
+            view.apply(&batch).unwrap();
+        }
+        let snap = db.pin();
+        let logs = snap.scan("logs").unwrap();
+        let loops = LoopContexts::of(&snap).unwrap();
+        let built =
+            PivotState::from_snapshot_filtered(&["loss"], &pushdown, 2, &logs, loops).unwrap();
+        let columns = built.frame().column_names().join(",");
+        assert!(columns.contains("top_iteration,top_value"), "{columns}");
+        assert_eq!(view.frame().column_names(), built.frame().column_names());
+    }
+
+    /// Context 5 ("inner") under 9 ("outer", iteration 3), one row
+    /// logged under 5, then a later commit redefining 9 (iteration 4) in
+    /// a segment of its own.
+    fn redefined_parent() -> Database {
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(1, 9, 0, "outer", 3, "3"))
+            .unwrap();
+        db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
+        db.commit().unwrap();
+        db.insert("loops", loop_row(2, 9, 0, "outer", 4, "4"))
+            .unwrap();
+        db.commit().unwrap();
+        db
+    }
+
+    #[test]
+    fn a_later_segment_redefining_a_link_reresolves_the_chains_through_it() {
+        let db = redefined_parent();
+        let snap = db.pin();
+        let mut pivot = Pivot::new(LoopContexts::of(&snap).unwrap());
+        let ctx = pivot.ctx(&Value::Int(5)).unwrap();
+        assert_eq!(ctx.cell("outer_iteration"), &Value::Int(4));
+    }
+
+    #[test]
+    fn a_fed_row_redefining_a_sealed_context_reresolves_it() {
+        // Context 5 ("inner") under 9 ("outer", iteration 3), sealed.
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(1, 9, 0, "outer", 3, "3"))
+            .unwrap();
+        db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
+        db.commit().unwrap();
+        let sub = db.subscribe();
+        let snap = db.pin();
+        let logs = snap.scan("logs").unwrap();
+        let loops = LoopContexts::of(&snap).unwrap();
+        let mut view = PivotState::from_snapshot_filtered(&["loss"], &[], 1, &logs, loops).unwrap();
+        // The feed redefines 9; a later row under 5 sees the new cells.
+        db.insert("loops", loop_row(2, 9, 0, "outer", 4, "4"))
+            .unwrap();
+        db.insert("logs", log_row(2, 5, "loss", "2", 2)).unwrap();
+        db.commit().unwrap();
+        for batch in sub.poll() {
+            view.apply(&batch).unwrap();
+        }
+        let frame = view.frame();
+        assert_eq!(frame.get(0, "outer_iteration"), Some(&Value::Int(3)));
+        assert_eq!(frame.get(1, "outer_iteration"), Some(&Value::Int(4)));
+    }
+
+    #[test]
+    fn an_older_snapshot_does_not_reuse_a_newer_ones_schema_summary() {
+        // Row under 5, whose parent 9 ("top") arrives in a later commit.
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
+        db.commit().unwrap();
+        let old = db.pin();
+        db.insert("loops", loop_row(2, 9, 0, "top", 0, "0"))
+            .unwrap();
+        db.commit().unwrap();
+        let columns = |snap: &Snapshot| {
+            let mut pivot = Pivot::new(LoopContexts::of(snap).unwrap());
+            let rows = pivot.discover_all(snap, &["loss".to_string()]).unwrap();
+            (pivot.frame().column_names().join(","), rows)
+        };
+        // The newer snapshot summarises the `logs` segment with the
+        // whole chain; the older one lacks the link and must not use it.
+        let top = "projid,tstamp,filename,top_iteration,top_value,inner_iteration,inner_value,loss";
+        assert_eq!(columns(&db.pin()), (top.to_string(), 1));
+        let inner = "projid,tstamp,filename,inner_iteration,inner_value,loss";
+        assert_eq!(columns(&old), (inner.to_string(), 1));
+        assert_eq!(columns(&db.pin()), (top.to_string(), 0));
+    }
+
+    #[test]
+    fn the_schema_pass_orders_columns_by_rid_not_by_segment() {
+        // "b" is first logged after "a", at an older `tstamp`.
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(9, 7, 0, "x", 0, "0")).unwrap();
+        db.insert("loops", loop_row(1, 8, 0, "y", 0, "0")).unwrap();
+        db.insert("logs", log_row(9, 7, "a", "1", 2)).unwrap();
+        db.insert("logs", log_row(1, 8, "b", "2", 2)).unwrap();
+        db.commit().unwrap();
+        // A clustered compaction into one-row segments puts "b" first.
+        let policy = flor_store::CompactionPolicy {
+            target_segment_rows: 1,
+            ..Default::default()
+        };
+        db.compact_with(&policy).unwrap();
+        let snap = db.pin();
+        let first = snap.scan("logs").unwrap();
+        assert_eq!(first.get(0, "value_name"), Some(&Value::from("a")));
+        let mut pivot = Pivot::new(LoopContexts::of(&snap).unwrap());
+        let names = ["a".to_string(), "b".to_string()];
+        pivot.discover_all(&snap, &names).unwrap();
+        assert_eq!(
+            pivot.frame().column_names(),
+            [
+                "projid",
+                "tstamp",
+                "filename",
+                "x_iteration",
+                "x_value",
+                "y_iteration",
+                "y_value",
+                "a",
+                "b"
+            ]
+        );
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod plan;
 
 pub use catalog::{CatalogStats, ViewCatalog, ViewInfo, ViewKey};
 pub use delta::{
-    logged_value, Ctx, DeltaError, LatestState, LogRow, LoopContexts, Pivot, PivotState,
+    key_hash, logged_value, Ctx, DeltaError, KeyIndex, LatestState, LogRow, LoopContexts, Pivot,
+    PivotState,
 };
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

@@ -13,7 +13,7 @@ mod reference;
 use flor_core::{backfill, run_script, Flor};
 use flor_df::{DataFrame, Value};
 use flor_record::CheckpointPolicy;
-use flor_store::{CmpOp, Predicate, Query, StoreResult};
+use flor_store::{CmpOp, CompactionPolicy, Predicate, Query, Snapshot, StoreResult};
 use flor_view::QueryPlan;
 use proptest::prelude::*;
 use reference::reference_pivot;
@@ -111,10 +111,14 @@ fn drive(flor: Flor, ops: &[Op]) -> Flor {
 /// the long-frame reference over the same snapshot's rows: equal frames,
 /// or both refusing the projection.
 fn full_pivot(flor: &Flor, names: &[&str]) -> StoreResult<DataFrame> {
-    let snap = flor.db.pin();
+    full_pivot_at(flor, &flor.db.pin(), names)
+}
+
+/// [`full_pivot`] over a given snapshot.
+fn full_pivot_at(flor: &Flor, snap: &Snapshot, names: &[&str]) -> StoreResult<DataFrame> {
     let logs = snap.query(&Query::table("logs"))?;
     let loops = snap.query(&Query::table("loops"))?;
-    let full = flor.run_plan_at(&snap, &QueryPlan::new(names));
+    let full = flor.run_plan_at(snap, &QueryPlan::new(names));
     match (&full, reference_pivot(&logs, &loops, names)) {
         (Ok(got), Ok(want)) => assert_eq!(
             *got, want,
@@ -228,8 +232,13 @@ fn arb_plan() -> impl Strategy<Value = QueryPlan> {
 /// filtering/dedup/order/limit written with different operators than the
 /// production post-pass uses.
 fn posthoc_oracle(flor: &Flor, plan: &QueryPlan) -> StoreResult<DataFrame> {
+    posthoc_at(flor, &flor.db.pin(), plan)
+}
+
+/// [`posthoc_oracle`] over a given snapshot.
+fn posthoc_at(flor: &Flor, snap: &Snapshot, plan: &QueryPlan) -> StoreResult<DataFrame> {
     let names: Vec<&str> = plan.names.iter().map(String::as_str).collect();
-    let mut df = full_pivot(flor, &names)?;
+    let mut df = full_pivot_at(flor, snap, &names)?;
     for p in &plan.predicates {
         df = if df.column(&p.col).is_none() {
             df.head(0)
@@ -365,6 +374,72 @@ fn pushed_equals_posthoc(flor: &Flor, plans: &[QueryPlan], when: &str) {
                 pushed, oracle,
                 "{when}: pushed execution diverged from post-hoc oracle: {plan:?}"
             ),
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "{when}: divergent outcomes for {plan:?}: {:?} vs {:?}",
+                a.map(|d| d.n_rows()),
+                b.map(|d| d.n_rows())
+            ),
+        }
+    }
+}
+
+/// One step of a session that also writes rows through the raw
+/// `Database`, as a writer other than the kernel may: a `ctx_id`
+/// defined twice, a parent that arrives after its child, rows under a
+/// context no `loops` row defines — with store upkeep in between.
+#[derive(Debug, Clone)]
+enum RawStep {
+    /// Kernel ops ([`drive`], which ends in a commit).
+    Kernel(Vec<Op>),
+    /// Commit a `loops` row defining `ctx` in loop `LOOPS[name]` under
+    /// `parent` (< `ctx`, so every chain ends).
+    Loop {
+        ctx: i64,
+        parent: i64,
+        name: usize,
+        iteration: i64,
+    },
+    /// Commit a `logs` row of `NAMES[name]` under `ctx`.
+    Log { ctx: i64, name: usize, tstamp: i64 },
+    /// Compact into 3-row segments: `logs` is clustered by `tstamp`, so
+    /// rows at old timestamps land in earlier segments than rows
+    /// committed before them — segment order is not rid order.
+    Compact,
+    /// Checkpoint, then reopen (dropping every pin).
+    Reopen,
+    /// Pin a snapshot that every later check checks again.
+    Pin,
+    /// Run the plans on the newest snapshot, then on every pin.
+    Check,
+}
+
+fn arb_raw_step() -> impl Strategy<Value = RawStep> {
+    prop_oneof![
+        3 => proptest::collection::vec(arb_pushed_op(), 0..8).prop_map(RawStep::Kernel),
+        3 => (1i64..10, 0usize..LOOPS.len(), 0i64..2, 0u32..100).prop_map(
+            |(ctx, name, iteration, parent)| RawStep::Loop {
+                ctx,
+                parent: i64::from(parent) % ctx,
+                name,
+                iteration,
+            }
+        ),
+        3 => (0i64..12, 0usize..NAMES.len(), 1i64..4)
+            .prop_map(|(ctx, name, tstamp)| RawStep::Log { ctx, name, tstamp }),
+        1 => Just(RawStep::Compact),
+        1 => Just(RawStep::Reopen),
+        1 => Just(RawStep::Pin),
+        2 => Just(RawStep::Check),
+    ]
+}
+
+/// Every plan through [`Flor::execute_at`] on `snap`, against
+/// [`posthoc_at`] on the same snapshot; both failing counts as agreement.
+fn executed_equals_posthoc(flor: &Flor, snap: &Snapshot, plans: &[QueryPlan], when: &str) {
+    for plan in plans {
+        match (flor.run_plan_at(snap, plan), posthoc_at(flor, snap, plan)) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "{when}: {plan:?}"),
             (Err(_), Err(_)) => {}
             (a, b) => panic!(
                 "{when}: divergent outcomes for {plan:?}: {:?} vs {:?}",
@@ -604,6 +679,95 @@ proptest! {
             }
             pushed_equals_posthoc(&flor, &plans, "after upkeep");
         }
+        drop(flor);
+        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_file(&sidecar);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The snapshot executor reads loop contexts and the schema from
+    /// per-segment summaries shared across snapshots; it stays exact when
+    /// raw `loops` rows redefine a `ctx_id` or give a logged context its
+    /// parent late (the summaries' fallbacks), across commits,
+    /// compactions, checkpoint + reopen, and snapshots pinned before the
+    /// rows that change a chain — whichever snapshot summarised a
+    /// segment first.
+    #[test]
+    fn executor_stays_exact_when_raw_rows_change_chains(
+        steps in proptest::collection::vec(arb_raw_step(), 1..24),
+        plans in proptest::collection::vec(arb_pushed_plan(), 1..4),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let wal = std::env::temp_dir().join(format!(
+            "flor-prop-raw-{}-{}.wal",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let sidecar = flor_store::checkpoint::sidecar_path(&wal);
+        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_file(&sidecar);
+        let mut flor = Flor::open("prop", &wal).unwrap();
+        let mut pins: Vec<Snapshot> = Vec::new();
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                RawStep::Kernel(ops) => flor = drive(flor, ops),
+                RawStep::Loop { ctx, parent, name, iteration } => {
+                    let row = vec![
+                        "prop".into(),
+                        Value::Int(1),
+                        "session.fl".into(),
+                        Value::Int(*ctx),
+                        Value::Int(*parent),
+                        LOOPS[*name].into(),
+                        Value::Int(*iteration),
+                        Value::from(iteration.to_string()),
+                    ];
+                    flor.db.insert("loops", row).unwrap();
+                    flor.db.commit().unwrap();
+                }
+                RawStep::Log { ctx, name, tstamp } => {
+                    let row = vec![
+                        "prop".into(),
+                        Value::Int(*tstamp),
+                        "session.fl".into(),
+                        Value::Int(*ctx),
+                        NAMES[*name].into(),
+                        Value::from(format!("{i}")),
+                        Value::Int(flor_df::DataType::Int.tag()),
+                    ];
+                    flor.db.insert("logs", row).unwrap();
+                    flor.db.commit().unwrap();
+                }
+                RawStep::Compact => {
+                    let small = CompactionPolicy {
+                        target_segment_rows: 3,
+                        ..CompactionPolicy::default()
+                    };
+                    flor.db.compact_with(&small).unwrap();
+                }
+                RawStep::Reopen => {
+                    pins.clear();
+                    flor.checkpoint().unwrap();
+                    drop(flor);
+                    flor = Flor::open("prop", &wal).unwrap();
+                }
+                RawStep::Pin => pins.push(flor.db.pin()),
+                RawStep::Check => {
+                    executed_equals_posthoc(&flor, &flor.db.pin(), &plans, &format!("step {i}"));
+                    for (p, snap) in pins.iter().enumerate() {
+                        executed_equals_posthoc(&flor, snap, &plans, &format!("step {i}, pin {p}"));
+                    }
+                }
+            }
+        }
+        executed_equals_posthoc(&flor, &flor.db.pin(), &plans, "at the end");
+        for snap in &pins {
+            executed_equals_posthoc(&flor, snap, &plans, "a pin, at the end");
+        }
+        drop(pins);
         drop(flor);
         let _ = std::fs::remove_file(&wal);
         let _ = std::fs::remove_file(&sidecar);
