@@ -11,12 +11,14 @@
 //!   filters, `latest` dedup, ordering and limits, lowered onto
 //!   incrementally maintained views with predicate pushdown
 //!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
-//!   Two executors sit behind it: [`Flor::run_plan`] (incremental, view
-//!   catalog) and [`Flor::execute_at`] (from scratch at a pinned
-//!   snapshot, index predicates and `latest` / top-K cuts run below the
-//!   pivot — the oracle, and what `flor-serve` answers with, reporting a
-//!   whole-plan [`PlanExplain`]); tracing is an inert-when-off handle
-//!   passed to both, never a second path;
+//!   One snapshot pivot, owned by `flor-view`, has two callers:
+//!   [`Flor::run_plan`] (incremental: the view catalog builds each view
+//!   with it, then refreshes it from the change feed) and
+//!   [`Flor::execute_at`] (per request at a pinned snapshot, index
+//!   predicates and `latest` / top-K cuts run below the pivot — the
+//!   oracle, and what `flor-serve` answers with, reporting a whole-plan
+//!   [`PlanExplain`]); tracing is an inert-when-off handle passed to
+//!   both, never a second path;
 //! * [`run_script`] — execute a versioned florscript file under full
 //!   instrumentation with a checkpoint policy, persisting replay metadata;
 //! * [`backfill`] — multiversion hindsight logging: propagate new log
@@ -45,15 +47,15 @@
 pub mod hindsight;
 pub mod jobs;
 pub mod kernel;
-mod pivot;
 pub mod query;
 pub mod runtime;
 
+pub use flor_view::PlanExplain;
 pub use hindsight::{backfill, runs_of, BackfillReport, VersionOutcome, VersionResult};
 pub use jobs::{
     BackfillHandle, CheckpointHandle, CompactionHandle, JobOutcome, MaintenanceHandle,
     CHECKPOINT_PRIORITY, COMPACTION_PRIORITY, DEFAULT_REPLAY_PARALLELISM,
 };
 pub use kernel::{Flor, BLOB_SPILL_BYTES, DEFAULT_CHECKPOINT_THRESHOLD_BYTES, DEFAULT_JOB_WORKERS};
-pub use query::{ExplainReport, PlanExplain, QueryBuilder};
+pub use query::{ExplainReport, QueryBuilder};
 pub use runtime::{load_record, persist_record, run_script, RunError, RunOutcome, ScriptRuntime};

@@ -8,16 +8,19 @@
 //! call. The paper's two read calls, [`Flor::dataframe`] and
 //! [`Flor::dataframe_latest`], are one-line wrappers over this builder.
 //!
-//! There are two executors and no more, and both end with the plan's
-//! whole [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
-//! incrementally from the view catalog, which maintains `projid` /
-//! `tstamp` / `filename` predicates and `latest` inside the view.
-//! [`Flor::execute_at`] runs it from scratch against a pinned snapshot
-//! ([`Flor::run_plan_at`] and [`Flor::run_plan_full`] are its one-line
-//! callers), pushing index predicates into the `logs` fetch and cutting
-//! `latest` / top-K before the pivot ([`QueryPlan::below_pivot`]; the
-//! table in [`flor_view::plan`] says which step runs where). It is both
-//! the oracle every incremental answer is checked against and the path
+//! One snapshot pivot, owned by `flor-view`, builds every frame, and it
+//! has two callers; both end with the plan's whole
+//! [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
+//! incrementally from the view catalog, which builds each view with the
+//! snapshot pivot, then maintains `projid` / `tstamp` / `filename`
+//! predicates and `latest` inside the view from the change feed.
+//! [`Flor::execute_at`] runs the snapshot pivot per request
+//! ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
+//! [`Flor::run_plan_full`] are its one-line callers), pushing index
+//! predicates into the `logs` fetch and cutting `latest` / top-K before
+//! the pivot ([`QueryPlan::below_pivot`]; the table in
+//! [`flor_view::plan`] says which step runs where). It is both the
+//! oracle every incremental answer is checked against and the path
 //! `flor-serve` answers sessions with, and it reports every step's rows
 //! in and out as a [`PlanExplain`]. Both take tracing as an
 //! [`ActiveTrace`] handle that is inert when tracing and the slow log
@@ -56,11 +59,10 @@
 //! ```
 
 use crate::kernel::Flor;
-use crate::pivot::{admits, LogRows};
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
-use flor_view::{CatalogStats, LogRow, LoopContexts, Pivot, QueryPlan};
+use flor_store::{CmpOp, Predicate, Query, QueryExplain, StoreResult};
+use flor_view::{CatalogStats, PlanExplain, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,9 +91,10 @@ pub struct ExplainReport {
     /// probes into clustered segments (`clustered_probes` — `logs` is
     /// clustered by `tstamp`), and the order path (full sort vs
     /// streaming top-K) when the query sorts. Probed on a fresh
-    /// snapshot with [`QueryPlan::logs_fetch`], the view build's query, so
-    /// under concurrent commits the counts can trail the serving
-    /// snapshot's by the interleaved rows.
+    /// snapshot with the view build's fetch — [`QueryPlan::logs_fetch`]
+    /// joined with the plan's `projid` / `tstamp` / `filename`
+    /// predicates — so under concurrent commits the counts can trail
+    /// the serving snapshot's by the interleaved rows.
     pub store: QueryExplain,
     /// Whether the view catalog served the plan from an existing
     /// materialized view (after applying any pending feed deltas).
@@ -204,9 +207,9 @@ impl Flor {
     }
 
     /// The one place an [`ExplainReport`] is built: the view-stage
-    /// deltas since `before` plus a store probe — on a fresh snapshot,
-    /// with [`QueryPlan::logs_fetch`] — of the base `logs` fetch behind
-    /// the serve that produced `frame`.
+    /// deltas since `before` plus a store probe — on a fresh snapshot —
+    /// of the view build's `logs` fetch behind the serve that produced
+    /// `frame`.
     fn explain_report(
         &self,
         plan: &QueryPlan,
@@ -215,7 +218,11 @@ impl Flor {
         frame: Arc<DataFrame>,
     ) -> StoreResult<ExplainReport> {
         let after = self.views.stats();
-        let (_, store) = self.db.pin().explain(&plan.logs_fetch())?;
+        let (pushdown, _) = plan.split_predicates();
+        let fetch = pushdown
+            .into_iter()
+            .fold(plan.logs_fetch(), Query::filter_pred);
+        let (_, store) = self.db.pin().explain(&fetch)?;
         Ok(ExplainReport {
             store,
             view_hit: after.hits > before.hits,
@@ -247,33 +254,13 @@ impl Flor {
             .map(|(df, _)| df)
     }
 
-    /// The snapshot executor — the single from-scratch execution body.
-    /// Every read is of `snap`, so the frame reflects exactly
-    /// `snap.epoch()` no matter how many commits land meanwhile. This is
-    /// how `flor-serve` answers every request of a session at the epoch
-    /// the session pinned: byte-identical to what [`Flor::run_plan_full`]
-    /// would have returned at that moment.
-    ///
-    /// The plan decides, step by step in [`QueryPlan::post_pass`] order,
-    /// what runs below the pivot ([`QueryPlan::below_pivot`]): predicates
-    /// on `projid` / `tstamp` / `filename` join the `logs` fetch
-    /// ([`QueryPlan::logs_fetch`]), so index postings, zone maps and
-    /// binary search prune before rows materialise; predicates on loop
-    /// dimensions test each fetched row's index key; `latest` and top-K
-    /// cut the rows to the keys they would keep. The rows left go through
-    /// one [`flor_view::Pivot`], the operator the view catalog maintains
-    /// its views with; loop contexts come from the snapshot's sealed
-    /// `loops` segments, each resolved once per segment
-    /// ([`flor_view::LoopContexts::of`]). When anything is pushed, the
-    /// pivot first fixes the columns of every projected row (the schema
-    /// pass, [`Pivot::discover_all`]): a merge by first rid of per-segment
-    /// summaries, made once per sealed `logs` segment and shared by every
-    /// later query, so the reduced frame has the full pivot's columns
-    /// without re-reading history. Then the **whole** post-pass runs,
-    /// whatever was pushed: each pushed step is a filter it repeats or a
-    /// cut its later steps would make. A plan with nothing to push (or
-    /// whose pushed columns the schema pass cannot place) takes this same
-    /// path with an empty push set: every fetched row written.
+    /// The snapshot executor: [`flor_view::execute_at`] — the one
+    /// snapshot pivot, with the plan's steps below the pivot, then the
+    /// whole post-pass. Every read is of `snap`, so the frame reflects
+    /// exactly `snap.epoch()` no matter how many commits land meanwhile.
+    /// This is how `flor-serve` answers every request of a session at
+    /// the epoch the session pinned: byte-identical to what
+    /// [`Flor::run_plan_full`] would have returned at that moment.
     ///
     /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
     /// when one runs, with each step's rows in and out as span events —
@@ -286,154 +273,7 @@ impl Flor {
         plan: &QueryPlan,
         tr: &mut ActiveTrace,
     ) -> StoreResult<(DataFrame, PlanExplain)> {
-        let scan = tr.begin("store.scan");
-        let mut pivot = Pivot::new(LoopContexts::of(snap)?);
-        let lowered = plan.below_pivot();
-        // With anything to push, the pivot first takes the columns of
-        // every projected row from the snapshot's per-segment summaries.
-        let schema_rows = if lowered.is_empty() {
-            None
-        } else {
-            Some(pivot.discover_all(snap, &plan.names)?)
-        };
-        let below = schema_rows
-            .filter(|_| admits(&pivot, &lowered, &plan.order_by))
-            .map(|rows| (lowered, rows));
-        let mut fetch = plan.logs_fetch();
-        for p in below.iter().flat_map(|(push, _)| &push.store) {
-            fetch = fetch.filter_pred(p.clone());
-        }
-        let (logs, store) = snap.explain(&fetch)?;
-        tr.event(|| {
-            format!(
-                "access={} segments={}/{} pruned={} rows examined={} returned={}",
-                store.access,
-                store.segments_scanned,
-                store.segments_total,
-                store.segments_pruned,
-                store.rows_examined,
-                store.rows_returned,
-            )
-        });
-        let mut explain = PlanExplain {
-            schema: below
-                .as_ref()
-                .map(|(_, rows)| (*rows, pivot.frame().n_cols())),
-            store,
-            key_predicates: None,
-            latest_cut: None,
-            top_k_cut: None,
-            pivot: (0, 0),
-            post_pass: None,
-        };
-        if let Some((rows, cols)) = explain.schema {
-            tr.event(|| format!("schema pass: {rows} rows summarised, {cols} columns"));
-        }
-        tr.end(scan);
-
-        let piv = tr.begin("pivot");
-        let fetched = LogRow::all(&logs)?;
-        let rows_in = match &below {
-            Some((push, _)) => {
-                let mut rows = LogRows::join(fetched, &mut pivot)?;
-                if !push.key.is_empty() {
-                    explain.key_predicates = Some(rows.key_predicates(&push.key));
-                }
-                if let Some(group) = &push.latest {
-                    explain.latest_cut = Some(rows.latest_cut(group));
-                }
-                if let Some(n) = push.top_k {
-                    explain.top_k_cut = Some(rows.top_k_cut(&plan.order_by, n, &pivot));
-                }
-                let rows_in = rows.len();
-                rows.upsert_into(&mut pivot)?;
-                rows_in
-            }
-            None => {
-                for row in fetched {
-                    pivot.upsert(row)?;
-                }
-                logs.n_rows()
-            }
-        };
-        let base = pivot.into_frame();
-        explain.pivot = (rows_in, base.n_rows());
-        for (step, rows) in explain.steps() {
-            tr.event(|| step_line(step, rows));
-        }
-        tr.end(piv);
-        if plan.post_pass_is_identity(&plan.predicates, plan.latest_group.is_some()) {
-            return Ok((base, explain));
-        }
-        let pp = tr.begin("post_pass");
-        let out = plan.post_pass(&base, &plan.predicates, true)?;
-        let rows = (base.n_rows(), out.n_rows());
-        explain.post_pass = Some(rows);
-        tr.event(|| step_line("post-pass", rows));
-        tr.end(pp);
-        Ok((out, explain))
-    }
-}
-
-/// How one [`Flor::execute_at`] ran, step by step: the store's report
-/// for the `logs` fetch, then rows into and out of each step that ran
-/// (`None` for one that did not). Every count is a measurement of that
-/// execution. Renders as the store report followed by one line per step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanExplain {
-    /// The `logs` fetch, with any pushed store predicates joined: access
-    /// path, zone-map pruning, rows examined vs returned.
-    pub store: QueryExplain,
-    /// `logs` rows the schema pass summarised in this execution (0 when
-    /// every sealed segment's summary was already made) and the columns
-    /// it found — run only when something was pushed below the pivot.
-    pub schema: Option<(usize, usize)>,
-    /// Rows into and out of the key predicates.
-    pub key_predicates: Option<(usize, usize)>,
-    /// Rows into and out of the `latest` cut.
-    pub latest_cut: Option<(usize, usize)>,
-    /// Rows into and out of the top-K cut.
-    pub top_k_cut: Option<(usize, usize)>,
-    /// Log rows into the pivot, wide rows out of it.
-    pub pivot: (usize, usize),
-    /// Wide rows into and out of the post-pass.
-    pub post_pass: Option<(usize, usize)>,
-}
-
-impl PlanExplain {
-    /// The steps from the key predicates on that ran, with rows in and
-    /// out — the report's tail and the trace's span events.
-    fn steps(&self) -> impl Iterator<Item = (&'static str, (usize, usize))> {
-        [
-            ("key predicates", self.key_predicates),
-            ("latest cut", self.latest_cut),
-            ("top-K cut", self.top_k_cut),
-            ("pivot", Some(self.pivot)),
-            ("post-pass", self.post_pass),
-        ]
-        .into_iter()
-        .filter_map(|(step, rows)| Some((step, rows?)))
-    }
-}
-
-/// One step of a [`PlanExplain`], as rendered and traced.
-fn step_line(step: &str, (rows_in, rows_out): (usize, usize)) -> String {
-    format!("{step}: {rows_in} rows in, {rows_out} out")
-}
-
-impl std::fmt::Display for PlanExplain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.store)?;
-        match self.schema {
-            Some((rows, cols)) => {
-                write!(f, "\n  schema pass: {rows} rows summarised, {cols} columns")?
-            }
-            None => write!(f, "\n  nothing pushed below the pivot")?,
-        }
-        for (step, rows) in self.steps() {
-            write!(f, "\n  {}", step_line(step, rows))?;
-        }
-        Ok(())
+        flor_view::execute_at(snap, plan, tr)
     }
 }
 
@@ -595,6 +435,31 @@ mod tests {
         assert_eq!(stats.misses, before.misses, "delta applied, no rebuild");
         // No post-pass → snapshot sharing.
         assert!(Arc::ptr_eq(&after, &q().unwrap()));
+    }
+
+    #[test]
+    fn a_filtered_views_cold_build_reads_only_admitted_rows() {
+        let flor = seeded();
+        let plan = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
+        let returned = || {
+            let metrics = flor.metrics();
+            metrics.counter("store.query.rows_returned").unwrap_or(0)
+        };
+        let before = returned();
+        let view = flor.run_plan(&plan).unwrap();
+        // Runs 3 and 4 log `loss` once per epoch: 6 of the 12 rows.
+        assert_eq!(view.n_rows(), 6);
+        assert_eq!(returned() - before, 6, "the build read excluded rows");
+        assert_eq!(*view, flor.run_plan_full(&plan).unwrap());
+        let misses = flor.views.stats().misses;
+        flor.log("loss", 0.5);
+        flor.commit("live").unwrap();
+        assert_eq!(flor.run_plan(&plan).unwrap().n_rows(), 7);
+        assert_eq!(
+            flor.views.stats().misses,
+            misses,
+            "delta applied, no rebuild"
+        );
     }
 
     #[test]

@@ -129,9 +129,10 @@ impl DataFrame {
     /// [`DfError::DuplicateColumn`].
     ///
     /// This is the generic, obviously-correct form. `flor.dataframe`
-    /// itself runs `flor_view::Pivot`, which writes the same frame
-    /// without a long frame in between; the property tests check the
-    /// two against each other.
+    /// itself runs `flor-view`'s pivot operator (crate-private, reached
+    /// through `flor_view::execute_at` and the view catalog), which
+    /// writes the same frame without a long frame in between; the
+    /// property tests check the two against each other.
     pub fn pivot(&self, index: &[&str], name_col: &str, value_col: &str) -> DfResult<DataFrame> {
         let keys = index
             .iter()

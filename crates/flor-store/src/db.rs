@@ -348,17 +348,6 @@ impl Database {
         self.inner.read().snapshot(&self.metrics)
     }
 
-    /// Pin a [`Snapshot`] and take a [`DbStats`] sample under **one**
-    /// read-lock acquisition, so the two observe the same committed
-    /// state: `stats.wal_epoch == snapshot.epoch()`, and counters like
-    /// `staged_rows`/`rows_coalesced` cannot drift against the pinned
-    /// tables the way two separate calls can when a commit lands between
-    /// them.
-    pub fn pin_with_stats(&self) -> (Snapshot, DbStats) {
-        let g = self.inner.read();
-        (g.snapshot(&self.metrics), g.stats())
-    }
-
     /// Stage a row into the open transaction (starting one if needed) and
     /// append it to the WAL. Invisible to readers until [`Database::commit`].
     pub fn insert(&self, table: &str, row: Vec<Value>) -> StoreResult<()> {
@@ -792,9 +781,7 @@ impl Database {
     }
 
     /// Statistics snapshot. Sampled under one read-lock acquisition, so
-    /// every field reflects the same committed state (pair with a pinned
-    /// snapshot via [`Database::pin_with_stats`] when the caller needs
-    /// the stats and the data to agree too).
+    /// every field reflects the same committed state.
     pub fn stats(&self) -> DbStats {
         self.inner.read().stats()
     }

@@ -12,7 +12,7 @@
 //! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
 //! dropped, and the next plan that needs it gets the build's error.
 
-use crate::delta::{DeltaError, LatestState, LoopContexts, PivotState};
+use crate::delta::{DeltaError, LatestState, PivotState};
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfError};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
@@ -61,7 +61,7 @@ impl ViewMetrics {
 /// for deduplicated views. Two plans that differ only in their post-pass
 /// (residual predicates, ordering, limits) share one maintained view.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ViewKey {
+struct ViewKey {
     /// Projected log names, in request order.
     names: Vec<String>,
     /// `Some(group)` for a `latest`-deduplicated view.
@@ -72,18 +72,13 @@ pub struct ViewKey {
 }
 
 impl ViewKey {
-    /// The maintained-part fingerprint of `plan`: its names, its pushdown
+    /// The maintained-part fingerprint of `plan`, whose predicates split
+    /// ([`QueryPlan::split_predicates`]) into `pushdown` and a residual
+    /// set that is empty when `no_residual`: its names, its pushdown
     /// predicates (canonically sorted and deduplicated), and — only when
     /// no residual predicate intervenes before the dedup — its `latest`
     /// group. A residual filter must run *before* `latest`, so such plans
     /// lower onto the underlying pivot view and dedup in the post-pass.
-    pub fn for_plan(plan: &QueryPlan) -> ViewKey {
-        let (pushdown, residual) = plan.split_predicates();
-        ViewKey::from_split(plan, pushdown, residual.is_empty())
-    }
-
-    /// [`ViewKey::for_plan`] for a caller that already split the
-    /// predicates (the catalog's hot read path splits exactly once).
     fn from_split(plan: &QueryPlan, mut pushdown: Vec<Predicate>, no_residual: bool) -> ViewKey {
         pushdown.sort_by_key(|p| p.to_string());
         pushdown.dedup();
@@ -98,23 +93,8 @@ impl ViewKey {
         }
     }
 
-    /// Projected log names, in request order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The `latest` group columns, if this is a deduplicated view.
-    pub fn group(&self) -> Option<&[String]> {
-        self.group.as_deref()
-    }
-
-    /// The pushdown predicates maintained inside the view.
-    pub fn pushdown(&self) -> &[Predicate] {
-        &self.pushdown
-    }
-
-    /// Canonical one-line rendering, for logs and `ViewInfo` displays.
-    pub fn fingerprint(&self) -> String {
+    /// Canonical one-line rendering, for the `view.rebuild` event.
+    fn fingerprint(&self) -> String {
         use std::fmt::Write;
         let mut s = format!("pivot[{}]", self.names.join(","));
         for p in &self.pushdown {
@@ -151,22 +131,6 @@ struct CachedView {
     /// Materialized `latest` output, invalidated whenever the pivot moves.
     latest_frame: Option<Arc<DataFrame>>,
     last_used: u64,
-    /// WAL byte offset at the last refresh (observability; staleness is
-    /// decided by epoch).
-    wal_offset_bytes: u64,
-}
-
-/// One live view's description, as reported by [`ViewCatalog::view_infos`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewInfo {
-    /// The view's identity.
-    pub key: ViewKey,
-    /// Epoch the view reflects.
-    pub epoch: u64,
-    /// Rows currently materialized (pivot rows).
-    pub rows: usize,
-    /// WAL byte offset at the last refresh.
-    pub wal_offset_bytes: u64,
 }
 
 struct CatalogInner {
@@ -250,15 +214,18 @@ impl ViewCatalog {
         // only take this path when key.group is Some, under one lock hold.
         let view = g.views.get_mut(key).expect("caller ensured the view");
         // audit: allow(panic) — same caller contract as above
-        let group = key.group().expect("caller checked the key is grouped");
+        let group = key
+            .group
+            .as_ref()
+            .expect("caller checked the key is grouped");
         if let Some(cached) = &view.latest_frame {
             return Ok(Arc::clone(cached));
         }
         let frame = view.pivot.frame();
-        // Match the oracle's semantics exactly: empty views short-circuit,
-        // unknown group columns error.
-        let out: Arc<DataFrame> = if frame.n_rows() == 0 {
-            Arc::new(DataFrame::new())
+        // Match the oracle's semantics exactly: an empty view skips the
+        // dedup and keeps its columns, unknown group columns error.
+        let out = if frame.n_rows() == 0 {
+            frame
         } else {
             for gcol in group {
                 if frame.column(gcol).is_none() {
@@ -289,48 +256,9 @@ impl ViewCatalog {
         Ok(out)
     }
 
-    /// Per-view descriptions, unordered.
-    pub fn view_infos(&self) -> Vec<ViewInfo> {
-        let g = self.inner.lock();
-        g.views
-            .iter()
-            .map(|(key, v)| ViewInfo {
-                key: key.clone(),
-                epoch: v.pivot.epoch(),
-                rows: v.pivot.frame().n_rows(),
-                wal_offset_bytes: v.wal_offset_bytes,
-            })
-            .collect()
-    }
-
-    /// Whether the named view exists and already reflects the database's
-    /// current epoch (no pending feed batches for it).
-    pub fn is_fresh(&self, key: &ViewKey) -> bool {
-        let g = self.inner.lock();
-        g.sub.as_ref().is_none_or(|s| s.pending() == 0)
-            && g.views
-                .get(key)
-                .is_some_and(|v| v.pivot.epoch() == self.db.epoch())
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CatalogStats {
         self.inner.lock().stats.clone()
-    }
-
-    /// Number of cached views.
-    pub fn len(&self) -> usize {
-        self.inner.lock().views.len()
-    }
-
-    /// True iff no views are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every cached view (they rebuild lazily on next access).
-    pub fn clear(&self) {
-        self.inner.lock().views.clear();
     }
 
     /// Drain the feed and bring every cached view up to date, falling back
@@ -456,27 +384,15 @@ impl ViewCatalog {
     /// the snapshot is still queued and will be applied as a delta (and
     /// batches the snapshot already covers are skipped by epoch).
     ///
-    /// The `logs` fetch pushes the name projection down into the store
-    /// scan (`value_name IN names`, served from the secondary index), so
-    /// a build touches only the log rows the view projects — not the
-    /// whole history. The key's pushdown predicates are *not* pushed into
-    /// the fetch: excluded rows still drive schema discovery (see
-    /// [`PivotState::filtered`]), so the pivot state must see them. The
-    /// loop contexts are the snapshot's per-segment ones
-    /// ([`LoopContexts::of`]), shared with every other view and query
-    /// rather than read and resolved again per build.
+    /// The build is the snapshot pivot `Flor::execute_at` runs, over the
+    /// plan of the key's names and pushdown predicates
+    /// ([`PivotState::at`]): the fetch reads only the projected rows the
+    /// pushdown admits, and the loop contexts and the schema pass come
+    /// from the snapshot's per-segment summaries, shared with every other
+    /// view and query rather than read and resolved again per build.
     fn build(&self, key: &ViewKey) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
-        let names: Vec<&str> = key.names.iter().map(String::as_str).collect();
-        // One lock acquisition pins the snapshot AND samples the stats:
-        // `wal_offset_bytes` below is guaranteed to describe the same
-        // committed state the queries read (two separate calls could
-        // interleave with a commit and disagree).
-        let (snap, stats) = self.db.pin_with_stats();
-        let epoch = snap.epoch();
-        let logs = snap.query(&QueryPlan::new(&names).logs_fetch())?;
-        let loops = LoopContexts::of(&snap)?;
-        let pivot = PivotState::from_snapshot_filtered(&names, &key.pushdown, epoch, &logs, loops)?;
+        let pivot = PivotState::at(&self.db.pin(), &key.names, &key.pushdown)?;
         // Latest views always carry upsert state; whether it is *used*
         // (vs. recomputing from the frame) is decided per materialization,
         // based on the pivot's actual index columns.
@@ -493,7 +409,6 @@ impl ViewCatalog {
             latest,
             latest_frame: None,
             last_used: 0,
-            wal_offset_bytes: stats.wal_offset_bytes,
         })
     }
 }
@@ -561,11 +476,14 @@ mod tests {
         catalog.plan(&QueryPlan::new(&["b"])).unwrap();
         catalog.plan(&QueryPlan::new(&["a"])).unwrap(); // touch: "b" is now coldest
         catalog.plan(&QueryPlan::new(&["c"])).unwrap();
-        assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.stats().evictions, 1);
-        let keys: Vec<ViewKey> = catalog.view_infos().into_iter().map(|i| i.key).collect();
-        assert!(keys.contains(&ViewKey::for_plan(&QueryPlan::new(&["a"]))));
-        assert!(keys.contains(&ViewKey::for_plan(&QueryPlan::new(&["c"]))));
+        // "a" and "c" are still cached; "b" was evicted and builds again.
+        let misses = catalog.stats().misses;
+        catalog.plan(&QueryPlan::new(&["a"])).unwrap();
+        catalog.plan(&QueryPlan::new(&["c"])).unwrap();
+        assert_eq!(catalog.stats().misses, misses);
+        catalog.plan(&QueryPlan::new(&["b"])).unwrap();
+        assert_eq!(catalog.stats().misses, misses + 1);
     }
 
     #[test]
@@ -615,15 +533,17 @@ mod tests {
         assert_eq!(top.get(0, "tstamp"), Some(&Value::Int(5)));
         // Same maintained part → one build, differing post-passes only.
         assert_eq!(catalog.stats().misses, 1);
-        assert_eq!(catalog.len(), 1);
-        // Predicate call order does not split the cache either.
+        // Predicate call order does not split the cache either: one more
+        // build serves both orders.
         let swapped = QueryPlan::new(&["x"])
             .filter("tstamp", CmpOp::Lt, 9)
             .filter("tstamp", CmpOp::Gt, 1);
         let canon = QueryPlan::new(&["x"])
             .filter("tstamp", CmpOp::Gt, 1)
             .filter("tstamp", CmpOp::Lt, 9);
-        assert_eq!(ViewKey::for_plan(&swapped), ViewKey::for_plan(&canon));
+        catalog.plan(&swapped).unwrap();
+        catalog.plan(&canon).unwrap();
+        assert_eq!(catalog.stats().misses, 2);
     }
 
     #[test]
@@ -647,8 +567,9 @@ mod tests {
         assert_eq!(v.n_rows(), 1);
         assert_eq!(v.get(0, "acc"), Some(&Value::Int(2)));
         // The maintained view is the plain pivot (group lowered away).
-        let keys: Vec<ViewKey> = catalog.view_infos().into_iter().map(|i| i.key).collect();
-        assert_eq!(keys, vec![ViewKey::for_plan(&QueryPlan::new(&["acc"]))]);
+        assert_eq!(catalog.stats().misses, 1);
+        catalog.plan(&QueryPlan::new(&["acc"])).unwrap();
+        assert_eq!(catalog.stats().misses, 1);
     }
 
     #[test]
@@ -723,27 +644,12 @@ mod tests {
         use flor_store::CmpOp;
         let plan =
             QueryPlan::with_latest(&["loss", "acc"], &["projid"]).filter("tstamp", CmpOp::Ge, 2);
-        let key = ViewKey::for_plan(&plan);
+        let (pushdown, residual) = plan.split_predicates();
+        let key = ViewKey::from_split(&plan, pushdown, residual.is_empty());
         assert_eq!(
             key.fingerprint(),
             "pivot[loss,acc] where tstamp >= Int(2) latest by [projid]"
         );
-    }
-
-    #[test]
-    fn freshness_tracks_epoch() {
-        let db = Database::in_memory(flor_schema());
-        let catalog = ViewCatalog::new(db.clone(), 4);
-        db.insert("logs", log_row(1, "x", "1")).unwrap();
-        db.commit().unwrap();
-        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        let key = ViewKey::for_plan(&QueryPlan::new(&["x"]));
-        assert!(catalog.is_fresh(&key));
-        db.insert("logs", log_row(2, "x", "2")).unwrap();
-        db.commit().unwrap();
-        assert!(!catalog.is_fresh(&key));
-        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        assert!(catalog.is_fresh(&key));
     }
 
     #[test]
@@ -906,15 +812,44 @@ mod tests {
     }
 
     #[test]
-    fn clear_forces_rebuild() {
+    fn a_latest_view_whose_pushdown_admits_no_row_keeps_its_columns() {
+        use flor_store::CmpOp;
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
-        db.insert("logs", log_row(1, "x", "1")).unwrap();
-        db.commit().unwrap();
-        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        catalog.clear();
-        assert!(catalog.is_empty());
-        assert_eq!(catalog.plan(&QueryPlan::new(&["x"])).unwrap().n_rows(), 1);
-        assert_eq!(catalog.stats().misses, 2);
+        // Two runs of an `epoch` loop over two iterations, logging `loss`.
+        for ts in 1..=2i64 {
+            for e in 0..2i64 {
+                let ctx = ts * 10 + e;
+                let link = vec![
+                    "p".into(),
+                    ts.into(),
+                    "f.fl".into(),
+                    ctx.into(),
+                    0.into(),
+                    "epoch".into(),
+                    e.into(),
+                    e.to_string().into(),
+                ];
+                db.insert("loops", link).unwrap();
+                let mut row = log_row(ts, "loss", &e.to_string());
+                row[3] = ctx.into();
+                db.insert("logs", row).unwrap();
+            }
+            db.commit().unwrap();
+        }
+        let columns = [
+            "projid",
+            "tstamp",
+            "filename",
+            "epoch_iteration",
+            "epoch_value",
+            "loss",
+        ];
+        for group in [&["epoch_iteration"], &["projid"]] {
+            let plan = QueryPlan::with_latest(&["loss"], group).filter("tstamp", CmpOp::Gt, 100);
+            let v = catalog.plan(&plan).unwrap();
+            assert_eq!(v.n_rows(), 0);
+            assert_eq!(v.column_names(), columns, "latest by {group:?}");
+        }
     }
 }

@@ -4,32 +4,34 @@
 //! maintenance*: the pivoted context dataframe stays current as runs,
 //! log statements and hindsight backfills land — it is not recomputed
 //! from the base tables on every query. This crate delivers that promise
-//! for the Rust reproduction:
+//! for the Rust reproduction. Its modules:
 //!
-//! * [`Pivot`] — the one long → wide pivot of `logs ⋈ loops`: join to
-//!   the loop context (resolved once per `ctx_id`), new-column discovery
-//!   on first sight of a `value_name` or loop dimension, and a per-key
-//!   cell upsert written straight into the output columns. The kernel's
-//!   from-scratch executor (`Flor::execute_at`, reached as
-//!   `collect_full`) runs one over a snapshot.
-//! * [`PivotState`] — the same operator maintained under change-feed
-//!   batches ([`flor_store::CommitBatch`]), projected and filtered. Both
+//! * `pivot` (private) — the one long → wide pivot of `logs ⋈ loops`:
+//!   join to the loop context (resolved once per sealed `loops` segment),
+//!   new-column discovery on first sight of a `value_name` or loop
+//!   dimension, and a per-key cell upsert written straight into the
+//!   output columns; and the one function that runs it over a pinned
+//!   snapshot under a plan, with the plan's steps below the pivot. Its
+//!   public face is [`execute_at`], that pivot plus the plan's post-pass
+//!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
+//!   what `flor-serve` answers with.
+//! * `delta` (private) — [`PivotState`], the same operator maintained
+//!   under change-feed batches ([`flor_store::CommitBatch`]), projected
+//!   and filtered, built by the snapshot pivot; and incremental
+//!   `flor.utils.latest` via per-group-key max-timestamp upsert. Both
 //!   are **cell-for-cell identical** to a long-frame
 //!   [`flor_df::DataFrame::pivot`] reference (property-tested in
 //!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
-//! * [`LatestState`] — incremental `flor.utils.latest` via per-group-key
-//!   max-timestamp upsert.
-//! * [`ViewCatalog`] — named views keyed by a [`ViewKey`] plan
-//!   fingerprint (projection, pushdown predicates, optional `latest`
-//!   group), staleness tracked by commit epoch / WAL offset, an LRU
-//!   capacity bound, and transparent fallback to a full snapshot rebuild
-//!   whenever a delta cannot be applied. [`ViewCatalog::plan`] is its
-//!   only read entry point — one executor for every incremental read.
-//! * [`QueryPlan`] — the canonical lazy-query plan behind `Flor::query`:
-//!   filters (reusing [`flor_store::Predicate`]), `latest` dedup,
-//!   ordering and limits, lowered onto maintained views with pushdown
-//!   predicates enforced incrementally and the rest as a cheap
-//!   post-pass ([`ViewCatalog::plan`]).
+//! * `catalog` (private) — [`ViewCatalog`]: views keyed by the
+//!   maintained part of a plan (projection, pushdown predicates,
+//!   optional `latest` group), refreshed from the change feed, bounded by
+//!   an LRU, with a fallback rebuild whenever a delta cannot be applied.
+//!   [`ViewCatalog::plan`] is its only read entry point.
+//! * [`plan`] — [`QueryPlan`], the canonical lazy-query plan behind
+//!   `Flor::query`: filters (reusing [`flor_store::Predicate`]), `latest`
+//!   dedup, ordering and limits, lowered below the pivot
+//!   ([`QueryPlan::below_pivot`]) or onto maintained views, with the rest
+//!   as a post-pass.
 //!
 //! `flor-core` wires `Flor::dataframe` / `Flor::dataframe_latest`
 //! through a catalog, so repeated queries after new commits apply deltas
@@ -66,13 +68,12 @@
 
 #![warn(missing_docs)]
 
-pub mod catalog;
-pub mod delta;
+mod catalog;
+mod delta;
+mod pivot;
 pub mod plan;
 
-pub use catalog::{CatalogStats, ViewCatalog, ViewInfo, ViewKey};
-pub use delta::{
-    key_hash, logged_value, Ctx, DeltaError, KeyIndex, LatestState, LogRow, LoopContexts, Pivot,
-    PivotState,
-};
+pub use catalog::{CatalogStats, ViewCatalog};
+pub use delta::{DeltaError, PivotState};
+pub use pivot::{execute_at, PlanExplain};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

@@ -6,27 +6,34 @@
 //! predicate vocabulary spans the store, view and kernel layers), an
 //! optional `latest`-per-group dedup, an ordering, and a limit.
 //!
-//! Both executors fetch the projected `logs` rows through the
-//! `value_name` index ([`QueryPlan::logs_fetch`], run lock-free against
-//! one pinned snapshot) and end with [`QueryPlan::post_pass`]. Where the
-//! steps in between run depends on the executor:
+//! One snapshot pivot builds every frame from a pinned snapshot: it
+//! fetches the projected `logs` rows through the `value_name` index
+//! ([`QueryPlan::logs_fetch`], run lock-free against the snapshot),
+//! pushes what [`QueryPlan::below_pivot`] lowers, and writes the rows
+//! left through the one pivot operator, which refuses a value name that
+//! collides with an index column. It has two callers. The snapshot
+//! executor ([`crate::execute_at`], behind `Flor::execute_at`) runs it
+//! per request and ends with the whole [`QueryPlan::post_pass`]. The
+//! view catalog ([`crate::ViewCatalog::plan`]) runs it once per view
+//! build, with only the view's pushdown predicates as the plan, then
+//! keeps the view current from the change feed and runs the rest of
+//! each request's plan as a post-pass. Where each step runs:
 //!
-//! | step | view catalog ([`crate::ViewCatalog::plan`]) | snapshot executor (`Flor::execute_at`) |
+//! | step | view catalog | snapshot executor |
 //! |---|---|---|
-//! | predicates on [`FIXED_COLS`] | maintained in the view: [`crate::PivotState`] skips rows at upsert | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
+//! | predicates on [`FIXED_COLS`] | maintained in the view: joined to the build's `logs` fetch, and fed rows failing them skipped at upsert ([`crate::PivotState`]) | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
 //! | predicates on loop dimensions | post-pass | on each fetched row's resolved index key, before the pivot |
 //! | predicates on value columns | post-pass | post-pass |
-//! | `latest(group)` | maintained ([`crate::LatestState`]) unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
+//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
 //! | `order_by` + `limit` | post-pass | top-K cut before the pivot when every earlier step ran below it |
 //!
-//! [`QueryPlan::below_pivot`] is the snapshot executor's lowering; a
-//! column it cannot place from the plan alone (a dimension the history
-//! never logged) makes the executor push nothing. Both executors write
-//! the rows left through the one [`crate::Pivot`], which refuses a value
-//! name that collides with an index column. Either way the *whole* post-pass then runs
-//! over what the lower steps left: each of them is a filter the post-pass
-//! repeats or a cut the post-pass's own later steps would have made, so
-//! the answer is the post-hoc one, cell for cell.
+//! A column the lowering cannot place from the plan alone (a dimension
+//! the history never logged) makes the snapshot pivot push nothing; a
+//! view build, whose plan holds only [`FIXED_COLS`] predicates, always
+//! pushes them. Either way the *whole* post-pass then runs over what the
+//! lower steps left: each of them is a filter the post-pass repeats or a
+//! cut the post-pass's own later steps would have made, so the answer is
+//! the post-hoc one, cell for cell.
 
 use flor_df::{DataFrame, DfError};
 use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
@@ -102,9 +109,9 @@ impl QueryPlan {
     }
 
     /// The base fetch under every execution of this plan — the view's
-    /// build, the from-scratch executor and the explain probe alike: the
-    /// `logs` rows whose `value_name` the plan projects, served from the
-    /// secondary index.
+    /// build and the snapshot executor alike, before pushed predicates
+    /// join it: the `logs` rows whose `value_name` the plan projects,
+    /// served from the secondary index.
     pub fn logs_fetch(&self) -> Query {
         let names = self.names.iter().map(|n| n.as_str().into()).collect();
         Query::table("logs").filter_in("value_name", names)
@@ -129,7 +136,7 @@ impl QueryPlan {
             .partition(|p| FIXED_COLS.contains(&p.col.as_str()))
     }
 
-    /// The snapshot executor's lowering: the plan's steps that run below
+    /// The snapshot pivot's lowering: the plan's steps that run below
     /// the pivot, decided in [`QueryPlan::post_pass`] order. Predicates
     /// split as [`QueryPlan::split_predicates`] splits them — its pushdown
     /// set joins the `logs` fetch — and a residual predicate over a column

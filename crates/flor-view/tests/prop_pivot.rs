@@ -3,16 +3,17 @@
 //! — nested loops sharing a name, links to contexts that never exist,
 //! `Int(2)` / `Float(2.0)` keys, re-logged values, null and colliding
 //! value names, rows a pushdown predicate excludes — a [`PivotState`]
-//! fed every row once and one fed the same stream in random commit
-//! batches both equal the reference pivot of every projected row,
-//! filtered after the fact. A name colliding with an index column fails
-//! all three.
+//! fed every row in one commit batch and one fed the same stream in
+//! random commit batches both equal the reference pivot of every
+//! projected row, filtered after the fact. A name colliding with an
+//! index column fails all three. (The snapshot pivot that builds a view
+//! is checked against the same reference by `tests/prop_view.rs`.)
 
 mod reference;
 
 use flor_df::{DataFrame, DataType, DfError, Value};
 use flor_store::{CmpOp, CommitBatch, Predicate, RowDelta};
-use flor_view::{LoopContexts, PivotState};
+use flor_view::PivotState;
 use proptest::prelude::*;
 use reference::reference_pivot;
 use std::sync::Arc;
@@ -236,18 +237,15 @@ fn expected(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFr
     Ok(df)
 }
 
-/// Every row fed once, as the catalog's cold build does.
-fn once(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFrame, String> {
-    let loops = LoopContexts::from_frame(&frame(&LOOP_COLS, &s.loops));
-    PivotState::from_snapshot_filtered(names, pushdown, 0, &frame(&LOG_COLS, &s.logs), loops)
-        .map(|state| (*state.frame()).clone())
-        .map_err(|e| e.to_string())
-}
-
-/// The same rows as change-feed batches, one epoch each.
-fn batched(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFrame, String> {
+/// The stream's rows applied as the change-feed `batches`, one epoch
+/// each.
+fn fed(
+    names: &[&str],
+    pushdown: &[Predicate],
+    batches: &[Vec<RowDelta>],
+) -> Result<DataFrame, String> {
     let mut state = PivotState::filtered(names, pushdown, 0);
-    for (i, deltas) in s.batches.iter().enumerate() {
+    for (i, deltas) in batches.iter().enumerate() {
         let epoch = i as u64 + 1;
         let batch = CommitBatch {
             epoch,
@@ -270,8 +268,8 @@ proptest! {
         pushdown in proptest::collection::vec(arb_pushdown(), 0..2),
     ) {
         let s = stream(&events);
-        let once = once(&s, &names, &pushdown);
-        let batched = batched(&s, &names, &pushdown);
+        let once = fed(&names, &pushdown, &[s.batches.concat()]);
+        let batched = fed(&names, &pushdown, &s.batches);
         match expected(&s, &names, &pushdown) {
             Ok(want) => {
                 prop_assert_eq!(once, Ok(want.clone()), "fed once: {:?}", events);

@@ -1,4 +1,4 @@
-//! The pivot's reference, independent of `flor_view::Pivot`: each
+//! The pivot's reference, independent of flor-view's pivot operator: each
 //! projected `logs` row joined to its loop chain as one row of a long
 //! frame, then the generic `DataFrame::pivot` over every column but
 //! `value_name` and `value`. Chains are resolved here from the raw

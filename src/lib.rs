@@ -208,5 +208,5 @@ pub mod prelude {
     pub use flor_script::{parse, to_source, Interpreter, NullRuntime};
     pub use flor_serve::{Client, HealthReport, ServeExt, ServerConfig};
     pub use flor_store::{CmpOp, Predicate};
-    pub use flor_view::{CatalogStats, QueryPlan, ViewCatalog, ViewKey};
+    pub use flor_view::{CatalogStats, QueryPlan, ViewCatalog};
 }
