@@ -56,6 +56,9 @@ const DEFAULT_SKIP: &[&str] = &[
 #[derive(Debug, Default)]
 pub struct AuditReport {
     pub diagnostics: Vec<Diagnostic>,
+    /// Manifest entries nothing audited uses ([`Manifest::stale`]): a
+    /// config error, reported apart from the rule violations.
+    pub stale: Vec<String>,
     pub files_audited: usize,
     pub functions_audited: usize,
     pub lock_sites: usize,
@@ -72,6 +75,7 @@ pub fn audit_sources(files: &[(String, String)], manifest: &Manifest) -> AuditRe
     let lock_sites = analyzed.iter().map(|f| f.locks.len()).sum();
     AuditReport {
         diagnostics: rules::check(&analyzed, manifest),
+        stale: manifest.stale(&analyzed),
         files_audited: files.len(),
         functions_audited,
         lock_sites,

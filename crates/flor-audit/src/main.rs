@@ -7,7 +7,8 @@
 //! cargo run -p flor-audit -- --loc                  # code lines per crate/file
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations found, 2 usage/config error.
+//! Exit codes: 0 clean, 1 violations found, 2 usage/config error (a
+//! manifest entry nothing audited uses is one).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -102,6 +103,12 @@ fn main() -> ExitCode {
         Err(e) => return config_err(&format!("audit failed: {e}")),
     };
 
+    if !report.stale.is_empty() {
+        for entry in &report.stale {
+            eprintln!("flor-audit: lockorder.toml: stale {entry}");
+        }
+        return ExitCode::from(2);
+    }
     for d in &report.diagnostics {
         println!("{d}");
     }

@@ -6,6 +6,7 @@
 //! values, string arrays — all the manifest needs; the build has no
 //! crates.io access so no `toml` crate).
 
+use crate::analysis::FileFacts;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -152,6 +153,37 @@ impl Manifest {
             s.fn_name == fn_name
                 && (s.paths.is_empty() || s.paths.iter().any(|g| glob_match(g, path)))
         })
+    }
+
+    /// Entries that describe nothing in `files`: a class none of whose
+    /// sites matches a lock acquisition, and a summary whose `fn` is
+    /// never called where it applies. Each is a config error — a
+    /// manifest entry must not outlive the lock it declares.
+    pub fn stale(&self, files: &[FileFacts]) -> Vec<String> {
+        let locks = || {
+            files
+                .iter()
+                .flat_map(|f| f.locks.iter().map(move |l| (f, l)))
+        };
+        let classes = self.classes.keys().filter(|class| {
+            !locks().any(|(_, l)| l.receiver_style && l.class.as_ref() == Some(class))
+        });
+        let summaries = self.summaries.iter().filter(|s| {
+            let site = format!("{}()", s.fn_name);
+            !locks().any(|(f, l)| {
+                !l.receiver_style
+                    && l.site == site
+                    && self
+                        .summary_for(&f.path, &s.fn_name)
+                        .is_some_and(|hit| std::ptr::eq(hit, *s))
+            })
+        });
+        classes
+            .map(|c| format!("class {c}: no site matches a lock acquisition"))
+            .chain(
+                summaries.map(|s| format!("summary fn {}: never called in its paths", s.fn_name)),
+            )
+            .collect()
     }
 }
 

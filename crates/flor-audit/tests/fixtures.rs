@@ -183,6 +183,44 @@ fn bad_annotations_are_flagged_and_do_not_suppress() {
     );
 }
 
+/// The fixture manifest plus `extra` sections, with `unused` ranked
+/// innermost so a class named so parses.
+fn manifest_with(extra: &str) -> Manifest {
+    let text = MANIFEST.replace("\"inner\",\n]", "\"inner\",\n    \"unused\",\n]");
+    Manifest::parse(&format!("{text}\n{extra}")).expect("fixture manifest parses")
+}
+
+fn stale(manifest: &Manifest) -> Vec<String> {
+    let files = [(
+        "src/lock_order_good.rs".to_string(),
+        include_str!("fixtures/lock_order_good.rs").to_string(),
+    )];
+    audit_sources(&files, manifest).stale
+}
+
+#[test]
+fn a_class_whose_sites_match_no_acquisition_is_stale() {
+    let manifest = manifest_with("[classes.unused]\nsites = [\"src/**:nobody\"]\n");
+    assert_eq!(
+        stale(&manifest),
+        vec!["class unused: no site matches a lock acquisition"]
+    );
+    assert!(stale(&manifest_with("")).is_empty());
+}
+
+#[test]
+fn a_summary_never_called_in_its_paths_is_stale() {
+    // `use_both` is called in the fixture, but not under `lib/`.
+    let manifest = manifest_with(
+        "[summaries.elsewhere]\nfn = \"use_both\"\nclass = \"unused\"\npaths = [\"lib/**\"]\n\n\
+         [summaries.here]\nfn = \"use_both\"\nclass = \"unused\"\npaths = [\"src/**\"]\n",
+    );
+    assert_eq!(
+        stale(&manifest),
+        vec!["summary fn use_both: never called in its paths"]
+    );
+}
+
 #[test]
 fn workspace_is_clean() {
     // The same gate CI runs: the real workspace, under the real
@@ -198,6 +236,11 @@ fn workspace_is_clean() {
         rendered.is_empty(),
         "workspace is not audit-clean:\n{}",
         rendered.join("\n")
+    );
+    assert_eq!(
+        report.stale,
+        Vec::<String>::new(),
+        "stale lockorder.toml entries"
     );
     assert!(report.files_audited > 0);
     assert!(report.lock_sites > 0);

@@ -594,8 +594,8 @@ with flor.checkpointing(net) {
             .map(|c| c.values.iter().filter(|v| v.is_null()).count())
             .unwrap_or(0);
         assert_eq!(holes, 4);
-        // Backfill commits through the same feed: the next query applies
-        // the recovered values as deltas into the already-built view.
+        // Backfill commits like any writer: the next query reads the
+        // recovered values and applies them to the already-built view.
         backfill(&flor, "train.fl", &["acc", "recall"], 2).unwrap();
         let after = flor.dataframe(&["loss", "acc"]).unwrap();
         assert_eq!(

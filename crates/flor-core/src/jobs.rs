@@ -8,7 +8,7 @@
 //! `flor_record::replay_with`), then stages its recovered values and
 //! commits them atomically with a progress transition in the `jobs`
 //! table. Queries keep flowing while the job runs, and live materialized
-//! views pick the recovered values up through the change feed as each
+//! views pick the recovered values up on their next read as each
 //! version completes. On [`Flor::open`], incomplete jobs found in the
 //! `jobs` table are resumed from their persisted `done_keys` cursor.
 //!
@@ -639,7 +639,7 @@ with flor.checkpointing(net) {
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes.windows(2).all(|w| w[0].tstamp < w[1].tstamp));
         assert!(handle.progress().ticks >= 12, "live iteration counter");
-        // The recovered values flowed into the live view via the feed.
+        // The live view caught up with the recovered values.
         let after = flor.dataframe(&["loss", "acc"]).unwrap();
         assert_eq!(
             after

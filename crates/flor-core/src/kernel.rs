@@ -69,8 +69,8 @@ pub struct Flor {
     /// Project id stamped on every record.
     pub projid: String,
     /// Incrementally maintained dataframe views (see [`flor_view`]):
-    /// [`Flor::dataframe`] serves from here, applying change-feed deltas
-    /// instead of re-pivoting history on every call.
+    /// [`Flor::dataframe`] serves from here, applying the rows new
+    /// commits added instead of re-pivoting history on every call.
     pub views: ViewCatalog,
     /// The background-job control plane (see [`flor_jobs`]):
     /// [`Flor::submit_backfill`] schedules per-version replay units (and
@@ -211,7 +211,7 @@ impl Flor {
 
     /// One consistent snapshot of every metric this instance records —
     /// commit/WAL/checkpoint/compaction latency histograms, zone-map
-    /// prune ratios, feed queue depth and shed counts, per-job
+    /// prune ratios, per-job
     /// queue-wait vs run time, view hit/miss/rebuild counters — across
     /// the storage, jobs and view layers at once. See [`flor_obs`] for
     /// the metric-name registry and the snapshot's text/JSON renderers.

@@ -13,7 +13,7 @@
 //!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
 //!   One snapshot pivot, owned by `flor-view`, has two callers:
 //!   [`Flor::run_plan`] (incremental: the view catalog builds each view
-//!   with it, then refreshes it from the change feed) and
+//!   with it, then catches it up with the rows later commits add) and
 //!   [`Flor::execute_at`] (per request at a pinned snapshot, index
 //!   predicates and `latest` / top-K cuts run below the pivot — the
 //!   oracle, and what `flor-serve` answers with, reporting a whole-plan

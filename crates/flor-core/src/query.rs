@@ -13,7 +13,8 @@
 //! [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
 //! incrementally from the view catalog, which builds each view with the
 //! snapshot pivot, then maintains `projid` / `tstamp` / `filename`
-//! predicates and `latest` inside the view from the change feed.
+//! predicates and `latest` inside the view as it catches up with the
+//! rows later commits add.
 //! [`Flor::execute_at`] runs the snapshot pivot per request
 //! ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
 //! [`Flor::run_plan_full`] are its one-line callers), pushing index
@@ -97,12 +98,13 @@ pub struct ExplainReport {
     /// the serving snapshot's by the interleaved rows.
     pub store: QueryExplain,
     /// Whether the view catalog served the plan from an existing
-    /// materialized view (after applying any pending feed deltas).
+    /// materialized view (after catching it up with any new commits).
     pub view_hit: bool,
-    /// Whether serving had to fall back to a from-scratch rebuild
-    /// (a change-feed gap; see `flor_view`).
+    /// Whether serving had to fall back to a from-scratch rebuild (a
+    /// value name colliding with an index column; see `flor_view`).
     pub view_rebuilt: bool,
-    /// Change-feed batches applied to bring the view current.
+    /// Commits the cached views caught up over to serve the plan
+    /// (rendered as "feed batch(es)", one per commit).
     pub batches_applied: u64,
     /// Wall-clock nanoseconds serving the plan from the view catalog —
     /// refresh (or first build) plus the residual post-pass.

@@ -7,8 +7,8 @@
 //! earlier. The pivot's column order is first-seen order of
 //! `value_name`, so any reader that followed the physical layout —
 //! instead of commit order — would hand back different columns than the
-//! incrementally maintained view, which saw the rows arrive through the
-//! change feed.
+//! incrementally maintained view, which read the rows in as they were
+//! committed.
 
 use flor_core::{backfill, run_script, Flor};
 use flor_df::DataFrame;

@@ -8,7 +8,7 @@
 //! * [`JobRunner`] — a prioritized multi-worker pool. A [`JobExecutor`]
 //!   decomposes each job into [`UnitSpec`]s; every completed unit commits
 //!   its store writes atomically with a progress transition, so results
-//!   become visible (and materialized views refresh, via the change feed)
+//!   become visible (and materialized views catch up on their next read)
 //!   per unit, not per job.
 //! * **Durability** — the store has no in-place update, so job state is an
 //!   append-only sequence of `jobs`-table rows, which the store folds

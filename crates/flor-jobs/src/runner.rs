@@ -14,8 +14,8 @@
 //! persisted `done_keys` cursor and converges to the uninterrupted
 //! result.
 //!
-//! Results are therefore visible incrementally: every unit commit flows
-//! through the store's change feed, so materialized views refresh while
+//! Results are therefore visible incrementally: every unit commit is
+//! visible to the next snapshot, so materialized views refresh while
 //! the job is still running rather than when it ends.
 //!
 //! Concurrency contract: the store has one logical write transaction, so

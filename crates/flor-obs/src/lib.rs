@@ -4,7 +4,7 @@
 //! process-wide [`MetricsRegistry`]: lock-free atomic [`Counter`]s and
 //! [`Gauge`]s, fixed-bucket latency [`Histogram`]s, lightweight
 //! [`Span`] timings, and a bounded ring-buffer [`Event`] log for discrete
-//! occurrences (checkpoint done, compaction pass, feed shed, job-unit
+//! occurrences (checkpoint done, compaction pass, view rebuild, job-unit
 //! failure). [`MetricsRegistry::snapshot`] produces a consistent
 //! [`MetricsSnapshot`] with text, JSON and Prometheus exposition-format
 //! rendering ([`MetricsSnapshot::render_prometheus`], served by
@@ -48,22 +48,18 @@
 //! | `store.query.segments_pruned` | counter | segments skipped via zone maps |
 //! | `store.query.rows_examined` | counter | rows touched by store queries |
 //! | `store.query.rows_returned` | counter | rows returned by store queries |
-//! | `store.feed.depth` | gauge | deepest subscriber queue after last publish |
-//! | `store.feed.coalesced` | counter | queued batch pairs merged under backpressure |
-//! | `store.feed.shed` | counter | batches dropped under backpressure |
 //! | `jobs.unit.queue_wait_nanos` | histogram | unit time from enqueue to pop |
 //! | `jobs.unit.run_nanos` | histogram | unit compute-phase duration |
 //! | `jobs.unit.done` | counter | units completed (all jobs) |
 //! | `jobs.unit.failed` | counter | units whose compute or staging failed |
 //! | `jobs.done.<kind>` | counter | units completed per job kind (throughput) |
 //! | `view.build_nanos` | histogram | full view build/rebuild duration |
-//! | `view.refresh_nanos` | histogram | incremental delta-application duration |
+//! | `view.refresh_nanos` | histogram | one catch-up of the cached views: pin, read, apply |
 //! | `view.hits` / `view.misses` | counter | catalog cache hits / builds |
 //! | `view.rebuilds` | counter | fallback full rebuilds |
 //!
-//! Event kinds: `checkpoint`, `compaction`, `feed.coalesce`, `feed.shed`,
-//! `job.unit_failed`, `view.rebuild`, `follower`, `serve.error`,
-//! `session`. Each event carries a severity [`Level`] and a wall-clock
+//! Event kinds: `checkpoint`, `compaction`, `job.unit_failed`,
+//! `view.rebuild`, `follower`, `serve.error`, `session`. Each event carries a severity [`Level`] and a wall-clock
 //! timestamp; filter with [`MetricsRegistry::events_at_least`].
 //!
 //! # Tracing
@@ -388,7 +384,7 @@ pub struct Event {
     pub at_unix_micros: u64,
     /// Severity; [`MetricsRegistry::event`] records at [`Level::Info`].
     pub level: Level,
-    /// Static kind tag (`checkpoint`, `feed.shed`, ...).
+    /// Static kind tag (`checkpoint`, `view.rebuild`, ...).
     pub kind: &'static str,
     /// Free-form detail, small by convention.
     pub detail: String,
@@ -1001,7 +997,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("store.commit.rows").add(5);
         reg.counter("already_total").add(1);
-        reg.gauge("store.feed.depth").set(-3);
+        reg.gauge("serve.follower.wal_lag").set(-3);
         let text = reg.snapshot().render_prometheus();
         assert!(text.contains("# HELP store_commit_rows_total FlorDB counter store.commit.rows\n"));
         assert!(text.contains("# TYPE store_commit_rows_total counter\n"));
@@ -1009,8 +1005,8 @@ mod tests {
         // An existing `_total` suffix is not doubled.
         assert!(text.contains("\nalready_total 1\n"));
         assert!(!text.contains("already_total_total"));
-        assert!(text.contains("# TYPE store_feed_depth gauge\n"));
-        assert!(text.contains("\nstore_feed_depth -3\n"));
+        assert!(text.contains("# TYPE serve_follower_wal_lag gauge\n"));
+        assert!(text.contains("\nserve_follower_wal_lag -3\n"));
     }
 
     #[test]
@@ -1051,11 +1047,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.event_at(Level::Debug, "session", "open");
         reg.event("checkpoint", "epoch=1"); // Info
-        reg.event_at(Level::Warn, "feed.shed", "dropped=2");
+        reg.event_at(Level::Warn, "view.rebuild", "pivot[x]");
         reg.event_at(Level::Error, "job.unit_failed", "unit=3");
         let warn_up = reg.events_at_least(Level::Warn);
         assert_eq!(warn_up.len(), 2);
-        assert_eq!(warn_up[0].kind, "feed.shed");
+        assert_eq!(warn_up[0].kind, "view.rebuild");
         assert_eq!(warn_up[1].level, Level::Error);
         let snap = reg.snapshot();
         assert_eq!(snap.events_at_least(Level::Debug).len(), 4);
@@ -1065,7 +1061,7 @@ mod tests {
             assert!(e.at_unix_micros > 1_600_000_000_000_000, "wall clock set");
         }
         let text = snap.render_text();
-        assert!(text.contains("[warn] feed.shed dropped=2"));
+        assert!(text.contains("[warn] view.rebuild pivot[x]"));
         assert!(text.contains("[info] checkpoint epoch=1"));
         let json = snap.to_json();
         assert!(json.contains("\"level\":\"error\""));

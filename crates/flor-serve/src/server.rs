@@ -14,9 +14,9 @@
 //! tracing is on or the slow log is armed — and hands it to every stage.
 //!
 //! When the served handle is a follower ([`Flor::open_follower`]), the
-//! server also runs a poll thread calling [`Flor::poll_follower`] every
-//! [`ServerConfig::follower_poll`], which bounds the follower's
-//! staleness by that interval.
+//! server calls [`Flor::poll_follower`] once before it starts serving,
+//! then on a poll thread every [`ServerConfig::follower_poll`], which
+//! bounds the follower's staleness by that interval.
 
 use crate::middleware::Middleware;
 use crate::protocol::{
@@ -168,7 +168,10 @@ impl Server {
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let shared = Arc::clone(&self.shared);
-        let join = thread::spawn(move || self.run());
+        // On a follower, the first poll lands before the handle is
+        // returned: the caller's next write is never applied early.
+        let poller = spawn_follower_poll(&shared);
+        let join = thread::spawn(move || self.serve(poller));
         Ok(ServerHandle {
             addr,
             shared,
@@ -178,8 +181,13 @@ impl Server {
 
     /// Serve on the calling thread until shut down.
     pub fn run(self) {
+        let poller = spawn_follower_poll(&self.shared);
+        self.serve(poller);
+    }
+
+    /// The accept loop; joins the follower poll thread on shutdown.
+    fn serve(self, poller: Option<JoinHandle<()>>) {
         let Server { listener, shared } = self;
-        let poller = spawn_follower_poll(&shared);
         for stream in listener.incoming() {
             // audit: ordering — shutdown is a latch only ever flipped
             // false->true; the self-connect wake guarantees the accept
@@ -258,27 +266,19 @@ impl Drop for ServerHandle {
     }
 }
 
-/// On a follower handle, tail the writer's WAL every `follower_poll` so
-/// served epochs lag the writer by at most one interval.
+/// On a follower handle, poll the writer's WAL once on the calling
+/// thread, then every `follower_poll` on a thread of its own, so served
+/// epochs lag the writer by at most one interval.
 fn spawn_follower_poll(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
     if !shared.flor.is_follower() {
         return None;
     }
+    poll_follower(shared);
     let shared = Arc::clone(shared);
     Some(thread::spawn(move || {
         // audit: ordering — shutdown latch polled every slice; seeing
         // the flip one 25ms slice late is within the drain budget.
         while !shared.shutdown.load(Ordering::Relaxed) {
-            // A poll error (e.g. the writer's directory vanished) is
-            // retried next tick; the follower keeps serving its last
-            // good state meanwhile.
-            let _ = shared.flor.poll_follower();
-            // Refresh the scrape-visible lag estimate after applying;
-            // an unknown estimate (writer just checkpointed) keeps the
-            // previous value until the next successful peek.
-            if let Ok(Some(lag)) = shared.flor.follower_lag() {
-                shared.metrics.wal_lag.set(lag as i64);
-            }
             // Sleep in short slices so a long poll interval doesn't hold
             // up shutdown for a whole tick.
             let mut remaining = shared.cfg.follower_poll;
@@ -288,8 +288,22 @@ fn spawn_follower_poll(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
                 thread::sleep(slice);
                 remaining -= slice;
             }
+            poll_follower(&shared);
         }
     }))
+}
+
+/// One follower poll and lag-gauge refresh. A poll error (e.g. the
+/// writer's directory vanished) is retried next tick; the follower keeps
+/// serving its last good state meanwhile.
+fn poll_follower(shared: &Shared) {
+    let _ = shared.flor.poll_follower();
+    // Refresh the scrape-visible lag estimate after applying; an unknown
+    // estimate (writer just checkpointed) keeps the previous value until
+    // the next successful peek.
+    if let Ok(Some(lag)) = shared.flor.follower_lag() {
+        shared.metrics.wal_lag.set(lag as i64);
+    }
 }
 
 /// Refuse an over-capacity connection with `Busy` on a best-effort

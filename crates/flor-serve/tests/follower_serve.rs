@@ -104,3 +104,41 @@ fn follower_serves_writer_data_with_bounded_staleness() {
     let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
     let _ = std::fs::remove_dir(&dir);
 }
+
+/// A rebootstrap replaces a follower's tables wholesale from the
+/// writer's new sidecar; a view the follower's catalog already holds
+/// must catch up to them like any other commits.
+#[test]
+fn a_followers_view_catches_up_after_a_rebootstrap() {
+    let dir = std::env::temp_dir().join(format!("flor-follower-reboot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("writer.wal");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
+
+    let writer = Flor::open("follower-reboot", &path).expect("open writer");
+    writer.set_filename("train.fl");
+    writer.log("loss", 0.9);
+    writer.commit("round 0").expect("commit");
+
+    let follower = Flor::open_follower("follower-reboot", &path).expect("open follower");
+    let plan = QueryPlan::new(&["loss"]);
+    assert_eq!(follower.run_plan(&plan).expect("seed view").n_rows(), 1);
+
+    for round in 1..4 {
+        writer.log("loss", 0.9 / round as f64);
+        writer.commit(&format!("round {round}")).expect("commit");
+    }
+    writer.checkpoint().expect("checkpoint");
+    let progress = follower.poll_follower().expect("poll");
+    assert!(progress.rebootstrapped, "the checkpoint truncated the log");
+
+    let view = follower.run_plan(&plan).expect("view after rebootstrap");
+    let full = follower.run_plan_full(&plan).expect("follower oracle");
+    assert_eq!(full.n_rows(), 4);
+    assert_eq!(*view, full);
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
+    let _ = std::fs::remove_dir(&dir);
+}

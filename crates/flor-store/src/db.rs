@@ -1,5 +1,5 @@
 //! The database handle: transactions, the write path and maintenance
-//! (checkpoint, compaction, the change feed).
+//! (checkpoint, compaction).
 //!
 //! # Concurrency model
 //!
@@ -25,7 +25,6 @@
 use crate::checkpoint;
 use crate::codec::WalRecord;
 use crate::compact::{self, CompactionPolicy, CompactionStats, CompactionTrigger};
-use crate::feed::{CommitBatch, Publisher, RowDelta, Subscription};
 use crate::metrics::StoreMetrics;
 use crate::recovery::{follower_bootstrap, RecoveryInfo, Replay, Replayed, TailState};
 use crate::schema::TableSchema;
@@ -121,13 +120,12 @@ pub(crate) struct DbInner {
     pub(crate) next_txn: u64,
     open_txn: Option<u64>,
     staged: Vec<(String, Vec<Value>)>,
-    /// Count of applied commits; the staleness watermark for the change
-    /// feed and materialized views.
+    /// Count of applied commits; the staleness watermark for
+    /// materialized views.
     pub(crate) epoch: u64,
     /// Highest committed transaction id — the coverage bound a checkpoint
     /// records (an open transaction always has a higher id).
     pub(crate) last_committed_txn: u64,
-    feed: Publisher,
     /// WAL-bytes threshold past which a commit spawns a background
     /// checkpoint (None = disabled, the store default; the kernel turns
     /// it on).
@@ -206,8 +204,8 @@ pub struct DbStats {
     pub wal_records: u64,
     /// Rows staged in the open transaction.
     pub staged_rows: usize,
-    /// Commits applied so far: the staleness watermark that change-feed
-    /// batches and materialized views are stamped with.
+    /// Commits applied so far: the staleness watermark snapshots and
+    /// materialized views are stamped with.
     pub wal_epoch: u64,
     /// Bytes currently in the WAL (including any recovered prefix for
     /// file-backed logs) — the physical log offset. Shrinks when a
@@ -224,8 +222,6 @@ pub struct DbStats {
     /// Rows re-copied by commit-time tail coalescing so far (the
     /// amortized cost of keeping segment counts logarithmic).
     pub rows_coalesced: u64,
-    /// Live change-feed subscriptions.
-    pub subscribers: usize,
 }
 
 impl Database {
@@ -258,8 +254,8 @@ impl Database {
     ///   auto-compaction stay permanently disabled);
     /// - the handle keeps a byte cursor into the live log, and
     ///   [`Database::poll_tail`] applies newly committed transactions
-    ///   incrementally — snapshots, queries, and change-feed
-    ///   subscriptions then behave exactly as on the writer, with
+    ///   incrementally — snapshots and queries then behave exactly as
+    ///   on the writer, with
     ///   staleness bounded by the caller's poll interval.
     ///
     /// The follower holds no open handle on the writer's files: each
@@ -291,7 +287,6 @@ impl Database {
                 staged: Vec::new(),
                 epoch: state.epoch,
                 last_committed_txn: state.max_txn,
-                feed: Publisher::new(metrics.feed()),
                 auto_checkpoint: None,
                 auto_compact: None,
                 rows_since_compact_check: 0,
@@ -528,8 +523,8 @@ impl Database {
     /// retries), so the writer is never blocked by the rewrite work.
     ///
     /// Snapshots pinned before the swap keep re-scanning their original
-    /// segments byte-identically; the epoch does not move and nothing is
-    /// published to the change feed — for every reader that folds
+    /// segments byte-identically; the epoch does not move and no row is
+    /// renumbered — for every reader that folds
     /// latest-wins tables by their declared policy (all of them do),
     /// compaction is invisible except for speed.
     pub fn compact_with(&self, policy: &CompactionPolicy) -> StoreResult<CompactionStats> {
@@ -635,15 +630,6 @@ impl Database {
         let snap = self.pin();
         let t = snap.table(table)?;
         Ok(compact::dead_rows(t))
-    }
-
-    /// Subscribe to the change feed: every subsequent [`Database::commit`]
-    /// delivers one [`CommitBatch`] of the rows it made visible. Poll with
-    /// [`Subscription::poll`]; drop the subscription to detach.
-    pub fn subscribe(&self) -> Subscription {
-        let mut g = self.inner.write();
-        let epoch = g.epoch;
-        Subscription::new(g.feed.attach(), epoch)
     }
 
     /// Current epoch: the number of commits applied so far.
@@ -806,10 +792,9 @@ impl DbInner {
     /// The one place a committed transaction becomes visible, for a
     /// local [`Database::commit`] and a follower's
     /// [`Database::poll_tail`] alike: group `rows` per table (insertion
-    /// order kept), publish each table's successor version, bump the
-    /// epoch, and — only when someone is listening, so the path stays
-    /// delta-free otherwise — publish the change-feed batch. Publication
-    /// is a pointer swap: pinned snapshots keep their segment lists.
+    /// order kept), publish each table's successor version and bump the
+    /// epoch. Publication is a pointer swap: pinned snapshots keep their
+    /// segment lists, and the rows move into their segments uncopied.
     /// Returns the rows applied (rows of tables this handle does not know
     /// are skipped, like recovery) and the rows tail coalescing re-copied.
     pub(crate) fn apply_committed(
@@ -817,16 +802,8 @@ impl DbInner {
         txn: u64,
         rows: Vec<(String, Vec<Value>)>,
     ) -> (usize, u64) {
-        let publishing = self.feed.live() > 0;
-        let mut deltas = Vec::with_capacity(if publishing { rows.len() } else { 0 });
         let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
         for (tname, row) in rows {
-            if publishing {
-                deltas.push(RowDelta {
-                    table: tname.clone(),
-                    row: row.clone(),
-                });
-            }
             match per_table.iter_mut().find(|(t, _)| *t == tname) {
                 Some((_, rows)) => rows.push(row),
                 None => per_table.push((tname, vec![row])),
@@ -845,14 +822,6 @@ impl DbInner {
         self.rows_coalesced += coalesced;
         self.epoch += 1;
         self.last_committed_txn = txn;
-        if publishing {
-            self.feed.publish(CommitBatch {
-                epoch: self.epoch,
-                txn,
-                span: 1,
-                deltas: Arc::new(deltas),
-            });
-        }
         (applied, coalesced)
     }
 
@@ -880,7 +849,6 @@ impl DbInner {
             compactions: self.compactions,
             rows_dropped: self.rows_dropped,
             rows_coalesced: self.rows_coalesced,
-            subscribers: self.feed.live(),
         }
     }
 }
@@ -989,119 +957,34 @@ mod tests {
         assert_eq!(s.segments, 1);
         assert!(s.wal_offset_bytes > 0);
         assert_eq!(s.checkpoints, 0);
-        assert_eq!(s.subscribers, 0);
     }
 
     #[test]
-    fn feed_delivers_committed_batches_only() {
+    fn since_returns_committed_rows_only() {
         let db = Database::in_memory(tiny_schema());
-        let sub = db.subscribe();
-        assert_eq!(sub.since_epoch(), 0);
         db.insert("t", vec!["a".into(), 1.into()]).unwrap();
-        assert!(sub.poll().is_empty(), "staged rows must not leak");
+        let (staged, next) = db.pin().since("t", 0).unwrap();
+        assert_eq!((staged.n_rows(), next), (0, 0), "staged rows must not leak");
         db.insert("t", vec!["b".into(), 2.into()]).unwrap();
         db.commit().unwrap();
-        let batches = sub.poll();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].epoch, 1);
-        let deltas = &batches[0].deltas;
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].table, "t");
-        assert_eq!(deltas[0].row[0], Value::from("a"));
-        assert_eq!(deltas[1].row[0], Value::from("b"));
-        assert!(sub.poll().is_empty());
+        let (rows, next) = db.pin().since("t", 0).unwrap();
+        assert_eq!(next, 2);
+        assert_eq!(rows.column_names(), vec!["k", "v"]);
+        assert_eq!(rows.get(0, "k"), Some(&Value::from("a")));
+        assert_eq!(rows.get(1, "k"), Some(&Value::from("b")));
+        let (rest, again) = db.pin().since("t", next).unwrap();
+        assert_eq!((rest.n_rows(), again), (0, 2));
     }
 
     #[test]
-    fn feed_skips_rolled_back_rows() {
+    fn since_skips_rolled_back_rows() {
         let db = Database::in_memory(tiny_schema());
-        let sub = db.subscribe();
         db.insert("t", vec!["gone".into(), 1.into()]).unwrap();
         db.rollback();
         db.insert("t", vec!["kept".into(), 2.into()]).unwrap();
         db.commit().unwrap();
-        let batches = sub.poll();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].deltas.len(), 1);
-        assert_eq!(batches[0].deltas[0].row[0], Value::from("kept"));
-    }
-
-    #[test]
-    fn feed_subscriber_lifecycle_in_stats() {
-        let db = Database::in_memory(tiny_schema());
-        let sub1 = db.subscribe();
-        let sub2 = db.subscribe();
-        assert_eq!(db.stats().subscribers, 2);
-        drop(sub2);
-        assert_eq!(db.stats().subscribers, 1);
-        db.insert("t", vec!["a".into(), 1.into()]).unwrap();
-        db.commit().unwrap();
-        assert_eq!(sub1.pending(), 1);
-    }
-
-    #[test]
-    fn feed_queue_is_bounded_for_slow_consumers() {
-        use crate::feed::MAX_PENDING_BATCHES;
-        let db = Database::in_memory(tiny_schema());
-        let sub = db.subscribe();
-        for i in 0..(MAX_PENDING_BATCHES + 50) {
-            db.insert("t", vec![format!("k{i}").into(), (i as i64).into()])
-                .unwrap();
-            db.commit().unwrap();
-        }
-        assert_eq!(sub.pending(), MAX_PENDING_BATCHES);
-        let batches = sub.poll();
-        // The overflow was absorbed by coalescing, not shedding: some
-        // batches widened (span > 1), every delta survives, and the
-        // epochs stay contiguous end to end.
-        assert_eq!(batches[0].first_epoch(), 1);
-        assert!(batches.iter().any(|b| b.span > 1), "pairs were merged");
-        assert_eq!(
-            batches.last().unwrap().epoch,
-            (MAX_PENDING_BATCHES + 50) as u64
-        );
-        let total: usize = batches.iter().map(|b| b.deltas.len()).sum();
-        assert_eq!(total, MAX_PENDING_BATCHES + 50, "no delta was lost");
-        for w in batches.windows(2) {
-            assert_eq!(w[1].first_epoch(), w[0].epoch + 1, "no epoch gap");
-        }
-    }
-
-    #[test]
-    fn sustained_overload_sheds_only_past_the_delta_bound() {
-        // Regression for the rebuild-storm: coalescing absorbs sustained
-        // overload gap-free until the queue's hard delta bound, and only
-        // then sheds — a slow subscriber rebuilds at most once per drain
-        // instead of once per overflowing commit.
-        use crate::feed::{MAX_PENDING_BATCHES, MAX_PENDING_DELTAS};
-        let rows_per_commit = 32usize;
-        let commits = MAX_PENDING_DELTAS / rows_per_commit + 200;
-        let db = Database::in_memory(tiny_schema());
-        let sub = db.subscribe();
-        for i in 0..commits {
-            for j in 0..rows_per_commit {
-                db.insert(
-                    "t",
-                    vec![format!("k{i}").into(), ((i * 64 + j) as i64).into()],
-                )
-                .unwrap();
-            }
-            db.commit().unwrap();
-        }
-        assert!(sub.pending() <= MAX_PENDING_BATCHES);
-        let batches = sub.poll();
-        let retained: usize = batches.iter().map(|b| b.deltas.len()).sum();
-        assert!(
-            retained <= MAX_PENDING_DELTAS + rows_per_commit,
-            "queue memory stays bounded ({retained} deltas retained)"
-        );
-        // At most one discontinuity: everything after the first surviving
-        // batch is contiguous, so one rebuild catches the consumer up.
-        let gaps = batches
-            .windows(2)
-            .filter(|w| w[1].first_epoch() != w[0].epoch + 1)
-            .count();
-        assert_eq!(gaps, 0, "shedding only ever trims the queue's front");
-        assert_eq!(batches.last().unwrap().epoch, commits as u64);
+        let (rows, next) = db.pin().since("t", 0).unwrap();
+        assert_eq!((rows.n_rows(), next), (1, 1));
+        assert_eq!(rows.get(0, "k"), Some(&Value::from("kept")));
     }
 }

@@ -52,8 +52,8 @@
 //!   of cold sealed segments and drops rows superseded under a table's
 //!   declared [`schema::LatestWins`] policy, so scans touch only live
 //!   data — published by the same pointer swap commits use, invisible to
-//!   pinned snapshots and the change feed (see the [`segment`] module
-//!   docs on the seal → coalesce → compact → checkpoint lifecycle); the
+//!   pinned snapshots, every kept row keeping its rid (see the [`segment`]
+//!   module docs on the seal → coalesce → compact → checkpoint lifecycle); the
 //!   same fold is the one latest-wins read, [`Snapshot::latest_wins`];
 //! * secondary hash indexes (per sealed segment) and a [`query::Query`]
 //!   layer with predicate pushdown plus seal-time zone maps (per-segment
@@ -62,7 +62,9 @@
 //!   bounded-heap **streaming top-K** instead of a full sort, surfaced
 //!   as [`query::OrderPath`] in the explain output;
 //! * materialisation into `flor-df` [`flor_df::DataFrame`]s, feeding the
-//!   pivoted `flor.dataframe` view.
+//!   pivoted `flor.dataframe` view — including [`Snapshot::since`], the
+//!   rows at or past a rid watermark, which is how a maintained view
+//!   catches up with the commits it has not seen.
 //!
 //! ```
 //! use flor_store::{Database, Query, schema::flor_schema};
@@ -83,7 +85,6 @@ pub mod codec;
 pub(crate) mod column;
 pub mod compact;
 pub mod db;
-pub mod feed;
 pub(crate) mod metrics;
 pub mod query;
 pub mod recovery;
@@ -95,7 +96,6 @@ pub mod wal;
 pub use checkpoint::SidecarMark;
 pub use compact::{CompactionPolicy, CompactionStats, CompactionTrigger};
 pub use db::{CheckpointStats, Database, DbStats, StoreError, StoreResult};
-pub use feed::{CommitBatch, RowDelta, Subscription};
 pub use flor_obs::{MetricsRegistry, MetricsSnapshot};
 pub use query::{AccessPath, CmpOp, OrderPath, Predicate, Query, QueryExplain};
 pub use recovery::{RecoveryInfo, TailProgress};

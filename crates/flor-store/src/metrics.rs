@@ -6,11 +6,11 @@
 //! load) before touching an `Instant`. See the `flor-obs` crate docs for
 //! the full metric-name registry.
 
-use flor_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use flor_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
-/// Pre-bound store metric handles, shared by the database handle, every
-/// pinned snapshot (for query accounting), and the feed publisher.
+/// Pre-bound store metric handles, shared by the database handle and
+/// every pinned snapshot (for query accounting).
 #[derive(Debug)]
 pub(crate) struct StoreMetrics {
     pub registry: MetricsRegistry,
@@ -66,26 +66,4 @@ impl StoreMetrics {
         self.query_rows_examined.add(ex.rows_examined as u64);
         self.query_rows_returned.add(ex.rows_returned as u64);
     }
-
-    /// The feed publisher's handle bundle.
-    pub fn feed(&self) -> FeedMetrics {
-        FeedMetrics {
-            registry: self.registry.clone(),
-            coalesced: self.registry.counter("store.feed.coalesced"),
-            shed: self.registry.counter("store.feed.shed"),
-            depth: self.registry.gauge("store.feed.depth"),
-        }
-    }
-}
-
-/// Change-feed backpressure handles, owned by the publisher.
-#[derive(Debug, Clone)]
-pub(crate) struct FeedMetrics {
-    pub registry: MetricsRegistry,
-    /// `store.feed.coalesced` — queued batch pairs merged.
-    pub coalesced: Arc<Counter>,
-    /// `store.feed.shed` — batches dropped at the memory bound.
-    pub shed: Arc<Counter>,
-    /// `store.feed.depth` — deepest subscriber queue after last publish.
-    pub depth: Arc<Gauge>,
 }

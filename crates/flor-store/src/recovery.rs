@@ -21,8 +21,8 @@
 //! follower holds on to the fold, because inserts it has read may commit
 //! in a later poll. [`Database::poll_tail`] then feeds that fold one
 //! chunk at a time and applies each yielded transaction through the same
-//! `DbInner::apply_committed` a local [`Database::commit`] uses, so the
-//! change feed sees one batch per commit on leader and follower alike.
+//! `DbInner::apply_committed` a local [`Database::commit`] uses, so a
+//! follower's rows get the rids — commit positions — the writer's have.
 
 use crate::checkpoint::{self, CheckpointData, SidecarMark};
 use crate::codec::WalRecord;
@@ -221,8 +221,8 @@ pub(crate) fn follower_bootstrap(
 impl Database {
     /// One follower poll: read the writer's log from the saved byte
     /// cursor and apply every newly committed transaction — sealing
-    /// segments, bumping the epoch, and publishing change-feed batches
-    /// exactly like a local [`Database::commit`] would. Staged inserts
+    /// segments and bumping the epoch exactly like a local
+    /// [`Database::commit`] would. Staged inserts
     /// whose commit marker has not arrived yet are carried to the next
     /// poll (visibility stays commit-gated, same as recovery).
     ///

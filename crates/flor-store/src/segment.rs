@@ -32,8 +32,9 @@
 //! emits its selection in ascending rid. So a reader cannot tell a
 //! clustered table from an unclustered one, a checkpoint + reopen hands
 //! the rows their commit positions back as fresh rids, and the `logs`
-//! fetch behind a from-scratch pivot sees rows in exactly the order the
-//! change feed delivered them to the incremental view.
+//! fetch behind a from-scratch pivot sees rows in exactly the order an
+//! incremental view reads them in as it catches up
+//! ([`crate::Snapshot::since`]).
 //!
 //! # Segment lifecycle: seal → coalesce → compact/cluster → checkpoint
 //!
@@ -59,8 +60,8 @@
 //!    successor table version is published by the same pointer swap a
 //!    commit uses: snapshots pinned before the compaction keep re-reading
 //!    their original segments, byte-identically, forever. Compaction
-//!    never bumps the epoch and publishes nothing to the change feed —
-//!    it is invisible to every fold-respecting reader. For tables with a
+//!    never bumps the epoch and never renumbers a row — it is invisible
+//!    to every fold-respecting reader. For tables with a
 //!    declared [`crate::schema::ClusterBy`] column (`logs` clusters by
 //!    `tstamp`), rewritten runs are **sorted** by that column (ties keep
 //!    insertion order), so the output chunks' zone maps are disjoint and
@@ -133,6 +134,10 @@ pub(crate) struct Segment {
     /// compacted segments where dropped rows left holes in the rid space
     /// or clustering reordered rows.
     pub rids: Option<Vec<usize>>,
+    /// One past the largest rid here (`start` when empty): a read of the
+    /// rows at or past some rid skips every segment whose `rid_end` does
+    /// not reach it without looking at a row.
+    pub rid_end: usize,
     /// column name → value → local row offsets (ascending). Built once
     /// at seal time.
     pub indexes: HashMap<String, HashMap<Value, Vec<u32>>>,
@@ -223,11 +228,16 @@ impl Segment {
             .as_ref()
             .and_then(|c| schema.col_index(&c.column))
             .filter(|&ci| len > 0 && cols[ci].is_non_decreasing());
+        let rid_end = match &rids {
+            Some(rids) => rids.iter().max().map_or(start, |&max| max + 1),
+            None => start + len,
+        };
         Segment {
             start,
             len,
             cols,
             rids,
+            rid_end,
             indexes,
             zones,
             sorted_by,
@@ -449,21 +459,36 @@ impl TableVersion {
         (self.materialise(&[(seg, all)], cols), rids)
     }
 
-    /// Every row — the all-ones selection a full scan and a checkpoint
-    /// hand to [`TableVersion::materialise`].
+    /// Every row — what a full scan and a checkpoint read.
     pub fn scan(&self) -> DataFrame {
-        let all: Vec<(&Segment, column::Bitmap)> = self
+        self.since(0)
+    }
+
+    /// The rows whose rid is at least `rid`, every schema column, in
+    /// commit order. Segments whose rids end below `rid` are skipped by
+    /// their `rid_end` alone; a visited segment selects the positions at
+    /// or past `rid` (by offset when its rids are contiguous, through
+    /// its rid map otherwise), so only those rows materialise.
+    pub fn since(&self, rid: usize) -> DataFrame {
+        let parts: Vec<(&Segment, column::Bitmap)> = self
             .segments
             .iter()
+            .filter(|s| s.rid_end > rid)
             .map(|s| {
-                (
-                    s.as_ref(),
-                    column::Bitmap::ones_in_range(s.len(), 0, s.len()),
-                )
+                let from = rid.saturating_sub(s.start).min(s.len());
+                let sel = match &s.rids {
+                    None => column::Bitmap::ones_in_range(s.len(), from, s.len()),
+                    Some(rids) => {
+                        let mut sel = column::Bitmap::ones_in_range(s.len(), 0, s.len());
+                        sel.retain(|local| rids[local] >= rid);
+                        sel
+                    }
+                };
+                (s.as_ref(), sel)
             })
             .collect();
         let cols: Vec<usize> = (0..self.schema.columns.len()).collect();
-        self.materialise(&all, &cols)
+        self.materialise(&parts, &cols)
     }
 
     /// Whether `col` carries a secondary index.

@@ -71,6 +71,21 @@ impl Snapshot {
         Ok(self.table(table)?.scan())
     }
 
+    /// The committed rows of `table` whose rid is at least `rid` — every
+    /// schema column, in commit order — and the table's next rid: the
+    /// watermark to pass next time. Only segments whose rids reach `rid`
+    /// are visited, and only their rows at or past it materialise, so
+    /// reading what a few commits added costs what they added. Passing
+    /// back each returned watermark reads every committed row once, on
+    /// any handle: a row's rid is its commit position for life, through
+    /// compaction, checkpoint and a follower's rebootstrap alike — as
+    /// long as the table declares no [`crate::schema::LatestWins`]
+    /// policy, whose compactions drop rows.
+    pub fn since(&self, table: &str, rid: usize) -> StoreResult<(DataFrame, usize)> {
+        let t = self.table(table)?;
+        Ok((t.since(rid), t.next_rid))
+    }
+
     /// `table` folded by its declared [`crate::schema::LatestWins`]
     /// policy: one row per key — the winner (max `ord`, ties to the
     /// oldest row; without `ord`, the newest row), each empty carry

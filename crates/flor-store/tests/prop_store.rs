@@ -1,11 +1,10 @@
 //! Property tests: WAL codec round-trips, crash-prefix recovery,
-//! index/scan equivalence, and the change feed's slow-consumer path.
+//! index/scan equivalence, and catching up by rid watermark.
 
 use flor_df::Value;
 use flor_store::codec::{decode_row, encode_record, encode_row, Cursor, WalRecord};
-use flor_store::feed::MAX_PENDING_BATCHES;
 use flor_store::wal::{read_frames, Folded, StreamEnd, TxnFold};
-use flor_store::{ColType, ColumnDef, Database, Query, TableSchema};
+use flor_store::{ColType, ColumnDef, CompactionPolicy, Database, Query, TableSchema};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -284,132 +283,82 @@ proptest! {
     }
 }
 
-/// A feed consumer maintaining a mirror of table `t`, with the documented
-/// slow-consumer discipline: apply batches whose first commit is the
-/// mirror's next epoch (coalesced batches span several commits but stay
-/// contiguous); on an epoch gap (the feed shed batches we never polled),
-/// rebuild from an epoch-stamped snapshot and continue. Returns how many
-/// rebuilds a drain performed.
-fn drain_into_mirror(
-    db: &Database,
-    sub: &flor_store::Subscription,
-    mirror: &mut Vec<Vec<Value>>,
-    epoch: &mut u64,
-) -> usize {
-    let mut rebuilds = 0usize;
-    for batch in sub.poll() {
-        if batch.epoch <= *epoch {
-            continue; // already covered by a snapshot rebuild
-        }
-        if batch.first_epoch() != *epoch + 1 {
+/// One step of a writer driving table `t(v, c)`, clustered by `c`.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Stage a row with cluster key `c`.
+    Insert(i64),
+    Commit,
+    Rollback,
+    /// Compact into segments of at most this many rows (clustered: each
+    /// rewrite sorts by `c`, permuting rids across segments).
+    Compact(usize),
+    /// Pin, catch the mirror up and compare it with the scan.
+    Pin,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (0i64..20).prop_map(Op::Insert),
+        3 => Just(Op::Commit),
+        1 => Just(Op::Rollback),
+        1 => (1usize..8).prop_map(Op::Compact),
+        2 => Just(Op::Pin),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A reader that pins now and then and appends `since(watermark)` to
+    /// a mirror, passing back each returned watermark, holds exactly the
+    /// pinned scan: every committed row once, in commit order — across
+    /// clustered compactions that move rows it has not read yet into
+    /// rid-mapped segments ahead of rows it has — and never a staged or
+    /// rolled-back row.
+    #[test]
+    fn since_chunks_concatenate_to_the_scan(ops in proptest::collection::vec(arb_op(), 0..60)) {
+        let db = Database::in_memory(vec![TableSchema::new(
+            "t",
+            vec![ColumnDef::new("v", ColType::Int), ColumnDef::new("c", ColType::Int)],
+        )
+        .with_cluster_by("c")]);
+        let (mut mirror, mut watermark) = (Vec::new(), 0usize);
+        let (mut staged, mut committed) = (Vec::new(), Vec::new());
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Insert(c) => {
+                    db.insert("t", vec![(i as i64).into(), c.into()]).unwrap();
+                    staged.push(Value::Int(i as i64));
+                }
+                Op::Commit => {
+                    db.commit().unwrap();
+                    committed.append(&mut staged);
+                }
+                Op::Rollback => {
+                    db.rollback();
+                    staged.clear();
+                }
+                Op::Compact(rows) => {
+                    let policy = CompactionPolicy {
+                        target_segment_rows: rows,
+                        ..CompactionPolicy::default()
+                    };
+                    db.compact_with(&policy).unwrap();
+                }
+                Op::Pin => {}
+            }
+            if i + 1 < ops.len() && !matches!(op, Op::Pin) {
+                continue;
+            }
             let snap = db.pin();
-            *mirror = snap.scan("t").expect("snapshot").to_rows();
-            *epoch = snap.epoch();
-            rebuilds += 1;
-            continue;
+            let (chunk, next) = snap.since("t", watermark).unwrap();
+            prop_assert!(next >= watermark);
+            mirror.extend(chunk.to_rows());
+            watermark = next;
+            prop_assert_eq!(&mirror, &snap.scan("t").unwrap().to_rows(), "after {:?}", op);
+            let values: Vec<Value> = mirror.iter().map(|row| row[0].clone()).collect();
+            prop_assert_eq!(&values, &committed);
         }
-        for delta in batch.deltas.iter() {
-            if delta.table == "t" {
-                mirror.push(delta.row.clone());
-            }
-        }
-        *epoch = batch.epoch;
-    }
-    rebuilds
-}
-
-proptest! {
-    // Each case drives > MAX_PENDING_BATCHES commits; a handful of cases
-    // exercises the coalesce/shed paths without dominating the suite.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Slow-consumer path under batch-count overflow: the queue coalesces
-    /// adjacent batches instead of shedding, so the consumer catches up
-    /// by pure delta application — zero rebuilds, mirror identical to the
-    /// scan oracle throughout (the regression test for the PR 1..4
-    /// rebuild-storm behaviour, where every overflow shed a batch).
-    #[test]
-    fn slow_consumer_coalesced_overflow_needs_no_rebuild(
-        warmup in 0usize..5,
-        overflow_extra in 1usize..40,
-        tail in 1usize..15,
-    ) {
-        let db = Database::in_memory(vec![TableSchema::new(
-            "t",
-            vec![ColumnDef::new("v", ColType::Int)],
-        )]);
-        let sub = db.subscribe();
-        let mut mirror: Vec<Vec<Value>> = Vec::new();
-        let mut epoch = 0u64;
-        let commit = |i: i64| {
-            db.insert("t", vec![i.into()]).unwrap();
-            db.commit().unwrap();
-        };
-        // Phase 1: the consumer keeps up — contiguous deltas, no rebuild.
-        for i in 0..warmup {
-            commit(i as i64);
-            prop_assert_eq!(drain_into_mirror(&db, &sub, &mut mirror, &mut epoch), 0);
-        }
-        prop_assert_eq!(&mirror, &db.scan("t").unwrap().to_rows());
-        // Phase 2: the consumer stalls while commits overflow its queue.
-        for i in 0..(MAX_PENDING_BATCHES + overflow_extra) {
-            commit(1000 + i as i64);
-        }
-        prop_assert_eq!(sub.pending(), MAX_PENDING_BATCHES, "queue stays bounded");
-        // Phase 3: the drain applies coalesced batches — no gap at all.
-        prop_assert_eq!(drain_into_mirror(&db, &sub, &mut mirror, &mut epoch), 0);
-        prop_assert_eq!(&mirror, &db.scan("t").unwrap().to_rows());
-        prop_assert_eq!(epoch, db.epoch());
-        // Phase 4: later commits keep applying as plain deltas.
-        for i in 0..tail {
-            commit(-(i as i64) - 1);
-            prop_assert_eq!(drain_into_mirror(&db, &sub, &mut mirror, &mut epoch), 0);
-        }
-        prop_assert_eq!(&mirror, &db.scan("t").unwrap().to_rows());
-    }
-}
-
-proptest! {
-    // Each case drives > MAX_PENDING_DELTAS rows; keep the case count low.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Slow-consumer path past the queue's hard memory bound: oldest
-    /// batches are shed, the consumer observes one epoch gap, rebuilds
-    /// exactly once from a snapshot, and keeps applying deltas after.
-    #[test]
-    fn slow_consumer_past_delta_bound_rebuilds_once(
-        rows_per_commit in 17usize..33,
-        overflow_extra in 1usize..20,
-        tail in 1usize..10,
-    ) {
-        use flor_store::feed::MAX_PENDING_DELTAS;
-        let db = Database::in_memory(vec![TableSchema::new(
-            "t",
-            vec![ColumnDef::new("v", ColType::Int)],
-        )]);
-        let sub = db.subscribe();
-        let mut mirror: Vec<Vec<Value>> = Vec::new();
-        let mut epoch = 0u64;
-        let mut next = 0i64;
-        let commits = MAX_PENDING_DELTAS / rows_per_commit + overflow_extra;
-        for _ in 0..commits {
-            for _ in 0..rows_per_commit {
-                db.insert("t", vec![next.into()]).unwrap();
-                next += 1;
-            }
-            db.commit().unwrap();
-        }
-        prop_assert!(sub.pending() <= MAX_PENDING_BATCHES);
-        // The drain detects the single front gap and rebuilds once.
-        prop_assert_eq!(drain_into_mirror(&db, &sub, &mut mirror, &mut epoch), 1);
-        prop_assert_eq!(&mirror, &db.scan("t").unwrap().to_rows());
-        prop_assert_eq!(epoch, db.epoch());
-        for _ in 0..tail {
-            db.insert("t", vec![next.into()]).unwrap();
-            next += 1;
-            db.commit().unwrap();
-            prop_assert_eq!(drain_into_mirror(&db, &sub, &mut mirror, &mut epoch), 0);
-        }
-        prop_assert_eq!(&mirror, &db.scan("t").unwrap().to_rows());
     }
 }

@@ -1,25 +1,30 @@
-//! The view catalog: named materialized views, refreshed from the change
-//! feed, bounded by an LRU, with transparent full-rebuild fallback.
+//! The view catalog: named materialized views, caught up from the
+//! snapshot, bounded by an LRU, with transparent full-rebuild fallback.
 //!
-//! One catalog owns one change-feed [`Subscription`] on its database.
-//! Every access first drains pending commit batches and applies them to
-//! *all* cached views (each view skips batches at or below its own
-//! epoch), then serves the requested view — building it from an
-//! epoch-stamped consistent snapshot on a miss. If a delta cannot be
-//! applied (epoch gap, malformed row, a value name colliding with an
-//! index column), the view is rebuilt from scratch instead of serving
-//! wrong data; the event is counted in
+//! Every access pins one snapshot. Every cached view reflects one
+//! earlier snapshot, whose epoch and `loops` / `logs` rid watermarks the
+//! catalog keeps once. When the epochs differ, the rows committed since
+//! are read once from the new snapshot
+//! ([`flor_store::Snapshot::since`]) and applied to *all* cached views —
+//! `loops` before `logs` — and the watermarks advance; a miss is built at
+//! the same snapshot. This is exact because `logs` and `loops` declare
+//! no latest-wins policy, so no row is ever dropped, and a row's rid is
+//! its commit position on every handle, a follower's rebootstrap
+//! included. If a value name collides with an index column
+//! ([`DfError::DuplicateColumn`]) the view is rebuilt from scratch
+//! instead of serving wrong data; the event is counted in
 //! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
 //! dropped, and the next plan that needs it gets the build's error.
 
-use crate::delta::{DeltaError, LatestState, PivotState};
+use crate::delta::{LatestState, PivotState};
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfError};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
-use flor_store::{Database, Predicate, StoreError, StoreResult, Subscription};
+use flor_store::{Database, Predicate, Snapshot, StoreError, StoreResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Pre-bound handles into the database's metrics registry (shared with
 /// the store and the jobs runner, so the kernel snapshots all three at
@@ -31,14 +36,14 @@ struct ViewMetrics {
     /// `view.build_nanos` — full builds from a snapshot (miss or
     /// fallback rebuild).
     build_nanos: Arc<Histogram>,
-    /// `view.refresh_nanos` — one incremental drain-and-apply pass over
-    /// the cached views (only recorded when batches were pending).
+    /// `view.refresh_nanos` — one catch-up of the cached views: pin,
+    /// read and apply (only recorded when commits had landed).
     refresh_nanos: Arc<Histogram>,
     /// `view.hits` — requests served from a cached view.
     hits: Arc<Counter>,
     /// `view.misses` — requests that built a new view.
     misses: Arc<Counter>,
-    /// `view.rebuilds` — fallback full rebuilds after a rejected delta.
+    /// `view.rebuilds` — fallback full rebuilds after a rejected row.
     rebuilds: Arc<Counter>,
 }
 
@@ -110,18 +115,27 @@ impl ViewKey {
 /// Counters describing catalog behaviour; cheap to snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CatalogStats {
-    /// Requests served from a cached view (possibly after applying deltas).
+    /// Requests served from a cached view (possibly after catching up).
     pub hits: u64,
     /// Requests that built a new view from a snapshot.
     pub misses: u64,
-    /// Views rebuilt because a delta could not be applied.
+    /// Views rebuilt because a row could not be applied.
     pub fallback_rebuilds: u64,
     /// Views evicted by the LRU bound.
     pub evictions: u64,
-    /// Commit batches drained from the feed.
+    /// Commits the cached views caught up over.
     pub batches_applied: u64,
-    /// Individual row deltas applied across all views.
+    /// `logs` and `loops` rows read to catch the cached views up.
     pub deltas_applied: u64,
+}
+
+/// The snapshot every cached view reflects: its epoch, and the next
+/// `loops` and `logs` rids — where the rows it has not seen start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Watermark {
+    epoch: u64,
+    loops: usize,
+    logs: usize,
 }
 
 struct CachedView {
@@ -134,17 +148,15 @@ struct CachedView {
 }
 
 struct CatalogInner {
-    /// Created on first access, not at catalog construction: a kernel
-    /// that never queries views shouldn't make commits queue deltas.
-    sub: Option<Subscription>,
     views: HashMap<ViewKey, CachedView>,
+    at: Watermark,
     clock: u64,
     stats: CatalogStats,
 }
 
 /// A bounded cache of incrementally maintained views over one database.
 ///
-/// Cloning shares the same catalog (and its single feed subscription).
+/// Cloning shares the same catalog (and its one watermark).
 #[derive(Clone)]
 pub struct ViewCatalog {
     db: Database,
@@ -162,8 +174,8 @@ impl ViewCatalog {
             capacity: capacity.max(1),
             metrics,
             inner: Arc::new(Mutex::new(CatalogInner {
-                sub: None,
                 views: HashMap::new(),
+                at: Watermark::default(),
                 clock: 0,
                 stats: CatalogStats::default(),
             })),
@@ -174,9 +186,9 @@ impl ViewCatalog {
     /// every incremental dataframe read. The plan's maintained part
     /// (projection, pushdown predicates, and `latest` group when no
     /// residual filter precedes it) is served from the catalog as an
-    /// incrementally maintained view, up to date with every commit; the
-    /// rest runs as a post-pass over that frame. Plans with no post-pass
-    /// share the maintained snapshot allocation (`Arc` clone — cheap when
+    /// incrementally maintained view, caught up to a snapshot pinned by
+    /// this call; the rest runs as a post-pass over that frame. Plans
+    /// with no post-pass share the maintained snapshot allocation (`Arc` clone — cheap when
     /// nothing changed since the last call). A `latest` group column
     /// missing from the pivoted frame errors like the from-scratch path.
     pub fn plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
@@ -184,8 +196,8 @@ impl ViewCatalog {
         let key = ViewKey::from_split(plan, pushdown, residual.is_empty());
         let base = {
             let mut g = self.inner.lock();
-            self.drain_and_apply(&mut g);
-            self.ensure_view(&mut g, &key)?;
+            let snap = self.catch_up(&mut g)?;
+            self.ensure_view(&mut g, &key, &snap)?;
             if key.group.is_some() {
                 self.materialize_latest(&mut g, &key)?
             } else {
@@ -261,91 +273,97 @@ impl ViewCatalog {
         self.inner.lock().stats.clone()
     }
 
-    /// Drain the feed and bring every cached view up to date, falling back
-    /// to a rebuild for any view that rejects a delta and dropping one
-    /// whose rebuild fails.
-    fn drain_and_apply(&self, g: &mut CatalogInner) {
-        let Some(sub) = &g.sub else {
-            // First access ever: start listening. Views built later this
-            // access snapshot at an epoch >= the subscription's, so
-            // nothing is missed.
-            g.sub = Some(self.db.subscribe());
-            return;
+    /// Pin one snapshot and bring every cached view to it: read the
+    /// `loops` and `logs` rows past the watermarks once, apply them to
+    /// each view, and advance the watermarks. A view that rejects a row
+    /// falls back to a rebuild at the same snapshot and is dropped if the
+    /// rebuild fails. With no view cached there is nothing to read: the
+    /// watermarks jump. Returns the snapshot, for building misses at it.
+    fn catch_up(&self, g: &mut CatalogInner) -> StoreResult<Snapshot> {
+        let started = self.metrics.registry.enabled().then(Instant::now);
+        let snap = self.db.pin();
+        let from = g.at;
+        if snap.epoch() == from.epoch {
+            return Ok(snap);
+        }
+        if g.views.is_empty() {
+            // A read from past every row returns only the watermark.
+            g.at = Watermark {
+                epoch: snap.epoch(),
+                loops: snap.since("loops", usize::MAX)?.1,
+                logs: snap.since("logs", usize::MAX)?.1,
+            };
+            return Ok(snap);
+        }
+        let (loops, next_loops) = snap.since("loops", from.loops)?;
+        let (logs, next_logs) = snap.since("logs", from.logs)?;
+        g.at = Watermark {
+            epoch: snap.epoch(),
+            loops: next_loops,
+            logs: next_logs,
         };
-        let batches = sub.poll();
-        if batches.is_empty() {
-            return;
-        }
-        // Time the whole incremental pass (every cached view, all pending
-        // batches) — the counterpart of `view.build_nanos` for full
-        // builds.
-        let _refresh = Span::enter(&self.metrics.registry, &self.metrics.refresh_nanos);
-        g.stats.batches_applied += batches.len() as u64;
-        for batch in &batches {
-            g.stats.deltas_applied += PivotState::relevant_deltas(batch) as u64;
-        }
+        g.stats.batches_applied += snap.epoch().saturating_sub(from.epoch);
+        g.stats.deltas_applied += (loops.n_rows() + logs.n_rows()) as u64;
         let keys: Vec<ViewKey> = g.views.keys().cloned().collect();
         for key in keys {
-            let mut failed: Option<DeltaError> = None;
-            {
-                // audit: allow(panic) — keys were cloned from this map under
-                // the same lock hold; nothing removes entries in between.
-                let view = g.views.get_mut(&key).expect("key from live map");
-                for batch in &batches {
-                    // A batch can widen the pivot's schema without
-                    // materializing any row (a pushdown-excluded row
-                    // discovering a new loop dimension), so the cached
-                    // latest output is stale whenever rows changed *or*
-                    // columns appeared.
-                    let cols_before = view.pivot.frame().n_cols();
-                    match view.pivot.apply(batch) {
-                        Ok(changed) => {
-                            if !changed.is_empty() || view.pivot.frame().n_cols() != cols_before {
-                                view.latest_frame = None;
-                                if let Some(latest) = &mut view.latest {
-                                    let frame = view.pivot.frame();
-                                    latest.observe(&frame, &changed);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
+            // audit: allow(panic) — keys were cloned from this map under
+            // the same lock hold; only `rebuild` removes an entry, and
+            // only the one it is handed.
+            let view = g.views.get_mut(&key).expect("key from live map");
+            // Rows can widen the pivot's schema without materializing
+            // any row (a pushdown-excluded row discovering a new loop
+            // dimension), so the cached latest output is stale whenever
+            // rows changed *or* columns appeared.
+            let cols_before = view.pivot.frame().n_cols();
+            match view.pivot.apply(&loops, &logs) {
+                Ok(changed) => {
+                    if !changed.is_empty() || view.pivot.frame().n_cols() != cols_before {
+                        view.latest_frame = None;
+                        if let Some(latest) = &mut view.latest {
+                            latest.observe(&view.pivot.frame(), &changed);
                         }
                     }
                 }
+                Err(_) => self.rebuild(g, key, &snap),
             }
-            if failed.is_some() {
-                // Transparent fallback: rebuild from a fresh snapshot. A
-                // view that cannot be rebuilt (a value name now collides
-                // with an index column) is dropped, so the next plan that
-                // needs it builds it and gets the error.
-                g.stats.fallback_rebuilds += 1;
-                if self.metrics.registry.enabled() {
-                    self.metrics.rebuilds.inc();
-                    self.metrics.registry.event_at(
-                        flor_obs::Level::Warn,
-                        "view.rebuild",
-                        key.fingerprint(),
-                    );
-                }
-                let last_used = g.views.remove(&key).map_or(0, |v| v.last_used);
-                if let Ok(rebuilt) = self.build(&key) {
-                    g.views.insert(
-                        key,
-                        CachedView {
-                            last_used,
-                            ..rebuilt
-                        },
-                    );
-                }
-            }
+        }
+        if let Some(started) = started {
+            self.metrics
+                .refresh_nanos
+                .record_duration(started.elapsed());
+        }
+        Ok(snap)
+    }
+
+    /// Transparent fallback for a view that rejected a row: rebuild it
+    /// from `snap`. A view that cannot be rebuilt (a value name now
+    /// collides with an index column) is dropped, so the next plan that
+    /// needs it builds it and gets the error.
+    fn rebuild(&self, g: &mut CatalogInner, key: ViewKey, snap: &Snapshot) {
+        g.stats.fallback_rebuilds += 1;
+        if self.metrics.registry.enabled() {
+            self.metrics.rebuilds.inc();
+            self.metrics.registry.event_at(
+                flor_obs::Level::Warn,
+                "view.rebuild",
+                key.fingerprint(),
+            );
+        }
+        let last_used = g.views.remove(&key).map_or(0, |v| v.last_used);
+        if let Ok(rebuilt) = self.build(&key, snap) {
+            g.views.insert(
+                key,
+                CachedView {
+                    last_used,
+                    ..rebuilt
+                },
+            );
         }
     }
 
     /// Serve `key` from cache or build it; touches the LRU clock and
     /// enforces the capacity bound.
-    fn ensure_view(&self, g: &mut CatalogInner, key: &ViewKey) -> StoreResult<()> {
+    fn ensure_view(&self, g: &mut CatalogInner, key: &ViewKey, snap: &Snapshot) -> StoreResult<()> {
         g.clock += 1;
         let clock = g.clock;
         if let Some(view) = g.views.get_mut(key) {
@@ -360,7 +378,7 @@ impl ViewCatalog {
         if self.metrics.registry.enabled() {
             self.metrics.misses.inc();
         }
-        let mut built = self.build(key)?;
+        let mut built = self.build(key, snap)?;
         built.last_used = clock;
         g.views.insert(key.clone(), built);
         while g.views.len() > self.capacity {
@@ -379,10 +397,8 @@ impl ViewCatalog {
         Ok(())
     }
 
-    /// Build a view from an epoch-stamped consistent snapshot. The feed
-    /// subscription predates every snapshot, so any commit not covered by
-    /// the snapshot is still queued and will be applied as a delta (and
-    /// batches the snapshot already covers are skipped by epoch).
+    /// Build a view at `snap`, the snapshot every cached view was just
+    /// caught up to, so the catalog's one watermark holds for it too.
     ///
     /// The build is the snapshot pivot `Flor::execute_at` runs, over the
     /// plan of the key's names and pushdown predicates
@@ -390,9 +406,9 @@ impl ViewCatalog {
     /// pushdown admits, and the loop contexts and the schema pass come
     /// from the snapshot's per-segment summaries, shared with every other
     /// view and query rather than read and resolved again per build.
-    fn build(&self, key: &ViewKey) -> StoreResult<CachedView> {
+    fn build(&self, key: &ViewKey, snap: &Snapshot) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
-        let pivot = PivotState::at(&self.db.pin(), &key.names, &key.pushdown)?;
+        let pivot = PivotState::at(snap, &key.names, &key.pushdown)?;
         // Latest views always carry upsert state; whether it is *used*
         // (vs. recomputing from the frame) is decided per materialization,
         // based on the pivot's actual index columns.
@@ -752,63 +768,69 @@ mod tests {
         assert_eq!(latest.get(0, "f1_value"), Some(&Value::Str("b".into())));
     }
 
-    #[test]
-    fn overflowed_subscriber_applies_coalesced_batches_without_rebuild() {
-        // A view left unqueried past the feed's batch-count bound now
-        // receives *coalesced* batches (wider span, same deltas, no
-        // gap) — it catches up by delta application, not by rebuilding.
-        use flor_store::feed::MAX_PENDING_BATCHES;
-        let db = Database::in_memory(flor_schema());
-        let catalog = ViewCatalog::new(db.clone(), 4);
-        db.insert("logs", log_row(0, "x", "0")).unwrap();
-        db.commit().unwrap();
-        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        let n = MAX_PENDING_BATCHES + 10;
-        for ts in 1..=(n as i64) {
-            db.insert("logs", log_row(ts, "x", &ts.to_string()))
-                .unwrap();
-            db.commit().unwrap();
-        }
-        let view = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        assert_eq!(view.n_rows(), n + 1);
-        let stats = catalog.stats();
-        assert_eq!(stats.fallback_rebuilds, 0, "coalescing leaves no gap");
+    /// The snapshot executor's answer to `plan` at `db`'s current state.
+    fn full(db: &Database, plan: &QueryPlan) -> DataFrame {
+        let off = &mut flor_obs::ActiveTrace::new(false, None, "");
+        crate::execute_at(&db.pin(), plan, off).unwrap().0
     }
 
     #[test]
-    fn subscriber_past_delta_bound_falls_back_to_one_rebuild() {
-        // Past the feed's hard memory bound the oldest batches are shed;
-        // on the next query the view must detect the gap, rebuild once,
-        // and still serve the right answer.
-        use flor_store::feed::MAX_PENDING_DELTAS;
+    fn an_idle_view_catches_up_over_any_backlog_without_a_rebuild() {
+        // 19,200 rows over 300 commits land while the view sits idle:
+        // one read catches it up, with no rebuild.
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
+        let plan = QueryPlan::new(&["x"]);
         db.insert("logs", log_row(0, "x", "0")).unwrap();
         db.commit().unwrap();
-        catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        let per_commit = 64usize;
-        let commits = MAX_PENDING_DELTAS / per_commit + 20;
-        let mut ts = 0i64;
-        for _ in 0..commits {
-            for _ in 0..per_commit {
-                ts += 1;
+        catalog.plan(&plan).unwrap();
+        let (commits, per_commit) = (300u64, 64i64);
+        for c in 0..commits as i64 {
+            for r in 1..=per_commit {
+                let ts = c * per_commit + r;
                 db.insert("logs", log_row(ts, "x", &ts.to_string()))
                     .unwrap();
             }
             db.commit().unwrap();
         }
-        let view = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        assert_eq!(view.n_rows(), ts as usize + 1);
+        let view = catalog.plan(&plan).unwrap();
+        assert_eq!(view.n_rows(), (commits * per_commit as u64) as usize + 1);
+        assert_eq!(*view, full(&db, &plan));
         let stats = catalog.stats();
-        assert_eq!(stats.fallback_rebuilds, 1, "gap must trigger one rebuild");
-        // And the rebuilt view keeps applying deltas afterwards.
-        db.insert("logs", log_row(-1, "x", "tail")).unwrap();
+        assert_eq!(stats.fallback_rebuilds, 0);
+        assert_eq!(stats.batches_applied, commits);
+        assert_eq!(stats.deltas_applied, commits * per_commit as u64);
+    }
+
+    #[test]
+    fn backfilled_rows_compacted_into_older_segments_still_reach_the_view() {
+        // A backfill commits rows with old `tstamp`s after the view's
+        // watermark; a clustered compaction then sorts them into
+        // rid-mapped segments ahead of the rows they were committed after.
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 4);
+        let plan = QueryPlan::new(&["x", "y"]);
+        for ts in 10..40 {
+            db.insert("logs", log_row(ts, "x", &ts.to_string()))
+                .unwrap();
+            db.commit().unwrap();
+        }
+        catalog.plan(&plan).unwrap();
+        for ts in (1..30).step_by(3) {
+            db.insert("logs", log_row(ts, "y", &(-ts).to_string()))
+                .unwrap();
+        }
         db.commit().unwrap();
-        assert_eq!(
-            catalog.plan(&QueryPlan::new(&["x"])).unwrap().n_rows(),
-            ts as usize + 2
-        );
-        assert_eq!(catalog.stats().fallback_rebuilds, 1);
+        let policy = flor_store::CompactionPolicy {
+            target_segment_rows: 4,
+            ..Default::default()
+        };
+        db.compact_with(&policy).unwrap();
+        let view = catalog.plan(&plan).unwrap();
+        assert_eq!(*view, full(&db, &plan));
+        assert_eq!(view.n_rows(), 30 + 3, "ts 1, 4 and 7 are new rows");
+        let stats = catalog.stats();
+        assert_eq!((stats.misses, stats.fallback_rebuilds), (1, 0));
     }
 
     #[test]

@@ -1,97 +1,64 @@
-//! Maintained views: the pivot kept up to date under change-feed
-//! batches, and `latest` on top.
+//! Maintained views: the pivot kept up to date as commits land, and
+//! `latest` on top.
 //!
 //! A [`PivotState`] is one [`Pivot`] — the operator every answer comes
-//! from ([`crate::pivot`]) — plus a projection, the view's pushdown
-//! predicates and the epoch it reflects. It is built by the snapshot
-//! pivot ([`PivotState::at`], the code `Flor::execute_at` runs), then
-//! fed each commit's `logs` and `loops` rows ([`PivotState::apply`]).
-//! [`LatestState`] layers `flor.utils.latest` on top via a per-group-key
-//! max-timestamp upsert.
+//! from ([`crate::pivot`]) — plus a projection and the view's pushdown
+//! predicates. It is built by the snapshot pivot ([`PivotState::at`],
+//! the code `Flor::execute_at` runs), then handed the `loops` and `logs`
+//! rows later commits added ([`PivotState::apply`]), which the catalog
+//! reads from a fresh snapshot past its rid watermarks
+//! ([`flor_store::Snapshot::since`]). [`LatestState`] layers
+//! `flor.utils.latest` on top via a per-group-key max-timestamp upsert.
 //!
-//! The invariant, enforced by `tests/prop_pivot.rs` (a view fed a random
-//! stream in one batch or many, against a long-frame `DataFrame::pivot`
+//! The invariant, enforced by `tests/prop_pivot.rs` (a view caught up
+//! after one commit or many, against a long-frame `DataFrame::pivot`
 //! reference) and `tests/prop_view.rs` (kernel sessions, the view
 //! catalog and the snapshot pivot against the same reference): the frame
 //! is cell-for-cell the reference's — including column order, row order,
 //! and nulls. The operator's own unit tests live here too, beside the
-//! feed path that drives most of them.
+//! catch-up path that drives most of them.
 
 use crate::pivot::{pivot_at, text, LogRow, Pivot};
 use crate::plan::{QueryPlan, FIXED_COLS as FIXED};
-use flor_df::{DataFrame, DfError, DfResult, Value};
+use flor_df::{DataFrame, DfResult, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{CommitBatch, Predicate, RowDelta, Snapshot, StoreError, StoreResult};
+use flor_store::{Predicate, Snapshot, StoreError, StoreResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Why a delta batch could not be applied; the catalog reacts by falling
-/// back to a full rebuild of the view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaError {
-    /// Batches arrived out of order (a feed epoch was skipped).
-    EpochGap {
-        /// The view's current epoch.
-        have: u64,
-        /// The batch that arrived.
-        got: u64,
-    },
-    /// A delta row does not match the expected table schema.
-    Malformed(String),
-    /// The pivot refused a row: a value name that collides with an index
-    /// column ([`DfError::DuplicateColumn`]), which a rebuild reports too.
-    Df(DfError),
-}
-
-impl std::fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeltaError::EpochGap { have, got } => {
-                write!(f, "epoch gap: view at {have}, batch at {got}")
-            }
-            DeltaError::Malformed(m) => write!(f, "malformed delta: {m}"),
-            DeltaError::Df(e) => write!(f, "pivot: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeltaError {}
-
 /// The pivot of `logs ⋈ loops` projected onto a set of `value_name`s and
-/// maintained under change-feed batches: the pivot operator plus the
-/// projection, the view's pushdown predicates and the epoch it reflects.
+/// maintained as commits land: the pivot operator plus the projection
+/// and the view's pushdown predicates. It holds no epoch: whoever feeds
+/// it rows (the view catalog) keeps the watermark.
 #[derive(Debug, Clone)]
 pub struct PivotState {
     names: Vec<String>,
     /// Pushdown predicates over the fixed context columns: the build's
-    /// `logs` fetch joins them, and a fed row failing any of them is
+    /// `logs` fetch joins them, and an applied row failing any of them is
     /// skipped at the upsert. Excluded rows still take part in schema
-    /// discovery — the schema pass at the build, `Pivot::discover` for fed
-    /// rows — because the from-scratch oracle's column set and order are
-    /// determined by *all* matching-name rows, filtered or not. Fixed
-    /// columns are part of the row key, so an excluded log row can never
-    /// share a pivot row with an included one and last-write-wins stays
-    /// intact.
+    /// discovery — the schema pass at the build, `Pivot::discover` for
+    /// applied rows — because the from-scratch oracle's column set and
+    /// order are determined by *all* matching-name rows, filtered or not.
+    /// Fixed columns are part of the row key, so an excluded log row can
+    /// never share a pivot row with an included one and last-write-wins
+    /// stays intact.
     pushdown: Vec<Predicate>,
     pivot: Pivot,
-    epoch: u64,
 }
 
 impl PivotState {
-    /// Empty view at epoch `epoch` for the given projection, with
-    /// pushdown predicates over the fixed context columns (see the
-    /// `pushdown` field docs; `&[]` for an unfiltered view): the
-    /// maintained frame holds only rows satisfying every predicate. The
-    /// caller (the query planner's
+    /// Empty view for the given projection, with pushdown predicates
+    /// over the fixed context columns (see the `pushdown` field docs;
+    /// `&[]` for an unfiltered view): the maintained frame holds only
+    /// rows satisfying every predicate. The caller (the query planner's
     /// [`crate::QueryPlan::split_predicates`]) guarantees predicate
     /// columns are fixed context columns; a predicate over any other
     /// column conservatively matches nothing.
-    pub fn filtered(names: &[&str], pushdown: &[Predicate], epoch: u64) -> PivotState {
+    pub fn filtered(names: &[&str], pushdown: &[Predicate]) -> PivotState {
         PivotState {
             names: names.iter().map(|s| s.to_string()).collect(),
             pushdown: pushdown.to_vec(),
             pivot: Pivot::default(),
-            epoch,
         }
     }
 
@@ -122,7 +89,6 @@ impl PivotState {
             names: plan.names,
             pushdown: plan.predicates,
             pivot,
-            epoch: snap.epoch(),
         })
     }
 
@@ -137,54 +103,27 @@ impl PivotState {
         self.pivot.frame()
     }
 
-    /// Apply one commit batch. Returns the positions of rows added or
-    /// updated (deduplicated, ascending). Batches at or below the view's
-    /// epoch are skipped (already reflected by the snapshot the view was
-    /// built from); a skipped-ahead epoch is an [`DeltaError::EpochGap`].
-    pub fn apply(&mut self, batch: &CommitBatch) -> Result<Vec<usize>, DeltaError> {
-        if batch.epoch <= self.epoch {
-            return Ok(Vec::new());
-        }
-        // A coalesced batch spans `first_epoch()..=epoch`; it applies
-        // cleanly only when its first commit is the view's next one. A
-        // later first commit means batches were shed (an epoch gap); an
-        // earlier one would straddle the view's snapshot — also a rebuild.
-        if batch.first_epoch() != self.epoch + 1 {
-            return Err(DeltaError::EpochGap {
-                have: self.epoch,
-                got: batch.first_epoch(),
-            });
-        }
-        // Loop rows first: within a transaction a log row may reference a
-        // ctx minted earlier in the same transaction, and the full-rebuild
-        // oracle resolves chains against the complete loops table.
-        for delta in batch.deltas.iter() {
-            if delta.table == "loops" {
-                self.pivot.insert_loop(&delta.row)?;
-            }
-        }
+    /// Apply the `loops` and `logs` rows that commits after the view's
+    /// snapshot added, each frame in commit order with the tables'
+    /// columns. Returns the positions of rows added or updated
+    /// (deduplicated, ascending). Every `loops` row goes in before any
+    /// `logs` row: a log row may name a context minted later in the same
+    /// run of commits, and the from-scratch oracle resolves chains
+    /// against the whole `loops` table. A `logs` frame missing a column
+    /// is [`flor_df::DfError::UnknownColumn`]; a value name colliding
+    /// with an index column is [`flor_df::DfError::DuplicateColumn`], as
+    /// a rebuild reports too.
+    pub fn apply(&mut self, loops: &DataFrame, logs: &DataFrame) -> DfResult<Vec<usize>> {
+        self.pivot.insert_loops(loops);
         let mut changed = Vec::new();
-        for delta in batch.deltas.iter() {
-            if delta.table == "logs" {
-                let row = LogRow::from_slice(&delta.row)?;
-                if let Some(pos) = self.apply_log_row(row).map_err(DeltaError::Df)? {
-                    changed.push(pos);
-                }
+        for row in LogRow::all(logs)? {
+            if let Some(pos) = self.apply_log_row(row)? {
+                changed.push(pos);
             }
         }
-        self.epoch = batch.epoch;
         changed.sort_unstable();
         changed.dedup();
         Ok(changed)
-    }
-
-    /// Total deltas in `batch` this view would look at (logs + loops).
-    pub(crate) fn relevant_deltas(batch: &CommitBatch) -> usize {
-        batch
-            .deltas
-            .iter()
-            .filter(|d: &&RowDelta| d.table == "logs" || d.table == "loops")
-            .count()
     }
 
     /// One `logs` row: ignored unless the view projects its name;
@@ -275,6 +214,7 @@ impl LatestState {
 mod tests {
     use super::*;
     use crate::pivot::LoopContexts;
+    use flor_df::DfError;
     use flor_store::{flor_schema, Database};
 
     fn log_row(ts: i64, ctx: i64, name: &str, value: &str, tag: i64) -> Vec<Value> {
@@ -302,18 +242,57 @@ mod tests {
         ]
     }
 
+    /// Bring `view` from the rid watermarks `at` (`[loops, logs]`) up to
+    /// a fresh pin of `db`, as the catalog does; the changed positions.
+    fn catch_up(db: &Database, view: &mut PivotState, at: &mut [usize; 2]) -> Vec<usize> {
+        let snap = db.pin();
+        let (loops, next_loops) = snap.since("loops", at[0]).unwrap();
+        let (logs, next_logs) = snap.since("logs", at[1]).unwrap();
+        *at = [next_loops, next_logs];
+        view.apply(&loops, &logs).unwrap()
+    }
+
+    fn frame(cols: &[&str], rows: &[Vec<Value>]) -> DataFrame {
+        DataFrame::from_rows(cols.to_vec(), rows.to_vec()).unwrap()
+    }
+
+    fn logs(rows: &[Vec<Value>]) -> DataFrame {
+        let cols = [
+            "projid",
+            "tstamp",
+            "filename",
+            "ctx_id",
+            "value_name",
+            "value",
+            "value_type",
+        ];
+        frame(&cols, rows)
+    }
+
+    fn loops(rows: &[Vec<Value>]) -> DataFrame {
+        let cols = [
+            "projid",
+            "tstamp",
+            "filename",
+            "ctx_id",
+            "parent_ctx_id",
+            "loop_name",
+            "loop_iteration",
+            "iteration_value",
+        ];
+        frame(&cols, rows)
+    }
+
     #[test]
     fn pivot_state_builds_and_applies() {
         let db = Database::in_memory(flor_schema());
-        let sub = db.subscribe();
-        let mut view = PivotState::filtered(&["loss", "acc"], &[], 0);
+        let mut at = [0, 0];
+        let mut view = PivotState::filtered(&["loss", "acc"], &[]);
 
         db.insert("logs", log_row(1, 0, "loss", "0.5", 3)).unwrap();
         db.insert("logs", log_row(1, 0, "acc", "0.9", 3)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            view.apply(&batch).unwrap();
-        }
+        catch_up(&db, &mut view, &mut at);
         let f = view.frame();
         assert_eq!(
             f.column_names(),
@@ -325,10 +304,7 @@ mod tests {
         // Second commit: new tstamp row plus a re-log (upsert) is additive.
         db.insert("logs", log_row(2, 0, "loss", "0.25", 3)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            let changed = view.apply(&batch).unwrap();
-            assert_eq!(changed, vec![1]);
-        }
+        assert_eq!(catch_up(&db, &mut view, &mut at), vec![1]);
         let f = view.frame();
         assert_eq!(f.n_rows(), 2);
         assert_eq!(f.get(1, "acc"), Some(&Value::Null));
@@ -337,17 +313,14 @@ mod tests {
     #[test]
     fn new_dimension_discovery_mid_stream() {
         let db = Database::in_memory(flor_schema());
-        let sub = db.subscribe();
-        let mut view = PivotState::filtered(&["loss"], &[], 0);
+        let mut view = PivotState::filtered(&["loss"], &[]);
         db.insert("logs", log_row(1, 0, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
         db.insert("loops", loop_row(2, 7, 0, "epoch", 0, "0"))
             .unwrap();
         db.insert("logs", log_row(2, 7, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            view.apply(&batch).unwrap();
-        }
+        catch_up(&db, &mut view, &mut [0, 0]);
         let f = view.frame();
         assert_eq!(
             f.column_names(),
@@ -369,9 +342,7 @@ mod tests {
     fn filtered_state_skips_rows_but_discovers_columns() {
         use flor_store::CmpOp;
         let db = Database::in_memory(flor_schema());
-        let sub = db.subscribe();
-        let mut view =
-            PivotState::filtered(&["loss"], &[Predicate::new("tstamp", CmpOp::Gt, 1)], 0);
+        let mut view = PivotState::filtered(&["loss"], &[Predicate::new("tstamp", CmpOp::Gt, 1)]);
         // ts=1 fails the predicate but its loop dimension must still be
         // discovered (the oracle pivots all rows, then filters).
         db.insert("loops", loop_row(1, 5, 0, "epoch", 0, "0"))
@@ -379,10 +350,8 @@ mod tests {
         db.insert("logs", log_row(1, 5, "loss", "9", 2)).unwrap();
         db.insert("logs", log_row(2, 0, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            let changed = view.apply(&batch).unwrap();
-            assert_eq!(changed, vec![0], "only the ts=2 row materializes");
-        }
+        let changed = catch_up(&db, &mut view, &mut [0, 0]);
+        assert_eq!(changed, vec![0], "only the ts=2 row materializes");
         let f = view.frame();
         assert_eq!(
             f.column_names(),
@@ -402,48 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn epoch_gap_detected() {
-        let db = Database::in_memory(flor_schema());
-        let sub = db.subscribe();
-        let mut view = PivotState::filtered(&["x"], &[], 0);
-        db.insert("logs", log_row(1, 0, "x", "1", 2)).unwrap();
-        db.commit().unwrap();
-        db.insert("logs", log_row(2, 0, "x", "2", 2)).unwrap();
-        db.commit().unwrap();
-        let batches = sub.poll();
-        assert_eq!(batches.len(), 2);
-        // Skip the first batch: the view must refuse the second.
-        assert!(matches!(
-            view.apply(&batches[1]),
-            Err(DeltaError::EpochGap { have: 0, got: 2 })
-        ));
-        // And stale batches are ignored once the view catches up.
-        view.apply(&batches[0]).unwrap();
-        view.apply(&batches[1]).unwrap();
-        assert!(view.apply(&batches[0]).unwrap().is_empty());
-    }
-
-    #[test]
     fn loop_rows_reresolve_the_contexts_they_change() {
         // Context 5 sits in loop "inner" under context 9, not known yet.
         let mut pivot = Pivot::default();
         let write = |pivot: &mut Pivot, ts: i64| {
-            let row = log_row(ts, 5, "loss", &ts.to_string(), 2);
-            pivot.upsert(LogRow::from_slice(&row).unwrap()).unwrap();
+            let rows = logs(&[log_row(ts, 5, "loss", &ts.to_string(), 2)]);
+            for row in LogRow::all(&rows).unwrap() {
+                pivot.upsert(row).unwrap();
+            }
         };
-        pivot
-            .insert_loop(&loop_row(1, 5, 9, "inner", 0, "0"))
-            .unwrap();
+        pivot.insert_loops(&loops(&[loop_row(1, 5, 9, "inner", 0, "0")]));
         write(&mut pivot, 1);
         // The missing link arrives: later rows see the outer loop...
-        pivot
-            .insert_loop(&loop_row(1, 9, 0, "outer", 3, "3"))
-            .unwrap();
+        pivot.insert_loops(&loops(&[loop_row(1, 9, 0, "outer", 3, "3")]));
         write(&mut pivot, 2);
         // ...and a replaced context's new cells.
-        pivot
-            .insert_loop(&loop_row(1, 9, 0, "outer", 4, "4"))
-            .unwrap();
+        pivot.insert_loops(&loops(&[loop_row(1, 9, 0, "outer", 4, "4")]));
         write(&mut pivot, 3);
         let f = pivot.frame();
         let outer: Vec<_> = (0..3).map(|r| f.get(r, "outer_iteration")).collect();
@@ -457,8 +400,7 @@ mod tests {
         // The pushdown excludes every row, so each is only discovered.
         let pushdown = [Predicate::new("tstamp", CmpOp::Gt, 100)];
         let db = Database::in_memory(flor_schema());
-        let sub = db.subscribe();
-        let mut view = PivotState::filtered(&["loss"], &pushdown, 0);
+        let mut view = PivotState::filtered(&["loss"], &pushdown);
         // Context 7 ("inner") under 8 ("outer"); context 5 ("inner")
         // under 9, not known yet.
         for row in [
@@ -476,9 +418,7 @@ mod tests {
             .unwrap();
         db.insert("logs", log_row(2, 5, "loss", "3", 2)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            view.apply(&batch).unwrap();
-        }
+        catch_up(&db, &mut view, &mut [0, 0]);
         let built = PivotState::at(&db.pin(), &["loss".into()], &pushdown).unwrap();
         let columns = built.frame().column_names().join(",");
         assert!(columns.contains("top_iteration,top_value"), "{columns}");
@@ -521,16 +461,14 @@ mod tests {
             .unwrap();
         db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
-        let sub = db.subscribe();
         let mut view = PivotState::at(&db.pin(), &["loss".into()], &[]).unwrap();
-        // The feed redefines 9; a later row under 5 sees the new cells.
+        // A later commit redefines 9; a later row under 5 sees the new
+        // cells.
         db.insert("loops", loop_row(2, 9, 0, "outer", 4, "4"))
             .unwrap();
         db.insert("logs", log_row(2, 5, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
-        for batch in sub.poll() {
-            view.apply(&batch).unwrap();
-        }
+        catch_up(&db, &mut view, &mut [2, 1]);
         let frame = view.frame();
         assert_eq!(frame.get(0, "outer_iteration"), Some(&Value::Int(3)));
         assert_eq!(frame.get(1, "outer_iteration"), Some(&Value::Int(4)));
@@ -601,9 +539,12 @@ mod tests {
 
     #[test]
     fn malformed_rows_rejected() {
-        assert!(LogRow::from_slice(&["p".into()]).is_err());
-        let mut pivot = Pivot::new(LoopContexts::default());
-        assert!(pivot.insert_loop(&["p".into()]).is_err());
+        let short = frame(&["projid"], &[vec!["p".into()]]);
+        let missing =
+            |r: DfResult<()>| matches!(r, Err(DfError::UnknownColumn(c)) if c == "tstamp");
+        assert!(missing(LogRow::all(&short).map(|_| ())));
+        let mut view = PivotState::filtered(&["x"], &[]);
+        assert!(missing(view.apply(&loops(&[]), &short).map(|_| ())));
     }
 
     #[test]

@@ -16,17 +16,20 @@
 //!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
 //!   what `flor-serve` answers with.
 //! * `delta` (private) — [`PivotState`], the same operator maintained
-//!   under change-feed batches ([`flor_store::CommitBatch`]), projected
-//!   and filtered, built by the snapshot pivot; and incremental
+//!   as commits land — handed the `loops` and `logs` rows past a rid
+//!   watermark ([`flor_store::Snapshot::since`]) — projected and
+//!   filtered, built by the snapshot pivot; and incremental
 //!   `flor.utils.latest` via per-group-key max-timestamp upsert. Both
 //!   are **cell-for-cell identical** to a long-frame
 //!   [`flor_df::DataFrame::pivot`] reference (property-tested in
 //!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
 //! * `catalog` (private) — [`ViewCatalog`]: views keyed by the
 //!   maintained part of a plan (projection, pushdown predicates,
-//!   optional `latest` group), refreshed from the change feed, bounded by
-//!   an LRU, with a fallback rebuild whenever a delta cannot be applied.
-//!   [`ViewCatalog::plan`] is its only read entry point.
+//!   optional `latest` group), all caught up on each access to one
+//!   freshly pinned snapshot from one pair of rid watermarks, bounded by
+//!   an LRU, with a fallback rebuild when a row cannot be applied (a
+//!   value name colliding with an index column). [`ViewCatalog::plan`]
+//!   is its only read entry point.
 //! * [`plan`] — [`QueryPlan`], the canonical lazy-query plan behind
 //!   `Flor::query`: filters (reusing [`flor_store::Predicate`]), `latest`
 //!   dedup, ordering and limits, lowered below the pivot
@@ -34,9 +37,9 @@
 //!   as a post-pass.
 //!
 //! `flor-core` wires `Flor::dataframe` / `Flor::dataframe_latest`
-//! through a catalog, so repeated queries after new commits apply deltas
-//! instead of re-pivoting history, and `backfill` publishes recovered
-//! values through the same feed into live views.
+//! through a catalog, so repeated queries after new commits apply just
+//! the new rows instead of re-pivoting history, and the values a
+//! `backfill` commits reach live views the same way.
 //!
 //! ```
 //! use flor_store::{flor_schema, Database};
@@ -57,8 +60,8 @@
 //! let v1 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
 //! assert_eq!(v1.n_rows(), 1);
 //!
-//! // A new commit refreshes the view incrementally: one delta applied,
-//! // no re-pivot of history.
+//! // A new commit refreshes the view incrementally: its one row is read
+//! // and applied, no re-pivot of history.
 //! log(2, "loss", "0.25");
 //! db.commit().unwrap();
 //! let v2 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
@@ -74,6 +77,6 @@ mod pivot;
 pub mod plan;
 
 pub use catalog::{CatalogStats, ViewCatalog};
-pub use delta::{DeltaError, PivotState};
+pub use delta::PivotState;
 pub use pivot::{execute_at, PlanExplain};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

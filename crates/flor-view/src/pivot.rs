@@ -9,15 +9,15 @@
 //! one over a snapshot's rows under a plan, for two callers: [`execute_at`]
 //! (behind `Flor::execute_at`, so every `flor-serve` request) and the view
 //! catalog's cold build, which hands the result to a
-//! [`crate::PivotState`] that keeps it up to date under change-feed
-//! batches.
+//! [`crate::PivotState`] that keeps it up to date with the rows later
+//! commits add ([`flor_store::Snapshot::since`]).
 //!
 //! Nothing reads history whole per query. The loop contexts are a stack
 //! ([`LoopContexts`]): one context map per sealed `loops` segment, each
 //! context resolved once per segment when its chain lies there, made by
 //! the first reader of the segment and shared by `Arc` with every later
 //! snapshot and cached view ([`flor_store::Snapshot::summaries`]), plus
-//! the tail the change feed adds. The schema pass
+//! the tail a maintained view reads in as it catches up. The schema pass
 //! ([`Pivot::discover_all`]) is a merge, by smallest rid, of one summary
 //! per sealed `logs` segment — each value name's first rid and the first
 //! rid of each dimension signature it was logged under — since
@@ -33,9 +33,9 @@
 //! pivot writes only the rows they keep and the reduced frame still has
 //! the columns the pivot of every row would have. Rows stay in commit
 //! order throughout (the store's read-order contract,
-//! `flor_store::segment`), which is the order the change feed delivers
-//! deltas in: a maintained view and a snapshot pivot discover columns and
-//! rows in the same order.
+//! `flor_store::segment`), which is the order a maintained view reads
+//! later commits' rows in: a maintained view and a snapshot pivot
+//! discover columns and rows in the same order.
 //!
 //! The invariant, enforced by `tests/prop_pivot.rs` (the operator against
 //! a long-frame `DataFrame::pivot` reference, fed in one batch or many)
@@ -43,7 +43,6 @@
 //! snapshot pivot against the same reference): the frame is cell-for-cell
 //! the reference's — including column order, row order, and nulls.
 
-use crate::delta::DeltaError;
 use crate::plan::{BelowPivot, QueryPlan, FIXED_COLS as FIXED};
 use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
 use flor_obs::ActiveTrace;
@@ -262,7 +261,8 @@ impl SegmentContexts {
 /// The `loops` table as a `ctx_id` → context map: what turns a log row's
 /// `ctx_id` into its loop-dimension cells. A [`Pivot`] holds one — the
 /// per-segment contexts of a snapshot ([`LoopContexts::of`]), looked up
-/// newest first, plus a tail fed row by row from the change feed.
+/// newest first, plus a tail of the `loops` rows a maintained view reads
+/// in as it catches up ([`Pivot::insert_loops`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoopContexts {
     /// Each sealed segment's contexts, oldest first. No `ctx_id` is
@@ -314,15 +314,7 @@ impl LoopContexts {
     }
 
     /// Add (or replace) one context; whether it replaced one.
-    fn insert(
-        &mut self,
-        ctx_id: &Value,
-        parent: &Value,
-        loop_name: &Value,
-        iteration: &Value,
-        value: &Value,
-    ) -> bool {
-        let id = ctx_id.as_i64().unwrap_or(0);
+    fn insert(&mut self, id: i64, [parent, loop_name, iteration, value]: [&Value; 4]) -> bool {
         let sealed = self.sealed.iter().any(|s| s.get(id).is_some());
         if sealed {
             self.flatten();
@@ -381,8 +373,8 @@ impl LoopContexts {
     }
 }
 
-/// A `logs` row as the pivot reads it, borrowed from wherever it lives —
-/// a fetched frame's columns ([`LogRow::all`]) or a change-feed delta.
+/// A `logs` row as the pivot reads it, borrowed from a fetched frame's
+/// columns ([`LogRow::all`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LogRow<'a> {
     /// `projid`, `tstamp`, `filename`: the row key's fixed cells, in
@@ -401,7 +393,7 @@ pub(crate) struct LogRow<'a> {
 impl<'a> LogRow<'a> {
     /// Every row of a fetched `logs` frame, in order; a missing column is
     /// [`DfError::UnknownColumn`].
-    fn all(logs: &'a DataFrame) -> DfResult<impl Iterator<Item = LogRow<'a>>> {
+    pub(crate) fn all(logs: &'a DataFrame) -> DfResult<impl Iterator<Item = LogRow<'a>>> {
         let col = |name: &str| {
             logs.column(name)
                 .map(|c| c.values.as_slice())
@@ -417,23 +409,6 @@ impl<'a> LogRow<'a> {
             value: &value[at],
             value_type: &value_type[at],
         }))
-    }
-
-    /// A row in the `logs` schema's column order (a change-feed delta).
-    pub(crate) fn from_slice(row: &'a [Value]) -> Result<LogRow<'a>, DeltaError> {
-        match row {
-            [projid, tstamp, filename, ctx_id, value_name, value, value_type] => Ok(LogRow {
-                fixed: [projid, tstamp, filename],
-                ctx_id,
-                value_name,
-                value,
-                value_type,
-            }),
-            _ => Err(DeltaError::Malformed(format!(
-                "logs row has {} columns, expected 7",
-                row.len()
-            ))),
-        }
     }
 
     /// The row's cell in index column `col` under context `ctx`: a fixed
@@ -662,29 +637,23 @@ impl Pivot {
         Arc::unwrap_or_clone(self.frame)
     }
 
-    /// Add (or replace) one `loops` row, in the table's column order.
-    pub(crate) fn insert_loop(&mut self, row: &[Value]) -> Result<(), DeltaError> {
-        let [_, _, _, ctx_id, parent, loop_name, iteration, value] = row else {
-            return Err(DeltaError::Malformed(format!(
-                "loops row has {} columns, expected 8",
-                row.len()
-            )));
-        };
-        let replaced = self
-            .loops
-            .insert(ctx_id, parent, loop_name, iteration, value);
-        // A resolved chain may run through a replaced context, or stop
-        // short of a new one where a link was missing.
-        if replaced || self.truncated {
-            self.ctxs.clear();
-            self.truncated = false;
-            self.last = None;
+    /// Add (or replace) the contexts a frame of `loops` rows defines,
+    /// in order (columns looked up by name, as [`loop_rows`] reads them).
+    pub(crate) fn insert_loops(&mut self, loops: &DataFrame) {
+        for (id, link) in loop_rows(loops) {
+            let replaced = self.loops.insert(id, link);
+            // A resolved chain may run through a replaced context, or
+            // stop short of a new one where a link was missing.
+            if replaced || self.truncated {
+                self.ctxs.clear();
+                self.truncated = false;
+                self.last = None;
+            }
+            // The last row discovered may sit under a chain this row
+            // lengthens: `discover` resolves no context whose names it
+            // knows, so `truncated` need not have seen it.
+            self.discovered = None;
         }
-        // The last row discovered may sit under a chain this row
-        // lengthens: `discover` resolves no context whose names it knows,
-        // so `truncated` need not have seen it.
-        self.discovered = None;
-        Ok(())
     }
 
     /// The context of a row logged under `ctx_id`. The first sight of a

@@ -16,12 +16,12 @@
 //! per request and ends with the whole [`QueryPlan::post_pass`]. The
 //! view catalog ([`crate::ViewCatalog::plan`]) runs it once per view
 //! build, with only the view's pushdown predicates as the plan, then
-//! keeps the view current from the change feed and runs the rest of
-//! each request's plan as a post-pass. Where each step runs:
+//! keeps the view current with the rows later commits add and runs the
+//! rest of each request's plan as a post-pass. Where each step runs:
 //!
 //! | step | view catalog | snapshot executor |
 //! |---|---|---|
-//! | predicates on [`FIXED_COLS`] | maintained in the view: joined to the build's `logs` fetch, and fed rows failing them skipped at upsert ([`crate::PivotState`]) | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
+//! | predicates on [`FIXED_COLS`] | maintained in the view: joined to the build's `logs` fetch, and applied rows failing them skipped at upsert ([`crate::PivotState`]) | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
 //! | predicates on loop dimensions | post-pass | on each fetched row's resolved index key, before the pivot |
 //! | predicates on value columns | post-pass | post-pass |
 //! | `latest(group)` | maintained by a per-group max-`tstamp` upsert unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |

@@ -3,20 +3,19 @@
 //! — nested loops sharing a name, links to contexts that never exist,
 //! `Int(2)` / `Float(2.0)` keys, re-logged values, null and colliding
 //! value names, rows a pushdown predicate excludes — a [`PivotState`]
-//! fed every row in one commit batch and one fed the same stream in
-//! random commit batches both equal the reference pivot of every
-//! projected row, filtered after the fact. A name colliding with an
+//! caught up after one commit of every row and one caught up after each
+//! of the same stream's random commits both equal the reference pivot of
+//! every projected row, filtered after the fact. A name colliding with an
 //! index column fails all three. (The snapshot pivot that builds a view
 //! is checked against the same reference by `tests/prop_view.rs`.)
 
 mod reference;
 
 use flor_df::{DataFrame, DataType, DfError, Value};
-use flor_store::{CmpOp, CommitBatch, Predicate, RowDelta};
+use flor_store::{flor_schema, CmpOp, ColType, Database, Predicate};
 use flor_view::PivotState;
 use proptest::prelude::*;
 use reference::reference_pivot;
-use std::sync::Arc;
 
 const LOG_COLS: [&str; 7] = [
     "projid",
@@ -51,7 +50,7 @@ enum Event {
     Loop(usize, usize, i64, usize),
     /// A `logs` row: projid, tstamp, filename, context, name, value.
     Log(usize, usize, usize, usize, usize, usize),
-    /// End the current commit batch.
+    /// End the current commit.
     Cut,
 }
 
@@ -151,11 +150,12 @@ fn arb_pushdown() -> impl Strategy<Value = Predicate> {
     (col, op, literal).prop_map(|(c, o, v)| Predicate::new(c, o, v))
 }
 
-/// The stream's `logs` and `loops` rows and its commit batches.
+/// The stream's `logs` and `loops` rows and its commits, each a list of
+/// `(table, row)` in insertion order.
 struct Stream {
     logs: Vec<Vec<Value>>,
     loops: Vec<Vec<Value>>,
-    batches: Vec<Vec<RowDelta>>,
+    batches: Vec<Vec<(&'static str, Vec<Value>)>>,
 }
 
 fn stream(events: &[Event]) -> Stream {
@@ -208,10 +208,7 @@ fn stream(events: &[Event]) -> Stream {
             }
         };
         if let Some(batch) = out.batches.last_mut() {
-            batch.push(RowDelta {
-                table: table.to_string(),
-                row,
-            });
+            batch.push((table, row));
         }
     }
     out
@@ -237,23 +234,34 @@ fn expected(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFr
     Ok(df)
 }
 
-/// The stream's rows applied as the change-feed `batches`, one epoch
-/// each.
+/// The stream's rows committed to a database, one commit per batch,
+/// with a view caught up after each commit from the `loops` and `logs`
+/// rows past its rid watermarks. The tables' columns accept any type, so
+/// the generator's off-type cells (`Float` stamps, non-text values)
+/// reach the view as generated.
 fn fed(
     names: &[&str],
     pushdown: &[Predicate],
-    batches: &[Vec<RowDelta>],
+    batches: &[Vec<(&'static str, Vec<Value>)>],
 ) -> Result<DataFrame, String> {
-    let mut state = PivotState::filtered(names, pushdown, 0);
-    for (i, deltas) in batches.iter().enumerate() {
-        let epoch = i as u64 + 1;
-        let batch = CommitBatch {
-            epoch,
-            txn: epoch,
-            span: 1,
-            deltas: Arc::new(deltas.clone()),
-        };
-        state.apply(&batch).map_err(|e| e.to_string())?;
+    let mut schemas = flor_schema();
+    schemas.retain(|t| t.name == "logs" || t.name == "loops");
+    for column in schemas.iter_mut().flat_map(|t| &mut t.columns) {
+        column.ty = ColType::Any;
+    }
+    let db = Database::in_memory(schemas);
+    let mut state = PivotState::filtered(names, pushdown);
+    let (mut loops_at, mut logs_at) = (0, 0);
+    for rows in batches {
+        for (table, row) in rows {
+            db.insert(table, row.clone()).map_err(|e| e.to_string())?;
+        }
+        db.commit().map_err(|e| e.to_string())?;
+        let snap = db.pin();
+        let (loops, next_loops) = snap.since("loops", loops_at).map_err(|e| e.to_string())?;
+        let (logs, next_logs) = snap.since("logs", logs_at).map_err(|e| e.to_string())?;
+        (loops_at, logs_at) = (next_loops, next_logs);
+        state.apply(&loops, &logs).map_err(|e| e.to_string())?;
     }
     Ok((*state.frame()).clone())
 }

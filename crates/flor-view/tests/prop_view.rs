@@ -31,7 +31,7 @@ enum Op {
     LoopPush(usize, usize),
     /// Close the innermost loop context.
     LoopPop,
-    /// `flor.commit`: flush + publish to the change feed.
+    /// `flor.commit`: flush + make the rows visible.
     Commit,
     /// Discard the staged transaction.
     Rollback,
@@ -562,7 +562,7 @@ proptest! {
     }
 
     /// Hindsight backfill interleaved with live logging: recovered values
-    /// land in the already-materialized view through the change feed, and
+    /// land in the already-materialized view as it catches up, and
     /// the result still equals the oracle — and neither moves when store
     /// upkeep (clustered compaction, checkpoint + reopen) then rearranges
     /// the out-of-order rows the backfill appended.

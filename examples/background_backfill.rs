@@ -5,8 +5,8 @@
 //! — is a long-running batch computation, so FlorDB schedules it as a
 //! durable background job instead of blocking the process: per-version
 //! replay units run on a worker pool, each version's recovered values
-//! commit as soon as it finishes (live views refresh through the change
-//! feed mid-job), and a job interrupted by a crash is resumed from the
+//! commit as soon as it finishes (live views catch up with them
+//! mid-job), and a job interrupted by a crash is resumed from the
 //! `jobs` table on the next `Flor::open`.
 //!
 //! Run with `cargo run --example background_backfill`.

@@ -3,8 +3,9 @@
 //!
 //! A training loop keeps committing new metrics while a monitoring query
 //! re-reads `flor.dataframe` after every run. The first read builds the
-//! view; every later read applies just the freshly committed deltas — no
-//! re-join, no re-pivot of history. The catalog's counters prove it.
+//! view; every later read pins a snapshot, reads just the rows committed
+//! since the view's watermark and applies them — no re-join, no re-pivot
+//! of history. The catalog's counters prove it.
 //!
 //! Run with `cargo run --example incremental_views`.
 
@@ -36,7 +37,7 @@ fn main() {
     );
 
     // The monitoring loop: new commits keep landing, the dashboard keeps
-    // querying. Each refresh applies one commit's deltas.
+    // querying. Each refresh applies the one commit's new rows.
     let t = Instant::now();
     for run in 200..210 {
         flor.for_each("epoch", 0..10, |flor, &e| {
@@ -52,7 +53,7 @@ fn main() {
         println!("after run {run}: view has {} rows", view.n_rows());
     }
     println!(
-        "10 live update+query cycles in {:?} (delta refresh)",
+        "10 live update+query cycles in {:?} (incremental refresh)",
         t.elapsed()
     );
 
@@ -64,18 +65,18 @@ fn main() {
 
     let stats = flor.views.stats();
     println!(
-        "\ncatalog: {} build(s), {} cached read(s), {} commit batch(es) applied as deltas, \
+        "\ncatalog: {} build(s), {} cached read(s), {} commit(s) caught up over, \
          {} fallback rebuild(s)",
         stats.misses, stats.hits, stats.batches_applied, stats.fallback_rebuilds
     );
     // One build per view (the pivot and the `latest` view); every other
-    // read was served by a view brought up to date with deltas.
+    // read was served by a view caught up with the new rows.
     assert_eq!(stats.misses, 2, "each view is built once");
     assert_eq!(stats.hits, 10, "the monitoring reads reuse the view");
-    assert_eq!(stats.batches_applied, 10, "one delta batch per run");
+    assert_eq!(stats.batches_applied, 10, "one commit caught up per run");
     assert_eq!(
         stats.fallback_rebuilds, 0,
-        "no delta fell back to a rebuild"
+        "no catch-up fell back to a rebuild"
     );
 
     // The incremental frames are not approximations: they equal a full

@@ -44,7 +44,7 @@ fn main() {
     println!("{report}\n");
     assert_eq!(report.rows_returned, 10);
 
-    // Re-running the same plan is a view hit: no rebuild, no deltas.
+    // Re-running the same plan is a view hit: no rebuild, no new rows.
     let again = flor
         .query(&["loss", "acc"])
         .filter("acc", CmpOp::Gt, 0.8)
@@ -54,7 +54,7 @@ fn main() {
         .unwrap();
     assert!(again.view_hit);
     println!(
-        "re-run: view hit, {} feed batches applied, serve {}ns\n",
+        "re-run: view hit, {} commits caught up over, serve {}ns\n",
         again.batches_applied, again.serve_nanos
     );
 

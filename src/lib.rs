@@ -84,7 +84,7 @@
 //! [`core::Flor::submit_backfill`] returns a [`core::BackfillHandle`]
 //! (status, live progress, per-version outcomes streaming in, `wait`,
 //! durable `cancel`), recovered values land in live views version by
-//! version through the change feed, and a job interrupted by a crash is
+//! version as each commits, and a job interrupted by a crash is
 //! resumed automatically on the next [`core::Flor::open`]. The classic
 //! synchronous [`core::backfill`] is submit-then-wait over the same path.
 //! See `examples/background_backfill.rs` for the full workflow.
@@ -93,8 +93,8 @@
 //!
 //! Every layer records into one shared [`obs`] registry:
 //! [`core::Flor::metrics`] returns a consistent snapshot of commit/WAL/
-//! checkpoint/compaction latency histograms, zone-map prune ratios, feed
-//! queue depth and shed counts, job queue-wait vs run time, and view
+//! checkpoint/compaction latency histograms, zone-map prune ratios, job
+//! queue-wait vs run time, and view
 //! hit/miss/rebuild counters — renderable as text or JSON. Per query,
 //! `flor.query(..).explain()` executes the plan and returns a
 //! [`core::ExplainReport`]: access path, segments pruned, rows examined
@@ -154,7 +154,7 @@
 //!   into a named class, and classes form a single hierarchy (outermost
 //!   first): `kernel_state` → `jobs_ingest` → `jobs_runner` →
 //!   `view_catalog` → `git_repo` → `git_vfs` → `serve_buckets` →
-//!   `ckpt_serial` → `store_commit` → `feed_queue` → `obs`. A lock may only be acquired while holding locks that
+//!   `ckpt_serial` → `store_commit` → `obs`. A lock may only be acquired while holding locks that
 //!   precede it; the audit also rejects cycles in the *observed*
 //!   acquisition graph and any `.lock()`/`.read()`/`.write()` on a
 //!   receiver the manifest does not classify. Notably: checkpoints and
