@@ -1,18 +1,18 @@
-//! Experiment: lazy-query predicate pushdown vs. full pivot + post-filter.
+//! Experiment: the lazy query builder vs. full pivot + post-filter.
 //!
 //! The seed answered selective questions ("this run's metrics, best
 //! first") by materializing the *entire* pivoted history and filtering by
-//! hand. The `flor.query` builder lowers the same question onto an
-//! incrementally maintained view that holds only the qualifying rows
-//! (pushdown predicates enforced at delta-application time), plus a cheap
-//! post-pass. This bench measures both at a 10k-row log history with a
-//! ≤1% selectivity filter:
+//! hand. The `flor.query` builder serves the same question from the
+//! projection's incrementally maintained view — caught up with each
+//! commit's rows, never re-pivoted — plus a post-pass that filters,
+//! sorts and limits it. This bench measures both at a 10k-row log history
+//! with a ≤1% selectivity filter:
 //!
 //! * `full_pivot_post_filter` — `query(..).collect_full()`, then filter /
 //!   sort / limit on the full frame (the seed's only option).
 //! * `query_pushdown` — a live commit followed by `collect()`: deltas
-//!   land on the maintained filtered view, the post-pass touches only
-//!   the few qualifying rows.
+//!   land on the maintained view, the post-pass filters it down to the
+//!   few qualifying rows.
 //!
 //! The `speedup_report` section prints the headline ratio; the
 //! acceptance target is ≥5×.
@@ -24,7 +24,7 @@ use flor_df::Value;
 
 const NAMES: [&str; 3] = ["loss", "acc", "recall"];
 
-/// A kernel with `rows` log rows of history and a hot, filtered view,
+/// A kernel with `rows` log rows of history and a hot view of `NAMES`,
 /// plus the tstamp the selective query targets: a mid-history run's 10
 /// epochs — 10 of `rows / 3` pivot rows (~0.3% selectivity at the
 /// 10k-row history).

@@ -8,8 +8,8 @@
 //!   `logs`, `loops`, `ts2vid`, `git`, `obj_store` and `build_deps`
 //!   tables;
 //! * [`QueryBuilder`] — the lazy query surface behind [`Flor::query`]:
-//!   filters, `latest` dedup, ordering and limits, lowered onto
-//!   incrementally maintained views with predicate pushdown
+//!   filters, `latest` dedup, ordering and limits, lowered onto one
+//!   incrementally maintained view per projection plus a post-pass
 //!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
 //!   One snapshot pivot, owned by `flor-view`, has two callers:
 //!   [`Flor::run_plan`] (incremental: the view catalog builds each view

@@ -11,10 +11,10 @@
 //! One snapshot pivot, owned by `flor-view`, builds every frame, and it
 //! has two callers; both end with the plan's whole
 //! [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
-//! incrementally from the view catalog, which builds each view with the
-//! snapshot pivot, then maintains `projid` / `tstamp` / `filename`
-//! predicates and `latest` inside the view as it catches up with the
-//! rows later commits add.
+//! incrementally from the view catalog, which builds one view per
+//! projection with the snapshot pivot and catches it up with the rows
+//! later commits add; the plan's predicates run over that view in the
+//! post-pass, and a predicate-free `latest` is maintained beside it.
 //! [`Flor::execute_at`] runs the snapshot pivot per request
 //! ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
 //! [`Flor::run_plan_full`] are its one-line callers), pushing index
@@ -62,7 +62,7 @@
 use crate::kernel::Flor;
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{CmpOp, Predicate, Query, QueryExplain, StoreResult};
+use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
 use flor_view::{CatalogStats, PlanExplain, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,10 +92,9 @@ pub struct ExplainReport {
     /// probes into clustered segments (`clustered_probes` — `logs` is
     /// clustered by `tstamp`), and the order path (full sort vs
     /// streaming top-K) when the query sorts. Probed on a fresh
-    /// snapshot with the view build's fetch — [`QueryPlan::logs_fetch`]
-    /// joined with the plan's `projid` / `tstamp` / `filename`
-    /// predicates — so under concurrent commits the counts can trail
-    /// the serving snapshot's by the interleaved rows.
+    /// snapshot with the view build's fetch, [`QueryPlan::logs_fetch`],
+    /// so under concurrent commits the counts can trail the serving
+    /// snapshot's by the interleaved rows.
     pub store: QueryExplain,
     /// Whether the view catalog served the plan from an existing
     /// materialized view (after catching it up with any new commits).
@@ -104,7 +103,7 @@ pub struct ExplainReport {
     /// value name colliding with an index column; see `flor_view`).
     pub view_rebuilt: bool,
     /// Commits the cached views caught up over to serve the plan
-    /// (rendered as "feed batch(es)", one per commit).
+    /// (rendered as "caught up over N commit(s)").
     pub batches_applied: u64,
     /// Wall-clock nanoseconds serving the plan from the view catalog —
     /// refresh (or first build) plus the residual post-pass.
@@ -125,7 +124,7 @@ impl std::fmt::Display for ExplainReport {
         };
         writeln!(
             f,
-            "  view: {view}, {} feed batch(es) applied, serve {}ns",
+            "  view: {view}, caught up over {} commit(s), serve {}ns",
             self.batches_applied, self.serve_nanos
         )?;
         for line in self.store.to_string().lines() {
@@ -220,11 +219,7 @@ impl Flor {
         frame: Arc<DataFrame>,
     ) -> StoreResult<ExplainReport> {
         let after = self.views.stats();
-        let (pushdown, _) = plan.split_predicates();
-        let fetch = pushdown
-            .into_iter()
-            .fold(plan.logs_fetch(), Query::filter_pred);
-        let (_, store) = self.db.pin().explain(&fetch)?;
+        let (_, store) = self.db.pin().explain(&plan.logs_fetch())?;
         Ok(ExplainReport {
             store,
             view_hit: after.hits > before.hits,
@@ -282,10 +277,11 @@ impl Flor {
 impl<'a> QueryBuilder<'a> {
     /// Keep rows where `col op value` over the pivoted view's columns
     /// (fixed context columns, loop dimensions, or logged values).
-    /// Predicates over `projid`/`tstamp`/`filename` are maintained inside
-    /// the materialized view and, from scratch, join the store's `logs`
-    /// fetch; predicates over loop dimensions run on each fetched row's
-    /// key before the pivot; predicates over logged values run in the
+    /// Incrementally, every predicate runs in the post-pass over the
+    /// projection's maintained view. From scratch, predicates over
+    /// `projid`/`tstamp`/`filename` join the store's `logs` fetch,
+    /// predicates over loop dimensions run on each fetched row's key
+    /// before the pivot, and predicates over logged values run in the
     /// post-pass. A predicate naming an unknown column matches nothing.
     pub fn filter(mut self, col: &str, op: CmpOp, value: impl Into<Value>) -> Self {
         self.plan.predicates.push(Predicate::new(col, op, value));
@@ -334,7 +330,7 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Execute incrementally without copying: plans with no post-pass
-    /// (no residual filter, order or limit) share the maintained view's
+    /// (no filter, order or limit) share the maintained view's
     /// allocation — repeated calls with no intervening commits return
     /// the same `Arc`.
     pub fn collect_view(self) -> StoreResult<Arc<DataFrame>> {
@@ -421,47 +417,21 @@ mod tests {
     #[test]
     fn pushdown_views_refresh_incrementally() {
         let flor = seeded();
-        let q = || {
-            flor.query(&["loss"])
-                .filter("tstamp", CmpOp::Ge, 3)
-                .collect_view()
-        };
-        let first = q().unwrap();
+        let q = || flor.query(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
+        let first = q().collect_view().unwrap();
         assert_eq!(first.n_rows(), 6);
         let before = flor.views.stats();
         flor.log("loss", 0.123);
         flor.commit("live").unwrap();
-        let after = q().unwrap();
+        let after = q().collect_view().unwrap();
         assert_eq!(after.n_rows(), 7);
+        assert_eq!(*after, q().collect_full().unwrap());
+        // Only a plan with no post-pass shares the maintained snapshot;
+        // it is the same view.
+        let plain = || flor.query(&["loss"]).collect_view().unwrap();
+        assert!(Arc::ptr_eq(&plain(), &plain()));
         let stats = flor.views.stats();
         assert_eq!(stats.misses, before.misses, "delta applied, no rebuild");
-        // No post-pass → snapshot sharing.
-        assert!(Arc::ptr_eq(&after, &q().unwrap()));
-    }
-
-    #[test]
-    fn a_filtered_views_cold_build_reads_only_admitted_rows() {
-        let flor = seeded();
-        let plan = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
-        let returned = || {
-            let metrics = flor.metrics();
-            metrics.counter("store.query.rows_returned").unwrap_or(0)
-        };
-        let before = returned();
-        let view = flor.run_plan(&plan).unwrap();
-        // Runs 3 and 4 log `loss` once per epoch: 6 of the 12 rows.
-        assert_eq!(view.n_rows(), 6);
-        assert_eq!(returned() - before, 6, "the build read excluded rows");
-        assert_eq!(*view, flor.run_plan_full(&plan).unwrap());
-        let misses = flor.views.stats().misses;
-        flor.log("loss", 0.5);
-        flor.commit("live").unwrap();
-        assert_eq!(flor.run_plan(&plan).unwrap().n_rows(), 7);
-        assert_eq!(
-            flor.views.stats().misses,
-            misses,
-            "delta applied, no rebuild"
-        );
     }
 
     #[test]

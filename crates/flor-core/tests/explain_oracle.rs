@@ -89,7 +89,7 @@ fn explain_reflects_view_reuse_and_refresh() {
     let first = build().explain().unwrap();
     assert!(!first.view_hit);
 
-    // Unchanged data: served from cache, no feed batches to apply.
+    // Unchanged data: served from cache, no commits to catch up over.
     let second = build().explain().unwrap();
     assert!(second.view_hit, "second execution must reuse the view");
     assert!(!second.view_rebuilt);
@@ -153,7 +153,7 @@ fn slow_log_breach_and_explain_report_the_same_execution() {
     );
     let rendered = without_timings(&report.to_string());
     assert_eq!(without_timings(&captured.explain), rendered);
-    assert!(rendered.contains("view: hit, 0 feed batch(es) applied"));
+    assert!(rendered.contains("view: hit, caught up over 0 commit(s)"));
     assert!(rendered.contains(&format!(
         "rows: {} examined, {} matched, {} returned",
         report.store.rows_examined, report.store.rows_matched, report.store.rows_returned

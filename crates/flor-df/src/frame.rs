@@ -190,8 +190,8 @@ impl DataFrame {
 
     /// Insert a column at position `pos` (shifting later columns right);
     /// must match the row count unless the frame is empty. Incremental
-    /// view maintenance uses this to keep late-discovered dimension
-    /// columns in the same position a from-scratch pivot would put them.
+    /// view maintenance uses this to put dimension columns found late in
+    /// the position a from-scratch pivot would put them.
     pub fn insert_column(&mut self, pos: usize, col: Column) -> DfResult<()> {
         if !self.columns.is_empty() && col.len() != self.n_rows() {
             return Err(DfError::LengthMismatch {

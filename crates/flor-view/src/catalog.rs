@@ -1,5 +1,14 @@
-//! The view catalog: named materialized views, caught up from the
-//! snapshot, bounded by an LRU, with transparent full-rebuild fallback.
+//! The view catalog: one maintained pivot per projection, caught up
+//! from the snapshot, bounded by an LRU, with transparent full-rebuild
+//! fallback.
+//!
+//! A view is keyed by the projected names alone (in request order) and
+//! holds every projected row. Each plan's predicates, ordering and limit
+//! run over it as a post-pass ([`QueryPlan::post_pass`]), so plans that
+//! differ only there share one view. A plan with a `latest` group and no
+//! predicate is served from a per-group max-`tstamp` upsert kept on its
+//! projection's view; with a predicate, the dedup runs in the post-pass
+//! after the filter.
 //!
 //! Every access pins one snapshot. Every cached view reflects one
 //! earlier snapshot, whose epoch and `loops` / `logs` rid watermarks the
@@ -18,10 +27,11 @@
 
 use crate::delta::{LatestState, PivotState};
 use crate::plan::QueryPlan;
-use flor_df::{DataFrame, DfError};
+use flor_df::{DataFrame, DfError, DfResult};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
-use flor_store::{Database, Predicate, Snapshot, StoreError, StoreResult};
+use flor_store::{Database, Snapshot, StoreError, StoreResult};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,58 +70,6 @@ impl ViewMetrics {
     }
 }
 
-/// Identity of a materialized view: the fingerprint of the *maintained*
-/// part of a [`QueryPlan`] — the projected `value_name`s, the pushdown
-/// predicates enforced inside the view, and the `latest` group columns
-/// for deduplicated views. Two plans that differ only in their post-pass
-/// (residual predicates, ordering, limits) share one maintained view.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ViewKey {
-    /// Projected log names, in request order.
-    names: Vec<String>,
-    /// `Some(group)` for a `latest`-deduplicated view.
-    group: Option<Vec<String>>,
-    /// Pushdown predicates maintained inside the view, canonically
-    /// ordered so predicate call order does not split the cache.
-    pushdown: Vec<Predicate>,
-}
-
-impl ViewKey {
-    /// The maintained-part fingerprint of `plan`, whose predicates split
-    /// ([`QueryPlan::split_predicates`]) into `pushdown` and a residual
-    /// set that is empty when `no_residual`: its names, its pushdown
-    /// predicates (canonically sorted and deduplicated), and — only when
-    /// no residual predicate intervenes before the dedup — its `latest`
-    /// group. A residual filter must run *before* `latest`, so such plans
-    /// lower onto the underlying pivot view and dedup in the post-pass.
-    fn from_split(plan: &QueryPlan, mut pushdown: Vec<Predicate>, no_residual: bool) -> ViewKey {
-        pushdown.sort_by_key(|p| p.to_string());
-        pushdown.dedup();
-        ViewKey {
-            names: plan.names.clone(),
-            group: if no_residual {
-                plan.latest_group.clone()
-            } else {
-                None
-            },
-            pushdown,
-        }
-    }
-
-    /// Canonical one-line rendering, for the `view.rebuild` event.
-    fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut s = format!("pivot[{}]", self.names.join(","));
-        for p in &self.pushdown {
-            let _ = write!(s, " where {p}");
-        }
-        if let Some(group) = &self.group {
-            let _ = write!(s, " latest by [{}]", group.join(","));
-        }
-        s
-    }
-}
-
 /// Counters describing catalog behaviour; cheap to snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CatalogStats {
@@ -138,23 +96,89 @@ struct Watermark {
     logs: usize,
 }
 
+/// One `latest` group served from a view.
+struct Latest {
+    /// The per-key upsert state; `None` when a group column is a value
+    /// column, whose cells an upsert can rewrite — that group is
+    /// recomputed from the frame instead. A column's class is fixed from
+    /// the moment it exists, so this is decided once.
+    state: Option<LatestState>,
+    /// The deduplicated frame, dropped whenever the pivot moves.
+    frame: Option<Arc<DataFrame>>,
+}
+
 struct CachedView {
     pivot: PivotState,
-    /// Present for `latest` views; `None` means served straight from pivot.
-    latest: Option<LatestState>,
-    /// Materialized `latest` output, invalidated whenever the pivot moves.
-    latest_frame: Option<Arc<DataFrame>>,
+    /// The `latest` groups read from this view, by group columns.
+    latest: HashMap<Vec<String>, Latest>,
     last_used: u64,
 }
 
+impl CachedView {
+    /// Apply the rows past the catalog's watermarks (see
+    /// [`PivotState::apply`]), moving every `latest` group with them.
+    fn apply(&mut self, loops: &DataFrame, logs: &DataFrame) -> DfResult<()> {
+        let changed = self.pivot.apply(loops, logs)?;
+        if !changed.is_empty() {
+            let frame = self.pivot.frame();
+            for latest in self.latest.values_mut() {
+                latest.frame = None;
+                if let Some(state) = &mut latest.state {
+                    state.observe(&frame, &changed);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `latest`-per-`group` dedup of the view, cached until the
+    /// pivot moves. It matches the from-scratch path exactly: an empty
+    /// view skips the dedup and keeps its columns, and an unknown group
+    /// column errors.
+    fn latest(&mut self, group: &[String]) -> StoreResult<Arc<DataFrame>> {
+        let frame = self.pivot.frame();
+        if let Some(cached) = self.latest.get(group).and_then(|l| l.frame.clone()) {
+            return Ok(cached);
+        }
+        if frame.n_rows() == 0 {
+            return Ok(frame);
+        }
+        if let Some(missing) = group.iter().find(|g| frame.column(g).is_none()) {
+            return Err(StoreError::Df(DfError::UnknownColumn(missing.clone())));
+        }
+        let pivot = &self.pivot;
+        let latest = self.latest.entry(group.to_vec()).or_insert_with(|| {
+            // Index cells (fixed or loop dimension) are written once per
+            // row, so the per-key upsert stays sound for them.
+            let stable = group.iter().all(|g| pivot.is_index_col(g));
+            let state = stable.then(|| {
+                let mut state = LatestState::new(group);
+                state.observe(&frame, &(0..frame.n_rows()).collect::<Vec<_>>());
+                state
+            });
+            Latest { state, frame: None }
+        });
+        let out = match &latest.state {
+            Some(state) => Arc::new(frame.take(&state.surviving_rows())),
+            None => {
+                let gs: Vec<&str> = group.iter().map(String::as_str).collect();
+                Arc::new(frame.latest(&gs, "tstamp").map_err(StoreError::Df)?)
+            }
+        };
+        latest.frame = Some(Arc::clone(&out));
+        Ok(out)
+    }
+}
+
 struct CatalogInner {
-    views: HashMap<ViewKey, CachedView>,
+    views: HashMap<Vec<String>, CachedView>,
     at: Watermark,
     clock: u64,
     stats: CatalogStats,
 }
 
-/// A bounded cache of incrementally maintained views over one database.
+/// A bounded cache of incrementally maintained views over one database,
+/// one per projection.
 ///
 /// Cloning shares the same catalog (and its one watermark).
 #[derive(Clone)]
@@ -183,89 +207,38 @@ impl ViewCatalog {
     }
 
     /// Serve a [`QueryPlan`] — the catalog's single entry point, behind
-    /// every incremental dataframe read. The plan's maintained part
-    /// (projection, pushdown predicates, and `latest` group when no
-    /// residual filter precedes it) is served from the catalog as an
-    /// incrementally maintained view, caught up to a snapshot pinned by
-    /// this call; the rest runs as a post-pass over that frame. Plans
-    /// with no post-pass share the maintained snapshot allocation (`Arc` clone — cheap when
-    /// nothing changed since the last call). A `latest` group column
-    /// missing from the pivoted frame errors like the from-scratch path.
+    /// every incremental dataframe read. The plan's projection is served
+    /// from the catalog as an incrementally maintained view, caught up to
+    /// a snapshot pinned by this call — with the `latest` dedup when the
+    /// plan has a group and no predicate; the rest of the plan runs as a
+    /// post-pass over that frame. Plans with no post-pass share the
+    /// maintained snapshot allocation (`Arc` clone — cheap when nothing
+    /// changed since the last call). A `latest` group column missing from
+    /// the pivoted frame errors like the from-scratch path.
     pub fn plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
-        let (pushdown, residual) = plan.split_predicates();
-        let key = ViewKey::from_split(plan, pushdown, residual.is_empty());
+        // `latest` is maintained on the view only when no predicate must
+        // filter rows before it; otherwise it runs in the post-pass.
+        let maintained = plan
+            .latest_group
+            .as_ref()
+            .filter(|_| plan.predicates.is_empty());
         let base = {
             let mut g = self.inner.lock();
             let snap = self.catch_up(&mut g)?;
-            self.ensure_view(&mut g, &key, &snap)?;
-            if key.group.is_some() {
-                self.materialize_latest(&mut g, &key)?
-            } else {
-                // audit: allow(panic) — ensure_view inserted this key two
-                // lines up and the lock is still held.
-                g.views.get(&key).expect("just ensured").pivot.frame()
-            }
+            let view = self.view(&mut g, &plan.names, &snap)?;
+            let base = match maintained {
+                Some(group) => view.latest(group),
+                None => Ok(view.pivot.frame()),
+            };
+            self.evict(&mut g);
+            base?
         };
-        // `latest` runs in the post-pass only when a residual predicate
-        // must filter rows first (the maintained key then has no group).
-        let apply_latest = key.group.is_none() && plan.latest_group.is_some();
-        if plan.post_pass_is_identity(&residual, apply_latest) {
+        let apply_latest = maintained.is_none() && plan.latest_group.is_some();
+        if plan.post_pass_is_identity(&plan.predicates, apply_latest) {
             return Ok(base);
         }
-        plan.post_pass(&base, &residual, apply_latest).map(Arc::new)
-    }
-
-    /// Materialize the `latest` output of an already-ensured view, with
-    /// per-view caching (invalidated whenever the pivot moves).
-    fn materialize_latest(
-        &self,
-        g: &mut CatalogInner,
-        key: &ViewKey,
-    ) -> StoreResult<Arc<DataFrame>> {
-        // audit: allow(panic) — both callers run ensure_view first and
-        // only take this path when key.group is Some, under one lock hold.
-        let view = g.views.get_mut(key).expect("caller ensured the view");
-        // audit: allow(panic) — same caller contract as above
-        let group = key
-            .group
-            .as_ref()
-            .expect("caller checked the key is grouped");
-        if let Some(cached) = &view.latest_frame {
-            return Ok(Arc::clone(cached));
-        }
-        let frame = view.pivot.frame();
-        // Match the oracle's semantics exactly: an empty view skips the
-        // dedup and keeps its columns, unknown group columns error.
-        let out = if frame.n_rows() == 0 {
-            frame
-        } else {
-            for gcol in group {
-                if frame.column(gcol).is_none() {
-                    return Err(StoreError::Df(DfError::UnknownColumn(gcol.clone())));
-                }
-            }
-            // The per-key upsert state is only sound when every group
-            // column is an index column (fixed or loop dimension): those
-            // cells are written once per row. Grouping by a *value* column
-            // is legal but unstable — an upsert can rewrite the cell and
-            // silently move the row between groups — so recompute the
-            // filter from the maintained frame instead. Decided per
-            // materialization because dimensions are discovered lazily; a
-            // column's class is fixed from the moment it exists.
-            let stable = group.iter().all(|gcol| view.pivot.is_index_col(gcol));
-            match (&view.latest, stable) {
-                (Some(latest), true) => {
-                    let keep = latest.surviving_rows();
-                    Arc::new(frame.take(&keep))
-                }
-                _ => {
-                    let gs: Vec<&str> = group.iter().map(String::as_str).collect();
-                    Arc::new(frame.latest(&gs, "tstamp").map_err(StoreError::Df)?)
-                }
-            }
-        };
-        view.latest_frame = Some(Arc::clone(&out));
-        Ok(out)
+        plan.post_pass(&base, &plan.predicates, apply_latest)
+            .map(Arc::new)
     }
 
     /// Counter snapshot.
@@ -304,28 +277,13 @@ impl ViewCatalog {
         };
         g.stats.batches_applied += snap.epoch().saturating_sub(from.epoch);
         g.stats.deltas_applied += (loops.n_rows() + logs.n_rows()) as u64;
-        let keys: Vec<ViewKey> = g.views.keys().cloned().collect();
-        for key in keys {
-            // audit: allow(panic) — keys were cloned from this map under
-            // the same lock hold; only `rebuild` removes an entry, and
-            // only the one it is handed.
-            let view = g.views.get_mut(&key).expect("key from live map");
-            // Rows can widen the pivot's schema without materializing
-            // any row (a pushdown-excluded row discovering a new loop
-            // dimension), so the cached latest output is stale whenever
-            // rows changed *or* columns appeared.
-            let cols_before = view.pivot.frame().n_cols();
-            match view.pivot.apply(&loops, &logs) {
-                Ok(changed) => {
-                    if !changed.is_empty() || view.pivot.frame().n_cols() != cols_before {
-                        view.latest_frame = None;
-                        if let Some(latest) = &mut view.latest {
-                            latest.observe(&view.pivot.frame(), &changed);
-                        }
-                    }
-                }
-                Err(_) => self.rebuild(g, key, &snap),
-            }
+        let rejected: Vec<Vec<String>> = g
+            .views
+            .iter_mut()
+            .filter_map(|(names, view)| view.apply(&loops, &logs).err().map(|_| names.clone()))
+            .collect();
+        for names in rejected {
+            self.rebuild(g, names, &snap);
         }
         if let Some(started) = started {
             self.metrics
@@ -339,20 +297,20 @@ impl ViewCatalog {
     /// from `snap`. A view that cannot be rebuilt (a value name now
     /// collides with an index column) is dropped, so the next plan that
     /// needs it builds it and gets the error.
-    fn rebuild(&self, g: &mut CatalogInner, key: ViewKey, snap: &Snapshot) {
+    fn rebuild(&self, g: &mut CatalogInner, names: Vec<String>, snap: &Snapshot) {
         g.stats.fallback_rebuilds += 1;
         if self.metrics.registry.enabled() {
             self.metrics.rebuilds.inc();
             self.metrics.registry.event_at(
                 flor_obs::Level::Warn,
                 "view.rebuild",
-                key.fingerprint(),
+                format!("pivot[{}]", names.join(",")),
             );
         }
-        let last_used = g.views.remove(&key).map_or(0, |v| v.last_used);
-        if let Ok(rebuilt) = self.build(&key, snap) {
+        let last_used = g.views.remove(&names).map_or(0, |v| v.last_used);
+        if let Ok(rebuilt) = self.build(&names, snap) {
             g.views.insert(
-                key,
+                names,
                 CachedView {
                     last_used,
                     ..rebuilt
@@ -361,69 +319,66 @@ impl ViewCatalog {
         }
     }
 
-    /// Serve `key` from cache or build it; touches the LRU clock and
-    /// enforces the capacity bound.
-    fn ensure_view(&self, g: &mut CatalogInner, key: &ViewKey, snap: &Snapshot) -> StoreResult<()> {
+    /// The view of `names`, from cache or built at `snap`; touches the
+    /// LRU clock.
+    fn view<'g>(
+        &self,
+        g: &'g mut CatalogInner,
+        names: &[String],
+        snap: &Snapshot,
+    ) -> StoreResult<&'g mut CachedView> {
         g.clock += 1;
-        let clock = g.clock;
-        if let Some(view) = g.views.get_mut(key) {
-            view.last_used = clock;
-            g.stats.hits += 1;
-            if self.metrics.registry.enabled() {
-                self.metrics.hits.inc();
+        let view = match g.views.entry(names.to_vec()) {
+            Entry::Occupied(view) => {
+                g.stats.hits += 1;
+                if self.metrics.registry.enabled() {
+                    self.metrics.hits.inc();
+                }
+                view.into_mut()
             }
-            return Ok(());
-        }
-        g.stats.misses += 1;
-        if self.metrics.registry.enabled() {
-            self.metrics.misses.inc();
-        }
-        let mut built = self.build(key, snap)?;
-        built.last_used = clock;
-        g.views.insert(key.clone(), built);
+            Entry::Vacant(slot) => {
+                g.stats.misses += 1;
+                if self.metrics.registry.enabled() {
+                    self.metrics.misses.inc();
+                }
+                slot.insert(self.build(names, snap)?)
+            }
+        };
+        view.last_used = g.clock;
+        Ok(view)
+    }
+
+    /// Enforce the capacity bound, coldest first. The view just served
+    /// holds the newest clock, so it is never the one evicted.
+    fn evict(&self, g: &mut CatalogInner) {
         while g.views.len() > self.capacity {
-            let coldest = g
+            let Some(coldest) = g
                 .views
                 .iter()
-                .filter(|(k, _)| *k != key)
                 .min_by_key(|(_, v)| v.last_used)
-                .map(|(k, _)| k.clone())
-                // audit: allow(panic) — len > capacity >= 1 and the filter
-                // drops exactly one key, so an eviction candidate remains.
-                .expect("capacity >= 1 so another view exists");
+                .map(|(names, _)| names.clone())
+            else {
+                return;
+            };
             g.views.remove(&coldest);
             g.stats.evictions += 1;
         }
-        Ok(())
     }
 
-    /// Build a view at `snap`, the snapshot every cached view was just
-    /// caught up to, so the catalog's one watermark holds for it too.
+    /// Build the view of `names` at `snap`, the snapshot every cached
+    /// view was just caught up to, so the catalog's one watermark holds
+    /// for it too.
     ///
     /// The build is the snapshot pivot `Flor::execute_at` runs, over the
-    /// plan of the key's names and pushdown predicates
-    /// ([`PivotState::at`]): the fetch reads only the projected rows the
-    /// pushdown admits, and the loop contexts and the schema pass come
-    /// from the snapshot's per-segment summaries, shared with every other
-    /// view and query rather than read and resolved again per build.
-    fn build(&self, key: &ViewKey, snap: &Snapshot) -> StoreResult<CachedView> {
+    /// plan projecting `names` ([`PivotState::at`]): the loop contexts
+    /// come from the snapshot's per-segment summaries, shared with every
+    /// other view and query rather than read and resolved again per
+    /// build.
+    fn build(&self, names: &[String], snap: &Snapshot) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
-        let pivot = PivotState::at(snap, &key.names, &key.pushdown)?;
-        // Latest views always carry upsert state; whether it is *used*
-        // (vs. recomputing from the frame) is decided per materialization,
-        // based on the pivot's actual index columns.
-        let latest = key.group.as_ref().map(|group| {
-            let gs: Vec<&str> = group.iter().map(String::as_str).collect();
-            let mut state = LatestState::new(&gs);
-            let frame = pivot.frame();
-            let all_rows: Vec<usize> = (0..frame.n_rows()).collect();
-            state.observe(&frame, &all_rows);
-            state
-        });
         Ok(CachedView {
-            pivot,
-            latest,
-            latest_frame: None,
+            pivot: PivotState::at(snap, names)?,
+            latest: HashMap::new(),
             last_used: 0,
         })
     }
@@ -444,6 +399,21 @@ mod tests {
             name.into(),
             value.into(),
             2.into(),
+        ]
+    }
+
+    /// A top-level `loops` row defining `ctx` as iteration `iteration`
+    /// of loop `name`.
+    fn loop_row(ts: i64, ctx: i64, name: &str, iteration: i64) -> Vec<Value> {
+        vec![
+            "p".into(),
+            ts.into(),
+            "f.fl".into(),
+            ctx.into(),
+            0.into(),
+            name.into(),
+            iteration.into(),
+            iteration.to_string().into(),
         ]
     }
 
@@ -503,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_with_pushdown_maintains_filtered_view() {
+    fn a_filtered_plan_is_served_from_its_projections_view() {
         use flor_store::CmpOp;
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
@@ -515,16 +485,18 @@ mod tests {
         let plan = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
         let v = catalog.plan(&plan).unwrap();
         assert_eq!(v.n_rows(), 2);
-        // New commits land as deltas on the filtered view: no new build.
+        // New commits land on the projection's view; the filter runs in
+        // the post-pass.
         db.insert("logs", log_row(5, "loss", "5")).unwrap();
         db.insert("logs", log_row(0, "loss", "0")).unwrap();
         db.commit().unwrap();
         let v = catalog.plan(&plan).unwrap();
         assert_eq!(v.n_rows(), 3, "ts=5 admitted, ts=0 filtered out");
-        assert_eq!(catalog.stats().misses, 1);
-        // A plan with no post-pass shares the maintained allocation.
-        let again = catalog.plan(&plan).unwrap();
-        assert!(Arc::ptr_eq(&v, &again));
+        assert_eq!(*v, full(&db, &plan));
+        // The unfiltered read of the same names is the same view.
+        let plain = QueryPlan::new(&["loss"]);
+        assert_eq!(catalog.plan(&plain).unwrap().n_rows(), 6);
+        assert_eq!((catalog.stats().misses, catalog.stats().hits), (1, 2));
     }
 
     #[test]
@@ -547,19 +519,18 @@ mod tests {
         let top = catalog.plan(&limited).unwrap();
         assert_eq!(top.n_rows(), 2);
         assert_eq!(top.get(0, "tstamp"), Some(&Value::Int(5)));
-        // Same maintained part → one build, differing post-passes only.
+        // Same projection → one build, differing post-passes only.
         assert_eq!(catalog.stats().misses, 1);
-        // Predicate call order does not split the cache either: one more
-        // build serves both orders.
+        // Neither do other predicates, nor their call order.
         let swapped = QueryPlan::new(&["x"])
             .filter("tstamp", CmpOp::Lt, 9)
             .filter("tstamp", CmpOp::Gt, 1);
         let canon = QueryPlan::new(&["x"])
             .filter("tstamp", CmpOp::Gt, 1)
             .filter("tstamp", CmpOp::Lt, 9);
-        catalog.plan(&swapped).unwrap();
-        catalog.plan(&canon).unwrap();
-        assert_eq!(catalog.stats().misses, 2);
+        assert_eq!(*catalog.plan(&swapped).unwrap(), full(&db, &swapped));
+        assert_eq!(*catalog.plan(&canon).unwrap(), full(&db, &canon));
+        assert_eq!(catalog.stats().misses, 1);
     }
 
     #[test]
@@ -582,61 +553,32 @@ mod tests {
         let v = catalog.plan(&plan).unwrap();
         assert_eq!(v.n_rows(), 1);
         assert_eq!(v.get(0, "acc"), Some(&Value::Int(2)));
-        // The maintained view is the plain pivot (group lowered away).
+        // The maintained view is the projection's plain pivot.
         assert_eq!(catalog.stats().misses, 1);
         catalog.plan(&QueryPlan::new(&["acc"])).unwrap();
         assert_eq!(catalog.stats().misses, 1);
     }
 
     #[test]
-    fn excluded_delta_widening_schema_invalidates_latest_cache() {
-        // Regression: a pushdown-excluded log row can widen the pivot's
-        // schema (new loop dimension) while materializing no row; the
-        // cached `latest` output must still be invalidated, or it serves
-        // a stale column set.
-        use flor_store::CmpOp;
+    fn a_delta_widening_the_schema_invalidates_the_latest_cache() {
+        // Regression: a committed row can widen the pivot's schema (a new
+        // loop dimension); the cached `latest` output must be dropped, or
+        // it serves a stale column set.
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
-        let plan = QueryPlan {
-            latest_group: Some(vec!["projid".into()]),
-            ..QueryPlan::new(&["loss"])
-        }
-        .filter("tstamp", CmpOp::Le, 1);
+        let plan = QueryPlan::with_latest(&["loss"], &["projid"]);
         let v = catalog.plan(&plan).unwrap();
         assert_eq!(
             v.column_names(),
             vec!["projid", "tstamp", "filename", "loss"]
         );
-        // Excluded by the pushdown gate, but discovers the "batch" dims.
-        db.insert(
-            "loops",
-            vec![
-                "p".into(),
-                2.into(),
-                "f.fl".into(),
-                9.into(),
-                0.into(),
-                "batch".into(),
-                0.into(),
-                "0".into(),
-            ],
-        )
-        .unwrap();
-        db.insert(
-            "logs",
-            vec![
-                "p".into(),
-                2.into(),
-                "f.fl".into(),
-                9.into(),
-                "loss".into(),
-                "20".into(),
-                2.into(),
-            ],
-        )
-        .unwrap();
+        // A row logged under a new "batch" loop.
+        db.insert("loops", loop_row(2, 9, "batch", 0)).unwrap();
+        let mut row = log_row(2, "loss", "20");
+        row[3] = 9.into();
+        db.insert("logs", row).unwrap();
         db.commit().unwrap();
         let v = catalog.plan(&plan).unwrap();
         assert_eq!(
@@ -651,21 +593,36 @@ mod tests {
             ],
             "stale latest cache served after schema widening"
         );
-        assert_eq!(v.n_rows(), 1, "the ts=2 row itself stays excluded");
-        assert_eq!(catalog.stats().fallback_rebuilds, 0);
+        assert_eq!(*v, full(&db, &plan));
+        assert_eq!(v.get(0, "tstamp"), Some(&Value::Int(2)));
+        let stats = catalog.stats();
+        assert_eq!((stats.misses, stats.fallback_rebuilds), (1, 0));
     }
 
     #[test]
-    fn view_key_fingerprint_renders_plan() {
-        use flor_store::CmpOp;
-        let plan =
-            QueryPlan::with_latest(&["loss", "acc"], &["projid"]).filter("tstamp", CmpOp::Ge, 2);
-        let (pushdown, residual) = plan.split_predicates();
-        let key = ViewKey::from_split(&plan, pushdown, residual.is_empty());
-        assert_eq!(
-            key.fingerprint(),
-            "pivot[loss,acc] where tstamp >= Int(2) latest by [projid]"
+    fn a_rebuild_event_names_the_projection() {
+        // `a_iteration` is logged as a value, then a loop `a` makes it a
+        // dimension: the row is rejected and the rebuild fails too.
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 4);
+        db.insert("logs", log_row(1, "a_iteration", "1")).unwrap();
+        db.commit().unwrap();
+        let plan = QueryPlan::new(&["x", "a_iteration"]);
+        catalog.plan(&plan).unwrap();
+        db.insert("loops", loop_row(2, 9, "a", 0)).unwrap();
+        let mut row = log_row(2, "x", "2");
+        row[3] = 9.into();
+        db.insert("logs", row).unwrap();
+        db.commit().unwrap();
+        assert!(
+            catalog.plan(&plan).is_err(),
+            "the dropped view's build fails"
         );
+        assert_eq!(catalog.stats().fallback_rebuilds, 1);
+        let events = db.metrics_registry().events_at_least(flor_obs::Level::Warn);
+        let rebuilds: Vec<_> = events.iter().filter(|e| e.kind == "view.rebuild").collect();
+        assert_eq!(rebuilds.len(), 1);
+        assert_eq!(rebuilds[0].detail, "pivot[x,a_iteration]");
     }
 
     #[test]
@@ -833,31 +790,26 @@ mod tests {
         assert_eq!((stats.misses, stats.fallback_rebuilds), (1, 0));
     }
 
+    /// One run at `ts` of an `epoch` loop over two iterations, logging
+    /// `name` in each, committed.
+    fn log_epochs(db: &Database, ts: i64, name: &str) {
+        for e in 0..2i64 {
+            let ctx = ts * 10 + e;
+            db.insert("loops", loop_row(ts, ctx, "epoch", e)).unwrap();
+            let mut row = log_row(ts, name, &ctx.to_string());
+            row[3] = ctx.into();
+            db.insert("logs", row).unwrap();
+        }
+        db.commit().unwrap();
+    }
+
     #[test]
     fn a_latest_view_whose_pushdown_admits_no_row_keeps_its_columns() {
         use flor_store::CmpOp;
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
-        // Two runs of an `epoch` loop over two iterations, logging `loss`.
-        for ts in 1..=2i64 {
-            for e in 0..2i64 {
-                let ctx = ts * 10 + e;
-                let link = vec![
-                    "p".into(),
-                    ts.into(),
-                    "f.fl".into(),
-                    ctx.into(),
-                    0.into(),
-                    "epoch".into(),
-                    e.into(),
-                    e.to_string().into(),
-                ];
-                db.insert("loops", link).unwrap();
-                let mut row = log_row(ts, "loss", &e.to_string());
-                row[3] = ctx.into();
-                db.insert("logs", row).unwrap();
-            }
-            db.commit().unwrap();
+        for ts in 1..=2 {
+            log_epochs(&db, ts, "loss");
         }
         let columns = [
             "projid",
@@ -873,5 +825,44 @@ mod tests {
             assert_eq!(v.n_rows(), 0);
             assert_eq!(v.column_names(), columns, "latest by {group:?}");
         }
+    }
+
+    #[test]
+    fn a_predicate_sweep_does_not_evict_a_hot_view() {
+        use flor_store::CmpOp;
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 8);
+        for ts in 1..=10 {
+            db.insert("logs", log_row(ts, "loss", &ts.to_string()))
+                .unwrap();
+        }
+        db.commit().unwrap();
+        let hot = QueryPlan::new(&["loss"]);
+        assert_eq!(*catalog.plan(&hot).unwrap(), full(&db, &hot));
+        for t in 1..=8 {
+            let window = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, t);
+            assert_eq!(*catalog.plan(&window).unwrap(), full(&db, &window));
+        }
+        let hits = catalog.stats().hits;
+        assert_eq!(*catalog.plan(&hot).unwrap(), full(&db, &hot));
+        let stats = catalog.stats();
+        assert_eq!(stats.hits, hits + 1, "the hot view is still cached");
+        assert_eq!((stats.misses, stats.evictions), (1, 0));
+    }
+
+    #[test]
+    fn plain_and_latest_reads_of_one_projection_share_one_build() {
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 4);
+        log_epochs(&db, 1, "acc");
+        let plain = QueryPlan::new(&["acc"]);
+        let latest = QueryPlan::with_latest(&["acc"], &["epoch_iteration"]);
+        for _ in 0..2 {
+            assert_eq!(*catalog.plan(&plain).unwrap(), full(&db, &plain));
+            assert_eq!(*catalog.plan(&latest).unwrap(), full(&db, &latest));
+            // A newer run replaces every epoch's latest row.
+            log_epochs(&db, 2, "acc");
+        }
+        assert_eq!(catalog.stats().misses, 1);
     }
 }

@@ -2,13 +2,14 @@
 //! `latest` on top.
 //!
 //! A [`PivotState`] is one [`Pivot`] — the operator every answer comes
-//! from ([`crate::pivot`]) — plus a projection and the view's pushdown
-//! predicates. It is built by the snapshot pivot ([`PivotState::at`],
-//! the code `Flor::execute_at` runs), then handed the `loops` and `logs`
-//! rows later commits added ([`PivotState::apply`]), which the catalog
-//! reads from a fresh snapshot past its rid watermarks
-//! ([`flor_store::Snapshot::since`]). [`LatestState`] layers
-//! `flor.utils.latest` on top via a per-group-key max-timestamp upsert.
+//! from ([`crate::pivot`]) — plus a projection. It is built by the
+//! snapshot pivot ([`PivotState::at`], the code `Flor::execute_at` runs),
+//! then handed the `loops` and `logs` rows later commits added
+//! ([`PivotState::apply`]), which the catalog reads from a fresh snapshot
+//! past its rid watermarks ([`flor_store::Snapshot::since`]). It holds
+//! every projected row: a plan's predicates run over it as a post-pass.
+//! [`LatestState`] layers `flor.utils.latest` on top via a per-group-key
+//! max-timestamp upsert.
 //!
 //! The invariant, enforced by `tests/prop_pivot.rs` (a view caught up
 //! after one commit or many, against a long-frame `DataFrame::pivot`
@@ -19,75 +20,42 @@
 //! catch-up path that drives most of them.
 
 use crate::pivot::{pivot_at, text, LogRow, Pivot};
-use crate::plan::{QueryPlan, FIXED_COLS as FIXED};
+use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfResult, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{Predicate, Snapshot, StoreError, StoreResult};
+use flor_store::{Snapshot, StoreResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The pivot of `logs ⋈ loops` projected onto a set of `value_name`s and
-/// maintained as commits land: the pivot operator plus the projection
-/// and the view's pushdown predicates. It holds no epoch: whoever feeds
-/// it rows (the view catalog) keeps the watermark.
+/// maintained as commits land: the pivot operator plus the projection.
+/// It holds no epoch: whoever feeds it rows (the view catalog) keeps the
+/// watermark.
 #[derive(Debug, Clone)]
 pub struct PivotState {
     names: Vec<String>,
-    /// Pushdown predicates over the fixed context columns: the build's
-    /// `logs` fetch joins them, and an applied row failing any of them is
-    /// skipped at the upsert. Excluded rows still take part in schema
-    /// discovery — the schema pass at the build, `Pivot::discover` for
-    /// applied rows — because the from-scratch oracle's column set and
-    /// order are determined by *all* matching-name rows, filtered or not.
-    /// Fixed columns are part of the row key, so an excluded log row can
-    /// never share a pivot row with an included one and last-write-wins
-    /// stays intact.
-    pushdown: Vec<Predicate>,
     pivot: Pivot,
 }
 
 impl PivotState {
-    /// Empty view for the given projection, with pushdown predicates
-    /// over the fixed context columns (see the `pushdown` field docs;
-    /// `&[]` for an unfiltered view): the maintained frame holds only
-    /// rows satisfying every predicate. The caller (the query planner's
-    /// [`crate::QueryPlan::split_predicates`]) guarantees predicate
-    /// columns are fixed context columns; a predicate over any other
-    /// column conservatively matches nothing.
-    pub fn filtered(names: &[&str], pushdown: &[Predicate]) -> PivotState {
+    /// Empty view for the given projection.
+    pub fn new(names: &[&str]) -> PivotState {
         PivotState {
             names: names.iter().map(|s| s.to_string()).collect(),
-            pushdown: pushdown.to_vec(),
             pivot: Pivot::default(),
         }
     }
 
-    /// The view of `names` under `pushdown` at `snap`: the snapshot pivot
-    /// ([`pivot_at`]) of the plan projecting `names` with `pushdown` as
-    /// its predicates, so a filtered view's fetch reads only the rows the
-    /// pushdown admits and its columns come from the schema pass. The
-    /// pushdown must have joined the fetch — a pivot that came back with
-    /// nothing pushed holds excluded rows — so that is checked, not
-    /// assumed.
-    pub(crate) fn at(
-        snap: &Snapshot,
-        names: &[String],
-        pushdown: &[Predicate],
-    ) -> StoreResult<PivotState> {
+    /// The view of `names` at `snap`: the snapshot pivot ([`pivot_at`])
+    /// of the plan projecting `names`, with nothing pushed.
+    pub(crate) fn at(snap: &Snapshot, names: &[String]) -> StoreResult<PivotState> {
         let plan = QueryPlan {
             names: names.to_vec(),
-            predicates: pushdown.to_vec(),
             ..QueryPlan::new(&[])
         };
-        let (pivot, explain) = pivot_at(snap, &plan, &mut ActiveTrace::new(false, None, ""))?;
-        if !pushdown.is_empty() && explain.schema.is_none() {
-            return Err(StoreError::Invalid(format!(
-                "view pushdown {pushdown:?} did not join the fetch"
-            )));
-        }
+        let (pivot, _) = pivot_at(snap, &plan, &mut ActiveTrace::new(false, None, ""))?;
         Ok(PivotState {
             names: plan.names,
-            pushdown: plan.predicates,
             pivot,
         })
     }
@@ -105,7 +73,8 @@ impl PivotState {
 
     /// Apply the `loops` and `logs` rows that commits after the view's
     /// snapshot added, each frame in commit order with the tables'
-    /// columns. Returns the positions of rows added or updated
+    /// columns; a `logs` row is written only when the view projects its
+    /// name. Returns the positions of rows added or updated
     /// (deduplicated, ascending). Every `loops` row goes in before any
     /// `logs` row: a log row may name a context minted later in the same
     /// run of commits, and the from-scratch oracle resolves chains
@@ -117,35 +86,13 @@ impl PivotState {
         self.pivot.insert_loops(loops);
         let mut changed = Vec::new();
         for row in LogRow::all(logs)? {
-            if let Some(pos) = self.apply_log_row(row)? {
-                changed.push(pos);
+            if self.names.iter().any(|n| *n == *text(row.value_name)) {
+                changed.push(self.pivot.upsert(row)?);
             }
         }
         changed.sort_unstable();
         changed.dedup();
         Ok(changed)
-    }
-
-    /// One `logs` row: ignored unless the view projects its name;
-    /// discovered whatever the pushdown says; written (and its position
-    /// returned) only when every pushdown predicate admits it.
-    fn apply_log_row(&mut self, row: LogRow<'_>) -> DfResult<Option<usize>> {
-        let name = text(row.value_name);
-        if !self.names.iter().any(|n| *n == *name) {
-            return Ok(None);
-        }
-        let excluded = self
-            .pushdown
-            .iter()
-            .any(|p| match FIXED.iter().position(|f| *f == p.col) {
-                Some(i) => !p.matches(row.fixed[i]),
-                None => true,
-            });
-        if excluded {
-            self.pivot.discover(row.ctx_id, row.value_name)?;
-            return Ok(None);
-        }
-        self.pivot.upsert(row).map(Some)
     }
 }
 
@@ -161,9 +108,9 @@ pub(crate) struct LatestState {
 
 impl LatestState {
     /// Empty state for the given group columns.
-    pub(crate) fn new(group: &[&str]) -> LatestState {
+    pub(crate) fn new(group: &[String]) -> LatestState {
         LatestState {
-            group: group.iter().map(|s| s.to_string()).collect(),
+            group: group.to_vec(),
             best: HashMap::new(),
         }
     }
@@ -287,7 +234,7 @@ mod tests {
     fn pivot_state_builds_and_applies() {
         let db = Database::in_memory(flor_schema());
         let mut at = [0, 0];
-        let mut view = PivotState::filtered(&["loss", "acc"], &[]);
+        let mut view = PivotState::new(&["loss", "acc"]);
 
         db.insert("logs", log_row(1, 0, "loss", "0.5", 3)).unwrap();
         db.insert("logs", log_row(1, 0, "acc", "0.9", 3)).unwrap();
@@ -313,7 +260,7 @@ mod tests {
     #[test]
     fn new_dimension_discovery_mid_stream() {
         let db = Database::in_memory(flor_schema());
-        let mut view = PivotState::filtered(&["loss"], &[]);
+        let mut view = PivotState::new(&["loss"]);
         db.insert("logs", log_row(1, 0, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
         db.insert("loops", loop_row(2, 7, 0, "epoch", 0, "0"))
@@ -336,38 +283,6 @@ mod tests {
         // The old row's late-added dimension cells are null.
         assert_eq!(f.get(0, "epoch_iteration"), Some(&Value::Null));
         assert_eq!(f.get(1, "epoch_iteration"), Some(&Value::Int(0)));
-    }
-
-    #[test]
-    fn filtered_state_skips_rows_but_discovers_columns() {
-        use flor_store::CmpOp;
-        let db = Database::in_memory(flor_schema());
-        let mut view = PivotState::filtered(&["loss"], &[Predicate::new("tstamp", CmpOp::Gt, 1)]);
-        // ts=1 fails the predicate but its loop dimension must still be
-        // discovered (the oracle pivots all rows, then filters).
-        db.insert("loops", loop_row(1, 5, 0, "epoch", 0, "0"))
-            .unwrap();
-        db.insert("logs", log_row(1, 5, "loss", "9", 2)).unwrap();
-        db.insert("logs", log_row(2, 0, "loss", "1", 2)).unwrap();
-        db.commit().unwrap();
-        let changed = catch_up(&db, &mut view, &mut [0, 0]);
-        assert_eq!(changed, vec![0], "only the ts=2 row materializes");
-        let f = view.frame();
-        assert_eq!(
-            f.column_names(),
-            vec![
-                "projid",
-                "tstamp",
-                "filename",
-                "epoch_iteration",
-                "epoch_value",
-                "loss"
-            ]
-        );
-        assert_eq!(f.n_rows(), 1);
-        assert_eq!(f.get(0, "tstamp"), Some(&Value::Int(2)));
-        // The excluded row's dimension cells stay null on the survivor.
-        assert_eq!(f.get(0, "epoch_iteration"), Some(&Value::Null));
     }
 
     #[test]
@@ -396,11 +311,8 @@ mod tests {
 
     #[test]
     fn a_loop_row_completing_a_chain_widens_a_views_schema() {
-        use flor_store::CmpOp;
-        // The pushdown excludes every row, so each is only discovered.
-        let pushdown = [Predicate::new("tstamp", CmpOp::Gt, 100)];
         let db = Database::in_memory(flor_schema());
-        let mut view = PivotState::filtered(&["loss"], &pushdown);
+        let mut view = PivotState::new(&["loss"]);
         // Context 7 ("inner") under 8 ("outer"); context 5 ("inner")
         // under 9, not known yet.
         for row in [
@@ -413,13 +325,15 @@ mod tests {
         db.insert("logs", log_row(1, 7, "loss", "1", 2)).unwrap();
         db.insert("logs", log_row(1, 5, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
+        let mut at = [0, 0];
+        catch_up(&db, &mut view, &mut at);
         // Context 9 ("top") arrives; another row under 5 names it.
         db.insert("loops", loop_row(2, 9, 0, "top", 0, "0"))
             .unwrap();
         db.insert("logs", log_row(2, 5, "loss", "3", 2)).unwrap();
         db.commit().unwrap();
-        catch_up(&db, &mut view, &mut [0, 0]);
-        let built = PivotState::at(&db.pin(), &["loss".into()], &pushdown).unwrap();
+        catch_up(&db, &mut view, &mut at);
+        let built = PivotState::at(&db.pin(), &["loss".into()]).unwrap();
         let columns = built.frame().column_names().join(",");
         assert!(columns.contains("top_iteration,top_value"), "{columns}");
         assert_eq!(view.frame().column_names(), built.frame().column_names());
@@ -461,7 +375,7 @@ mod tests {
             .unwrap();
         db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
-        let mut view = PivotState::at(&db.pin(), &["loss".into()], &[]).unwrap();
+        let mut view = PivotState::at(&db.pin(), &["loss".into()]).unwrap();
         // A later commit redefines 9; a later row under 5 sees the new
         // cells.
         db.insert("loops", loop_row(2, 9, 0, "outer", 4, "4"))
@@ -543,7 +457,7 @@ mod tests {
         let missing =
             |r: DfResult<()>| matches!(r, Err(DfError::UnknownColumn(c)) if c == "tstamp");
         assert!(missing(LogRow::all(&short).map(|_| ())));
-        let mut view = PivotState::filtered(&["x"], &[]);
+        let mut view = PivotState::new(&["x"]);
         assert!(missing(view.apply(&loops(&[]), &short).map(|_| ())));
     }
 
@@ -553,7 +467,7 @@ mod tests {
         frame.push_row(&[("tstamp", 1.into()), ("doc_value", "a".into())]);
         frame.push_row(&[("tstamp", 2.into()), ("doc_value", "a".into())]);
         frame.push_row(&[("tstamp", 1.into()), ("doc_value", "b".into())]);
-        let mut latest = LatestState::new(&["doc_value"]);
+        let mut latest = LatestState::new(&["doc_value".to_string()]);
         latest.observe(&frame, &[0, 1, 2]);
         assert_eq!(latest.surviving_rows(), vec![1, 2]);
         // A newer row for "b" evicts the old one; ties keep both.

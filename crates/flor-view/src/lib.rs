@@ -17,24 +17,24 @@
 //!   what `flor-serve` answers with.
 //! * `delta` (private) — [`PivotState`], the same operator maintained
 //!   as commits land — handed the `loops` and `logs` rows past a rid
-//!   watermark ([`flor_store::Snapshot::since`]) — projected and
-//!   filtered, built by the snapshot pivot; and incremental
-//!   `flor.utils.latest` via per-group-key max-timestamp upsert. Both
+//!   watermark ([`flor_store::Snapshot::since`]) — projected, built by
+//!   the snapshot pivot; and incremental `flor.utils.latest` via
+//!   per-group-key max-timestamp upsert. Both
 //!   are **cell-for-cell identical** to a long-frame
 //!   [`flor_df::DataFrame::pivot`] reference (property-tested in
 //!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
-//! * `catalog` (private) — [`ViewCatalog`]: views keyed by the
-//!   maintained part of a plan (projection, pushdown predicates,
-//!   optional `latest` group), all caught up on each access to one
-//!   freshly pinned snapshot from one pair of rid watermarks, bounded by
-//!   an LRU, with a fallback rebuild when a row cannot be applied (a
-//!   value name colliding with an index column). [`ViewCatalog::plan`]
-//!   is its only read entry point.
+//! * `catalog` (private) — [`ViewCatalog`]: one maintained pivot per
+//!   projection, with the predicate-free `latest` groups read from it
+//!   kept beside it, all caught up on each access to one freshly pinned
+//!   snapshot from one pair of rid watermarks, bounded by an LRU, with a
+//!   fallback rebuild when a row cannot be applied (a value name
+//!   colliding with an index column). [`ViewCatalog::plan`] is its only
+//!   read entry point; every predicate of a plan runs in its post-pass.
 //! * [`plan`] — [`QueryPlan`], the canonical lazy-query plan behind
 //!   `Flor::query`: filters (reusing [`flor_store::Predicate`]), `latest`
 //!   dedup, ordering and limits, lowered below the pivot
-//!   ([`QueryPlan::below_pivot`]) or onto maintained views, with the rest
-//!   as a post-pass.
+//!   ([`QueryPlan::below_pivot`]) or onto a projection's maintained view,
+//!   with the rest as a post-pass.
 //!
 //! `flor-core` wires `Flor::dataframe` / `Flor::dataframe_latest`
 //! through a catalog, so repeated queries after new commits apply just

@@ -155,38 +155,20 @@ fn loop_rows(loops: &DataFrame) -> impl Iterator<Item = (i64, [&Value; 4])> {
     })
 }
 
-/// The contexts enclosing a row logged under `ctx_id`, innermost first,
-/// up to the outermost loop or the first link `link` lacks.
-fn chain<'c>(
-    link: impl Fn(i64) -> Option<&'c LoopCtx>,
-    ctx_id: i64,
-) -> impl Iterator<Item = &'c LoopCtx> {
-    let mut cur = ctx_id;
-    std::iter::from_fn(move || {
-        if cur == 0 {
-            return None;
-        }
-        let c = link(cur)?;
-        cur = c.parent;
-        Some(c)
-    })
-}
-
 /// The loop-dimension cells of a row logged under `ctx_id`: two per
 /// enclosing loop, outermost loop first. A missing link truncates the
 /// chain there (and the flag is `false`: a later `loops` row can
 /// lengthen it); a loop nested in a loop of the same name repeats its
 /// columns, and readers take the first (outermost) occurrence.
 fn dims<'c>(link: impl Fn(i64) -> Option<&'c LoopCtx>, ctx_id: i64) -> (Vec<Dim>, bool) {
-    let mut dims: Vec<Dim> = Vec::new();
-    let mut complete = ctx_id == 0;
-    for c in chain(link, ctx_id) {
+    let (mut dims, mut cur): (Vec<Dim>, i64) = (Vec::new(), ctx_id);
+    while let Some(c) = (cur != 0).then(|| link(cur)).flatten() {
         dims.push((Arc::clone(&c.cols.1), c.value.clone()));
         dims.push((Arc::clone(&c.cols.0), c.iteration.clone()));
-        complete = c.parent == 0;
+        cur = c.parent;
     }
     dims.reverse();
-    (dims, complete)
+    (dims, cur == 0)
 }
 
 /// One context of a sealed `loops` segment.
@@ -340,12 +322,6 @@ impl LoopContexts {
         dims(|id| self.link(id), ctx_id)
     }
 
-    /// The column names of [`LoopContexts::dims`] without their cells,
-    /// innermost loop first and without allocating.
-    fn dim_names(&self, ctx_id: i64) -> impl Iterator<Item = &Arc<str>> {
-        chain(|id| self.link(id), ctx_id).flat_map(|c| [&c.cols.0, &c.cols.1])
-    }
-
     /// `ctx_id`'s dimension column names, outermost loop first, and the
     /// largest rid among its links, through the sealed links only —
     /// `None` while a link is missing.
@@ -446,7 +422,7 @@ impl Ctx {
 
     /// The sum of one hash per key cell — each column's first (outermost)
     /// cell, nulls left out — so neither column order nor a dimension
-    /// discovered later changes it.
+    /// added later changes it.
     fn hash(&self) -> u64 {
         *self.hash.get_or_init(|| {
             let mut hash = 0u64;
@@ -603,8 +579,6 @@ pub(crate) struct Pivot {
     keys: KeyIndex,
     /// The last row written and its context.
     last: Option<(Arc<Ctx>, usize)>,
-    /// The `ctx_id` of the last row discovered: its dimensions are known.
-    discovered: Option<i64>,
     /// The wide frame. Shared out by [`Pivot::frame`]; writes go through
     /// `Arc::make_mut` (a copy only while a reader holds an old frame).
     frame: Arc<DataFrame>,
@@ -620,9 +594,9 @@ impl Pivot {
     }
 
     /// Whether `col` is an index column — one of the three fixed context
-    /// columns or a discovered loop dimension. Index cells are written
-    /// once when their row is created and never rewritten; value cells
-    /// can be.
+    /// columns or a loop dimension the pivot has seen. Index cells are
+    /// written once when their row is created and never rewritten; value
+    /// cells can be.
     pub(crate) fn is_index(&self, col: &str) -> bool {
         FIXED.contains(&col) || self.dims.iter().any(|d| **d == *col)
     }
@@ -649,10 +623,6 @@ impl Pivot {
                 self.truncated = false;
                 self.last = None;
             }
-            // The last row discovered may sit under a chain this row
-            // lengthens: `discover` resolves no context whose names it
-            // knows, so `truncated` need not have seen it.
-            self.discovered = None;
         }
     }
 
@@ -699,21 +669,6 @@ impl Pivot {
         frame.add_column(nulls(&name, frame))?;
         self.names.push(name.into());
         Ok(self.names.len() - 1)
-    }
-
-    /// Widen the schema for a row logged under `ctx_id` as `value_name`
-    /// without writing the row: what a row the caller filters out still
-    /// contributes, so the columns are those of the pivot of every row.
-    pub(crate) fn discover(&mut self, ctx_id: &Value, value_name: &Value) -> DfResult<()> {
-        // Resolving a context only to learn that it names no new
-        // dimension is most of a schema pass's cost; its names alone say,
-        // and a row under the previous row's context needs not even them.
-        let id = ctx_id.as_i64().unwrap_or(0);
-        if self.discovered != Some(id) && !self.loops.dim_names(id).all(|d| self.dims.contains(d)) {
-            self.ctx(ctx_id)?;
-        }
-        self.discovered = Some(id);
-        self.name(value_name).map(drop)
     }
 
     /// The schema pass: widen the schema to the columns of the pivot of
@@ -798,7 +753,7 @@ impl Pivot {
 }
 
 /// The hash of the row key with fixed cells `fixed` under `ctx`: equal
-/// keys hash equal whatever dimensions the pivot has discovered.
+/// keys hash equal whatever dimensions the pivot has seen.
 fn key_hash(fixed: [&Value; 3], ctx: &Ctx) -> u64 {
     let mut h = DefaultHasher::new();
     fixed.hash(&mut h);
@@ -844,7 +799,7 @@ fn key_at(frame: &DataFrame, at: usize, fixed: [&Value; 3], ctx: &Ctx, dims: &[A
             .all(|(c, d)| c.values[at] == *ctx.cell(d))
 }
 
-/// Whether `push` runs exactly against the columns `pivot` discovered:
+/// Whether `push` runs exactly against the columns `pivot` found:
 /// every column a pushed step names exists in the role the lowering
 /// assumed. (A value name that collides with an index column never gets
 /// here: discovery refuses it.)

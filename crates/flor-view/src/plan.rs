@@ -14,34 +14,34 @@
 //! collides with an index column. It has two callers. The snapshot
 //! executor ([`crate::execute_at`], behind `Flor::execute_at`) runs it
 //! per request and ends with the whole [`QueryPlan::post_pass`]. The
-//! view catalog ([`crate::ViewCatalog::plan`]) runs it once per view
-//! build, with only the view's pushdown predicates as the plan, then
-//! keeps the view current with the rows later commits add and runs the
-//! rest of each request's plan as a post-pass. Where each step runs:
+//! view catalog ([`crate::ViewCatalog::plan`]) runs it once per
+//! projection, with nothing pushed, then keeps that pivot current with
+//! the rows later commits add and runs the plan's predicates, ordering
+//! and limit as a post-pass. Where each step runs:
 //!
 //! | step | view catalog | snapshot executor |
 //! |---|---|---|
-//! | predicates on [`FIXED_COLS`] | maintained in the view: joined to the build's `logs` fetch, and applied rows failing them skipped at upsert ([`crate::PivotState`]) | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
+//! | predicates on [`FIXED_COLS`] | post-pass | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
 //! | predicates on loop dimensions | post-pass | on each fetched row's resolved index key, before the pivot |
 //! | predicates on value columns | post-pass | post-pass |
-//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert unless a predicate is left for the post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
+//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
 //! | `order_by` + `limit` | post-pass | top-K cut before the pivot when every earlier step ran below it |
 //!
 //! A column the lowering cannot place from the plan alone (a dimension
-//! the history never logged) makes the snapshot pivot push nothing; a
-//! view build, whose plan holds only [`FIXED_COLS`] predicates, always
-//! pushes them. Either way the *whole* post-pass then runs over what the
-//! lower steps left: each of them is a filter the post-pass repeats or a
-//! cut the post-pass's own later steps would have made, so the answer is
-//! the post-hoc one, cell for cell.
+//! the history never logged) makes the snapshot pivot push nothing.
+//! Either way the *whole* post-pass then runs over what the lower steps
+//! left: each of them is a filter the post-pass repeats or a cut the
+//! post-pass's own later steps would have made, so the answer is the
+//! post-hoc one, cell for cell.
 
 use flor_df::{DataFrame, DfError};
 use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
 
 /// The fixed context columns every pivot row carries (paper Fig. 3), and
-/// therefore the columns whose predicates can be maintained *inside* a
-/// materialized view: their cells are written once per row, straight from
-/// the log record, and never rewritten by an upsert.
+/// therefore the columns whose predicates the snapshot pivot joins to its
+/// `logs` fetch ([`QueryPlan::below_pivot`]): their cells come straight
+/// from the log record, so a row's fixed cells decide its membership
+/// before any pivoting.
 pub const FIXED_COLS: [&str; 3] = ["projid", "tstamp", "filename"];
 
 /// What [`QueryPlan::below_pivot`] lowers below the pivot. Each step is a
@@ -123,29 +123,19 @@ impl QueryPlan {
         self
     }
 
-    /// Split the predicates into the *pushdown* set — maintained inside
-    /// the materialized view — and the *residual* set applied as a
-    /// post-pass. Only predicates over [`FIXED_COLS`] can be maintained:
-    /// loop-dimension and value columns are discovered lazily and value
-    /// cells mutate under last-write-wins upserts, so a row's membership
-    /// could silently change after materialization.
-    pub fn split_predicates(&self) -> (Vec<Predicate>, Vec<Predicate>) {
-        self.predicates
-            .iter()
-            .cloned()
-            .partition(|p| FIXED_COLS.contains(&p.col.as_str()))
-    }
-
     /// The snapshot pivot's lowering: the plan's steps that run below
     /// the pivot, decided in [`QueryPlan::post_pass`] order. Predicates
-    /// split as [`QueryPlan::split_predicates`] splits them — its pushdown
-    /// set joins the `logs` fetch — and a residual predicate over a column
+    /// over [`FIXED_COLS`] join the `logs` fetch, and one over a column
     /// no projected name fills (a loop dimension) is tested on the row's
     /// key. `latest` is cut when nothing is left for the post-pass to
     /// filter first and its group is index columns; top-K when every
     /// earlier step was pushed.
     pub fn below_pivot(&self) -> BelowPivot {
-        let (store, residual) = self.split_predicates();
+        let (store, residual): (Vec<_>, Vec<_>) = self
+            .predicates
+            .iter()
+            .cloned()
+            .partition(|p| FIXED_COLS.contains(&p.col.as_str()));
         let (key, value): (Vec<_>, Vec<_>) =
             residual.into_iter().partition(|p| !self.projects(&p.col));
         let latest = self
@@ -176,15 +166,14 @@ impl QueryPlan {
         residual.is_empty() && !apply_latest && self.order_by.is_empty() && self.limit.is_none()
     }
 
-    /// The dataframe-layer tail of the plan: residual predicates, then
-    /// (optionally) `latest` dedup, then ordering, then the limit.
+    /// The dataframe-layer tail of the plan: the `residual` predicates,
+    /// then (optionally) `latest` dedup, then ordering, then the limit.
     ///
     /// This one function is shared by the incremental path (over the
-    /// maintained frame, with only the residual predicates) and the
-    /// from-scratch oracle (over the pivot of the rows
-    /// [`QueryPlan::below_pivot`]'s steps kept, with *every* predicate),
-    /// so the two can only diverge in what they feed it — which the
-    /// property tests pin down.
+    /// projection's maintained frame) and the from-scratch oracle (over
+    /// the pivot of the rows [`QueryPlan::below_pivot`]'s steps kept),
+    /// both with *every* predicate, so the two can only diverge in what
+    /// they feed it — which the property tests pin down.
     pub fn post_pass(
         &self,
         base: &DataFrame,
@@ -252,10 +241,11 @@ mod tests {
             .filter("loss", CmpOp::Lt, 0.35)
             .filter("projid", CmpOp::Eq, "p")
             .filter("doc_value", CmpOp::Eq, "a");
-        let (push, residual) = plan.split_predicates();
+        let lowered = plan.below_pivot();
         let cols = |ps: &[Predicate]| ps.iter().map(|p| p.col.clone()).collect::<Vec<_>>();
-        assert_eq!(cols(&push), vec!["tstamp", "projid"]);
-        assert_eq!(cols(&residual), vec!["loss", "doc_value"]);
+        assert_eq!(cols(&lowered.store), vec!["tstamp", "projid"]);
+        // `loss` is projected, so its predicate is left for the post-pass.
+        assert_eq!(cols(&lowered.key), vec!["doc_value"]);
     }
 
     #[test]
@@ -301,8 +291,7 @@ mod tests {
             ..QueryPlan::new(&["loss"])
         }
         .filter("tstamp", CmpOp::Le, 3);
-        let (_, residual) = plan.split_predicates();
-        assert!(residual.is_empty(), "tstamp is a pushdown column");
+        assert_eq!(plan.below_pivot().store.len(), 1, "tstamp joins the fetch");
         // Feed every predicate, oracle-style.
         let out = plan.post_pass(&frame(), &plan.predicates, true).unwrap();
         assert_eq!(out.n_rows(), 1);

@@ -2,17 +2,16 @@
 //! ([`reference::reference_pivot`]): for random `logs` / `loops` streams
 //! — nested loops sharing a name, links to contexts that never exist,
 //! `Int(2)` / `Float(2.0)` keys, re-logged values, null and colliding
-//! value names, rows a pushdown predicate excludes — a [`PivotState`]
-//! caught up after one commit of every row and one caught up after each
-//! of the same stream's random commits both equal the reference pivot of
-//! every projected row, filtered after the fact. A name colliding with an
-//! index column fails all three. (The snapshot pivot that builds a view
+//! value names — a [`PivotState`] caught up after one commit of every row
+//! and one caught up after each of the same stream's random commits both
+//! equal the reference pivot of every projected row. A name colliding
+//! with an index column fails all three. (The snapshot pivot that builds a view
 //! is checked against the same reference by `tests/prop_view.rs`.)
 
 mod reference;
 
 use flor_df::{DataFrame, DataType, DfError, Value};
-use flor_store::{flor_schema, CmpOp, ColType, Database, Predicate};
+use flor_store::{flor_schema, ColType, Database};
 use flor_view::PivotState;
 use proptest::prelude::*;
 use reference::reference_pivot;
@@ -132,24 +131,6 @@ fn arb_names() -> impl Strategy<Value = Vec<&'static str>> {
     ]
 }
 
-fn arb_pushdown() -> impl Strategy<Value = Predicate> {
-    let col = prop_oneof![Just("projid"), Just("tstamp"), Just("filename")];
-    let op = prop_oneof![
-        Just(CmpOp::Eq),
-        Just(CmpOp::Ne),
-        Just(CmpOp::Lt),
-        Just(CmpOp::Ge),
-    ];
-    let literal = prop_oneof![
-        Just(Value::Int(2)),
-        Just(Value::Float(2.0)),
-        Just(Value::from("p")),
-        Just(Value::from("g")),
-        Just(Value::Null),
-    ];
-    (col, op, literal).prop_map(|(c, o, v)| Predicate::new(c, o, v))
-}
-
 /// The stream's `logs` and `loops` rows and its commits, each a list of
 /// `(table, row)` in insertion order.
 struct Stream {
@@ -218,20 +199,13 @@ fn frame(cols: &[&str], rows: &[Vec<Value>]) -> DataFrame {
     DataFrame::from_rows(cols.to_vec(), rows.to_vec()).expect("rows match the columns")
 }
 
-/// The reference pivot of every projected row, then the pushdown
-/// predicates applied to its rows.
-fn expected(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFrame, DfError> {
-    let mut df = reference_pivot(
+/// The reference pivot of every projected row.
+fn expected(s: &Stream, names: &[&str]) -> Result<DataFrame, DfError> {
+    reference_pivot(
         &frame(&LOG_COLS, &s.logs),
         &frame(&LOOP_COLS, &s.loops),
         names,
-    )?;
-    for p in pushdown {
-        if df.n_cols() > 0 {
-            df = df.filter(|r| r.get(&p.col).is_some_and(|v| p.matches(v)));
-        }
-    }
-    Ok(df)
+    )
 }
 
 /// The stream's rows committed to a database, one commit per batch,
@@ -239,18 +213,14 @@ fn expected(s: &Stream, names: &[&str], pushdown: &[Predicate]) -> Result<DataFr
 /// rows past its rid watermarks. The tables' columns accept any type, so
 /// the generator's off-type cells (`Float` stamps, non-text values)
 /// reach the view as generated.
-fn fed(
-    names: &[&str],
-    pushdown: &[Predicate],
-    batches: &[Vec<(&'static str, Vec<Value>)>],
-) -> Result<DataFrame, String> {
+fn fed(names: &[&str], batches: &[Vec<(&'static str, Vec<Value>)>]) -> Result<DataFrame, String> {
     let mut schemas = flor_schema();
     schemas.retain(|t| t.name == "logs" || t.name == "loops");
     for column in schemas.iter_mut().flat_map(|t| &mut t.columns) {
         column.ty = ColType::Any;
     }
     let db = Database::in_memory(schemas);
-    let mut state = PivotState::filtered(names, pushdown);
+    let mut state = PivotState::new(names);
     let (mut loops_at, mut logs_at) = (0, 0);
     for rows in batches {
         for (table, row) in rows {
@@ -273,12 +243,11 @@ proptest! {
     fn pivot_fed_once_or_in_batches_equals_the_reference(
         events in proptest::collection::vec(arb_event(), 0..40),
         names in arb_names(),
-        pushdown in proptest::collection::vec(arb_pushdown(), 0..2),
     ) {
         let s = stream(&events);
-        let once = fed(&names, &pushdown, &[s.batches.concat()]);
-        let batched = fed(&names, &pushdown, &s.batches);
-        match expected(&s, &names, &pushdown) {
+        let once = fed(&names, &[s.batches.concat()]);
+        let batched = fed(&names, &s.batches);
+        match expected(&s, &names) {
             Ok(want) => {
                 prop_assert_eq!(once, Ok(want.clone()), "fed once: {:?}", events);
                 prop_assert_eq!(batched, Ok(want), "fed in batches: {:?}", events);

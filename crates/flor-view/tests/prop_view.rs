@@ -159,7 +159,7 @@ fn arb_pred_value() -> impl Strategy<Value = Value> {
 
 fn arb_predicate() -> impl Strategy<Value = Predicate> {
     let col = prop_oneof![
-        // Fixed context columns (pushdown-maintained)...
+        // Fixed context columns (joined to the snapshot pivot's fetch)...
         Just("projid"),
         Just("tstamp"),
         Just("filename"),
@@ -185,8 +185,8 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
 }
 
 /// Random full plans: filter × latest × order × limit over a random
-/// projection. Some plans filter on a fixed column no row passes, so a
-/// view's pushdown admits nothing while its schema still has columns.
+/// projection. Some plans filter on a fixed column no row passes, so the
+/// answer is empty while its schema still has columns.
 fn arb_plan() -> impl Strategy<Value = QueryPlan> {
     let names = prop_oneof![
         Just(vec!["loss", "acc", "note"]),
@@ -539,8 +539,8 @@ proptest! {
         }
         // Querying again after a live commit still applies deltas only.
         // The commit logs inside a never-seen loop, so it also widens the
-        // schema of every already-materialized view — including filtered
-        // ones whose pushdown gate excludes the new row.
+        // schema of every already-materialized view — including the ones
+        // whose plans' filters exclude the new row.
         flor.loop_iter("tail", 0, &Value::Int(0));
         flor.log("loss", Value::Float(0.125));
         flor.loop_end();

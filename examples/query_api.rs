@@ -2,9 +2,10 @@
 //!
 //! Builds a multi-run training history, then answers selective questions
 //! two ways — the legacy shape (full pivot, then filter by hand) and the
-//! `flor.query` builder (predicate pushdown into an incrementally
-//! maintained view) — and shows they agree cell for cell while the
-//! builder path skips re-pivoting the world per request.
+//! `flor.query` builder (one incrementally maintained view of the
+//! projection, filtered by a post-pass) — and shows they agree cell for
+//! cell while the builder path skips re-pivoting the world per request:
+//! every read of the same names, filtered or not, shares one build.
 //!
 //! Run with `cargo run --release --example query_api`.
 
@@ -50,13 +51,13 @@ fn main() {
         .head(5);
     let legacy_time = t.elapsed();
 
-    // Builder, cold: first call materializes the filtered view.
+    // Builder, cold: first call materializes the projection's view.
     let t = Instant::now();
     let cold = question().collect().unwrap();
     let cold_time = t.elapsed();
 
     // Builder, steady state: new commits land as deltas; the selective
-    // query is served from the maintained (tiny) view plus a post-pass.
+    // query is served from the maintained view plus a post-pass filter.
     flor.log("loss", 0.5);
     flor.commit("one more").unwrap();
     let t = Instant::now();
@@ -72,6 +73,13 @@ fn main() {
     assert_eq!(legacy.to_rows(), cold.to_rows());
     let oracle = question().collect_full().unwrap();
     assert_eq!(warm, oracle);
+
+    // The cold and warm filtered reads and an unfiltered read of the same
+    // names cost exactly one build.
+    let names = ["loss", "acc", "arg::lr"];
+    let plain = flor.query(&names).collect().unwrap();
+    assert_eq!(plain, flor.query(&names).collect_full().unwrap());
+    assert_eq!(flor.views.stats().misses, 1, "one build per projection");
 
     // The legacy entrypoints are wrappers over the same builder.
     assert_eq!(

@@ -27,13 +27,14 @@
 //! Everything logged through the kernel is read back through **one lazy
 //! query builder**, [`core::Flor::query`]: project the log names you
 //! want, filter, deduplicate to the latest run per group, order, limit —
-//! then `collect`. The plan lowers through three layers: index-backed
-//! predicate pushdown in the store, an incrementally maintained
-//! materialized view (deltas, not re-pivots), and a cheap dataframe
-//! post-pass for whatever remains. Served from scratch
-//! ([`core::Flor::execute_at`]), the same plan pushes its index
-//! predicates into the store fetch and cuts `latest` / top-K before the
-//! pivot, so a narrow answer costs what it selects.
+//! then `collect`. Embedded reads run through two layers: one
+//! incrementally maintained materialized view per projection (deltas,
+//! not re-pivots; a predicate-free `latest` is maintained beside it),
+//! and a cheap dataframe post-pass for the predicates, ordering and
+//! limit. Served from scratch ([`core::Flor::execute_at`]), the same
+//! plan pushes its index predicates into the store fetch and cuts
+//! `latest` / top-K before the pivot, so a narrow answer costs what it
+//! selects.
 //!
 //! ```
 //! use flordb::prelude::*;
