@@ -17,13 +17,15 @@
 //! post-pass, and a predicate-free `latest` is maintained beside it.
 //! [`Flor::execute_at`] runs the snapshot pivot per request
 //! ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
-//! [`Flor::run_plan_full`] are its one-line callers), pushing index
-//! predicates into the `logs` fetch and cutting `latest` / top-K before
-//! the pivot ([`QueryPlan::below_pivot`]; the table in
-//! [`flor_view::plan`] says which step runs where). It is both the
-//! oracle every incremental answer is checked against and the path
-//! `flor-serve` answers sessions with, and it reports every step's rows
-//! in and out as a [`PlanExplain`]. Both take tracing as an
+//! [`Flor::run_plan_full`] are its one-line callers): it merges each
+//! sealed `logs` segment's fragment (the segment pivoted once, on first
+//! read) by rid instead of fetching and re-pivoting rows, and runs index
+//! predicates and the `latest` / top-K cuts over the merged keys
+//! ([`QueryPlan::below_pivot`]; the table in [`flor_view::plan`] says
+//! which step runs where). It is both the oracle every incremental
+//! answer is checked against and the path `flor-serve` answers sessions
+//! with, and it reports the fragments it merged and made and every
+//! step's counts in and out as a [`PlanExplain`]. Both take tracing as an
 //! [`ActiveTrace`] handle that is inert when tracing and the slow log
 //! are off, so neither has a traced twin.
 //!
@@ -86,15 +88,18 @@ pub struct QueryBuilder<'a> {
 pub struct ExplainReport {
     /// The plan that ran.
     pub plan: QueryPlan,
-    /// Store-layer report for the base `logs` fetch that feeds the
-    /// view: access path (index vs full scan), zone-map segment
+    /// Store-layer report for the `logs` fetch of the projected names
+    /// (the rows the view covers): access path (index vs full scan),
+    /// zone-map segment
     /// pruning, rows examined vs returned at the store, binary-search
     /// probes into clustered segments (`clustered_probes` — `logs` is
     /// clustered by `tstamp`), and the order path (full sort vs
     /// streaming top-K) when the query sorts. Probed on a fresh
-    /// snapshot with the view build's fetch, [`QueryPlan::logs_fetch`],
-    /// so under concurrent commits the counts can trail the serving
-    /// snapshot's by the interleaved rows.
+    /// snapshot with [`QueryPlan::logs_fetch`] — the view's build merges
+    /// per-segment fragments and its catch-up reads by rid watermark, so
+    /// this probe is the one store query — and under concurrent commits
+    /// the counts can trail the serving snapshot's by the interleaved
+    /// rows.
     pub store: QueryExplain,
     /// Whether the view catalog served the plan from an existing
     /// materialized view (after catching it up with any new commits).
@@ -209,7 +214,7 @@ impl Flor {
 
     /// The one place an [`ExplainReport`] is built: the view-stage
     /// deltas since `before` plus a store probe — on a fresh snapshot —
-    /// of the view build's `logs` fetch behind the serve that produced
+    /// of the projection's `logs` fetch behind the serve that produced
     /// `frame`.
     fn explain_report(
         &self,
@@ -279,10 +284,9 @@ impl<'a> QueryBuilder<'a> {
     /// (fixed context columns, loop dimensions, or logged values).
     /// Incrementally, every predicate runs in the post-pass over the
     /// projection's maintained view. From scratch, predicates over
-    /// `projid`/`tstamp`/`filename` join the store's `logs` fetch,
-    /// predicates over loop dimensions run on each fetched row's key
-    /// before the pivot, and predicates over logged values run in the
-    /// post-pass. A predicate naming an unknown column matches nothing.
+    /// `projid`/`tstamp`/`filename` and over loop dimensions test each
+    /// key as the per-segment fragments merge, before the frame is
+    /// built, and predicates over logged values run in the post-pass. A predicate naming an unknown column matches nothing.
     pub fn filter(mut self, col: &str, op: CmpOp, value: impl Into<Value>) -> Self {
         self.plan.predicates.push(Predicate::new(col, op, value));
         self
@@ -338,12 +342,12 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Execute the plan and report how it ran: the store's access path
-    /// and zone-map pruning for the base `logs` fetch, the view
+    /// and zone-map pruning for the projection's `logs` fetch, the view
     /// catalog's hit/miss/rebuild behaviour, and per-stage wall-clock
     /// timings. The plan really executes — [`ExplainReport::frame`] is
     /// the frame [`QueryBuilder::collect_view`] would return, and every
     /// count is a measurement taken from that execution (plus one store
-    /// probe of the same base fetch), not a planner estimate.
+    /// probe of that fetch), not a planner estimate.
     pub fn explain(self) -> StoreResult<ExplainReport> {
         let before = self.flor.views.stats();
         let t0 = Instant::now();
@@ -490,13 +494,23 @@ mod tests {
         let mut tr = ActiveTrace::new(true, None, "query");
         let (traced, explain) = flor.execute_at(&snap, &plan, &mut tr).unwrap();
         assert_eq!(plain, traced);
-        assert!(explain.store.rows_returned > 0);
+        // Four runs of three epochs, two names each, in one coalesced
+        // segment: nothing is pushed past the value predicate, so all 12
+        // keys and their 24 cells reach the pivot.
+        assert_eq!(explain.segments, (1, 1));
+        assert_eq!(explain.merge, (12, 12));
+        assert_eq!(explain.pivot, (24, 12));
+        assert_eq!(explain.post_pass, Some((12, 5)));
         let trace = tr.into_trace().expect("recording handle");
         assert!(trace.span("store.scan").is_some());
         assert!(trace.span("pivot").is_some());
         assert!(trace.span("post_pass").is_some());
+        // The untraced run made the segment's fragment; this one reused it.
         let scan = trace.span("store.scan").unwrap();
-        assert!(scan.events.iter().any(|e| e.message.contains("access=")));
+        assert!(scan
+            .events
+            .iter()
+            .any(|e| e.message.contains("logs: 1 segments, 0 fragments made")));
     }
 
     #[test]

@@ -162,8 +162,8 @@ fn slow_log_breach_and_explain_report_the_same_execution() {
 }
 
 /// The snapshot executor's explain covers the whole plan: a selective
-/// plan's `tstamp` predicate joins the store fetch, so the store returns
-/// one run's rows and the pivot takes no more than those.
+/// plan's `tstamp` predicate skips the segment that cannot hold it and
+/// keeps one run's keys, so the pivot writes those keys' cells only.
 #[test]
 fn snapshot_explain_reports_rows_through_every_step() {
     let flor = Flor::new("explain");
@@ -190,29 +190,29 @@ fn snapshot_explain_reports_rows_through_every_step() {
     assert_eq!(df, flor.run_plan_full(&plan).unwrap());
     assert_eq!(df.n_rows(), 3);
 
-    assert_eq!(explain.store.rows_returned, one_run);
-    assert!(explain.pivot.0 <= explain.store.rows_returned);
+    // Three commits of six rows coalesce into a 12-row segment (runs 1
+    // and 2) and a 6-row one (run 3): only the first can hold `tstamp`
+    // 2, and of its six keys the predicate keeps run 2's three.
+    assert_eq!(explain.segments, (1, 2));
+    assert_eq!(explain.store_predicates, Some((6, 3)));
+    assert_eq!(explain.merge, (3, 3));
     assert_eq!(explain.pivot, (one_run, 3));
     assert_eq!(explain.post_pass, Some((3, 3)));
     let text = explain.to_string();
+    // The first execution makes every sealed `logs` segment's fragment —
+    // all 18 rows, whatever the plan projects; the fragments stay with
+    // the segments, so running again (on a new pin of the same
+    // segments) makes none.
     assert!(
-        text.starts_with("QUERY logs via index-eq(tstamp)"),
-        "{text}"
-    );
-    // The first execution summarises every sealed `logs` segment — all
-    // 18 rows, whatever the plan projects; the summaries stay with the
-    // segments, so running again (on a new pin of the same segments)
-    // summarises nothing.
-    assert!(
-        text.contains("schema pass: 18 rows summarised, 7 columns"),
+        text.starts_with("logs: 1/2 segments merged, 2 fragments made (18 rows summarised)"),
         "{text}"
     );
     let mut inert = flor_obs::ActiveTrace::new(false, None, "");
     let (again, explain_again) = flor.execute_at(&flor.db.pin(), &plan, &mut inert).unwrap();
     assert_eq!(again, df);
-    assert_eq!(explain_again.schema, Some((0, 7)));
+    assert_eq!(explain_again.fragments, (0, 0));
     assert!(
-        text.contains(&format!("pivot: {one_run} rows in, 3 out")),
+        text.contains(&format!("pivot: {one_run} cells in, 3 rows out")),
         "{text}"
     );
 
@@ -224,16 +224,19 @@ fn snapshot_explain_reports_rows_through_every_step() {
     };
     assert!(events("store.scan")
         .iter()
-        .any(|e| e.contains("schema pass")));
-    assert!(events("pivot").contains(&format!("pivot: {one_run} rows in, 3 out")));
-    assert!(events("post_pass").contains(&"post-pass: 3 rows in, 3 out".to_string()));
+        .any(|e| e.contains("2 fragments made (18 rows summarised)")));
+    assert!(events("pivot").contains(&"store predicates: 6 keys in, 3 keys out".to_string()));
+    assert!(events("pivot").contains(&format!("pivot: {one_run} cells in, 3 rows out")));
+    assert!(events("post_pass").contains(&"post-pass: 3 rows in, 3 rows out".to_string()));
 }
 
 #[test]
 fn kernel_metrics_snapshot_sees_every_layer() {
     let flor = seeded();
     flor.dataframe(&["loss"]).unwrap();
-    flor.dataframe(&["loss"]).unwrap();
+    // The view pivots from per-segment fragments and fetches no `logs`
+    // row; the explain's store probe is the kernel's store query here.
+    flor.query(&["loss"]).explain().unwrap();
     let snap = flor.metrics();
 
     // Store layer: one commit latency sample per kernel commit.
@@ -242,7 +245,7 @@ fn kernel_metrics_snapshot_sees_every_layer() {
     assert!(snap.counter("store.commit.rows").unwrap() > 0);
     assert!(snap.histogram("store.wal.fsync_nanos").unwrap().count >= 4);
 
-    // Query accounting flowed from the traced store reads.
+    // Query accounting flowed from the probe's traced store read.
     assert!(snap.counter("store.query.rows_examined").unwrap() > 0);
 
     // View layer: the two dataframe calls above are one miss + one hit.

@@ -3,11 +3,12 @@
 //! compaction and reopened from a checkpoint. The four plan shapes the
 //! `serve.point` workload sends — one run, a ten-run window, top-K on a
 //! value, `latest` per epoch — must equal the post-hoc answer over the
-//! plain pivot, and the explain must show the work moving below it.
+//! plain pivot, and the explain must show the work moving below it: the
+//! segments merged, the keys each step keeps, the fragments made once.
 
 use flor_core::Flor;
 use flor_df::{DataFrame, Value};
-use flor_store::{AccessPath, CmpOp};
+use flor_store::CmpOp;
 use flor_view::QueryPlan;
 
 const NAMES: [&str; 4] = ["loss", "acc", "lr", "grad_norm"];
@@ -85,47 +86,46 @@ fn serve_point_plans_run_below_the_pivot_on_a_ledger_shaped_history() {
         let (df, explain) = flor.execute_at(&snap, plan, &mut tr).expect("execute");
         assert_eq!(df, posthoc(&flor, plan), "{plan:?}");
         assert_eq!(df.n_rows(), rows, "{plan:?}");
-        assert!(explain.schema.is_some(), "{plan:?}: something was pushed");
         (df, explain)
     };
+    // The checkpoint reopens `logs` as 16,000 rows in 4,096-row segments,
+    // each holding 1,024 keys of four cells.
+    const SEGMENTS: usize = 4;
+    const SEGMENT_KEYS: usize = 1024;
 
-    // One run: an index probe on `tstamp` reads that run's rows only.
-    let (_, ex) = run(&selective, EPOCHS);
-    assert_eq!(ex.store.access, AccessPath::IndexEq("tstamp".into()));
-    assert!(
-        ex.store.rows_examined <= EPOCHS * NAMES.len(),
-        "{}",
-        ex.store
-    );
-    assert_eq!(ex.store.rows_returned, EPOCHS * NAMES.len());
-    // The first execution on the snapshot summarises each sealed `logs`
-    // segment once: all 16,000 rows.
-    assert_eq!(
-        ex.schema,
-        Some((RUNS * EPOCHS * NAMES.len(), 3 + 2 + NAMES.len()))
-    );
+    // One run: only the segment holding its `tstamp` is merged, and the
+    // predicate keeps that run's keys.
+    let (df, ex) = run(&selective, EPOCHS);
+    assert_eq!(df.n_cols(), 3 + 2 + NAMES.len());
+    assert_eq!(ex.segments, (1, SEGMENTS), "{ex}");
+    assert_eq!(ex.store_predicates, Some((SEGMENT_KEYS, EPOCHS)), "{ex}");
+    assert_eq!(ex.merge, (EPOCHS, EPOCHS));
+    // The first execution on the snapshot makes each sealed `logs`
+    // segment's fragment once: all 16,000 rows.
+    assert_eq!(ex.fragments, (SEGMENTS, RUNS * EPOCHS * NAMES.len()));
     assert_eq!(ex.pivot, (EPOCHS * NAMES.len(), EPOCHS));
-    // Every later one merges the kept summaries and reads no row.
+    // Every later one merges the kept fragments and reads no row.
     let (_, ex) = run(&selective, EPOCHS);
-    assert_eq!(ex.schema, Some((0, 3 + 2 + NAMES.len())));
+    assert_eq!(ex.fragments, (0, 0));
 
-    // A ten-run window: binary search into the clustered segments reads
-    // only its rows.
+    // A ten-run window: the one segment its `tstamp`s lie in.
     let (_, ex) = run(&window, 10 * EPOCHS);
-    assert!(ex.store.clustered_probes > 0, "{}", ex.store);
-    assert_eq!(ex.store.rows_examined, 10 * EPOCHS * NAMES.len());
-    assert_eq!(ex.store.rows_returned, 10 * EPOCHS * NAMES.len());
+    assert_eq!(ex.segments, (1, SEGMENTS), "{ex}");
+    assert_eq!(ex.store_predicates, Some((SEGMENT_KEYS, 10 * EPOCHS)));
     assert_eq!(ex.pivot, (10 * EPOCHS * NAMES.len(), 10 * EPOCHS));
-    assert_eq!(ex.schema, Some((0, 3 + 2 + NAMES.len())));
+    assert_eq!(ex.fragments, (0, 0));
 
-    // Top-K and `latest` cut 4,000 rows to the keys they keep.
-    let (_, ex) = run(&top_k, 10);
+    // Top-K and `latest` cut 4,000 merged keys to the keys they keep.
+    let (df, ex) = run(&top_k, 10);
+    assert_eq!(df.n_cols(), 3 + 2 + 1);
+    assert_eq!(ex.segments, (SEGMENTS, SEGMENTS));
+    assert_eq!(ex.merge, (RUNS * EPOCHS, RUNS * EPOCHS));
     assert_eq!(ex.top_k_cut, Some((RUNS * EPOCHS, 10)));
     assert_eq!(ex.pivot, (10, 10));
-    assert_eq!(ex.schema, Some((0, 3 + 2 + 1)));
+    assert_eq!(ex.fragments, (0, 0));
     let (df, ex) = run(&latest, EPOCHS);
     assert_eq!(ex.latest_cut, Some((RUNS * EPOCHS, EPOCHS)));
-    assert_eq!(ex.schema, Some((0, 3 + 2 + 1)));
+    assert_eq!(ex.fragments, (0, 0));
     assert_eq!(ex.pivot, (EPOCHS, EPOCHS));
     let last_run = Value::Int(RUNS as i64);
     assert!(df

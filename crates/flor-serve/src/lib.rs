@@ -16,10 +16,11 @@
 //! are repeatable and byte-identical to a local `collect_full` at the
 //! same epoch, no matter how many commits land while the session is
 //! open. `Pin` re-pins on demand. A narrow plan costs what it selects,
-//! not what the history holds: the executor pushes `projid` / `tstamp` /
-//! `filename` predicates into the store's `logs` fetch, tests loop
-//! dimensions on each fetched row, and cuts `latest` and top-K before
-//! the pivot (see `flor_view::plan` for where each step runs).
+//! not what the history holds: the executor merges per-segment pivot
+//! fragments instead of fetching rows, tests `projid` / `tstamp` /
+//! `filename` predicates and loop dimensions on each merged key, and
+//! cuts `latest` and top-K before building the frame (see
+//! `flor_view::plan` for where each step runs).
 //!
 //! * [`protocol`] — the wire codec: versioned `Hello`, typed
 //!   request/response enums, carried in the store's one frame layout and
@@ -37,14 +38,15 @@
 //! originate a trace context ([`client::Client::query_traced`] wraps the
 //! query in [`protocol::Request::Traced`]); the server then records a
 //! hierarchical [`flor_obs::Trace`] — middleware verdicts, gate
-//! admission, plan execution down to the store scan with zone-map
-//! pruning counts — into the served registry's
+//! admission, plan execution down to the fragments merged and made —
+//! into the served registry's
 //! [`flor_obs::TraceStore`], retrievable over the wire with the
 //! `Traces` verb. Requests that exceed the registry's slow-query
 //! threshold are captured with their whole-plan explain report
-//! ([`flor_core::PlanExplain`]: the store fetch, then rows into and out
-//! of the schema pass, key predicates, `latest` and top-K cuts, pivot
-//! and post-pass; `SlowQueries` verb), and the `Health` verb answers a
+//! ([`flor_core::PlanExplain`]: the `logs` fragments merged and made,
+//! then counts into and out of the store and key predicates, the merge,
+//! the `latest` and top-K cuts, the pivot and the post-pass;
+//! `SlowQueries` verb), and the `Health` verb answers a
 //! [`protocol::HealthReport`]:
 //! epoch, WAL position, checkpoint/compaction counts, session and
 //! in-flight occupancy, and — on a follower — the estimated replication

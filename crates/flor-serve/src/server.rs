@@ -554,9 +554,10 @@ fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(
 /// Execute one admitted request against the session's pinned snapshot.
 /// Queries run through the kernel's one snapshot executor, which records
 /// scan/pivot/post-pass child spans into `tr` (or nothing when it is
-/// inert) and returns the measured whole-plan [`PlanExplain`] — store
-/// fetch, then rows into and out of every step below and above the
-/// pivot — for slow-query capture; the frame is the same either way.
+/// inert) and returns the measured whole-plan [`PlanExplain`] — the
+/// `logs` fragments merged and made, then counts into and out of every
+/// step below and above the pivot — for slow-query capture; the frame is
+/// the same either way.
 fn execute(
     shared: &Shared,
     session: &mut Session,

@@ -75,8 +75,8 @@ fn traced_queries_health_and_slow_capture_on_writer() {
         "gate admission event missing:\n{rendered}"
     );
     assert!(
-        rendered.contains("access="),
-        "store-scan access-path event missing:\n{rendered}"
+        rendered.contains("fragments made"),
+        "store-scan fragments event missing:\n{rendered}"
     );
 
     // The plain query ran under a server-generated trace too.
@@ -98,7 +98,7 @@ fn traced_queries_health_and_slow_capture_on_writer() {
         rec.plan
     );
     assert!(
-        rec.explain.contains("QUERY logs"),
+        rec.explain.contains("segments merged"),
         "explain report missing from slow capture: {:?}",
         rec.explain
     );

@@ -80,11 +80,14 @@
 //!
 //! Next to its zone maps a segment keeps one more per-segment fact: a
 //! **summary**, an arbitrary value a reader derives from the segment's
-//! rows (the pivot keeps its loop contexts per `loops` segment and its
-//! first-seen names per `logs` segment). Unlike a zone map it is built
+//! rows (the pivot keeps its loop contexts per `loops` segment and, per
+//! `logs` segment, a fragment: the segment's rows pivoted once, which a
+//! query merges with the other segments' fragments by rid instead of
+//! re-pivoting rows). Unlike a zone map it is built
 //! lazily — by the first [`crate::Snapshot::summaries`] call that needs
-//! it, never at seal or commit time — and then shared by `Arc` with every
-//! snapshot that pins the segment, for the segment's life. A segment a
+//! it, never at seal or commit time — and, when that caller would reuse
+//! it, kept and shared by `Arc` with every snapshot that pins the
+//! segment, for the segment's life. A segment a
 //! commit coalesces or a compaction merges is a new segment with an
 //! empty slot, so a summary never outlives the rows it describes; nothing
 //! is persisted, and a reopened table starts with empty slots.
@@ -151,8 +154,8 @@ pub(crate) struct Segment {
     /// then binary-search into the segment instead of filtering it.
     pub sorted_by: Option<usize>,
     /// The reader-defined [summary](self#summaries) of this segment's
-    /// rows: empty until the first [`crate::Snapshot::summaries`] call
-    /// that needs it, then fixed.
+    /// rows: empty until a [`crate::Snapshot::summaries`] call makes one
+    /// it would reuse, then fixed.
     pub summary: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 

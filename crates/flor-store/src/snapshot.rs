@@ -107,10 +107,12 @@ impl Snapshot {
     /// `table`, in segment order, and how many rows this call summarised.
     /// A segment whose slot is empty is summarised now — `summarise` gets
     /// its rows as columns `cols` in commit order, and their rids — and
-    /// keeps the result for every snapshot that pins it, so a later call
-    /// from any snapshot only clones an `Arc`. A kept summary `reuse`
-    /// refuses (made under facts this caller does not share), or one of
-    /// another type, is made again for this call only.
+    /// the slot keeps the result for every snapshot that pins it when
+    /// `reuse` accepts it, so a later call from any snapshot only clones
+    /// an `Arc`. A kept summary `reuse` refuses (made under facts this
+    /// caller does not share), or one of another type, is made again for
+    /// this call; so is a fresh one `reuse` refuses, which never takes
+    /// the slot.
     pub fn summaries<T: Any + Send + Sync>(
         &self,
         table: &str,
@@ -135,14 +137,16 @@ impl Snapshot {
         };
         let mut out = Vec::with_capacity(t.segments.len());
         for seg in &t.segments {
-            let mut fresh = false;
-            let kept = seg.summary.get_or_init(|| {
-                fresh = true;
-                Arc::new(make(seg, &mut rows))
-            });
-            out.push(match Arc::clone(kept).downcast::<T>() {
-                Ok(kept) if fresh || reuse(&kept) => kept,
-                _ => Arc::new(make(seg, &mut rows)),
+            let kept = seg.summary.get().map(|k| Arc::clone(k).downcast::<T>());
+            out.push(match kept {
+                Some(Ok(kept)) if reuse(&kept) => kept,
+                kept => {
+                    let fresh = Arc::new(make(seg, &mut rows));
+                    if kept.is_none() && reuse(&fresh) {
+                        let _ = seg.summary.set(Arc::clone(&fresh) as _);
+                    }
+                    fresh
+                }
             });
         }
         Ok((out, rows))
@@ -214,9 +218,16 @@ impl Snapshot {
         table: &str,
         predicates: &[Predicate],
     ) -> StoreResult<(usize, usize)> {
+        let admits = self.zone_admits(table, predicates)?;
+        Ok((admits.iter().filter(|&&a| a).count(), admits.len()))
+    }
+
+    /// Per segment of `table`, in segment order (the order of
+    /// [`Snapshot::summaries`]): whether a scan under the conjunction of
+    /// `predicates` must visit it, by the segment's zone maps.
+    pub fn zone_admits(&self, table: &str, predicates: &[Predicate]) -> StoreResult<Vec<bool>> {
         let t = self.table(table)?;
-        let visited = t.segments.iter().filter(|s| s.admits(predicates)).count();
-        Ok((visited, t.segments.len()))
+        Ok(t.segments.iter().map(|s| s.admits(predicates)).collect())
     }
 
     /// Live (retained) rows in `table` — what a full scan touches. After

@@ -370,10 +370,10 @@ impl ViewCatalog {
     /// for it too.
     ///
     /// The build is the snapshot pivot `Flor::execute_at` runs, over the
-    /// plan projecting `names` ([`PivotState::at`]): the loop contexts
-    /// come from the snapshot's per-segment summaries, shared with every
-    /// other view and query rather than read and resolved again per
-    /// build.
+    /// plan projecting `names` ([`PivotState::at`]): a merge of the
+    /// snapshot's per-segment loop contexts and pivot fragments, shared
+    /// with every other view and query rather than read and pivoted again
+    /// per build.
     fn build(&self, names: &[String], snap: &Snapshot) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
         Ok(CachedView {

@@ -164,6 +164,10 @@ mod tests {
     use flor_df::DfError;
     use flor_store::{flor_schema, Database};
 
+    fn inert() -> ActiveTrace {
+        ActiveTrace::new(false, None, "")
+    }
+
     fn log_row(ts: i64, ctx: i64, name: &str, value: &str, tag: i64) -> Vec<Value> {
         vec![
             "p".into(),
@@ -401,9 +405,9 @@ mod tests {
             .unwrap();
         db.commit().unwrap();
         let columns = |snap: &Snapshot| {
-            let mut pivot = Pivot::new(LoopContexts::of(snap).unwrap());
-            let rows = pivot.discover_all(snap, &["loss".to_string()]).unwrap();
-            (pivot.frame().column_names().join(","), rows)
+            let (pivot, explain) =
+                pivot_at(snap, &QueryPlan::new(&["loss"]), &mut inert()).unwrap();
+            (pivot.frame().column_names().join(","), explain.fragments.1)
         };
         // The newer snapshot summarises the `logs` segment with the
         // whole chain; the older one lacks the link and must not use it.
@@ -432,9 +436,7 @@ mod tests {
         let snap = db.pin();
         let first = snap.scan("logs").unwrap();
         assert_eq!(first.get(0, "value_name"), Some(&Value::from("a")));
-        let mut pivot = Pivot::new(LoopContexts::of(&snap).unwrap());
-        let names = ["a".to_string(), "b".to_string()];
-        pivot.discover_all(&snap, &names).unwrap();
+        let (pivot, _) = pivot_at(&snap, &QueryPlan::new(&["a", "b"]), &mut inert()).unwrap();
         assert_eq!(
             pivot.frame().column_names(),
             [
@@ -449,6 +451,63 @@ mod tests {
                 "b"
             ]
         );
+    }
+
+    #[test]
+    fn a_fragment_made_before_a_late_parent_stays_reusable() {
+        // Rows under 5, whose parent 9 ("top") arrives in a later commit,
+        // and under 7, which no `loops` row ever defines.
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
+        db.insert("logs", log_row(1, 7, "loss", "2", 2)).unwrap();
+        db.commit().unwrap();
+        let plan = QueryPlan::new(&["loss"]);
+        let run = |snap: &Snapshot| pivot_at(snap, &plan, &mut inert()).unwrap();
+        let view = |db: &Database| {
+            let mut view = PivotState::new(&["loss"]);
+            catch_up(db, &mut view, &mut [0, 0]);
+            view.frame()
+        };
+        // Their keys stay open: each query resolves them, so the
+        // fragment is made once.
+        let (first, explain) = run(&db.pin());
+        assert_eq!(explain.fragments, (1, 2));
+        assert_eq!(first.frame(), view(&db));
+        assert_eq!(run(&db.pin()).1.fragments, (0, 0));
+        db.insert("loops", loop_row(2, 9, 0, "top", 0, "0"))
+            .unwrap();
+        db.commit().unwrap();
+        // Once the parent commits, the kept fragment resolves the whole
+        // chain: no pin makes a fragment again.
+        let (after, explain) = run(&db.pin());
+        assert_eq!(explain.fragments, (0, 0));
+        assert_eq!(after.frame(), view(&db));
+        assert_eq!(after.frame().get(0, "top_iteration"), Some(&Value::Int(0)));
+    }
+
+    #[test]
+    fn a_redefined_ctx_id_is_not_read_from_an_older_fragment() {
+        let db = Database::in_memory(flor_schema());
+        db.insert("loops", loop_row(1, 5, 0, "epoch", 0, "0"))
+            .unwrap();
+        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
+        db.commit().unwrap();
+        let plan = QueryPlan::new(&["loss"]);
+        let run = |snap: &Snapshot| pivot_at(snap, &plan, &mut inert()).unwrap();
+        assert_eq!(run(&db.pin()).1.fragments, (1, 1));
+        // A raw writer defines 5 again: the kept fragment resolved the
+        // old definition, so this snapshot pivots the segment anew.
+        db.insert("loops", loop_row(2, 5, 0, "epoch", 1, "1"))
+            .unwrap();
+        db.commit().unwrap();
+        let (pivot, explain) = run(&db.pin());
+        assert_eq!(explain.fragments, (1, 1));
+        let mut view = PivotState::new(&["loss"]);
+        catch_up(&db, &mut view, &mut [0, 0]);
+        assert_eq!(pivot.frame(), view.frame());
+        assert_eq!(view.frame().get(0, "epoch_iteration"), Some(&Value::Int(1)));
     }
 
     #[test]

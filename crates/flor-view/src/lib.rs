@@ -10,15 +10,18 @@
 //!   join to the loop context (resolved once per sealed `loops` segment),
 //!   new-column discovery on first sight of a `value_name` or loop
 //!   dimension, and a per-key cell upsert written straight into the
-//!   output columns; and the one function that runs it over a pinned
-//!   snapshot under a plan, with the plan's steps below the pivot. Its
-//!   public face is [`execute_at`], that pivot plus the plan's post-pass
-//!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
-//!   what `flor-serve` answers with.
+//!   output columns; and the one function that builds it from a pinned
+//!   snapshot under a plan — a merge by rid of per-segment fragments
+//!   (each sealed `logs` segment pivoted once, on first read, and kept
+//!   beside the segment), with the plan's steps run over the merged
+//!   keys. Its public face is [`execute_at`], that pivot plus the plan's
+//!   post-pass (reporting a [`PlanExplain`]) — `Flor::execute_at`, the
+//!   oracle and what `flor-serve` answers with.
 //! * `delta` (private) — [`PivotState`], the same operator maintained
 //!   as commits land — handed the `loops` and `logs` rows past a rid
-//!   watermark ([`flor_store::Snapshot::since`]) — projected, built by
-//!   the snapshot pivot; and incremental `flor.utils.latest` via
+//!   watermark ([`flor_store::Snapshot::since`]) and upserting them one
+//!   at a time — projected, built by the snapshot pivot's merge; and
+//!   incremental `flor.utils.latest` via
 //!   per-group-key max-timestamp upsert. Both
 //!   are **cell-for-cell identical** to a long-frame
 //!   [`flor_df::DataFrame::pivot`] reference (property-tested in

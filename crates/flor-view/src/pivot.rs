@@ -1,41 +1,52 @@
-//! The one pivot of `logs ⋈ loops`, and the one function that runs it
-//! over a pinned snapshot.
+//! The one pivot of `logs ⋈ loops`, and the one function that builds it
+//! from a pinned snapshot.
 //!
 //! [`Pivot`] turns `logs` rows into the wide `flor.dataframe` frame. It
 //! joins each row to its loop context, widens the schema when a row
 //! names a loop dimension or `value_name` it has not seen, and writes the
 //! row's one cell straight into the output column at the row its key
-//! names, last write wins. Every answer comes from it. [`pivot_at`] runs
-//! one over a snapshot's rows under a plan, for two callers: [`execute_at`]
-//! (behind `Flor::execute_at`, so every `flor-serve` request) and the view
-//! catalog's cold build, which hands the result to a
-//! [`crate::PivotState`] that keeps it up to date with the rows later
-//! commits add ([`flor_store::Snapshot::since`]).
+//! names, last write wins. A maintained view ([`crate::PivotState`])
+//! hands it the rows later commits add ([`flor_store::Snapshot::since`]),
+//! one at a time.
 //!
-//! Nothing reads history whole per query. The loop contexts are a stack
-//! ([`LoopContexts`]): one context map per sealed `loops` segment, each
-//! context resolved once per segment when its chain lies there, made by
-//! the first reader of the segment and shared by `Arc` with every later
-//! snapshot and cached view ([`flor_store::Snapshot::summaries`]), plus
-//! the tail a maintained view reads in as it catches up. The schema pass
-//! ([`Pivot::discover_all`]) is a merge, by smallest rid, of one summary
-//! per sealed `logs` segment — each value name's first rid and the first
-//! rid of each dimension signature it was logged under — since
-//! first-seen order is rid order. Where a summary cannot be exact — a
-//! chain incomplete when summarised, a `ctx_id` some `loops` row
-//! redefines — the context is resolved at query time instead.
+//! [`pivot_at`] builds the same frame from a snapshot without pivoting a
+//! row. Each sealed `logs` segment keeps a **fragment** ([`Fragment`],
+//! the segment's [`Snapshot::summaries`] slot): its rows pivoted once
+//! under the snapshot's loop contexts — one entry per row key, and per
+//! value name each key's last cell with the first and the last rid that
+//! wrote it, plus the name's schema facts. The first read that needs a
+//! segment makes its fragment, and every later snapshot that pins the
+//! segment shares it by `Arc`; nothing is made at commit. A query merges
+//! the fragments of every segment through one [`KeyIndex`]:
+//! - a key's row position is the smallest first rid among its
+//!   **projected** cells, and a key with no projected cell is no row;
+//! - a cell's value is the one with the largest last rid;
+//! - the columns are a merge of the fragments' schema facts by smallest
+//!   rid ([`Pivot::discover`]), since first-seen order is rid order.
 //!
-//! When [`QueryPlan::below_pivot`] lowers steps, [`pivot_at`] first fixes
-//! the columns of every projected row with the schema pass, then pushes
-//! the `projid` / `tstamp` / `filename` predicates into the `logs` fetch
-//! and runs the key predicates, the `latest` cut and the top-K cut over
-//! the fetched rows joined to their loop contexts ([`LogRows`]), so the
-//! pivot writes only the rows they keep and the reduced frame still has
-//! the columns the pivot of every row would have. Rows stay in commit
-//! order throughout (the store's read-order contract,
-//! `flor_store::segment`), which is the order a maintained view reads
-//! later commits' rows in: a maintained view and a snapshot pivot
-//! discover columns and rows in the same order.
+//! The merge goes by rid, never by segment order: a backfill writes
+//! cells for old keys into new segments, and a clustered compaction
+//! permutes rids across segments. So the frame, and the [`Pivot`] a view
+//! goes on upserting into, are what row-by-row upserts of the projected
+//! rows in commit order would have built.
+//!
+//! The loop contexts are kept the same way ([`LoopContexts`]): one
+//! context map per sealed `loops` segment, each context resolved once
+//! per segment when its chain lies there. A fragment is reused only by a
+//! snapshot whose sealed contexts resolve its keys the same way. A key
+//! whose chain had a link missing when the fragment was made — a parent
+//! not yet committed or never committed, or any link once contexts are
+//! flattened because some `ctx_id` may be defined twice — stays **open**:
+//! the fragment keeps it by `ctx_id`, and each query resolves it against
+//! its own contexts, so the fragment stays reusable when the link
+//! arrives.
+//!
+//! When [`QueryPlan::below_pivot`] lowers steps, they run over the merged
+//! keys before any row is materialised: `projid` / `tstamp` / `filename`
+//! predicates test each key's fixed cells (a fragment whose fixed cells
+//! none can match adds only its schema facts), key predicates its loop
+//! cells, and the `latest` and top-K cuts keep the keys those steps
+//! would keep.
 //!
 //! The invariant, enforced by `tests/prop_pivot.rs` (the operator against
 //! a long-frame `DataFrame::pivot` reference, fed in one batch or many)
@@ -46,7 +57,7 @@
 use crate::plan::{BelowPivot, QueryPlan, FIXED_COLS as FIXED};
 use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{Predicate, QueryExplain, Snapshot, StoreResult};
+use flor_store::{Predicate, Snapshot, StoreResult};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -261,10 +272,11 @@ pub(crate) struct LoopContexts {
 impl LoopContexts {
     /// The contexts of `snap`'s `loops`: one summary per sealed segment,
     /// made by the first reader of the segment and shared by every later
-    /// one, so no query re-reads the table. When some `ctx_id` is defined
-    /// twice (the kernel mints each once; raw `Database` writers need
-    /// not), they fold into one map, later rows winning, as a row-by-row
-    /// read would.
+    /// one, so no query re-reads the table. When some `ctx_id` may be
+    /// defined twice — one segment defines it twice, or two segments' id
+    /// ranges overlap (the kernel mints each id once, in rising order; raw
+    /// `Database` writers need not) — they fold into one map, later rows
+    /// winning, as a row-by-row read would.
     pub(crate) fn of(snap: &Snapshot) -> StoreResult<LoopContexts> {
         let (sealed, _) = snap.summaries("loops", &LOOP_COLS, |_| true, SegmentContexts::of)?;
         let mut out = LoopContexts {
@@ -322,25 +334,22 @@ impl LoopContexts {
         dims(|id| self.link(id), ctx_id)
     }
 
-    /// `ctx_id`'s dimension column names, outermost loop first, and the
-    /// largest rid among its links, through the sealed links only —
-    /// `None` while a link is missing.
-    fn signature(&self, ctx_id: i64) -> Option<(Signature, Option<usize>)> {
-        let (mut names, mut last_rid, mut cur) = (Vec::new(), None, ctx_id);
+    /// The largest rid among `ctx_id`'s links, through the sealed links
+    /// only (`Some(None)` for a context with none, `ctx_id` 0) — `None`
+    /// while a link is missing.
+    fn sealed_last_rid(&self, ctx_id: i64) -> Option<Option<usize>> {
+        let (mut last_rid, mut cur) = (None, ctx_id);
         while cur != 0 {
             let c = self.sealed(cur)?;
-            names.push(Arc::clone(&c.link.cols.1));
-            names.push(Arc::clone(&c.link.cols.0));
             last_rid = last_rid.max(Some(c.rid));
             cur = c.link.parent;
         }
-        names.reverse();
-        Some((names.into(), last_rid))
+        Some(last_rid)
     }
 
     /// The rid below which every sealed link lies, when each `ctx_id` is
-    /// defined once and nothing has been fed since; 0 otherwise. A schema
-    /// summary whose chains lie below it is exact here.
+    /// defined once and nothing has been fed since; 0 otherwise. A
+    /// fragment whose chains lie below it is exact here.
     fn trusted_below(&self) -> usize {
         match self.sealed.iter().map(|s| s.last_rid).max() {
             Some(last) if self.tail.is_empty() => last + 1,
@@ -349,8 +358,8 @@ impl LoopContexts {
     }
 }
 
-/// A `logs` row as the pivot reads it, borrowed from a fetched frame's
-/// columns ([`LogRow::all`]).
+/// A `logs` row as the pivot reads it, borrowed from a frame's columns
+/// ([`LogRow::all`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LogRow<'a> {
     /// `projid`, `tstamp`, `filename`: the row key's fixed cells, in
@@ -367,7 +376,7 @@ pub(crate) struct LogRow<'a> {
 }
 
 impl<'a> LogRow<'a> {
-    /// Every row of a fetched `logs` frame, in order; a missing column is
+    /// Every row of a `logs` frame, in order; a missing column is
     /// [`DfError::UnknownColumn`].
     pub(crate) fn all(logs: &'a DataFrame) -> DfResult<impl Iterator<Item = LogRow<'a>>> {
         let col = |name: &str| {
@@ -386,29 +395,17 @@ impl<'a> LogRow<'a> {
             value_type: &value_type[at],
         }))
     }
-
-    /// The row's cell in index column `col` under context `ctx`: a fixed
-    /// column's, a dimension's ([`Ctx::cell`]), or null.
-    fn cell<'c>(&self, ctx: &'c Ctx, col: &str) -> &'c Value
-    where
-        'a: 'c,
-    {
-        match FIXED.iter().position(|f| *f == col) {
-            Some(i) => self.fixed[i],
-            None => ctx.cell(col),
-        }
-    }
 }
 
 /// One loop context as a row key sees it: resolved once per sealed
 /// `loops` segment when its chain lies in the segment, else once per
-/// `ctx_id` by [`Pivot::ctx`].
+/// `ctx_id` by [`Pivot::ctx`] or per fragment by [`Fragment::of`].
 #[derive(Debug)]
 pub(crate) struct Ctx {
     /// [`LoopContexts::dims`] of the context.
     dims: Vec<Dim>,
-    /// [`Ctx::hash`], computed on first use: the pre-cuts resolve every
-    /// fetched row's context but write only the rows they keep.
+    /// [`Ctx::hash`], computed on first use: one context serves every
+    /// key logged under it, in every fragment that shares it.
     hash: OnceLock<u64>,
 }
 
@@ -445,71 +442,235 @@ impl Ctx {
             .find(|(d, _)| **d == *col)
             .map_or(&Value::Null, |(_, v)| v)
     }
+
+    /// Whether `other` has the same cell in every dimension column either
+    /// names: whether the two put a key in the same row.
+    fn same_cells(&self, other: &Ctx) -> bool {
+        self.dims
+            .iter()
+            .chain(&other.dims)
+            .all(|(d, _)| self.cell(d) == other.cell(d))
+    }
 }
 
-/// Where a value name was first logged in one sealed `logs` segment.
+/// One row key of a [`Fragment`]: its fixed cells, its loop context, and
+/// the [`key_hash`] [`Pivot::upsert`] finds it by.
 #[derive(Debug)]
-struct NameFirsts {
-    /// The name's first rid.
-    first: usize,
-    /// The first rid under each dimension signature.
-    signatures: Vec<(Signature, usize)>,
-    /// The first rid under each context whose chain was incomplete when
-    /// summarised; resolved by every query.
-    open: Vec<(i64, usize)>,
+struct FragKey {
+    /// `projid`, `tstamp`, `filename`, in [`FIXED`] order.
+    fixed: [Value; 3],
+    ctx: Arc<Ctx>,
+    hash: u64,
 }
 
-/// The schema facts of one sealed `logs` segment: the summary the store
-/// keeps beside the segment ([`Snapshot::summaries`]). The pivot's
-/// columns are in first-seen order, and first-seen order is rid order
-/// (the store's read-order contract), so the columns of any projection
-/// follow from each name's and each signature's smallest rid, merged
-/// across segments.
+impl FragKey {
+    /// The key's cell in index column `col`: a fixed column's, a
+    /// dimension's ([`Ctx::cell`]), or null.
+    fn cell(&self, col: &str) -> &Value {
+        match FIXED.iter().position(|f| *f == col) {
+            Some(i) => &self.fixed[i],
+            None => self.ctx.cell(col),
+        }
+    }
+
+    /// Whether `self` and `other` are one row key.
+    fn same(&self, other: &FragKey) -> bool {
+        self.hash == other.hash
+            && self.fixed == other.fixed
+            && (Arc::ptr_eq(&self.ctx, &other.ctx) || self.ctx.same_cells(&other.ctx))
+    }
+}
+
+/// One key's cell under one value name in a [`Fragment`].
+#[derive(Debug)]
+struct KeyCell {
+    /// The key, a position in [`Fragment::keys`].
+    key: usize,
+    /// The value the segment's last row of this key and name wrote.
+    value: Value,
+    /// The first and the last rid that wrote it.
+    first: usize,
+    last: usize,
+}
+
+/// What a [`Fragment`] knows of one value name.
+#[derive(Debug)]
+struct NameFacts {
+    /// The name's first rid: where its column is first seen.
+    first: usize,
+    /// The first rid under each dimension signature: where the
+    /// dimension columns its rows add are first seen.
+    signatures: Vec<(Signature, usize)>,
+    /// The first rid under each `ctx_id` of an open key
+    /// ([`Fragment::open`]), whose signature each query reads.
+    open: Vec<(i64, usize)>,
+    /// Per key that logged the name: its cell, in first-rid order.
+    cells: Vec<KeyCell>,
+}
+
+/// One sealed `logs` segment pivoted once: the summary the store keeps
+/// beside the segment ([`Snapshot::summaries`]), made by the first
+/// [`pivot_at`] that needs it and merged by every later one.
 #[derive(Debug, Default)]
-struct SegmentNames {
-    names: HashMap<Value, NameFirsts>,
-    /// Every signature's chain lies in `loops` rows below this rid; a
-    /// [`LoopContexts`] whose [`LoopContexts::trusted_below`] reaches it
-    /// resolves them the same way.
+struct Fragment {
+    /// The segment's row keys, in first-rid order.
+    keys: Vec<FragKey>,
+    /// The open keys, as positions in `keys` (ascending) with their
+    /// `ctx_id`: keys whose chain had a link missing from the sealed
+    /// contexts when the fragment was made — a parent not yet committed
+    /// or never committed, or any link once the contexts were flattened.
+    /// They are told apart by `ctx_id`, and each query resolves them
+    /// against its own contexts ([`Fragment::reopen`]).
+    open: Vec<(usize, i64)>,
+    /// Per value name logged here.
+    names: HashMap<Value, NameFacts>,
+    /// Every chain of a key that is not open lies in `loops` rows below
+    /// this rid; a [`LoopContexts`] whose
+    /// [`LoopContexts::trusted_below`] reaches it resolves them the same
+    /// way.
     needs: usize,
 }
 
-impl SegmentNames {
-    /// Summarise a segment's `ctx_id` / `value_name` rows (in rid order)
-    /// against `loops`, whose sealed links are trusted below `trusted`.
-    fn of(logs: &DataFrame, rids: &[usize], loops: &LoopContexts, trusted: usize) -> SegmentNames {
-        let column = |name: &str| logs.column(name).map_or(&[][..], |c| c.values.as_slice());
-        let mut out = SegmentNames::default();
-        let mut resolved: HashMap<i64, Option<Signature>> = HashMap::new();
-        for ((ctx_id, name), &rid) in column("ctx_id").iter().zip(column("value_name")).zip(rids) {
-            let id = ctx_id.as_i64().unwrap_or(0);
-            let signature = resolved.entry(id).or_insert_with(|| {
-                let (signature, last) = loops.signature(id)?;
-                match last {
-                    Some(last) if last < trusted => out.needs = out.needs.max(last + 1),
-                    Some(_) => return None,
-                    None => {}
-                }
-                Some(signature)
+impl Fragment {
+    /// Pivot a segment's rows (every `logs` column, in rid order) under
+    /// `loops`, whose sealed links are trusted below `trusted`.
+    fn of(logs: &DataFrame, rids: &[usize], loops: &LoopContexts, trusted: usize) -> Fragment {
+        let mut out = Fragment::default();
+        // `Snapshot::summaries` hands over every column asked for.
+        let Ok(rows) = LogRow::all(logs) else {
+            return out;
+        };
+        let mut ctxs: HashMap<i64, (Arc<Ctx>, Option<Signature>)> = HashMap::new();
+        let mut index = KeyIndex::default();
+        // Each name's facts, found by the name as the frame holds it.
+        let mut slots: HashMap<&Value, usize> = HashMap::new();
+        let mut names: Vec<(Value, NameFacts)> = Vec::new();
+        // (key, name slot) → the cell's position in the name's `cells`.
+        let mut cells: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut last: Option<usize> = None;
+        for (row, &rid) in rows.zip(rids) {
+            let id = row.ctx_id.as_i64().unwrap_or(0);
+            let (ctx, signature) = match ctxs.entry(id) {
+                Entry::Occupied(known) => known.into_mut(),
+                Entry::Vacant(slot) => slot.insert(out.resolve(loops, id, trusted)),
+            };
+            let same_as_last = last.filter(|&k| {
+                let key = &out.keys[k];
+                Arc::ptr_eq(&key.ctx, ctx) && key.fixed.iter().eq(row.fixed)
             });
-            let firsts = match out.names.entry(name.clone()) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(NameFirsts {
+            let key = match same_as_last {
+                Some(k) => k,
+                None => {
+                    let hash = key_hash(row.fixed, ctx);
+                    let (keys, open) = (&out.keys, &out.open);
+                    let is_open = |k: usize| open.binary_search_by_key(&k, |&(k, _)| k).is_ok();
+                    let (k, new) = index.find_or_add(hash, |k| {
+                        keys[k].fixed.iter().eq(row.fixed)
+                            && match signature {
+                                Some(_) => !is_open(k) && keys[k].ctx.same_cells(ctx),
+                                // One `Arc` per open `ctx_id`.
+                                None => Arc::ptr_eq(&keys[k].ctx, ctx),
+                            }
+                    });
+                    if new {
+                        if signature.is_none() {
+                            out.open.push((out.keys.len(), id));
+                        }
+                        out.keys.push(FragKey {
+                            fixed: row.fixed.map(Value::clone),
+                            ctx: Arc::clone(ctx),
+                            hash,
+                        });
+                    }
+                    k
+                }
+            };
+            last = Some(key);
+            let slot = *slots.entry(row.value_name).or_insert_with(|| {
+                let facts = NameFacts {
                     first: rid,
                     signatures: Vec::new(),
                     open: Vec::new(),
-                }),
-            };
+                    cells: Vec::new(),
+                };
+                names.push((row.value_name.clone(), facts));
+                names.len() - 1
+            });
+            let facts = &mut names[slot].1;
             match signature {
-                Some(sig) if !firsts.signatures.iter().any(|(s, _)| s == sig) => {
-                    firsts.signatures.push((Arc::clone(sig), rid));
+                Some(sig) if !facts.signatures.iter().any(|(s, _)| s == sig) => {
+                    facts.signatures.push((Arc::clone(sig), rid));
                 }
-                Some(_) => {}
-                None if !firsts.open.iter().any(|&(c, _)| c == id) => firsts.open.push((id, rid)),
-                None => {}
+                None if !facts.open.iter().any(|&(c, _)| c == id) => facts.open.push((id, rid)),
+                _ => {}
+            }
+            let value = logged_value(row.value, row.value_type);
+            match cells.entry((key, slot)) {
+                Entry::Occupied(at) => {
+                    let cell = &mut facts.cells[*at.get()];
+                    (cell.value, cell.last) = (value, rid);
+                }
+                Entry::Vacant(at) => {
+                    at.insert(facts.cells.len());
+                    facts.cells.push(KeyCell {
+                        key,
+                        value,
+                        first: rid,
+                        last: rid,
+                    });
+                }
             }
         }
+        out.names = names.into_iter().collect();
         out
+    }
+
+    /// The context of `ctx_id` and its signature — none for a key that
+    /// stays open — noting what the resolution depends on.
+    fn resolve(
+        &mut self,
+        loops: &LoopContexts,
+        id: i64,
+        trusted: usize,
+    ) -> (Arc<Ctx>, Option<Signature>) {
+        let ctx = match loops.sealed(id).and_then(|c| c.resolved.as_ref()) {
+            Some(ctx) => Arc::clone(ctx),
+            None => Arc::new(Ctx::new(loops.dims(id).0)),
+        };
+        match loops.sealed_last_rid(id) {
+            Some(Some(last)) if last < trusted => self.needs = self.needs.max(last + 1),
+            Some(None) => {}
+            _ => return (ctx, None),
+        }
+        let signature = ctx.dims.iter().map(|(d, _)| Arc::clone(d)).collect();
+        (ctx, Some(signature))
+    }
+
+    /// The open keys resolved against `loops`, in [`Fragment::open`]
+    /// order.
+    fn reopen(&self, loops: &LoopContexts) -> Vec<FragKey> {
+        let mut ctxs: HashMap<i64, Arc<Ctx>> = HashMap::new();
+        let mut reopened = Vec::with_capacity(self.open.len());
+        for &(k, id) in &self.open {
+            let ctx = ctxs
+                .entry(id)
+                .or_insert_with(|| Arc::new(Ctx::new(loops.dims(id).0)));
+            let fixed = self.keys[k].fixed.clone();
+            reopened.push(FragKey {
+                hash: key_hash(fixed.each_ref(), ctx),
+                fixed,
+                ctx: Arc::clone(ctx),
+            });
+        }
+        reopened
+    }
+
+    /// Key `k` as this query sees it: an open key from `reopened`.
+    fn key<'a>(&'a self, k: usize, reopened: &'a [FragKey]) -> &'a FragKey {
+        match self.open.binary_search_by_key(&k, |&(k, _)| k) {
+            Ok(at) => &reopened[at],
+            Err(_) => &self.keys[k],
+        }
     }
 }
 
@@ -528,13 +689,13 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    /// The number of keys.
-    fn len(&self) -> usize {
-        self.next.len()
+    /// Add a key known to be new, numbered as the next key.
+    fn push(&mut self, hash: u64) {
+        self.find_or_add(hash, |_| false);
     }
 
     /// The key hashing to `hash` that `same` accepts, else a new key
-    /// numbered [`KeyIndex::len`]; and whether it is new.
+    /// numbered as the next; and whether it is new.
     fn find_or_add(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> (usize, bool) {
         let mut at = self.heads.get(&hash).copied().unwrap_or(END);
         while at != END && !same(at) {
@@ -561,7 +722,10 @@ impl KeyIndex {
 /// ([`KeyIndex`]), whose index cells *are* the keys. The one cell is
 /// written by column position. A value name equal to an index column's
 /// name is [`DfError::DuplicateColumn`], as it is for
-/// [`DataFrame::pivot`].
+/// [`DataFrame::pivot`]. [`pivot_at`] builds one without writing a row:
+/// its columns from the fragments' schema facts ([`Pivot::discover`]),
+/// its rows and key index from the merged keys ([`Pivot::fill`]), which
+/// later [`Pivot::upsert`]s find as their own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pivot {
     loops: LoopContexts,
@@ -672,46 +836,83 @@ impl Pivot {
     }
 
     /// The schema pass: widen the schema to the columns of the pivot of
-    /// every `logs` row of `snap` named in `names`, without reading those
-    /// rows. Each sealed `logs` segment's summary is made once and
-    /// shared; the columns are then a merge by first rid — over dimension
-    /// signatures and value names, plus the contexts whose chains were
-    /// incomplete when a segment was summarised, resolved now. Returns
-    /// the rows summarised by this call.
-    pub(crate) fn discover_all(&mut self, snap: &Snapshot, names: &[String]) -> StoreResult<usize> {
-        let trusted = self.loops.trusted_below();
-        let loops = &self.loops;
-        let (segments, rows) = snap.summaries(
-            "logs",
-            &["ctx_id", "value_name"],
-            |s: &SegmentNames| s.needs <= trusted,
-            |logs, rids| SegmentNames::of(logs, rids, loops, trusted),
-        )?;
-        let keys: Vec<Value> = names.iter().map(|n| Value::from(n.as_str())).collect();
+    /// every row of `fragments` named in `names`, without reading a row.
+    /// The columns are a merge by first rid over the fragments' schema
+    /// facts: dimension signatures first, then value names.
+    fn discover(&mut self, fragments: &[Arc<Fragment>], names: &[Value]) -> DfResult<()> {
         let mut firsts: Vec<(usize, &Value)> = Vec::new();
         let mut signatures: Vec<(usize, Signature)> = Vec::new();
-        for (key, firsts_in) in segments
+        for (name, facts) in fragments
             .iter()
-            .flat_map(|s| keys.iter().filter_map(|k| Some((k, s.names.get(k)?))))
+            .flat_map(|f| names.iter().filter_map(|n| Some((n, f.names.get(n)?))))
         {
-            firsts.push((firsts_in.first, key));
-            for (sig, rid) in &firsts_in.signatures {
-                signatures.push((*rid, Arc::clone(sig)));
-            }
-            for &(id, rid) in &firsts_in.open {
-                let (dims, _) = loops.dims(id);
+            firsts.push((facts.first, name));
+            signatures.extend(
+                facts
+                    .signatures
+                    .iter()
+                    .map(|(sig, rid)| (*rid, Arc::clone(sig))),
+            );
+            for &(id, rid) in &facts.open {
+                let dims = self.loops.dims(id).0;
                 signatures.push((rid, dims.into_iter().map(|(d, _)| d).collect()));
             }
         }
         signatures.sort_by_key(|(rid, _)| *rid);
         firsts.sort_by_key(|(rid, _)| *rid);
-        for (_, sig) in &signatures {
+        for (_, sig) in signatures {
             self.widen(sig.iter())?;
         }
         for (_, name) in firsts {
             self.name(name)?;
         }
-        Ok(rows)
+        Ok(())
+    }
+
+    /// Write the rows of `keys`, in order, into the discovered columns;
+    /// the cells written.
+    fn fill(&mut self, merge: &Merge<'_>, keys: &[usize]) -> DfResult<usize> {
+        if keys.is_empty() {
+            return Ok(0);
+        }
+        // Each value column's projected name.
+        let slots: Vec<Option<usize>> = self
+            .names
+            .iter()
+            .map(|n| merge.names.iter().position(|m| text(m) == **n))
+            .collect();
+        let mut cells = 0;
+        let mut columns: Vec<Column> = Vec::with_capacity(self.frame.n_cols());
+        let key = |m: usize| merge.keys[m].0;
+        for (c, column) in self.frame.columns().iter().enumerate() {
+            let dims = FIXED.len() + self.dims.len();
+            let values: Vec<Value> = match c {
+                c if c < FIXED.len() => keys.iter().map(|&m| key(m).fixed[c].clone()).collect(),
+                c if c < dims => {
+                    let d = &self.dims[c - FIXED.len()];
+                    keys.iter().map(|&m| key(m).ctx.cell(d).clone()).collect()
+                }
+                c => keys
+                    .iter()
+                    .map(|&m| match slots[c - dims].and_then(|n| merge.cell(m, n)) {
+                        Some(cell) => {
+                            cells += 1;
+                            cell.value.clone()
+                        }
+                        None => Value::Null,
+                    })
+                    .collect(),
+            };
+            columns.push(Column {
+                name: column.name.clone(),
+                values,
+            });
+        }
+        self.frame = Arc::new(DataFrame::from_columns(columns)?);
+        for &m in keys {
+            self.keys.push(merge.keys[m].0.hash);
+        }
+        Ok(cells)
     }
 
     /// Write one row: discover its columns, then set its one cell in the
@@ -804,7 +1005,7 @@ fn key_at(frame: &DataFrame, at: usize, fixed: [&Value; 3], ctx: &Ctx, dims: &[A
 /// assumed. (A value name that collides with an index column never gets
 /// here: discovery refuses it.)
 fn admits(pivot: &Pivot, push: &BelowPivot, order_by: &[(String, bool)]) -> bool {
-    // Key predicates are never on a fixed column: those join the fetch.
+    // Key predicates are never on a fixed column: those are store ones.
     let index = |c: &String| pivot.is_index(c);
     push.key.iter().all(|p| index(&p.col))
         && push.latest.iter().flatten().all(index)
@@ -814,253 +1015,318 @@ fn admits(pivot: &Pivot, push: &BelowPivot, order_by: &[(String, bool)]) -> bool
                 .all(|(c, _)| index(c) || pivot.frame().column(c).is_some()))
 }
 
-/// Fetched `logs` rows on their way to the pivot: each kept row and its
-/// resolved loop context.
-struct LogRows<'a> {
-    rows: Vec<(LogRow<'a>, Arc<Ctx>)>,
+/// The fragments of one query merged by rid: every key with a projected
+/// cell once, and per projected name its winning cell.
+struct Merge<'f> {
+    /// The projected names, each once.
+    names: &'f [Value],
+    index: KeyIndex,
+    /// Per merged key: a fragment key naming it, and the smallest first
+    /// rid among its projected cells — its row position.
+    keys: Vec<(&'f FragKey, usize)>,
+    /// Per merged key, per projected name: the cell with the largest last
+    /// rid.
+    cells: Vec<Option<&'f KeyCell>>,
 }
 
-impl<'a> LogRows<'a> {
-    /// Join every fetched row to its loop context.
-    fn join(rows: impl Iterator<Item = LogRow<'a>>, pivot: &mut Pivot) -> DfResult<LogRows<'a>> {
-        let rows = rows.map(|row| Ok((row, pivot.ctx(row.ctx_id)?)));
-        Ok(LogRows {
-            rows: rows.collect::<DfResult<_>>()?,
-        })
-    }
-
-    /// Keep the rows `keep` accepts; rows in and out.
-    fn retain(&mut self, keep: impl FnMut(&(LogRow<'a>, Arc<Ctx>)) -> bool) -> (usize, usize) {
-        let rows_in = self.rows.len();
-        self.rows.retain(keep);
-        (rows_in, self.rows.len())
-    }
-
-    /// Keep the rows whose key satisfies every predicate.
-    fn key_predicates(&mut self, preds: &[Predicate]) -> (usize, usize) {
-        self.retain(|(row, ctx)| preds.iter().all(|p| p.matches(row.cell(ctx, &p.col))))
-    }
-
-    /// Keep the rows whose key carries the maximum `tstamp` of its
-    /// `group` — the keys `DataFrame::latest(group, "tstamp")` keeps.
-    fn latest_cut(&mut self, group: &[String]) -> (usize, usize) {
-        let rows = &self.rows;
-        let cells = |r: usize| {
-            let (row, ctx) = &rows[r];
-            group.iter().map(move |g| row.cell(ctx, g))
-        };
-        let mut keys = KeyIndex::default();
-        // Per group: its first row and maximum `tstamp`.
-        let mut groups: Vec<(usize, &'a Value)> = Vec::new();
-        let mut group_of = Vec::with_capacity(rows.len());
-        for (r, (row, _)) in rows.iter().enumerate() {
-            let mut h = DefaultHasher::new();
-            cells(r).for_each(|c| c.hash(&mut h));
-            let ts = row.fixed[1];
-            let (g, new) = keys.find_or_add(h.finish(), |g| cells(groups[g].0).eq(cells(r)));
-            if new {
-                groups.push((r, ts));
-            } else if ts > groups[g].1 {
-                groups[g].1 = ts;
-            }
-            group_of.push(g);
+impl<'f> Merge<'f> {
+    fn new(names: &'f [Value]) -> Merge<'f> {
+        Merge {
+            names,
+            index: KeyIndex::default(),
+            keys: Vec::new(),
+            cells: Vec::new(),
         }
-        let mut group_of = group_of.into_iter();
-        self.retain(|(row, _)| group_of.next().is_some_and(|g| row.fixed[1] == groups[g].1))
     }
 
-    /// Keep the rows of the `n` keys `sort_by(order_by).head(n)` keeps:
-    /// keys compared by their `order_by` cells under `Value`'s order —
-    /// index cells from the key, value cells last-write-wins per
-    /// (key, name) as the pivot writes them — ties broken by first
-    /// appearance, as the stable sort breaks them. Rows are keyed as
-    /// [`Pivot::upsert`] keys them: by [`key_hash`], candidates compared
-    /// by their cells.
-    fn top_k_cut(
+    /// Merge `frag`'s projected cells whose keys (its open ones as
+    /// `reopened`) pass every predicate of `store`; the keys in and out of
+    /// those predicates.
+    fn add(
         &mut self,
-        order_by: &[(String, bool)],
-        n: usize,
-        pivot: &Pivot,
+        frag: &'f Fragment,
+        reopened: &'f [FragKey],
+        store: &[Predicate],
     ) -> (usize, usize) {
-        let rows = &self.rows;
-        let dims = &pivot.dims;
-        let same_key = |a: usize, b: usize| {
-            let ((ra, ca), (rb, cb)) = (&rows[a], &rows[b]);
-            ra.fixed == rb.fixed
-                && (Arc::ptr_eq(ca, cb) || dims.iter().all(|d| ca.cell(d) == cb.cell(d)))
-        };
-        let k = order_by.len();
-        let mut keys = KeyIndex::default();
-        // Per key: its first row, and its `k` sort cells in `sort`.
-        let mut firsts: Vec<usize> = Vec::new();
-        let mut sort: Vec<Value> = Vec::new();
-        let mut slots = Vec::with_capacity(rows.len());
-        for (r, (row, ctx)) in rows.iter().enumerate() {
-            let hash = key_hash(row.fixed, ctx);
-            let (slot, new) = keys.find_or_add(hash, |slot| same_key(firsts[slot], r));
-            if new {
-                firsts.push(r);
-                sort.extend(order_by.iter().map(|(c, _)| row.cell(ctx, c).clone()));
-            }
-            let name = row.value_name.as_str();
-            for (i, (c, _)) in order_by.iter().enumerate() {
-                if name == Some(c.as_str()) {
-                    sort[slot * k + i] = logged_value(row.value, row.value_type);
+        let (mut keys_in, mut keys_out) = (0, 0);
+        // Per fragment key once met: its merged key, or `None` when a
+        // store predicate dropped it.
+        let mut merged: Vec<Option<Option<usize>>> = vec![None; frag.keys.len()];
+        for (n, name) in self.names.iter().enumerate() {
+            for cell in frag.names.get(name).map_or(&[][..], |f| &f.cells) {
+                let met = *merged[cell.key].get_or_insert_with(|| {
+                    let key = frag.key(cell.key, reopened);
+                    keys_in += 1;
+                    store.iter().all(|p| p.matches(key.cell(&p.col))).then(|| {
+                        keys_out += 1;
+                        self.key(key)
+                    })
+                });
+                let Some(m) = met else {
+                    continue;
+                };
+                let first = &mut self.keys[m].1;
+                *first = (*first).min(cell.first);
+                let slot = &mut self.cells[m * self.names.len() + n];
+                if slot.is_none_or(|won| cell.last > won.last) {
+                    *slot = Some(cell);
                 }
             }
-            slots.push(slot);
         }
-        let cell = |slot: usize, i: usize| &sort[slot * k + i];
-        let mut best: Vec<usize> = (0..keys.len()).collect();
-        if n < best.len() {
-            best.select_nth_unstable_by(n, |&a, &b| {
-                order_by
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, asc))| {
-                        let ord = cell(a, i).cmp(cell(b, i));
-                        if *asc {
-                            ord
-                        } else {
-                            ord.reverse()
-                        }
-                    })
-                    .find(|ord| ord.is_ne())
-                    .unwrap_or(Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            best.truncate(n);
-        }
-        let mut keep = vec![false; keys.len()];
-        for slot in best {
-            keep[slot] = true;
-        }
-        let mut slots = slots.into_iter();
-        self.retain(|_| slots.next().is_some_and(|slot| keep[slot]))
+        (keys_in, keys_out)
     }
+
+    /// The merged key `key` names, added on first sight.
+    fn key(&mut self, key: &'f FragKey) -> usize {
+        let keys = &self.keys;
+        let (m, new) = self.index.find_or_add(key.hash, |m| keys[m].0.same(key));
+        if new {
+            self.keys.push((key, usize::MAX));
+            self.cells.extend(self.names.iter().map(|_| None));
+        }
+        m
+    }
+
+    /// Key `m`'s winning cell under projected name `n`.
+    fn cell(&self, m: usize, n: usize) -> Option<&'f KeyCell> {
+        self.cells[m * self.names.len() + n]
+    }
+
+    /// Every merged key, in row order.
+    fn rows(&self) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..self.keys.len()).collect();
+        rows.sort_unstable_by_key(|&m| self.keys[m].1);
+        rows
+    }
+}
+
+/// Keep the `rows` `keep` accepts; rows in and out.
+fn retain(rows: &mut Vec<usize>, keep: impl FnMut(&usize) -> bool) -> (usize, usize) {
+    let rows_in = rows.len();
+    rows.retain(keep);
+    (rows_in, rows.len())
+}
+
+/// Keep the keys among `rows` that carry the maximum `tstamp` of their
+/// `group` — the keys `DataFrame::latest(group, "tstamp")` keeps.
+fn latest_cut(merge: &Merge<'_>, rows: &mut Vec<usize>, group: &[String]) -> (usize, usize) {
+    let key = |m: usize| merge.keys[m].0;
+    let cells = |m: usize| group.iter().map(move |g| key(m).cell(g));
+    let mut index = KeyIndex::default();
+    // Per group: its first key and maximum `tstamp`.
+    let mut groups: Vec<(usize, &Value)> = Vec::new();
+    let mut group_of = Vec::with_capacity(rows.len());
+    for &m in rows.iter() {
+        let mut h = DefaultHasher::new();
+        cells(m).for_each(|c| c.hash(&mut h));
+        let ts = &key(m).fixed[1];
+        let (g, new) = index.find_or_add(h.finish(), |g| cells(groups[g].0).eq(cells(m)));
+        if new {
+            groups.push((m, ts));
+        } else if ts > groups[g].1 {
+            groups[g].1 = ts;
+        }
+        group_of.push(g);
+    }
+    let mut group_of = group_of.into_iter();
+    retain(rows, |&m| {
+        group_of
+            .next()
+            .is_some_and(|g| key(m).fixed[1] == *groups[g].1)
+    })
+}
+
+/// Keep the `n` keys among `rows` that `sort_by(order_by).head(n)` keeps:
+/// keys compared by their `order_by` cells under `Value`'s order — an
+/// index cell, or the winning cell of a projected name (null when the key
+/// has none) — ties broken by row order, as the stable sort breaks them.
+fn top_k_cut(
+    merge: &Merge<'_>,
+    rows: &mut Vec<usize>,
+    order_by: &[(String, bool)],
+    n: usize,
+) -> (usize, usize) {
+    let k = order_by.len();
+    let mut sort: Vec<&Value> = Vec::with_capacity(rows.len() * k);
+    for &m in rows.iter() {
+        for (c, _) in order_by {
+            sort.push(
+                match merge.names.iter().position(|n| n.as_str() == Some(c)) {
+                    Some(n) => merge.cell(m, n).map_or(&Value::Null, |cell| &cell.value),
+                    None => merge.keys[m].0.cell(c),
+                },
+            );
+        }
+    }
+    let mut best: Vec<usize> = (0..rows.len()).collect();
+    if n < best.len() {
+        best.select_nth_unstable_by(n, |&a, &b| {
+            order_by
+                .iter()
+                .enumerate()
+                .map(|(i, (_, asc))| {
+                    let ord = sort[a * k + i].cmp(sort[b * k + i]);
+                    if *asc {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        best.truncate(n);
+    }
+    let mut keep = vec![false; rows.len()];
+    for at in best {
+        keep[at] = true;
+    }
+    let mut keep = keep.into_iter();
+    retain(rows, |_| keep.next().unwrap_or(false))
 }
 
 /// The one pivot of a pinned snapshot under `plan`, without the
-/// post-pass: the `logs` rows the plan projects, written through one
-/// [`Pivot`] over the snapshot's loop contexts ([`LoopContexts::of`]).
-/// Every read is of `snap`, so the frame reflects exactly its epoch.
+/// post-pass: the fragments of every sealed `logs` segment ([`Fragment`],
+/// made here for a segment whose slot is empty or whose fragment this
+/// snapshot cannot reuse) merged over the snapshot's loop contexts
+/// ([`LoopContexts::of`]), into one [`Pivot`] a maintained view can go
+/// on upserting into. Every read is of `snap`, so the frame reflects
+/// exactly its epoch. No `logs` row is fetched.
 ///
 /// The plan decides, step by step in [`QueryPlan::post_pass`] order,
-/// what runs here ([`QueryPlan::below_pivot`]): predicates on `projid` /
-/// `tstamp` / `filename` join the `logs` fetch
-/// ([`QueryPlan::logs_fetch`]), so index postings, zone maps and binary
-/// search prune before rows materialise; predicates on loop dimensions
-/// test each fetched row's index key; `latest` and top-K cut the rows to
-/// the keys they would keep. When anything is pushed, the pivot first
-/// fixes the columns of every projected row (the schema pass,
-/// [`Pivot::discover_all`]), so the reduced frame has the full pivot's
-/// columns. A plan with nothing to push — or whose pushed columns the
-/// schema pass cannot place ([`admits`]) — takes the same path with an
-/// empty push set: every fetched row written. [`PlanExplain::schema`] is
-/// `Some` exactly when the push set was not empty.
+/// what runs here ([`QueryPlan::below_pivot`]), all of it over keys:
+/// predicates on `projid` / `tstamp` / `filename` test each key's fixed
+/// cells as its fragment is merged, and skip a fragment whose fixed
+/// cells none can match ([`Snapshot::zone_admits`]); predicates on loop
+/// dimensions test each merged key's loop cells; `latest` and top-K cut
+/// the merged keys to the ones they would keep. The columns are always
+/// those of every projected row ([`Pivot::discover`]), so a reduced
+/// frame has the full pivot's. A plan whose pushed columns the schema
+/// pass cannot place ([`admits`]) pushes nothing.
 ///
-/// `tr` records the child spans `store.scan` and `pivot`, with each
-/// step's rows in and out as span events, or nothing when it is inert.
+/// `tr` records the child spans `store.scan` (contexts and fragments)
+/// and `pivot` (the merge and the frame), with each step's counts as
+/// span events, or nothing when it is inert.
 pub(crate) fn pivot_at(
     snap: &Snapshot,
     plan: &QueryPlan,
     tr: &mut ActiveTrace,
 ) -> StoreResult<(Pivot, PlanExplain)> {
     let scan = tr.begin("store.scan");
-    let mut pivot = Pivot::new(LoopContexts::of(snap)?);
-    let lowered = plan.below_pivot();
-    // With anything to push, the pivot first takes the columns of
-    // every projected row from the snapshot's per-segment summaries.
-    let schema_rows = if lowered.is_empty() {
-        None
-    } else {
-        Some(pivot.discover_all(snap, &plan.names)?)
-    };
-    let below = schema_rows
-        .filter(|_| admits(&pivot, &lowered, &plan.order_by))
-        .map(|rows| (lowered, rows));
-    let mut fetch = plan.logs_fetch();
-    for p in below.iter().flat_map(|(push, _)| &push.store) {
-        fetch = fetch.filter_pred(p.clone());
-    }
-    let (logs, store) = snap.explain(&fetch)?;
-    tr.event(|| {
-        format!(
-            "access={} segments={}/{} pruned={} rows examined={} returned={}",
-            store.access,
-            store.segments_scanned,
-            store.segments_total,
-            store.segments_pruned,
-            store.rows_examined,
-            store.rows_returned,
-        )
-    });
+    let loops = LoopContexts::of(snap)?;
+    let trusted = loops.trusted_below();
+    let made = std::cell::Cell::new(0);
+    let cols = [
+        "projid",
+        "tstamp",
+        "filename",
+        "ctx_id",
+        "value_name",
+        "value",
+        "value_type",
+    ];
+    let (fragments, rows) = snap.summaries(
+        "logs",
+        &cols,
+        |f: &Fragment| f.needs <= trusted,
+        |logs, rids| {
+            made.set(made.get() + 1);
+            Fragment::of(logs, rids, &loops, trusted)
+        },
+    )?;
     let mut explain = PlanExplain {
-        schema: below
-            .as_ref()
-            .map(|(_, rows)| (*rows, pivot.frame.n_cols())),
-        store,
+        segments: (0, fragments.len()),
+        fragments: (made.get(), rows),
+        store_predicates: None,
+        merge: (0, 0),
         key_predicates: None,
         latest_cut: None,
         top_k_cut: None,
         pivot: (0, 0),
         post_pass: None,
     };
-    if let Some((rows, cols)) = explain.schema {
-        tr.event(|| format!("schema pass: {rows} rows summarised, {cols} columns"));
-    }
+    tr.event(|| {
+        let (made, rows) = explain.fragments;
+        format!(
+            "logs: {} segments, {made} fragments made ({rows} rows summarised)",
+            explain.segments.1
+        )
+    });
     tr.end(scan);
 
     let piv = tr.begin("pivot");
-    let fetched = LogRow::all(&logs)?;
-    let rows_in = match &below {
-        Some((push, _)) => {
-            let mut rows = LogRows::join(fetched, &mut pivot)?;
-            if !push.key.is_empty() {
-                explain.key_predicates = Some(rows.key_predicates(&push.key));
-            }
-            if let Some(group) = &push.latest {
-                explain.latest_cut = Some(rows.latest_cut(group));
-            }
-            if let Some(n) = push.top_k {
-                explain.top_k_cut = Some(rows.top_k_cut(&plan.order_by, n, &pivot));
-            }
-            let rows_in = rows.rows.len();
-            for (row, _) in rows.rows {
-                pivot.upsert(row)?;
-            }
-            rows_in
+    let mut names: Vec<Value> = Vec::with_capacity(plan.names.len());
+    for name in &plan.names {
+        let name = Value::from(name.as_str());
+        if !names.contains(&name) {
+            names.push(name);
         }
-        None => {
-            for row in fetched {
-                pivot.upsert(row)?;
-            }
-            logs.n_rows()
-        }
+    }
+    let mut pivot = Pivot::new(loops);
+    pivot.discover(&fragments, &names)?;
+    let lowered = plan.below_pivot();
+    let push = if admits(&pivot, &lowered, &plan.order_by) {
+        lowered
+    } else {
+        BelowPivot::default()
     };
-    explain.pivot = (rows_in, pivot.frame.n_rows());
-    for (step, rows) in explain.steps() {
-        tr.event(|| step_line(step, rows));
+    let reopened: Vec<Vec<FragKey>> = fragments.iter().map(|f| f.reopen(&pivot.loops)).collect();
+    let mut merge = Merge::new(&names);
+    let mut store = (0, 0);
+    let admitted = snap.zone_admits("logs", &push.store)?;
+    for ((frag, reopened), _) in fragments
+        .iter()
+        .zip(&reopened)
+        .zip(admitted)
+        .filter(|(_, admits)| *admits)
+    {
+        let (keys_in, keys_out) = merge.add(frag, reopened, &push.store);
+        explain.segments.0 += 1;
+        (store.0, store.1) = (store.0 + keys_in, store.1 + keys_out);
+    }
+    if !push.store.is_empty() {
+        explain.store_predicates = Some(store);
+    }
+    explain.merge = (store.1, merge.keys.len());
+    let mut rows = merge.rows();
+    if !push.key.is_empty() {
+        let keep = |&m: &usize| {
+            push.key
+                .iter()
+                .all(|p| p.matches(merge.keys[m].0.cell(&p.col)))
+        };
+        explain.key_predicates = Some(retain(&mut rows, keep));
+    }
+    if let Some(group) = &push.latest {
+        explain.latest_cut = Some(latest_cut(&merge, &mut rows, group));
+    }
+    if let Some(n) = push.top_k {
+        explain.top_k_cut = Some(top_k_cut(&merge, &mut rows, &plan.order_by, n));
+    }
+    explain.pivot = (pivot.fill(&merge, &rows)?, rows.len());
+    for step in explain.steps() {
+        tr.event(|| step_line(step));
     }
     tr.end(piv);
     Ok((pivot, explain))
 }
 
 /// The snapshot executor: the one pivot of `snap`'s `logs` rows under
-/// `plan` — the `logs` fetch, the steps [`QueryPlan::below_pivot`]
-/// lowers, the pivot; the same code a view catalog builds its views
-/// with — then the plan's **whole** [`QueryPlan::post_pass`], whatever
-/// was pushed: each pushed step is a filter it repeats or a cut its
-/// later steps would make, so the frame is the post-hoc answer, cell for
-/// cell. Every read is of `snap`, so the frame reflects exactly its
+/// `plan` — the fragments merged, the steps [`QueryPlan::below_pivot`]
+/// lowers run over their keys; the same code a view catalog builds its
+/// views with — then the plan's **whole** [`QueryPlan::post_pass`],
+/// whatever was pushed: each pushed step is a filter it repeats or a cut
+/// its later steps would make, so the frame is the post-hoc answer, cell
+/// for cell. Every read is of `snap`, so the frame reflects exactly its
 /// epoch. `Flor::execute_at` is this call; it is the oracle every
 /// incremental answer is checked against and what `flor-serve` answers
 /// each session with, at the epoch the session pinned.
 ///
 /// `tr` records the child spans `store.scan`, `pivot`, and `post_pass`
-/// when one runs, with each step's rows in and out as span events — or
-/// nothing at all when it is inert; the frame is the same either way.
-/// The measured [`PlanExplain`] rides along for slow-query capture.
+/// when one runs, with each step's counts as span events — or nothing at
+/// all when it is inert; the frame is the same either way. The measured
+/// [`PlanExplain`] rides along for slow-query capture.
 pub fn execute_at(
     snap: &Snapshot,
     plan: &QueryPlan,
@@ -1075,69 +1341,156 @@ pub fn execute_at(
     let out = plan.post_pass(&base, &plan.predicates, true)?;
     let rows = (base.n_rows(), out.n_rows());
     explain.post_pass = Some(rows);
-    tr.event(|| step_line("post-pass", rows));
+    tr.event(|| step_line(("post-pass", "rows", "rows", rows)));
     tr.end(pp);
     Ok((out, explain))
 }
 
-/// How one [`execute_at`] ran, step by step: the store's report for the
-/// `logs` fetch, then rows into and out of each step that ran (`None`
-/// for one that did not). Every count is a measurement of that
-/// execution. Renders as the store report followed by one line per step.
+/// How one [`execute_at`] ran, step by step: the `logs` fragments it
+/// merged and made, then keys into and out of each step over keys, cells
+/// into the pivot and rows out, rows into and out of the post-pass
+/// (`None` for a step that did not run). Every count is a measurement of
+/// that execution. Renders as the fragment line followed by one line per
+/// step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanExplain {
-    /// The `logs` fetch, with any pushed store predicates joined: access
-    /// path, zone-map pruning, rows examined vs returned.
-    pub store: QueryExplain,
-    /// `logs` rows the schema pass summarised in this execution (0 when
-    /// every sealed segment's summary was already made) and the columns
-    /// it found — run only when something was pushed below the pivot.
-    pub schema: Option<(usize, usize)>,
-    /// Rows into and out of the key predicates.
+    /// `logs` segments whose fragments were merged, of all sealed `logs`
+    /// segments: a fragment whose fixed cells no store predicate can
+    /// match adds only its columns.
+    pub segments: (usize, usize),
+    /// Fragments this execution made, and the `logs` rows they
+    /// summarised: `(0, 0)` when every segment's fragment was already
+    /// made and this snapshot could reuse it.
+    pub fragments: (usize, usize),
+    /// Keys into and out of the `projid` / `tstamp` / `filename`
+    /// predicates: each merged fragment's keys with a projected cell.
+    pub store_predicates: Option<(usize, usize)>,
+    /// Fragment keys into the merge, distinct keys out.
+    pub merge: (usize, usize),
+    /// Keys into and out of the key predicates.
     pub key_predicates: Option<(usize, usize)>,
-    /// Rows into and out of the `latest` cut.
+    /// Keys into and out of the `latest` cut.
     pub latest_cut: Option<(usize, usize)>,
-    /// Rows into and out of the top-K cut.
+    /// Keys into and out of the top-K cut.
     pub top_k_cut: Option<(usize, usize)>,
-    /// Log rows into the pivot, wide rows out of it.
+    /// Cells written into the frame, and its rows.
     pub pivot: (usize, usize),
     /// Wide rows into and out of the post-pass.
     pub post_pass: Option<(usize, usize)>,
 }
 
 impl PlanExplain {
-    /// The steps from the key predicates on that ran, with rows in and
-    /// out — the report's tail and the trace's span events.
-    fn steps(&self) -> impl Iterator<Item = (&'static str, (usize, usize))> {
+    /// The steps that ran, with what goes in and out of each — the
+    /// report's tail and the trace's span events.
+    fn steps(&self) -> impl Iterator<Item = Step> {
+        let keys = |step, rows: Option<(usize, usize)>| Some((step, "keys", "keys", rows?));
         [
-            ("key predicates", self.key_predicates),
-            ("latest cut", self.latest_cut),
-            ("top-K cut", self.top_k_cut),
-            ("pivot", Some(self.pivot)),
-            ("post-pass", self.post_pass),
+            keys("store predicates", self.store_predicates),
+            keys("merge", Some(self.merge)),
+            keys("key predicates", self.key_predicates),
+            keys("latest cut", self.latest_cut),
+            keys("top-K cut", self.top_k_cut),
+            Some(("pivot", "cells", "rows", self.pivot)),
+            self.post_pass
+                .map(|rows| ("post-pass", "rows", "rows", rows)),
         ]
         .into_iter()
-        .filter_map(|(step, rows)| Some((step, rows?)))
+        .flatten()
     }
 }
 
+/// One step of a [`PlanExplain`]: its name, what goes in and what comes
+/// out, and how many of each.
+type Step = (&'static str, &'static str, &'static str, (usize, usize));
+
 /// One step of a [`PlanExplain`], as rendered and traced.
-fn step_line(step: &str, (rows_in, rows_out): (usize, usize)) -> String {
-    format!("{step}: {rows_in} rows in, {rows_out} out")
+fn step_line((step, unit_in, unit_out, (n_in, n_out)): Step) -> String {
+    format!("{step}: {n_in} {unit_in} in, {n_out} {unit_out} out")
 }
 
 impl std::fmt::Display for PlanExplain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.store)?;
-        match self.schema {
-            Some((rows, cols)) => {
-                write!(f, "\n  schema pass: {rows} rows summarised, {cols} columns")?
-            }
-            None => write!(f, "\n  nothing pushed below the pivot")?,
-        }
-        for (step, rows) in self.steps() {
-            write!(f, "\n  {}", step_line(step, rows))?;
+        let ((merged, total), (made, rows)) = (self.segments, self.fragments);
+        write!(
+            f,
+            "logs: {merged}/{total} segments merged, {made} fragments made ({rows} rows summarised)"
+        )?;
+        for step in self.steps() {
+            write!(f, "\n  {}", step_line(step))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `logs` frame of `(tstamp, value_name, value)` rows, all in
+    /// project `p`, file `f.fl`, outside any loop, logged as text.
+    fn logs(rows: &[(i64, &str, &str)]) -> DataFrame {
+        let rows = rows
+            .iter()
+            .map(|&(ts, name, value)| {
+                let row: [Value; 7] = [
+                    "p".into(),
+                    ts.into(),
+                    "f.fl".into(),
+                    0.into(),
+                    name.into(),
+                    value.into(),
+                    DataType::Str.tag().into(),
+                ];
+                row.to_vec()
+            })
+            .collect();
+        let cols = vec![
+            "projid",
+            "tstamp",
+            "filename",
+            "ctx_id",
+            "value_name",
+            "value",
+            "value_type",
+        ];
+        DataFrame::from_rows(cols, rows).unwrap()
+    }
+
+    #[test]
+    fn fragments_merge_by_rid_not_by_segment_order() {
+        // Segment order is not rid order here, as after a clustered
+        // compaction: the segment merged first holds the later rids.
+        // Key 1 logs `loss` at rids 3 and 5; key 2 logs `acc` at rid 1,
+        // before any key's `loss`, then `loss` at rid 4; key 3 logs only
+        // `acc`.
+        let loops = LoopContexts::default();
+        let later = Fragment::of(
+            &logs(&[(2, "loss", "y"), (1, "loss", "x2")]),
+            &[4, 5],
+            &loops,
+            0,
+        );
+        let earlier = Fragment::of(
+            &logs(&[(2, "acc", "a"), (3, "acc", "z"), (1, "loss", "x1")]),
+            &[1, 2, 3],
+            &loops,
+            0,
+        );
+        let names = [Value::from("loss")];
+        let mut merge = Merge::new(&names);
+        merge.add(&later, &[], &[]);
+        merge.add(&earlier, &[], &[]);
+        let rows = merge.rows();
+        let cells: Vec<(&Value, &Value)> = rows
+            .iter()
+            .map(|&m| (&merge.keys[m].0.fixed[1], &merge.cell(m, 0).unwrap().value))
+            .collect();
+        // Rows by the smallest rid of a projected cell; the later rid's
+        // value wins; the key with no `loss` is no row.
+        let want = [
+            (Value::Int(1), Value::from("x2")),
+            (Value::Int(2), Value::from("y")),
+        ];
+        assert_eq!(cells, want.iter().map(|(t, v)| (t, v)).collect::<Vec<_>>());
     }
 }

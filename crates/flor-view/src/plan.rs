@@ -7,25 +7,26 @@
 //! optional `latest`-per-group dedup, an ordering, and a limit.
 //!
 //! One snapshot pivot builds every frame from a pinned snapshot: it
-//! fetches the projected `logs` rows through the `value_name` index
-//! ([`QueryPlan::logs_fetch`], run lock-free against the snapshot),
-//! pushes what [`QueryPlan::below_pivot`] lowers, and writes the rows
-//! left through the one pivot operator, which refuses a value name that
-//! collides with an index column. It has two callers. The snapshot
-//! executor ([`crate::execute_at`], behind `Flor::execute_at`) runs it
-//! per request and ends with the whole [`QueryPlan::post_pass`]. The
-//! view catalog ([`crate::ViewCatalog::plan`]) runs it once per
-//! projection, with nothing pushed, then keeps that pivot current with
-//! the rows later commits add and runs the plan's predicates, ordering
-//! and limit as a post-pass. Where each step runs:
+//! merges the per-segment fragments of `logs` (each sealed segment's rows
+//! pivoted once, kept beside the segment) for the projected names, runs
+//! what [`QueryPlan::below_pivot`] lowers over the merged keys, and writes
+//! the keys left into the frame; no `logs` row is fetched, and a value
+//! name that collides with an index column is refused. It has two
+//! callers. The snapshot executor ([`crate::execute_at`], behind
+//! `Flor::execute_at`) runs it per request and ends with the whole
+//! [`QueryPlan::post_pass`]. The view catalog
+//! ([`crate::ViewCatalog::plan`]) runs it once per projection, with
+//! nothing pushed, then keeps that pivot current with the rows later
+//! commits add and runs the plan's predicates, ordering and limit as a
+//! post-pass. Where each step runs:
 //!
 //! | step | view catalog | snapshot executor |
 //! |---|---|---|
-//! | predicates on [`FIXED_COLS`] | post-pass | joined to the `logs` fetch: postings, zone maps and binary search prune before rows materialise |
-//! | predicates on loop dimensions | post-pass | on each fetched row's resolved index key, before the pivot |
+//! | predicates on [`FIXED_COLS`] | post-pass | on each key's fixed cells as the fragments merge; a fragment whose fixed cells none can match adds only its columns |
+//! | predicates on loop dimensions | post-pass | on each merged key's loop cells, before the frame is built |
 //! | predicates on value columns | post-pass | post-pass |
-//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut before the pivot when the group is index columns and every predicate ran below it |
-//! | `order_by` + `limit` | post-pass | top-K cut before the pivot when every earlier step ran below it |
+//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut over the merged keys when the group is index columns and every predicate ran below the pivot |
+//! | `order_by` + `limit` | post-pass | top-K cut over the merged keys when every earlier step ran below the pivot |
 //!
 //! A column the lowering cannot place from the plan alone (a dimension
 //! the history never logged) makes the snapshot pivot push nothing.
@@ -38,10 +39,10 @@ use flor_df::{DataFrame, DfError};
 use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
 
 /// The fixed context columns every pivot row carries (paper Fig. 3), and
-/// therefore the columns whose predicates the snapshot pivot joins to its
-/// `logs` fetch ([`QueryPlan::below_pivot`]): their cells come straight
-/// from the log record, so a row's fixed cells decide its membership
-/// before any pivoting.
+/// therefore the columns whose predicates the snapshot pivot tests on
+/// each key as it merges the fragments ([`QueryPlan::below_pivot`]):
+/// their cells come straight from the log record, so a key's fixed cells
+/// decide its membership before any row is built.
 pub const FIXED_COLS: [&str; 3] = ["projid", "tstamp", "filename"];
 
 /// What [`QueryPlan::below_pivot`] lowers below the pivot. Each step is a
@@ -49,10 +50,11 @@ pub const FIXED_COLS: [&str; 3] = ["projid", "tstamp", "filename"];
 /// the empty default — nothing pushed — is the plain pivot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BelowPivot {
-    /// Predicates over [`FIXED_COLS`]: they join the `logs` fetch.
+    /// Predicates over [`FIXED_COLS`]: tested on each key's fixed cells
+    /// as the fragments merge, and on each fragment's range of them.
     pub store: Vec<Predicate>,
-    /// Predicates over loop dimensions: tested on each fetched row's
-    /// resolved index key.
+    /// Predicates over loop dimensions: tested on each merged key's loop
+    /// cells.
     pub key: Vec<Predicate>,
     /// The `latest` group, cut to the max-`tstamp` keys per group.
     pub latest: Option<Vec<String>>,
@@ -108,10 +110,11 @@ impl QueryPlan {
         }
     }
 
-    /// The base fetch under every execution of this plan — the view's
-    /// build and the snapshot executor alike, before pushed predicates
-    /// join it: the `logs` rows whose `value_name` the plan projects,
-    /// served from the secondary index.
+    /// The `logs` rows whose `value_name` the plan projects, served from
+    /// the secondary index: the rows a pivot of the plan covers, and the
+    /// fetch the view catalog's explain report probes the store with.
+    /// The snapshot pivot itself reads no `logs` row; it merges
+    /// per-segment fragments.
     pub fn logs_fetch(&self) -> Query {
         let names = self.names.iter().map(|n| n.as_str().into()).collect();
         Query::table("logs").filter_in("value_name", names)
@@ -124,12 +127,12 @@ impl QueryPlan {
     }
 
     /// The snapshot pivot's lowering: the plan's steps that run below
-    /// the pivot, decided in [`QueryPlan::post_pass`] order. Predicates
-    /// over [`FIXED_COLS`] join the `logs` fetch, and one over a column
-    /// no projected name fills (a loop dimension) is tested on the row's
-    /// key. `latest` is cut when nothing is left for the post-pass to
-    /// filter first and its group is index columns; top-K when every
-    /// earlier step was pushed.
+    /// the pivot, over the merged fragments' keys, decided in
+    /// [`QueryPlan::post_pass`] order. Predicates over [`FIXED_COLS`]
+    /// test each key's fixed cells, and one over a column no projected
+    /// name fills (a loop dimension) its loop cells. `latest` is cut when
+    /// nothing is left for the post-pass to filter first and its group is
+    /// index columns; top-K when every earlier step was pushed.
     pub fn below_pivot(&self) -> BelowPivot {
         let (store, residual): (Vec<_>, Vec<_>) = self
             .predicates
@@ -171,7 +174,7 @@ impl QueryPlan {
     ///
     /// This one function is shared by the incremental path (over the
     /// projection's maintained frame) and the from-scratch oracle (over
-    /// the pivot of the rows [`QueryPlan::below_pivot`]'s steps kept),
+    /// the pivot of the keys [`QueryPlan::below_pivot`]'s steps kept),
     /// both with *every* predicate, so the two can only diverge in what
     /// they feed it — which the property tests pin down.
     pub fn post_pass(
@@ -291,7 +294,11 @@ mod tests {
             ..QueryPlan::new(&["loss"])
         }
         .filter("tstamp", CmpOp::Le, 3);
-        assert_eq!(plan.below_pivot().store.len(), 1, "tstamp joins the fetch");
+        assert_eq!(
+            plan.below_pivot().store.len(),
+            1,
+            "tstamp runs below the pivot"
+        );
         // Feed every predicate, oracle-style.
         let out = plan.post_pass(&frame(), &plan.predicates, true).unwrap();
         assert_eq!(out.n_rows(), 1);

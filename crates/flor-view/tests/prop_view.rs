@@ -641,14 +641,16 @@ proptest! {
     /// sessions (nested and repeated loops, re-logged and NaN / null
     /// values, columns first seen outside a filtered window, unknown
     /// columns) equal the post-hoc oracle, and keep doing so once a
-    /// backfill appends rows at old timestamps and compaction and
-    /// checkpoint + reopen rearrange them.
+    /// backfill appends rows at old timestamps (and the fragments made
+    /// before it are reused at a later pin) and compaction (into
+    /// full-size or 3-row segments) and checkpoint + reopen rearrange
+    /// them.
     #[test]
     fn random_plans_pushed_equal_posthoc_oracle(
         ops in proptest::collection::vec(arb_pushed_op(), 0..40),
         later in proptest::collection::vec(arb_pushed_op(), 0..10),
         plans in proptest::collection::vec(arb_pushed_plan(), 1..6),
-        upkeep in proptest::collection::vec(any::<bool>(), 1..3),
+        upkeep in proptest::collection::vec(0u8..3, 1..3),
     ) {
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let wal = std::env::temp_dir().join(format!(
@@ -667,13 +669,31 @@ proptest! {
         flor = drive(flor, &later);
         backfill(&flor, "train.fl", &["acc"], 2).unwrap();
         pushed_equals_posthoc(&flor, &plans, "after backfill");
-        for compact in upkeep {
-            if compact {
-                flor.compact().unwrap();
-            } else {
-                flor.checkpoint().unwrap();
-                drop(flor);
-                flor = Flor::open("prop", &wal).unwrap();
+        // The fragments those queries made stay exact after a two-worker
+        // backfill: a query at a second pin makes none.
+        let mut inert = flor_obs::ActiveTrace::new(false, None, "");
+        if let Ok((_, explain)) = flor.execute_at(&flor.db.pin(), &plans[0], &mut inert) {
+            prop_assert_eq!(explain.fragments, (0, 0), "{}", explain);
+        }
+        for step in upkeep {
+            match step {
+                0 => {
+                    flor.compact().unwrap();
+                }
+                1 => {
+                    flor.checkpoint().unwrap();
+                    drop(flor);
+                    flor = Flor::open("prop", &wal).unwrap();
+                }
+                _ => {
+                    // 3-row segments: keys straddle many fragments, and
+                    // the clustered rewrite permutes rids across them.
+                    let small = CompactionPolicy {
+                        target_segment_rows: 3,
+                        ..CompactionPolicy::default()
+                    };
+                    flor.db.compact_with(&small).unwrap();
+                }
             }
             pushed_equals_posthoc(&flor, &plans, "after upkeep");
         }

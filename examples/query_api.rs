@@ -5,7 +5,9 @@
 //! `flor.query` builder (one incrementally maintained view of the
 //! projection, filtered by a post-pass) — and shows they agree cell for
 //! cell while the builder path skips re-pivoting the world per request:
-//! every read of the same names, filtered or not, shares one build.
+//! every read of the same names, filtered or not, shares one build, and
+//! the from-scratch executor pivots each sealed `logs` segment once, so a
+//! fresh snapshot after a commit pivots only that commit's rows.
 //!
 //! Run with `cargo run --release --example query_api`.
 
@@ -63,6 +65,27 @@ fn main() {
     let t = Instant::now();
     let warm = question().collect().unwrap();
     let warm_time = t.elapsed();
+
+    // The snapshot executor at a fresh pin after that commit: the reads
+    // above made every older `logs` segment's pivot fragment, so only
+    // the new segment's one row is pivoted; the rest is a merge.
+    let mut inert = flordb::obs::ActiveTrace::new(false, None, "");
+    let (fresh, explain) = flor
+        .execute_at(&flor.db.pin(), &question().into_plan(), &mut inert)
+        .unwrap();
+    assert_eq!(explain.fragments, (1, 1), "only the new segment: {explain}");
+    let by_hand = flor
+        .query(&["loss", "acc", "arg::lr"])
+        .collect_full()
+        .unwrap()
+        .filter(|r| {
+            r.get("tstamp").and_then(Value::as_i64).unwrap_or(0) > 290
+                && r.get("arg::lr").and_then(Value::as_f64).unwrap_or(0.0) >= 0.009
+        })
+        .sort_by(&[("loss", true)])
+        .unwrap()
+        .head(5);
+    assert_eq!(fresh, by_hand);
 
     println!("full pivot + hand filter : {legacy_time:>10.1?}");
     println!("flor.query, cold build   : {cold_time:>10.1?}");

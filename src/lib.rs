@@ -32,9 +32,10 @@
 //! not re-pivots; a predicate-free `latest` is maintained beside it),
 //! and a cheap dataframe post-pass for the predicates, ordering and
 //! limit. Served from scratch ([`core::Flor::execute_at`]), the same
-//! plan pushes its index predicates into the store fetch and cuts
-//! `latest` / top-K before the pivot, so a narrow answer costs what it
-//! selects.
+//! plan merges per-segment pivot fragments (each sealed `logs` segment
+//! pivoted once) and runs its index predicates and `latest` / top-K
+//! cuts over the merged keys, so no query re-pivots sealed history and
+//! a narrow answer builds only the rows it selects.
 //!
 //! ```
 //! use flordb::prelude::*;
