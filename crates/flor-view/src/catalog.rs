@@ -11,14 +11,17 @@
 //! after the filter.
 //!
 //! Every access pins one snapshot. Every cached view reflects one
-//! earlier snapshot, whose epoch and `loops` / `logs` rid watermarks the
-//! catalog keeps once. When the epochs differ, the rows committed since
+//! earlier snapshot, whose epoch and `logs` rid watermark the catalog
+//! keeps once. When the epochs differ, the `logs` rows committed since
 //! are read once from the new snapshot
-//! ([`flor_store::Snapshot::since`]) and applied to *all* cached views —
-//! `loops` before `logs` — and the watermarks advance; a miss is built at
-//! the same snapshot. This is exact because `logs` and `loops` declare
-//! no latest-wins policy, so no row is ever dropped, and a row's rid is
-//! its commit position on every handle, a follower's rebootstrap
+//! ([`flor_store::Snapshot::since`]) and pivoted once, under that
+//! snapshot's loop contexts, into one fragment ([`Delta`]) that *all*
+//! cached views merge and apply; the watermark advances, and a miss is
+//! built at the same snapshot. The loop contexts come from the snapshot
+//! itself (per sealed `loops` segment, shared with every query), so no
+//! `loops` row is read here. This is exact because `logs` and `loops`
+//! declare no latest-wins policy, so no row is ever dropped, and a row's
+//! rid is its commit position on every handle, a follower's rebootstrap
 //! included. If a value name collides with an index column
 //! ([`DfError::DuplicateColumn`]) the view is rebuilt from scratch
 //! instead of serving wrong data; the event is counted in
@@ -26,6 +29,7 @@
 //! dropped, and the next plan that needs it gets the build's error.
 
 use crate::delta::{LatestState, PivotState};
+use crate::pivot::Delta;
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfError, DfResult};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
@@ -47,7 +51,7 @@ struct ViewMetrics {
     /// fallback rebuild).
     build_nanos: Arc<Histogram>,
     /// `view.refresh_nanos` — one catch-up of the cached views: pin,
-    /// read and apply (only recorded when commits had landed).
+    /// read, pivot and apply (only recorded when commits had landed).
     refresh_nanos: Arc<Histogram>,
     /// `view.hits` — requests served from a cached view.
     hits: Arc<Counter>,
@@ -83,16 +87,15 @@ pub struct CatalogStats {
     pub evictions: u64,
     /// Commits the cached views caught up over.
     pub batches_applied: u64,
-    /// `logs` and `loops` rows read to catch the cached views up.
+    /// `logs` rows read, and pivoted once, to catch the cached views up.
     pub deltas_applied: u64,
 }
 
 /// The snapshot every cached view reflects: its epoch, and the next
-/// `loops` and `logs` rids — where the rows it has not seen start.
+/// `logs` rid — where the rows it has not seen start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Watermark {
     epoch: u64,
-    loops: usize,
     logs: usize,
 }
 
@@ -115,10 +118,10 @@ struct CachedView {
 }
 
 impl CachedView {
-    /// Apply the rows past the catalog's watermarks (see
+    /// Apply the rows past the catalog's watermark (see
     /// [`PivotState::apply`]), moving every `latest` group with them.
-    fn apply(&mut self, loops: &DataFrame, logs: &DataFrame) -> DfResult<()> {
-        let changed = self.pivot.apply(loops, logs)?;
+    fn apply(&mut self, delta: &Delta) -> DfResult<()> {
+        let changed = self.pivot.apply(delta)?;
         if !changed.is_empty() {
             let frame = self.pivot.frame();
             for latest in self.latest.values_mut() {
@@ -247,11 +250,12 @@ impl ViewCatalog {
     }
 
     /// Pin one snapshot and bring every cached view to it: read the
-    /// `loops` and `logs` rows past the watermarks once, apply them to
-    /// each view, and advance the watermarks. A view that rejects a row
-    /// falls back to a rebuild at the same snapshot and is dropped if the
-    /// rebuild fails. With no view cached there is nothing to read: the
-    /// watermarks jump. Returns the snapshot, for building misses at it.
+    /// `logs` rows past the watermark and pivot them once ([`Delta`]),
+    /// apply that to each view, and advance the watermark. A view that
+    /// rejects a row falls back to a rebuild at the same snapshot and is
+    /// dropped if the rebuild fails. With no view cached there is nothing
+    /// to read: the watermark jumps. Returns the snapshot, for building
+    /// misses at it.
     fn catch_up(&self, g: &mut CatalogInner) -> StoreResult<Snapshot> {
         let started = self.metrics.registry.enabled().then(Instant::now);
         let snap = self.db.pin();
@@ -263,24 +267,21 @@ impl ViewCatalog {
             // A read from past every row returns only the watermark.
             g.at = Watermark {
                 epoch: snap.epoch(),
-                loops: snap.since("loops", usize::MAX)?.1,
                 logs: snap.since("logs", usize::MAX)?.1,
             };
             return Ok(snap);
         }
-        let (loops, next_loops) = snap.since("loops", from.loops)?;
-        let (logs, next_logs) = snap.since("logs", from.logs)?;
+        let delta = Delta::since(&snap, from.logs)?;
         g.at = Watermark {
             epoch: snap.epoch(),
-            loops: next_loops,
-            logs: next_logs,
+            logs: delta.next,
         };
         g.stats.batches_applied += snap.epoch().saturating_sub(from.epoch);
-        g.stats.deltas_applied += (loops.n_rows() + logs.n_rows()) as u64;
+        g.stats.deltas_applied += delta.rows as u64;
         let rejected: Vec<Vec<String>> = g
             .views
             .iter_mut()
-            .filter_map(|(names, view)| view.apply(&loops, &logs).err().map(|_| names.clone()))
+            .filter_map(|(names, view)| view.apply(&delta).err().map(|_| names.clone()))
             .collect();
         for names in rejected {
             self.rebuild(g, names, &snap);
@@ -733,8 +734,11 @@ mod tests {
 
     #[test]
     fn an_idle_view_catches_up_over_any_backlog_without_a_rebuild() {
-        // 19,200 rows over 300 commits land while the view sits idle:
-        // one read catches it up, with no rebuild.
+        // 19,200 `logs` rows over 300 commits land while the view sits
+        // idle, two of each commit's under `epoch` contexts, with a
+        // compaction into 3-row segments halfway: one read catches it up,
+        // resolving contexts from coalesced and compacted `loops`
+        // segments, with no rebuild.
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
         let plan = QueryPlan::new(&["x"]);
@@ -743,12 +747,20 @@ mod tests {
         catalog.plan(&plan).unwrap();
         let (commits, per_commit) = (300u64, 64i64);
         for c in 0..commits as i64 {
-            for r in 1..=per_commit {
+            for r in 1..per_commit - 1 {
                 let ts = c * per_commit + r;
                 db.insert("logs", log_row(ts, "x", &ts.to_string()))
                     .unwrap();
             }
+            stage_epochs(&db, (c + 1) * per_commit, "x");
             db.commit().unwrap();
+            if c == commits as i64 / 2 {
+                let policy = flor_store::CompactionPolicy {
+                    target_segment_rows: 3,
+                    ..Default::default()
+                };
+                db.compact_with(&policy).unwrap();
+            }
         }
         let view = catalog.plan(&plan).unwrap();
         assert_eq!(view.n_rows(), (commits * per_commit as u64) as usize + 1);
@@ -791,8 +803,8 @@ mod tests {
     }
 
     /// One run at `ts` of an `epoch` loop over two iterations, logging
-    /// `name` in each, committed.
-    fn log_epochs(db: &Database, ts: i64, name: &str) {
+    /// `name` in each, staged.
+    fn stage_epochs(db: &Database, ts: i64, name: &str) {
         for e in 0..2i64 {
             let ctx = ts * 10 + e;
             db.insert("loops", loop_row(ts, ctx, "epoch", e)).unwrap();
@@ -800,6 +812,11 @@ mod tests {
             row[3] = ctx.into();
             db.insert("logs", row).unwrap();
         }
+    }
+
+    /// [`stage_epochs`], committed.
+    fn log_epochs(db: &Database, ts: i64, name: &str) {
+        stage_epochs(db, ts, name);
         db.commit().unwrap();
     }
 

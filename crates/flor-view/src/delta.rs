@@ -4,22 +4,25 @@
 //! A [`PivotState`] is one [`Pivot`] — the operator every answer comes
 //! from ([`crate::pivot`]) — plus a projection. It is built by the
 //! snapshot pivot ([`PivotState::at`], the code `Flor::execute_at` runs),
-//! then handed the `loops` and `logs` rows later commits added
-//! ([`PivotState::apply`]), which the catalog reads from a fresh snapshot
-//! past its rid watermarks ([`flor_store::Snapshot::since`]). It holds
-//! every projected row: a plan's predicates run over it as a post-pass.
+//! then caught up over each [`Delta`] — the `logs` rows later commits
+//! added, which the catalog reads once from a fresh snapshot past its rid
+//! watermark ([`flor_store::Snapshot::since`]) and pivots once into a
+//! fragment under that snapshot's loop contexts — by the same merge and
+//! the same [`Pivot`] write ([`PivotState::apply`]). It holds every
+//! projected row: a plan's predicates run over it as a post-pass.
 //! [`LatestState`] layers `flor.utils.latest` on top via a per-group-key
 //! max-timestamp upsert.
 //!
-//! The invariant, enforced by `tests/prop_pivot.rs` (a view caught up
-//! after one commit or many, against a long-frame `DataFrame::pivot`
-//! reference) and `tests/prop_view.rs` (kernel sessions, the view
-//! catalog and the snapshot pivot against the same reference): the frame
-//! is cell-for-cell the reference's — including column order, row order,
+//! The invariant, enforced by `tests/prop_pivot.rs` (a catalog view
+//! built on an empty database and caught up over one commit or many,
+//! against a long-frame `DataFrame::pivot` reference) and
+//! `tests/prop_view.rs` (kernel sessions, the view catalog and the
+//! snapshot pivot against the same reference): the frame is
+//! cell-for-cell the reference's — including column order, row order,
 //! and nulls. The operator's own unit tests live here too, beside the
 //! catch-up path that drives most of them.
 
-use crate::pivot::{pivot_at, text, LogRow, Pivot};
+use crate::pivot::{pivot_at, projected, Delta, Pivot};
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfResult, Value};
 use flor_obs::ActiveTrace;
@@ -29,23 +32,16 @@ use std::sync::Arc;
 
 /// The pivot of `logs ⋈ loops` projected onto a set of `value_name`s and
 /// maintained as commits land: the pivot operator plus the projection.
-/// It holds no epoch: whoever feeds it rows (the view catalog) keeps the
+/// It holds no epoch: whoever catches it up (the view catalog) keeps the
 /// watermark.
 #[derive(Debug, Clone)]
-pub struct PivotState {
-    names: Vec<String>,
+pub(crate) struct PivotState {
+    /// The projected names, each once.
+    names: Vec<Value>,
     pivot: Pivot,
 }
 
 impl PivotState {
-    /// Empty view for the given projection.
-    pub fn new(names: &[&str]) -> PivotState {
-        PivotState {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            pivot: Pivot::default(),
-        }
-    }
-
     /// The view of `names` at `snap`: the snapshot pivot ([`pivot_at`])
     /// of the plan projecting `names`, with nothing pushed.
     pub(crate) fn at(snap: &Snapshot, names: &[String]) -> StoreResult<PivotState> {
@@ -55,7 +51,7 @@ impl PivotState {
         };
         let (pivot, _) = pivot_at(snap, &plan, &mut ActiveTrace::new(false, None, ""))?;
         Ok(PivotState {
-            names: plan.names,
+            names: projected(names),
             pivot,
         })
     }
@@ -67,32 +63,17 @@ impl PivotState {
     }
 
     /// Shared snapshot of the maintained frame. Cheap (`Arc` clone).
-    pub fn frame(&self) -> Arc<DataFrame> {
+    pub(crate) fn frame(&self) -> Arc<DataFrame> {
         self.pivot.frame()
     }
 
-    /// Apply the `loops` and `logs` rows that commits after the view's
-    /// snapshot added, each frame in commit order with the tables'
-    /// columns; a `logs` row is written only when the view projects its
-    /// name. Returns the positions of rows added or updated
-    /// (deduplicated, ascending). Every `loops` row goes in before any
-    /// `logs` row: a log row may name a context minted later in the same
-    /// run of commits, and the from-scratch oracle resolves chains
-    /// against the whole `loops` table. A `logs` frame missing a column
-    /// is [`flor_df::DfError::UnknownColumn`]; a value name colliding
-    /// with an index column is [`flor_df::DfError::DuplicateColumn`], as
-    /// a rebuild reports too.
-    pub fn apply(&mut self, loops: &DataFrame, logs: &DataFrame) -> DfResult<Vec<usize>> {
-        self.pivot.insert_loops(loops);
-        let mut changed = Vec::new();
-        for row in LogRow::all(logs)? {
-            if self.names.iter().any(|n| *n == *text(row.value_name)) {
-                changed.push(self.pivot.upsert(row)?);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        Ok(changed)
+    /// Catch up over the `logs` rows commits after the view's snapshot
+    /// added ([`Pivot::catch_up`]); only the projected names' cells are
+    /// written. Returns the positions of rows added or updated,
+    /// ascending. A value name colliding with an index column is
+    /// [`flor_df::DfError::DuplicateColumn`], as a rebuild reports too.
+    pub(crate) fn apply(&mut self, delta: &Delta) -> DfResult<Vec<usize>> {
+        self.pivot.catch_up(delta, &self.names)
     }
 }
 
@@ -160,8 +141,6 @@ impl LatestState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pivot::LoopContexts;
-    use flor_df::DfError;
     use flor_store::{flor_schema, Database};
 
     fn inert() -> ActiveTrace {
@@ -193,52 +172,37 @@ mod tests {
         ]
     }
 
-    /// Bring `view` from the rid watermarks `at` (`[loops, logs]`) up to
-    /// a fresh pin of `db`, as the catalog does; the changed positions.
-    fn catch_up(db: &Database, view: &mut PivotState, at: &mut [usize; 2]) -> Vec<usize> {
-        let snap = db.pin();
-        let (loops, next_loops) = snap.since("loops", at[0]).unwrap();
-        let (logs, next_logs) = snap.since("logs", at[1]).unwrap();
-        *at = [next_loops, next_logs];
-        view.apply(&loops, &logs).unwrap()
+    /// The view of `names` built on `db` while it is still empty, so
+    /// every row reaches it through catch-up.
+    fn empty_view(db: &Database, names: &[&str]) -> PivotState {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        PivotState::at(&db.pin(), &names).unwrap()
     }
 
-    fn frame(cols: &[&str], rows: &[Vec<Value>]) -> DataFrame {
-        DataFrame::from_rows(cols.to_vec(), rows.to_vec()).unwrap()
+    /// Bring `view` from the `logs` rid watermark `at` up to a fresh pin
+    /// of `db`, as the catalog does; the changed positions.
+    fn catch_up(db: &Database, view: &mut PivotState, at: &mut usize) -> Vec<usize> {
+        let delta = Delta::since(&db.pin(), *at).unwrap();
+        *at = delta.next;
+        view.apply(&delta).unwrap()
     }
 
-    fn logs(rows: &[Vec<Value>]) -> DataFrame {
-        let cols = [
-            "projid",
-            "tstamp",
-            "filename",
-            "ctx_id",
-            "value_name",
-            "value",
-            "value_type",
-        ];
-        frame(&cols, rows)
-    }
-
-    fn loops(rows: &[Vec<Value>]) -> DataFrame {
-        let cols = [
-            "projid",
-            "tstamp",
-            "filename",
-            "ctx_id",
-            "parent_ctx_id",
-            "loop_name",
-            "loop_iteration",
-            "iteration_value",
-        ];
-        frame(&cols, rows)
+    /// Insert `loops` rows, then `logs` rows, and commit.
+    fn commit(db: &Database, loops: &[Vec<Value>], logs: &[Vec<Value>]) {
+        for row in loops {
+            db.insert("loops", row.clone()).unwrap();
+        }
+        for row in logs {
+            db.insert("logs", row.clone()).unwrap();
+        }
+        db.commit().unwrap();
     }
 
     #[test]
     fn pivot_state_builds_and_applies() {
         let db = Database::in_memory(flor_schema());
-        let mut at = [0, 0];
-        let mut view = PivotState::new(&["loss", "acc"]);
+        let mut at = 0;
+        let mut view = empty_view(&db, &["loss", "acc"]);
 
         db.insert("logs", log_row(1, 0, "loss", "0.5", 3)).unwrap();
         db.insert("logs", log_row(1, 0, "acc", "0.9", 3)).unwrap();
@@ -264,14 +228,14 @@ mod tests {
     #[test]
     fn new_dimension_discovery_mid_stream() {
         let db = Database::in_memory(flor_schema());
-        let mut view = PivotState::new(&["loss"]);
+        let mut view = empty_view(&db, &["loss"]);
         db.insert("logs", log_row(1, 0, "loss", "1", 2)).unwrap();
         db.commit().unwrap();
         db.insert("loops", loop_row(2, 7, 0, "epoch", 0, "0"))
             .unwrap();
         db.insert("logs", log_row(2, 7, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
-        catch_up(&db, &mut view, &mut [0, 0]);
+        catch_up(&db, &mut view, &mut 0);
         let f = view.frame();
         assert_eq!(
             f.column_names(),
@@ -292,22 +256,19 @@ mod tests {
     #[test]
     fn loop_rows_reresolve_the_contexts_they_change() {
         // Context 5 sits in loop "inner" under context 9, not known yet.
-        let mut pivot = Pivot::default();
-        let write = |pivot: &mut Pivot, ts: i64| {
-            let rows = logs(&[log_row(ts, 5, "loss", &ts.to_string(), 2)]);
-            for row in LogRow::all(&rows).unwrap() {
-                pivot.upsert(row).unwrap();
-            }
+        let db = Database::in_memory(flor_schema());
+        let (mut view, mut at) = (empty_view(&db, &["loss"]), 0);
+        let mut write = |loops: Vec<Value>, ts: i64| {
+            let logs = log_row(ts, 5, "loss", &ts.to_string(), 2);
+            commit(&db, &[loops], &[logs]);
+            catch_up(&db, &mut view, &mut at);
         };
-        pivot.insert_loops(&loops(&[loop_row(1, 5, 9, "inner", 0, "0")]));
-        write(&mut pivot, 1);
+        write(loop_row(1, 5, 9, "inner", 0, "0"), 1);
         // The missing link arrives: later rows see the outer loop...
-        pivot.insert_loops(&loops(&[loop_row(1, 9, 0, "outer", 3, "3")]));
-        write(&mut pivot, 2);
+        write(loop_row(1, 9, 0, "outer", 3, "3"), 2);
         // ...and a replaced context's new cells.
-        pivot.insert_loops(&loops(&[loop_row(1, 9, 0, "outer", 4, "4")]));
-        write(&mut pivot, 3);
-        let f = pivot.frame();
+        write(loop_row(1, 9, 0, "outer", 4, "4"), 3);
+        let f = view.frame();
         let outer: Vec<_> = (0..3).map(|r| f.get(r, "outer_iteration")).collect();
         let want = [Value::Null, Value::Int(3), Value::Int(4)];
         assert_eq!(outer, want.iter().map(Some).collect::<Vec<_>>());
@@ -316,7 +277,7 @@ mod tests {
     #[test]
     fn a_loop_row_completing_a_chain_widens_a_views_schema() {
         let db = Database::in_memory(flor_schema());
-        let mut view = PivotState::new(&["loss"]);
+        let mut view = empty_view(&db, &["loss"]);
         // Context 7 ("inner") under 8 ("outer"); context 5 ("inner")
         // under 9, not known yet.
         for row in [
@@ -329,7 +290,7 @@ mod tests {
         db.insert("logs", log_row(1, 7, "loss", "1", 2)).unwrap();
         db.insert("logs", log_row(1, 5, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
-        let mut at = [0, 0];
+        let mut at = 0;
         catch_up(&db, &mut view, &mut at);
         // Context 9 ("top") arrives; another row under 5 names it.
         db.insert("loops", loop_row(2, 9, 0, "top", 0, "0"))
@@ -343,30 +304,22 @@ mod tests {
         assert_eq!(view.frame().column_names(), built.frame().column_names());
     }
 
-    /// Context 5 ("inner") under 9 ("outer", iteration 3), one row
-    /// logged under 5, then a later commit redefining 9 (iteration 4) in
-    /// a segment of its own.
-    fn redefined_parent() -> Database {
-        let db = Database::in_memory(flor_schema());
-        db.insert("loops", loop_row(1, 9, 0, "outer", 3, "3"))
-            .unwrap();
-        db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
-            .unwrap();
-        db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
-        db.commit().unwrap();
-        db.insert("loops", loop_row(2, 9, 0, "outer", 4, "4"))
-            .unwrap();
-        db.commit().unwrap();
-        db
-    }
-
     #[test]
     fn a_later_segment_redefining_a_link_reresolves_the_chains_through_it() {
-        let db = redefined_parent();
-        let snap = db.pin();
-        let mut pivot = Pivot::new(LoopContexts::of(&snap).unwrap());
-        let ctx = pivot.ctx(&Value::Int(5)).unwrap();
-        assert_eq!(ctx.cell("outer_iteration"), &Value::Int(4));
+        // Context 5 ("inner") under 9 ("outer", iteration 3), one row
+        // logged under 5, then a later commit redefining 9 (iteration 4)
+        // in a segment of its own; one catch-up over both.
+        let db = Database::in_memory(flor_schema());
+        let mut view = empty_view(&db, &["loss"]);
+        let chain = [
+            loop_row(1, 9, 0, "outer", 3, "3"),
+            loop_row(1, 5, 9, "inner", 0, "0"),
+        ];
+        commit(&db, &chain, &[log_row(1, 5, "loss", "1", 2)]);
+        commit(&db, &[loop_row(2, 9, 0, "outer", 4, "4")], &[]);
+        catch_up(&db, &mut view, &mut 0);
+        let outer = view.frame().get(0, "outer_iteration").cloned();
+        assert_eq!(outer, Some(Value::Int(4)));
     }
 
     #[test]
@@ -386,7 +339,7 @@ mod tests {
             .unwrap();
         db.insert("logs", log_row(2, 5, "loss", "2", 2)).unwrap();
         db.commit().unwrap();
-        catch_up(&db, &mut view, &mut [2, 1]);
+        catch_up(&db, &mut view, &mut 1);
         let frame = view.frame();
         assert_eq!(frame.get(0, "outer_iteration"), Some(&Value::Int(3)));
         assert_eq!(frame.get(1, "outer_iteration"), Some(&Value::Int(4)));
@@ -458,6 +411,7 @@ mod tests {
         // Rows under 5, whose parent 9 ("top") arrives in a later commit,
         // and under 7, which no `loops` row ever defines.
         let db = Database::in_memory(flor_schema());
+        let empty = empty_view(&db, &["loss"]);
         db.insert("loops", loop_row(1, 5, 9, "inner", 0, "0"))
             .unwrap();
         db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
@@ -466,8 +420,8 @@ mod tests {
         let plan = QueryPlan::new(&["loss"]);
         let run = |snap: &Snapshot| pivot_at(snap, &plan, &mut inert()).unwrap();
         let view = |db: &Database| {
-            let mut view = PivotState::new(&["loss"]);
-            catch_up(db, &mut view, &mut [0, 0]);
+            let mut view = empty.clone();
+            catch_up(db, &mut view, &mut 0);
             view.frame()
         };
         // Their keys stay open: each query resolves them, so the
@@ -490,6 +444,7 @@ mod tests {
     #[test]
     fn a_redefined_ctx_id_is_not_read_from_an_older_fragment() {
         let db = Database::in_memory(flor_schema());
+        let mut view = empty_view(&db, &["loss"]);
         db.insert("loops", loop_row(1, 5, 0, "epoch", 0, "0"))
             .unwrap();
         db.insert("logs", log_row(1, 5, "loss", "1", 2)).unwrap();
@@ -504,20 +459,9 @@ mod tests {
         db.commit().unwrap();
         let (pivot, explain) = run(&db.pin());
         assert_eq!(explain.fragments, (1, 1));
-        let mut view = PivotState::new(&["loss"]);
-        catch_up(&db, &mut view, &mut [0, 0]);
+        catch_up(&db, &mut view, &mut 0);
         assert_eq!(pivot.frame(), view.frame());
         assert_eq!(view.frame().get(0, "epoch_iteration"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    fn malformed_rows_rejected() {
-        let short = frame(&["projid"], &[vec!["p".into()]]);
-        let missing =
-            |r: DfResult<()>| matches!(r, Err(DfError::UnknownColumn(c)) if c == "tstamp");
-        assert!(missing(LogRow::all(&short).map(|_| ())));
-        let mut view = PivotState::new(&["x"]);
-        assert!(missing(view.apply(&loops(&[]), &short).map(|_| ())));
     }
 
     #[test]

@@ -6,30 +6,31 @@
 //! from the base tables on every query. This crate delivers that promise
 //! for the Rust reproduction. Its modules:
 //!
-//! * `pivot` (private) — the one long → wide pivot of `logs ⋈ loops`:
-//!   join to the loop context (resolved once per sealed `loops` segment),
-//!   new-column discovery on first sight of a `value_name` or loop
-//!   dimension, and a per-key cell upsert written straight into the
-//!   output columns; and the one function that builds it from a pinned
-//!   snapshot under a plan — a merge by rid of per-segment fragments
-//!   (each sealed `logs` segment pivoted once, on first read, and kept
-//!   beside the segment), with the plan's steps run over the merged
-//!   keys. Its public face is [`execute_at`], that pivot plus the plan's
-//!   post-pass (reporting a [`PlanExplain`]) — `Flor::execute_at`, the
-//!   oracle and what `flor-serve` answers with.
-//! * `delta` (private) — [`PivotState`], the same operator maintained
-//!   as commits land — handed the `loops` and `logs` rows past a rid
-//!   watermark ([`flor_store::Snapshot::since`]) and upserting them one
-//!   at a time — projected, built by the snapshot pivot's merge; and
-//!   incremental `flor.utils.latest` via
-//!   per-group-key max-timestamp upsert. Both
-//!   are **cell-for-cell identical** to a long-frame
+//! * `pivot` (private) — the one long → wide pivot of `logs ⋈ loops`
+//!   and its one writer: fragments of `logs` rows, each pivoted once per
+//!   key under the loop contexts (resolved once per sealed `loops`
+//!   segment), merged by rid and applied onto the wide frame — a cell
+//!   patched into a row the frame already has, or new rows appended —
+//!   after the schema has widened on first sight of a `value_name` or
+//!   loop dimension. It builds a frame from a pinned snapshot under a
+//!   plan — a merge of per-segment fragments (each sealed `logs` segment
+//!   pivoted once, on first read, and kept beside the segment), with the
+//!   plan's steps run over the merged keys — and catches a view up over
+//!   one transient fragment of the rows past its rid watermark
+//!   ([`flor_store::Snapshot::since`]). Its public face is
+//!   [`execute_at`], the snapshot pivot plus the plan's post-pass
+//!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
+//!   what `flor-serve` answers with.
+//! * `delta` (private) — the maintained views: one projected pivot, built
+//!   by the snapshot pivot's merge and caught up by the same merge; and
+//!   incremental `flor.utils.latest` via per-group-key max-timestamp
+//!   upsert. Both are **cell-for-cell identical** to a long-frame
 //!   [`flor_df::DataFrame::pivot`] reference (property-tested in
 //!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
 //! * `catalog` (private) — [`ViewCatalog`]: one maintained pivot per
 //!   projection, with the predicate-free `latest` groups read from it
 //!   kept beside it, all caught up on each access to one freshly pinned
-//!   snapshot from one pair of rid watermarks, bounded by an LRU, with a
+//!   snapshot from one `logs` rid watermark, bounded by an LRU, with a
 //!   fallback rebuild when a row cannot be applied (a value name
 //!   colliding with an index column). [`ViewCatalog::plan`] is its only
 //!   read entry point; every predicate of a plan runs in its post-pass.
@@ -80,6 +81,5 @@ mod pivot;
 pub mod plan;
 
 pub use catalog::{CatalogStats, ViewCatalog};
-pub use delta::PivotState;
 pub use pivot::{execute_at, PlanExplain};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

@@ -1,16 +1,15 @@
 //! The one pivot of `logs ⋈ loops`, and the one function that builds it
 //! from a pinned snapshot.
 //!
-//! [`Pivot`] turns `logs` rows into the wide `flor.dataframe` frame. It
-//! joins each row to its loop context, widens the schema when a row
-//! names a loop dimension or `value_name` it has not seen, and writes the
-//! row's one cell straight into the output column at the row its key
-//! names, last write wins. A maintained view ([`crate::PivotState`])
-//! hands it the rows later commits add ([`flor_store::Snapshot::since`]),
-//! one at a time.
+//! [`Pivot`] is the wide `flor.dataframe` frame of `logs` rows joined to
+//! their loop contexts. It is only ever written from a [`Merge`] of
+//! **fragments** — `logs` rows pivoted once per key — by one function,
+//! [`Pivot::apply`]: the schema widens first ([`Pivot::discover`]), then
+//! a merged key the frame already has gets its cells patched, and the
+//! rest are appended as new rows.
 //!
-//! [`pivot_at`] builds the same frame from a snapshot without pivoting a
-//! row. Each sealed `logs` segment keeps a **fragment** ([`Fragment`],
+//! [`pivot_at`] builds a frame from a snapshot without pivoting a row.
+//! Each sealed `logs` segment keeps a fragment ([`Fragment`],
 //! the segment's [`Snapshot::summaries`] slot): its rows pivoted once
 //! under the snapshot's loop contexts — one entry per row key, and per
 //! value name each key's last cell with the first and the last rid that
@@ -26,9 +25,17 @@
 //!
 //! The merge goes by rid, never by segment order: a backfill writes
 //! cells for old keys into new segments, and a clustered compaction
-//! permutes rids across segments. So the frame, and the [`Pivot`] a view
-//! goes on upserting into, are what row-by-row upserts of the projected
-//! rows in commit order would have built.
+//! permutes rids across segments. So the frame is what writing the
+//! projected rows one by one in commit order, last write wins, would have
+//! built.
+//!
+//! A maintained view ([`crate::delta::PivotState`]) catches up the same way
+//! ([`Delta`]): the `logs` rows later commits add
+//! ([`flor_store::Snapshot::since`]) become one transient fragment, made
+//! by the same [`Fragment::of`] under the new snapshot's loop contexts,
+//! and each view merges it and applies it onto the pivot it holds. Every
+//! delta row is newer than every row the view holds, so its keys come
+//! after the view's rows and its cells win.
 //!
 //! The loop contexts are kept the same way ([`LoopContexts`]): one
 //! context map per sealed `loops` segment, each context resolved once
@@ -48,14 +55,15 @@
 //! cells, and the `latest` and top-K cuts keep the keys those steps
 //! would keep.
 //!
-//! The invariant, enforced by `tests/prop_pivot.rs` (the operator against
-//! a long-frame `DataFrame::pivot` reference, fed in one batch or many)
+//! The invariant, enforced by `tests/prop_pivot.rs` (a view caught up
+//! over one commit or many against a long-frame `DataFrame::pivot`
+//! reference)
 //! and `tests/prop_view.rs` (kernel sessions, the view catalog and the
 //! snapshot pivot against the same reference): the frame is cell-for-cell
 //! the reference's — including column order, row order, and nulls.
 
 use crate::plan::{BelowPivot, QueryPlan, FIXED_COLS as FIXED};
-use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
+use flor_df::{Column, DataFrame, DataType, DfResult, Value};
 use flor_obs::ActiveTrace;
 use flor_store::{Predicate, Snapshot, StoreResult};
 use std::borrow::Cow;
@@ -81,7 +89,7 @@ fn logged_value(value: &Value, tag: &Value) -> Value {
 /// `v.to_text()`, borrowed when `v` already is text (`logs` and `loops`
 /// keep their names and text in `Str` columns, so that is every real
 /// row).
-pub(crate) fn text(v: &Value) -> Cow<'_, str> {
+fn text(v: &Value) -> Cow<'_, str> {
     match v {
         Value::Str(s) => Cow::Borrowed(s),
         other => Cow::Owned(other.to_text()),
@@ -251,22 +259,18 @@ impl SegmentContexts {
     }
 }
 
-/// The `loops` table as a `ctx_id` → context map: what turns a log row's
-/// `ctx_id` into its loop-dimension cells. A [`Pivot`] holds one — the
-/// per-segment contexts of a snapshot ([`LoopContexts::of`]), looked up
-/// newest first, plus a tail of the `loops` rows a maintained view reads
-/// in as it catches up ([`Pivot::insert_loops`]).
+/// The `loops` table of one snapshot as a `ctx_id` → context map
+/// ([`LoopContexts::of`]): what turns a log row's `ctx_id` into its
+/// loop-dimension cells.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoopContexts {
-    /// Each sealed segment's contexts, oldest first. No `ctx_id` is
-    /// defined twice across them and the tail, so a context resolved
-    /// within its segment is the snapshot's.
+    /// Each sealed segment's contexts, oldest first, looked up newest
+    /// first. No `ctx_id` is defined twice across them, so a context
+    /// resolved within its segment is the snapshot's.
     sealed: Vec<Arc<SegmentContexts>>,
-    /// Contexts added after the sealed ones — or every context, once a
-    /// `ctx_id` is defined twice and the sealed resolutions cannot be
-    /// trusted.
-    tail: HashMap<i64, LoopCtx>,
-    names: DimNames,
+    /// Every context, in place of `sealed`, once some `ctx_id` may be
+    /// defined twice and the sealed resolutions cannot be trusted.
+    flat: HashMap<i64, LoopCtx>,
 }
 
 impl LoopContexts {
@@ -291,8 +295,8 @@ impl LoopContexts {
         Ok(out)
     }
 
-    /// Fold the sealed contexts into the tail, the latest row per
-    /// `ctx_id` winning (the tail is newer than every sealed row).
+    /// Fold the sealed contexts into one map, the latest row per `ctx_id`
+    /// winning.
     fn flatten(&mut self) {
         let mut latest: HashMap<i64, &SealedCtx> = HashMap::new();
         for (&id, c) in self.sealed.iter().flat_map(|s| &s.ctx) {
@@ -301,25 +305,16 @@ impl LoopContexts {
                 *slot = c;
             }
         }
-        for (id, c) in latest {
-            self.tail.entry(id).or_insert_with(|| c.link.clone());
-        }
+        self.flat = latest
+            .into_iter()
+            .map(|(id, c)| (id, c.link.clone()))
+            .collect();
         self.sealed.clear();
-    }
-
-    /// Add (or replace) one context; whether it replaced one.
-    fn insert(&mut self, id: i64, [parent, loop_name, iteration, value]: [&Value; 4]) -> bool {
-        let sealed = self.sealed.iter().any(|s| s.get(id).is_some());
-        if sealed {
-            self.flatten();
-        }
-        let link = self.names.link(parent, loop_name, iteration, value);
-        self.tail.insert(id, link).is_some() || sealed
     }
 
     /// The link defining `ctx_id`.
     fn link(&self, ctx_id: i64) -> Option<&LoopCtx> {
-        match self.tail.get(&ctx_id) {
+        match self.flat.get(&ctx_id) {
             Some(link) => Some(link),
             None => self.sealed(ctx_id).map(|c| &c.link),
         }
@@ -348,46 +343,43 @@ impl LoopContexts {
     }
 
     /// The rid below which every sealed link lies, when each `ctx_id` is
-    /// defined once and nothing has been fed since; 0 otherwise. A
-    /// fragment whose chains lie below it is exact here.
+    /// defined once; 0 once flattened. A fragment whose chains lie below
+    /// it is exact here.
     fn trusted_below(&self) -> usize {
-        match self.sealed.iter().map(|s| s.last_rid).max() {
-            Some(last) if self.tail.is_empty() => last + 1,
-            _ => 0,
-        }
+        self.sealed
+            .iter()
+            .map(|s| s.last_rid)
+            .max()
+            .map_or(0, |last| last + 1)
     }
 }
 
 /// A `logs` row as the pivot reads it, borrowed from a frame's columns
 /// ([`LogRow::all`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LogRow<'a> {
+struct LogRow<'a> {
     /// `projid`, `tstamp`, `filename`: the row key's fixed cells, in
     /// [`crate::FIXED_COLS`] order.
-    pub(crate) fixed: [&'a Value; 3],
+    fixed: [&'a Value; 3],
     /// The loop context the row was logged under.
-    pub(crate) ctx_id: &'a Value,
+    ctx_id: &'a Value,
     /// The value column the row fills.
-    pub(crate) value_name: &'a Value,
+    value_name: &'a Value,
     /// The logged text.
-    pub(crate) value: &'a Value,
+    value: &'a Value,
     /// The `value_type` tag [`logged_value`] reads `value` as.
-    pub(crate) value_type: &'a Value,
+    value_type: &'a Value,
 }
 
 impl<'a> LogRow<'a> {
-    /// Every row of a `logs` frame, in order; a missing column is
-    /// [`DfError::UnknownColumn`].
-    pub(crate) fn all(logs: &'a DataFrame) -> DfResult<impl Iterator<Item = LogRow<'a>>> {
-        let col = |name: &str| {
-            logs.column(name)
-                .map(|c| c.values.as_slice())
-                .ok_or_else(|| DfError::UnknownColumn(name.to_string()))
-        };
+    /// Every row of a `logs` frame, in order; `None` when a column is
+    /// missing (the store hands over every column asked for).
+    fn all(logs: &'a DataFrame) -> Option<impl Iterator<Item = LogRow<'a>>> {
+        let col = |name: &str| logs.column(name).map(|c| c.values.as_slice());
         let (projid, tstamp, filename) = (col("projid")?, col("tstamp")?, col("filename")?);
         let (ctx_id, value_name) = (col("ctx_id")?, col("value_name")?);
         let (value, value_type) = (col("value")?, col("value_type")?);
-        Ok((0..logs.n_rows()).map(move |at| LogRow {
+        Some((0..logs.n_rows()).map(move |at| LogRow {
             fixed: [&projid[at], &tstamp[at], &filename[at]],
             ctx_id: &ctx_id[at],
             value_name: &value_name[at],
@@ -399,9 +391,10 @@ impl<'a> LogRow<'a> {
 
 /// One loop context as a row key sees it: resolved once per sealed
 /// `loops` segment when its chain lies in the segment, else once per
-/// `ctx_id` by [`Pivot::ctx`] or per fragment by [`Fragment::of`].
+/// fragment by [`Fragment::of`] (an open key's once per query, by
+/// [`Fragment::reopen`]).
 #[derive(Debug)]
-pub(crate) struct Ctx {
+struct Ctx {
     /// [`LoopContexts::dims`] of the context.
     dims: Vec<Dim>,
     /// [`Ctx::hash`], computed on first use: one context serves every
@@ -436,7 +429,7 @@ impl Ctx {
 
     /// The cell of dimension column `col`: the first (outermost) with
     /// that name, or null.
-    pub(crate) fn cell(&self, col: &str) -> &Value {
+    fn cell(&self, col: &str) -> &Value {
         self.dims
             .iter()
             .find(|(d, _)| **d == *col)
@@ -454,7 +447,8 @@ impl Ctx {
 }
 
 /// One row key of a [`Fragment`]: its fixed cells, its loop context, and
-/// the [`key_hash`] [`Pivot::upsert`] finds it by.
+/// its [`key_hash`], by which the merge and the frame's key index find
+/// it.
 #[derive(Debug)]
 struct FragKey {
     /// `projid`, `tstamp`, `filename`, in [`FIXED`] order.
@@ -522,7 +516,8 @@ struct Fragment {
     /// They are told apart by `ctx_id`, and each query resolves them
     /// against its own contexts ([`Fragment::reopen`]).
     open: Vec<(usize, i64)>,
-    /// Per value name logged here.
+    /// Per value name logged here, by its text (a `Str`): the column it
+    /// fills.
     names: HashMap<Value, NameFacts>,
     /// Every chain of a key that is not open lies in `loops` rows below
     /// this rid; a [`LoopContexts`] whose
@@ -532,18 +527,18 @@ struct Fragment {
 }
 
 impl Fragment {
-    /// Pivot a segment's rows (every `logs` column, in rid order) under
-    /// `loops`, whose sealed links are trusted below `trusted`.
+    /// Pivot `logs` rows (every `logs` column, in rid order, with their
+    /// `rids`) under `loops`, whose sealed links are trusted below
+    /// `trusted`.
     fn of(logs: &DataFrame, rids: &[usize], loops: &LoopContexts, trusted: usize) -> Fragment {
         let mut out = Fragment::default();
-        // `Snapshot::summaries` hands over every column asked for.
-        let Ok(rows) = LogRow::all(logs) else {
+        let Some(rows) = LogRow::all(logs) else {
             return out;
         };
         let mut ctxs: HashMap<i64, (Arc<Ctx>, Option<Signature>)> = HashMap::new();
         let mut index = KeyIndex::default();
-        // Each name's facts, found by the name as the frame holds it.
-        let mut slots: HashMap<&Value, usize> = HashMap::new();
+        // Each name's facts, found by the name's text: its column's name.
+        let mut slots: HashMap<Cow<'_, str>, usize> = HashMap::new();
         let mut names: Vec<(Value, NameFacts)> = Vec::new();
         // (key, name slot) → the cell's position in the name's `cells`.
         let mut cells: HashMap<(usize, usize), usize> = HashMap::new();
@@ -586,16 +581,21 @@ impl Fragment {
                 }
             };
             last = Some(key);
-            let slot = *slots.entry(row.value_name).or_insert_with(|| {
-                let facts = NameFacts {
-                    first: rid,
-                    signatures: Vec::new(),
-                    open: Vec::new(),
-                    cells: Vec::new(),
-                };
-                names.push((row.value_name.clone(), facts));
-                names.len() - 1
-            });
+            let name = text(row.value_name);
+            let slot = match slots.get(&name) {
+                Some(&slot) => slot,
+                None => {
+                    let facts = NameFacts {
+                        first: rid,
+                        signatures: Vec::new(),
+                        open: Vec::new(),
+                        cells: Vec::new(),
+                    };
+                    names.push((Value::from(name.as_ref()), facts));
+                    slots.insert(name, names.len() - 1);
+                    names.len() - 1
+                }
+            };
             let facts = &mut names[slot].1;
             match signature {
                 Some(sig) if !facts.signatures.iter().any(|(s, _)| s == sig) => {
@@ -689,11 +689,6 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    /// Add a key known to be new, numbered as the next key.
-    fn push(&mut self, hash: u64) {
-        self.find_or_add(hash, |_| false);
-    }
-
     /// The key hashing to `hash` that `same` accepts, else a new key
     /// numbered as the next; and whether it is new.
     fn find_or_add(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> (usize, bool) {
@@ -711,52 +706,31 @@ impl KeyIndex {
 }
 
 /// The one pivot of `logs ⋈ loops`, long → wide: one row per distinct
-/// key — the fixed context columns plus the loop dimensions — in
-/// first-seen order, and the columns [`crate::FIXED_COLS`], then loop
-/// dimensions, then value names, each in first-seen order.
+/// key — the fixed context columns plus the loop dimensions — and the
+/// columns [`crate::FIXED_COLS`], then loop dimensions, then value names,
+/// each in first-seen order.
 ///
-/// Per row there is no long frame and no owned key: the context comes
-/// resolved from its sealed segment or is resolved once per `ctx_id`; a
-/// row with the same context and fixed cells as the row written before
-/// it goes to that row; otherwise the key's hash finds candidate rows
-/// ([`KeyIndex`]), whose index cells *are* the keys. The one cell is
-/// written by column position. A value name equal to an index column's
-/// name is [`DfError::DuplicateColumn`], as it is for
-/// [`DataFrame::pivot`]. [`pivot_at`] builds one without writing a row:
-/// its columns from the fragments' schema facts ([`Pivot::discover`]),
-/// its rows and key index from the merged keys ([`Pivot::fill`]), which
-/// later [`Pivot::upsert`]s find as their own.
+/// It is written only from merged fragments: [`Pivot::discover`] widens
+/// the schema from their facts, then [`Pivot::apply`] writes the merged
+/// keys. There is no owned key per row: the key index ([`KeyIndex`])
+/// holds each row's key hash, and the frame's own index cells *are* the
+/// keys its candidates are compared against. A value name equal to an
+/// index column's name is [`flor_df::DfError::DuplicateColumn`], as it is for
+/// [`DataFrame::pivot`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pivot {
-    loops: LoopContexts,
-    /// Every `ctx_id` resolved here rather than taken from its sealed
-    /// segment; emptied when a `loops` row may change one of their
-    /// chains.
-    ctxs: HashMap<i64, Arc<Ctx>>,
-    /// Whether a chain in `ctxs` stopped at a missing link.
-    truncated: bool,
     /// Dimension columns, in first-seen order.
     dims: Vec<Arc<str>>,
     /// Value columns, in first-seen order.
     names: Vec<Arc<str>>,
     /// The frame's row keys: key `r` is row `r`.
     keys: KeyIndex,
-    /// The last row written and its context.
-    last: Option<(Arc<Ctx>, usize)>,
     /// The wide frame. Shared out by [`Pivot::frame`]; writes go through
     /// `Arc::make_mut` (a copy only while a reader holds an old frame).
     frame: Arc<DataFrame>,
 }
 
 impl Pivot {
-    /// An empty pivot over the contexts in `loops`.
-    pub(crate) fn new(loops: LoopContexts) -> Pivot {
-        Pivot {
-            loops,
-            ..Pivot::default()
-        }
-    }
-
     /// Whether `col` is an index column — one of the three fixed context
     /// columns or a loop dimension the pivot has seen. Index cells are
     /// written once when their row is created and never rewritten; value
@@ -775,39 +749,14 @@ impl Pivot {
         Arc::unwrap_or_clone(self.frame)
     }
 
-    /// Add (or replace) the contexts a frame of `loops` rows defines,
-    /// in order (columns looked up by name, as [`loop_rows`] reads them).
-    pub(crate) fn insert_loops(&mut self, loops: &DataFrame) {
-        for (id, link) in loop_rows(loops) {
-            let replaced = self.loops.insert(id, link);
-            // A resolved chain may run through a replaced context, or
-            // stop short of a new one where a link was missing.
-            if replaced || self.truncated {
-                self.ctxs.clear();
-                self.truncated = false;
-                self.last = None;
-            }
-        }
-    }
-
-    /// The context of a row logged under `ctx_id`. The first sight of a
-    /// context widens the schema by the dimensions it names that are
-    /// new, in its chain's order (outermost first).
-    pub(crate) fn ctx(&mut self, ctx_id: &Value) -> DfResult<Arc<Ctx>> {
-        let id = ctx_id.as_i64().unwrap_or(0);
-        let ctx = match self.loops.sealed(id).and_then(|c| c.resolved.as_ref()) {
-            Some(ctx) => Arc::clone(ctx),
-            None => match self.ctxs.entry(id) {
-                Entry::Occupied(known) => return Ok(Arc::clone(known.get())),
-                Entry::Vacant(slot) => {
-                    let (dims, complete) = self.loops.dims(id);
-                    self.truncated |= !complete;
-                    Arc::clone(slot.insert(Arc::new(Ctx::new(dims))))
-                }
-            },
-        };
-        self.widen(ctx.dims.iter().map(|(d, _)| d))?;
-        Ok(ctx)
+    /// Catch up over `delta`: merge its fragment's cells of the projected
+    /// `names` and apply them. Returns the positions of rows changed or
+    /// added, ascending.
+    pub(crate) fn catch_up(&mut self, delta: &Delta, names: &[Value]) -> DfResult<Vec<usize>> {
+        self.discover(&delta.loops, [&delta.fragment], names)?;
+        let mut merge = Merge::new(names);
+        merge.add(&delta.fragment, &delta.reopened, &[]);
+        self.apply(&merge, &merge.rows())
     }
 
     /// Add the dimension columns among `dims` not yet known, in order.
@@ -822,28 +771,32 @@ impl Pivot {
         Ok(())
     }
 
-    /// The position of value column `value_name` among the value columns,
-    /// added on first sight.
-    fn name(&mut self, value_name: &Value) -> DfResult<usize> {
-        let name = text(value_name);
-        if let Some(at) = self.names.iter().position(|n| **n == *name) {
-            return Ok(at);
+    /// Add value column `name` unless it is known.
+    fn name(&mut self, name: &Value) -> DfResult<()> {
+        let name = text(name);
+        if !self.names.iter().any(|n| **n == *name) {
+            let frame = with_fixed(&mut self.frame)?;
+            frame.add_column(nulls(&name, frame))?;
+            self.names.push(name.into());
         }
-        let frame = with_fixed(&mut self.frame)?;
-        frame.add_column(nulls(&name, frame))?;
-        self.names.push(name.into());
-        Ok(self.names.len() - 1)
+        Ok(())
     }
 
     /// The schema pass: widen the schema to the columns of the pivot of
-    /// every row of `fragments` named in `names`, without reading a row.
-    /// The columns are a merge by first rid over the fragments' schema
-    /// facts: dimension signatures first, then value names.
-    fn discover(&mut self, fragments: &[Arc<Fragment>], names: &[Value]) -> DfResult<()> {
+    /// every row of `fragments` named in `names`, resolving open keys
+    /// under `loops`, without reading a row. The columns are a merge by
+    /// first rid over the fragments' schema facts: dimension signatures
+    /// first, then value names.
+    fn discover<'f>(
+        &mut self,
+        loops: &LoopContexts,
+        fragments: impl IntoIterator<Item = &'f Fragment>,
+        names: &[Value],
+    ) -> DfResult<()> {
         let mut firsts: Vec<(usize, &Value)> = Vec::new();
         let mut signatures: Vec<(usize, Signature)> = Vec::new();
         for (name, facts) in fragments
-            .iter()
+            .into_iter()
             .flat_map(|f| names.iter().filter_map(|n| Some((n, f.names.get(n)?))))
         {
             firsts.push((facts.first, name));
@@ -854,7 +807,7 @@ impl Pivot {
                     .map(|(sig, rid)| (*rid, Arc::clone(sig))),
             );
             for &(id, rid) in &facts.open {
-                let dims = self.loops.dims(id).0;
+                let dims = loops.dims(id).0;
                 signatures.push((rid, dims.into_iter().map(|(d, _)| d).collect()));
             }
         }
@@ -869,87 +822,84 @@ impl Pivot {
         Ok(())
     }
 
-    /// Write the rows of `keys`, in order, into the discovered columns;
-    /// the cells written.
-    fn fill(&mut self, merge: &Merge<'_>, keys: &[usize]) -> DfResult<usize> {
-        if keys.is_empty() {
-            return Ok(0);
+    /// Write the merged keys `rows`, in order, into the discovered
+    /// columns — the one writer of pivot rows. A key the frame already
+    /// has (its hash in the key index, its index cells in the frame) gets
+    /// its merged cells patched in; the others are appended, in order, as
+    /// new rows. Returns the positions of rows changed or added,
+    /// ascending.
+    fn apply(&mut self, merge: &Merge<'_>, rows: &[usize]) -> DfResult<Vec<usize>> {
+        if rows.is_empty() {
+            return Ok(Vec::new());
         }
+        let dims = &self.dims;
+        let values_at = FIXED.len() + dims.len();
         // Each value column's projected name.
         let slots: Vec<Option<usize>> = self
             .names
             .iter()
             .map(|n| merge.names.iter().position(|m| text(m) == **n))
             .collect();
-        let mut cells = 0;
-        let mut columns: Vec<Column> = Vec::with_capacity(self.frame.n_cols());
-        let key = |m: usize| merge.keys[m].0;
-        for (c, column) in self.frame.columns().iter().enumerate() {
-            let dims = FIXED.len() + self.dims.len();
-            let values: Vec<Value> = match c {
-                c if c < FIXED.len() => keys.iter().map(|&m| key(m).fixed[c].clone()).collect(),
-                c if c < dims => {
-                    let d = &self.dims[c - FIXED.len()];
-                    keys.iter().map(|&m| key(m).ctx.cell(d).clone()).collect()
-                }
-                c => keys
-                    .iter()
-                    .map(|&m| match slots[c - dims].and_then(|n| merge.cell(m, n)) {
-                        Some(cell) => {
-                            cells += 1;
-                            cell.value.clone()
-                        }
-                        None => Value::Null,
-                    })
-                    .collect(),
-            };
-            columns.push(Column {
-                name: column.name.clone(),
-                values,
-            });
-        }
-        self.frame = Arc::new(DataFrame::from_columns(columns)?);
-        for &m in keys {
-            self.keys.push(merge.keys[m].0.hash);
-        }
-        Ok(cells)
-    }
-
-    /// Write one row: discover its columns, then set its one cell in the
-    /// row its key names — a new last row on first sight of the key, else
-    /// the existing row (last write wins). Returns the row's position.
-    pub(crate) fn upsert(&mut self, row: LogRow<'_>) -> DfResult<usize> {
-        let ctx = self.ctx(row.ctx_id)?;
-        let col = FIXED.len() + self.dims.len() + self.name(row.value_name)?;
-        let value = logged_value(row.value, row.value_type);
-        let dims = &self.dims;
+        let old_rows = self.frame.n_rows();
         let frame = Arc::make_mut(&mut self.frame);
-        let same_as_last = self
-            .last
-            .as_ref()
-            .filter(|(c, at)| Arc::ptr_eq(c, &ctx) && fixed_at(frame, *at, row.fixed))
-            .map(|(_, at)| *at);
-        let at = match same_as_last {
-            Some(at) => at,
-            None => {
-                let hash = key_hash(row.fixed, &ctx);
-                let (at, new) = self
-                    .keys
-                    .find_or_add(hash, |at| key_at(frame, at, row.fixed, &ctx, dims));
-                if new {
-                    frame.push_row_with(|c| match c {
-                        c if c < FIXED.len() => row.fixed[c].clone(),
-                        c => dims
-                            .get(c - FIXED.len())
-                            .map_or(Value::Null, |d| ctx.cell(d).clone()),
-                    });
+        let mut changed = Vec::with_capacity(rows.len());
+        let mut new = Vec::new();
+        for &m in rows {
+            let key = merge.keys[m].0;
+            let (at, is_new) = self
+                .keys
+                .find_or_add(key.hash, |at| at < old_rows && key_at(frame, at, key, dims));
+            if is_new {
+                new.push(m);
+            } else {
+                for (c, slot) in slots.iter().enumerate() {
+                    if let Some(cell) = slot.and_then(|n| merge.cell(m, n)) {
+                        frame.set_at(at, values_at + c, cell.value.clone());
+                    }
                 }
-                at
             }
-        };
-        frame.set_at(at, col, value);
-        self.last = Some((ctx, at));
-        Ok(at)
+            changed.push(at);
+        }
+        // The new rows, column by column.
+        let key = |m: usize| merge.keys[m].0;
+        let columns: Vec<Vec<Value>> = (0..frame.n_cols())
+            .map(|c| match c {
+                c if c < FIXED.len() => new.iter().map(|&m| key(m).fixed[c].clone()).collect(),
+                c if c < values_at => {
+                    let d = &dims[c - FIXED.len()];
+                    new.iter().map(|&m| key(m).ctx.cell(d).clone()).collect()
+                }
+                c => {
+                    let slot = slots[c - values_at];
+                    new.iter()
+                        .map(|&m| {
+                            slot.and_then(|n| merge.cell(m, n))
+                                .map_or(Value::Null, |cell| cell.value.clone())
+                        })
+                        .collect()
+                }
+            })
+            .collect();
+        // A fresh frame takes the columns whole; one with rows gets them
+        // row by row (`DataFrame` extends a column only through a row).
+        if old_rows == 0 {
+            let named = frame
+                .columns()
+                .iter()
+                .zip(columns)
+                .map(|(column, values)| Column {
+                    name: column.name.clone(),
+                    values,
+                });
+            *frame = DataFrame::from_columns(named.collect())?;
+        } else {
+            let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+            for _ in &new {
+                frame.push_row_with(|c| columns[c].next().unwrap_or(Value::Null));
+            }
+        }
+        changed.sort_unstable();
+        Ok(changed)
     }
 }
 
@@ -981,23 +931,18 @@ fn nulls(name: &str, frame: &DataFrame) -> Column {
     }
 }
 
-/// Whether row `at` has the fixed cells `fixed`.
-fn fixed_at(frame: &DataFrame, at: usize, fixed: [&Value; 3]) -> bool {
-    frame
-        .columns()
+/// Whether row `at`'s index cells are `key`'s: its fixed cells, and its
+/// context's cells in the dimension columns `dims`.
+fn key_at(frame: &DataFrame, at: usize, key: &FragKey, dims: &[Arc<str>]) -> bool {
+    let columns = frame.columns();
+    columns
         .iter()
-        .zip(fixed)
+        .zip(&key.fixed)
         .all(|(c, v)| c.values[at] == *v)
-}
-
-/// Whether row `at`'s key is `fixed` plus `ctx`'s cells in the
-/// dimension columns `dims`.
-fn key_at(frame: &DataFrame, at: usize, fixed: [&Value; 3], ctx: &Ctx, dims: &[Arc<str>]) -> bool {
-    fixed_at(frame, at, fixed)
-        && frame.columns()[FIXED.len()..]
+        && columns[FIXED.len()..]
             .iter()
             .zip(dims)
-            .all(|(c, d)| c.values[at] == *ctx.cell(d))
+            .all(|(c, d)| c.values[at] == *key.ctx.cell(d))
 }
 
 /// Whether `push` runs exactly against the columns `pivot` found:
@@ -1098,6 +1043,49 @@ impl<'f> Merge<'f> {
         rows.sort_unstable_by_key(|&m| self.keys[m].1);
         rows
     }
+
+    /// The projected cells of the merged keys `rows`.
+    fn cells_of(&self, rows: &[usize]) -> usize {
+        let n = self.names.len();
+        rows.iter()
+            .map(|&m| self.cells[m * n..(m + 1) * n].iter().flatten().count())
+            .sum()
+    }
+}
+
+/// The `logs` rows commits added past a rid, pivoted once for every view
+/// that catches up over them ([`Pivot::catch_up`]): one transient
+/// [`Fragment`] made by [`Fragment::of`] under the loop contexts of the
+/// snapshot they were read from, with its open keys resolved there.
+pub(crate) struct Delta {
+    loops: LoopContexts,
+    fragment: Fragment,
+    reopened: Vec<FragKey>,
+    /// The `logs` rows it holds.
+    pub(crate) rows: usize,
+    /// The rid past its last row: where the next catch-up reads from.
+    pub(crate) next: usize,
+}
+
+impl Delta {
+    /// The rows of `snap`'s `logs` at or past `rid`
+    /// ([`Snapshot::since`]), under `snap`'s loop contexts
+    /// ([`LoopContexts::of`]).
+    pub(crate) fn since(snap: &Snapshot, rid: usize) -> StoreResult<Delta> {
+        let (logs, next) = snap.since("logs", rid)?;
+        let loops = LoopContexts::of(snap)?;
+        // Positions stand in for rids: the rows come in rid order.
+        let rids: Vec<usize> = (0..logs.n_rows()).collect();
+        let fragment = Fragment::of(&logs, &rids, &loops, loops.trusted_below());
+        let reopened = fragment.reopen(&loops);
+        Ok(Delta {
+            loops,
+            fragment,
+            reopened,
+            rows: logs.n_rows(),
+            next,
+        })
+    }
 }
 
 /// Keep the `rows` `keep` accepts; rows in and out.
@@ -1186,13 +1174,26 @@ fn top_k_cut(
     retain(rows, |_| keep.next().unwrap_or(false))
 }
 
+/// The projected `names`, each once, in order.
+pub(crate) fn projected(names: &[String]) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::with_capacity(names.len());
+    for name in names {
+        let name = Value::from(name.as_str());
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
+}
+
 /// The one pivot of a pinned snapshot under `plan`, without the
 /// post-pass: the fragments of every sealed `logs` segment ([`Fragment`],
 /// made here for a segment whose slot is empty or whose fragment this
 /// snapshot cannot reuse) merged over the snapshot's loop contexts
-/// ([`LoopContexts::of`]), into one [`Pivot`] a maintained view can go
-/// on upserting into. Every read is of `snap`, so the frame reflects
-/// exactly its epoch. No `logs` row is fetched.
+/// ([`LoopContexts::of`]) and applied onto an empty [`Pivot`], which a
+/// maintained view goes on catching up ([`Pivot::catch_up`]). Every read
+/// is of `snap`, so the frame reflects exactly its epoch. No `logs` row
+/// is fetched.
 ///
 /// The plan decides, step by step in [`QueryPlan::post_pass`] order,
 /// what runs here ([`QueryPlan::below_pivot`]), all of it over keys:
@@ -1256,22 +1257,16 @@ pub(crate) fn pivot_at(
     tr.end(scan);
 
     let piv = tr.begin("pivot");
-    let mut names: Vec<Value> = Vec::with_capacity(plan.names.len());
-    for name in &plan.names {
-        let name = Value::from(name.as_str());
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    let mut pivot = Pivot::new(loops);
-    pivot.discover(&fragments, &names)?;
+    let names = projected(&plan.names);
+    let mut pivot = Pivot::default();
+    pivot.discover(&loops, fragments.iter().map(|f| &**f), &names)?;
     let lowered = plan.below_pivot();
     let push = if admits(&pivot, &lowered, &plan.order_by) {
         lowered
     } else {
         BelowPivot::default()
     };
-    let reopened: Vec<Vec<FragKey>> = fragments.iter().map(|f| f.reopen(&pivot.loops)).collect();
+    let reopened: Vec<Vec<FragKey>> = fragments.iter().map(|f| f.reopen(&loops)).collect();
     let mut merge = Merge::new(&names);
     let mut store = (0, 0);
     let admitted = snap.zone_admits("logs", &push.store)?;
@@ -1304,7 +1299,8 @@ pub(crate) fn pivot_at(
     if let Some(n) = push.top_k {
         explain.top_k_cut = Some(top_k_cut(&merge, &mut rows, &plan.order_by, n));
     }
-    explain.pivot = (pivot.fill(&merge, &rows)?, rows.len());
+    pivot.apply(&merge, &rows)?;
+    explain.pivot = (merge.cells_of(&rows), rows.len());
     for step in explain.steps() {
         tr.event(|| step_line(step));
     }

@@ -1,18 +1,19 @@
-//! The pivot operator against its long-frame reference
+//! The pivot's catch-up against its long-frame reference
 //! ([`reference::reference_pivot`]): for random `logs` / `loops` streams
 //! — nested loops sharing a name, links to contexts that never exist,
 //! `Int(2)` / `Float(2.0)` keys, re-logged values, null and colliding
-//! value names — a [`PivotState`] caught up after one commit of every row
-//! and one caught up after each of the same stream's random commits both
-//! equal the reference pivot of every projected row. A name colliding
-//! with an index column fails all three. (The snapshot pivot that builds a view
-//! is checked against the same reference by `tests/prop_view.rs`.)
+//! value names — a [`ViewCatalog`] view built on the empty database and
+//! caught up after one commit of every row, and one caught up after each
+//! of the same stream's random commits, both equal the reference pivot of
+//! every projected row, with no rebuild. A name colliding with an index
+//! column fails all three. (The snapshot pivot that builds a view is
+//! checked against the same reference by `tests/prop_view.rs`.)
 
 mod reference;
 
 use flor_df::{DataFrame, DataType, DfError, Value};
 use flor_store::{flor_schema, ColType, Database};
-use flor_view::PivotState;
+use flor_view::{QueryPlan, ViewCatalog};
 use proptest::prelude::*;
 use reference::reference_pivot;
 
@@ -209,9 +210,10 @@ fn expected(s: &Stream, names: &[&str]) -> Result<DataFrame, DfError> {
 }
 
 /// The stream's rows committed to a database, one commit per batch,
-/// with a view caught up after each commit from the `loops` and `logs`
-/// rows past its rid watermarks. The tables' columns accept any type, so
-/// the generator's off-type cells (`Float` stamps, non-text values)
+/// with a catalog view of `names` caught up after each commit. The view
+/// is built while the database is empty, so every row reaches it through
+/// catch-up; a rebuild is an error. The tables' columns accept any type,
+/// so the generator's off-type cells (`Float` stamps, non-text values)
 /// reach the view as generated.
 fn fed(names: &[&str], batches: &[Vec<(&'static str, Vec<Value>)>]) -> Result<DataFrame, String> {
     let mut schemas = flor_schema();
@@ -220,20 +222,21 @@ fn fed(names: &[&str], batches: &[Vec<(&'static str, Vec<Value>)>]) -> Result<Da
         column.ty = ColType::Any;
     }
     let db = Database::in_memory(schemas);
-    let mut state = PivotState::new(names);
-    let (mut loops_at, mut logs_at) = (0, 0);
+    let catalog = ViewCatalog::new(db.clone(), 1);
+    let plan = QueryPlan::new(names);
+    let mut view = catalog.plan(&plan).map_err(|e| e.to_string())?;
     for rows in batches {
         for (table, row) in rows {
             db.insert(table, row.clone()).map_err(|e| e.to_string())?;
         }
         db.commit().map_err(|e| e.to_string())?;
-        let snap = db.pin();
-        let (loops, next_loops) = snap.since("loops", loops_at).map_err(|e| e.to_string())?;
-        let (logs, next_logs) = snap.since("logs", logs_at).map_err(|e| e.to_string())?;
-        (loops_at, logs_at) = (next_loops, next_logs);
-        state.apply(&loops, &logs).map_err(|e| e.to_string())?;
+        view = catalog.plan(&plan).map_err(|e| e.to_string())?;
+        let stats = catalog.stats();
+        if (stats.misses, stats.fallback_rebuilds) != (1, 0) {
+            return Err(format!("not caught up: {stats:?}"));
+        }
     }
-    Ok((*state.frame()).clone())
+    Ok((*view).clone())
 }
 
 proptest! {
