@@ -24,7 +24,12 @@
 //!
 //! * [`protocol`] — the wire codec: versioned `Hello`, typed
 //!   request/response enums, carried in the store's one frame layout and
-//!   decoded through its checked cursor ([`flor_store::codec`]);
+//!   decoded through its checked cursor ([`flor_store::codec`]). Result
+//!   frames are columnar: per column a kind, a null bitmap and a typed
+//!   payload, strings as a dictionary in first-appearance order plus
+//!   codes. The bytes depend on the cells alone, so a served frame is
+//!   byte-identical to the encoding of a local `collect_full` at its
+//!   epoch, and decoding allocates per distinct string, not per cell;
 //! * [`session`] — per-connection pinned-snapshot state plus the global
 //!   in-flight admission [`session::Gate`];
 //! * [`middleware`] — composable hooks: [`middleware::AuthToken`],

@@ -6,10 +6,21 @@
 //! in the payload is caught before decoding starts; this module only
 //! decides what each way a stream can end means to a peer
 //! ([`WireError`]). The payload's first byte is a kind tag; the rest is
-//! the variant body, written with the store's `Vec<u8>` writers and value
-//! codec ([`flor_store::codec::encode_value`]), so the dataframe cells a
-//! server ships are byte-identical to what the WAL would persist, and
-//! read back through the store's checked [`Cursor`] and its `count` rule.
+//! the variant body, written with the store's `Vec<u8>` writers and read
+//! back through its checked [`Cursor`] and `count` rule. Predicates carry
+//! the store's tagged value codec ([`flor_store::codec::encode_value`]).
+//!
+//! A result dataframe travels by column (`encode_frame`): the row count
+//! once, then per column a name, a kind byte, a null bitmap (left out
+//! when no cell is null) and a typed payload of the non-null cells —
+//! little-endian `i64` / `f64` bits, one byte per bool, a per-column
+//! string dictionary in first-appearance order plus 1-, 2- or 4-byte
+//! codes, or tagged values for a column of mixed kinds. Decoding shares
+//! one `Arc<str>` per dictionary entry across its cells, so it makes no
+//! allocation per cell. The bytes are a function of the cells alone —
+//! not of `Arc` identity, `Vec` capacity or hash order — so two servers
+//! at one epoch send identical frames, and a decoded frame re-encodes to
+//! the bytes it came from.
 //!
 //! Robustness contract (exercised by the `protocol_robustness` and
 //! `prop_protocol` tests): a malformed, truncated or oversized frame
@@ -22,11 +33,13 @@ use flor_obs::{SlowQueryRecord, SpanEvent, SpanId, Trace, TraceId, TraceSpan};
 use flor_store::codec::{self, decode_value, encode_value, CodecError, Cursor, FrameEnd, Put};
 use flor_store::{CmpOp, Predicate};
 use flor_view::QueryPlan;
+use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Protocol version carried by [`Request::Hello`]; the server refuses
 /// anything else.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Default per-frame size cap (64 MiB): a frame announcing more than
 /// this is rejected as [`WireError::TooLarge`] without allocating.
@@ -812,32 +825,236 @@ fn decode_slow_query(c: &mut Cursor) -> Result<SlowQueryRecord, WireError> {
 
 // -------------------------------------------------------------- dataframe
 
-/// Encode a dataframe column-by-column with the store's value codec, so
-/// two servers at the same epoch produce byte-identical frames.
+/// Column kinds of the frame layout ([`encode_frame`]). The four typed
+/// kinds share the value codec's tags; `COL_NULL` is a column without a
+/// non-null cell, `COL_MIXED` one holding more than one kind.
+const COL_NULL: u8 = 0;
+const COL_BOOL: u8 = 1;
+const COL_INT: u8 = 2;
+const COL_FLOAT: u8 = 3;
+const COL_STR: u8 = 4;
+const COL_MIXED: u8 = 5;
+
+/// Flag on a column's kind byte: no cell is null, so no bitmap follows.
+const DENSE: u8 = 0x80;
+
+/// The least a frame column occupies besides its rows: its name's
+/// `[len u32]` and its kind byte.
+const MIN_COLUMN_BYTES: usize = MIN_STR_BYTES + 1;
+
+/// Encode a dataframe column by column:
+///
+/// ```text
+/// [n_rows u32][n_cols u32]
+/// per column: [name][kind u8][null bitmap: ceil(n_rows / 8) bytes][payload]
+/// ```
+///
+/// A column without a null cell sets [`DENSE`] on its kind and sends no
+/// bitmap. Otherwise bit `i % 8` of bitmap byte `i / 8` is set when row
+/// `i` holds a value, and the padding bits are clear. The payload carries
+/// the non-null cells only, in row order, by the column's kind:
+///
+/// * `Bool`: one byte (0 or 1) per cell;
+/// * `Int` / `Float`: 8 little-endian bytes per cell, a float as its
+///   `to_bits` pattern;
+/// * `Str`: a dictionary `[n u32][str]...` of the column's distinct
+///   strings in first-appearance order, then one little-endian code per
+///   cell, 1, 2 or 4 bytes wide as the dictionary holds at most 2^8, at
+///   most 2^16 or more entries;
+/// * `Mixed` (more than one non-null kind): one tagged value per cell
+///   ([`encode_value`]);
+/// * `Null` (no non-null cell): nothing.
+///
+/// A row costs at least one bit in every column, so a declared row count
+/// is held against the bytes that follow it. The bytes are a function of
+/// the cells alone: no `Arc` identity, `Vec` capacity or hash order
+/// reaches them, so two servers at one epoch send identical frames and
+/// `encode(decode(bytes)) == bytes`.
 fn encode_frame(df: &DataFrame, buf: &mut Vec<u8>) {
+    let n_rows = df.n_rows();
+    buf.put_u32(n_rows as u32);
     buf.put_u32(df.columns().len() as u32);
     for col in df.columns() {
         buf.put_str(&col.name);
-        buf.put_u32(col.values.len() as u32);
-        for v in &col.values {
-            encode_value(v, buf);
+        let kind = column_kind(&col.values);
+        if col.has_nulls() {
+            buf.push(kind);
+            let bitmap = buf.len();
+            buf.resize(bitmap + n_rows.div_ceil(8), 0);
+            for (i, v) in col.values.iter().enumerate() {
+                if !v.is_null() {
+                    buf[bitmap + i / 8] |= 1 << (i % 8);
+                }
+            }
+        } else {
+            buf.push(kind | DENSE);
+        }
+        let cells = col.values.iter().filter(|v| !v.is_null());
+        match kind {
+            COL_STR => encode_strings(cells, buf),
+            COL_MIXED => cells.for_each(|v| encode_value(v, buf)),
+            _ => cells.for_each(|v| match v {
+                Value::Bool(b) => buf.push(*b as u8),
+                Value::Int(i) => buf.extend_from_slice(&i.to_le_bytes()),
+                Value::Float(f) => buf.extend_from_slice(&f.to_bits().to_le_bytes()),
+                Value::Null | Value::Str(_) => {}
+            }),
         }
     }
 }
 
+/// The kind shared by a column's non-null cells: `COL_NULL` when there
+/// are none, `COL_MIXED` when they differ.
+fn column_kind(values: &[Value]) -> u8 {
+    let mut kinds = values.iter().filter_map(|v| match v {
+        Value::Null => None,
+        Value::Bool(_) => Some(COL_BOOL),
+        Value::Int(_) => Some(COL_INT),
+        Value::Float(_) => Some(COL_FLOAT),
+        Value::Str(_) => Some(COL_STR),
+    });
+    match kinds.next() {
+        None => COL_NULL,
+        Some(k) if kinds.all(|other| other == k) => k,
+        Some(_) => COL_MIXED,
+    }
+}
+
+/// Bytes per dictionary code for a dictionary of `entries` strings.
+fn code_width(entries: usize) -> usize {
+    match entries {
+        0..=0x100 => 1,
+        0x101..=0x1_0000 => 2,
+        _ => 4,
+    }
+}
+
+/// A string column's payload: the dictionary in first-appearance order,
+/// then the cells' codes. A cell equal to the one before it (the same
+/// `Arc`, or the same text) skips the hash lookup.
+fn encode_strings<'a>(cells: impl Iterator<Item = &'a Value>, buf: &mut Vec<u8>) {
+    let mut codes: HashMap<&str, u32> = HashMap::new();
+    let mut dict: Vec<&str> = Vec::new();
+    let mut seq: Vec<u32> = Vec::new();
+    let mut prev: Option<(&str, u32)> = None;
+    for s in cells.filter_map(Value::as_str) {
+        let code = match prev {
+            Some((p, code)) if std::ptr::eq(p, s) || p == s => code,
+            _ => *codes.entry(s).or_insert_with(|| {
+                dict.push(s);
+                dict.len() as u32 - 1
+            }),
+        };
+        prev = Some((s, code));
+        seq.push(code);
+    }
+    buf.put_u32(dict.len() as u32);
+    for s in &dict {
+        buf.put_str(s);
+    }
+    let width = code_width(dict.len());
+    for code in seq {
+        buf.extend_from_slice(&code.to_le_bytes()[..width]);
+    }
+}
+
+/// Decode [`encode_frame`]'s layout. Each declared count is held against
+/// the unread bytes before anything is allocated: `n_cols` columns of at
+/// least a name, a kind byte and one bit per row each, a dictionary of at
+/// least `[len u32]` per entry, and each payload taken whole before its
+/// cells are built. A string cell is a clone of its dictionary entry's
+/// `Arc`, so no cell allocates.
 fn decode_frame(c: &mut Cursor) -> Result<DataFrame, WireError> {
-    // A column is at least its name and its `[n_rows u32]`; a cell at
-    // least its tag byte.
-    let cols = get_list(c, MIN_STR_BYTES + 4, |c| {
-        let name = get_str(c)?;
-        let n_rows = c.count(Cursor::u32, 1)?;
-        let mut values: Vec<Value> = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            values.push(decode_value(c)?);
-        }
-        Ok(Column::new(name, values))
-    })?;
+    let n_rows = c.u32()? as usize;
+    let n_cols = c.count(Cursor::u32, MIN_COLUMN_BYTES + n_rows.div_ceil(8))?;
+    if n_cols == 0 && n_rows != 0 {
+        return Err(malformed("rows without columns"));
+    }
+    let cols = (0..n_cols)
+        .map(|_| decode_column(c, n_rows))
+        .collect::<Result<Vec<_>, _>>()?;
     DataFrame::from_columns(cols).map_err(|e| malformed(e.to_string()))
+}
+
+fn decode_column(c: &mut Cursor, n_rows: usize) -> Result<Column, WireError> {
+    let name = get_str(c)?;
+    let kind = c.u8()?;
+    let (bitmap, present) = match kind & DENSE {
+        0 => {
+            let bitmap = c.take(n_rows.div_ceil(8))?;
+            if !n_rows.is_multiple_of(8) && bitmap.last().is_some_and(|b| b >> (n_rows % 8) != 0) {
+                return Err(malformed("null bitmap padding set"));
+            }
+            let present = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+            (Some(bitmap), present)
+        }
+        _ => (None, n_rows),
+    };
+    // The `present` non-null cells, each payload taken whole first.
+    let cells: Vec<Value> = match kind & !DENSE {
+        COL_NULL if present == 0 => Vec::new(),
+        COL_BOOL => {
+            let bytes = c.take(present)?;
+            if bytes.iter().any(|&b| b > 1) {
+                return Err(malformed("bool cell out of range"));
+            }
+            bytes.iter().map(|&b| Value::Bool(b == 1)).collect()
+        }
+        COL_INT => c
+            .take(present * 8)?
+            .chunks_exact(8)
+            .map(|b| Value::Int(le(b) as i64))
+            .collect(),
+        COL_FLOAT => c
+            .take(present * 8)?
+            .chunks_exact(8)
+            .map(|b| Value::Float(f64::from_bits(le(b))))
+            .collect(),
+        COL_STR => {
+            let dict = get_list(c, MIN_STR_BYTES, |c| {
+                Ok(Arc::<str>::from(c.str(Cursor::u32)?))
+            })?;
+            let width = code_width(dict.len());
+            let codes = c
+                .take(present * width)?
+                .chunks_exact(width)
+                .map(|b| le(b) as usize);
+            if codes.clone().any(|code| code >= dict.len()) {
+                return Err(malformed("string code outside the dictionary"));
+            }
+            codes
+                .map(|code| Value::Str(Arc::clone(&dict[code])))
+                .collect()
+        }
+        COL_MIXED => (0..present)
+            .map(|_| match decode_value(c)? {
+                Value::Null => Err(malformed("null cell marked present")),
+                v => Ok(v),
+            })
+            .collect::<Result<_, WireError>>()?,
+        COL_NULL => return Err(malformed("null column with present cells")),
+        k => return Err(WireError::Codec(CodecError::BadTag(k))),
+    };
+    let values = match bitmap {
+        None => cells,
+        // The set bits take the cells in order; there are exactly as
+        // many cells as set bits.
+        Some(bitmap) => {
+            let mut cells = cells.into_iter();
+            (0..n_rows)
+                .map(|i| match bitmap[i / 8] >> (i % 8) & 1 {
+                    0 => Value::Null,
+                    _ => cells.next().unwrap_or(Value::Null),
+                })
+                .collect()
+        }
+    };
+    Ok(Column { name, values })
+}
+
+/// A little-endian word of up to 8 bytes.
+fn le(b: &[u8]) -> u64 {
+    b.iter().rev().fold(0, |word, &x| word << 8 | u64::from(x))
 }
 
 #[cfg(test)]
@@ -1104,8 +1321,23 @@ mod tests {
         assert!(Request::decode(extended).is_err());
     }
 
-    /// Payloads and a framed message exactly as builds before the checked
-    /// cursor wrote them: the wire format did not move.
+    /// An int column with a null, a dense string column with a repeat and
+    /// a mixed column with a null.
+    fn sample_frame() -> DataFrame {
+        DataFrame::from_rows(
+            vec!["n", "s", "m"],
+            vec![
+                vec![Value::Int(1), Value::from("ab"), Value::Bool(true)],
+                vec![Value::Null, Value::from("c"), Value::Float(2.5)],
+                vec![Value::Int(-2), Value::from("ab"), Value::Null],
+            ],
+        )
+        .expect("frame")
+    }
+
+    /// Pinned bytes. The request and the framed `Pin` are exactly what
+    /// builds before the checked cursor sent; the result frame is the
+    /// columnar layout of protocol version 2 ([`sample_frame`]).
     #[test]
     fn wire_bytes_are_what_earlier_builds_sent() {
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
@@ -1125,23 +1357,103 @@ mod tests {
              00000001000000010000000866696c656e616d650000000100000006747374616d70\
              0001000000000000000a"
         );
-        let df = DataFrame::from_rows(
-            vec!["a", "b"],
-            vec![
-                vec![Value::Int(1), Value::from("x")],
-                vec![Value::Null, Value::Float(2.5)],
-                vec![Value::Bool(true), Value::from("")],
-            ],
-        )
-        .expect("frame");
         assert_eq!(
-            hex(&Response::Frame { epoch: 7, df }.encode()),
-            "02000000000000000700000002000000016100000003020000000000000001000101\
-             0000000162000000030400000001780340040000000000000400000000"
+            hex(&Response::Frame {
+                epoch: 7,
+                df: sample_frame()
+            }
+            .encode()),
+            // kind, epoch, rows, columns; then each column's name, kind,
+            // null bitmap and payload
+            "02\
+             0000000000000007\
+             00000003\
+             00000003\
+             000000016e\
+             02\
+             05\
+             0100000000000000\
+             feffffffffffffff\
+             0000000173\
+             84\
+             00000002\
+             000000026162\
+             0000000163\
+             000100\
+             000000016d\
+             05\
+             03\
+             0101\
+             034004000000000000"
         );
         let mut wire = Vec::new();
         write_frame(&mut wire, &Request::Pin.encode()).expect("write");
         assert_eq!(hex(&wire), "00000001af63be4c8601b99203");
+    }
+
+    #[test]
+    fn frame_bytes_depend_on_the_cells_alone() {
+        let rows = sample_frame();
+        // The same cells from separately allocated strings, column-major
+        // and with spare capacity.
+        let column = |name: &str, cells: [Value; 3]| {
+            let mut values = Vec::with_capacity(64);
+            values.extend(cells);
+            Column {
+                name: name.into(),
+                values,
+            }
+        };
+        let owned = |s: &str| Value::from(String::from(s));
+        let cols = DataFrame::from_columns(vec![
+            column("n", [Value::Int(1), Value::Null, Value::Int(-2)]),
+            column("s", [owned("ab"), owned("c"), owned("ab")]),
+            column("m", [Value::Bool(true), Value::Float(2.5), Value::Null]),
+        ])
+        .expect("frame");
+        let bytes = Response::Frame {
+            epoch: 7,
+            df: rows.clone(),
+        }
+        .encode();
+        assert_eq!(bytes, Response::Frame { epoch: 7, df: rows }.encode());
+        assert_eq!(bytes, Response::Frame { epoch: 7, df: cols }.encode());
+        let decoded = Response::decode(&bytes).expect("decode");
+        assert_eq!(decoded.encode(), bytes);
+        // The two "ab" cells share their dictionary entry's `Arc`.
+        let Response::Frame { df, .. } = decoded else {
+            panic!("not a frame")
+        };
+        let s = &df.column("s").expect("column s").values;
+        let (Value::Str(first), Value::Str(last)) = (&s[0], &s[2]) else {
+            panic!("not strings")
+        };
+        assert!(Arc::ptr_eq(first, last));
+    }
+
+    #[test]
+    fn string_codes_widen_with_the_dictionary() {
+        for (distinct, width) in [(256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            // Every string, then the first again: one repeat.
+            let strs: Vec<String> = (0..distinct).map(|i| format!("{i}")).collect();
+            let mut cells: Vec<Value> = strs.iter().map(|s| Value::from(s.as_str())).collect();
+            cells.push(cells[0].clone());
+            let n_rows = cells.len();
+            let df = DataFrame::from_columns(vec![Column::new("s", cells)]).expect("frame");
+            let resp = Response::Frame { epoch: 1, df };
+            let bytes = resp.encode();
+            let dict: usize = strs.iter().map(|s| MIN_STR_BYTES + s.len()).sum();
+            // No null: no bitmap.
+            let head = 1 + 8 + 4 + 4 + MIN_COLUMN_BYTES + 1 + 4;
+            assert_eq!(
+                bytes.len(),
+                head + dict + n_rows * width,
+                "{distinct} strings"
+            );
+            let decoded = Response::decode(&bytes).expect("decode");
+            assert_eq!(decoded, resp);
+            assert_eq!(decoded.encode(), bytes);
+        }
     }
 
     #[test]

@@ -45,8 +45,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// What a decode may request per payload byte, plus a floor for error
-/// strings and first vector growths. A one-byte null cell becomes a
-/// 24-byte `Value`, and a frame is validated by hashing its column names;
+/// strings and first vector growths. A null cell is one bitmap bit that
+/// becomes a 24-byte `Value` (192 bytes per bitmap byte), and a frame is
+/// validated by hashing its column names;
 /// the point is that the factor is a constant, where a count lifted from
 /// the payload used to size allocations on its own.
 const ALLOC_PER_BYTE: usize = 256;
@@ -157,20 +158,35 @@ fn arb_request() -> impl Strategy<Value = Request> {
     })
 }
 
-/// A frame of up to three columns and five rows holding every `Value`
-/// variant.
+/// One column's five cells: every `Value` variant mixed, one kind with
+/// nulls among its cells, or nulls only — each column encoding.
+fn arb_cells() -> impl Strategy<Value = Vec<Value>> {
+    fn uniform(kind: impl Strategy<Value = Value> + 'static) -> BoxedStrategy<Vec<Value>> {
+        proptest::collection::vec(prop_oneof![1 => Just(Value::Null), 3 => kind], 5).boxed()
+    }
+    prop_oneof![
+        proptest::collection::vec(arb_value(), 5),
+        uniform(any::<i64>().prop_map(Value::Int)),
+        uniform(any::<f64>().prop_map(Value::Float)), // raw bit patterns: NaNs included
+        uniform(any::<bool>().prop_map(Value::Bool)),
+        uniform(prop_oneof![
+            "[ab]{0,1}".prop_map(Value::from),
+            Just(Value::from("世界"))
+        ]),
+        Just(vec![Value::Null; 5]),
+    ]
+}
+
+/// A frame of up to three columns and five rows (zero-row frames
+/// included) built from [`arb_cells`].
 fn arb_frame() -> impl Strategy<Value = DataFrame> {
-    (
-        0usize..6,
-        proptest::collection::vec(proptest::collection::vec(arb_value(), 5), 0..4),
-    )
-        .prop_map(|(n_rows, cols)| {
-            let cols = cols.into_iter().enumerate().map(|(i, mut values)| {
-                values.truncate(n_rows);
-                Column::new(format!("c{i}"), values)
-            });
-            DataFrame::from_columns(cols.collect()).expect("equal lengths, distinct names")
-        })
+    (0usize..6, proptest::collection::vec(arb_cells(), 0..4)).prop_map(|(n_rows, cols)| {
+        let cols = cols.into_iter().enumerate().map(|(i, mut values)| {
+            values.truncate(n_rows);
+            Column::new(format!("c{i}"), values)
+        });
+        DataFrame::from_columns(cols.collect()).expect("equal lengths, distinct names")
+    })
 }
 
 fn arb_trace() -> impl Strategy<Value = Trace> {

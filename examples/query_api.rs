@@ -17,6 +17,10 @@ use std::time::Instant;
 fn main() {
     let flor = Flor::new("query-demo");
     flor.set_filename("train.fl");
+    // Maintenance runs at fixed points, not in the background: a
+    // compaction finishing behind the reads below would replace segments
+    // they had already summarised.
+    flor.set_compaction_trigger(None);
 
     // 300 runs × 10 epochs of history, sweeping the learning rate.
     for run in 0..300i64 {
@@ -27,6 +31,7 @@ fn main() {
         });
         flor.commit(&format!("run {run}")).unwrap();
     }
+    flor.compact().unwrap();
 
     // The question: the 5 best-loss epochs among recent high-lr runs.
     let question = || {
