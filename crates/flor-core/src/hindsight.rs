@@ -78,11 +78,11 @@ pub struct BackfillReport {
 
 /// All recorded runs of `filename`: `(tstamp, vid)`, oldest first.
 ///
-/// Served by indexed store scans (the PR 2 query layer) against one
-/// pinned snapshot, so the run list and the commit windows reflect the
-/// same epoch even while the writer is landing versions: the run tstamps
-/// come from the `logs` table via its `filename` index projected down to
-/// one column — not a full-width table scan — and each run is matched to
+/// Served by store queries against one pinned snapshot, so the run list
+/// and the commit windows reflect the same epoch even while the writer
+/// is landing versions: the run tstamps come from a zone-pruned scan of
+/// the `logs` table filtered on `filename` and projected down to one
+/// column — no full-width materialisation — and each run is matched to
 /// its commit window by binary search over the sorted `ts2vid` spans.
 pub fn runs_of(flor: &Flor, filename: &str) -> StoreResult<Vec<(i64, String)>> {
     let snap = flor.db.pin();

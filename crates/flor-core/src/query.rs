@@ -89,9 +89,8 @@ pub struct ExplainReport {
     /// The plan that ran.
     pub plan: QueryPlan,
     /// Store-layer report for the `logs` fetch of the projected names
-    /// (the rows the view covers): access path (index vs full scan),
-    /// zone-map segment
-    /// pruning, rows examined vs returned at the store, binary-search
+    /// (the rows the view covers), a zone-pruned scan: segments pruned
+    /// by their zone maps, rows examined vs returned at the store, binary-search
     /// probes into clustered segments (`clustered_probes` — `logs` is
     /// clustered by `tstamp`), and the order path (full sort vs
     /// streaming top-K) when the query sorts. Probed on a fresh
@@ -341,8 +340,8 @@ impl<'a> QueryBuilder<'a> {
         self.flor.run_plan(&self.plan)
     }
 
-    /// Execute the plan and report how it ran: the store's access path
-    /// and zone-map pruning for the projection's `logs` fetch, the view
+    /// Execute the plan and report how it ran: the store's zone-map
+    /// pruning and row counts for the projection's `logs` fetch, the view
     /// catalog's hit/miss/rebuild behaviour, and per-stage wall-clock
     /// timings. The plan really executes — [`ExplainReport::frame`] is
     /// the frame [`QueryBuilder::collect_view`] would return, and every

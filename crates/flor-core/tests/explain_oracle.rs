@@ -6,7 +6,7 @@
 
 use flor_core::Flor;
 use flor_df::Value;
-use flor_store::{AccessPath, CmpOp};
+use flor_store::CmpOp;
 
 fn seeded() -> Flor {
     let flor = Flor::new("explain");
@@ -54,12 +54,8 @@ fn explain_counts_match_the_query_that_ran() {
     assert_eq!(report.rows_returned, oracle.n_rows());
     assert_eq!(report.rows_returned, 5);
 
-    // Store probe: the base fetch goes through the value_name index and
+    // Store probe: the base fetch is a zone-pruned scan of `logs` and
     // returns exactly the projected log rows.
-    assert_eq!(
-        report.store.access,
-        AccessPath::IndexIn("value_name".to_string())
-    );
     assert_eq!(report.store.table, "logs");
     assert_eq!(
         report.store.rows_returned,
@@ -78,7 +74,7 @@ fn explain_counts_match_the_query_that_ran() {
     // The rendering carries the headline numbers.
     let text = report.to_string();
     assert!(text.contains("EXPLAIN"));
-    assert!(text.contains("index-in(value_name)") || text.contains("value_name"));
+    assert!(text.contains("QUERY logs\n"));
 }
 
 #[test]
@@ -142,14 +138,14 @@ fn slow_log_breach_and_explain_report_the_same_execution() {
     assert!(flor.traces().is_empty(), "slow-log-only: ring stays empty");
 
     // ...and `explain()` on the same plan builds the same report through
-    // the same constructor: access path, view verdict and row counts
-    // agree line for line once the timings are cut.
+    // the same constructor: view verdict, segment and row counts agree
+    // line for line once the timings are cut.
     let report = build().explain().unwrap();
     assert!(report.view_hit && !report.view_rebuilt);
     assert_eq!(report.rows_returned, 5);
     assert_eq!(
-        report.store.access,
-        AccessPath::IndexIn("value_name".to_string())
+        report.store.segments_scanned + report.store.segments_pruned,
+        report.store.segments_total
     );
     let rendered = without_timings(&report.to_string());
     assert_eq!(without_timings(&captured.explain), rendered);

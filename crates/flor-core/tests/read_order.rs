@@ -70,8 +70,8 @@ fn backfill_compact_checkpoint_reopen_keep_commit_order() {
     assert!(report.values_recovered > 0, "acc landed at old timestamps");
     flor.job_runner().wait_idle();
     let want_logs = flor.db.scan("logs").expect("scan");
-    // Every `value_name` in `logs` (the planner's scan arm: the index
-    // would return every row) and a strict subset (the index arm).
+    // Every `value_name` in `logs` (the filter keeps every row) and a
+    // strict subset (the filter drops some).
     let mut logged: Vec<&str> = Vec::new();
     for name in &want_logs.column("value_name").expect("column").values {
         let name = name.as_str().expect("text");

@@ -421,7 +421,7 @@ pub struct SlowQueryRecord {
     pub verb: String,
     /// Summary of the plan that ran.
     pub plan: String,
-    /// The rendered explain report (access path, pruning, rows, stage
+    /// The rendered explain report (pruning, rows, stage
     /// timings) measured from this execution.
     pub explain: String,
     /// Whole-request duration, nanoseconds.

@@ -133,8 +133,8 @@ impl Bitmap {
     }
 
     /// Whether so few of `[lo, hi)` are set that testing those rows one
-    /// by one beats a typed loop over the whole range (an index probe's
-    /// postings, typically): a per-row test materialises a [`Value`],
+    /// by one beats a typed loop over the whole range (after a selective
+    /// predicate, typically): a per-row test materialises a [`Value`],
     /// which costs about this many loop iterations.
     fn is_sparse_in(&self, lo: usize, hi: usize) -> bool {
         const ROW_TEST_COST: usize = 16;

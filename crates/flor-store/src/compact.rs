@@ -496,7 +496,7 @@ mod tests {
         // The pre-compaction pin still re-reads every superseded row.
         assert_eq!(pinned.scan("t").unwrap(), before);
         assert_eq!(pinned.row_count("t").unwrap(), 512);
-        // Indexed lookups against the compacted version return only live
+        // Point lookups against the compacted version return only live
         // rows, in insertion order.
         let hits = db.lookup("t", "k", &7i64.into()).unwrap();
         assert_eq!(hits.n_rows(), 2);
@@ -513,7 +513,7 @@ mod tests {
             vec![TableSchema::new(
                 "t",
                 vec![
-                    ColumnDef::indexed("k", ColType::Int),
+                    ColumnDef::new("k", ColType::Int),
                     ColumnDef::new("s", ColType::Int),
                     ColumnDef::new("c", ColType::Int),
                     ColumnDef::new("p", ColType::Str),

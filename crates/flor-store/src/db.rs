@@ -657,15 +657,10 @@ impl Database {
         self.pin().scan(table)
     }
 
-    /// Point lookup via a secondary index if one exists on `col`; falls
-    /// back to a filtered scan otherwise.
+    /// Point lookup: rows where `col == value`, in commit order (see
+    /// [`Snapshot::lookup`]).
     pub fn lookup(&self, table: &str, col: &str, value: &Value) -> StoreResult<DataFrame> {
         self.pin().lookup(table, col, value)
-    }
-
-    /// Whether `col` has a secondary index on `table`.
-    pub fn has_index(&self, table: &str, col: &str) -> bool {
-        self.pin().table(table).is_ok_and(|t| t.has_index(col))
     }
 
     /// Checkpoint: serialize the committed state to the `<wal>.ckpt`

@@ -23,15 +23,16 @@
 //!   **dictionary-encoded** — one `Arc<str>` per distinct value, `u32`
 //!   codes per row — so predicates run as tight loops over primitive
 //!   vectors producing selection bitmaps, and only the selected rows
-//!   ever materialise [`flor_df::Value`]s; the same seal pass builds the
-//!   secondary-index postings and zone maps;
+//!   ever materialise [`flor_df::Value`]s; the finished columns give
+//!   each segment its zone maps;
 //! * **sorted clustering**: a table may declare a [`schema::ClusterBy`]
-//!   column (`logs` clusters by `tstamp`) — compaction sorts rewritten
-//!   segments by it, so their zone maps become disjoint and range scans
-//!   binary-search into each admitted segment instead of filtering it;
+//!   column (`logs`, `loops` and `obj_store` cluster by `tstamp`) —
+//!   compaction sorts rewritten segments by it, so their zone maps
+//!   become disjoint and range scans binary-search into each admitted
+//!   segment instead of filtering it;
 //! * one **read-order contract** — rows leave a table in commit order;
 //!   clustering affects pruning, never order — kept by the single
-//!   materialiser every scan, index probe and checkpoint reads through
+//!   materialiser every scan, query and checkpoint reads through
 //!   (see *Read order* in the [`segment`] module docs);
 //! * [`checkpoint`]ing: `Database::checkpoint` serializes the live state
 //!   to a sidecar — a **columnar body** (version 2, the only layout
@@ -55,9 +56,9 @@
 //!   pinned snapshots, every kept row keeping its rid (see the [`segment`]
 //!   module docs on the seal → coalesce → compact → checkpoint lifecycle); the
 //!   same fold is the one latest-wins read, [`Snapshot::latest_wins`];
-//! * secondary hash indexes (per sealed segment) and a [`query::Query`]
-//!   layer with predicate pushdown plus seal-time zone maps (per-segment
-//!   min/max) that prune whole segments from range scans ("NoSQL-like
+//! * a [`query::Query`] layer with one access path, a scan that
+//!   seal-time zone maps (per-segment min/max) prune segment by segment
+//!   and binary search enters on clustered segments ("NoSQL-like
 //!   writes, SQL-like reads", §3.1) — `order_by` + `limit` queries run a
 //!   bounded-heap **streaming top-K** instead of a full sort, surfaced
 //!   as [`query::OrderPath`] in the explain output;
@@ -97,7 +98,7 @@ pub use checkpoint::SidecarMark;
 pub use compact::{CompactionPolicy, CompactionStats, CompactionTrigger};
 pub use db::{CheckpointStats, Database, DbStats, StoreError, StoreResult};
 pub use flor_obs::{MetricsRegistry, MetricsSnapshot};
-pub use query::{AccessPath, CmpOp, OrderPath, Predicate, Query, QueryExplain};
+pub use query::{CmpOp, OrderPath, Predicate, Query, QueryExplain};
 pub use recovery::{RecoveryInfo, TailProgress};
 pub use schema::{flor_schema, ClusterBy, ColType, ColumnDef, LatestWins, TableSchema};
 pub use snapshot::Snapshot;
@@ -107,12 +108,12 @@ pub use snapshot::Snapshot;
 mod testing {
     use crate::schema::{ColType, ColumnDef, LatestWins, TableSchema};
 
-    /// One table `t`: indexed string key `k`, integer `v`.
+    /// One table `t`: string key `k`, integer `v`.
     pub(crate) fn tiny_schema() -> Vec<TableSchema> {
         vec![TableSchema::new(
             "t",
             vec![
-                ColumnDef::indexed("k", ColType::Str),
+                ColumnDef::new("k", ColType::Str),
                 ColumnDef::new("v", ColType::Int),
             ],
         )]
@@ -123,7 +124,7 @@ mod testing {
         vec![TableSchema::new(
             "t",
             vec![
-                ColumnDef::indexed("k", ColType::Int),
+                ColumnDef::new("k", ColType::Int),
                 ColumnDef::new("s", ColType::Int),
                 ColumnDef::new("p", ColType::Str),
             ],

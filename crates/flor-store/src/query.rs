@@ -1,19 +1,19 @@
-//! A small query layer: predicate pushdown onto indexes, projection, and
-//! ordering, materialising [`DataFrame`]s.
+//! A small query layer: predicate pushdown onto zone maps, projection,
+//! and ordering, materialising [`DataFrame`]s.
 //!
 //! FlorDB promises "powerful, SQL-like data reads" (§3.1). Complex
 //! relational work (joins, pivots) happens on the dataframe layer; the
 //! query layer's job is to get the right rows out of the store cheaply.
-//! The planner picks the most selective index-backed access path among the
-//! equality ([`Query::filter_eq`]) and set-membership ([`Query::filter_in`])
-//! predicates, then applies the rest as residual filters over the fetched
-//! rows. Full scans prune whole segments through the per-segment zone
-//! maps (min/max per column, built at seal time): a range predicate —
-//! e.g. a `tstamp` window for `runs_of` or a time-travel query — skips
-//! every segment whose range cannot intersect it, so cold history is
-//! never read. The same [`CmpOp`]/[`Predicate`] vocabulary is reused by
-//! the lazy query builder (`flor_view::QueryPlan` / `Flor::query`) so one
-//! predicate type spans every layer of the stack.
+//! Every query takes one access path, a zone-pruned scan: each segment's
+//! zone maps (min/max per column, built at seal time) skip it wholesale
+//! when a predicate or an IN list ([`Query::filter_in`]) cannot match
+//! any row in it — a `tstamp` window or a point lookup never reads cold
+//! history — a range or equality on a clustered segment's sort column
+//! narrows the visited segment by binary search, and the remaining
+//! predicates run as typed loops over the segment's columns into a
+//! selection bitmap. The same [`CmpOp`]/[`Predicate`] vocabulary is
+//! reused by the lazy query builder (`flor_view::QueryPlan` /
+//! `Flor::query`) so one predicate type spans every layer of the stack.
 
 use crate::column::Bitmap;
 use crate::db::{Database, StoreResult};
@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 /// Comparison operators for scan predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
-    /// Equality (index-eligible).
+    /// Equality.
     Eq,
     /// Inequality.
     Ne,
@@ -105,45 +105,11 @@ impl std::fmt::Display for Predicate {
 pub struct Query {
     table: String,
     predicates: Vec<Predicate>,
-    /// Set-membership predicates: `col IN (values)`, index-eligible.
+    /// Set-membership predicates: `col IN (values)`.
     in_predicates: Vec<(String, Vec<Value>)>,
     projection: Option<Vec<String>>,
     order_by: Vec<(String, bool)>,
     limit: Option<usize>,
-}
-
-/// The access path the planner settled on (see [`Query::run_traced`]).
-enum Access {
-    /// Full scan: every row id is a candidate.
-    Scan,
-    /// The `i`-th equality predicate, served from a secondary index.
-    EqIndex(usize),
-    /// The `i`-th IN predicate, served from a secondary index
-    /// (the `lookup_many` fast path).
-    InIndex(usize),
-}
-
-/// The access path a query executed with, as reported by
-/// [`QueryExplain`] — the public mirror of the planner's decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Full segment scan (zone-map pruned).
-    FullScan,
-    /// Equality probe against the secondary index on the named column.
-    IndexEq(String),
-    /// Set-membership probe against the secondary index on the named
-    /// column.
-    IndexIn(String),
-}
-
-impl std::fmt::Display for AccessPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AccessPath::FullScan => f.write_str("full-scan"),
-            AccessPath::IndexEq(c) => write!(f, "index-eq({c})"),
-            AccessPath::IndexIn(c) => write!(f, "index-in({c})"),
-        }
-    }
 }
 
 /// How the executor satisfied `order_by`, as reported by
@@ -174,29 +140,29 @@ impl std::fmt::Display for OrderPath {
 /// `QueryBuilder::explain`).
 ///
 /// Counts describe the run itself, not estimates: `rows_examined` is the
-/// number of rows the access path selected and the residual predicates
+/// number of rows in the visited segments' scan windows (after
+/// binary-search entry into clustered segments) that the predicates
 /// were tested against, `rows_matched` how many survived them, and
 /// `rows_returned` the final frame size after ordering/limit/projection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryExplain {
     /// Queried table.
     pub table: String,
-    /// Access path the planner chose.
-    pub access: AccessPath,
     /// Segments in the pinned table version.
     pub segments_total: usize,
-    /// Segments actually visited (scanned or index-probed).
+    /// Segments actually visited.
     pub segments_scanned: usize,
     /// Segments skipped wholesale via zone maps.
     pub segments_pruned: usize,
-    /// Rows the access path selected, tested against residual predicates.
+    /// Rows in the visited scan windows, tested against the predicates.
     pub rows_examined: usize,
     /// Rows that satisfied every predicate.
     pub rows_matched: usize,
     /// Rows in the returned frame (after order/limit/projection).
     pub rows_returned: usize,
-    /// Predicates applied as residual filters (not served by the access
-    /// path).
+    /// Predicates and IN lists over known columns: each runs as a
+    /// filter over the visited rows, except in a segment where a
+    /// clustered probe consumed it.
     pub residual_predicates: usize,
     /// Range predicates answered by **binary search** into a clustered
     /// (sorted) segment instead of filtering it: each probe narrows one
@@ -212,7 +178,7 @@ pub struct QueryExplain {
 
 impl std::fmt::Display for QueryExplain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "QUERY {} via {}", self.table, self.access)?;
+        writeln!(f, "QUERY {}", self.table)?;
         writeln!(
             f,
             "  segments: {} scanned, {} pruned of {}",
@@ -255,7 +221,7 @@ impl Query {
         &self.table
     }
 
-    /// Add an equality predicate (index-eligible).
+    /// Add an equality predicate.
     pub fn filter_eq(mut self, col: &str, value: impl Into<Value>) -> Query {
         self.predicates.push(Predicate {
             col: col.to_string(),
@@ -265,9 +231,9 @@ impl Query {
         self
     }
 
-    /// Add a set-membership predicate: `col IN (values)`. Index-eligible —
-    /// over an indexed column this is the `lookup_many` fast path, reaching
-    /// the matches without touching non-matching rows.
+    /// Add a set-membership predicate: `col IN (values)`. A segment whose
+    /// zone on `col` holds none of `values` is skipped without reading a
+    /// row, like one an equality rules out.
     pub fn filter_in(mut self, col: &str, values: Vec<Value>) -> Query {
         self.in_predicates.push((col.to_string(), values));
         self
@@ -313,22 +279,6 @@ impl Query {
         db.pin().query(self)
     }
 
-    /// Candidate row count if the access path `a` were chosen — the
-    /// planner's (exact, hash-index-backed) selectivity estimate.
-    fn candidates(&self, t: &TableVersion, a: &Access) -> usize {
-        match a {
-            Access::Scan => t.total_rows,
-            Access::EqIndex(i) => {
-                let p = &self.predicates[*i];
-                t.index_len(&p.col, &p.value)
-            }
-            Access::InIndex(i) => {
-                let (col, values) = &self.in_predicates[*i];
-                values.iter().map(|v| t.index_len(col, v)).sum()
-            }
-        }
-    }
-
     /// Execute against one pinned table version, returning the frame plus
     /// its execution accounting. Crate-internal: this is what lets
     /// [`crate::Snapshot::query`] run several queries against one
@@ -336,124 +286,66 @@ impl Query {
     /// every run (a few counter bumps per segment); timing is left to
     /// callers so the untimed path never touches the clock.
     pub(crate) fn run_traced(&self, t: &TableVersion) -> StoreResult<(DataFrame, QueryExplain)> {
-        // Plan: among the index-eligible predicates (Eq and IN over indexed
-        // columns), pick the one with the fewest candidate rows; everything
-        // else becomes a residual filter over the fetched rows.
-        let mut access = Access::Scan;
-        let mut best = self.candidates(t, &access);
-        for (i, p) in self.predicates.iter().enumerate() {
-            if p.op == CmpOp::Eq && t.has_index(&p.col) {
-                let cand = Access::EqIndex(i);
-                let n = self.candidates(t, &cand);
-                if n < best {
-                    best = n;
-                    access = cand;
-                }
-            }
-        }
-        for (i, (col, _)) in self.in_predicates.iter().enumerate() {
-            if t.has_index(col) {
-                let cand = Access::InIndex(i);
-                let n = self.candidates(t, &cand);
-                if n < best {
-                    best = n;
-                    access = cand;
-                }
-            }
-        }
-
-        // What an index access probes: the column and the values whose
-        // per-segment postings seed the selection.
-        let probe: Option<(&str, &[Value])> = match access {
-            Access::Scan => None,
-            Access::EqIndex(i) => {
-                let p = &self.predicates[i];
-                Some((&p.col, std::slice::from_ref(&p.value)))
-            }
-            Access::InIndex(i) => {
-                let (col, values) = &self.in_predicates[i];
-                Some((col, values))
-            }
-        };
-        let residual: Vec<(usize, &Predicate)> = self
+        let filters: Vec<(usize, &Predicate)> = self
             .predicates
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !matches!(access, Access::EqIndex(j) if j == *i))
-            .filter_map(|(_, p)| t.schema.col_index(&p.col).map(|ci| (ci, p)))
+            .filter_map(|p| t.schema.col_index(&p.col).map(|ci| (ci, p)))
             .collect();
-        let residual_in: Vec<(usize, &Vec<Value>)> = self
+        let in_filters: Vec<(usize, &Vec<Value>)> = self
             .in_predicates
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !matches!(access, Access::InIndex(j) if j == *i))
-            .filter_map(|(_, (col, vs))| t.schema.col_index(col).map(|ci| (ci, vs)))
+            .filter_map(|(col, vs)| t.schema.col_index(col).map(|ci| (ci, vs)))
             .collect();
         let segments_total = t.segments.len();
         let (mut segments_scanned, mut examined, mut matched) = (0usize, 0usize, 0usize);
         let mut clustered_probes = 0usize;
         // One selection bitmap per visited segment. Zone maps skip a
-        // segment wholesale when its per-column min/max proves the access
-        // path can match no row in it — a `tstamp` window over a long
-        // history reads only the segments the window touches. A scan
-        // starts from the segment's rows, binary-searched down to the
-        // window a range predicate on a clustered segment's sort column
-        // admits; an index probe starts from the postings (already local
-        // offsets). Either way every remaining predicate then runs as a
-        // tight loop over the segment's typed column, ANDing into the
-        // selection, and values materialise only for selected rows.
+        // segment wholesale when its per-column min/max proves no row in
+        // it can match — a `tstamp` window over a long history reads only
+        // the segments the window touches. A visited segment starts from
+        // its rows, binary-searched down to the window a range predicate
+        // on a clustered segment's sort column admits; every remaining
+        // predicate then runs as a tight loop over the segment's typed
+        // column, ANDing into the selection, and values materialise only
+        // for selected rows.
         let mut parts: Vec<(&Segment, Bitmap)> = Vec::new();
         for seg in &t.segments {
+            if !seg.admits(&self.predicates, &self.in_predicates) {
+                continue;
+            }
             let n = seg.len();
             let (mut lo, mut hi) = (0usize, n);
-            let mut consumed = vec![false; residual.len()];
-            let mut sel = match probe {
-                None => {
-                    if !seg.admits(&self.predicates) {
+            let mut consumed = vec![false; filters.len()];
+            if let Some(ci) = seg.sorted_by {
+                let col = &seg.cols[ci];
+                for (k, (pci, p)) in filters.iter().enumerate() {
+                    if *pci != ci {
                         continue;
                     }
-                    if let Some(ci) = seg.sorted_by {
-                        let col = &seg.cols[ci];
-                        for (k, (pci, p)) in residual.iter().enumerate() {
-                            if *pci != ci {
-                                continue;
-                            }
-                            match p.op {
-                                CmpOp::Ge => lo = lo.max(col.lower_bound(&p.value)),
-                                CmpOp::Gt => lo = lo.max(col.upper_bound(&p.value)),
-                                CmpOp::Le => hi = hi.min(col.upper_bound(&p.value)),
-                                CmpOp::Lt => hi = hi.min(col.lower_bound(&p.value)),
-                                CmpOp::Eq => {
-                                    lo = lo.max(col.lower_bound(&p.value));
-                                    hi = hi.min(col.upper_bound(&p.value));
-                                }
-                                CmpOp::Ne => continue,
-                            }
-                            consumed[k] = true;
-                            clustered_probes += 1;
+                    match p.op {
+                        CmpOp::Ge => lo = lo.max(col.lower_bound(&p.value)),
+                        CmpOp::Gt => lo = lo.max(col.upper_bound(&p.value)),
+                        CmpOp::Le => hi = hi.min(col.upper_bound(&p.value)),
+                        CmpOp::Lt => hi = hi.min(col.lower_bound(&p.value)),
+                        CmpOp::Eq => {
+                            lo = lo.max(col.lower_bound(&p.value));
+                            hi = hi.min(col.upper_bound(&p.value));
                         }
+                        CmpOp::Ne => continue,
                     }
-                    Bitmap::ones_in_range(n, lo, hi)
+                    consumed[k] = true;
+                    clustered_probes += 1;
                 }
-                Some((col, values)) => {
-                    if !values.iter().any(|v| seg.zone_admits_eq(col, v)) {
-                        continue;
-                    }
-                    let mut sel = Bitmap::zeroes(n);
-                    for postings in values.iter().filter_map(|v| seg.indexes.get(col)?.get(v)) {
-                        postings.iter().for_each(|&local| sel.set(local as usize));
-                    }
-                    sel
-                }
-            };
+            }
+            let mut sel = Bitmap::ones_in_range(n, lo, hi);
             segments_scanned += 1;
             examined += sel.count_ones();
-            for (k, (ci, p)) in residual.iter().enumerate() {
+            for (k, (ci, p)) in filters.iter().enumerate() {
                 if !consumed[k] {
                     seg.cols[*ci].eval(p.op, &p.value, lo, hi, &mut sel);
                 }
             }
-            for (ci, vs) in &residual_in {
+            for (ci, vs) in &in_filters {
                 seg.cols[*ci].eval_in(vs, lo, hi, &mut sel);
             }
             matched += sel.count_ones();
@@ -513,18 +405,13 @@ impl Query {
         }
         let explain = QueryExplain {
             table: self.table.clone(),
-            access: match access {
-                Access::Scan => AccessPath::FullScan,
-                Access::EqIndex(i) => AccessPath::IndexEq(self.predicates[i].col.clone()),
-                Access::InIndex(i) => AccessPath::IndexIn(self.in_predicates[i].0.clone()),
-            },
             segments_total,
             segments_scanned,
             segments_pruned: segments_total - segments_scanned,
             rows_examined: examined,
             rows_matched: matched,
             rows_returned: df.n_rows(),
-            residual_predicates: residual.len() + residual_in.len(),
+            residual_predicates: filters.len() + in_filters.len(),
             clustered_probes,
             order,
             elapsed_nanos: 0,
@@ -609,15 +496,19 @@ mod tests {
     use super::*;
     use crate::schema::{ColType, ColumnDef, TableSchema};
 
-    fn db_with_rows(n: i64) -> Database {
-        let db = Database::in_memory(vec![TableSchema::new(
+    fn empty_db() -> Database {
+        Database::in_memory(vec![TableSchema::new(
             "logs",
             vec![
-                ColumnDef::indexed("name", ColType::Str),
+                ColumnDef::new("name", ColType::Str),
                 ColumnDef::new("tstamp", ColType::Int),
                 ColumnDef::new("value", ColType::Float),
             ],
-        )]);
+        )])
+    }
+
+    fn db_with_rows(n: i64) -> Database {
+        let db = empty_db();
         for i in 0..n {
             db.insert(
                 "logs",
@@ -682,7 +573,7 @@ mod tests {
             .map(|v| v.as_i64().unwrap())
             .collect();
         assert_eq!(ts, vec![0, 2, 3, 5, 6, 8]);
-        // Identical to the unindexed evaluation of the same predicate.
+        // Identical to a row-by-row evaluation of the same predicate.
         let scan = db
             .scan("logs")
             .unwrap()
@@ -701,10 +592,9 @@ mod tests {
     }
 
     #[test]
-    fn planner_picks_most_selective_index() {
-        // name is indexed with 10 rows per value; the IN predicate narrows
-        // to a single value → the IN path (10 candidates) must win over the
-        // Eq path only when it is tighter.
+    fn eq_and_in_on_one_column_conjoin() {
+        // An equality and an IN list on the same column are both
+        // filters: overlapping ones keep the rows they share.
         let db = db_with_rows(30);
         let df = Query::table("logs")
             .filter_eq("name", "m0")
@@ -719,6 +609,43 @@ mod tests {
             .execute(&db)
             .unwrap();
         assert_eq!(df.n_rows(), 0);
+    }
+
+    #[test]
+    fn in_lists_prune_segments_by_zone() {
+        // Three commits of 512 rows each seal three segments with
+        // disjoint `tstamp` ranges: [0, 512), [512, 1024), [1024, 1536).
+        let db = empty_db();
+        for batch in 0..3i64 {
+            for i in batch * 512..(batch + 1) * 512 {
+                db.insert(
+                    "logs",
+                    vec![format!("m{}", i % 3).into(), i.into(), 0.5.into()],
+                )
+                .unwrap();
+            }
+            db.commit().unwrap();
+        }
+        let snap = db.pin();
+        let q = Query::table("logs").filter_in("tstamp", vec![5.into(), 1100.into(), 9999.into()]);
+        let (df, ex) = snap.explain(&q).unwrap();
+        assert_eq!(ex.segments_total, 3);
+        assert_eq!(ex.segments_pruned, 1, "no listed value lies in [512, 1024)");
+        assert_eq!(ex.rows_examined, 1024);
+        let scan = snap
+            .scan("logs")
+            .unwrap()
+            .filter(|r| [5, 1100].contains(&r.get("tstamp").unwrap().as_i64().unwrap()));
+        assert_eq!(df.n_rows(), 2);
+        assert_eq!(df.to_rows(), scan.to_rows());
+        // A list none of whose values any zone holds visits nothing; an
+        // empty list matches nothing.
+        for values in [vec![Value::Int(-1), Value::Int(5000)], vec![]] {
+            let (df, ex) = snap
+                .explain(&Query::table("logs").filter_in("tstamp", values))
+                .unwrap();
+            assert_eq!((df.n_rows(), ex.segments_scanned), (0, 0));
+        }
     }
 
     #[test]

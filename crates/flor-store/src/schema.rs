@@ -55,26 +55,14 @@ pub struct ColumnDef {
     pub name: String,
     /// Column type.
     pub ty: ColType,
-    /// Whether a secondary hash index is maintained on this column.
-    pub indexed: bool,
 }
 
 impl ColumnDef {
-    /// Unindexed column.
+    /// A column named `name` holding values of type `ty`.
     pub fn new(name: &str, ty: ColType) -> Self {
         ColumnDef {
             name: name.to_string(),
             ty,
-            indexed: false,
-        }
-    }
-
-    /// Indexed column.
-    pub fn indexed(name: &str, ty: ColType) -> Self {
-        ColumnDef {
-            name: name.to_string(),
-            ty,
-            indexed: true,
         }
     }
 }
@@ -234,11 +222,11 @@ pub fn flor_schema() -> Vec<TableSchema> {
         TableSchema::new(
             "logs",
             vec![
-                ColumnDef::indexed("projid", ColType::Str),
-                ColumnDef::indexed("tstamp", ColType::Int),
-                ColumnDef::indexed("filename", ColType::Str),
-                ColumnDef::indexed("ctx_id", ColType::Int),
-                ColumnDef::indexed("value_name", ColType::Str),
+                ColumnDef::new("projid", ColType::Str),
+                ColumnDef::new("tstamp", ColType::Int),
+                ColumnDef::new("filename", ColType::Str),
+                ColumnDef::new("ctx_id", ColType::Int),
+                ColumnDef::new("value_name", ColType::Str),
                 ColumnDef::new("value", ColType::Str),
                 ColumnDef::new("value_type", ColType::Int),
             ],
@@ -246,27 +234,35 @@ pub fn flor_schema() -> Vec<TableSchema> {
         .with_cluster_by("tstamp"),
         // loops(projid, tstamp, filename, ctx_id, parent_ctx_id, loop_name,
         //       loop_iteration, iteration_value)
+        //
+        // Clustered by tstamp like `logs`, and `obj_store` below too:
+        // hindsight replay (`load_record`) reads one run's rows of each
+        // by `tstamp` equality, which binary-searches into a sorted
+        // segment instead of filtering every row of it. A run commits
+        // its rows under one tstamp, so sealed segments arrive sorted
+        // and compaction only re-sorts the ones a backfill appended to.
         TableSchema::new(
             "loops",
             vec![
-                ColumnDef::indexed("projid", ColType::Str),
-                ColumnDef::indexed("tstamp", ColType::Int),
+                ColumnDef::new("projid", ColType::Str),
+                ColumnDef::new("tstamp", ColType::Int),
                 ColumnDef::new("filename", ColType::Str),
-                ColumnDef::indexed("ctx_id", ColType::Int),
+                ColumnDef::new("ctx_id", ColType::Int),
                 ColumnDef::new("parent_ctx_id", ColType::Int),
                 ColumnDef::new("loop_name", ColType::Str),
                 ColumnDef::new("loop_iteration", ColType::Int),
                 ColumnDef::new("iteration_value", ColType::Str),
             ],
-        ),
+        )
+        .with_cluster_by("tstamp"),
         // ts2vid(projid, ts_start, ts_end, vid, root_target)
         TableSchema::new(
             "ts2vid",
             vec![
-                ColumnDef::indexed("projid", ColType::Str),
+                ColumnDef::new("projid", ColType::Str),
                 ColumnDef::new("ts_start", ColType::Int),
                 ColumnDef::new("ts_end", ColType::Int),
-                ColumnDef::indexed("vid", ColType::Str),
+                ColumnDef::new("vid", ColType::Str),
                 ColumnDef::new("root_target", ColType::Str),
             ],
         ),
@@ -274,7 +270,7 @@ pub fn flor_schema() -> Vec<TableSchema> {
         TableSchema::new(
             "git",
             vec![
-                ColumnDef::indexed("vid", ColType::Str),
+                ColumnDef::new("vid", ColType::Str),
                 ColumnDef::new("filename", ColType::Str),
                 ColumnDef::new("parent_vid", ColType::Str),
                 ColumnDef::new("contents", ColType::Str),
@@ -284,21 +280,22 @@ pub fn flor_schema() -> Vec<TableSchema> {
         TableSchema::new(
             "obj_store",
             vec![
-                ColumnDef::indexed("projid", ColType::Str),
-                ColumnDef::indexed("tstamp", ColType::Int),
+                ColumnDef::new("projid", ColType::Str),
+                ColumnDef::new("tstamp", ColType::Int),
                 ColumnDef::new("filename", ColType::Str),
-                ColumnDef::indexed("ctx_id", ColType::Int),
-                ColumnDef::indexed("value_name", ColType::Str),
+                ColumnDef::new("ctx_id", ColType::Int),
+                ColumnDef::new("value_name", ColType::Str),
                 ColumnDef::new("contents", ColType::Str),
             ],
-        ),
+        )
+        .with_cluster_by("tstamp"),
         // build_deps(vid, target, deps, cmds, cached) — deps/cmds are text[]
         // in the paper; we store them newline-joined.
         TableSchema::new(
             "build_deps",
             vec![
-                ColumnDef::indexed("vid", ColType::Str),
-                ColumnDef::indexed("target", ColType::Str),
+                ColumnDef::new("vid", ColType::Str),
+                ColumnDef::new("target", ColType::Str),
                 ColumnDef::new("deps", ColType::Str),
                 ColumnDef::new("cmds", ColType::Str),
                 ColumnDef::new("cached", ColType::Bool),
@@ -313,7 +310,7 @@ pub fn flor_schema() -> Vec<TableSchema> {
         TableSchema::new(
             "jobs",
             vec![
-                ColumnDef::indexed("job_id", ColType::Int),
+                ColumnDef::new("job_id", ColType::Int),
                 ColumnDef::new("seq", ColType::Int),
                 ColumnDef::new("kind", ColType::Str),
                 ColumnDef::new("priority", ColType::Int),

@@ -15,19 +15,17 @@
 //! [`flor_df::Value`]s only for the selected rows. Cell reads for
 //! point lookups transpose on demand.
 //!
-//! Secondary hash indexes are per-segment, built in the **same single
-//! pass** that seals the columns; their postings are local row offsets,
-//! so an index probe seeds a selection bitmap directly. That pass also
-//! builds per-segment **zone maps** — min/max per column — which the
-//! query planner uses to prune whole segments from range scans (`tstamp`
-//! windows, time travel) without reading a row.
+//! Sealing also builds per-segment **zone maps** — min/max per column,
+//! read off the finished columns — which every query uses to skip whole
+//! segments (`tstamp` windows, time travel, point lookups) without
+//! reading a row. A zone-pruned scan is the store's one access path.
 //!
 //! # Read order
 //!
 //! **Rows leave a table in commit order; clustering affects pruning,
 //! never order.** A row's global id (rid) is its commit position, kept
 //! for life — compaction carries it through an explicit rid map — and
-//! every read (scan, index probe, zone-pruned query, checkpoint) is a
+//! every read (scan, zone-pruned query, checkpoint) is a
 //! caller of the one materialiser, `TableVersion::materialise`, which
 //! emits its selection in ascending rid. So a reader cannot tell a
 //! clustered table from an unclustered one, a checkpoint + reopen hands
@@ -39,8 +37,9 @@
 //! # Segment lifecycle: seal → coalesce → compact/cluster → checkpoint
 //!
 //! 1. **Seal.** A commit seals its staged rows into a fresh immutable
-//!    columnar segment (columns + dictionaries + indexes + zone maps
-//!    built in one pass over the rows, never mutated after). A segment
+//!    columnar segment (columns + dictionaries built in one pass over
+//!    the rows, zone maps from the finished columns, never mutated
+//!    after). A segment
 //!    whose [`crate::schema::ClusterBy`] column arrives already
 //!    non-decreasing is marked sorted at seal time.
 //! 2. **Coalesce.** Small trailing segments are folded geometrically at
@@ -62,8 +61,8 @@
 //!    their original segments, byte-identically, forever. Compaction
 //!    never bumps the epoch and never renumbers a row — it is invisible
 //!    to every fold-respecting reader. For tables with a
-//!    declared [`crate::schema::ClusterBy`] column (`logs` clusters by
-//!    `tstamp`), rewritten runs are **sorted** by that column (ties keep
+//!    declared [`crate::schema::ClusterBy`] column (`logs`, `loops` and
+//!    `obj_store` cluster by `tstamp`), rewritten runs are **sorted** by that column (ties keep
 //!    insertion order), so the output chunks' zone maps are disjoint and
 //!    range scans binary-search into each admitted chunk — a physical
 //!    permutation only: see *Read order* above.
@@ -141,9 +140,6 @@ pub(crate) struct Segment {
     /// rows at or past some rid skips every segment whose `rid_end` does
     /// not reach it without looking at a row.
     pub rid_end: usize,
-    /// column name → value → local row offsets (ascending). Built once
-    /// at seal time.
-    pub indexes: HashMap<String, HashMap<Value, Vec<u32>>>,
     /// column name → (min, max) over this segment's rows, built once at
     /// seal time (segments are immutable, so zone maps are free to keep
     /// current). Range and equality predicates prune whole segments with
@@ -185,41 +181,24 @@ impl Segment {
     }
 
     /// Single-pass seal: one walk over the rows feeds the per-column
-    /// builders *and* the secondary-index postings; zone maps then fall
-    /// out of the finished columns' min/max without touching rows again.
+    /// builders; zone maps then fall out of the finished columns'
+    /// min/max without touching rows again.
     fn build(
         schema: &TableSchema,
         start: usize,
         rids: Option<Vec<usize>>,
         rows: Vec<Vec<Value>>,
     ) -> Segment {
-        let n_cols = schema.columns.len();
-        let indexed: Vec<usize> = schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.indexed)
-            .map(|(i, _)| i)
+        let mut builders: Vec<column::ColumnBuilder> = (0..schema.columns.len())
+            .map(|_| column::ColumnBuilder::new())
             .collect();
-        let mut builders: Vec<column::ColumnBuilder> =
-            (0..n_cols).map(|_| column::ColumnBuilder::new()).collect();
-        let mut index_maps: Vec<HashMap<Value, Vec<u32>>> =
-            indexed.iter().map(|_| HashMap::new()).collect();
         let len = rows.len();
-        for (i, row) in rows.into_iter().enumerate() {
-            for (&pos, idx) in indexed.iter().zip(&mut index_maps) {
-                idx.entry(row[pos].clone()).or_default().push(i as u32);
-            }
+        for row in rows {
             for (cell, b) in row.into_iter().zip(&mut builders) {
                 b.push(&cell);
             }
         }
         let cols: Vec<column::Column> = builders.into_iter().map(|b| b.finish()).collect();
-        let indexes = indexed
-            .iter()
-            .zip(index_maps)
-            .map(|(&pos, idx)| (schema.columns[pos].name.clone(), idx))
-            .collect();
         let mut zones = HashMap::new();
         for (col, def) in cols.iter().zip(&schema.columns) {
             if let Some((lo, hi)) = col.min_max() {
@@ -241,7 +220,6 @@ impl Segment {
             cols,
             rids,
             rid_end,
-            indexes,
             zones,
             sorted_by,
             summary: OnceLock::new(),
@@ -308,21 +286,19 @@ impl Segment {
         }
     }
 
-    /// Whether a scan under the conjunction `predicates` must visit this
-    /// segment: it is skipped when any predicate provably matches no row
-    /// in it. Sound for conjunctions only (which is what
-    /// [`crate::query::Query`] evaluates).
-    pub fn admits(&self, predicates: &[Predicate]) -> bool {
+    /// Whether a scan under the conjunction of `predicates` and the IN
+    /// lists `in_lists` (`col IN (values)`) must visit this segment: it
+    /// is skipped when any predicate provably matches no row in it, or
+    /// when some IN list has no value inside its column's zone. Sound for
+    /// conjunctions only (which is what [`crate::query::Query`]
+    /// evaluates).
+    pub fn admits(&self, predicates: &[Predicate], in_lists: &[(String, Vec<Value>)]) -> bool {
         predicates.iter().all(|p| self.may_match(p))
-    }
-
-    /// Zone check for an equality lookup on `col` (the index fast path's
-    /// pre-filter: segments whose range excludes the value skip the hash
-    /// probe entirely).
-    pub fn zone_admits_eq(&self, col: &str, v: &Value) -> bool {
-        self.zones
-            .get(col)
-            .is_none_or(|(lo, hi)| v >= lo && v <= hi)
+            && in_lists.iter().all(|(col, values)| {
+                self.zones
+                    .get(col)
+                    .is_none_or(|(lo, hi)| values.iter().any(|v| v >= lo && v <= hi))
+            })
     }
 }
 
@@ -339,7 +315,7 @@ pub(crate) struct TableVersion {
     pub total_rows: usize,
     /// Global row-id high watermark: the rid the next appended row gets.
     /// Diverges from `total_rows` once compaction drops dead rows (rids
-    /// are never reused, so pinned index results stay unambiguous).
+    /// are never reused, so a rid names one row for life).
     pub next_rid: usize,
 }
 
@@ -492,25 +468,6 @@ impl TableVersion {
             .collect();
         let cols: Vec<usize> = (0..self.schema.columns.len()).collect();
         self.materialise(&parts, &cols)
-    }
-
-    /// Whether `col` carries a secondary index.
-    pub fn has_index(&self, col: &str) -> bool {
-        self.schema
-            .columns
-            .iter()
-            .any(|c| c.indexed && c.name == col)
-    }
-
-    /// Number of rows matching `col == value` via the index (0 without
-    /// an index — callers check [`TableVersion::has_index`] first).
-    pub fn index_len(&self, col: &str, value: &Value) -> usize {
-        self.segments
-            .iter()
-            .filter(|seg| seg.zone_admits_eq(col, value))
-            .filter_map(|seg| seg.indexes.get(col).and_then(|idx| idx.get(value)))
-            .map(Vec::len)
-            .sum()
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! There is one read engine: [`Snapshot::lookup`] and
 //! [`Snapshot::lookup_many`] are [`crate::query::Query`] spellings, so
-//! every read is planned, zone-pruned and accounted the same way.
+//! every read is zone-pruned and accounted the same way.
 
 use crate::checkpoint::CheckpointData;
 use crate::compact;
@@ -165,8 +165,8 @@ impl Snapshot {
 
     /// Point lookup: rows where `col == value`, in commit order
     /// ([read-order contract](crate::segment#read-order)) — the
-    /// [`Query::filter_eq`] spelling, so an index on `col` serves it when
-    /// one exists and a zone-pruned scan otherwise.
+    /// [`Query::filter_eq`] spelling, served by a zone-pruned scan that
+    /// skips every segment whose `col` range excludes `value`.
     pub fn lookup(&self, table: &str, col: &str, value: &Value) -> StoreResult<DataFrame> {
         self.query_known(col, Query::table(table).filter_eq(col, value.clone()))
     }
@@ -188,8 +188,8 @@ impl Snapshot {
     }
 
     /// Execute a [`crate::query::Query`] against this snapshot. Without an
-    /// `order_by` the rows come back in commit order, whichever access
-    /// path ran ([read-order contract](crate::segment#read-order)).
+    /// `order_by` the rows come back in commit order, however the
+    /// segments are clustered ([read-order contract](crate::segment#read-order)).
     pub fn query(&self, q: &Query) -> StoreResult<DataFrame> {
         let (df, ex) = q.run_traced(self.table(q.table_name())?)?;
         self.metrics.record_query(&ex);
@@ -197,7 +197,7 @@ impl Snapshot {
     }
 
     /// Execute a [`crate::query::Query`] and return the frame together
-    /// with its [`QueryExplain`] — access path, zone-map pruning, rows
+    /// with its [`QueryExplain`] — zone-map pruning, rows
     /// examined vs returned, and wall-clock timing. The query really
     /// runs (the counts are measurements, not estimates) and its
     /// accounting feeds the `store.query.*` counters like any other run.
@@ -227,7 +227,10 @@ impl Snapshot {
     /// `predicates` must visit it, by the segment's zone maps.
     pub fn zone_admits(&self, table: &str, predicates: &[Predicate]) -> StoreResult<Vec<bool>> {
         let t = self.table(table)?;
-        Ok(t.segments.iter().map(|s| s.admits(predicates)).collect())
+        Ok(t.segments
+            .iter()
+            .map(|s| s.admits(predicates, &[]))
+            .collect())
     }
 
     /// Live (retained) rows in `table` — what a full scan touches. After
@@ -286,11 +289,10 @@ mod tests {
                 .unwrap();
         }
         db.commit().unwrap();
-        assert!(db.has_index("t", "k"));
-        let via_index = db.lookup("t", "k", &"k3".into()).unwrap();
+        let looked_up = db.lookup("t", "k", &"k3".into()).unwrap();
         let via_scan = db.scan("t").unwrap().filter_eq("k", &"k3".into());
-        assert_eq!(via_index.n_rows(), 10);
-        assert_eq!(via_index.to_rows(), via_scan.to_rows());
+        assert_eq!(looked_up.n_rows(), 10);
+        assert_eq!(looked_up.to_rows(), via_scan.to_rows());
     }
 
     #[test]
@@ -358,7 +360,7 @@ mod tests {
             .filter_map(Value::as_i64)
             .collect();
         assert_eq!(order, vec![0, 1, 2, 4], "scan order, not per-key order");
-        // Unindexed column falls back to a filtered scan, same order.
+        // Any column reads the same way, in the same order.
         let df2 = db
             .pin()
             .lookup_many("t", "v", &[1.into(), 0.into()])
@@ -372,7 +374,6 @@ mod tests {
         let db = Database::in_memory(tiny_schema());
         db.insert("t", vec!["a".into(), 7.into()]).unwrap();
         db.commit().unwrap();
-        assert!(!db.has_index("t", "v"));
         let df = db.lookup("t", "v", &7.into()).unwrap();
         assert_eq!(df.n_rows(), 1);
         // An unknown column is an error, not an empty frame.

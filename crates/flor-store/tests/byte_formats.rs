@@ -14,7 +14,7 @@ fn schemas() -> Vec<TableSchema> {
         TableSchema::new(
             "logs",
             vec![
-                ColumnDef::indexed("value_name", ColType::Str),
+                ColumnDef::new("value_name", ColType::Str),
                 ColumnDef::new("tstamp", ColType::Int),
                 ColumnDef::new("value", ColType::Any),
             ],

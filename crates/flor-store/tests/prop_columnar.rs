@@ -1,6 +1,6 @@
 //! Columnar-layout oracle property test: random commit / compact /
 //! checkpoint / reopen interleavings must read byte-identically to a
-//! row-major shadow model — full scans, index probes, range windows,
+//! row-major shadow model — full scans, point lookups, range windows,
 //! null and float and type-mixed predicates alike — and compacted
 //! segments of a clustered table must satisfy the clustering invariant
 //! (sorted rows, disjoint zone maps, binary-search range entry).
@@ -29,7 +29,7 @@ fn schemas() -> Vec<TableSchema> {
     vec![TableSchema::new(
         "events",
         vec![
-            ColumnDef::indexed("kind", ColType::Str),
+            ColumnDef::new("kind", ColType::Str),
             ColumnDef::new("ts", ColType::Int),
             ColumnDef::new("note", ColType::Str),
             ColumnDef::new("val", ColType::Float),
@@ -93,7 +93,7 @@ fn check_against_shadow(db: &Database, shadow: &[Vec<Value>], ts_hi: i64, ctx: &
         shadow.to_vec(),
         "full scan diverged {ctx}"
     );
-    // Index probe on the dictionary column.
+    // Point lookup on the dictionary column.
     for kind in ["alpha", "gamma", "absent"] {
         let got = db.lookup("events", "kind", &kind.into()).unwrap().to_rows();
         let want: Vec<Vec<Value>> = shadow
@@ -101,7 +101,7 @@ fn check_against_shadow(db: &Database, shadow: &[Vec<Value>], ts_hi: i64, ctx: &
             .filter(|r| r[0] == Value::from(kind))
             .cloned()
             .collect();
-        assert_eq!(got, want, "index probe kind={kind} diverged {ctx}");
+        assert_eq!(got, want, "point lookup kind={kind} diverged {ctx}");
     }
     // Range windows over the cluster column, null/float/mixed residuals.
     let preds: Vec<(usize, CmpOp, Value)> = vec![

@@ -38,14 +38,14 @@ fn schemas() -> Vec<TableSchema> {
         TableSchema::new(
             "events",
             vec![
-                ColumnDef::indexed("kind", ColType::Str),
+                ColumnDef::new("kind", ColType::Str),
                 ColumnDef::new("ts", ColType::Int),
             ],
         ),
         TableSchema::new(
             "state",
             vec![
-                ColumnDef::indexed("key", ColType::Int),
+                ColumnDef::new("key", ColType::Int),
                 ColumnDef::new("seq", ColType::Int),
                 ColumnDef::new("payload", ColType::Str),
             ],
@@ -54,7 +54,7 @@ fn schemas() -> Vec<TableSchema> {
         TableSchema::new(
             "clustered",
             vec![
-                ColumnDef::indexed("key", ColType::Int),
+                ColumnDef::new("key", ColType::Int),
                 ColumnDef::new("seq", ColType::Int),
                 ColumnDef::new("c", ColType::Int),
                 ColumnDef::new("payload", ColType::Str),
@@ -247,10 +247,10 @@ fn check_equivalence(db: &Database, oracle: &Database, ts_hi: i64, ctx: &str) {
             "pruned window [{lo},{hi}) diverged {ctx}"
         );
     }
-    // Indexed point lookups agree on the append-only table.
+    // Point lookups agree on the append-only table.
     let via_db = db.lookup("events", "kind", &"a".into()).unwrap();
     let via_oracle = oracle.lookup("events", "kind", &"a".into()).unwrap();
-    assert_eq!(via_db, via_oracle, "indexed lookup diverged {ctx}");
+    assert_eq!(via_db, via_oracle, "point lookup diverged {ctx}");
 }
 
 proptest! {

@@ -19,7 +19,7 @@ fn schema() -> Vec<TableSchema> {
     vec![TableSchema::new(
         "events",
         vec![
-            ColumnDef::indexed("kind", ColType::Str),
+            ColumnDef::new("kind", ColType::Str),
             ColumnDef::new("seq", ColType::Int),
         ],
     )

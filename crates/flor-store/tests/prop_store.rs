@@ -1,5 +1,5 @@
 //! Property tests: WAL codec round-trips, crash-prefix recovery,
-//! index/scan equivalence, and catching up by rid watermark.
+//! query/scan equivalence, and catching up by rid watermark.
 
 use flor_df::Value;
 use flor_store::codec::{decode_row, encode_record, encode_row, Cursor, WalRecord};
@@ -130,25 +130,48 @@ proptest! {
         }
     }
 
-    /// Query with an indexed equality predicate always equals filtered scan.
+    /// A query's equality and IN predicates always equal the filtered
+    /// scan, over rows spread across several commits: each commit seals
+    /// a segment (or folds into the trailing one), so the zone maps that
+    /// prune segments see narrow, overlapping `k` ranges and disjoint,
+    /// increasing `i` ranges.
     #[test]
-    fn index_scan_equivalence(keys in proptest::collection::vec(0u8..5, 0..50)) {
+    fn query_scan_equivalence(
+        batches in proptest::collection::vec(proptest::collection::vec(0u8..5, 0..12), 0..6),
+        in_keys in proptest::collection::vec(0u8..7, 0..4),
+    ) {
         let db = Database::in_memory(vec![TableSchema::new(
             "t",
             vec![
-                ColumnDef::indexed("k", ColType::Str),
+                ColumnDef::new("k", ColType::Str),
                 ColumnDef::new("i", ColType::Int),
             ],
         )]);
-        for (i, k) in keys.iter().enumerate() {
-            db.insert("t", vec![format!("k{k}").into(), (i as i64).into()]).unwrap();
+        let mut i = 0i64;
+        for batch in &batches {
+            for k in batch {
+                db.insert("t", vec![format!("k{k}").into(), i.into()]).unwrap();
+                i += 1;
+            }
+            db.commit().unwrap();
         }
-        db.commit().unwrap();
-        for k in 0u8..5 {
-            let key = format!("k{k}");
-            let via_q = Query::table("t").filter_eq("k", key.as_str()).execute(&db).unwrap();
-            let via_s = db.scan("t").unwrap().filter_eq("k", &key.as_str().into());
-            prop_assert_eq!(via_q.to_rows(), via_s.to_rows());
+        let snap = db.pin();
+        let scan = snap.scan("t").unwrap();
+        let filtered = |col: &str, values: &[Value]| {
+            scan.filter(|r| values.contains(r.get(col).unwrap())).to_rows()
+        };
+        let key = |k: u8| Value::from(format!("k{k}"));
+        let id = |k: u8| Value::Int(i64::from(k) * 3);
+        for (col, value) in [("k", &key as &dyn Fn(u8) -> Value), ("i", &id)] {
+            for k in 0u8..7 {
+                let v = value(k);
+                let q = Query::table("t").filter_eq(col, v.clone());
+                prop_assert_eq!(snap.query(&q).unwrap().to_rows(), filtered(col, &[v]));
+            }
+            let values: Vec<Value> = in_keys.iter().map(|&k| value(k)).collect();
+            let (df, ex) = snap.explain(&Query::table("t").filter_in(col, values.clone())).unwrap();
+            prop_assert_eq!(df.to_rows(), filtered(col, &values));
+            prop_assert_eq!(ex.segments_scanned + ex.segments_pruned, ex.segments_total);
         }
     }
 

@@ -15,7 +15,7 @@ fn schema() -> Vec<TableSchema> {
     vec![TableSchema::new(
         "t",
         vec![
-            ColumnDef::indexed("k", ColType::Str),
+            ColumnDef::new("k", ColType::Str),
             ColumnDef::new("v", ColType::Int),
         ],
     )]
@@ -24,7 +24,7 @@ fn schema() -> Vec<TableSchema> {
 proptest! {
     /// Writer commits random batches while a pinned reader re-scans: the
     /// pinned view stays identical across every commit (scans, counts,
-    /// and indexed lookups alike), and a fresh pin equals the oracle of
+    /// and point lookups alike), and a fresh pin equals the oracle of
     /// all committed rows.
     #[test]
     fn pinned_view_is_stable_and_fresh_pins_match_oracle(

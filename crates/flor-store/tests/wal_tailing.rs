@@ -26,7 +26,7 @@ fn schema() -> Vec<TableSchema> {
     vec![TableSchema::new(
         "events",
         vec![
-            ColumnDef::indexed("writer", ColType::Int),
+            ColumnDef::new("writer", ColType::Int),
             ColumnDef::new("seq", ColType::Int),
         ],
     )]

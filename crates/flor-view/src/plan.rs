@@ -110,8 +110,8 @@ impl QueryPlan {
         }
     }
 
-    /// The `logs` rows whose `value_name` the plan projects, served from
-    /// the secondary index: the rows a pivot of the plan covers, and the
+    /// The `logs` rows whose `value_name` the plan projects, an IN list
+    /// over a zone-pruned scan: the rows a pivot of the plan covers, and the
     /// fetch the view catalog's explain report probes the store with.
     /// The snapshot pivot itself reads no `logs` row; it merges
     /// per-segment fragments.

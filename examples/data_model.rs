@@ -17,14 +17,7 @@ fn main() {
         let cols: Vec<String> = table
             .columns
             .iter()
-            .map(|c| {
-                format!(
-                    "{}: {}{}",
-                    c.name,
-                    c.ty,
-                    if c.indexed { " [indexed]" } else { "" }
-                )
-            })
+            .map(|c| format!("{}: {}", c.name, c.ty))
             .collect();
         println!("  {}({})", table.name, cols.join(", "));
     }

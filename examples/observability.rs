@@ -7,7 +7,7 @@
 //! WAL-fsync latency histograms, checkpoint/compaction passes, zone-map
 //! pruning ratios, job queue-wait vs run time, view hits and misses —
 //! and `query(..).explain()` reports how one specific query executed:
-//! access path, segments pruned, rows examined vs returned, per-stage
+//! segments pruned, rows examined vs returned, per-stage
 //! timings.
 //!
 //! Run with `cargo run --example observability`.

@@ -8,7 +8,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`df`] | columnar DataFrames (`pivot`, `join`, `latest`) |
-//! | [`store`] | embedded relational engine (WAL, indexes, txn visibility) |
+//! | [`store`] | embedded relational engine (WAL, zone-pruned scans, txn visibility) |
 //! | [`git`] | gitlite change-context substrate (SHA-256, commits, diffs) |
 //! | [`script`] | florscript: the instrumented mini-language |
 //! | [`ml`] | deterministic SGD training substrate |
@@ -99,7 +99,7 @@
 //! queue-wait vs run time, and view
 //! hit/miss/rebuild counters — renderable as text or JSON. Per query,
 //! `flor.query(..).explain()` executes the plan and returns a
-//! [`core::ExplainReport`]: access path, segments pruned, rows examined
+//! [`core::ExplainReport`]: segments pruned, rows examined
 //! vs returned, and per-stage timings. See `examples/observability.rs`.
 //! For scraping, [`obs::MetricsSnapshot::render_prometheus`] emits the
 //! Prometheus exposition format, served over the wire by [`serve`]'s
