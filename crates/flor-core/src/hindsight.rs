@@ -435,12 +435,7 @@ impl<'f> Ingestor<'f> {
         // audit: allow(panic) — the is_empty early-return above makes
         // `last()` infallible here.
         let last = frames.last().expect("non-empty");
-        let ctx_id = {
-            let mut st = self.flor.state.lock();
-            let id = st.next_ctx;
-            st.next_ctx += 1;
-            id
-        };
+        let ctx_id = self.flor.mint_ctx();
         self.flor
             .db
             .insert(

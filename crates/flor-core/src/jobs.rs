@@ -803,31 +803,27 @@ with flor.checkpointing(net) {
 
     #[test]
     fn cancelled_backfill_stops_and_persists() {
-        let flor = seeded(6);
+        // A heavier script, so the cancel lands mid-run: six versions of
+        // 48 epochs each against a cancel right after the first tick.
+        let flor = Flor::new("jobs");
+        flor.fs
+            .write("train.fl", &V1.replace("range(0, 4)", "range(0, 48)"));
+        for _ in 0..6 {
+            run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        }
+        flor.fs
+            .write("train.fl", &V2.replace("range(0, 4)", "range(0, 48)"));
         flor.job_runner().set_workers(1);
-        // A unit's ingest mints its loop contexts under the kernel state
-        // lock, so while the test holds it no unit commits and the job
-        // cannot finish: the cancel below lands mid-run by ordering.
-        let minting = flor.state.lock();
         let handle = flor
             .submit_backfill_with("train.fl", &["acc"], 0, 1)
             .unwrap();
         // Wait for the replay to actually start, then cancel mid-flight.
+        // No unit takes the kernel state lock, so the cancel — which
+        // persists under the runner's ingest lock — runs on this thread.
         while handle.progress().ticks == 0 && !handle.state().is_terminal() {
             std::thread::yield_now();
         }
-        // The cancel persists under the runner's ingest lock, which a
-        // unit waiting to mint may hold: cancel from another thread, and
-        // let units go on once the cancel is visible.
-        let canceller = {
-            let handle = handle.clone();
-            std::thread::spawn(move || handle.cancel())
-        };
-        while handle.state() != JobState::Cancelled {
-            std::thread::yield_now();
-        }
-        drop(minting);
-        canceller.join().unwrap();
+        handle.cancel();
         let report = handle.wait();
         assert_eq!(handle.state(), JobState::Cancelled);
         assert!(report.versions.len() < 6, "not all versions ran");

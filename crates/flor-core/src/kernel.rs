@@ -16,6 +16,7 @@ use flor_view::ViewCatalog;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Values longer than this spill to `obj_store` (Fig. 1), leaving a stub in
@@ -46,8 +47,6 @@ pub(crate) struct KernelState {
     pub tstamp: i64,
     /// tstamp at which the current transaction window opened.
     pub ts_start: i64,
-    /// Next `ctx_id` to mint.
-    pub next_ctx: i64,
     /// Currently executing filename.
     pub filename: String,
     /// Stack of open loop contexts: `(ctx_id, loop_name)`.
@@ -77,6 +76,11 @@ pub struct Flor {
     /// [`Flor::submit_checkpoint`] WAL checkpoints) here.
     pub(crate) runner: JobRunner<JobOutcome>,
     pub(crate) state: Arc<Mutex<KernelState>>,
+    /// Next `ctx_id` to mint ([`Flor::mint_ctx`]): an atomic, not a
+    /// [`KernelState`] field, so a backfill unit mints its contexts
+    /// while the job runner holds its ingest lock without taking the
+    /// state lock, which the declared lock order places outside it.
+    next_ctx: Arc<AtomicI64>,
 }
 
 impl Flor {
@@ -164,7 +168,16 @@ impl Flor {
         let mut st = self.state.lock();
         st.tstamp = max_ts + 1;
         st.ts_start = max_ts + 1;
-        st.next_ctx = max_ctx + 1;
+        // audit: ordering — an id counter publishing no other data; the
+        // open that seeds it runs before any handle mints.
+        self.next_ctx.store(max_ctx + 1, Ordering::Relaxed);
+    }
+
+    /// A fresh `ctx_id`.
+    pub(crate) fn mint_ctx(&self) -> i64 {
+        // audit: ordering — an id counter publishing no other data: the
+        // read-modify-write alone makes every id distinct.
+        self.next_ctx.fetch_add(1, Ordering::Relaxed)
     }
 
     fn with_db(projid: &str, db: Database, workers: usize) -> Flor {
@@ -183,11 +196,11 @@ impl Flor {
             state: Arc::new(Mutex::new(KernelState {
                 tstamp: 1,
                 ts_start: 1,
-                next_ctx: 1,
                 filename: String::new(),
                 ctx_stack: Vec::new(),
                 cli_args: HashMap::new(),
             })),
+            next_ctx: Arc::new(AtomicI64::new(1)),
         }
     }
 
@@ -412,8 +425,7 @@ impl Flor {
     /// pushes the context. Pair with [`Flor::loop_end`].
     pub fn loop_iter(&self, loop_name: &str, iteration: usize, value: &Value) -> i64 {
         let mut st = self.state.lock();
-        let ctx_id = st.next_ctx;
-        st.next_ctx += 1;
+        let ctx_id = self.mint_ctx();
         let parent = st.ctx_stack.last().map(|(c, _)| *c).unwrap_or(0);
         let row = vec![
             Value::from(self.projid.as_str()),

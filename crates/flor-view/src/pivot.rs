@@ -55,6 +55,20 @@
 //! cells, and the `latest` and top-K cuts keep the keys those steps
 //! would keep.
 //!
+//! Those two cuts merge only **candidates**: before the merge, each
+//! fragment's per-name summaries ([`CutSummary`], made on first use and
+//! shared with the fragment) name the keys that can survive the cut
+//! ([`cut_candidates`]). `latest` merges the keys at their group's newest
+//! `tstamp` among each fragment's newest key per class (a key without
+//! its `tstamp`); top-K on a projected name merges each fragment's `n`
+//! best cells of that name plus every tie with the `n`-th, and the keys
+//! lacking the name when nulls sort first. A fragment contributes all
+//! its keys when it holds open keys, and to top-K every key at a `tstamp`
+//! another fragment's range also holds (after a backfill, say); every
+//! fragment does when the plan pushes a predicate. The full merge is the
+//! case where every key is a candidate: the same [`Merge`], cuts and
+//! [`Pivot::apply`] run over the candidates, so the frame is the same.
+//!
 //! The invariant, enforced by `tests/prop_pivot.rs` (a view caught up
 //! over one commit or many against a long-frame `DataFrame::pivot`
 //! reference)
@@ -500,6 +514,59 @@ struct NameFacts {
     open: Vec<(i64, usize)>,
     /// Per key that logged the name: its cell, in first-rid order.
     cells: Vec<KeyCell>,
+    /// The cells summarised for the `latest` and top-K cuts, made by the
+    /// first query that needs them ([`NameFacts::cut`]).
+    cut: OnceLock<CutSummary>,
+}
+
+impl NameFacts {
+    /// The name's [`CutSummary`] over the fragment's `keys`, made on
+    /// first use.
+    fn cut(&self, keys: &[FragKey]) -> &CutSummary {
+        self.cut.get_or_init(|| CutSummary::of(&self.cells, keys))
+    }
+}
+
+/// One name's cells of a fragment as the pushed cuts read them
+/// ([`cut_candidates`]). Neither depends on a plan, so every query
+/// shares them with the fragment.
+#[derive(Debug)]
+struct CutSummary {
+    /// Every cell, as a position in [`NameFacts::cells`], ordered by
+    /// value under `Value`'s order (ties in first-rid order).
+    sorted: Vec<usize>,
+    /// One cell per **class** — a key without its `tstamp`: its
+    /// `projid`, `filename` and loop cells — the cell of the class's key
+    /// with the largest `tstamp`. One class and `tstamp` are one key.
+    classes: Vec<usize>,
+}
+
+impl CutSummary {
+    fn of(cells: &[KeyCell], keys: &[FragKey]) -> CutSummary {
+        let mut sorted: Vec<usize> = (0..cells.len()).collect();
+        sorted.sort_by(|&a, &b| cells[a].value.cmp(&cells[b].value));
+        let key = |c: usize| &keys[cells[c].key];
+        let mut index = KeyIndex::default();
+        let mut classes: Vec<usize> = Vec::new();
+        for c in 0..cells.len() {
+            let k = key(c);
+            let mut h = DefaultHasher::new();
+            [&k.fixed[0], &k.fixed[2]].hash(&mut h);
+            h.write_u64(k.ctx.hash());
+            let (at, new) = index.find_or_add(h.finish(), |at| {
+                let other = key(classes[at]);
+                other.fixed[0] == k.fixed[0]
+                    && other.fixed[2] == k.fixed[2]
+                    && (Arc::ptr_eq(&other.ctx, &k.ctx) || other.ctx.same_cells(&k.ctx))
+            });
+            if new {
+                classes.push(c);
+            } else if k.fixed[1] > key(classes[at]).fixed[1] {
+                classes[at] = c;
+            }
+        }
+        CutSummary { sorted, classes }
+    }
 }
 
 /// One sealed `logs` segment pivoted once: the summary the store keeps
@@ -524,6 +591,9 @@ struct Fragment {
     /// [`LoopContexts::trusted_below`] reaches it resolves them the same
     /// way.
     needs: usize,
+    /// The smallest and the largest `tstamp` among the keys: a fragment
+    /// whose range overlaps no other fragment's shares no key with one.
+    tstamps: Option<(Value, Value)>,
 }
 
 impl Fragment {
@@ -571,6 +641,13 @@ impl Fragment {
                         if signature.is_none() {
                             out.open.push((out.keys.len(), id));
                         }
+                        let ts = row.fixed[1];
+                        let (lo, hi) = out.tstamps.get_or_insert_with(|| (ts.clone(), ts.clone()));
+                        if *ts < *lo {
+                            *lo = ts.clone();
+                        } else if *ts > *hi {
+                            *hi = ts.clone();
+                        }
                         out.keys.push(FragKey {
                             fixed: row.fixed.map(Value::clone),
                             ctx: Arc::clone(ctx),
@@ -590,6 +667,7 @@ impl Fragment {
                         signatures: Vec::new(),
                         open: Vec::new(),
                         cells: Vec::new(),
+                        cut: OnceLock::new(),
                     };
                     names.push((Value::from(name.as_ref()), facts));
                     slots.insert(name, names.len() - 1);
@@ -755,7 +833,7 @@ impl Pivot {
     pub(crate) fn catch_up(&mut self, delta: &Delta, names: &[Value]) -> DfResult<Vec<usize>> {
         self.discover(&delta.loops, [&delta.fragment], names)?;
         let mut merge = Merge::new(names);
-        merge.add(&delta.fragment, &delta.reopened, &[]);
+        merge.add(&delta.fragment, &delta.reopened, &[], None);
         self.apply(&merge, &merge.rows())
     }
 
@@ -985,18 +1063,30 @@ impl<'f> Merge<'f> {
     }
 
     /// Merge `frag`'s projected cells whose keys (its open ones as
-    /// `reopened`) pass every predicate of `store`; the keys in and out of
-    /// those predicates.
+    /// `reopened`) are among `only` (every key when `None`) and pass
+    /// every predicate of `store`; the keys in and out of those
+    /// predicates.
     fn add(
         &mut self,
         frag: &'f Fragment,
         reopened: &'f [FragKey],
         store: &[Predicate],
+        only: Option<&[usize]>,
     ) -> (usize, usize) {
         let (mut keys_in, mut keys_out) = (0, 0);
         // Per fragment key once met: its merged key, or `None` when a
-        // store predicate dropped it.
-        let mut merged: Vec<Option<Option<usize>>> = vec![None; frag.keys.len()];
+        // store predicate dropped it or `only` leaves it out.
+        let mut merged: Vec<Option<Option<usize>>> = match only {
+            None => vec![None; frag.keys.len()],
+            Some([]) => return (0, 0),
+            Some(keys) => {
+                let mut merged = vec![Some(None); frag.keys.len()];
+                for &k in keys {
+                    merged[k] = None;
+                }
+                merged
+            }
+        };
         for (n, name) in self.names.iter().enumerate() {
             for cell in frag.names.get(name).map_or(&[][..], |f| &f.cells) {
                 let met = *merged[cell.key].get_or_insert_with(|| {
@@ -1098,30 +1188,35 @@ fn retain(rows: &mut Vec<usize>, keep: impl FnMut(&usize) -> bool) -> (usize, us
 /// Keep the keys among `rows` that carry the maximum `tstamp` of their
 /// `group` — the keys `DataFrame::latest(group, "tstamp")` keeps.
 fn latest_cut(merge: &Merge<'_>, rows: &mut Vec<usize>, group: &[String]) -> (usize, usize) {
-    let key = |m: usize| merge.keys[m].0;
-    let cells = |m: usize| group.iter().map(move |g| key(m).cell(g));
+    let keys: Vec<&FragKey> = rows.iter().map(|&m| merge.keys[m].0).collect();
+    let mut keep = newest_in_group(&keys, group).into_iter();
+    retain(rows, |_| keep.next().unwrap_or(false))
+}
+
+/// Whether each of `keys` carries the maximum `tstamp` among the keys
+/// with its cells in the `group` columns.
+fn newest_in_group(keys: &[&FragKey], group: &[String]) -> Vec<bool> {
+    let cells = |k: usize| group.iter().map(move |g| keys[k].cell(g));
     let mut index = KeyIndex::default();
     // Per group: its first key and maximum `tstamp`.
     let mut groups: Vec<(usize, &Value)> = Vec::new();
-    let mut group_of = Vec::with_capacity(rows.len());
-    for &m in rows.iter() {
+    let mut group_of = Vec::with_capacity(keys.len());
+    for (k, key) in keys.iter().enumerate() {
         let mut h = DefaultHasher::new();
-        cells(m).for_each(|c| c.hash(&mut h));
-        let ts = &key(m).fixed[1];
-        let (g, new) = index.find_or_add(h.finish(), |g| cells(groups[g].0).eq(cells(m)));
+        cells(k).for_each(|c| c.hash(&mut h));
+        let ts = &key.fixed[1];
+        let (g, new) = index.find_or_add(h.finish(), |g| cells(groups[g].0).eq(cells(k)));
         if new {
-            groups.push((m, ts));
+            groups.push((k, ts));
         } else if ts > groups[g].1 {
             groups[g].1 = ts;
         }
         group_of.push(g);
     }
-    let mut group_of = group_of.into_iter();
-    retain(rows, |&m| {
-        group_of
-            .next()
-            .is_some_and(|g| key(m).fixed[1] == *groups[g].1)
-    })
+    keys.iter()
+        .zip(group_of)
+        .map(|(key, g)| key.fixed[1] == *groups[g].1)
+        .collect()
 }
 
 /// Keep the `n` keys among `rows` that `sort_by(order_by).head(n)` keeps:
@@ -1174,6 +1269,193 @@ fn top_k_cut(
     retain(rows, |_| keep.next().unwrap_or(false))
 }
 
+/// The keys of each fragment that a pushed `latest` or top-K cut can
+/// keep, picked from the fragments' [`CutSummary`]s before the merge:
+/// `None` for a fragment that contributes all its keys — one holding
+/// open keys, whose classes no summary knows — and `None` overall when
+/// no summary applies: the plan pushes a predicate, or neither cut
+/// below.
+/// - `latest`, no group column being `tstamp`: the keys at their group's
+///   newest `tstamp` among the fragments' class cells. A row at that
+///   `tstamp` is its class's newest in every fragment holding one of its
+///   cells, so each such fragment names it and all its cells merge.
+/// - top-K whose first sort column is a projected name: [`top_keys`] of
+///   each fragment.
+///
+/// The same cuts then run over the merged candidates, so the frame is
+/// the one the merge of every key gives.
+fn cut_candidates(
+    fragments: &[Arc<Fragment>],
+    names: &[Value],
+    push: &BelowPivot,
+    order_by: &[(String, bool)],
+) -> Option<Vec<Option<Vec<usize>>>> {
+    if !push.store.is_empty() || !push.key.is_empty() {
+        return None;
+    }
+    let mut out: Vec<Option<Vec<usize>>> = fragments
+        .iter()
+        .map(|f| f.open.is_empty().then(Vec::new))
+        .collect();
+    if let Some(group) = &push.latest {
+        if group.iter().any(|g| g == "tstamp") {
+            return None;
+        }
+        // Each summarised fragment's newest key per class and name.
+        let (mut found, mut keys): (Vec<(usize, usize)>, Vec<&FragKey>) = (Vec::new(), Vec::new());
+        for (f, frag) in fragments
+            .iter()
+            .enumerate()
+            .filter(|(f, _)| out[*f].is_some())
+        {
+            for facts in names.iter().filter_map(|n| frag.names.get(n)) {
+                for &c in &facts.cut(&frag.keys).classes {
+                    let k = facts.cells[c].key;
+                    found.push((f, k));
+                    keys.push(&frag.keys[k]);
+                }
+            }
+        }
+        let newest = newest_in_group(&keys, group);
+        for ((f, k), _) in found.into_iter().zip(newest).filter(|(_, newest)| *newest) {
+            out[f].iter_mut().for_each(|keys| keys.push(k));
+        }
+    } else {
+        let n = push.top_k?;
+        let (first, asc) = order_by.first()?;
+        let x = names.iter().position(|n| n.as_str() == Some(first))?;
+        let shared = shared_tstamps(fragments);
+        for (frag, keys) in fragments.iter().zip(&mut out) {
+            if let Some(keys) = keys {
+                *keys = top_keys(frag, names, x, *asc, n, &shared);
+            }
+        }
+    }
+    for keys in out.iter_mut().flatten() {
+        keys.sort_unstable();
+        keys.dedup();
+    }
+    Some(out)
+}
+
+/// The `tstamp`s that two or more fragments' ranges hold, as disjoint
+/// closed intervals in ascending order: only a key at one of them can
+/// have cells in two fragments (after a backfill, say, or where one
+/// run's keys straddle a segment boundary).
+fn shared_tstamps(fragments: &[Arc<Fragment>]) -> Vec<(&Value, &Value)> {
+    let ranges = fragments.iter().filter_map(|f| f.tstamps.as_ref());
+    let mut starts: Vec<&Value> = ranges.clone().map(|(lo, _)| lo).collect();
+    let mut ends: Vec<&Value> = ranges.map(|(_, hi)| hi).collect();
+    starts.sort_unstable();
+    ends.sort_unstable();
+    // Sweep the ranges' ends in order, a start before an equal end (the
+    // ranges are closed), tracking how many ranges hold the point.
+    let (mut out, mut from) = (Vec::new(), None);
+    let (mut s, mut depth) = (0, 0);
+    for end in ends {
+        while s < starts.len() && starts[s] <= end {
+            depth += 1;
+            if depth == 2 {
+                from = Some(starts[s]);
+            }
+            s += 1;
+        }
+        if depth == 2 {
+            out.extend(from.take().map(|from| (from, end)));
+        }
+        depth -= 1;
+    }
+    out
+}
+
+/// Whether `t` lies in one of the ascending disjoint closed `intervals`.
+fn within(intervals: &[(&Value, &Value)], t: &Value) -> bool {
+    let at = intervals.partition_point(|(_, hi)| *hi < t);
+    intervals.get(at).is_some_and(|(lo, _)| *lo <= t)
+}
+
+/// The keys of a fragment that can be among the `n` best rows by
+/// projected name `names[x]`, ascending or not. A key at a `shared`
+/// `tstamp` may have cells in another fragment, so it is always kept.
+/// Of the others, whose cells are all here, the `n` best are kept plus
+/// every tie with the `n`-th, where a key that holds another projected
+/// name but not this one ranks as null (`Value`'s least, so first when
+/// ascending). Any other key has `n` better rows.
+fn top_keys(
+    frag: &Fragment,
+    names: &[Value],
+    x: usize,
+    asc: bool,
+    n: usize,
+    shared: &[(&Value, &Value)],
+) -> Vec<usize> {
+    let shared: &[(&Value, &Value)] = match &frag.tstamps {
+        Some((lo, hi)) => {
+            let from = shared.partition_point(|(_, end)| *end < lo);
+            let to = shared.partition_point(|(start, _)| *start <= hi);
+            &shared[from..to.max(from)]
+        }
+        None => &[],
+    };
+    let mut own = vec![true; frag.keys.len()];
+    let mut out = Vec::new();
+    if !shared.is_empty() {
+        for (k, key) in frag.keys.iter().enumerate() {
+            if within(shared, &key.fixed[1]) {
+                own[k] = false;
+                out.push(k);
+            }
+        }
+    }
+    let facts = frag.names.get(&names[x]);
+    let cells: &[KeyCell] = facts.map_or(&[], |f| &f.cells);
+    let mut lacking = Vec::new();
+    if names.len() > 1 {
+        let mut seen = own.iter().map(|own| !own).collect::<Vec<_>>();
+        for cell in cells {
+            seen[cell.key] = true;
+        }
+        for cell in names
+            .iter()
+            .filter_map(|n| frag.names.get(n))
+            .flat_map(|f| &f.cells)
+        {
+            if !std::mem::replace(&mut seen[cell.key], true) {
+                lacking.push(cell.key);
+            }
+        }
+    }
+    let nulls = lacking.into_iter().map(|k| (&Value::Null, k));
+    let sorted: &[usize] = facts.map_or(&[], |f| &f.cut(&frag.keys).sorted);
+    let ranked = sorted
+        .iter()
+        .map(|&c| (&cells[c].value, cells[c].key))
+        .filter(|&(_, k)| own[k]);
+    out.extend(if asc {
+        best(nulls.chain(ranked), n)
+    } else {
+        best(ranked.rev().chain(nulls), n)
+    });
+    out
+}
+
+/// The keys of the first `n` of `ranked` and of every later one whose
+/// value ties with the `n`-th's.
+fn best<'v>(ranked: impl Iterator<Item = (&'v Value, usize)>, n: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut nth = None;
+    for (value, key) in ranked {
+        if out.len() >= n && nth != Some(value) {
+            break;
+        }
+        if out.len() + 1 == n {
+            nth = Some(value);
+        }
+        out.push(key);
+    }
+    out
+}
+
 /// The projected `names`, each once, in order.
 pub(crate) fn projected(names: &[String]) -> Vec<Value> {
     let mut out: Vec<Value> = Vec::with_capacity(names.len());
@@ -1205,6 +1487,17 @@ pub(crate) fn projected(names: &[String]) -> Vec<Value> {
 /// those of every projected row ([`Pivot::discover`]), so a reduced
 /// frame has the full pivot's. A plan whose pushed columns the schema
 /// pass cannot place ([`admits`]) pushes nothing.
+///
+/// With no predicate pushed, a `latest` cut (no group column `tstamp`)
+/// or a top-K cut whose first sort column is a projected name merges
+/// only the candidate keys the fragments' summaries name
+/// ([`cut_candidates`]): for `latest`, the keys at their group's newest
+/// `tstamp` among each fragment's newest key per class and name; for
+/// top-K, each fragment's `n` best cells plus ties with the `n`-th (and
+/// the keys lacking the name, when nulls sort first). A fragment holding
+/// open keys contributes all of them, and so, to top-K, does every key at
+/// a `tstamp` two fragments' ranges share; a pushed predicate makes
+/// every key a candidate.
 ///
 /// `tr` records the child spans `store.scan` (contexts and fragments)
 /// and `pivot` (the merge and the frame), with each step's counts as
@@ -1240,6 +1533,7 @@ pub(crate) fn pivot_at(
         segments: (0, fragments.len()),
         fragments: (made.get(), rows),
         store_predicates: None,
+        cut_summaries: None,
         merge: (0, 0),
         key_predicates: None,
         latest_cut: None,
@@ -1267,16 +1561,22 @@ pub(crate) fn pivot_at(
         BelowPivot::default()
     };
     let reopened: Vec<Vec<FragKey>> = fragments.iter().map(|f| f.reopen(&loops)).collect();
+    let candidates = cut_candidates(&fragments, &names, &push, &plan.order_by);
+    if let Some(candidates) = &candidates {
+        let kept = candidates.iter().flatten();
+        explain.cut_summaries = Some((kept.clone().count(), kept.map(Vec::len).sum()));
+    }
     let mut merge = Merge::new(&names);
     let mut store = (0, 0);
     let admitted = snap.zone_admits("logs", &push.store)?;
-    for ((frag, reopened), _) in fragments
+    for (f, (frag, reopened)) in fragments
         .iter()
         .zip(&reopened)
-        .zip(admitted)
-        .filter(|(_, admits)| *admits)
+        .enumerate()
+        .filter(|(f, _)| admitted[*f])
     {
-        let (keys_in, keys_out) = merge.add(frag, reopened, &push.store);
+        let only = candidates.as_ref().and_then(|c| c[f].as_deref());
+        let (keys_in, keys_out) = merge.add(frag, reopened, &push.store, only);
         explain.segments.0 += 1;
         (store.0, store.1) = (store.0 + keys_in, store.1 + keys_out);
     }
@@ -1337,7 +1637,7 @@ pub fn execute_at(
     let out = plan.post_pass(&base, &plan.predicates, true)?;
     let rows = (base.n_rows(), out.n_rows());
     explain.post_pass = Some(rows);
-    tr.event(|| step_line(("post-pass", "rows", "rows", rows)));
+    tr.event(|| step_line(("post-pass", "rows in", "rows out", rows)));
     tr.end(pp);
     Ok((out, explain))
 }
@@ -1361,6 +1661,10 @@ pub struct PlanExplain {
     /// Keys into and out of the `projid` / `tstamp` / `filename`
     /// predicates: each merged fragment's keys with a projected cell.
     pub store_predicates: Option<(usize, usize)>,
+    /// Fragments whose keys a pushed `latest` or top-K cut picked from
+    /// their per-name summaries before the merge, and the keys it kept
+    /// of them; `None` when every fragment's keys were merged.
+    pub cut_summaries: Option<(usize, usize)>,
     /// Fragment keys into the merge, distinct keys out.
     pub merge: (usize, usize),
     /// Keys into and out of the key predicates.
@@ -1379,29 +1683,31 @@ impl PlanExplain {
     /// The steps that ran, with what goes in and out of each — the
     /// report's tail and the trace's span events.
     fn steps(&self) -> impl Iterator<Item = Step> {
-        let keys = |step, rows: Option<(usize, usize)>| Some((step, "keys", "keys", rows?));
+        let keys = |step, rows: Option<(usize, usize)>| Some((step, "keys in", "keys out", rows?));
         [
             keys("store predicates", self.store_predicates),
+            self.cut_summaries
+                .map(|kept| ("cut summaries", "fragments", "keys kept", kept)),
             keys("merge", Some(self.merge)),
             keys("key predicates", self.key_predicates),
             keys("latest cut", self.latest_cut),
             keys("top-K cut", self.top_k_cut),
-            Some(("pivot", "cells", "rows", self.pivot)),
+            Some(("pivot", "cells in", "rows out", self.pivot)),
             self.post_pass
-                .map(|rows| ("post-pass", "rows", "rows", rows)),
+                .map(|rows| ("post-pass", "rows in", "rows out", rows)),
         ]
         .into_iter()
         .flatten()
     }
 }
 
-/// One step of a [`PlanExplain`]: its name, what goes in and what comes
-/// out, and how many of each.
+/// One step of a [`PlanExplain`]: its name, the two things it counts,
+/// and how many of each.
 type Step = (&'static str, &'static str, &'static str, (usize, usize));
 
 /// One step of a [`PlanExplain`], as rendered and traced.
-fn step_line((step, unit_in, unit_out, (n_in, n_out)): Step) -> String {
-    format!("{step}: {n_in} {unit_in} in, {n_out} {unit_out} out")
+fn step_line((step, first, second, (n_first, n_second)): Step) -> String {
+    format!("{step}: {n_first} {first}, {n_second} {second}")
 }
 
 impl std::fmt::Display for PlanExplain {
@@ -1474,8 +1780,8 @@ mod tests {
         );
         let names = [Value::from("loss")];
         let mut merge = Merge::new(&names);
-        merge.add(&later, &[], &[]);
-        merge.add(&earlier, &[], &[]);
+        merge.add(&later, &[], &[], None);
+        merge.add(&earlier, &[], &[], None);
         let rows = merge.rows();
         let cells: Vec<(&Value, &Value)> = rows
             .iter()

@@ -25,8 +25,8 @@
 //! | predicates on [`FIXED_COLS`] | post-pass | on each key's fixed cells as the fragments merge; a fragment whose fixed cells none can match adds only its columns |
 //! | predicates on loop dimensions | post-pass | on each merged key's loop cells, before the frame is built |
 //! | predicates on value columns | post-pass | post-pass |
-//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut over the merged keys when the group is index columns and every predicate ran below the pivot |
-//! | `order_by` + `limit` | post-pass | top-K cut over the merged keys when every earlier step ran below the pivot |
+//! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut over the merged keys when the group is index columns and every predicate ran below the pivot; with no predicate, only the keys the fragments' summaries name as newest are merged |
+//! | `order_by` + `limit` | post-pass | top-K cut over the merged keys when every earlier step ran below the pivot; with no predicate and a projected name as first sort key, only each fragment's best keys (and keys another fragment may hold) are merged |
 //!
 //! A column the lowering cannot place from the plan alone (a dimension
 //! the history never logged) makes the snapshot pivot push nothing.

@@ -718,76 +718,217 @@ proptest! {
         steps in proptest::collection::vec(arb_raw_step(), 1..24),
         plans in proptest::collection::vec(arb_pushed_plan(), 1..4),
     ) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let wal = std::env::temp_dir().join(format!(
-            "flor-prop-raw-{}-{}.wal",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let sidecar = flor_store::checkpoint::sidecar_path(&wal);
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&sidecar);
-        let mut flor = Flor::open("prop", &wal).unwrap();
-        let mut pins: Vec<Snapshot> = Vec::new();
-        for (i, step) in steps.iter().enumerate() {
-            match step {
-                RawStep::Kernel(ops) => flor = drive(flor, ops),
-                RawStep::Loop { ctx, parent, name, iteration } => {
-                    let row = vec![
-                        "prop".into(),
-                        Value::Int(1),
-                        "session.fl".into(),
-                        Value::Int(*ctx),
-                        Value::Int(*parent),
-                        LOOPS[*name].into(),
-                        Value::Int(*iteration),
-                        Value::from(iteration.to_string()),
-                    ];
-                    flor.db.insert("loops", row).unwrap();
+        drive_raw(&steps, |i| i as i64, |flor, snap, when| {
+            executed_equals_posthoc(flor, snap, &plans, when)
+        });
+    }
+}
+
+/// Run `steps` on a fresh durable kernel, calling `check` on the newest
+/// snapshot and on every pin at each [`RawStep::Check`] and at the end.
+/// The raw `logs` row of step `i` logs `value(i)`; consecutive ones
+/// commit together, as one segment.
+fn drive_raw(
+    steps: &[RawStep],
+    value: impl Fn(usize) -> i64,
+    check: impl Fn(&Flor, &Snapshot, &str),
+) {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let wal = std::env::temp_dir().join(format!(
+        "flor-prop-raw-{}-{}.wal",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let sidecar = flor_store::checkpoint::sidecar_path(&wal);
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(&sidecar);
+    let mut flor = Flor::open("prop", &wal).unwrap();
+    let mut pins: Vec<Snapshot> = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        match step {
+            RawStep::Kernel(ops) => flor = drive(flor, ops),
+            RawStep::Loop {
+                ctx,
+                parent,
+                name,
+                iteration,
+            } => {
+                let row = vec![
+                    "prop".into(),
+                    Value::Int(1),
+                    "session.fl".into(),
+                    Value::Int(*ctx),
+                    Value::Int(*parent),
+                    LOOPS[*name].into(),
+                    Value::Int(*iteration),
+                    Value::from(iteration.to_string()),
+                ];
+                flor.db.insert("loops", row).unwrap();
+                flor.db.commit().unwrap();
+            }
+            RawStep::Log { ctx, name, tstamp } => {
+                let row = vec![
+                    "prop".into(),
+                    Value::Int(*tstamp),
+                    "session.fl".into(),
+                    Value::Int(*ctx),
+                    NAMES[*name].into(),
+                    Value::from(value(i).to_string()),
+                    Value::Int(flor_df::DataType::Int.tag()),
+                ];
+                flor.db.insert("logs", row).unwrap();
+                if !matches!(steps.get(i + 1), Some(RawStep::Log { .. })) {
                     flor.db.commit().unwrap();
                 }
-                RawStep::Log { ctx, name, tstamp } => {
-                    let row = vec![
-                        "prop".into(),
-                        Value::Int(*tstamp),
-                        "session.fl".into(),
-                        Value::Int(*ctx),
-                        NAMES[*name].into(),
-                        Value::from(format!("{i}")),
-                        Value::Int(flor_df::DataType::Int.tag()),
-                    ];
-                    flor.db.insert("logs", row).unwrap();
-                    flor.db.commit().unwrap();
-                }
-                RawStep::Compact => {
-                    let small = CompactionPolicy {
-                        target_segment_rows: 3,
-                        ..CompactionPolicy::default()
-                    };
-                    flor.db.compact_with(&small).unwrap();
-                }
-                RawStep::Reopen => {
-                    pins.clear();
-                    flor.checkpoint().unwrap();
-                    drop(flor);
-                    flor = Flor::open("prop", &wal).unwrap();
-                }
-                RawStep::Pin => pins.push(flor.db.pin()),
-                RawStep::Check => {
-                    executed_equals_posthoc(&flor, &flor.db.pin(), &plans, &format!("step {i}"));
-                    for (p, snap) in pins.iter().enumerate() {
-                        executed_equals_posthoc(&flor, snap, &plans, &format!("step {i}, pin {p}"));
-                    }
+            }
+            RawStep::Compact => {
+                let small = CompactionPolicy {
+                    target_segment_rows: 3,
+                    ..CompactionPolicy::default()
+                };
+                flor.db.compact_with(&small).unwrap();
+            }
+            RawStep::Reopen => {
+                pins.clear();
+                flor.checkpoint().unwrap();
+                drop(flor);
+                flor = Flor::open("prop", &wal).unwrap();
+            }
+            RawStep::Pin => pins.push(flor.db.pin()),
+            RawStep::Check => {
+                check(&flor, &flor.db.pin(), &format!("step {i}"));
+                for (p, snap) in pins.iter().enumerate() {
+                    check(&flor, snap, &format!("step {i}, pin {p}"));
                 }
             }
         }
-        executed_equals_posthoc(&flor, &flor.db.pin(), &plans, "at the end");
-        for snap in &pins {
-            executed_equals_posthoc(&flor, snap, &plans, "a pin, at the end");
+    }
+    check(&flor, &flor.db.pin(), "at the end");
+    for snap in &pins {
+        check(&flor, snap, "a pin, at the end");
+    }
+    drop(pins);
+    drop(flor);
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(&sidecar);
+}
+
+/// Kernel ops that log from a small domain — repeated values, NaN and
+/// nulls — so top-K boundaries tie across fragments.
+fn arb_tied_op() -> impl Strategy<Value = Op> {
+    let value = prop_oneof![
+        Just(Value::Int(0)),
+        Just(Value::Int(1)),
+        Just(Value::Float(0.5)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Null),
+    ];
+    prop_oneof![
+        6 => (0usize..NAMES.len(), value).prop_map(|(i, v)| Op::Log(i, v)),
+        2 => (0usize..LOOPS.len(), 0usize..2).prop_map(|(i, it)| Op::LoopPush(i, it)),
+        2 => Just(Op::LoopPop),
+        2 => Just(Op::Commit),
+    ]
+}
+
+/// [`arb_raw_step`]'s histories — 3-row compactions, raw logs at old
+/// `tstamp`s, late parents, redefined `ctx_id`s — with more tied values
+/// and bursts of raw logs, which [`drive_raw`] commits together: one
+/// fragment of keys at old `tstamp`s, some of them keys other fragments
+/// hold. The property logs 0 and 1 in turn there, so cells tie.
+fn arb_cut_steps() -> impl Strategy<Value = Vec<RawStep>> {
+    let log = (0i64..12, 0usize..NAMES.len(), 1i64..4)
+        .prop_map(|(ctx, name, tstamp)| RawStep::Log { ctx, name, tstamp });
+    let steps = prop_oneof![
+        3 => arb_raw_step().prop_map(|step| vec![step]),
+        2 => proptest::collection::vec(arb_tied_op(), 0..8)
+            .prop_map(|ops| vec![RawStep::Kernel(ops)]),
+        1 => proptest::collection::vec(log, 2..6),
+    ];
+    proptest::collection::vec(steps, 1..16).prop_map(|steps| steps.concat())
+}
+
+/// Predicate-free plans whose cut reads the fragments' summaries:
+/// `latest` over the empty group, `projid`, and `filename` +
+/// `page_iteration`; top-K ascending and descending on a projected name,
+/// in projections where some keys lack that name.
+fn arb_cut_plan() -> impl Strategy<Value = QueryPlan> {
+    let names = prop_oneof![
+        Just(vec!["loss"]),
+        Just(vec!["loss", "acc", "note"]),
+        Just(vec!["acc", "loss"]),
+        Just(vec!["note", "acc"]),
+    ];
+    let group = prop_oneof![
+        Just(Vec::new()),
+        Just(vec!["projid"]),
+        Just(vec!["filename", "page_iteration"]),
+    ];
+    let latest = (names.clone(), group).prop_map(|(names, group)| QueryPlan {
+        latest_group: Some(group.into_iter().map(String::from).collect()),
+        ..QueryPlan::new(&names)
+    });
+    let then = prop_oneof![
+        Just(None),
+        Just(Some(("tstamp", false))),
+        Just(Some(("acc", true))),
+    ];
+    let top_k =
+        (names, 0usize..3, any::<bool>(), then, 0usize..6).prop_map(|(names, at, asc, then, n)| {
+            let first = (names[at % names.len()].to_string(), asc);
+            let rest = then.map(|(c, asc)| (c.to_string(), asc));
+            QueryPlan {
+                order_by: std::iter::once(first).chain(rest).collect(),
+                limit: Some(n),
+                ..QueryPlan::new(&names)
+            }
+        });
+    prop_oneof![latest, top_k]
+}
+
+/// [`executed_equals_posthoc`], and every plan whose cut ran below the
+/// pivot read the fragments' summaries to do it.
+fn summarised_equals_posthoc(flor: &Flor, snap: &Snapshot, plans: &[QueryPlan], when: &str) {
+    executed_equals_posthoc(flor, snap, plans, when);
+    for plan in plans {
+        let mut inert = flor_obs::ActiveTrace::new(false, None, "");
+        if let Ok((_, ex)) = flor.execute_at(snap, plan, &mut inert) {
+            let cut = ex.latest_cut.is_some() || ex.top_k_cut.is_some();
+            assert_eq!(cut, ex.cut_summaries.is_some(), "{when}: {plan:?}\n{ex}");
         }
-        drop(pins);
-        drop(flor);
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(&sidecar);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The `latest` and top-K cuts that merge only the keys their
+    /// fragments' summaries say can survive equal the post-hoc oracle,
+    /// on the newest snapshot and on every pin, across every history
+    /// [`arb_cut_steps`] makes.
+    #[test]
+    fn cut_summaries_equal_posthoc(
+        steps in arb_cut_steps(),
+        plans in proptest::collection::vec(arb_cut_plan(), 1..5),
+    ) {
+        drive_raw(&steps, |i| (i % 2) as i64, |flor, snap, when| {
+            summarised_equals_posthoc(flor, snap, &plans, when)
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// [`cut_summaries_equal_posthoc`] as a soak: run with `--ignored`.
+    #[test]
+    #[ignore]
+    fn cut_summaries_equal_posthoc_soak(
+        steps in arb_cut_steps(),
+        plans in proptest::collection::vec(arb_cut_plan(), 1..5),
+    ) {
+        drive_raw(&steps, |i| (i % 2) as i64, |flor, snap, when| {
+            summarised_equals_posthoc(flor, snap, &plans, when)
+        });
     }
 }

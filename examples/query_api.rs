@@ -7,7 +7,9 @@
 //! cell while the builder path skips re-pivoting the world per request:
 //! every read of the same names, filtered or not, shares one build, and
 //! the from-scratch executor pivots each sealed `logs` segment once, so a
-//! fresh snapshot after a commit pivots only that commit's rows.
+//! fresh snapshot after a commit pivots only that commit's rows, and an
+//! unfiltered top-5 merges only the keys each segment's summaries say can
+//! be among the best.
 //!
 //! Run with `cargo run --release --example query_api`.
 
@@ -91,6 +93,31 @@ fn main() {
         .unwrap()
         .head(5);
     assert_eq!(fresh, by_hand);
+
+    // An unfiltered question: the 5 best-loss epochs of all history. The
+    // top-K cut reads each fragment's `loss` cells in value order and
+    // merges its 5 best keys, plus the keys of a run whose rows straddle
+    // two segments (both fragments hold them), not all 3,000 keys.
+    let best = || {
+        flor.query(&["loss", "acc", "arg::lr"])
+            .order_by("loss", true)
+            .limit(5)
+    };
+    let (top, explain) = flor
+        .execute_at(&flor.db.pin(), &best().into_plan(), &mut inert)
+        .unwrap();
+    let sorted = flor
+        .query(&["loss", "acc", "arg::lr"])
+        .collect_full()
+        .unwrap()
+        .sort_by(&[("loss", true)])
+        .unwrap()
+        .head(5);
+    assert_eq!(top, sorted);
+    let (fragments, kept) = explain.cut_summaries.expect("the cut read the summaries");
+    assert!(kept <= 5 * fragments + 10 * (fragments - 1), "{explain}");
+    assert_eq!(explain.merge.0, kept, "{explain}");
+    println!("\nthe 5 best-loss epochs of all history:\n{explain}");
 
     println!("full pivot + hand filter : {legacy_time:>10.1?}");
     println!("flor.query, cold build   : {cold_time:>10.1?}");
