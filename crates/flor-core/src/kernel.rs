@@ -24,7 +24,9 @@ use std::sync::Arc;
 pub const BLOB_SPILL_BYTES: usize = 4096;
 
 /// How many materialized views a kernel's catalog keeps before LRU
-/// eviction kicks in.
+/// eviction kicks in. Embedded reads ([`Flor::dataframe`],
+/// [`Flor::run_plan`]) and the projections `flor-serve` answers from the
+/// catalog (plans with nothing below the pivot) share these slots.
 pub const VIEW_CACHE_CAPACITY: usize = 8;
 
 /// Default background-job worker-pool size (per-version backfill units
@@ -69,7 +71,9 @@ pub struct Flor {
     pub projid: String,
     /// Incrementally maintained dataframe views (see [`flor_view`]):
     /// [`Flor::dataframe`] serves from here, applying the rows new
-    /// commits added instead of re-pivoting history on every call.
+    /// commits added instead of re-pivoting history on every call, and
+    /// so does `flor-serve` for a session's plan with nothing below the
+    /// pivot ([`ViewCatalog::plan_at`]).
     pub views: ViewCatalog,
     /// The background-job control plane (see [`flor_jobs`]):
     /// [`Flor::submit_backfill`] schedules per-version replay units (and

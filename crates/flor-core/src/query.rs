@@ -22,10 +22,14 @@
 //! read) by rid instead of fetching and re-pivoting rows, and runs index
 //! predicates and the `latest` / top-K cuts over the merged keys
 //! ([`QueryPlan::below_pivot`]; the table in [`flor_view::plan`] says
-//! which step runs where). It is both the oracle every incremental
-//! answer is checked against and the path `flor-serve` answers sessions
-//! with, and it reports the fragments it merged and made and every
-//! step's counts in and out as a [`PlanExplain`]. Both take tracing as an
+//! which step runs where). It is the oracle every incremental answer is
+//! checked against, and it reports the fragments it merged and made and
+//! every step's counts in and out as a [`PlanExplain`]. `flor-serve`
+//! answers a session's plan through the catalog too when nothing of it
+//! runs below the pivot ([`flor_view::ViewCatalog::plan_at`], caught up
+//! to the session's snapshot), and through [`Flor::execute_at`] when
+//! something does or the catalog already stands past the session's
+//! epoch. Both take tracing as an
 //! [`ActiveTrace`] handle that is inert when tracing and the slow log
 //! are off, so neither has a traced twin.
 //!
@@ -259,9 +263,10 @@ impl Flor {
     /// snapshot pivot, with the plan's steps below the pivot, then the
     /// whole post-pass. Every read is of `snap`, so the frame reflects
     /// exactly `snap.epoch()` no matter how many commits land meanwhile.
-    /// This is how `flor-serve` answers every request of a session at
-    /// the epoch the session pinned: byte-identical to what
-    /// [`Flor::run_plan_full`] would have returned at that moment.
+    /// This is how `flor-serve` answers a session's plan that pushes a
+    /// step below the pivot, or any plan of a session pinned behind the
+    /// view catalog, at the epoch the session pinned: byte-identical to
+    /// what [`Flor::run_plan_full`] would have returned at that moment.
     ///
     /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
     /// when one runs, with each step's rows in and out as span events —

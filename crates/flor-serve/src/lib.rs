@@ -10,9 +10,14 @@
 //! The core guarantee: **every request is served from a pinned
 //! snapshot**. A session pins the current epoch at handshake
 //! ([`flor_store::Database::pin`] — O(1), lock-free) and all its queries
-//! execute at exactly that epoch via [`Flor::execute_at`] — the
+//! are answered at exactly that epoch. A plan with nothing below the
+//! pivot (a projection plus a post-pass) reads the kernel's maintained
+//! view of its projection ([`flor_view::ViewCatalog::plan_at`]), caught
+//! up to the session's snapshot and encoded straight from the shared
+//! frame; a plan that pushes a step, or any plan of a session pinned
+//! behind the catalog's epoch, runs on [`Flor::execute_at`] — the
 //! kernel's one from-scratch executor, the same body the oracle suites
-//! call as `run_plan_at`/`run_plan_full` — so results
+//! call as `run_plan_at`/`run_plan_full`. Either way results
 //! are repeatable and byte-identical to a local `collect_full` at the
 //! same epoch, no matter how many commits land while the session is
 //! open. `Pin` re-pins on demand. A narrow plan costs what it selects,
@@ -43,14 +48,16 @@
 //! originate a trace context ([`client::Client::query_traced`] wraps the
 //! query in [`protocol::Request::Traced`]); the server then records a
 //! hierarchical [`flor_obs::Trace`] — middleware verdicts, gate
-//! admission, plan execution down to the fragments merged and made —
-//! into the served registry's
+//! admission, plan execution down to the fragments merged and made, or
+//! a `view.plan` span saying how a maintained view was reached — into
+//! the served registry's
 //! [`flor_obs::TraceStore`], retrievable over the wire with the
 //! `Traces` verb. Requests that exceed the registry's slow-query
 //! threshold are captured with their whole-plan explain report
 //! ([`flor_core::PlanExplain`]: the `logs` fragments merged and made,
 //! then counts into and out of the store and key predicates, the merge,
-//! the `latest` and top-K cuts, the pivot and the post-pass;
+//! the `latest` and top-K cuts, the pivot and the post-pass — or, for a
+//! view answer, the view and the epoch it was read at;
 //! `SlowQueries` verb), and the `Health` verb answers a
 //! [`protocol::HealthReport`]:
 //! epoch, WAL position, checkpoint/compaction counts, session and
@@ -97,7 +104,7 @@ pub mod server;
 pub mod session;
 
 pub use client::{Client, ServeError};
-pub use middleware::{AuthToken, Middleware, RateLimit, RequestLog};
+pub use middleware::{AuthToken, Middleware, Outcome, RateLimit, RequestLog};
 pub use protocol::{
     ErrorCode, HealthReport, Request, Response, WireError, DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,

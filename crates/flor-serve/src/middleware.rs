@@ -1,8 +1,9 @@
 //! Composable server middleware: auth, per-session admission, request
 //! logging into `flor-obs`.
 //!
-//! A [`Middleware`] sees every request before it executes and every
-//! response after. `on_request` can veto with a ready-made
+//! A [`Middleware`] sees every request before it executes and how each
+//! one ended after ([`Outcome`]: answered, or the error code and
+//! message sent). `on_request` can veto with a ready-made
 //! [`Response::Error`] — the server sends it and (for auth failures)
 //! drops the connection; execution never starts. Middlewares compose as
 //! an ordered stack: the first veto wins, and `on_response` runs for
@@ -14,6 +15,22 @@ use flor_obs::{Counter, Histogram, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How a request ended, as [`Middleware::on_response`] sees it. A
+/// middleware reads no result frame, so the server can answer from a
+/// frame it shares (a maintained view) without building a [`Response`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome<'a> {
+    /// Answered.
+    Ok,
+    /// Answered with [`Response::Error`].
+    Error {
+        /// Machine-readable code.
+        code: ErrorCode,
+        /// Human-readable detail.
+        message: &'a str,
+    },
+}
 
 /// A server hook. Implement one or both methods.
 pub trait Middleware: Send + Sync {
@@ -29,12 +46,12 @@ pub trait Middleware: Send + Sync {
         Ok(())
     }
 
-    /// Observe a completed request and its response.
+    /// Observe a completed request and how it ended.
     fn on_response(
         &self,
         _session: &Session,
         _req: &Request,
-        _resp: &Response,
+        _outcome: Outcome<'_>,
         _elapsed: Duration,
     ) {
     }
@@ -167,14 +184,20 @@ impl Middleware for RequestLog {
         "request-log"
     }
 
-    fn on_response(&self, session: &Session, req: &Request, resp: &Response, elapsed: Duration) {
+    fn on_response(
+        &self,
+        session: &Session,
+        req: &Request,
+        outcome: Outcome<'_>,
+        elapsed: Duration,
+    ) {
         self.requests.inc();
         self.nanos
             .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         self.registry
             .counter(&format!("serve.verb.{}", req.verb()))
             .inc();
-        if let Response::Error { code, message } = resp {
+        if let Outcome::Error { code, message } = outcome {
             self.errors.inc();
             self.registry.event_at(
                 flor_obs::Level::Warn,
@@ -247,18 +270,13 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mw = RequestLog::new(reg.clone());
         let sess = session();
-        mw.on_response(
-            &sess,
-            &Request::Pin,
-            &Response::Pinned { epoch: 1 },
-            Duration::from_micros(5),
-        );
+        mw.on_response(&sess, &Request::Pin, Outcome::Ok, Duration::from_micros(5));
         mw.on_response(
             &sess,
             &Request::Epoch,
-            &Response::Error {
+            Outcome::Error {
                 code: ErrorCode::Busy,
-                message: "full".into(),
+                message: "full",
             },
             Duration::from_micros(5),
         );

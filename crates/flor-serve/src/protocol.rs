@@ -520,11 +520,7 @@ impl Response {
                 buf.put_u16(*version);
                 buf.put_u64(*epoch);
             }
-            Response::Frame { epoch, df } => {
-                buf.push(2);
-                buf.put_u64(*epoch);
-                encode_frame(df, &mut buf);
-            }
+            Response::Frame { epoch, df } => return Response::encode_frame_ref(*epoch, df),
             Response::Pinned { epoch } => {
                 buf.push(3);
                 buf.put_u64(*epoch);
@@ -562,6 +558,16 @@ impl Response {
                 }
             }
         }
+        buf
+    }
+
+    /// The payload of `Response::Frame { epoch, df }` from a borrowed
+    /// frame — what a server sends for a frame it shares with others
+    /// (a maintained view) instead of owning.
+    pub fn encode_frame_ref(epoch: u64, df: &DataFrame) -> Vec<u8> {
+        let mut buf = vec![2];
+        buf.put_u64(epoch);
+        encode_frame(df, &mut buf);
         buf
     }
 

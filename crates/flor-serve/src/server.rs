@@ -6,19 +6,27 @@
 //! [`ServerConfig::max_sessions`] live connections (excess connections
 //! get a typed `Busy` error and are closed); each admitted connection is
 //! served by its own thread, and a global [`Gate`] additionally bounds
-//! how many requests *execute* at once. Every session's queries run
-//! against the snapshot pinned at handshake (or last `Pin`), via
-//! [`Flor::execute_at`] — lock-free reads, so a committing writer in
-//! the same process never blocks serving. The request loop has one
-//! path: it builds one [`ActiveTrace`] per request — inert unless
-//! tracing is on or the slow log is armed — and hands it to every stage.
+//! how many requests *execute* at once. Every session's queries are
+//! answered at the snapshot pinned at handshake (or last `Pin`). A plan
+//! with nothing below the pivot ([`QueryPlan::below_pivot`]) is read
+//! from the kernel's maintained views ([`flor_view::ViewCatalog::plan_at`]),
+//! caught up to the session's snapshot and shared by `Arc`, not copied:
+//! that read takes the `view_catalog` lock, which a view build or
+//! catch-up holds across its store reads, and the server enters it
+//! holding no lock of its own. Such a plan from a session pinned behind
+//! the catalog's epoch, and every plan that pushes a step below the
+//! pivot, runs on [`Flor::execute_at`] — lock-free reads, so a
+//! committing writer in the same process never blocks it. Both paths
+//! answer the same bytes. The request loop has one path: it builds one
+//! [`ActiveTrace`] per request — inert unless tracing is on or the slow
+//! log is armed — and hands it to every stage.
 //!
 //! When the served handle is a follower ([`Flor::open_follower`]), the
 //! server calls [`Flor::poll_follower`] once before it starts serving,
 //! then on a poll thread every [`ServerConfig::follower_poll`], which
 //! bounds the follower's staleness by that interval.
 
-use crate::middleware::Middleware;
+use crate::middleware::{Middleware, Outcome};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, HealthReport, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -26,6 +34,7 @@ use crate::protocol::{
 use crate::session::{Gate, Session};
 use flor_core::{Flor, PlanExplain};
 use flor_obs::{unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord};
+use flor_view::{QueryPlan, ViewAnswer};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -471,31 +480,32 @@ fn request_loop(
             None => "busy: in-flight limit reached",
         });
         tr.end(gate_span);
-        let resp = match permit {
+        let reply = match permit {
             None => {
                 shared.metrics.busy.inc();
-                Response::Error {
+                Reply::Owned(Response::Error {
                     code: ErrorCode::Busy,
                     message: "too many in-flight requests; retry later".into(),
-                }
+                })
             }
             Some(permit) => {
                 shared.metrics.in_flight.add(1);
                 let ex_span = tr.begin("execute");
-                let (resp, ex) = execute(shared, session, &req, &mut tr);
+                let (reply, ex) = execute(shared, session, &req, &mut tr);
                 explain = ex;
                 tr.end(ex_span);
                 shared.metrics.in_flight.add(-1);
                 drop(permit);
-                resp
+                reply
             }
         };
         session.requests += 1;
-        if let Response::Error { code, .. } = &resp {
-            shared.metrics.on_error(*code);
+        let outcome = reply.outcome();
+        if let Outcome::Error { code, .. } = outcome {
+            shared.metrics.on_error(code);
         }
         for mw in &shared.middleware {
-            mw.on_response(session, &req, &resp, start.elapsed());
+            mw.on_response(session, &req, outcome, start.elapsed());
         }
         // Publish the trace, and capture a slow-query record when a
         // Query breached the armed threshold — the measured explain
@@ -509,15 +519,20 @@ fn request_loop(
                     trace: Arc::unwrap_or_clone(trace),
                     verb: "query".into(),
                     plan: format!("{:?}", plan.names),
-                    explain: explain.map(|e| e.to_string()).unwrap_or_default(),
+                    explain: match &reply {
+                        Reply::View(view) => {
+                            format!("view pivot[{}]: {view}", plan.names.join(","))
+                        }
+                        Reply::Owned(_) => explain.map(|e| e.to_string()).unwrap_or_default(),
+                    },
                     total_nanos: total,
                     threshold_nanos: threshold,
                     at_unix_micros: unix_micros(),
                 });
             }
         }
-        let bye = matches!(resp, Response::Bye);
-        write_frame(writer, &resp.encode())?;
+        let bye = matches!(reply, Reply::Owned(Response::Bye));
+        write_frame(writer, &reply.encode())?;
         if bye {
             return Ok(());
         }
@@ -551,43 +566,50 @@ fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(
     write_frame(writer, &resp.encode())
 }
 
-/// Execute one admitted request against the session's pinned snapshot.
-/// Queries run through the kernel's one snapshot executor, which records
-/// scan/pivot/post-pass child spans into `tr` (or nothing when it is
-/// inert) and returns the measured whole-plan [`PlanExplain`] — the
-/// `logs` fragments merged and made, then counts into and out of every
-/// step below and above the pivot — for slow-query capture; the frame is
-/// the same either way.
+/// One request's answer: a response the server owns, or a maintained
+/// view's frame, shared with the view catalog by `Arc` and encoded by
+/// reference.
+enum Reply {
+    Owned(Response),
+    View(ViewAnswer),
+}
+
+impl Reply {
+    /// The frame payload: the bytes of `Response::Frame` for a view.
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Reply::Owned(resp) => resp.encode(),
+            Reply::View(view) => Response::encode_frame_ref(view.epoch, &view.frame),
+        }
+    }
+
+    fn outcome(&self) -> Outcome<'_> {
+        match self {
+            Reply::Owned(Response::Error { code, message }) => Outcome::Error {
+                code: *code,
+                message,
+            },
+            _ => Outcome::Ok,
+        }
+    }
+}
+
+/// Execute one admitted request against the session's pinned snapshot;
+/// a query also returns the executor's measured [`PlanExplain`] when the
+/// executor answered it ([`query`]), for slow-query capture.
 fn execute(
     shared: &Shared,
     session: &mut Session,
     req: &Request,
     tr: &mut ActiveTrace,
-) -> (Response, Option<PlanExplain>) {
+) -> (Reply, Option<PlanExplain>) {
     let flor = &shared.flor;
     let resp = match req {
         Request::Hello { .. } => Response::Error {
             code: ErrorCode::BadRequest,
             message: "duplicate hello".into(),
         },
-        Request::Query { plan } => {
-            return match flor.execute_at(session.snapshot(), plan, tr) {
-                Ok((df, ex)) => (
-                    Response::Frame {
-                        epoch: session.epoch(),
-                        df,
-                    },
-                    Some(ex),
-                ),
-                Err(e) => (
-                    Response::Error {
-                        code: ErrorCode::Internal,
-                        message: e.to_string(),
-                    },
-                    None,
-                ),
-            };
-        }
+        Request::Query { plan } => return query(flor, session, plan, tr),
         Request::Pin => {
             session.repin(flor.db.pin());
             Response::Pinned {
@@ -623,7 +645,57 @@ fn execute(
                 .recent(*limit as usize),
         },
     };
-    (resp, None)
+    (Reply::Owned(resp), None)
+}
+
+/// Answer `plan` at the session's snapshot. A plan with nothing below the
+/// pivot is its projection's maintained view plus a post-pass, so the
+/// kernel's view catalog answers it, caught up to the session's snapshot
+/// (a `view.plan` span, with one event: how the view was reached) —
+/// unless the catalog already reflects a later epoch. Every other plan,
+/// and any plan of a session behind the catalog, runs on the snapshot
+/// executor, which records scan/pivot/post-pass child spans into `tr`
+/// (or nothing when it is inert) and returns the measured whole-plan
+/// [`PlanExplain`] — the `logs` fragments merged and made, then counts
+/// into and out of every step below and above the pivot. The frame is
+/// the same on either path.
+fn query(
+    flor: &Flor,
+    session: &Session,
+    plan: &QueryPlan,
+    tr: &mut ActiveTrace,
+) -> (Reply, Option<PlanExplain>) {
+    let internal = |e: flor_store::StoreError| {
+        Reply::Owned(Response::Error {
+            code: ErrorCode::Internal,
+            message: e.to_string(),
+        })
+    };
+    if plan.below_pivot().is_empty() {
+        let span = tr.begin("view.plan");
+        let served = flor.views.plan_at(plan, session.snapshot());
+        match &served {
+            Ok(Some(view)) => tr.event(|| view.to_string()),
+            Ok(None) => tr.event(|| "behind the catalog: snapshot executor"),
+            Err(_) => {}
+        }
+        tr.end(span);
+        match served {
+            Ok(Some(view)) => return (Reply::View(view), None),
+            Ok(None) => {}
+            Err(e) => return (internal(e), None),
+        }
+    }
+    match flor.execute_at(session.snapshot(), plan, tr) {
+        Ok((df, ex)) => (
+            Reply::Owned(Response::Frame {
+                epoch: session.epoch(),
+                df,
+            }),
+            Some(ex),
+        ),
+        Err(e) => (internal(e), None),
+    }
 }
 
 /// One consistent liveness/readiness picture: store watermarks from

@@ -5,7 +5,7 @@
 
 use flor_core::Flor;
 use flor_serve::{Client, Response, ServeExt, ServerConfig};
-use flor_store::StoreError;
+use flor_store::{CmpOp, StoreError};
 use flor_view::QueryPlan;
 use std::time::{Duration, Instant};
 
@@ -138,6 +138,78 @@ fn a_followers_view_catches_up_after_a_rebootstrap() {
     assert_eq!(full.n_rows(), 4);
     assert_eq!(*view, full);
 
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
+    let _ = std::fs::remove_dir(&dir);
+}
+
+/// A served follower answers plans with nothing below the pivot from
+/// its own view catalog, caught up over the commits each poll applied,
+/// byte-identical to the snapshot executor at the session's epoch.
+#[test]
+fn a_served_followers_views_answer_after_polls() {
+    let dir = std::env::temp_dir().join(format!("flor-follower-views-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("writer.wal");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
+
+    let writer = Flor::open("follower-views", &path).expect("open writer");
+    writer.set_filename("train.fl");
+    writer.log("loss", 0.9);
+    writer.log("acc", 0.1);
+    writer.commit("round 0").expect("commit");
+
+    let follower = Flor::open_follower("follower-views", &path).expect("open follower");
+    let poll = Duration::from_millis(5);
+    let cfg = ServerConfig {
+        follower_poll: poll,
+        ..ServerConfig::default()
+    };
+    let handle = follower.serve("127.0.0.1:0", cfg).expect("serve follower");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    let plans = [
+        QueryPlan::new(&["loss"]),
+        QueryPlan::new(&["loss", "acc"]),
+        QueryPlan::new(&["loss", "acc"]).filter("acc", CmpOp::Ge, 0.2),
+    ];
+    for round in 1..5 {
+        for _ in 0..round {
+            writer.log("loss", 0.9 / round as f64);
+            writer.log("acc", round as f64 / 10.0);
+            writer.commit(&format!("round {round}")).expect("commit");
+        }
+        let writer_epoch = writer.db.pin().epoch();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.epochs().expect("epochs").1 < writer_epoch {
+            assert!(Instant::now() < deadline, "follower never caught up");
+            std::thread::sleep(poll / 2);
+        }
+        // The writer is idle: the session, the follower's own snapshot
+        // and the writer all stand at one epoch.
+        let epoch = client.pin().expect("pin");
+        let snap = follower.db.pin();
+        assert_eq!((epoch, snap.epoch()), (writer_epoch, writer_epoch));
+        for plan in &plans {
+            assert!(plan.below_pivot().is_empty());
+            let (got, df) = client.query(plan).expect("query");
+            assert_eq!(got, epoch);
+            let wire = Response::Frame { epoch, df }.encode();
+            let local = follower.run_plan_at(&snap, plan).expect("follower oracle");
+            let remote = writer.run_plan_full(plan).expect("writer oracle");
+            assert_eq!(wire, Response::Frame { epoch, df: local }.encode());
+            assert_eq!(wire, Response::Frame { epoch, df: remote }.encode());
+        }
+    }
+    // Two projections, each built once, then caught up poll after poll.
+    let stats = follower.views.stats();
+    assert_eq!(stats.misses, 2);
+    assert_eq!(stats.hits, 4 * plans.len() as u64 - 2);
+    assert!(stats.batches_applied >= 3, "{stats:?}");
+    assert_eq!(stats.fallback_rebuilds, 0);
+
+    client.close().expect("close");
+    handle.stop();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(dir.join("writer.wal.ckpt"));
     let _ = std::fs::remove_dir(&dir);

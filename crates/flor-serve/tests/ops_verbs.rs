@@ -6,6 +6,7 @@
 
 use flor_core::Flor;
 use flor_serve::{Client, RequestLog, ServeExt, Server, ServerConfig};
+use flor_store::CmpOp;
 use flor_view::QueryPlan;
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,11 +32,16 @@ fn traced_queries_health_and_slow_capture_on_writer() {
     let handle = server.spawn().expect("spawn");
 
     let mut client = Client::connect(handle.addr(), None).expect("connect");
+    // Nothing below the pivot: the view catalog answers it. The `tstamp`
+    // filter keeps every row but runs below the pivot, so the snapshot
+    // executor answers that one.
     let plan = QueryPlan::new(&["loss", "acc"]);
+    let pushed = plan.clone().filter("tstamp", CmpOp::Ge, 0i64);
+    assert!(plan.below_pivot().is_empty() && !pushed.below_pivot().is_empty());
 
     // Old-style path first: a plain query must behave exactly as before
     // even though tracing and slow capture are armed server-side.
-    let (_, plain_df) = client.query(&plan).expect("plain query");
+    let (epoch, plain_df) = client.query(&plan).expect("plain query");
     assert_eq!(plain_df.n_rows(), 8);
 
     // Client-originated trace context: same bytes back, plus a
@@ -46,12 +52,51 @@ fn traced_queries_health_and_slow_capture_on_writer() {
         format!("{plain_df:?}"),
         "trace context changed the result"
     );
+    let (pushed_id, _, pushed_df) = client.query_traced(&pushed).expect("traced pushed query");
+    assert_eq!(
+        format!("{pushed_df:?}"),
+        format!("{plain_df:?}"),
+        "the pushed filter keeps every row"
+    );
 
+    // The view path: one `view.plan` span under `execute`, whose one
+    // event says the view was already there, at the session's epoch.
     let trace = client
         .trace(trace_id)
         .expect("traces verb")
         .expect("originated trace must be retrievable");
     assert_eq!(trace.id, trace_id);
+    for span in ["request", "middleware", "gate", "execute", "view.plan"] {
+        assert!(
+            trace.span(span).is_some(),
+            "trace missing span `{span}`:\n{trace}"
+        );
+    }
+    for span in ["store.scan", "pivot"] {
+        assert!(
+            trace.span(span).is_none(),
+            "a view answer ran the executor's `{span}`:\n{trace}"
+        );
+    }
+    let rendered = trace.render_text();
+    assert!(
+        rendered.contains(&format!("hit at epoch {epoch}")),
+        "view read event missing:\n{rendered}"
+    );
+    assert!(
+        rendered.contains("request-log: ok"),
+        "middleware verdict event missing:\n{rendered}"
+    );
+    assert!(
+        rendered.contains("admitted"),
+        "gate admission event missing:\n{rendered}"
+    );
+
+    // The executor path: the pushed plan's trace carries its stages.
+    let trace = client
+        .trace(pushed_id)
+        .expect("traces verb")
+        .expect("originated trace must be retrievable");
     for span in [
         "request",
         "middleware",
@@ -67,43 +112,45 @@ fn traced_queries_health_and_slow_capture_on_writer() {
     }
     let rendered = trace.render_text();
     assert!(
-        rendered.contains("request-log: ok"),
-        "middleware verdict event missing:\n{rendered}"
-    );
-    assert!(
-        rendered.contains("admitted"),
-        "gate admission event missing:\n{rendered}"
-    );
-    assert!(
         rendered.contains("fragments made"),
         "store-scan fragments event missing:\n{rendered}"
     );
 
     // The plain query ran under a server-generated trace too.
-    assert!(client.traces(16).expect("traces").len() >= 2);
+    assert!(client.traces(16).expect("traces").len() >= 3);
 
-    // Slow capture: threshold zero means both queries breached; records
-    // carry the full explain report.
+    // Slow capture: threshold zero means every query breached; records
+    // carry the executor's full explain report, or name the view and
+    // the epoch it answered at. Newest first.
     let slow = client.slow_queries(16).expect("slow queries");
     assert!(
-        slow.len() >= 2,
-        "expected both queries captured, got {}",
+        slow.len() >= 3,
+        "expected every query captured, got {}",
         slow.len()
     );
-    let rec = &slow[0];
-    assert_eq!(rec.verb, "query");
+    for rec in &slow[..3] {
+        assert_eq!(rec.verb, "query");
+        assert!(
+            rec.plan.contains("loss"),
+            "plan names missing: {}",
+            rec.plan
+        );
+        assert_eq!(rec.threshold_nanos, 0);
+        assert!(rec.total_nanos > 0);
+    }
     assert!(
-        rec.plan.contains("loss"),
-        "plan names missing: {}",
-        rec.plan
-    );
-    assert!(
-        rec.explain.contains("segments merged"),
+        slow[0].explain.contains("segments merged"),
         "explain report missing from slow capture: {:?}",
-        rec.explain
+        slow[0].explain
     );
-    assert_eq!(rec.threshold_nanos, 0);
-    assert!(rec.total_nanos > 0);
+    assert_eq!(
+        slow[1].explain,
+        format!("view pivot[loss,acc]: hit at epoch {epoch}")
+    );
+    assert_eq!(
+        slow[2].explain,
+        format!("view pivot[loss,acc]: built at epoch {epoch}")
+    );
 
     // Health on the writer: no follower lag, occupancy visible.
     let health = client.health().expect("health");

@@ -188,3 +188,156 @@ fn a_value_named_like_an_index_column_is_the_same_error_over_the_wire() {
     client.close().expect("close");
     handle.stop();
 }
+
+/// Plans with nothing below the pivot, which the view catalog answers
+/// when it is not past the session's epoch: plain projections, and a
+/// value predicate, an ordering and a `latest` by a value column, all
+/// post-passes over a projection's view.
+fn view_plans() -> Vec<QueryPlan> {
+    let mut ordered = QueryPlan::new(&["loss", "acc"]);
+    ordered.order_by.push(("loss".to_string(), true));
+    let view_plans = vec![
+        QueryPlan::new(&["loss"]),
+        QueryPlan::new(&["loss", "acc"]),
+        QueryPlan::new(&["loss", "acc"]).filter("acc", CmpOp::Gt, 0.2),
+        ordered,
+        QueryPlan::with_latest(&["loss", "acc"], &["acc"]),
+    ];
+    for plan in &view_plans {
+        assert!(plan.below_pivot().is_empty(), "{plan:?}");
+    }
+    view_plans
+}
+
+fn log_round(flor: &Flor, round: usize) {
+    flor.log("loss", 1.0 / (round + 1) as f64);
+    flor.log("acc", round as f64 / 10.0);
+    flor.commit(&format!("round {round}")).expect("commit");
+}
+
+/// Every view plan over the wire equals, byte for byte, the snapshot
+/// executor's answer at `snap`, the session's snapshot.
+fn assert_answers_at(client: &mut Client, flor: &Flor, snap: &Snapshot) {
+    for plan in view_plans() {
+        let (epoch, df) = client.query(&plan).expect("query");
+        assert_eq!(epoch, snap.epoch(), "{plan:?} answered at another epoch");
+        let oracle = flor.run_plan_at(snap, &plan).expect("oracle");
+        assert_eq!(
+            Response::Frame { epoch, df }.encode(),
+            Response::Frame { epoch, df: oracle }.encode(),
+            "{plan:?} diverged at epoch {epoch}"
+        );
+    }
+}
+
+#[test]
+fn a_session_at_the_catalogs_epoch_is_answered_from_the_views() {
+    let flor = Flor::new("serve-view-at");
+    flor.set_filename("v.fl");
+    for round in 0..4 {
+        log_round(&flor, round);
+    }
+    // An embedded read brings the catalog to the newest epoch and builds
+    // every projection's view.
+    for plan in view_plans() {
+        flor.run_plan(&plan).expect("embedded read");
+    }
+    let handle = flor
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("serve");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    let snap = flor.db.pin();
+    assert_eq!(client.epoch(), snap.epoch());
+    let before = flor.views.stats();
+    assert_answers_at(&mut client, &flor, &snap);
+    let after = flor.views.stats();
+    assert_eq!(after.misses, before.misses, "every view was cached");
+    assert_eq!(after.hits, before.hits + view_plans().len() as u64);
+    assert_eq!(after.batches_applied, before.batches_applied);
+    client.close().expect("close");
+    handle.stop();
+}
+
+#[test]
+fn a_session_ahead_of_the_catalog_is_answered_at_its_own_epoch() {
+    let flor = Flor::new("serve-view-ahead");
+    flor.set_filename("v.fl");
+    log_round(&flor, 0);
+    for plan in view_plans() {
+        flor.run_plan(&plan).expect("embedded read");
+    }
+    let builds = flor.views.stats().misses;
+    let handle = flor
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("serve");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    for round in 1..4 {
+        log_round(&flor, round);
+    }
+    // The session pins past the catalog's epoch, then more commits land:
+    // the views must catch up to the session's snapshot, not the newest.
+    client.pin().expect("pin");
+    let snap = flor.db.pin();
+    assert_eq!(client.epoch(), snap.epoch());
+    log_round(&flor, 4);
+    log_round(&flor, 5);
+    let (_, df) = client.query(&QueryPlan::new(&["loss"])).expect("query");
+    assert_eq!(df.n_rows(), 4, "the two newest commits are past the pin");
+    assert_answers_at(&mut client, &flor, &snap);
+    let stats = flor.views.stats();
+    assert_eq!(stats.misses, builds, "the cached views caught up");
+    assert_eq!(stats.batches_applied, 3);
+    // The embedded read then catches the same views up to the newest.
+    let newest = flor.run_plan(&QueryPlan::new(&["loss"])).expect("read");
+    assert_eq!(newest.n_rows(), 6);
+    assert_eq!(flor.views.stats().misses, stats.misses);
+    client.close().expect("close");
+    handle.stop();
+}
+
+#[test]
+fn a_session_behind_the_catalog_is_answered_by_the_executor() {
+    let flor = Flor::new("serve-view-behind");
+    flor.set_filename("v.fl");
+    for round in 0..3 {
+        log_round(&flor, round);
+    }
+    flor.set_tracing(true);
+    let handle = flor
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("serve");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    let snap = flor.db.pin();
+    assert_eq!(client.epoch(), snap.epoch());
+    // Commits land and an embedded read moves the catalog past the pin.
+    log_round(&flor, 3);
+    log_round(&flor, 4);
+    for plan in view_plans() {
+        flor.run_plan(&plan).expect("embedded read");
+    }
+    let before = flor.views.stats();
+    // The session's world stays frozen, answered by the executor.
+    for _ in 0..2 {
+        assert_answers_at(&mut client, &flor, &snap);
+    }
+    assert_eq!(flor.views.stats(), before, "the catalog was not read");
+    let (id, epoch, df) = client
+        .query_traced(&QueryPlan::new(&["loss"]))
+        .expect("traced query");
+    assert_eq!((epoch, df.n_rows()), (snap.epoch(), 3));
+    let trace = client.trace(id).expect("traces").expect("trace");
+    assert!(trace.span("pivot").is_some(), "{trace}");
+    assert!(
+        trace.render_text().contains("behind the catalog"),
+        "{trace}"
+    );
+    // A re-pin reaches the catalog's epoch and the views answer again.
+    client.pin().expect("pin");
+    let snap = flor.db.pin();
+    assert_answers_at(&mut client, &flor, &snap);
+    let after = flor.views.stats();
+    assert_eq!(after.hits, before.hits + view_plans().len() as u64);
+    assert_eq!(after.misses, before.misses);
+    client.close().expect("close");
+    handle.stop();
+}

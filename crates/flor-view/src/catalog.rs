@@ -10,14 +10,21 @@
 //! projection's view; with a predicate, the dedup runs in the post-pass
 //! after the filter.
 //!
-//! Every access pins one snapshot. Every cached view reflects one
-//! earlier snapshot, whose epoch and `logs` rid watermark the catalog
-//! keeps once. When the epochs differ, the `logs` rows committed since
-//! are read once from the new snapshot
-//! ([`flor_store::Snapshot::since`]) and pivoted once, under that
-//! snapshot's loop contexts, into one fragment ([`Delta`]) that *all*
-//! cached views merge and apply; the watermark advances, and a miss is
-//! built at the same snapshot. The loop contexts come from the snapshot
+//! Every access reads one snapshot: [`ViewCatalog::plan`] pins it under
+//! the catalog lock, and [`ViewCatalog::plan_at`] takes the caller's (a
+//! served session's) when the catalog has not yet passed its epoch — a
+//! snapshot behind the catalog gets `None`, since views only move
+//! forward. Every cached view reflects one earlier snapshot, whose epoch
+//! and `logs` rid watermark the catalog keeps once. When the epochs
+//! differ, the `logs` rows committed since are read once from the
+//! snapshot being read ([`flor_store::Snapshot::since`]) and pivoted
+//! once, under that snapshot's loop contexts, into one fragment
+//! ([`Delta`]) that *all* cached views merge and apply; the watermark
+//! advances, and a miss is built at the same snapshot. Every snapshot of
+//! one epoch holds the same `logs` rows at the same rids, so a catch-up
+//! to a session's older pin leaves the views where a fresh pin at that
+//! epoch would have. The loop
+//! contexts come from the snapshot
 //! itself (per sealed `loops` segment, shared with every query), so no
 //! `loops` row is read here. This is exact because `logs` and `loops`
 //! declare no latest-wins policy, so no row is ever dropped, and a row's
@@ -173,6 +180,48 @@ impl CachedView {
     }
 }
 
+/// How [`ViewCatalog::plan_at`] reached the view it answered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewRead {
+    /// The projection's view was cached, already at the snapshot's epoch.
+    Hit,
+    /// The projection's view was built at the snapshot.
+    Built,
+    /// The cached views caught up over this many `logs` rows to the
+    /// snapshot's epoch.
+    CaughtUp {
+        /// The `logs` rows read and pivoted once for every cached view.
+        rows: usize,
+    },
+}
+
+/// A plan answered from a maintained view ([`ViewCatalog::plan_at`]).
+#[derive(Debug, Clone)]
+pub struct ViewAnswer {
+    /// The answer: the view's own frame, shared, when the plan has no
+    /// post-pass.
+    pub frame: Arc<DataFrame>,
+    /// The epoch the answer reflects: the snapshot's.
+    pub epoch: u64,
+    /// How the view was reached.
+    pub read: ViewRead,
+}
+
+/// How the view was reached, and at which epoch: the event a served
+/// answer's trace records.
+impl std::fmt::Display for ViewAnswer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let epoch = self.epoch;
+        match self.read {
+            ViewRead::Hit => write!(f, "hit at epoch {epoch}"),
+            ViewRead::Built => write!(f, "built at epoch {epoch}"),
+            ViewRead::CaughtUp { rows } => {
+                write!(f, "caught up over {rows} logs rows to epoch {epoch}")
+            }
+        }
+    }
+}
+
 struct CatalogInner {
     views: HashMap<Vec<String>, CachedView>,
     at: Watermark,
@@ -209,39 +258,71 @@ impl ViewCatalog {
         }
     }
 
-    /// Serve a [`QueryPlan`] — the catalog's single entry point, behind
-    /// every incremental dataframe read. The plan's projection is served
-    /// from the catalog as an incrementally maintained view, caught up to
-    /// a snapshot pinned by this call — with the `latest` dedup when the
-    /// plan has a group and no predicate; the rest of the plan runs as a
-    /// post-pass over that frame. Plans with no post-pass share the
-    /// maintained snapshot allocation (`Arc` clone — cheap when nothing
-    /// changed since the last call). A `latest` group column missing from
-    /// the pivoted frame errors like the from-scratch path.
+    /// Serve a [`QueryPlan`] at a snapshot pinned by this call, under the
+    /// catalog lock — the read behind every incremental dataframe read.
+    /// The plan's projection is served from the catalog as an
+    /// incrementally maintained view caught up to that snapshot — with
+    /// the `latest` dedup when the plan has a group and no predicate; the
+    /// rest of the plan runs as a post-pass over that frame. Plans with no
+    /// post-pass share the maintained snapshot allocation (`Arc` clone —
+    /// cheap when nothing changed since the last call). A `latest` group
+    /// column missing from the pivoted frame errors like the from-scratch
+    /// path.
     pub fn plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
-        // `latest` is maintained on the view only when no predicate must
-        // filter rows before it; otherwise it runs in the post-pass.
-        let maintained = plan
-            .latest_group
-            .as_ref()
-            .filter(|_| plan.predicates.is_empty());
-        let base = {
+        let (base, _) = {
             let mut g = self.inner.lock();
-            let snap = self.catch_up(&mut g)?;
-            let view = self.view(&mut g, &plan.names, &snap)?;
-            let base = match maintained {
-                Some(group) => view.latest(group),
-                None => Ok(view.pivot.frame()),
-            };
-            self.evict(&mut g);
-            base?
+            let snap = self.db.pin();
+            self.base_at(&mut g, plan, &snap)?
         };
-        let apply_latest = maintained.is_none() && plan.latest_group.is_some();
-        if plan.post_pass_is_identity(&plan.predicates, apply_latest) {
-            return Ok(base);
-        }
-        plan.post_pass(&base, &plan.predicates, apply_latest)
-            .map(Arc::new)
+        post_pass(plan, base)
+    }
+
+    /// [`ViewCatalog::plan`] at a **caller-pinned** snapshot: the views
+    /// catch up to `snap` itself, not to a fresh pin, so the answer is
+    /// the plan's at `snap.epoch()` — byte-identical to
+    /// [`crate::execute_at`] there. `None` when the catalog already
+    /// reflects a later epoch than `snap`: its views cannot go back, and
+    /// the caller answers from the snapshot executor instead. How the
+    /// view was reached rides along as a [`ViewRead`].
+    pub fn plan_at(&self, plan: &QueryPlan, snap: &Snapshot) -> StoreResult<Option<ViewAnswer>> {
+        let (base, read) = {
+            let mut g = self.inner.lock();
+            if snap.epoch() < g.at.epoch {
+                return Ok(None);
+            }
+            self.base_at(&mut g, plan, snap)?
+        };
+        Ok(Some(ViewAnswer {
+            frame: post_pass(plan, base)?,
+            epoch: snap.epoch(),
+            read,
+        }))
+    }
+
+    /// Under the catalog lock: catch the views up to `snap` (at or past
+    /// the catalog's epoch) and take the frame of the plan's projection —
+    /// deduplicated when its `latest` is maintained ([`maintained`]) —
+    /// for [`post_pass`] to finish outside the lock.
+    fn base_at(
+        &self,
+        g: &mut CatalogInner,
+        plan: &QueryPlan,
+        snap: &Snapshot,
+    ) -> StoreResult<(Arc<DataFrame>, ViewRead)> {
+        let caught_up = self.catch_up(g, snap)?;
+        let misses = g.stats.misses;
+        let view = self.view(g, &plan.names, snap)?;
+        let base = match maintained(plan) {
+            Some(group) => view.latest(group),
+            None => Ok(view.pivot.frame()),
+        };
+        let read = match caught_up {
+            _ if g.stats.misses > misses => ViewRead::Built,
+            Some(rows) => ViewRead::CaughtUp { rows },
+            None => ViewRead::Hit,
+        };
+        self.evict(g);
+        Ok((base?, read))
     }
 
     /// Counter snapshot.
@@ -249,19 +330,19 @@ impl ViewCatalog {
         self.inner.lock().stats.clone()
     }
 
-    /// Pin one snapshot and bring every cached view to it: read the
-    /// `logs` rows past the watermark and pivot them once ([`Delta`]),
-    /// apply that to each view, and advance the watermark. A view that
-    /// rejects a row falls back to a rebuild at the same snapshot and is
-    /// dropped if the rebuild fails. With no view cached there is nothing
-    /// to read: the watermark jumps. Returns the snapshot, for building
-    /// misses at it.
-    fn catch_up(&self, g: &mut CatalogInner) -> StoreResult<Snapshot> {
+    /// Bring every cached view to `snap`, at or past the catalog's
+    /// epoch: read the `logs` rows past the watermark and pivot them once
+    /// ([`Delta`]), apply that to each view, and advance the watermark. A
+    /// view that rejects a row falls back to a rebuild at the same
+    /// snapshot and is dropped if the rebuild fails. With no view cached
+    /// there is nothing to read: the watermark jumps. Returns the `logs`
+    /// rows read, or `None` when the catalog was already at `snap`'s
+    /// epoch.
+    fn catch_up(&self, g: &mut CatalogInner, snap: &Snapshot) -> StoreResult<Option<usize>> {
         let started = self.metrics.registry.enabled().then(Instant::now);
-        let snap = self.db.pin();
         let from = g.at;
         if snap.epoch() == from.epoch {
-            return Ok(snap);
+            return Ok(None);
         }
         if g.views.is_empty() {
             // A read from past every row returns only the watermark.
@@ -269,9 +350,9 @@ impl ViewCatalog {
                 epoch: snap.epoch(),
                 logs: snap.since("logs", usize::MAX)?.1,
             };
-            return Ok(snap);
+            return Ok(Some(0));
         }
-        let delta = Delta::since(&snap, from.logs)?;
+        let delta = Delta::since(snap, from.logs)?;
         g.at = Watermark {
             epoch: snap.epoch(),
             logs: delta.next,
@@ -284,14 +365,14 @@ impl ViewCatalog {
             .filter_map(|(names, view)| view.apply(&delta).err().map(|_| names.clone()))
             .collect();
         for names in rejected {
-            self.rebuild(g, names, &snap);
+            self.rebuild(g, names, snap);
         }
         if let Some(started) = started {
             self.metrics
                 .refresh_nanos
                 .record_duration(started.elapsed());
         }
-        Ok(snap)
+        Ok(Some(delta.rows))
     }
 
     /// Transparent fallback for a view that rejected a row: rebuild it
@@ -385,6 +466,26 @@ impl ViewCatalog {
     }
 }
 
+/// The plan's `latest` group when the view maintains it: only when no
+/// predicate must filter rows before the dedup; otherwise it runs in the
+/// post-pass.
+fn maintained(plan: &QueryPlan) -> Option<&Vec<String>> {
+    plan.latest_group
+        .as_ref()
+        .filter(|_| plan.predicates.is_empty())
+}
+
+/// The rest of `plan` over its projection's frame `base`: `base` itself,
+/// shared, when nothing is left to run.
+fn post_pass(plan: &QueryPlan, base: Arc<DataFrame>) -> StoreResult<Arc<DataFrame>> {
+    let apply_latest = maintained(plan).is_none() && plan.latest_group.is_some();
+    if plan.post_pass_is_identity(&plan.predicates, apply_latest) {
+        return Ok(base);
+    }
+    plan.post_pass(&base, &plan.predicates, apply_latest)
+        .map(Arc::new)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +539,46 @@ mod tests {
         assert!(s.deltas_applied >= 1);
         // The earlier snapshot is unaffected (copy-on-write).
         assert_eq!(v1.n_rows(), 1);
+    }
+
+    #[test]
+    fn plan_at_reads_the_callers_snapshot_and_refuses_one_behind() {
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 4);
+        let plan = QueryPlan::new(&["loss"]);
+        let mut snaps = Vec::new();
+        for ts in 1..=3 {
+            db.insert("logs", log_row(ts, "loss", &ts.to_string()))
+                .unwrap();
+            db.commit().unwrap();
+            snaps.push(db.pin());
+        }
+        let at = |snap: &Snapshot| catalog.plan_at(&plan, snap).unwrap();
+        let answer = at(&snaps[0]).unwrap();
+        assert_eq!((answer.read, answer.epoch), (ViewRead::Built, 1));
+        assert_eq!(answer.to_string(), "built at epoch 1");
+        // Caught up to the caller's epoch 2, not the newest 3.
+        let answer = at(&snaps[1]).unwrap();
+        assert_eq!(answer.read, ViewRead::CaughtUp { rows: 1 });
+        assert_eq!(answer.to_string(), "caught up over 1 logs rows to epoch 2");
+        assert_eq!(
+            *answer.frame,
+            crate::execute_at(&snaps[1], &plan, &mut off()).unwrap().0
+        );
+        let again = at(&snaps[1]).unwrap();
+        assert_eq!(again.read, ViewRead::Hit);
+        assert!(Arc::ptr_eq(&answer.frame, &again.frame));
+        // Behind the catalog: no answer, and the catalog is untouched.
+        let stats = catalog.stats();
+        assert!(at(&snaps[0]).is_none());
+        assert_eq!(catalog.stats(), stats);
+        assert_eq!(catalog.plan(&plan).unwrap().n_rows(), 3);
+        assert!(at(&snaps[1]).is_none());
+        assert_eq!(at(&snaps[2]).unwrap().read, ViewRead::Hit);
+    }
+
+    fn off() -> flor_obs::ActiveTrace {
+        flor_obs::ActiveTrace::new(false, None, "")
     }
 
     #[test]

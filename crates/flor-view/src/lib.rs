@@ -20,7 +20,7 @@
 //!   ([`flor_store::Snapshot::since`]). Its public face is
 //!   [`execute_at`], the snapshot pivot plus the plan's post-pass
 //!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
-//!   what `flor-serve` answers with.
+//!   what `flor-serve` answers a plan that pushes a step with.
 //! * `delta` (private) — the maintained views: one projected pivot, built
 //!   by the snapshot pivot's merge and caught up by the same merge; and
 //!   incremental `flor.utils.latest` via per-group-key max-timestamp
@@ -29,11 +29,13 @@
 //!   `tests/prop_pivot.rs` and `tests/prop_view.rs`).
 //! * `catalog` (private) — [`ViewCatalog`]: one maintained pivot per
 //!   projection, with the predicate-free `latest` groups read from it
-//!   kept beside it, all caught up on each access to one freshly pinned
-//!   snapshot from one `logs` rid watermark, bounded by an LRU, with a
+//!   kept beside it, all caught up on each access to the snapshot it
+//!   reads from one `logs` rid watermark, bounded by an LRU, with a
 //!   fallback rebuild when a row cannot be applied (a value name
-//!   colliding with an index column). [`ViewCatalog::plan`] is its only
-//!   read entry point; every predicate of a plan runs in its post-pass.
+//!   colliding with an index column). [`ViewCatalog::plan`] reads at a
+//!   snapshot it pins; [`ViewCatalog::plan_at`] at a caller's — a served
+//!   session's — when the catalog has not passed its epoch. Every
+//!   predicate of a plan runs in the post-pass.
 //! * [`plan`] — [`QueryPlan`], the canonical lazy-query plan behind
 //!   `Flor::query`: filters (reusing [`flor_store::Predicate`]), `latest`
 //!   dedup, ordering and limits, lowered below the pivot
@@ -80,6 +82,6 @@ mod delta;
 mod pivot;
 pub mod plan;
 
-pub use catalog::{CatalogStats, ViewCatalog};
+pub use catalog::{CatalogStats, ViewAnswer, ViewCatalog, ViewRead};
 pub use pivot::{execute_at, PlanExplain};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

@@ -451,12 +451,23 @@ impl Ctx {
     }
 
     /// Whether `other` has the same cell in every dimension column either
-    /// names: whether the two put a key in the same row.
+    /// names: whether the two put a key in the same row. Two contexts
+    /// that list the same dimensions in the same order with equal cells —
+    /// one loop's iterations, the common case — match without a lookup
+    /// per column.
     fn same_cells(&self, other: &Ctx) -> bool {
-        self.dims
-            .iter()
-            .chain(&other.dims)
-            .all(|(d, _)| self.cell(d) == other.cell(d))
+        let same_dims = self.dims.len() == other.dims.len()
+            && self
+                .dims
+                .iter()
+                .zip(&other.dims)
+                .all(|((d, v), (e, w))| (Arc::ptr_eq(d, e) || d == e) && v == w);
+        same_dims
+            || self
+                .dims
+                .iter()
+                .chain(&other.dims)
+                .all(|(d, _)| self.cell(d) == other.cell(d))
     }
 }
 
@@ -548,10 +559,21 @@ impl CutSummary {
         let key = |c: usize| &keys[cells[c].key];
         let mut index = KeyIndex::default();
         let mut classes: Vec<usize> = Vec::new();
+        // The hasher after the last key's `projid` and `filename`: a
+        // fragment's keys mostly share both, so they are hashed once per
+        // run of keys that does, not once per cell.
+        let mut prefix: Option<(&[Value; 3], DefaultHasher)> = None;
         for c in 0..cells.len() {
             let k = key(c);
-            let mut h = DefaultHasher::new();
-            [&k.fixed[0], &k.fixed[2]].hash(&mut h);
+            let mut h = match &prefix {
+                Some((fixed, h)) if fixed[0] == k.fixed[0] && fixed[2] == k.fixed[2] => h.clone(),
+                _ => {
+                    let mut h = DefaultHasher::new();
+                    [&k.fixed[0], &k.fixed[2]].hash(&mut h);
+                    prefix = Some((&k.fixed, h.clone()));
+                    h
+                }
+            };
             h.write_u64(k.ctx.hash());
             let (at, new) = index.find_or_add(h.finish(), |at| {
                 let other = key(classes[at]);
@@ -1756,6 +1778,36 @@ mod tests {
             "value_type",
         ];
         DataFrame::from_rows(cols, rows).unwrap()
+    }
+
+    #[test]
+    fn contexts_match_on_their_cells_not_their_layout() {
+        // Keys are compared by `same_cells` only after their hashes
+        // match, so test it directly: a hash collision must not merge
+        // two rows.
+        let (epoch, step): (Arc<str>, Arc<str>) = ("epoch".into(), "step".into());
+        let ctx = |dims: &[(&Arc<str>, i64)]| {
+            Ctx::new(
+                dims.iter()
+                    .map(|(d, v)| (Arc::clone(d), (*v).into()))
+                    .collect(),
+            )
+        };
+        let a = ctx(&[(&epoch, 1), (&step, 2)]);
+        // Same layout: equal cells match, a differing cell does not.
+        assert!(a.same_cells(&ctx(&[(&epoch, 1), (&step, 2)])));
+        assert!(!a.same_cells(&ctx(&[(&epoch, 1), (&step, 3)])));
+        // The same names from other allocations, or in another order.
+        let other: Arc<str> = "epoch".into();
+        assert!(a.same_cells(&ctx(&[(&other, 1), (&step, 2)])));
+        assert!(a.same_cells(&ctx(&[(&step, 2), (&epoch, 1)])));
+        assert!(!a.same_cells(&ctx(&[(&step, 2), (&epoch, 9)])));
+        // A column only one side names is null on the other.
+        assert!(!a.same_cells(&ctx(&[(&epoch, 1)])));
+        // A repeated name's column is its outermost cell.
+        let nested = ctx(&[(&epoch, 1), (&epoch, 5)]);
+        assert!(nested.same_cells(&ctx(&[(&epoch, 1), (&epoch, 6)])));
+        assert!(!nested.same_cells(&ctx(&[(&epoch, 2), (&epoch, 5)])));
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! 1. **Pinned sessions** — each client's queries answer at the epoch it
 //!    pinned at connect (or its last explicit `pin`), repeatable under a
 //!    committing writer;
+//!    a plan that pushes nothing below the pivot is answered from the
+//!    kernel's maintained view when the view is not past the session's
+//!    epoch, byte-identical to the snapshot executor;
 //! 2. **Observability over the wire** — the `MetricsPrometheus` verb
 //!    scrapes the server's whole registry in Prometheus text format;
 //! 3. **Followers** — a second kernel opened read-only over the writer's
@@ -98,6 +101,32 @@ fn main() {
     };
     a.join().expect("client A");
     b.join().expect("client B");
+
+    // --- a full pivot at the writer's epoch is a maintained-view hit ---
+    // B's re-pinned query caught the kernel's view of the projection up
+    // to the writer's epoch; a plan that pushes nothing below the pivot
+    // is answered from that view, shared, not re-pivoted — with the
+    // bytes the snapshot executor would have sent.
+    let mut c = Client::connect(addr, None).expect("connect C");
+    let snap = flor.db.pin();
+    assert_eq!(c.epoch(), snap.epoch());
+    let before = flor.views.stats();
+    let (epoch, df) = c.query(&plan).expect("query C");
+    let after = flor.views.stats();
+    assert_eq!(after.hits, before.hits + 1, "the view answered");
+    assert_eq!(after.misses, before.misses, "no view was built");
+    let executor = flor.run_plan_at(&snap, &plan).expect("execute_at");
+    assert_eq!(
+        Response::Frame { epoch, df }.encode(),
+        Response::Frame {
+            epoch,
+            df: executor
+        }
+        .encode(),
+        "the view's answer differs from the executor's"
+    );
+    println!("client C: epoch {epoch} answered from the maintained view, byte-identical");
+    c.close().expect("close C");
 
     // --- scrape the server's metrics over the wire ---------------------
     let mut scraper = Client::connect(addr, None).expect("connect scraper");

@@ -35,7 +35,10 @@
 //! plan merges per-segment pivot fragments (each sealed `logs` segment
 //! pivoted once) and runs its index predicates and `latest` / top-K
 //! cuts over the merged keys, so no query re-pivots sealed history and
-//! a narrow answer builds only the rows it selects.
+//! a narrow answer builds only the rows it selects. A served session's
+//! plan with nothing to push below the pivot reads the same maintained
+//! views as embedded reads, caught up to the session's snapshot, unless
+//! the views already stand past it.
 //!
 //! ```
 //! use flordb::prelude::*;
@@ -132,9 +135,11 @@
 //! [`serve`] puts many clients behind one instance: a session-oriented,
 //! length-prefixed TCP protocol (std-only, thread-per-connection with a
 //! bounded accept pool) where each session pins a snapshot at handshake
-//! and every [`view::QueryPlan`] it submits executes at exactly that
-//! epoch ([`core::Flor::execute_at`], the kernel's one from-scratch
-//! executor) — results are repeatable, and
+//! and every [`view::QueryPlan`] it submits is answered at exactly that
+//! epoch — from the kernel's maintained views when the plan pushes
+//! nothing below the pivot and the views are not past the session's
+//! epoch, else by [`core::Flor::execute_at`], the kernel's one
+//! from-scratch executor — results are repeatable, and
 //! byte-identical to a local `collect_full` at the same epoch, no matter
 //! how many commits land meanwhile. Composable middleware adds auth
 //! tokens, per-session rate limits and request logging into [`obs`].
