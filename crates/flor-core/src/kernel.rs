@@ -26,7 +26,10 @@ pub const BLOB_SPILL_BYTES: usize = 4096;
 /// How many materialized views a kernel's catalog keeps before LRU
 /// eviction kicks in. Embedded reads ([`Flor::dataframe`],
 /// [`Flor::run_plan`]) and the projections `flor-serve` answers from the
-/// catalog (plans with nothing below the pivot) share these slots.
+/// catalog (plans with nothing below the pivot) share these slots. A
+/// miss whose names one of the cached views covers is selected from it;
+/// only a miss none covers merges history, so a slot holding a wide view
+/// keeps every narrower projection of its names cheap.
 pub const VIEW_CACHE_CAPACITY: usize = 8;
 
 /// Default background-job worker-pool size (per-version backfill units

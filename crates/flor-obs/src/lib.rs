@@ -54,8 +54,10 @@
 //! | `jobs.unit.failed` | counter | units whose compute or staging failed |
 //! | `jobs.done.<kind>` | counter | units completed per job kind (throughput) |
 //! | `view.build_nanos` | histogram | full view build/rebuild duration |
+//! | `view.select_nanos` | histogram | a miss selected from a cached view that covers its names |
 //! | `view.refresh_nanos` | histogram | one catch-up of the cached views: pin, read, apply |
-//! | `view.hits` / `view.misses` | counter | catalog cache hits / builds |
+//! | `view.hits` / `view.misses` | counter | catalog cache hits / new views (built or selected) |
+//! | `view.selections` | counter | misses selected from a covering view, not built |
 //! | `view.rebuilds` | counter | fallback full rebuilds |
 //!
 //! Event kinds: `checkpoint`, `compaction`, `job.unit_failed`,

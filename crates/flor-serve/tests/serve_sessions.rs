@@ -259,6 +259,49 @@ fn a_session_at_the_catalogs_epoch_is_answered_from_the_views() {
 }
 
 #[test]
+fn a_sessions_narrow_projection_after_the_wide_one_is_a_selection() {
+    let flor = Flor::new("serve-view-select");
+    flor.set_filename("v.fl");
+    for round in 0..4 {
+        log_round(&flor, round);
+    }
+    flor.set_tracing(true);
+    let handle = flor
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("serve");
+    let mut client = Client::connect(handle.addr(), None).expect("connect");
+    let snap = flor.db.pin();
+    let e = snap.epoch();
+    let reads = [
+        (
+            QueryPlan::new(&["loss", "acc"]),
+            format!("built at epoch {e}"),
+        ),
+        (
+            QueryPlan::new(&["acc"]),
+            format!("selected from pivot[loss,acc] at epoch {e}"),
+        ),
+    ];
+    for (plan, event) in reads {
+        let (id, epoch, df) = client.query_traced(&plan).expect("traced query");
+        assert_eq!(epoch, e);
+        let mut inert = flor_obs::ActiveTrace::new(false, None, "");
+        let (oracle, _) = flor.execute_at(&snap, &plan, &mut inert).expect("oracle");
+        assert_eq!(
+            Response::Frame { epoch, df }.encode(),
+            Response::Frame { epoch, df: oracle }.encode(),
+            "{plan:?}"
+        );
+        let trace = client.trace(id).expect("traces").expect("trace");
+        assert!(trace.render_text().contains(&event), "{event}: {trace}");
+    }
+    let stats = flor.views.stats();
+    assert_eq!((stats.misses, stats.selections), (2, 1));
+    client.close().expect("close");
+    handle.stop();
+}
+
+#[test]
 fn a_session_ahead_of_the_catalog_is_answered_at_its_own_epoch() {
     let flor = Flor::new("serve-view-ahead");
     flor.set_filename("v.fl");

@@ -20,7 +20,7 @@
 //! snapshot being read ([`flor_store::Snapshot::since`]) and pivoted
 //! once, under that snapshot's loop contexts, into one fragment
 //! ([`Delta`]) that *all* cached views merge and apply; the watermark
-//! advances, and a miss is built at the same snapshot. Every snapshot of
+//! advances, and a miss is made at the same snapshot. Every snapshot of
 //! one epoch holds the same `logs` rows at the same rids, so a catch-up
 //! to a session's older pin leaves the views where a fresh pin at that
 //! epoch would have. The loop
@@ -34,6 +34,18 @@
 //! instead of serving wrong data; the event is counted in
 //! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
 //! dropped, and the next plan that needs it gets the build's error.
+//!
+//! A miss is answered from the views already caught up when it can be.
+//! If some cached view's names include every requested name, the one
+//! with the fewest names gives the new view by **selection**
+//! ([`PivotState::select`]): the rows holding a requested name's cell, in
+//! the order of their first such rid, the requested value columns, and
+//! the dimension columns of those names' signatures — no fragment of
+//! history is merged. Only a miss no cached view covers is built by the
+//! snapshot pivot ([`PivotState::at`]). Which path runs depends only on
+//! which names are cached. Either way the new view is cached and caught
+//! up like any other; a selection counts as a miss and in
+//! [`CatalogStats::selections`].
 
 use crate::delta::{LatestState, PivotState};
 use crate::pivot::Delta;
@@ -42,6 +54,7 @@ use flor_df::{DataFrame, DfError, DfResult};
 use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
 use flor_store::{Database, Snapshot, StoreError, StoreResult};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,16 +67,21 @@ use std::time::Instant;
 /// stay orders of magnitude cheaper than builds.
 struct ViewMetrics {
     registry: MetricsRegistry,
-    /// `view.build_nanos` — full builds from a snapshot (miss or
-    /// fallback rebuild).
+    /// `view.build_nanos` — full builds from a snapshot (a miss no
+    /// cached view covers, or a fallback rebuild).
     build_nanos: Arc<Histogram>,
+    /// `view.select_nanos` — misses selected from a cached view that
+    /// covers their names.
+    select_nanos: Arc<Histogram>,
     /// `view.refresh_nanos` — one catch-up of the cached views: pin,
     /// read, pivot and apply (only recorded when commits had landed).
     refresh_nanos: Arc<Histogram>,
     /// `view.hits` — requests served from a cached view.
     hits: Arc<Counter>,
-    /// `view.misses` — requests that built a new view.
+    /// `view.misses` — requests that made a new view, built or selected.
     misses: Arc<Counter>,
+    /// `view.selections` — misses selected from a covering view.
+    selections: Arc<Counter>,
     /// `view.rebuilds` — fallback full rebuilds after a rejected row.
     rebuilds: Arc<Counter>,
 }
@@ -72,9 +90,11 @@ impl ViewMetrics {
     fn new(registry: MetricsRegistry) -> ViewMetrics {
         ViewMetrics {
             build_nanos: registry.histogram("view.build_nanos"),
+            select_nanos: registry.histogram("view.select_nanos"),
             refresh_nanos: registry.histogram("view.refresh_nanos"),
             hits: registry.counter("view.hits"),
             misses: registry.counter("view.misses"),
+            selections: registry.counter("view.selections"),
             rebuilds: registry.counter("view.rebuilds"),
             registry,
         }
@@ -86,8 +106,12 @@ impl ViewMetrics {
 pub struct CatalogStats {
     /// Requests served from a cached view (possibly after catching up).
     pub hits: u64,
-    /// Requests that built a new view from a snapshot.
+    /// Requests that made a new view: built from a snapshot, or
+    /// selected from a cached one.
     pub misses: u64,
+    /// Misses selected from a cached view whose names cover theirs,
+    /// without merging history.
+    pub selections: u64,
     /// Views rebuilt because a row could not be applied.
     pub fallback_rebuilds: u64,
     /// Views evicted by the LRU bound.
@@ -125,6 +149,15 @@ struct CachedView {
 }
 
 impl CachedView {
+    /// A new view of `pivot`, with no `latest` group read yet.
+    fn new(pivot: PivotState) -> CachedView {
+        CachedView {
+            pivot,
+            latest: HashMap::new(),
+            last_used: 0,
+        }
+    }
+
     /// Apply the rows past the catalog's watermark (see
     /// [`PivotState::apply`]), moving every `latest` group with them.
     fn apply(&mut self, delta: &Delta) -> DfResult<()> {
@@ -181,12 +214,19 @@ impl CachedView {
 }
 
 /// How [`ViewCatalog::plan_at`] reached the view it answered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViewRead {
     /// The projection's view was cached, already at the snapshot's epoch.
     Hit,
     /// The projection's view was built at the snapshot.
     Built,
+    /// The projection's view was selected from a cached view whose names
+    /// cover its own, caught up to the snapshot.
+    Selected {
+        /// The names of the view it was selected from, as that view's
+        /// projection was asked for.
+        from: Vec<String>,
+    },
     /// The cached views caught up over this many `logs` rows to the
     /// snapshot's epoch.
     CaughtUp {
@@ -212,9 +252,16 @@ pub struct ViewAnswer {
 impl std::fmt::Display for ViewAnswer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let epoch = self.epoch;
-        match self.read {
+        match &self.read {
             ViewRead::Hit => write!(f, "hit at epoch {epoch}"),
             ViewRead::Built => write!(f, "built at epoch {epoch}"),
+            ViewRead::Selected { from } => {
+                write!(
+                    f,
+                    "selected from pivot[{}] at epoch {epoch}",
+                    from.join(",")
+                )
+            }
             ViewRead::CaughtUp { rows } => {
                 write!(f, "caught up over {rows} logs rows to epoch {epoch}")
             }
@@ -310,16 +357,15 @@ impl ViewCatalog {
         snap: &Snapshot,
     ) -> StoreResult<(Arc<DataFrame>, ViewRead)> {
         let caught_up = self.catch_up(g, snap)?;
-        let misses = g.stats.misses;
-        let view = self.view(g, &plan.names, snap)?;
+        let (view, made) = self.view(g, &plan.names, snap)?;
         let base = match maintained(plan) {
             Some(group) => view.latest(group),
             None => Ok(view.pivot.frame()),
         };
-        let read = match caught_up {
-            _ if g.stats.misses > misses => ViewRead::Built,
-            Some(rows) => ViewRead::CaughtUp { rows },
-            None => ViewRead::Hit,
+        let read = match (made, caught_up) {
+            (Some(made), _) => made,
+            (None, Some(rows)) => ViewRead::CaughtUp { rows },
+            (None, None) => ViewRead::Hit,
         };
         self.evict(g);
         Ok((base?, read))
@@ -401,33 +447,71 @@ impl ViewCatalog {
         }
     }
 
-    /// The view of `names`, from cache or built at `snap`; touches the
-    /// LRU clock.
+    /// The view of `names` — from cache, else selected from the
+    /// smallest cached view that covers its names, else built at `snap`
+    /// — and how a miss made it; touches the LRU clock.
     fn view<'g>(
         &self,
         g: &'g mut CatalogInner,
         names: &[String],
         snap: &Snapshot,
-    ) -> StoreResult<&'g mut CachedView> {
+    ) -> StoreResult<(&'g mut CachedView, Option<ViewRead>)> {
         g.clock += 1;
-        let view = match g.views.entry(names.to_vec()) {
+        let selected = if g.views.contains_key(names) {
+            None
+        } else {
+            self.select(&g.views, names)?
+        };
+        let enabled = self.metrics.registry.enabled();
+        let (view, made) = match g.views.entry(names.to_vec()) {
             Entry::Occupied(view) => {
                 g.stats.hits += 1;
-                if self.metrics.registry.enabled() {
+                if enabled {
                     self.metrics.hits.inc();
                 }
-                view.into_mut()
+                (view.into_mut(), None)
             }
             Entry::Vacant(slot) => {
                 g.stats.misses += 1;
-                if self.metrics.registry.enabled() {
+                if enabled {
                     self.metrics.misses.inc();
                 }
-                slot.insert(self.build(names, snap)?)
+                match selected {
+                    Some((view, from)) => {
+                        g.stats.selections += 1;
+                        if enabled {
+                            self.metrics.selections.inc();
+                        }
+                        (slot.insert(view), Some(ViewRead::Selected { from }))
+                    }
+                    None => (slot.insert(self.build(names, snap)?), Some(ViewRead::Built)),
+                }
             }
         };
         view.last_used = g.clock;
-        Ok(view)
+        Ok((view, made))
+    }
+
+    /// The view of `names` selected ([`PivotState::select`]) from the
+    /// cached view with the fewest names that covers them — the most
+    /// recently used among equals — with that view's names; `None` when
+    /// no cached view covers them. Every cached view was just caught up
+    /// to the snapshot being read, so the selection reflects it too.
+    fn select(
+        &self,
+        views: &HashMap<Vec<String>, CachedView>,
+        names: &[String],
+    ) -> StoreResult<Option<(CachedView, Vec<String>)>> {
+        let Some((from, source)) = views
+            .iter()
+            .filter(|(_, v)| v.pivot.covers(names))
+            .min_by_key(|(_, v)| (v.pivot.names().len(), Reverse(v.last_used)))
+        else {
+            return Ok(None);
+        };
+        let _select = Span::enter(&self.metrics.registry, &self.metrics.select_nanos);
+        let pivot = source.pivot.select(names).map_err(StoreError::Df)?;
+        Ok(Some((CachedView::new(pivot), from.clone())))
     }
 
     /// Enforce the capacity bound, coldest first. The view just served
@@ -458,11 +542,7 @@ impl ViewCatalog {
     /// per build.
     fn build(&self, names: &[String], snap: &Snapshot) -> StoreResult<CachedView> {
         let _build = Span::enter(&self.metrics.registry, &self.metrics.build_nanos);
-        Ok(CachedView {
-            pivot: PivotState::at(snap, names)?,
-            latest: HashMap::new(),
-            last_used: 0,
-        })
+        Ok(CachedView::new(PivotState::at(snap, names)?))
     }
 }
 
@@ -555,7 +635,7 @@ mod tests {
         }
         let at = |snap: &Snapshot| catalog.plan_at(&plan, snap).unwrap();
         let answer = at(&snaps[0]).unwrap();
-        assert_eq!((answer.read, answer.epoch), (ViewRead::Built, 1));
+        assert_eq!((answer.read.clone(), answer.epoch), (ViewRead::Built, 1));
         assert_eq!(answer.to_string(), "built at epoch 1");
         // Caught up to the caller's epoch 2, not the newest 3.
         let answer = at(&snaps[1]).unwrap();
@@ -1006,6 +1086,141 @@ mod tests {
         let stats = catalog.stats();
         assert_eq!(stats.hits, hits + 1, "the hot view is still cached");
         assert_eq!((stats.misses, stats.evictions), (1, 0));
+    }
+
+    /// A `logs` row of `name` at `ts`, outside any loop, logged as null.
+    fn null_row(ts: i64, name: &str) -> Vec<Value> {
+        let mut row = log_row(ts, name, "");
+        row[6] = 0.into();
+        row
+    }
+
+    /// `plan` read through the catalog at a fresh pin, checked against
+    /// the snapshot executor there; how the view was reached.
+    fn read(catalog: &ViewCatalog, db: &Database, plan: &QueryPlan) -> ViewRead {
+        let snap = db.pin();
+        let answer = catalog.plan_at(plan, &snap).unwrap().unwrap();
+        let want = crate::execute_at(&snap, plan, &mut off()).unwrap().0;
+        assert_eq!(*answer.frame, want, "{plan:?}");
+        answer.read
+    }
+
+    fn selected(from: &[&str]) -> ViewRead {
+        ViewRead::Selected {
+            from: from.iter().map(|n| n.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn a_miss_selects_from_the_smallest_covering_view() {
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 8);
+        for ts in 1..=3 {
+            for name in ["a", "b", "c"] {
+                db.insert("logs", log_row(ts, name, &ts.to_string()))
+                    .unwrap();
+            }
+        }
+        log_epochs(&db, 4, "c");
+        let wide = QueryPlan::new(&["a", "b", "c"]);
+        assert_eq!(read(&catalog, &db, &wide), ViewRead::Built);
+        // `c`'s loop is not among `b, a`'s columns.
+        let pair = QueryPlan::new(&["b", "a"]);
+        assert_eq!(read(&catalog, &db, &pair), selected(&["a", "b", "c"]));
+        let single = QueryPlan::new(&["a"]);
+        let answer = catalog.plan_at(&single, &db.pin()).unwrap().unwrap();
+        assert_eq!(answer.read, selected(&["b", "a"]));
+        assert_eq!(answer.to_string(), "selected from pivot[b,a] at epoch 1");
+        // A selected view is cached and caught up like a built one.
+        db.insert("logs", log_row(5, "a", "5")).unwrap();
+        db.commit().unwrap();
+        assert_eq!(read(&catalog, &db, &single), ViewRead::CaughtUp { rows: 1 });
+        assert_eq!(read(&catalog, &db, &pair), ViewRead::Hit);
+        let stats = catalog.stats();
+        assert_eq!((stats.misses, stats.selections), (3, 2));
+        assert_eq!(stats.fallback_rebuilds, 0);
+        let metrics = db.metrics_registry().snapshot();
+        assert_eq!(metrics.counter("view.selections"), Some(2));
+        assert_eq!(metrics.histogram("view.select_nanos").unwrap().count, 2);
+        assert_eq!(metrics.histogram("view.build_nanos").unwrap().count, 1);
+    }
+
+    #[test]
+    fn an_uncovered_miss_still_builds() {
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 8);
+        db.insert("logs", log_row(1, "a", "1")).unwrap();
+        db.insert("logs", log_row(1, "b", "2")).unwrap();
+        db.commit().unwrap();
+        assert_eq!(
+            read(&catalog, &db, &QueryPlan::new(&["a"])),
+            ViewRead::Built
+        );
+        let both = QueryPlan::new(&["a", "b"]);
+        assert_eq!(read(&catalog, &db, &both), ViewRead::Built);
+        let stats = catalog.stats();
+        assert_eq!((stats.misses, stats.selections), (2, 0));
+    }
+
+    #[test]
+    fn a_name_logged_only_as_null_keeps_its_rows() {
+        // A logged null is a cell: presence is not the cell's value.
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 8);
+        db.insert("logs", log_row(1, "a", "1")).unwrap();
+        db.insert("logs", null_row(2, "n")).unwrap();
+        db.insert("logs", log_row(3, "a", "3")).unwrap();
+        db.insert("logs", null_row(3, "n")).unwrap();
+        db.commit().unwrap();
+        read(&catalog, &db, &QueryPlan::new(&["a", "n"]));
+        let nulls = QueryPlan::new(&["n"]);
+        assert_eq!(read(&catalog, &db, &nulls), selected(&["a", "n"]));
+        let frame = catalog.plan(&nulls).unwrap();
+        assert_eq!(frame.n_rows(), 2);
+        assert_eq!(frame.get(0, "n"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn a_backfilled_cell_moves_its_old_key_last_in_a_selection() {
+        // Keys at `tstamp` 1 and 2 log `x`; only 2 logs `y`, until a
+        // backfill writes `y` into key 1 after it: in `y`'s projection
+        // key 1 comes last, though it is first in the wider view.
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 8);
+        db.insert("logs", log_row(1, "x", "1")).unwrap();
+        db.insert("logs", log_row(2, "x", "2")).unwrap();
+        db.insert("logs", log_row(2, "y", "2")).unwrap();
+        db.insert("logs", log_row(3, "x", "3")).unwrap();
+        db.commit().unwrap();
+        db.insert("logs", log_row(1, "y", "-1")).unwrap();
+        db.commit().unwrap();
+        let wide = QueryPlan::new(&["x", "y"]);
+        read(&catalog, &db, &wide);
+        assert_eq!(
+            catalog.plan(&wide).unwrap().get(0, "tstamp"),
+            Some(&Value::Int(1))
+        );
+        let ys = QueryPlan::new(&["y"]);
+        assert_eq!(read(&catalog, &db, &ys), selected(&["x", "y"]));
+        let frame = catalog.plan(&ys).unwrap();
+        let tstamps: Vec<_> = (0..frame.n_rows())
+            .map(|r| frame.get(r, "tstamp"))
+            .collect();
+        assert_eq!(tstamps, [Some(&Value::Int(2)), Some(&Value::Int(1))]);
+        // The selection's key index finds its rows: a re-log into key 2
+        // patches it, and key 3 (no `y`) is a new row.
+        db.insert("logs", log_row(2, "y", "20")).unwrap();
+        db.insert("logs", log_row(3, "y", "30")).unwrap();
+        db.commit().unwrap();
+        assert_eq!(read(&catalog, &db, &ys), ViewRead::CaughtUp { rows: 2 });
+        assert_eq!(
+            read(&catalog, &db, &QueryPlan::new(&["x"])),
+            selected(&["x", "y"])
+        );
+        db.insert("logs", log_row(1, "x", "10")).unwrap();
+        db.commit().unwrap();
+        read(&catalog, &db, &QueryPlan::new(&["x"]));
+        assert_eq!(catalog.stats().fallback_rebuilds, 0);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! watermark ([`flor_store::Snapshot::since`]) and pivots once into a
 //! fragment under that snapshot's loop contexts — by the same merge and
 //! the same [`Pivot`] write ([`PivotState::apply`]). It holds every
-//! projected row: a plan's predicates run over it as a post-pass.
+//! projected row: a plan's predicates run over it as a post-pass. A view
+//! of fewer names can also be selected from a maintained one
+//! ([`PivotState::select`]), from the first rids per name and row and the
+//! per-name schema facts its [`Pivot`] keeps, instead of being built.
 //! [`LatestState`] layers `flor.utils.latest` on top via a per-group-key
 //! max-timestamp upsert.
 //!
@@ -54,6 +57,30 @@ impl PivotState {
             names: projected(names),
             pivot,
         })
+    }
+
+    /// The view of `names`, each among this view's projected names,
+    /// selected from this one ([`Pivot::select`]): the view the same
+    /// builds and catch-ups would have made had they projected `names`,
+    /// without merging history again.
+    pub(crate) fn select(&self, names: &[String]) -> DfResult<PivotState> {
+        let names = projected(names);
+        Ok(PivotState {
+            pivot: self.pivot.select(&names)?,
+            names,
+        })
+    }
+
+    /// Whether every name of `names` is among this view's.
+    pub(crate) fn covers(&self, names: &[String]) -> bool {
+        names
+            .iter()
+            .all(|n| self.names.iter().any(|m| m.as_str() == Some(n.as_str())))
+    }
+
+    /// The projected names, each once.
+    pub(crate) fn names(&self) -> &[Value] {
+        &self.names
     }
 
     /// Whether `col` is an index column of the maintained frame

@@ -32,7 +32,9 @@
 //!   kept beside it, all caught up on each access to the snapshot it
 //!   reads from one `logs` rid watermark, bounded by an LRU, with a
 //!   fallback rebuild when a row cannot be applied (a value name
-//!   colliding with an index column). [`ViewCatalog::plan`] reads at a
+//!   colliding with an index column). A miss whose names a cached view
+//!   covers is selected from the smallest such view rather than built
+//!   from history. [`ViewCatalog::plan`] reads at a
 //!   snapshot it pins; [`ViewCatalog::plan_at`] at a caller's — a served
 //!   session's — when the catalog has not passed its epoch. Every
 //!   predicate of a plan runs in the post-pass.

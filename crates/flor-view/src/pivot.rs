@@ -32,10 +32,22 @@
 //! A maintained view ([`crate::delta::PivotState`]) catches up the same way
 //! ([`Delta`]): the `logs` rows later commits add
 //! ([`flor_store::Snapshot::since`]) become one transient fragment, made
-//! by the same [`Fragment::of`] under the new snapshot's loop contexts,
-//! and each view merges it and applies it onto the pivot it holds. Every
-//! delta row is newer than every row the view holds, so its keys come
-//! after the view's rows and its cells win.
+//! by the same [`Fragment::of`] under the new snapshot's loop contexts
+//! and with the rids the rows were committed at, and each view merges it
+//! and applies it onto the pivot it holds. Every delta row is newer than
+//! every row the view holds, so its keys come after the view's rows and
+//! its cells win.
+//!
+//! A [`Pivot`] also keeps, per value column, each row's first rid under
+//! that name (`usize::MAX` where the row has no cell, so presence is not
+//! the null bitmap: a logged null is a cell) and the name's dimension
+//! signatures with their first rids, and per row its key hash; `discover`
+//! and `apply` maintain them on every merge, a build's and a catch-up's
+//! alike. That makes a pivot over fewer names a function of this one
+//! ([`Pivot::select`]): its rows are the rows with a selected name's
+//! cell, ordered by their smallest first rid among those names; its
+//! dimension columns are the selected names' signatures merged by first
+//! rid; and its key index is rebuilt from the kept hashes.
 //!
 //! The loop contexts are kept the same way ([`LoopContexts`]): one
 //! context map per sealed `loops` segment, each context resolved once
@@ -77,7 +89,7 @@
 //! the reference's — including column order, row order, and nulls.
 
 use crate::plan::{BelowPivot, QueryPlan, FIXED_COLS as FIXED};
-use flor_df::{Column, DataFrame, DataType, DfResult, Value};
+use flor_df::{Column, DataFrame, DataType, DfError, DfResult, Value};
 use flor_obs::ActiveTrace;
 use flor_store::{Predicate, Snapshot, StoreResult};
 use std::borrow::Cow;
@@ -799,9 +811,14 @@ impl KeyIndex {
         if at != END {
             return (at, false);
         }
+        (self.push(hash), true)
+    }
+
+    /// Number a new key hashing to `hash` as the next.
+    fn push(&mut self, hash: u64) -> usize {
         let at = self.next.len();
         self.next.push(self.heads.insert(hash, at).unwrap_or(END));
-        (at, true)
+        at
     }
 }
 
@@ -817,17 +834,38 @@ impl KeyIndex {
 /// keys its candidates are compared against. A value name equal to an
 /// index column's name is [`flor_df::DfError::DuplicateColumn`], as it is for
 /// [`DataFrame::pivot`].
+///
+/// Beside the frame it keeps what [`Pivot::select`] needs to project it
+/// onto fewer names exactly: per value column its schema facts and each
+/// row's first rid ([`ValueColumn`]), and each row's key hash.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pivot {
     /// Dimension columns, in first-seen order.
     dims: Vec<Arc<str>>,
     /// Value columns, in first-seen order.
-    names: Vec<Arc<str>>,
+    names: Vec<ValueColumn>,
     /// The frame's row keys: key `r` is row `r`.
     keys: KeyIndex,
+    /// Per row, its key's hash: what a selection re-indexes its rows by.
+    hashes: Vec<u64>,
     /// The wide frame. Shared out by [`Pivot::frame`]; writes go through
     /// `Arc::make_mut` (a copy only while a reader holds an old frame).
     frame: Arc<DataFrame>,
+}
+
+/// One value column of a [`Pivot`] and what the pivot keeps of its name
+/// beyond the cells.
+#[derive(Debug, Clone)]
+struct ValueColumn {
+    name: Arc<str>,
+    /// Each dimension signature the name's rows were logged under, with
+    /// its first rid — an open key's as [`Pivot::discover`] resolved it:
+    /// the name's share of the dimension columns and their order.
+    signatures: Vec<(Signature, usize)>,
+    /// Per row, the first rid of its cell under this name, or
+    /// `usize::MAX` when it has none. Presence, not the cell: a logged
+    /// null is a cell.
+    firsts: Vec<usize>,
 }
 
 impl Pivot {
@@ -871,55 +909,160 @@ impl Pivot {
         Ok(())
     }
 
-    /// Add value column `name` unless it is known.
-    fn name(&mut self, name: &Value) -> DfResult<()> {
+    /// Value column `name`, added unless it is known.
+    fn name(&mut self, name: &Value) -> DfResult<usize> {
         let name = text(name);
-        if !self.names.iter().any(|n| **n == *name) {
-            let frame = with_fixed(&mut self.frame)?;
-            frame.add_column(nulls(&name, frame))?;
-            self.names.push(name.into());
+        if let Some(c) = self.names.iter().position(|n| *n.name == *name) {
+            return Ok(c);
         }
-        Ok(())
+        let frame = with_fixed(&mut self.frame)?;
+        frame.add_column(nulls(&name, frame))?;
+        self.names.push(ValueColumn {
+            name: name.into(),
+            signatures: Vec::new(),
+            firsts: vec![usize::MAX; frame.n_rows()],
+        });
+        Ok(self.names.len() - 1)
     }
 
     /// The schema pass: widen the schema to the columns of the pivot of
     /// every row of `fragments` named in `names`, resolving open keys
     /// under `loops`, without reading a row. The columns are a merge by
     /// first rid over the fragments' schema facts: dimension signatures
-    /// first, then value names.
+    /// first, then value names. Each value column keeps its name's
+    /// signatures with their first rids.
     fn discover<'f>(
         &mut self,
         loops: &LoopContexts,
         fragments: impl IntoIterator<Item = &'f Fragment>,
         names: &[Value],
     ) -> DfResult<()> {
-        let mut firsts: Vec<(usize, &Value)> = Vec::new();
-        let mut signatures: Vec<(usize, Signature)> = Vec::new();
-        for (name, facts) in fragments
-            .into_iter()
-            .flat_map(|f| names.iter().filter_map(|n| Some((n, f.names.get(n)?))))
-        {
-            firsts.push((facts.first, name));
+        let mut firsts: Vec<(usize, usize)> = Vec::new();
+        // (first rid, signature, projected name).
+        let mut signatures: Vec<(usize, Signature, usize)> = Vec::new();
+        for (n, facts) in fragments.into_iter().flat_map(|f| {
+            let named = names.iter().enumerate();
+            named.filter_map(|(n, name)| Some((n, f.names.get(name)?)))
+        }) {
+            firsts.push((facts.first, n));
             signatures.extend(
                 facts
                     .signatures
                     .iter()
-                    .map(|(sig, rid)| (*rid, Arc::clone(sig))),
+                    .map(|(sig, rid)| (*rid, Arc::clone(sig), n)),
             );
             for &(id, rid) in &facts.open {
                 let dims = loops.dims(id).0;
-                signatures.push((rid, dims.into_iter().map(|(d, _)| d).collect()));
+                signatures.push((rid, dims.into_iter().map(|(d, _)| d).collect(), n));
             }
         }
-        signatures.sort_by_key(|(rid, _)| *rid);
+        signatures.sort_by_key(|(rid, _, _)| *rid);
         firsts.sort_by_key(|(rid, _)| *rid);
-        for (_, sig) in signatures {
+        for (_, sig, _) in &signatures {
             self.widen(sig.iter())?;
         }
-        for (_, name) in firsts {
-            self.name(name)?;
+        let mut columns = vec![0; names.len()];
+        for (_, n) in firsts {
+            columns[n] = self.name(&names[n])?;
+        }
+        for (rid, sig, n) in signatures {
+            let known = &mut self.names[columns[n]].signatures;
+            match known.iter_mut().find(|(s, _)| *s == sig) {
+                Some((_, first)) => *first = (*first).min(rid),
+                None => known.push((sig, rid)),
+            }
         }
         Ok(())
+    }
+
+    /// The pivot of `names`, each among this pivot's projected names,
+    /// selected from this one rather than merged from history: what
+    /// merging every row this pivot has merged, projected onto `names`,
+    /// would have built.
+    /// - Its rows are the rows with a cell of a selected name, ordered by
+    ///   the smallest first rid among those cells — sorted only when that
+    ///   is not already this pivot's order (a backfilled cell of an old
+    ///   key moves the key).
+    /// - Its dimension columns come from the selected names' signatures
+    ///   alone, merged by first rid as [`Pivot::discover`] merges them.
+    ///   Its value columns keep this pivot's first-seen order.
+    /// - Its key index is this one's when every row stays where it was,
+    ///   else rebuilt from the rows' kept hashes.
+    ///
+    /// The frame is written fresh, sharing no `Arc` with this one, so
+    /// neither pivot's next write copies the other's frame.
+    pub(crate) fn select(&self, names: &[Value]) -> DfResult<Pivot> {
+        let values: Vec<(usize, &ValueColumn)> = self
+            .names
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| names.iter().any(|n| text(n) == *v.name))
+            .collect();
+        let mut rows: Vec<(usize, usize)> = (0..self.hashes.len())
+            .filter_map(|r| {
+                let first = values.iter().map(|(_, v)| v.firsts[r]).min()?;
+                (first != usize::MAX).then_some((first, r))
+            })
+            .collect();
+        let in_order = rows.is_sorted_by_key(|(first, _)| *first);
+        if !in_order {
+            rows.sort_unstable_by_key(|(first, _)| *first);
+        }
+        let kept: Vec<usize> = rows.into_iter().map(|(_, r)| r).collect();
+        let mut signatures: Vec<(usize, &Signature)> = values
+            .iter()
+            .flat_map(|(_, v)| v.signatures.iter().map(|(sig, rid)| (*rid, sig)))
+            .collect();
+        signatures.sort_by_key(|(rid, _)| *rid);
+        let mut dims: Vec<Arc<str>> = Vec::new();
+        for d in signatures.into_iter().flat_map(|(_, sig)| sig.iter()) {
+            if !dims.contains(d) {
+                dims.push(Arc::clone(d));
+            }
+        }
+        let source = self.frame.columns();
+        let take = |c: usize| Column {
+            name: source[c].name.clone(),
+            values: kept.iter().map(|&r| source[c].values[r].clone()).collect(),
+        };
+        let frame = if values.is_empty() {
+            DataFrame::default()
+        } else {
+            let mut columns: Vec<Column> = (0..FIXED.len()).map(take).collect();
+            for d in &dims {
+                let at = self.dims.iter().position(|k| k == d);
+                let at = at.ok_or_else(|| DfError::UnknownColumn(d.to_string()))?;
+                columns.push(take(FIXED.len() + at));
+            }
+            let values_at = FIXED.len() + self.dims.len();
+            columns.extend(values.iter().map(|&(c, _)| take(values_at + c)));
+            DataFrame::from_columns(columns)?
+        };
+        let hashes: Vec<u64> = kept.iter().map(|&r| self.hashes[r]).collect();
+        let keys = if in_order && kept.len() == self.hashes.len() {
+            self.keys.clone()
+        } else {
+            let mut keys = KeyIndex::default();
+            for &hash in &hashes {
+                keys.push(hash);
+            }
+            keys
+        };
+        let names = values
+            .into_iter()
+            .map(|(_, v)| ValueColumn {
+                name: Arc::clone(&v.name),
+                signatures: v.signatures.clone(),
+                firsts: kept.iter().map(|&r| v.firsts[r]).collect(),
+            })
+            .collect();
+        Ok(Pivot {
+            dims,
+            names,
+            keys,
+            hashes,
+            frame: Arc::new(frame),
+        })
     }
 
     /// Write the merged keys `rows`, in order, into the discovered
@@ -938,7 +1081,7 @@ impl Pivot {
         let slots: Vec<Option<usize>> = self
             .names
             .iter()
-            .map(|n| merge.names.iter().position(|m| text(m) == **n))
+            .map(|n| merge.names.iter().position(|m| text(m) == *n.name))
             .collect();
         let old_rows = self.frame.n_rows();
         let frame = Arc::make_mut(&mut self.frame);
@@ -951,14 +1094,22 @@ impl Pivot {
                 .find_or_add(key.hash, |at| at < old_rows && key_at(frame, at, key, dims));
             if is_new {
                 new.push(m);
+                self.hashes.push(key.hash);
             } else {
-                for (c, slot) in slots.iter().enumerate() {
-                    if let Some(cell) = slot.and_then(|n| merge.cell(m, n)) {
+                for (c, &slot) in slots.iter().enumerate() {
+                    let Some(n) = slot else { continue };
+                    if let Some(cell) = merge.cell(m, n) {
                         frame.set_at(at, values_at + c, cell.value.clone());
+                        let first = &mut self.names[c].firsts[at];
+                        *first = (*first).min(merge.first(m, n));
                     }
                 }
             }
             changed.push(at);
+        }
+        for (column, slot) in self.names.iter_mut().zip(&slots) {
+            let first = |m: usize| slot.map_or(usize::MAX, |n| merge.first(m, n));
+            column.firsts.extend(new.iter().map(|&m| first(m)));
         }
         // The new rows, column by column.
         let key = |m: usize| merge.keys[m].0;
@@ -1072,6 +1223,9 @@ struct Merge<'f> {
     /// Per merged key, per projected name: the cell with the largest last
     /// rid.
     cells: Vec<Option<&'f KeyCell>>,
+    /// Per merged key, per projected name: the smallest first rid among
+    /// its cells, or `usize::MAX`.
+    firsts: Vec<usize>,
 }
 
 impl<'f> Merge<'f> {
@@ -1081,6 +1235,7 @@ impl<'f> Merge<'f> {
             index: KeyIndex::default(),
             keys: Vec::new(),
             cells: Vec::new(),
+            firsts: Vec::new(),
         }
     }
 
@@ -1122,9 +1277,12 @@ impl<'f> Merge<'f> {
                 let Some(m) = met else {
                     continue;
                 };
+                let at = m * self.names.len() + n;
                 let first = &mut self.keys[m].1;
                 *first = (*first).min(cell.first);
-                let slot = &mut self.cells[m * self.names.len() + n];
+                let first = &mut self.firsts[at];
+                *first = (*first).min(cell.first);
+                let slot = &mut self.cells[at];
                 if slot.is_none_or(|won| cell.last > won.last) {
                     *slot = Some(cell);
                 }
@@ -1140,6 +1298,7 @@ impl<'f> Merge<'f> {
         if new {
             self.keys.push((key, usize::MAX));
             self.cells.extend(self.names.iter().map(|_| None));
+            self.firsts.extend(self.names.iter().map(|_| usize::MAX));
         }
         m
     }
@@ -1147,6 +1306,11 @@ impl<'f> Merge<'f> {
     /// Key `m`'s winning cell under projected name `n`.
     fn cell(&self, m: usize, n: usize) -> Option<&'f KeyCell> {
         self.cells[m * self.names.len() + n]
+    }
+
+    /// Key `m`'s first rid under projected name `n`, or `usize::MAX`.
+    fn first(&self, m: usize, n: usize) -> usize {
+        self.firsts[m * self.names.len() + n]
     }
 
     /// Every merged key, in row order.
@@ -1186,8 +1350,9 @@ impl Delta {
     pub(crate) fn since(snap: &Snapshot, rid: usize) -> StoreResult<Delta> {
         let (logs, next) = snap.since("logs", rid)?;
         let loops = LoopContexts::of(snap)?;
-        // Positions stand in for rids: the rows come in rid order.
-        let rids: Vec<usize> = (0..logs.n_rows()).collect();
+        // No `logs` row is ever dropped, so the rows past `rid` are the
+        // ones up to `next`, in rid order.
+        let rids: Vec<usize> = (next - logs.n_rows()..next).collect();
         let fragment = Fragment::of(&logs, &rids, &loops, loops.trusted_below());
         let reopened = fragment.reopen(&loops);
         Ok(Delta {

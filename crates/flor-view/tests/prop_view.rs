@@ -14,7 +14,7 @@ use flor_core::{backfill, run_script, Flor};
 use flor_df::{DataFrame, Value};
 use flor_record::CheckpointPolicy;
 use flor_store::{CmpOp, CompactionPolicy, Predicate, Query, Snapshot, StoreResult};
-use flor_view::QueryPlan;
+use flor_view::{QueryPlan, ViewCatalog};
 use proptest::prelude::*;
 use reference::reference_pivot;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -629,6 +629,94 @@ proptest! {
         drop(flor);
         let _ = std::fs::remove_file(&wal);
         let _ = std::fs::remove_file(&sidecar);
+    }
+}
+
+/// Every non-empty proper subset of [`NAMES`], the widest first, so a
+/// narrow one is often selected from a view that was itself selected.
+fn proper_subsets() -> Vec<Vec<&'static str>> {
+    let full = (1usize << NAMES.len()) - 1;
+    let mut subsets: Vec<Vec<&str>> = (1..full)
+        .map(|bits| {
+            let named = NAMES.iter().enumerate();
+            named
+                .filter(|(i, _)| bits >> i & 1 == 1)
+                .map(|(_, n)| *n)
+                .collect()
+        })
+        .collect();
+    subsets.sort_by_key(|names| std::cmp::Reverse(names.len()));
+    subsets
+}
+
+/// `plan` read through `catalog` equals `collect_full` at the same
+/// epoch, cell for cell; both failing counts as agreement.
+fn catalog_equals_full(flor: &Flor, catalog: &ViewCatalog, plan: &QueryPlan, when: &str) {
+    match (catalog.plan(plan), flor.run_plan_full(plan)) {
+        (Ok(got), Ok(want)) => assert_eq!(*got, want, "{when}: {plan:?}"),
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!(
+            "{when}: divergent outcomes for {plan:?}: {:?} vs {:?}",
+            a.map(|d| d.n_rows()),
+            b.map(|d| d.n_rows())
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Answering a projection from a cached view that covers its names:
+    /// over sessions with logged nulls, two loop depths, rollbacks, a
+    /// backfill and a compaction, once the 3-name view is read, every
+    /// proper subset of its names — plain, then `latest` by
+    /// `epoch_iteration` — is **selected** from a cached view, never
+    /// built, and equals `collect_full` cell for cell. The selected views
+    /// then catch up over the rest of the session (the backfill among
+    /// it, when it had not run yet) and still equal it, with no rebuild.
+    #[test]
+    fn covered_projections_are_selected_and_equal_recompute(
+        ops in proptest::collection::vec(arb_op(), 0..20),
+        later in proptest::collection::vec(arb_op(), 0..10),
+        tail in proptest::collection::vec(arb_op(), 0..10),
+        backfill_first in any::<bool>(),
+        compact in any::<bool>(),
+    ) {
+        let mut flor = drive(Flor::new("prop"), &ops);
+        flor.fs.write("train.fl", TRAIN_V1);
+        run_script(&flor, "train.fl", CheckpointPolicy::EveryK(1)).unwrap();
+        flor.fs.write("train.fl", TRAIN_V2);
+        flor = drive(flor, &later);
+        if backfill_first {
+            backfill(&flor, "train.fl", &["acc"], 2).unwrap();
+        }
+        if compact {
+            flor.compact().unwrap();
+        }
+        let catalog = ViewCatalog::new(flor.db.clone(), 8);
+        let mut plans = vec![QueryPlan::new(&NAMES)];
+        catalog_equals_full(&flor, &catalog, &plans[0], "wide");
+        for names in proper_subsets() {
+            let before = catalog.stats();
+            let plain = QueryPlan::new(&names);
+            catalog_equals_full(&flor, &catalog, &plain, "selected");
+            let after = catalog.stats();
+            prop_assert_eq!(after.misses, before.misses + 1, "{:?}", names);
+            prop_assert_eq!(after.selections, before.selections + 1, "{:?}", names);
+            let latest = QueryPlan::with_latest(&names, &["epoch_iteration"]);
+            catalog_equals_full(&flor, &catalog, &latest, "selected, latest");
+            plans.extend([plain, latest]);
+        }
+        if !backfill_first {
+            backfill(&flor, "train.fl", &["acc"], 2).unwrap();
+        }
+        flor = drive(flor, &tail);
+        let misses = catalog.stats().misses;
+        for plan in &plans {
+            catalog_equals_full(&flor, &catalog, plan, "caught up");
+        }
+        let stats = catalog.stats();
+        prop_assert_eq!((stats.misses, stats.fallback_rebuilds), (misses, 0));
     }
 }
 
