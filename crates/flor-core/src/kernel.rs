@@ -73,10 +73,11 @@ pub struct Flor {
     /// Project id stamped on every record.
     pub projid: String,
     /// Incrementally maintained dataframe views (see [`flor_view`]):
-    /// [`Flor::dataframe`] serves from here, applying the rows new
-    /// commits added instead of re-pivoting history on every call, and
-    /// so does `flor-serve` for a session's plan with nothing below the
-    /// pivot ([`ViewCatalog::plan_at`]).
+    /// every dataframe read, [`Flor::dataframe`]'s and a `flor-serve`
+    /// session's, enters through [`ViewCatalog::answer`], which serves a
+    /// plan with nothing below the pivot but a `latest` from here,
+    /// applying the rows new commits added instead of re-pivoting history
+    /// on every call.
     pub views: ViewCatalog,
     /// The background-job control plane (see [`flor_jobs`]):
     /// [`Flor::submit_backfill`] schedules per-version replay units (and

@@ -8,16 +8,17 @@
 //!   `logs`, `loops`, `ts2vid`, `git`, `obj_store` and `build_deps`
 //!   tables;
 //! * [`QueryBuilder`] — the lazy query surface behind [`Flor::query`]:
-//!   filters, `latest` dedup, ordering and limits, lowered onto one
-//!   incrementally maintained view per projection plus a post-pass
-//!   (`dataframe` and `dataframe_latest` are one-line wrappers over it).
-//!   One snapshot pivot, owned by `flor-view`, has two callers:
-//!   [`Flor::run_plan`] (incremental: the view catalog builds each view
-//!   with it, then catches it up with the rows later commits add) and
+//!   filters, `latest` dedup, ordering and limits (`dataframe` and
+//!   `dataframe_latest` are one-line wrappers over it). One snapshot
+//!   pivot, owned by `flor-view`, has two callers, and one function
+//!   routes every read, [`Flor::run_plan`]'s and `flor-serve`'s, between
+//!   them (`flor_view::ViewCatalog::answer`): a plan with nothing below
+//!   the pivot but a `latest` reads its projection's incrementally
+//!   maintained view plus a post-pass, and every other plan runs on
 //!   [`Flor::execute_at`] (per request at a pinned snapshot, index
-//!   predicates and `latest` / top-K cuts run below the pivot — the
-//!   oracle, and what `flor-serve` answers with, reporting a whole-plan
-//!   [`PlanExplain`]); tracing is an inert-when-off handle passed to
+//!   predicates and `latest` / top-K cuts run below the pivot — also the
+//!   oracle — reporting a whole-plan [`PlanExplain`]). The [`Answer`]
+//!   says which ([`How`]); tracing is an inert-when-off handle passed to
 //!   both, never a second path;
 //! * [`run_script`] — execute a versioned florscript file under full
 //!   instrumentation with a checkpoint policy, persisting replay metadata;
@@ -50,7 +51,7 @@ pub mod kernel;
 pub mod query;
 pub mod runtime;
 
-pub use flor_view::PlanExplain;
+pub use flor_view::{Answer, How, PlanExplain};
 pub use hindsight::{backfill, runs_of, BackfillReport, VersionOutcome, VersionResult};
 pub use jobs::{
     BackfillHandle, CheckpointHandle, CompactionHandle, JobOutcome, MaintenanceHandle,

@@ -8,15 +8,17 @@
 //! call. The paper's two read calls, [`Flor::dataframe`] and
 //! [`Flor::dataframe_latest`], are one-line wrappers over this builder.
 //!
-//! One snapshot pivot, owned by `flor-view`, builds every frame, and it
-//! has two callers; both end with the plan's whole
-//! [`QueryPlan::post_pass`]. [`Flor::run_plan`] serves a plan
-//! incrementally from the view catalog, which builds one view per
-//! projection with the snapshot pivot and catches it up with the rows
-//! later commits add; the plan's predicates run over that view in the
-//! post-pass, and a predicate-free `latest` is maintained beside it.
-//! [`Flor::execute_at`] runs the snapshot pivot per request
-//! ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
+//! One snapshot pivot, owned by `flor-view`, builds every frame, and one
+//! function routes every read to it:
+//! [`flor_view::ViewCatalog::answer`], which both [`Flor::run_plan`] (at
+//! a snapshot it pins) and `flor-serve` (at a session's) call. A plan that lowers nothing below the pivot but a
+//! `latest` is read from its projection's incrementally maintained view —
+//! built once with the snapshot pivot, caught up with the rows later
+//! commits add, the plan's value predicates, ordering and limit run over
+//! it as a post-pass, and a predicate-free `latest` maintained beside it
+//! — unless the catalog already stands past the snapshot's epoch. Every
+//! other plan runs on [`Flor::execute_at`], the snapshot pivot per
+//! request ([`flor_view::execute_at`]; [`Flor::run_plan_at`] and
 //! [`Flor::run_plan_full`] are its one-line callers): it merges each
 //! sealed `logs` segment's fragment (the segment pivoted once, on first
 //! read) by rid instead of fetching and re-pivoting rows, and runs index
@@ -24,14 +26,10 @@
 //! ([`QueryPlan::below_pivot`]; the table in [`flor_view::plan`] says
 //! which step runs where). It is the oracle every incremental answer is
 //! checked against, and it reports the fragments it merged and made and
-//! every step's counts in and out as a [`PlanExplain`]. `flor-serve`
-//! answers a session's plan through the catalog too when nothing of it
-//! runs below the pivot ([`flor_view::ViewCatalog::plan_at`], caught up
-//! to the session's snapshot), and through [`Flor::execute_at`] when
-//! something does or the catalog already stands past the session's
-//! epoch. Both take tracing as an
-//! [`ActiveTrace`] handle that is inert when tracing and the slow log
-//! are off, so neither has a traced twin.
+//! every step's counts in and out as a [`PlanExplain`]. The [`Answer`]
+//! says which path ran ([`flor_view::How`]); [`QueryBuilder::explain`]
+//! and both slow logs render it. Tracing is an [`ActiveTrace`] handle that is inert
+//! when tracing and the slow log are off, so no path has a traced twin.
 //!
 //! ```
 //! use flor_core::Flor;
@@ -68,8 +66,8 @@
 use crate::kernel::Flor;
 use flor_df::{DataFrame, Value};
 use flor_obs::ActiveTrace;
-use flor_store::{CmpOp, Predicate, QueryExplain, StoreResult};
-use flor_view::{CatalogStats, PlanExplain, QueryPlan};
+use flor_store::{CmpOp, Predicate, StoreResult};
+use flor_view::{Answer, PlanExplain, QueryPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,59 +81,46 @@ pub struct QueryBuilder<'a> {
     plan: QueryPlan,
 }
 
-/// How one [`QueryBuilder`] execution actually ran, stage by stage —
-/// returned by [`QueryBuilder::explain`]. The plan really executes
-/// (every count is a measurement, not an estimate):
-/// [`ExplainReport::frame`] is the same frame
-/// [`QueryBuilder::collect_view`] would have returned.
+/// How one plan was answered — returned by [`QueryBuilder::explain`] and
+/// rendered into every slow-query record, embedded or served. The plan
+/// really executes: the [`Answer`]'s frame is the one
+/// [`QueryBuilder::collect_view`] would have returned, and its
+/// [`flor_view::How`] is what that execution did — a view hit, built,
+/// selected or caught up over N `logs` rows, or the snapshot executor's
+/// measured [`PlanExplain`].
 #[derive(Debug, Clone)]
 pub struct ExplainReport {
     /// The plan that ran.
     pub plan: QueryPlan,
-    /// Store-layer report for the `logs` fetch of the projected names
-    /// (the rows the view covers), a zone-pruned scan: segments pruned
-    /// by their zone maps, rows examined vs returned at the store, binary-search
-    /// probes into clustered segments (`clustered_probes` — `logs` is
-    /// clustered by `tstamp`), and the order path (full sort vs
-    /// streaming top-K) when the query sorts. Probed on a fresh
-    /// snapshot with [`QueryPlan::logs_fetch`] — the view's build merges
-    /// per-segment fragments and its catch-up reads by rid watermark, so
-    /// this probe is the one store query — and under concurrent commits
-    /// the counts can trail the serving snapshot's by the interleaved
-    /// rows.
-    pub store: QueryExplain,
-    /// Whether the view catalog served the plan from an existing
-    /// materialized view (after catching it up with any new commits).
-    pub view_hit: bool,
-    /// Whether serving had to fall back to a from-scratch rebuild (a
-    /// value name colliding with an index column; see `flor_view`).
-    pub view_rebuilt: bool,
-    /// Commits the cached views caught up over to serve the plan
-    /// (rendered as "caught up over N commit(s)").
-    pub batches_applied: u64,
-    /// Wall-clock nanoseconds serving the plan from the view catalog —
-    /// refresh (or first build) plus the residual post-pass.
+    /// The answer: its frame, the epoch it reflects and how it was
+    /// reached.
+    pub answer: Answer,
+    /// Wall-clock nanoseconds answering the plan.
     pub serve_nanos: u64,
     /// Rows in the final frame handed back to the caller.
     pub rows_returned: usize,
-    /// The result frame itself.
-    pub frame: Arc<DataFrame>,
+}
+
+impl ExplainReport {
+    /// The report of `answer` to `plan`, which took `serve_nanos`.
+    pub fn new(plan: &QueryPlan, answer: Answer, serve_nanos: u64) -> ExplainReport {
+        ExplainReport {
+            plan: plan.clone(),
+            rows_returned: answer.frame.n_rows(),
+            answer,
+            serve_nanos,
+        }
+    }
 }
 
 impl std::fmt::Display for ExplainReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "EXPLAIN {:?}", self.plan.names)?;
-        let view = match (self.view_hit, self.view_rebuilt) {
-            (_, true) => "rebuild",
-            (true, false) => "hit",
-            (false, false) => "miss (built)",
-        };
         writeln!(
             f,
-            "  view: {view}, caught up over {} commit(s), serve {}ns",
-            self.batches_applied, self.serve_nanos
+            "EXPLAIN {:?}, serve {}ns",
+            self.plan.names, self.serve_nanos
         )?;
-        for line in self.store.to_string().lines() {
+        for line in self.answer.to_string().lines() {
             writeln!(f, "  {line}")?;
         }
         write!(f, "  rows returned to caller: {}", self.rows_returned)
@@ -166,78 +151,49 @@ impl Flor {
     }
 
     /// Execute a ready-made [`QueryPlan`] incrementally (the path behind
-    /// [`QueryBuilder::collect_view`]).
+    /// [`QueryBuilder::collect_view`]): the frame of its answer at a
+    /// snapshot pinned by this call, which the view catalog routes
+    /// ([`flor_view::ViewCatalog::answer`]) to the plan's maintained view
+    /// or to the snapshot executor.
     ///
     /// When tracing is enabled ([`Flor::set_tracing`]) the execution
     /// publishes a `query.collect` trace; when the slow-query log is
     /// armed ([`Flor::set_slow_query_threshold`]) and the execution
-    /// exceeds the threshold, a measured [`ExplainReport`] plus the
-    /// trace land in [`Flor::slow_queries`]. With both off the trace
-    /// handle is inert: two relaxed loads on top of the plain view serve.
+    /// exceeds the threshold, its [`ExplainReport`] plus the trace land
+    /// in [`Flor::slow_queries`]. With both off the trace handle is inert:
+    /// two relaxed loads on top of the answer.
     pub fn run_plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
+        self.answer(plan).map(|answer| answer.frame)
+    }
+
+    /// [`Flor::run_plan`] with the whole [`Answer`]: pin, answer, then
+    /// publish the trace and capture a slow query.
+    fn answer(&self, plan: &QueryPlan) -> StoreResult<Answer> {
         let registry = self.metrics_registry();
         let (traces, slow) = (registry.traces(), registry.slow_queries());
         let mut tr = ActiveTrace::new(traces.enabled() || slow.armed(), None, "query.collect");
         tr.set_detail(|| format!("{:?}", plan.names));
-        // The stats delta is only consumed by a slow-query capture;
-        // don't pay for the catalog lock when no threshold is armed.
-        let before = slow.armed().then(|| self.views.stats());
-        let sp = tr.begin("view.plan");
-        let result = self.views.plan(plan);
-        tr.end(sp);
-        if let Ok(frame) = &result {
-            tr.event(|| format!("rows={}", frame.n_rows()));
+        let result = self.views.answer(&self.db.pin(), plan, &mut tr);
+        if let Ok(answer) = &result {
+            tr.event(|| format!("rows={}", answer.frame.n_rows()));
         }
         let trace = tr.finish(traces);
-        let frame = result?;
-        if let (Some(trace), Some(before), Some(threshold)) =
-            (trace, before, slow.threshold_nanos())
-        {
+        let answer = result?;
+        if let (Some(trace), Some(threshold)) = (trace, slow.threshold_nanos()) {
             let total = trace.total_nanos;
             if total > threshold {
-                // The same measured report `QueryBuilder::explain`
-                // returns; a failed store probe is recorded, not dropped.
-                let explain = match self.explain_report(plan, &before, total, Arc::clone(&frame)) {
-                    Ok(report) => report.to_string(),
-                    Err(e) => format!("explain unavailable: {e}"),
-                };
                 slow.record(flor_obs::SlowQueryRecord {
                     trace: Arc::unwrap_or_clone(trace),
                     verb: "query.collect".into(),
                     plan: format!("{:?}", plan.names),
-                    explain,
+                    explain: ExplainReport::new(plan, answer.clone(), total).to_string(),
                     total_nanos: total,
                     threshold_nanos: threshold,
                     at_unix_micros: flor_obs::unix_micros(),
                 });
             }
         }
-        Ok(frame)
-    }
-
-    /// The one place an [`ExplainReport`] is built: the view-stage
-    /// deltas since `before` plus a store probe — on a fresh snapshot —
-    /// of the projection's `logs` fetch behind the serve that produced
-    /// `frame`.
-    fn explain_report(
-        &self,
-        plan: &QueryPlan,
-        before: &CatalogStats,
-        serve_nanos: u64,
-        frame: Arc<DataFrame>,
-    ) -> StoreResult<ExplainReport> {
-        let after = self.views.stats();
-        let (_, store) = self.db.pin().explain(&plan.logs_fetch())?;
-        Ok(ExplainReport {
-            store,
-            view_hit: after.hits > before.hits,
-            view_rebuilt: after.fallback_rebuilds > before.fallback_rebuilds,
-            batches_applied: after.batches_applied.saturating_sub(before.batches_applied),
-            serve_nanos,
-            rows_returned: frame.n_rows(),
-            plan: plan.clone(),
-            frame,
-        })
+        Ok(answer)
     }
 
     /// Execute a [`QueryPlan`] from scratch at the current epoch
@@ -263,10 +219,10 @@ impl Flor {
     /// snapshot pivot, with the plan's steps below the pivot, then the
     /// whole post-pass. Every read is of `snap`, so the frame reflects
     /// exactly `snap.epoch()` no matter how many commits land meanwhile.
-    /// This is how `flor-serve` answers a session's plan that pushes a
-    /// step below the pivot, or any plan of a session pinned behind the
-    /// view catalog, at the epoch the session pinned: byte-identical to
-    /// what [`Flor::run_plan_full`] would have returned at that moment.
+    /// [`flor_view::ViewCatalog::answer`] runs it for every plan that
+    /// pushes a step below the pivot other than a `latest`, and for any
+    /// plan of a snapshot behind the view catalog: byte-identical to what
+    /// [`Flor::run_plan_full`] would have returned at that epoch.
     ///
     /// `tr` records child spans `store.scan`, `pivot`, and `post_pass`
     /// when one runs, with each step's rows in and out as span events —
@@ -286,11 +242,13 @@ impl Flor {
 impl<'a> QueryBuilder<'a> {
     /// Keep rows where `col op value` over the pivoted view's columns
     /// (fixed context columns, loop dimensions, or logged values).
-    /// Incrementally, every predicate runs in the post-pass over the
-    /// projection's maintained view. From scratch, predicates over
-    /// `projid`/`tstamp`/`filename` and over loop dimensions test each
-    /// key as the per-segment fragments merge, before the frame is
-    /// built, and predicates over logged values run in the post-pass. A predicate naming an unknown column matches nothing.
+    /// Predicates over `projid`/`tstamp`/`filename` and over loop
+    /// dimensions send the plan to the snapshot executor, on the
+    /// incremental path too: they test each key as the per-segment
+    /// fragments merge, before the frame is built. Predicates over logged
+    /// values run in the post-pass — over the projection's maintained view
+    /// when they are the plan's only predicates. A predicate naming an
+    /// unknown column matches nothing.
     pub fn filter(mut self, col: &str, op: CmpOp, value: impl Into<Value>) -> Self {
         self.plan.predicates.push(Predicate::new(col, op, value));
         self
@@ -332,33 +290,31 @@ impl<'a> QueryBuilder<'a> {
         self.plan
     }
 
-    /// Execute incrementally and return an owned frame.
+    /// Execute incrementally and return an owned frame: a frame made for
+    /// this call (the executor's, or a post-pass's) is unwrapped without a
+    /// copy, and a maintained view's shared frame is copied.
     pub fn collect(self) -> StoreResult<DataFrame> {
-        self.flor.run_plan(&self.plan).map(|arc| (*arc).clone())
+        self.flor.run_plan(&self.plan).map(Arc::unwrap_or_clone)
     }
 
-    /// Execute incrementally without copying: plans with no post-pass
-    /// (no filter, order or limit) share the maintained view's
-    /// allocation — repeated calls with no intervening commits return
-    /// the same `Arc`.
+    /// Execute incrementally without copying: plans the view catalog
+    /// answers with no post-pass (no filter, order or limit) share the
+    /// maintained view's allocation — repeated calls with no intervening
+    /// commits return the same `Arc`.
     pub fn collect_view(self) -> StoreResult<Arc<DataFrame>> {
         self.flor.run_plan(&self.plan)
     }
 
-    /// Execute the plan and report how it ran: the store's zone-map
-    /// pruning and row counts for the projection's `logs` fetch, the view
-    /// catalog's hit/miss/rebuild behaviour, and per-stage wall-clock
-    /// timings. The plan really executes — [`ExplainReport::frame`] is
-    /// the frame [`QueryBuilder::collect_view`] would return, and every
-    /// count is a measurement taken from that execution (plus one store
-    /// probe of that fetch), not a planner estimate.
+    /// Execute the plan and report how it ran ([`ExplainReport`]): a view
+    /// hit, built, selected or caught up over N `logs` rows, or the
+    /// snapshot executor's measured [`PlanExplain`], and the wall-clock
+    /// time. The plan really executes — the report's frame is the one
+    /// [`QueryBuilder::collect_view`] would return.
     pub fn explain(self) -> StoreResult<ExplainReport> {
-        let before = self.flor.views.stats();
         let t0 = Instant::now();
-        let frame = self.flor.run_plan(&self.plan)?;
+        let answer = self.flor.answer(&self.plan)?;
         let serve_nanos = t0.elapsed().as_nanos() as u64;
-        self.flor
-            .explain_report(&self.plan, &before, serve_nanos, frame)
+        Ok(ExplainReport::new(&self.plan, answer, serve_nanos))
     }
 
     /// Execute from scratch (the correctness oracle): [`Flor::execute_at`]
@@ -425,7 +381,9 @@ mod tests {
     #[test]
     fn pushdown_views_refresh_incrementally() {
         let flor = seeded();
-        let q = || flor.query(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
+        // A value predicate: the projection's view answers, filtered in
+        // the post-pass.
+        let q = || flor.query(&["loss"]).filter("loss", CmpOp::Lt, 0.3);
         let first = q().collect_view().unwrap();
         assert_eq!(first.n_rows(), 6);
         let before = flor.views.stats();
@@ -474,7 +432,7 @@ mod tests {
         assert_eq!(flor.find_trace(t.id).as_ref(), Some(t));
         let slow = flor.slow_queries();
         let rec = slow.last().expect("zero threshold captures everything");
-        assert!(rec.explain.contains("QUERY logs"), "store probe rendered");
+        assert!(rec.explain.contains("built at epoch"), "{}", rec.explain);
         assert!(rec.explain.contains("rows returned to caller"));
         assert_eq!(rec.trace.label, "query.collect");
         flor.set_tracing(false);

@@ -1,12 +1,13 @@
-//! `QueryBuilder::explain` oracle: the report's counts must be
-//! measurements of the query that actually ran — the frame equals the
-//! from-scratch oracle, the store probe's row accounting equals a raw
-//! scan of the `logs` table, and the view stage flags reflect the
-//! catalog's real hit/miss/refresh behaviour.
+//! `QueryBuilder::explain` oracle: the report describes the execution
+//! that actually ran — the frame equals the from-scratch oracle, and its
+//! `How` is what the one read path did: a view built, then hit, then
+//! caught up over the rows a commit added, or the snapshot executor with
+//! its measured per-step counts. The store's own accounting is checked on
+//! store queries that really run.
 
-use flor_core::Flor;
+use flor_core::{runs_of, Flor, How};
 use flor_df::Value;
-use flor_store::CmpOp;
+use flor_store::{CmpOp, Query};
 
 fn seeded() -> Flor {
     let flor = Flor::new("explain");
@@ -24,8 +25,8 @@ fn seeded() -> Flor {
     flor
 }
 
-/// Count `logs` rows whose `value_name` is one of `names` — what the
-/// store probe behind `explain` must report as returned rows.
+/// Count `logs` rows whose `value_name` is one of `names` — what a store
+/// query for those names must report as returned rows.
 fn matching_log_rows(flor: &Flor, names: &[&str]) -> usize {
     let logs = flor.db.scan("logs").unwrap();
     logs.column("value_name")
@@ -50,66 +51,80 @@ fn explain_counts_match_the_query_that_ran() {
     let oracle = build().collect_full().unwrap();
 
     // The plan really executed: same frame as the oracle.
-    assert_eq!(*report.frame, oracle);
+    assert_eq!(*report.answer.frame, oracle);
     assert_eq!(report.rows_returned, oracle.n_rows());
     assert_eq!(report.rows_returned, 5);
 
-    // Store probe: the base fetch is a zone-pruned scan of `logs` and
-    // returns exactly the projected log rows.
-    assert_eq!(report.store.table, "logs");
-    assert_eq!(
-        report.store.rows_returned,
-        matching_log_rows(&flor, &["loss", "lr"])
-    );
-    assert!(report.store.rows_examined >= report.store.rows_returned);
-    assert_eq!(
-        report.store.segments_scanned + report.store.segments_pruned,
-        report.store.segments_total
-    );
-
-    // First run built the view; nothing to rebuild.
-    assert!(!report.view_hit, "first execution must be a build");
-    assert!(!report.view_rebuilt);
+    // A value predicate, an ordering and a limit all run over the
+    // projection's view, which this first execution built.
+    assert_eq!(report.answer.how, How::Built);
+    assert_eq!(report.answer.epoch, flor.db.pin().epoch());
 
     // The rendering carries the headline numbers.
     let text = report.to_string();
-    assert!(text.contains("EXPLAIN"));
-    assert!(text.contains("QUERY logs\n"));
+    assert!(text.starts_with("EXPLAIN"));
+    let epoch = report.answer.epoch;
+    assert!(
+        text.contains(&format!("\n  built at epoch {epoch}\n")),
+        "{text}"
+    );
 }
 
 #[test]
 fn explain_reflects_view_reuse_and_refresh() {
     let flor = seeded();
-    let build = || flor.query(&["loss"]).filter("tstamp", CmpOp::Ge, 2);
+    let build = || flor.query(&["loss"]).filter("loss", CmpOp::Lt, 0.5);
 
     let first = build().explain().unwrap();
-    assert!(!first.view_hit);
+    assert_eq!(first.answer.how, How::Built);
 
-    // Unchanged data: served from cache, no commits to catch up over.
+    // Unchanged data: served from cache, no rows to catch up over.
     let second = build().explain().unwrap();
-    assert!(second.view_hit, "second execution must reuse the view");
-    assert!(!second.view_rebuilt);
-    assert_eq!(second.batches_applied, 0);
-    assert_eq!(*second.frame, *first.frame);
+    assert_eq!(
+        second.answer.how,
+        How::Hit,
+        "second execution must reuse the view"
+    );
+    assert_eq!(*second.answer.frame, *first.answer.frame);
 
-    // A commit in between: still a hit, refreshed by applying deltas.
+    // A commit in between: the view catches up over the row it added.
     flor.log("loss", 0.001);
     flor.commit("live").unwrap();
     let third = build().explain().unwrap();
-    assert!(third.view_hit);
-    assert!(!third.view_rebuilt);
-    assert!(third.batches_applied >= 1, "delta batch must be applied");
+    let caught_up = How::CaughtUp {
+        rows: 1,
+        fallbacks: 0,
+    };
+    assert_eq!(third.answer.how, caught_up);
     assert_eq!(third.rows_returned, second.rows_returned + 1);
-    assert_eq!(*third.frame, build().collect_full().unwrap());
+    assert_eq!(*third.answer.frame, build().collect_full().unwrap());
+
+    // A `tstamp` predicate runs below the pivot: the snapshot executor
+    // answers, and the views are not read.
+    let stats = flor.views.stats();
+    let pushed = || flor.query(&["loss"]).filter("tstamp", CmpOp::Ge, 2);
+    let report = pushed().explain().unwrap();
+    match &report.answer.how {
+        How::Executed { explain, behind } => {
+            assert!(!behind);
+            assert_eq!(
+                explain.post_pass,
+                Some((report.rows_returned, report.rows_returned))
+            );
+        }
+        other => panic!("expected the executor, got {other:?}"),
+    }
+    assert_eq!(*report.answer.frame, pushed().collect_full().unwrap());
+    assert_eq!(flor.views.stats(), stats);
+    assert!(report.to_string().contains("segments merged"), "{report}");
 }
 
-/// A rendered [`flor_core::ExplainReport`] minus its two wall-clock
-/// figures (`serve …ns`, `elapsed: …ns`), the only run-dependent text.
+/// A rendered [`flor_core::ExplainReport`] minus its wall-clock figure
+/// (`, serve …ns`), the only run-dependent text.
 fn without_timings(report: &str) -> String {
     report
         .lines()
         .map(|l| l.split(", serve ").next().unwrap_or(l))
-        .map(|l| l.split("; elapsed: ").next().unwrap_or(l))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -131,30 +146,36 @@ fn slow_log_breach_and_explain_report_the_same_execution() {
     // report into the slow log (tracing itself stays off)...
     flor.set_slow_query_threshold(Some(std::time::Duration::ZERO));
     flor.run_plan(build().plan()).unwrap();
+    let pushed = flor.query(&["loss"]).filter("tstamp", CmpOp::Eq, 2);
+    flor.run_plan(pushed.plan()).unwrap();
     flor.set_slow_query_threshold(None);
     let slow = flor.slow_queries();
-    let captured = slow.last().expect("zero threshold captures everything");
+    let captured = &slow[slow.len() - 2];
     assert_eq!(captured.verb, "query.collect");
     assert!(flor.traces().is_empty(), "slow-log-only: ring stays empty");
 
     // ...and `explain()` on the same plan builds the same report through
-    // the same constructor: view verdict, segment and row counts agree
-    // line for line once the timings are cut.
+    // the same constructor: the answer's `How` and the rows returned agree
+    // line for line once the timing is cut.
     let report = build().explain().unwrap();
-    assert!(report.view_hit && !report.view_rebuilt);
+    assert_eq!(report.answer.how, How::Hit);
     assert_eq!(report.rows_returned, 5);
-    assert_eq!(
-        report.store.segments_scanned + report.store.segments_pruned,
-        report.store.segments_total
-    );
     let rendered = without_timings(&report.to_string());
     assert_eq!(without_timings(&captured.explain), rendered);
-    assert!(rendered.contains("view: hit, caught up over 0 commit(s)"));
-    assert!(rendered.contains(&format!(
-        "rows: {} examined, {} matched, {} returned",
-        report.store.rows_examined, report.store.rows_matched, report.store.rows_returned
-    )));
+    let epoch = report.answer.epoch;
+    assert!(
+        rendered.contains(&format!("  hit at epoch {epoch}\n")),
+        "{rendered}"
+    );
     assert!(rendered.ends_with("rows returned to caller: 5"));
+
+    // The executed plan's record carries the executor's report.
+    let executed = &slow[slow.len() - 1].explain;
+    assert!(
+        executed.contains(&format!("  executed at epoch {epoch}: logs: ")),
+        "{executed}"
+    );
+    assert!(executed.contains("store predicates: "), "{executed}");
 }
 
 /// The snapshot executor's explain covers the whole plan: a selective
@@ -230,9 +251,10 @@ fn snapshot_explain_reports_rows_through_every_step() {
 fn kernel_metrics_snapshot_sees_every_layer() {
     let flor = seeded();
     flor.dataframe(&["loss"]).unwrap();
-    // The view pivots from per-segment fragments and fetches no `logs`
-    // row; the explain's store probe is the kernel's store query here.
     flor.query(&["loss"]).explain().unwrap();
+    // No dataframe read fetches a `logs` row (views and the executor merge
+    // per-segment fragments); listing a script's runs is a store query.
+    assert_eq!(runs_of(&flor, "train.fl").unwrap().len(), 4);
     let snap = flor.metrics();
 
     // Store layer: one commit latency sample per kernel commit.
@@ -241,7 +263,7 @@ fn kernel_metrics_snapshot_sees_every_layer() {
     assert!(snap.counter("store.commit.rows").unwrap() > 0);
     assert!(snap.histogram("store.wal.fsync_nanos").unwrap().count >= 4);
 
-    // Query accounting flowed from the probe's traced store read.
+    // Query accounting flowed from that store read.
     assert!(snap.counter("store.query.rows_examined").unwrap() > 0);
 
     // View layer: the two dataframe calls above are one miss + one hit.
@@ -251,4 +273,28 @@ fn kernel_metrics_snapshot_sees_every_layer() {
     // Renders both ways without panicking, and JSON mentions a metric.
     assert!(snap.render_text().contains("store.commit.nanos"));
     assert!(snap.to_json().contains("store.commit.rows"));
+}
+
+/// A store query's explain accounts for exactly the rows it read: a
+/// zone-pruned scan of `logs` for the projected names returns every row
+/// of those names, and its rendering carries the counts.
+#[test]
+fn a_store_query_explains_the_rows_it_read() {
+    let flor = seeded();
+    let names = ["loss", "lr"];
+    let fetch = Query::table("logs").filter_in("value_name", names.map(Value::from).to_vec());
+    let (_, store) = flor.db.pin().explain(&fetch).unwrap();
+    assert_eq!(store.table, "logs");
+    assert_eq!(store.rows_returned, matching_log_rows(&flor, &names));
+    assert!(store.rows_examined >= store.rows_returned);
+    assert_eq!(
+        store.segments_scanned + store.segments_pruned,
+        store.segments_total
+    );
+    let text = store.to_string();
+    assert!(text.starts_with("QUERY logs\n"));
+    assert!(text.contains(&format!(
+        "rows: {} examined, {} matched, {} returned",
+        store.rows_examined, store.rows_matched, store.rows_returned
+    )));
 }

@@ -10,18 +10,19 @@
 //! The core guarantee: **every request is served from a pinned
 //! snapshot**. A session pins the current epoch at handshake
 //! ([`flor_store::Database::pin`] — O(1), lock-free) and all its queries
-//! are answered at exactly that epoch. A plan with nothing below the
-//! pivot (a projection plus a post-pass) reads the kernel's maintained
-//! view of its projection ([`flor_view::ViewCatalog::plan_at`]), caught
-//! up to the session's snapshot and encoded straight from the shared
-//! frame; a plan that pushes a step, or any plan of a session pinned
-//! behind the catalog's epoch, runs on [`Flor::execute_at`] — the
-//! kernel's one from-scratch executor, the same body the oracle suites
-//! call as `run_plan_at`/`run_plan_full`. Either way results
-//! are repeatable and byte-identical to a local `collect_full` at the
-//! same epoch, no matter how many commits land while the session is
-//! open. `Pin` re-pins on demand. A narrow plan costs what it selects,
-//! not what the history holds: the executor merges per-segment pivot
+//! are answered at exactly that epoch, through the same routing rule as
+//! an embedded read ([`flor_view::ViewCatalog::answer`]): a plan with
+//! nothing below the pivot but a `latest` reads the kernel's maintained
+//! view of its projection, caught up to the session's snapshot; a plan
+//! that pushes any other step, or any plan of a session pinned behind the
+//! catalog's epoch, runs on [`Flor::execute_at`] — the kernel's one
+//! from-scratch executor, the same body the oracle suites call as
+//! `run_plan_at`/`run_plan_full`. Either way the answer's frame is
+//! encoded straight from its shared `Arc`, and results are repeatable
+//! and byte-identical to a local `collect_full` at the same epoch, no
+//! matter how many commits land while the session is open. `Pin`
+//! re-pins on demand. A narrow plan costs what it selects, not what the
+//! history holds: the executor merges per-segment pivot
 //! fragments instead of fetching rows, tests `projid` / `tstamp` /
 //! `filename` predicates and loop dimensions on each merged key, and
 //! cuts `latest` and top-K before building the frame (see

@@ -7,19 +7,19 @@
 //! get a typed `Busy` error and are closed); each admitted connection is
 //! served by its own thread, and a global [`Gate`] additionally bounds
 //! how many requests *execute* at once. Every session's queries are
-//! answered at the snapshot pinned at handshake (or last `Pin`). A plan
-//! with nothing below the pivot ([`QueryPlan::below_pivot`]) is read
-//! from the kernel's maintained views ([`flor_view::ViewCatalog::plan_at`]),
-//! caught up to the session's snapshot and shared by `Arc`, not copied:
-//! that read takes the `view_catalog` lock, which a view build or
-//! catch-up holds across its store reads, and the server enters it
-//! holding no lock of its own. Such a plan from a session pinned behind
-//! the catalog's epoch, and every plan that pushes a step below the
-//! pivot, runs on [`Flor::execute_at`] — lock-free reads, so a
-//! committing writer in the same process never blocks it. Both paths
-//! answer the same bytes. The request loop has one path: it builds one
-//! [`ActiveTrace`] per request — inert unless tracing is on or the slow
-//! log is armed — and hands it to every stage.
+//! answered at the snapshot pinned at handshake (or last `Pin`), through
+//! the kernel's one read path ([`flor_view::ViewCatalog::answer`]): a plan
+//! with nothing below the pivot but a `latest` is read from the kernel's
+//! maintained views, caught up to the session's snapshot and shared by
+//! `Arc`, not copied — that read takes the `view_catalog` lock, which a
+//! view build or catch-up holds across its store reads, and the server
+//! enters it holding no lock of its own. Every other plan, and any plan
+//! of a session pinned behind the catalog's epoch, runs on the snapshot
+//! executor — lock-free reads, so a committing writer in the same process
+//! never blocks it. Both paths answer the same bytes, and every answer's
+//! frame is encoded by reference. The request loop has one path: it
+//! builds one [`ActiveTrace`] per request — inert unless tracing is on or
+//! the slow log is armed — and hands it to every stage.
 //!
 //! When the served handle is a follower ([`Flor::open_follower`]), the
 //! server calls [`Flor::poll_follower`] once before it starts serving,
@@ -32,9 +32,9 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::session::{Gate, Session};
-use flor_core::{Flor, PlanExplain};
+use flor_core::{ExplainReport, Flor};
 use flor_obs::{unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord};
-use flor_view::{QueryPlan, ViewAnswer};
+use flor_view::Answer;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -472,7 +472,6 @@ fn request_loop(
         }
 
         let start = Instant::now();
-        let mut explain = None;
         let gate_span = tr.begin("gate");
         let permit = shared.gate.try_enter();
         tr.event(|| match permit {
@@ -491,8 +490,7 @@ fn request_loop(
             Some(permit) => {
                 shared.metrics.in_flight.add(1);
                 let ex_span = tr.begin("execute");
-                let (reply, ex) = execute(shared, session, &req, &mut tr);
-                explain = ex;
+                let reply = execute(shared, session, &req, &mut tr);
                 tr.end(ex_span);
                 shared.metrics.in_flight.add(-1);
                 drop(permit);
@@ -508,8 +506,8 @@ fn request_loop(
             mw.on_response(session, &req, outcome, start.elapsed());
         }
         // Publish the trace, and capture a slow-query record when a
-        // Query breached the armed threshold — the measured explain
-        // from the execution rides along.
+        // Query breached the armed threshold — the answer's explain
+        // rides along.
         if let (Some(trace), Some(threshold), Request::Query { plan }) =
             (tr.finish(traces), slow.threshold_nanos(), &req)
         {
@@ -520,10 +518,10 @@ fn request_loop(
                     verb: "query".into(),
                     plan: format!("{:?}", plan.names),
                     explain: match &reply {
-                        Reply::View(view) => {
-                            format!("view pivot[{}]: {view}", plan.names.join(","))
+                        Reply::Answer(answer) => {
+                            ExplainReport::new(plan, answer.clone(), total).to_string()
                         }
-                        Reply::Owned(_) => explain.map(|e| e.to_string()).unwrap_or_default(),
+                        Reply::Owned(_) => String::new(),
                     },
                     total_nanos: total,
                     threshold_nanos: threshold,
@@ -566,20 +564,20 @@ fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(
     write_frame(writer, &resp.encode())
 }
 
-/// One request's answer: a response the server owns, or a maintained
-/// view's frame, shared with the view catalog by `Arc` and encoded by
-/// reference.
+/// One request's reply: a response the server owns, or a query's
+/// [`Answer`], whose frame — a maintained view's, shared with the view
+/// catalog by `Arc`, or the executor's — is encoded by reference.
 enum Reply {
     Owned(Response),
-    View(ViewAnswer),
+    Answer(Answer),
 }
 
 impl Reply {
-    /// The frame payload: the bytes of `Response::Frame` for a view.
+    /// The frame payload: the bytes of `Response::Frame` for an answer.
     fn encode(&self) -> Vec<u8> {
         match self {
             Reply::Owned(resp) => resp.encode(),
-            Reply::View(view) => Response::encode_frame_ref(view.epoch, &view.frame),
+            Reply::Answer(answer) => Response::encode_frame_ref(answer.epoch, &answer.frame),
         }
     }
 
@@ -594,22 +592,26 @@ impl Reply {
     }
 }
 
-/// Execute one admitted request against the session's pinned snapshot;
-/// a query also returns the executor's measured [`PlanExplain`] when the
-/// executor answered it ([`query`]), for slow-query capture.
-fn execute(
-    shared: &Shared,
-    session: &mut Session,
-    req: &Request,
-    tr: &mut ActiveTrace,
-) -> (Reply, Option<PlanExplain>) {
+/// Execute one admitted request against the session's pinned snapshot.
+/// A query is answered through the kernel's one read path
+/// ([`flor_view::ViewCatalog::answer`]) at the session's snapshot, which
+/// records its spans into `tr` (or nothing when it is inert).
+fn execute(shared: &Shared, session: &mut Session, req: &Request, tr: &mut ActiveTrace) -> Reply {
     let flor = &shared.flor;
     let resp = match req {
         Request::Hello { .. } => Response::Error {
             code: ErrorCode::BadRequest,
             message: "duplicate hello".into(),
         },
-        Request::Query { plan } => return query(flor, session, plan, tr),
+        Request::Query { plan } => {
+            return match flor.views.answer(session.snapshot(), plan, tr) {
+                Ok(answer) => Reply::Answer(answer),
+                Err(e) => Reply::Owned(Response::Error {
+                    code: ErrorCode::Internal,
+                    message: e.to_string(),
+                }),
+            }
+        }
         Request::Pin => {
             session.repin(flor.db.pin());
             Response::Pinned {
@@ -645,57 +647,7 @@ fn execute(
                 .recent(*limit as usize),
         },
     };
-    (Reply::Owned(resp), None)
-}
-
-/// Answer `plan` at the session's snapshot. A plan with nothing below the
-/// pivot is its projection's maintained view plus a post-pass, so the
-/// kernel's view catalog answers it, caught up to the session's snapshot
-/// (a `view.plan` span, with one event: how the view was reached) —
-/// unless the catalog already reflects a later epoch. Every other plan,
-/// and any plan of a session behind the catalog, runs on the snapshot
-/// executor, which records scan/pivot/post-pass child spans into `tr`
-/// (or nothing when it is inert) and returns the measured whole-plan
-/// [`PlanExplain`] — the `logs` fragments merged and made, then counts
-/// into and out of every step below and above the pivot. The frame is
-/// the same on either path.
-fn query(
-    flor: &Flor,
-    session: &Session,
-    plan: &QueryPlan,
-    tr: &mut ActiveTrace,
-) -> (Reply, Option<PlanExplain>) {
-    let internal = |e: flor_store::StoreError| {
-        Reply::Owned(Response::Error {
-            code: ErrorCode::Internal,
-            message: e.to_string(),
-        })
-    };
-    if plan.below_pivot().is_empty() {
-        let span = tr.begin("view.plan");
-        let served = flor.views.plan_at(plan, session.snapshot());
-        match &served {
-            Ok(Some(view)) => tr.event(|| view.to_string()),
-            Ok(None) => tr.event(|| "behind the catalog: snapshot executor"),
-            Err(_) => {}
-        }
-        tr.end(span);
-        match served {
-            Ok(Some(view)) => return (Reply::View(view), None),
-            Ok(None) => {}
-            Err(e) => return (internal(e), None),
-        }
-    }
-    match flor.execute_at(session.snapshot(), plan, tr) {
-        Ok((df, ex)) => (
-            Reply::Owned(Response::Frame {
-                epoch: session.epoch(),
-                df,
-            }),
-            Some(ex),
-        ),
-        Err(e) => (internal(e), None),
-    }
+    Reply::Owned(resp)
 }
 
 /// One consistent liveness/readiness picture: store watermarks from

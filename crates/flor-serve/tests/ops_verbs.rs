@@ -120,8 +120,9 @@ fn traced_queries_health_and_slow_capture_on_writer() {
     assert!(client.traces(16).expect("traces").len() >= 3);
 
     // Slow capture: threshold zero means every query breached; records
-    // carry the executor's full explain report, or name the view and
-    // the epoch it answered at. Newest first.
+    // carry the embedded explain's rendering of the answer — the
+    // executor's full report, or how the view was reached and the epoch
+    // it answered at. Newest first.
     let slow = client.slow_queries(16).expect("slow queries");
     assert!(
         slow.len() >= 3,
@@ -143,14 +144,17 @@ fn traced_queries_health_and_slow_capture_on_writer() {
         "explain report missing from slow capture: {:?}",
         slow[0].explain
     );
-    assert_eq!(
-        slow[1].explain,
-        format!("view pivot[loss,acc]: hit at epoch {epoch}")
-    );
-    assert_eq!(
-        slow[2].explain,
-        format!("view pivot[loss,acc]: built at epoch {epoch}")
-    );
+    for (rec, how) in [(&slow[1], "hit"), (&slow[2], "built")] {
+        let explain = &rec.explain;
+        assert!(
+            explain.starts_with("EXPLAIN [\"loss\", \"acc\"], serve "),
+            "{explain}"
+        );
+        assert!(
+            explain.contains(&format!("\n  {how} at epoch {epoch}\n")),
+            "{explain}"
+        );
+    }
 
     // Health on the writer: no follower lag, occupancy visible.
     let health = client.health().expect("health");

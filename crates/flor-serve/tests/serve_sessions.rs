@@ -5,10 +5,11 @@
 //! pinned at the session's epoch — the snapshot-per-request guarantee.
 
 use flor_core::Flor;
-use flor_df::DfError;
+use flor_df::{DataFrame, DfError};
 use flor_serve::{Client, ErrorCode, Response, ServeError, ServeExt, ServerConfig};
 use flor_store::{CmpOp, Snapshot, StoreError};
 use flor_view::QueryPlan;
+use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -383,4 +384,188 @@ fn a_session_behind_the_catalog_is_answered_by_the_executor() {
     assert_eq!(after.misses, before.misses);
     client.close().expect("close");
     handle.stop();
+}
+
+/// One run of the routing property's history: `epochs` iterations of an
+/// `epoch` loop, each logging `loss` and, when `acc`, `acc`, with values
+/// drawn from `seed` so runs tie and differ.
+#[derive(Debug, Clone)]
+struct Run {
+    epochs: i64,
+    seed: i64,
+    acc: bool,
+}
+
+fn arb_run() -> impl Strategy<Value = Run> {
+    (1i64..4, -6i64..6, any::<bool>()).prop_map(|(epochs, seed, acc)| Run { epochs, seed, acc })
+}
+
+fn log_run(flor: &Flor, run: &Run) {
+    flor.for_each("epoch", 0..run.epochs, |flor, &e| {
+        flor.log("loss", ((run.seed * 7 + e * 3).rem_euclid(5)) as f64 / 4.0);
+        if run.acc {
+            flor.log("acc", ((run.seed + e).rem_euclid(3)) as f64 / 2.0);
+        }
+    });
+    flor.commit("run").expect("commit");
+}
+
+/// Every plan shape the routing rule tells apart, each with whether the
+/// rule reads it from a view: it lowers nothing below the pivot but a
+/// `latest`.
+fn routed_plans(t: i64, x: f64, k: usize) -> Vec<(QueryPlan, bool)> {
+    let names = ["loss", "acc"];
+    let top_k = QueryPlan {
+        order_by: vec![("loss".into(), true), ("tstamp".into(), false)],
+        limit: Some(k),
+        ..QueryPlan::new(&names)
+    };
+    let latest_limited = QueryPlan {
+        limit: Some(k),
+        ..QueryPlan::with_latest(&names, &["projid"])
+    };
+    vec![
+        (QueryPlan::new(&names), true),
+        (QueryPlan::new(&names).filter("acc", CmpOp::Ge, x), true),
+        (QueryPlan::new(&names).filter("tstamp", CmpOp::Ge, t), false),
+        (
+            QueryPlan::new(&names).filter("epoch_iteration", CmpOp::Eq, t % 3),
+            false,
+        ),
+        (QueryPlan::with_latest(&names, &["epoch_iteration"]), true),
+        (QueryPlan::with_latest(&names, &["acc"]), true),
+        (top_k, false),
+        (latest_limited, false),
+    ]
+}
+
+/// How a traced read was answered, read off its spans: a view read has a
+/// `view.plan` span and no executor `pivot`; an executed plan the reverse;
+/// a view-read plan of a snapshot behind the catalog both, with the
+/// catalog's "behind" event.
+#[derive(Debug, PartialEq, Eq)]
+enum Route {
+    View,
+    Executed,
+    Behind,
+}
+
+fn route(trace: &flor_obs::Trace) -> Route {
+    let text = trace.render_text();
+    match (
+        trace.span("view.plan").is_some(),
+        trace.span("pivot").is_some(),
+    ) {
+        (true, false) => Route::View,
+        (false, true) => Route::Executed,
+        (true, true) if text.contains("behind the catalog") => Route::Behind,
+        _ => panic!("an answer with no route: {text}"),
+    }
+}
+
+/// The bytes a `Frame` response of `df` at `epoch` carries.
+fn frame_bytes(epoch: u64, df: DataFrame) -> Vec<u8> {
+    Response::Frame { epoch, df }.encode()
+}
+
+/// An embedded read of every plan at `snap` (the newest epoch): its frame
+/// equals the snapshot executor's byte for byte, and its trace shows the
+/// route the rule gives.
+fn embedded_reads_route(flor: &Flor, snap: &Snapshot, plans: &[(QueryPlan, bool)]) {
+    assert_eq!(flor.db.pin().epoch(), snap.epoch());
+    for (plan, view) in plans {
+        let got = flor.run_plan(plan).expect("embedded read");
+        let want = flor.run_plan_at(snap, plan).expect("executor");
+        let epoch = snap.epoch();
+        assert_eq!(
+            frame_bytes(epoch, (*got).clone()),
+            frame_bytes(epoch, want),
+            "embedded {plan:?}"
+        );
+        let traces = flor.traces();
+        let trace = traces.last().expect("embedded trace");
+        let expected = if *view { Route::View } else { Route::Executed };
+        assert_eq!(route(trace), expected, "embedded {plan:?}");
+    }
+}
+
+/// A served read of every plan by `client`, whose session is pinned at
+/// `snap`: its frame equals the snapshot executor's byte for byte, and
+/// its trace shows the route the rule gives — with the views behind
+/// `snap` when `behind`.
+fn served_reads_route(
+    flor: &Flor,
+    client: &mut Client,
+    snap: &Snapshot,
+    plans: &[(QueryPlan, bool)],
+    behind: bool,
+) {
+    for (plan, view) in plans {
+        let (id, epoch, df) = client.query_traced(plan).expect("served read");
+        assert_eq!(epoch, snap.epoch());
+        let want = flor.run_plan_at(snap, plan).expect("executor");
+        assert_eq!(
+            frame_bytes(epoch, df),
+            frame_bytes(epoch, want),
+            "served {plan:?} at epoch {epoch}"
+        );
+        let trace = client.trace(id).expect("traces").expect("trace");
+        let expected = match (*view, behind) {
+            (false, _) => Route::Executed,
+            (true, false) => Route::View,
+            (true, true) => Route::Behind,
+        };
+        assert_eq!(route(&trace), expected, "served {plan:?} at epoch {epoch}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one read path: over random histories, every plan shape is
+    /// answered byte-identically by `run_plan`, by a served session at the
+    /// same epoch — one ahead of the catalog, then one behind it — and by
+    /// `execute_at`, and is read from a view exactly when it lowers
+    /// nothing below the pivot but a `latest` and the catalog has not
+    /// passed its snapshot.
+    #[test]
+    fn every_read_takes_the_one_route_and_answers_the_same_bytes(
+        before in proptest::collection::vec(arb_run(), 1..4),
+        after in proptest::collection::vec(arb_run(), 1..3),
+        t in 0i64..6,
+        x in 0.0f64..1.0,
+        k in 0usize..6,
+    ) {
+        let flor = Flor::new("serve-route");
+        flor.set_filename("r.fl");
+        flor.set_tracing(true);
+        // The first run logs `acc`, so every plan's columns exist.
+        log_run(&flor, &Run { acc: true, ..before[0].clone() });
+        for run in &before[1..] {
+            log_run(&flor, run);
+        }
+        let plans = routed_plans(t, x, k);
+        let handle = flor
+            .serve("127.0.0.1:0", ServerConfig::default())
+            .expect("serve");
+        let mut behind = Client::connect(handle.addr(), None).expect("connect");
+        let old = flor.db.pin();
+        prop_assert_eq!(behind.epoch(), old.epoch());
+        embedded_reads_route(&flor, &old, &plans);
+        for run in &after {
+            log_run(&flor, run);
+        }
+        // A session pinned past the catalog: the views catch up to it.
+        let mut ahead = Client::connect(handle.addr(), None).expect("connect");
+        let new = flor.db.pin();
+        prop_assert_eq!(ahead.epoch(), new.epoch());
+        served_reads_route(&flor, &mut ahead, &new, &plans, false);
+        // The first session is now behind the catalog.
+        served_reads_route(&flor, &mut behind, &old, &plans, true);
+        embedded_reads_route(&flor, &new, &plans);
+        prop_assert_eq!(flor.views.stats().fallback_rebuilds, 0);
+        behind.close().expect("close");
+        ahead.close().expect("close");
+        handle.stop();
+    }
 }

@@ -2,34 +2,40 @@
 //! from the snapshot, bounded by an LRU, with transparent full-rebuild
 //! fallback.
 //!
-//! A view is keyed by the projected names alone (in request order) and
-//! holds every projected row. Each plan's predicates, ordering and limit
-//! run over it as a post-pass ([`QueryPlan::post_pass`]), so plans that
-//! differ only there share one view. A plan with a `latest` group and no
-//! predicate is served from a per-group max-`tstamp` upsert kept on its
-//! projection's view; with a predicate, the dedup runs in the post-pass
-//! after the filter.
+//! Every dataframe read, embedded or served, enters through
+//! [`ViewCatalog::answer`], which routes it once: a plan that lowers
+//! nothing below the pivot but a `latest` ([`QueryPlan::below_pivot`]) is
+//! read from its projection's view when the catalog has not passed the
+//! snapshot's epoch; every other plan, and any plan of a snapshot behind
+//! the catalog, runs on the snapshot executor ([`execute_at`]), which
+//! pushes its index predicates and cuts. The [`Answer`] says which
+//! ([`How`]).
 //!
-//! Every access reads one snapshot: [`ViewCatalog::plan`] pins it under
-//! the catalog lock, and [`ViewCatalog::plan_at`] takes the caller's (a
-//! served session's) when the catalog has not yet passed its epoch — a
-//! snapshot behind the catalog gets `None`, since views only move
-//! forward. Every cached view reflects one earlier snapshot, whose epoch
-//! and `logs` rid watermark the catalog keeps once. When the epochs
-//! differ, the `logs` rows committed since are read once from the
-//! snapshot being read ([`flor_store::Snapshot::since`]) and pivoted
-//! once, under that snapshot's loop contexts, into one fragment
-//! ([`Delta`]) that *all* cached views merge and apply; the watermark
-//! advances, and a miss is made at the same snapshot. Every snapshot of
-//! one epoch holds the same `logs` rows at the same rids, so a catch-up
-//! to a session's older pin leaves the views where a fresh pin at that
-//! epoch would have. The loop
-//! contexts come from the snapshot
-//! itself (per sealed `loops` segment, shared with every query), so no
-//! `loops` row is read here. This is exact because `logs` and `loops`
-//! declare no latest-wins policy, so no row is ever dropped, and a row's
-//! rid is its commit position on every handle, a follower's rebootstrap
-//! included. If a value name collides with an index column
+//! A view is keyed by the projected names alone (in request order) and
+//! holds every projected row. A view-read plan's value predicates,
+//! ordering and limit run over it as a post-pass
+//! ([`QueryPlan::post_pass`]), so plans that differ only there share one
+//! view. A plan with a `latest` group and no predicate is served from a
+//! per-group max-`tstamp` upsert kept on its projection's view; with a
+//! predicate, the dedup runs in the post-pass after the filter.
+//!
+//! Every view read is of the caller's snapshot, at or past the catalog's
+//! epoch, since views only move forward. Every cached view reflects one
+//! earlier snapshot, whose epoch and `logs` rid watermark the catalog
+//! keeps once. When the epochs differ, the `logs` rows committed since
+//! are read once from the snapshot being read
+//! ([`flor_store::Snapshot::since`]) and pivoted once, under that
+//! snapshot's loop contexts, into one fragment ([`Delta`]) that *all*
+//! cached views merge and apply; the watermark advances, and a miss is
+//! made at the same snapshot. Every snapshot of one epoch holds the same
+//! `logs` rows at the same rids, so a catch-up to a session's older pin
+//! leaves the views where a fresh pin at that epoch would have. The loop
+//! contexts come from the snapshot itself (per sealed `loops` segment,
+//! shared with every query), so no `loops` row is read here. This is
+//! exact because `logs` and `loops` declare no latest-wins policy, so no
+//! row is ever dropped, and a row's rid is its commit position on every
+//! handle, a follower's rebootstrap included. If a value name collides
+//! with an index column
 //! ([`DfError::DuplicateColumn`]) the view is rebuilt from scratch
 //! instead of serving wrong data; the event is counted in
 //! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
@@ -48,10 +54,10 @@
 //! [`CatalogStats::selections`].
 
 use crate::delta::{LatestState, PivotState};
-use crate::pivot::Delta;
+use crate::pivot::{execute_at, Delta, PlanExplain};
 use crate::plan::QueryPlan;
 use flor_df::{DataFrame, DfError, DfResult};
-use flor_obs::{Counter, Histogram, MetricsRegistry, Span};
+use flor_obs::{ActiveTrace, Counter, Histogram, MetricsRegistry, Span};
 use flor_store::{Database, Snapshot, StoreError, StoreResult};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -213,9 +219,10 @@ impl CachedView {
     }
 }
 
-/// How [`ViewCatalog::plan_at`] reached the view it answered from.
+/// How [`ViewCatalog::answer`] answered a plan: from a maintained view
+/// (how the view was reached), or by the snapshot executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ViewRead {
+pub enum How {
     /// The projection's view was cached, already at the snapshot's epoch.
     Hit,
     /// The projection's view was built at the snapshot.
@@ -232,38 +239,60 @@ pub enum ViewRead {
     CaughtUp {
         /// The `logs` rows read and pivoted once for every cached view.
         rows: usize,
+        /// Cached views that rejected one of those rows and fell back to
+        /// a rebuild (see [`CatalogStats::fallback_rebuilds`]).
+        fallbacks: usize,
+    },
+    /// The snapshot executor ([`execute_at`]) ran the plan: it lowers a
+    /// step below the pivot other than a `latest`, or the catalog already
+    /// reflects a later epoch than the snapshot.
+    Executed {
+        /// The executor's measured report.
+        explain: PlanExplain,
+        /// Whether the catalog would have answered but stands past the
+        /// snapshot's epoch.
+        behind: bool,
     },
 }
 
-/// A plan answered from a maintained view ([`ViewCatalog::plan_at`]).
+/// A plan's answer at one snapshot ([`ViewCatalog::answer`]).
 #[derive(Debug, Clone)]
-pub struct ViewAnswer {
-    /// The answer: the view's own frame, shared, when the plan has no
+pub struct Answer {
+    /// The frame: a maintained view's own, shared, when the plan has no
     /// post-pass.
     pub frame: Arc<DataFrame>,
     /// The epoch the answer reflects: the snapshot's.
     pub epoch: u64,
-    /// How the view was reached.
-    pub read: ViewRead,
+    /// How the answer was reached.
+    pub how: How,
 }
 
-/// How the view was reached, and at which epoch: the event a served
-/// answer's trace records.
-impl std::fmt::Display for ViewAnswer {
+/// How the answer was reached, and at which epoch: the event a view
+/// read's trace records and the line every explain and slow-query record
+/// shows.
+impl std::fmt::Display for Answer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let epoch = self.epoch;
-        match &self.read {
-            ViewRead::Hit => write!(f, "hit at epoch {epoch}"),
-            ViewRead::Built => write!(f, "built at epoch {epoch}"),
-            ViewRead::Selected { from } => {
+        match &self.how {
+            How::Hit => write!(f, "hit at epoch {epoch}"),
+            How::Built => write!(f, "built at epoch {epoch}"),
+            How::Selected { from } => {
                 write!(
                     f,
                     "selected from pivot[{}] at epoch {epoch}",
                     from.join(",")
                 )
             }
-            ViewRead::CaughtUp { rows } => {
-                write!(f, "caught up over {rows} logs rows to epoch {epoch}")
+            How::CaughtUp { rows, fallbacks } => {
+                write!(f, "caught up over {rows} logs rows to epoch {epoch}")?;
+                if *fallbacks > 0 {
+                    write!(f, ", {fallbacks} fallback rebuild(s)")?;
+                }
+                Ok(())
+            }
+            How::Executed { explain, behind } => {
+                let behind = if *behind { " behind the catalog" } else { "" };
+                write!(f, "executed at epoch {epoch}{behind}: {explain}")
             }
         }
     }
@@ -282,18 +311,17 @@ struct CatalogInner {
 /// Cloning shares the same catalog (and its one watermark).
 #[derive(Clone)]
 pub struct ViewCatalog {
-    db: Database,
     capacity: usize,
     metrics: Arc<ViewMetrics>,
     inner: Arc<Mutex<CatalogInner>>,
 }
 
 impl ViewCatalog {
-    /// Catalog over `db` holding at most `capacity` views.
+    /// Catalog over `db` holding at most `capacity` views, recording into
+    /// its metrics registry. Every snapshot it answers at must be `db`'s.
     pub fn new(db: Database, capacity: usize) -> ViewCatalog {
         let metrics = Arc::new(ViewMetrics::new(db.metrics_registry()));
         ViewCatalog {
-            db,
             capacity: capacity.max(1),
             metrics,
             inner: Arc::new(Mutex::new(CatalogInner {
@@ -305,70 +333,77 @@ impl ViewCatalog {
         }
     }
 
-    /// Serve a [`QueryPlan`] at a snapshot pinned by this call, under the
-    /// catalog lock — the read behind every incremental dataframe read.
-    /// The plan's projection is served from the catalog as an
-    /// incrementally maintained view caught up to that snapshot — with
-    /// the `latest` dedup when the plan has a group and no predicate; the
-    /// rest of the plan runs as a post-pass over that frame. Plans with no
-    /// post-pass share the maintained snapshot allocation (`Arc` clone —
-    /// cheap when nothing changed since the last call). A `latest` group
-    /// column missing from the pivoted frame errors like the from-scratch
-    /// path.
-    pub fn plan(&self, plan: &QueryPlan) -> StoreResult<Arc<DataFrame>> {
-        let (base, _) = {
-            let mut g = self.inner.lock();
-            let snap = self.db.pin();
-            self.base_at(&mut g, plan, &snap)?
-        };
-        post_pass(plan, base)
+    /// Answer `plan` at `snap`: the one read path of every dataframe
+    /// read, embedded or served, and the one place it is routed. The
+    /// catalog answers when the plan lowers nothing below the pivot but a
+    /// `latest` ([`QueryPlan::below_pivot`]: no store predicate, no key
+    /// predicate, no top-K) and the catalog has not passed `snap`'s epoch:
+    /// its views catch up to `snap` itself, the projection's frame is
+    /// taken under the catalog lock — deduplicated when the plan has a
+    /// `latest` and no predicate — and the rest of the plan runs as a
+    /// post-pass outside it, inside one `view.plan` span whose event says
+    /// how the view was reached. Every other plan runs on the snapshot
+    /// executor ([`execute_at`]) at `snap`, outside the lock, recording
+    /// its own spans into `tr`. Either way the frame is the plan's at
+    /// `snap.epoch()`, byte for byte; a `latest` group column missing from
+    /// the pivoted frame errors on both.
+    pub fn answer(
+        &self,
+        snap: &Snapshot,
+        plan: &QueryPlan,
+        tr: &mut ActiveTrace,
+    ) -> StoreResult<Answer> {
+        let mut behind = false;
+        if reads_a_view(plan) {
+            let span = tr.begin("view.plan");
+            let read = self.read(snap, plan);
+            match &read {
+                Ok(Some(answer)) => tr.event(|| answer.to_string()),
+                Ok(None) => tr.event(|| "behind the catalog: snapshot executor"),
+                Err(_) => {}
+            }
+            tr.end(span);
+            match read? {
+                Some(answer) => return Ok(answer),
+                None => behind = true,
+            }
+        }
+        let (frame, explain) = execute_at(snap, plan, tr)?;
+        Ok(Answer {
+            frame: Arc::new(frame),
+            epoch: snap.epoch(),
+            how: How::Executed { explain, behind },
+        })
     }
 
-    /// [`ViewCatalog::plan`] at a **caller-pinned** snapshot: the views
-    /// catch up to `snap` itself, not to a fresh pin, so the answer is
-    /// the plan's at `snap.epoch()` — byte-identical to
-    /// [`crate::execute_at`] there. `None` when the catalog already
-    /// reflects a later epoch than `snap`: its views cannot go back, and
-    /// the caller answers from the snapshot executor instead. How the
-    /// view was reached rides along as a [`ViewRead`].
-    pub fn plan_at(&self, plan: &QueryPlan, snap: &Snapshot) -> StoreResult<Option<ViewAnswer>> {
-        let (base, read) = {
+    /// The view read of [`ViewCatalog::answer`]: `None` when the catalog
+    /// already reflects a later epoch than `snap` — its views cannot go
+    /// back — and the catalog is left untouched.
+    fn read(&self, snap: &Snapshot, plan: &QueryPlan) -> StoreResult<Option<Answer>> {
+        let (base, how) = {
             let mut g = self.inner.lock();
             if snap.epoch() < g.at.epoch {
                 return Ok(None);
             }
-            self.base_at(&mut g, plan, snap)?
+            let caught_up = self.catch_up(&mut g, snap)?;
+            let (view, made) = self.view(&mut g, &plan.names, snap)?;
+            let base = match maintained(plan) {
+                Some(group) => view.latest(group),
+                None => Ok(view.pivot.frame()),
+            };
+            let how = match (made, caught_up) {
+                (Some(made), _) => made,
+                (None, Some((rows, fallbacks))) => How::CaughtUp { rows, fallbacks },
+                (None, None) => How::Hit,
+            };
+            self.evict(&mut g);
+            (base?, how)
         };
-        Ok(Some(ViewAnswer {
+        Ok(Some(Answer {
             frame: post_pass(plan, base)?,
             epoch: snap.epoch(),
-            read,
+            how,
         }))
-    }
-
-    /// Under the catalog lock: catch the views up to `snap` (at or past
-    /// the catalog's epoch) and take the frame of the plan's projection —
-    /// deduplicated when its `latest` is maintained ([`maintained`]) —
-    /// for [`post_pass`] to finish outside the lock.
-    fn base_at(
-        &self,
-        g: &mut CatalogInner,
-        plan: &QueryPlan,
-        snap: &Snapshot,
-    ) -> StoreResult<(Arc<DataFrame>, ViewRead)> {
-        let caught_up = self.catch_up(g, snap)?;
-        let (view, made) = self.view(g, &plan.names, snap)?;
-        let base = match maintained(plan) {
-            Some(group) => view.latest(group),
-            None => Ok(view.pivot.frame()),
-        };
-        let read = match (made, caught_up) {
-            (Some(made), _) => made,
-            (None, Some(rows)) => ViewRead::CaughtUp { rows },
-            (None, None) => ViewRead::Hit,
-        };
-        self.evict(g);
-        Ok((base?, read))
     }
 
     /// Counter snapshot.
@@ -382,9 +417,13 @@ impl ViewCatalog {
     /// view that rejects a row falls back to a rebuild at the same
     /// snapshot and is dropped if the rebuild fails. With no view cached
     /// there is nothing to read: the watermark jumps. Returns the `logs`
-    /// rows read, or `None` when the catalog was already at `snap`'s
-    /// epoch.
-    fn catch_up(&self, g: &mut CatalogInner, snap: &Snapshot) -> StoreResult<Option<usize>> {
+    /// rows read and how many views fell back to a rebuild, or `None` when
+    /// the catalog was already at `snap`'s epoch.
+    fn catch_up(
+        &self,
+        g: &mut CatalogInner,
+        snap: &Snapshot,
+    ) -> StoreResult<Option<(usize, usize)>> {
         let started = self.metrics.registry.enabled().then(Instant::now);
         let from = g.at;
         if snap.epoch() == from.epoch {
@@ -396,7 +435,7 @@ impl ViewCatalog {
                 epoch: snap.epoch(),
                 logs: snap.since("logs", usize::MAX)?.1,
             };
-            return Ok(Some(0));
+            return Ok(Some((0, 0)));
         }
         let delta = Delta::since(snap, from.logs)?;
         g.at = Watermark {
@@ -410,6 +449,7 @@ impl ViewCatalog {
             .iter_mut()
             .filter_map(|(names, view)| view.apply(&delta).err().map(|_| names.clone()))
             .collect();
+        let fallbacks = rejected.len();
         for names in rejected {
             self.rebuild(g, names, snap);
         }
@@ -418,7 +458,7 @@ impl ViewCatalog {
                 .refresh_nanos
                 .record_duration(started.elapsed());
         }
-        Ok(Some(delta.rows))
+        Ok(Some((delta.rows, fallbacks)))
     }
 
     /// Transparent fallback for a view that rejected a row: rebuild it
@@ -455,7 +495,7 @@ impl ViewCatalog {
         g: &'g mut CatalogInner,
         names: &[String],
         snap: &Snapshot,
-    ) -> StoreResult<(&'g mut CachedView, Option<ViewRead>)> {
+    ) -> StoreResult<(&'g mut CachedView, Option<How>)> {
         g.clock += 1;
         let selected = if g.views.contains_key(names) {
             None
@@ -482,9 +522,9 @@ impl ViewCatalog {
                         if enabled {
                             self.metrics.selections.inc();
                         }
-                        (slot.insert(view), Some(ViewRead::Selected { from }))
+                        (slot.insert(view), Some(How::Selected { from }))
                     }
-                    None => (slot.insert(self.build(names, snap)?), Some(ViewRead::Built)),
+                    None => (slot.insert(self.build(names, snap)?), Some(How::Built)),
                 }
             }
         };
@@ -546,6 +586,17 @@ impl ViewCatalog {
     }
 }
 
+/// The routing rule of [`ViewCatalog::answer`]: a plan is read from its
+/// projection's view when it lowers nothing below the pivot but a
+/// `latest` ([`QueryPlan::below_pivot`]) — no store predicate, no key
+/// predicate, no top-K. Such a plan's predicates are all over value
+/// columns, so the view's post-pass is its whole filter; any other plan
+/// gets the executor's pushdown and cut summaries.
+fn reads_a_view(plan: &QueryPlan) -> bool {
+    let below = plan.below_pivot();
+    below.store.is_empty() && below.key.is_empty() && below.top_k.is_none()
+}
+
 /// The plan's `latest` group when the view maintains it: only when no
 /// predicate must filter rows before the dedup; otherwise it runs in the
 /// post-pass.
@@ -605,13 +656,13 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
-        let v1 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
+        let v1 = frame(&catalog, &db, &QueryPlan::new(&["loss"])).unwrap();
         assert_eq!(v1.n_rows(), 1);
         assert_eq!(catalog.stats().misses, 1);
 
         db.insert("logs", log_row(2, "loss", "20")).unwrap();
         db.commit().unwrap();
-        let v2 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
+        let v2 = frame(&catalog, &db, &QueryPlan::new(&["loss"])).unwrap();
         assert_eq!(v2.n_rows(), 2);
         let s = catalog.stats();
         assert_eq!(s.misses, 1, "second call must reuse the cached view");
@@ -622,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_at_reads_the_callers_snapshot_and_refuses_one_behind() {
+    fn answer_reads_the_callers_snapshot_and_executes_one_behind() {
         let db = Database::in_memory(flor_schema());
         let catalog = ViewCatalog::new(db.clone(), 4);
         let plan = QueryPlan::new(&["loss"]);
@@ -633,32 +684,102 @@ mod tests {
             db.commit().unwrap();
             snaps.push(db.pin());
         }
-        let at = |snap: &Snapshot| catalog.plan_at(&plan, snap).unwrap();
-        let answer = at(&snaps[0]).unwrap();
-        assert_eq!((answer.read.clone(), answer.epoch), (ViewRead::Built, 1));
+        let at = |snap: &Snapshot| catalog.answer(snap, &plan, &mut off()).unwrap();
+        let executed = |snap: &Snapshot| crate::execute_at(snap, &plan, &mut off()).unwrap().0;
+        let answer = at(&snaps[0]);
+        assert_eq!((answer.how.clone(), answer.epoch), (How::Built, 1));
         assert_eq!(answer.to_string(), "built at epoch 1");
         // Caught up to the caller's epoch 2, not the newest 3.
-        let answer = at(&snaps[1]).unwrap();
-        assert_eq!(answer.read, ViewRead::CaughtUp { rows: 1 });
+        let answer = at(&snaps[1]);
+        let caught_up = How::CaughtUp {
+            rows: 1,
+            fallbacks: 0,
+        };
+        assert_eq!(answer.how, caught_up);
         assert_eq!(answer.to_string(), "caught up over 1 logs rows to epoch 2");
-        assert_eq!(
-            *answer.frame,
-            crate::execute_at(&snaps[1], &plan, &mut off()).unwrap().0
-        );
-        let again = at(&snaps[1]).unwrap();
-        assert_eq!(again.read, ViewRead::Hit);
+        assert_eq!(*answer.frame, executed(&snaps[1]));
+        let again = at(&snaps[1]);
+        assert_eq!(again.how, How::Hit);
         assert!(Arc::ptr_eq(&answer.frame, &again.frame));
-        // Behind the catalog: no answer, and the catalog is untouched.
+        // Behind the catalog: the executor answers, and the catalog is
+        // untouched.
         let stats = catalog.stats();
-        assert!(at(&snaps[0]).is_none());
+        let behind = at(&snaps[0]);
+        assert!(
+            matches!(behind.how, How::Executed { behind: true, .. }),
+            "{behind}"
+        );
+        assert!(behind
+            .to_string()
+            .starts_with("executed at epoch 1 behind the catalog: logs: "));
+        assert_eq!(*behind.frame, executed(&snaps[0]));
         assert_eq!(catalog.stats(), stats);
-        assert_eq!(catalog.plan(&plan).unwrap().n_rows(), 3);
-        assert!(at(&snaps[1]).is_none());
-        assert_eq!(at(&snaps[2]).unwrap().read, ViewRead::Hit);
+        assert_eq!(frame(&catalog, &db, &plan).unwrap().n_rows(), 3);
+        assert!(matches!(
+            at(&snaps[1]).how,
+            How::Executed { behind: true, .. }
+        ));
+        assert_eq!(at(&snaps[2]).how, How::Hit);
+    }
+
+    #[test]
+    fn only_a_plan_lowering_at_most_a_latest_reads_a_view() {
+        use flor_store::CmpOp;
+        let db = Database::in_memory(flor_schema());
+        let catalog = ViewCatalog::new(db.clone(), 4);
+        for ts in 1..=3 {
+            log_epochs(&db, ts, "loss");
+        }
+        let top = QueryPlan {
+            order_by: vec![("loss".into(), true)],
+            limit: Some(2),
+            ..QueryPlan::new(&["loss"])
+        };
+        let executed = [
+            QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, 2),
+            QueryPlan::new(&["loss"]).filter("epoch_iteration", CmpOp::Eq, 1),
+            top,
+            QueryPlan {
+                limit: Some(1),
+                ..QueryPlan::with_latest(&["loss"], &["epoch_iteration"])
+            },
+        ];
+        for plan in &executed {
+            let answer = catalog.answer(&db.pin(), plan, &mut off()).unwrap();
+            assert!(
+                matches!(answer.how, How::Executed { behind: false, .. }),
+                "{plan:?}: {answer}"
+            );
+            assert_eq!(*answer.frame, full(&db, plan));
+        }
+        assert_eq!(catalog.stats(), CatalogStats::default(), "no view read");
+        let viewed = [
+            QueryPlan::new(&["loss"]),
+            QueryPlan::new(&["loss"]).filter("loss", CmpOp::Gt, 10),
+            QueryPlan::with_latest(&["loss"], &["epoch_iteration"]),
+            QueryPlan::with_latest(&["loss"], &["loss"]),
+        ];
+        for plan in &viewed {
+            let answer = catalog.answer(&db.pin(), plan, &mut off()).unwrap();
+            assert!(!matches!(answer.how, How::Executed { .. }), "{plan:?}");
+            assert_eq!(*answer.frame, full(&db, plan));
+        }
+        assert_eq!(catalog.stats().misses, 1, "one view for every plan");
     }
 
     fn off() -> flor_obs::ActiveTrace {
         flor_obs::ActiveTrace::new(false, None, "")
+    }
+
+    /// `plan`'s frame from `catalog`, answered at a fresh pin of `db`.
+    fn frame(
+        catalog: &ViewCatalog,
+        db: &Database,
+        plan: &QueryPlan,
+    ) -> StoreResult<Arc<DataFrame>> {
+        catalog
+            .answer(&db.pin(), plan, &mut off())
+            .map(|answer| answer.frame)
     }
 
     #[test]
@@ -667,8 +788,8 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "x", "1")).unwrap();
         db.commit().unwrap();
-        let a = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
-        let b = catalog.plan(&QueryPlan::new(&["x"])).unwrap();
+        let a = frame(&catalog, &db, &QueryPlan::new(&["x"])).unwrap();
+        let b = frame(&catalog, &db, &QueryPlan::new(&["x"])).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -680,17 +801,17 @@ mod tests {
         db.insert("logs", log_row(1, "b", "2")).unwrap();
         db.insert("logs", log_row(1, "c", "3")).unwrap();
         db.commit().unwrap();
-        catalog.plan(&QueryPlan::new(&["a"])).unwrap();
-        catalog.plan(&QueryPlan::new(&["b"])).unwrap();
-        catalog.plan(&QueryPlan::new(&["a"])).unwrap(); // touch: "b" is now coldest
-        catalog.plan(&QueryPlan::new(&["c"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["a"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["b"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["a"])).unwrap(); // touch: "b" is now coldest
+        frame(&catalog, &db, &QueryPlan::new(&["c"])).unwrap();
         assert_eq!(catalog.stats().evictions, 1);
         // "a" and "c" are still cached; "b" was evicted and builds again.
         let misses = catalog.stats().misses;
-        catalog.plan(&QueryPlan::new(&["a"])).unwrap();
-        catalog.plan(&QueryPlan::new(&["c"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["a"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["c"])).unwrap();
         assert_eq!(catalog.stats().misses, misses);
-        catalog.plan(&QueryPlan::new(&["b"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["b"])).unwrap();
         assert_eq!(catalog.stats().misses, misses + 1);
     }
 
@@ -704,20 +825,20 @@ mod tests {
                 .unwrap();
         }
         db.commit().unwrap();
-        let plan = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, 3);
-        let v = catalog.plan(&plan).unwrap();
+        let plan = QueryPlan::new(&["loss"]).filter("loss", CmpOp::Ge, 3);
+        let v = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(v.n_rows(), 2);
-        // New commits land on the projection's view; the filter runs in
-        // the post-pass.
+        // New commits land on the projection's view; the value filter runs
+        // in the post-pass.
         db.insert("logs", log_row(5, "loss", "5")).unwrap();
         db.insert("logs", log_row(0, "loss", "0")).unwrap();
         db.commit().unwrap();
-        let v = catalog.plan(&plan).unwrap();
+        let v = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(v.n_rows(), 3, "ts=5 admitted, ts=0 filtered out");
         assert_eq!(*v, full(&db, &plan));
         // The unfiltered read of the same names is the same view.
         let plain = QueryPlan::new(&["loss"]);
-        assert_eq!(catalog.plan(&plain).unwrap().n_rows(), 6);
+        assert_eq!(frame(&catalog, &db, &plain).unwrap().n_rows(), 6);
         assert_eq!((catalog.stats().misses, catalog.stats().hits), (1, 2));
     }
 
@@ -731,27 +852,30 @@ mod tests {
                 .unwrap();
         }
         db.commit().unwrap();
-        let base = QueryPlan::new(&["x"]).filter("tstamp", CmpOp::Gt, 1);
+        let base = QueryPlan::new(&["x"]).filter("x", CmpOp::Gt, 1);
         let limited = QueryPlan {
             order_by: vec![("tstamp".into(), false)],
             limit: Some(2),
             ..base.clone()
         };
-        assert_eq!(catalog.plan(&base).unwrap().n_rows(), 4);
-        let top = catalog.plan(&limited).unwrap();
+        assert_eq!(frame(&catalog, &db, &base).unwrap().n_rows(), 4);
+        let top = frame(&catalog, &db, &limited).unwrap();
         assert_eq!(top.n_rows(), 2);
         assert_eq!(top.get(0, "tstamp"), Some(&Value::Int(5)));
         // Same projection → one build, differing post-passes only.
         assert_eq!(catalog.stats().misses, 1);
         // Neither do other predicates, nor their call order.
         let swapped = QueryPlan::new(&["x"])
-            .filter("tstamp", CmpOp::Lt, 9)
-            .filter("tstamp", CmpOp::Gt, 1);
+            .filter("x", CmpOp::Lt, 9)
+            .filter("x", CmpOp::Gt, 1);
         let canon = QueryPlan::new(&["x"])
-            .filter("tstamp", CmpOp::Gt, 1)
-            .filter("tstamp", CmpOp::Lt, 9);
-        assert_eq!(*catalog.plan(&swapped).unwrap(), full(&db, &swapped));
-        assert_eq!(*catalog.plan(&canon).unwrap(), full(&db, &canon));
+            .filter("x", CmpOp::Gt, 1)
+            .filter("x", CmpOp::Lt, 9);
+        assert_eq!(
+            *frame(&catalog, &db, &swapped).unwrap(),
+            full(&db, &swapped)
+        );
+        assert_eq!(*frame(&catalog, &db, &canon).unwrap(), full(&db, &canon));
         assert_eq!(catalog.stats().misses, 1);
     }
 
@@ -772,12 +896,12 @@ mod tests {
             ..QueryPlan::new(&["acc"])
         }
         .filter("acc", CmpOp::Le, 2);
-        let v = catalog.plan(&plan).unwrap();
+        let v = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(v.n_rows(), 1);
         assert_eq!(v.get(0, "acc"), Some(&Value::Int(2)));
         // The maintained view is the projection's plain pivot.
         assert_eq!(catalog.stats().misses, 1);
-        catalog.plan(&QueryPlan::new(&["acc"])).unwrap();
+        frame(&catalog, &db, &QueryPlan::new(&["acc"])).unwrap();
         assert_eq!(catalog.stats().misses, 1);
     }
 
@@ -791,7 +915,7 @@ mod tests {
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
         let plan = QueryPlan::with_latest(&["loss"], &["projid"]);
-        let v = catalog.plan(&plan).unwrap();
+        let v = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(
             v.column_names(),
             vec!["projid", "tstamp", "filename", "loss"]
@@ -802,7 +926,7 @@ mod tests {
         row[3] = 9.into();
         db.insert("logs", row).unwrap();
         db.commit().unwrap();
-        let v = catalog.plan(&plan).unwrap();
+        let v = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(
             v.column_names(),
             vec![
@@ -830,14 +954,27 @@ mod tests {
         db.insert("logs", log_row(1, "a_iteration", "1")).unwrap();
         db.commit().unwrap();
         let plan = QueryPlan::new(&["x", "a_iteration"]);
-        catalog.plan(&plan).unwrap();
+        frame(&catalog, &db, &plan).unwrap();
+        let xs = QueryPlan::new(&["x"]);
+        frame(&catalog, &db, &xs).unwrap();
         db.insert("loops", loop_row(2, 9, "a", 0)).unwrap();
         let mut row = log_row(2, "x", "2");
         row[3] = 9.into();
         db.insert("logs", row).unwrap();
         db.commit().unwrap();
+        // The catch-up that serves `x` shows the other view's fallback.
+        let answer = catalog.answer(&db.pin(), &xs, &mut off()).unwrap();
+        let how = How::CaughtUp {
+            rows: 1,
+            fallbacks: 1,
+        };
+        assert_eq!(answer.how, how);
+        assert_eq!(
+            answer.to_string(),
+            "caught up over 1 logs rows to epoch 2, 1 fallback rebuild(s)"
+        );
         assert!(
-            catalog.plan(&plan).is_err(),
+            frame(&catalog, &db, &plan).is_err(),
             "the dropped view's build fails"
         );
         assert_eq!(catalog.stats().fallback_rebuilds, 1);
@@ -856,19 +993,23 @@ mod tests {
                 .unwrap();
             db.commit().unwrap();
         }
-        let latest = catalog
-            .plan(&QueryPlan::with_latest(&["acc"], &["projid"]))
-            .unwrap();
+        let latest = frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["acc"], &["projid"]),
+        )
+        .unwrap();
         assert_eq!(latest.n_rows(), 1);
         assert_eq!(latest.get(0, "acc"), Some(&Value::Int(3)));
-        let again = catalog
-            .plan(&QueryPlan::with_latest(&["acc"], &["projid"]))
-            .unwrap();
+        let again = frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["acc"], &["projid"]),
+        )
+        .unwrap();
         assert!(Arc::ptr_eq(&latest, &again));
         // Unknown group column errors like the from-scratch path.
-        assert!(catalog
-            .plan(&QueryPlan::with_latest(&["acc"], &["nope"]))
-            .is_err());
+        assert!(frame(&catalog, &db, &QueryPlan::with_latest(&["acc"], &["nope"])).is_err());
     }
 
     #[test]
@@ -881,20 +1022,25 @@ mod tests {
         let catalog = ViewCatalog::new(db.clone(), 4);
         db.insert("logs", log_row(1, "loss", "10")).unwrap();
         db.commit().unwrap();
-        let first = catalog
-            .plan(&QueryPlan::with_latest(&["loss", "acc"], &["projid"]))
-            .unwrap();
+        let first = frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["loss", "acc"], &["projid"]),
+        )
+        .unwrap();
         assert_eq!(first.n_rows(), 1);
         // Same (projid, tstamp, filename, ctx): lands in the existing row.
         db.insert("logs", log_row(1, "acc", "7")).unwrap();
         db.commit().unwrap();
-        let after = catalog
-            .plan(&QueryPlan::with_latest(&["loss", "acc"], &["projid"]))
-            .unwrap();
+        let after = frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["loss", "acc"], &["projid"]),
+        )
+        .unwrap();
         assert_eq!(after.n_rows(), 1, "upsert must not duplicate the row");
         assert_eq!(after.get(0, "acc"), Some(&Value::Int(7)));
-        let oracle = catalog
-            .plan(&QueryPlan::new(&["loss", "acc"]))
+        let oracle = frame(&catalog, &db, &QueryPlan::new(&["loss", "acc"]))
             .unwrap()
             .latest(&["projid"], "tstamp")
             .unwrap();
@@ -922,23 +1068,22 @@ mod tests {
         db.insert("logs", str_row(1, "f1_value", "a")).unwrap();
         db.insert("logs", log_row(1, "score", "1")).unwrap();
         db.commit().unwrap();
-        catalog
-            .plan(&QueryPlan::with_latest(
-                &["f1_value", "score"],
-                &["f1_value"],
-            ))
-            .unwrap();
+        frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["f1_value", "score"], &["f1_value"]),
+        )
+        .unwrap();
         // Re-log moves the row to group "b"; tstamp unchanged.
         db.insert("logs", str_row(1, "f1_value", "b")).unwrap();
         db.commit().unwrap();
-        let latest = catalog
-            .plan(&QueryPlan::with_latest(
-                &["f1_value", "score"],
-                &["f1_value"],
-            ))
-            .unwrap();
-        let oracle = catalog
-            .plan(&QueryPlan::new(&["f1_value", "score"]))
+        let latest = frame(
+            &catalog,
+            &db,
+            &QueryPlan::with_latest(&["f1_value", "score"], &["f1_value"]),
+        )
+        .unwrap();
+        let oracle = frame(&catalog, &db, &QueryPlan::new(&["f1_value", "score"]))
             .unwrap()
             .latest(&["f1_value"], "tstamp")
             .unwrap();
@@ -965,7 +1110,7 @@ mod tests {
         let plan = QueryPlan::new(&["x"]);
         db.insert("logs", log_row(0, "x", "0")).unwrap();
         db.commit().unwrap();
-        catalog.plan(&plan).unwrap();
+        frame(&catalog, &db, &plan).unwrap();
         let (commits, per_commit) = (300u64, 64i64);
         for c in 0..commits as i64 {
             for r in 1..per_commit - 1 {
@@ -983,7 +1128,7 @@ mod tests {
                 db.compact_with(&policy).unwrap();
             }
         }
-        let view = catalog.plan(&plan).unwrap();
+        let view = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(view.n_rows(), (commits * per_commit as u64) as usize + 1);
         assert_eq!(*view, full(&db, &plan));
         let stats = catalog.stats();
@@ -1005,7 +1150,7 @@ mod tests {
                 .unwrap();
             db.commit().unwrap();
         }
-        catalog.plan(&plan).unwrap();
+        frame(&catalog, &db, &plan).unwrap();
         for ts in (1..30).step_by(3) {
             db.insert("logs", log_row(ts, "y", &(-ts).to_string()))
                 .unwrap();
@@ -1016,7 +1161,7 @@ mod tests {
             ..Default::default()
         };
         db.compact_with(&policy).unwrap();
-        let view = catalog.plan(&plan).unwrap();
+        let view = frame(&catalog, &db, &plan).unwrap();
         assert_eq!(*view, full(&db, &plan));
         assert_eq!(view.n_rows(), 30 + 3, "ts 1, 4 and 7 are new rows");
         let stats = catalog.stats();
@@ -1059,7 +1204,7 @@ mod tests {
         ];
         for group in [&["epoch_iteration"], &["projid"]] {
             let plan = QueryPlan::with_latest(&["loss"], group).filter("tstamp", CmpOp::Gt, 100);
-            let v = catalog.plan(&plan).unwrap();
+            let v = frame(&catalog, &db, &plan).unwrap();
             assert_eq!(v.n_rows(), 0);
             assert_eq!(v.column_names(), columns, "latest by {group:?}");
         }
@@ -1076,13 +1221,13 @@ mod tests {
         }
         db.commit().unwrap();
         let hot = QueryPlan::new(&["loss"]);
-        assert_eq!(*catalog.plan(&hot).unwrap(), full(&db, &hot));
+        assert_eq!(*frame(&catalog, &db, &hot).unwrap(), full(&db, &hot));
         for t in 1..=8 {
-            let window = QueryPlan::new(&["loss"]).filter("tstamp", CmpOp::Ge, t);
-            assert_eq!(*catalog.plan(&window).unwrap(), full(&db, &window));
+            let window = QueryPlan::new(&["loss"]).filter("loss", CmpOp::Ge, t);
+            assert_eq!(*frame(&catalog, &db, &window).unwrap(), full(&db, &window));
         }
         let hits = catalog.stats().hits;
-        assert_eq!(*catalog.plan(&hot).unwrap(), full(&db, &hot));
+        assert_eq!(*frame(&catalog, &db, &hot).unwrap(), full(&db, &hot));
         let stats = catalog.stats();
         assert_eq!(stats.hits, hits + 1, "the hot view is still cached");
         assert_eq!((stats.misses, stats.evictions), (1, 0));
@@ -1097,16 +1242,16 @@ mod tests {
 
     /// `plan` read through the catalog at a fresh pin, checked against
     /// the snapshot executor there; how the view was reached.
-    fn read(catalog: &ViewCatalog, db: &Database, plan: &QueryPlan) -> ViewRead {
+    fn read(catalog: &ViewCatalog, db: &Database, plan: &QueryPlan) -> How {
         let snap = db.pin();
-        let answer = catalog.plan_at(plan, &snap).unwrap().unwrap();
+        let answer = catalog.answer(&snap, plan, &mut off()).unwrap();
         let want = crate::execute_at(&snap, plan, &mut off()).unwrap().0;
         assert_eq!(*answer.frame, want, "{plan:?}");
-        answer.read
+        answer.how
     }
 
-    fn selected(from: &[&str]) -> ViewRead {
-        ViewRead::Selected {
+    fn selected(from: &[&str]) -> How {
+        How::Selected {
             from: from.iter().map(|n| n.to_string()).collect(),
         }
     }
@@ -1123,19 +1268,25 @@ mod tests {
         }
         log_epochs(&db, 4, "c");
         let wide = QueryPlan::new(&["a", "b", "c"]);
-        assert_eq!(read(&catalog, &db, &wide), ViewRead::Built);
+        assert_eq!(read(&catalog, &db, &wide), How::Built);
         // `c`'s loop is not among `b, a`'s columns.
         let pair = QueryPlan::new(&["b", "a"]);
         assert_eq!(read(&catalog, &db, &pair), selected(&["a", "b", "c"]));
         let single = QueryPlan::new(&["a"]);
-        let answer = catalog.plan_at(&single, &db.pin()).unwrap().unwrap();
-        assert_eq!(answer.read, selected(&["b", "a"]));
+        let answer = catalog.answer(&db.pin(), &single, &mut off()).unwrap();
+        assert_eq!(answer.how, selected(&["b", "a"]));
         assert_eq!(answer.to_string(), "selected from pivot[b,a] at epoch 1");
         // A selected view is cached and caught up like a built one.
         db.insert("logs", log_row(5, "a", "5")).unwrap();
         db.commit().unwrap();
-        assert_eq!(read(&catalog, &db, &single), ViewRead::CaughtUp { rows: 1 });
-        assert_eq!(read(&catalog, &db, &pair), ViewRead::Hit);
+        assert_eq!(
+            read(&catalog, &db, &single),
+            How::CaughtUp {
+                rows: 1,
+                fallbacks: 0
+            }
+        );
+        assert_eq!(read(&catalog, &db, &pair), How::Hit);
         let stats = catalog.stats();
         assert_eq!((stats.misses, stats.selections), (3, 2));
         assert_eq!(stats.fallback_rebuilds, 0);
@@ -1152,12 +1303,9 @@ mod tests {
         db.insert("logs", log_row(1, "a", "1")).unwrap();
         db.insert("logs", log_row(1, "b", "2")).unwrap();
         db.commit().unwrap();
-        assert_eq!(
-            read(&catalog, &db, &QueryPlan::new(&["a"])),
-            ViewRead::Built
-        );
+        assert_eq!(read(&catalog, &db, &QueryPlan::new(&["a"])), How::Built);
         let both = QueryPlan::new(&["a", "b"]);
-        assert_eq!(read(&catalog, &db, &both), ViewRead::Built);
+        assert_eq!(read(&catalog, &db, &both), How::Built);
         let stats = catalog.stats();
         assert_eq!((stats.misses, stats.selections), (2, 0));
     }
@@ -1175,7 +1323,7 @@ mod tests {
         read(&catalog, &db, &QueryPlan::new(&["a", "n"]));
         let nulls = QueryPlan::new(&["n"]);
         assert_eq!(read(&catalog, &db, &nulls), selected(&["a", "n"]));
-        let frame = catalog.plan(&nulls).unwrap();
+        let frame = frame(&catalog, &db, &nulls).unwrap();
         assert_eq!(frame.n_rows(), 2);
         assert_eq!(frame.get(0, "n"), Some(&Value::Null));
     }
@@ -1197,12 +1345,12 @@ mod tests {
         let wide = QueryPlan::new(&["x", "y"]);
         read(&catalog, &db, &wide);
         assert_eq!(
-            catalog.plan(&wide).unwrap().get(0, "tstamp"),
+            frame(&catalog, &db, &wide).unwrap().get(0, "tstamp"),
             Some(&Value::Int(1))
         );
         let ys = QueryPlan::new(&["y"]);
         assert_eq!(read(&catalog, &db, &ys), selected(&["x", "y"]));
-        let frame = catalog.plan(&ys).unwrap();
+        let frame = frame(&catalog, &db, &ys).unwrap();
         let tstamps: Vec<_> = (0..frame.n_rows())
             .map(|r| frame.get(r, "tstamp"))
             .collect();
@@ -1212,7 +1360,13 @@ mod tests {
         db.insert("logs", log_row(2, "y", "20")).unwrap();
         db.insert("logs", log_row(3, "y", "30")).unwrap();
         db.commit().unwrap();
-        assert_eq!(read(&catalog, &db, &ys), ViewRead::CaughtUp { rows: 2 });
+        assert_eq!(
+            read(&catalog, &db, &ys),
+            How::CaughtUp {
+                rows: 2,
+                fallbacks: 0
+            }
+        );
         assert_eq!(
             read(&catalog, &db, &QueryPlan::new(&["x"])),
             selected(&["x", "y"])
@@ -1231,8 +1385,8 @@ mod tests {
         let plain = QueryPlan::new(&["acc"]);
         let latest = QueryPlan::with_latest(&["acc"], &["epoch_iteration"]);
         for _ in 0..2 {
-            assert_eq!(*catalog.plan(&plain).unwrap(), full(&db, &plain));
-            assert_eq!(*catalog.plan(&latest).unwrap(), full(&db, &latest));
+            assert_eq!(*frame(&catalog, &db, &plain).unwrap(), full(&db, &plain));
+            assert_eq!(*frame(&catalog, &db, &latest).unwrap(), full(&db, &latest));
             // A newer run replaces every epoch's latest row.
             log_epochs(&db, 2, "acc");
         }

@@ -19,8 +19,8 @@
 //!   one transient fragment of the rows past its rid watermark
 //!   ([`flor_store::Snapshot::since`]). Its public face is
 //!   [`execute_at`], the snapshot pivot plus the plan's post-pass
-//!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle and
-//!   what `flor-serve` answers a plan that pushes a step with.
+//!   (reporting a [`PlanExplain`]) — `Flor::execute_at`, the oracle, and
+//!   what [`ViewCatalog::answer`] runs a plan that pushes a step on.
 //! * `delta` (private) — the maintained views: one projected pivot, built
 //!   by the snapshot pivot's merge and caught up by the same merge; and
 //!   incremental `flor.utils.latest` via per-group-key max-timestamp
@@ -34,15 +34,16 @@
 //!   fallback rebuild when a row cannot be applied (a value name
 //!   colliding with an index column). A miss whose names a cached view
 //!   covers is selected from the smallest such view rather than built
-//!   from history. [`ViewCatalog::plan`] reads at a
-//!   snapshot it pins; [`ViewCatalog::plan_at`] at a caller's — a served
-//!   session's — when the catalog has not passed its epoch. Every
-//!   predicate of a plan runs in the post-pass.
+//!   from history. [`ViewCatalog::answer`] is every read's one entry and
+//!   one routing rule: a plan that lowers nothing below the pivot but a
+//!   `latest` is read from its view, when the catalog has not passed the
+//!   caller's snapshot, and every other plan runs on [`execute_at`]; the
+//!   [`Answer`] carries the frame, its epoch and [`How`] it was reached.
 //! * [`plan`] — [`QueryPlan`], the canonical lazy-query plan behind
 //!   `Flor::query`: filters (reusing [`flor_store::Predicate`]), `latest`
 //!   dedup, ordering and limits, lowered below the pivot
-//!   ([`QueryPlan::below_pivot`]) or onto a projection's maintained view,
-//!   with the rest as a post-pass.
+//!   ([`QueryPlan::below_pivot`]) or read from a projection's maintained
+//!   view, with the rest as a post-pass.
 //!
 //! `flor-core` wires `Flor::dataframe` / `Flor::dataframe_latest`
 //! through a catalog, so repeated queries after new commits apply just
@@ -50,11 +51,14 @@
 //! `backfill` commits reach live views the same way.
 //!
 //! ```
+//! use flor_obs::ActiveTrace;
 //! use flor_store::{flor_schema, Database};
-//! use flor_view::{QueryPlan, ViewCatalog};
+//! use flor_view::{How, QueryPlan, ViewCatalog};
 //!
 //! let db = Database::in_memory(flor_schema());
 //! let catalog = ViewCatalog::new(db.clone(), 8);
+//! let plan = QueryPlan::new(&["loss"]);
+//! let off = &mut ActiveTrace::new(false, None, "");
 //!
 //! let log = |ts: i64, name: &str, value: &str| {
 //!     db.insert("logs", vec![
@@ -65,15 +69,16 @@
 //! log(1, "loss", "0.5");
 //! db.commit().unwrap();
 //!
-//! let v1 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
-//! assert_eq!(v1.n_rows(), 1);
+//! let v1 = catalog.answer(&db.pin(), &plan, off).unwrap();
+//! assert_eq!((v1.frame.n_rows(), v1.how), (1, How::Built));
 //!
 //! // A new commit refreshes the view incrementally: its one row is read
 //! // and applied, no re-pivot of history.
 //! log(2, "loss", "0.25");
 //! db.commit().unwrap();
-//! let v2 = catalog.plan(&QueryPlan::new(&["loss"])).unwrap();
-//! assert_eq!(v2.n_rows(), 2);
+//! let v2 = catalog.answer(&db.pin(), &plan, off).unwrap();
+//! assert_eq!(v2.frame.n_rows(), 2);
+//! assert_eq!(v2.to_string(), "caught up over 1 logs rows to epoch 2");
 //! assert_eq!(catalog.stats().misses, 1); // built once, refreshed in place
 //! ```
 
@@ -84,6 +89,6 @@ mod delta;
 mod pivot;
 pub mod plan;
 
-pub use catalog::{CatalogStats, ViewAnswer, ViewCatalog, ViewRead};
+pub use catalog::{Answer, CatalogStats, How, ViewCatalog};
 pub use pivot::{execute_at, PlanExplain};
 pub use plan::{BelowPivot, QueryPlan, FIXED_COLS};

@@ -12,21 +12,23 @@
 //! what [`QueryPlan::below_pivot`] lowers over the merged keys, and writes
 //! the keys left into the frame; no `logs` row is fetched, and a value
 //! name that collides with an index column is refused. It has two
-//! callers. The snapshot executor ([`crate::execute_at`], behind
+//! callers, and `crate::ViewCatalog::answer` picks between them for
+//! every read. The snapshot executor ([`crate::execute_at`], behind
 //! `Flor::execute_at`) runs it per request and ends with the whole
-//! [`QueryPlan::post_pass`]. The view catalog
-//! ([`crate::ViewCatalog::plan`]) runs it once per projection, with
-//! nothing pushed, then keeps that pivot current with the rows later
-//! commits add and runs the plan's predicates, ordering and limit as a
+//! [`QueryPlan::post_pass`]; it answers every plan that lowers a step
+//! below the pivot other than a `latest`. The view catalog runs it once
+//! per projection, with nothing pushed, then keeps that pivot current
+//! with the rows later commits add; it answers the other plans, whose
+//! predicates are all over value columns, with the rest of the plan as a
 //! post-pass. Where each step runs:
 //!
 //! | step | view catalog | snapshot executor |
 //! |---|---|---|
-//! | predicates on [`FIXED_COLS`] | post-pass | on each key's fixed cells as the fragments merge; a fragment whose fixed cells none can match adds only its columns |
-//! | predicates on loop dimensions | post-pass | on each merged key's loop cells, before the frame is built |
+//! | predicates on [`FIXED_COLS`] | — (the plan is executed) | on each key's fixed cells as the fragments merge; a fragment whose fixed cells none can match adds only its columns |
+//! | predicates on loop dimensions | — (the plan is executed) | on each merged key's loop cells, before the frame is built |
 //! | predicates on value columns | post-pass | post-pass |
 //! | `latest(group)` | maintained by a per-group max-`tstamp` upsert on the projection's view when the plan has no predicate, else post-pass | cut over the merged keys when the group is index columns and every predicate ran below the pivot; with no predicate, only the keys the fragments' summaries name as newest are merged |
-//! | `order_by` + `limit` | post-pass | top-K cut over the merged keys when every earlier step ran below the pivot; with no predicate and a projected name as first sort key, only each fragment's best keys (and keys another fragment may hold) are merged |
+//! | `order_by` + `limit` | post-pass when a value predicate or a `latest` by a value column comes first; otherwise a top-K, and the plan is executed | top-K cut over the merged keys when every earlier step ran below the pivot; with no predicate and a projected name as first sort key, only each fragment's best keys (and keys another fragment may hold) are merged |
 //!
 //! A column the lowering cannot place from the plan alone (a dimension
 //! the history never logged) makes the snapshot pivot push nothing.
@@ -36,7 +38,7 @@
 //! post-hoc one, cell for cell.
 
 use flor_df::{DataFrame, DfError};
-use flor_store::{CmpOp, Predicate, Query, StoreError, StoreResult};
+use flor_store::{CmpOp, Predicate, StoreError, StoreResult};
 
 /// The fixed context columns every pivot row carries (paper Fig. 3), and
 /// therefore the columns whose predicates the snapshot pivot tests on
@@ -108,16 +110,6 @@ impl QueryPlan {
             latest_group: Some(group.iter().map(|s| s.to_string()).collect()),
             ..QueryPlan::new(names)
         }
-    }
-
-    /// The `logs` rows whose `value_name` the plan projects, an IN list
-    /// over a zone-pruned scan: the rows a pivot of the plan covers, and the
-    /// fetch the view catalog's explain report probes the store with.
-    /// The snapshot pivot itself reads no `logs` row; it merges
-    /// per-segment fragments.
-    pub fn logs_fetch(&self) -> Query {
-        let names = self.names.iter().map(|n| n.as_str().into()).collect();
-        Query::table("logs").filter_in("value_name", names)
     }
 
     /// Append a predicate.

@@ -224,13 +224,18 @@ fn fed(names: &[&str], batches: &[Vec<(&'static str, Vec<Value>)>]) -> Result<Da
     let db = Database::in_memory(schemas);
     let catalog = ViewCatalog::new(db.clone(), 1);
     let plan = QueryPlan::new(names);
-    let mut view = catalog.plan(&plan).map_err(|e| e.to_string())?;
+    let read = || {
+        let off = &mut flor_obs::ActiveTrace::new(false, None, "");
+        let answer = catalog.answer(&db.pin(), &plan, off);
+        answer.map(|a| a.frame).map_err(|e| e.to_string())
+    };
+    let mut view = read()?;
     for rows in batches {
         for (table, row) in rows {
             db.insert(table, row.clone()).map_err(|e| e.to_string())?;
         }
         db.commit().map_err(|e| e.to_string())?;
-        view = catalog.plan(&plan).map_err(|e| e.to_string())?;
+        view = read()?;
         let stats = catalog.stats();
         if (stats.misses, stats.fallback_rebuilds) != (1, 0) {
             return Err(format!("not caught up: {stats:?}"));

@@ -652,7 +652,9 @@ fn proper_subsets() -> Vec<Vec<&'static str>> {
 /// `plan` read through `catalog` equals `collect_full` at the same
 /// epoch, cell for cell; both failing counts as agreement.
 fn catalog_equals_full(flor: &Flor, catalog: &ViewCatalog, plan: &QueryPlan, when: &str) {
-    match (catalog.plan(plan), flor.run_plan_full(plan)) {
+    let off = &mut flor_obs::ActiveTrace::new(false, None, "");
+    let answer = catalog.answer(&flor.db.pin(), plan, off);
+    match (answer.map(|a| a.frame), flor.run_plan_full(plan)) {
         (Ok(got), Ok(want)) => assert_eq!(*got, want, "{when}: {plan:?}"),
         (Err(_), Err(_)) => {}
         (a, b) => panic!(

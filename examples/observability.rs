@@ -6,9 +6,9 @@
 //! `flor.metrics()` renders what every layer actually did — commit and
 //! WAL-fsync latency histograms, checkpoint/compaction passes, zone-map
 //! pruning ratios, job queue-wait vs run time, view hits and misses —
-//! and `query(..).explain()` reports how one specific query executed:
-//! segments pruned, rows examined vs returned, per-stage
-//! timings.
+//! and `query(..).explain()` reports how one specific query was
+//! answered: a maintained view's hit, build, selection or catch-up, or
+//! the snapshot executor's per-step counts, and the time it took.
 //!
 //! Run with `cargo run --example observability`.
 
@@ -52,11 +52,8 @@ fn main() {
         .limit(10)
         .explain()
         .unwrap();
-    assert!(again.view_hit);
-    println!(
-        "re-run: view hit, {} commits caught up over, serve {}ns\n",
-        again.batches_applied, again.serve_nanos
-    );
+    assert_eq!(again.answer.how, flordb::view::How::Hit);
+    println!("re-run: {}, serve {}ns\n", again.answer, again.serve_nanos);
 
     // 3. The instance-wide ledger: every histogram, counter, gauge and
     //    retained event, across store + jobs + views, in one consistent

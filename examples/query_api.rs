@@ -2,18 +2,20 @@
 //!
 //! Builds a multi-run training history, then answers selective questions
 //! two ways — the legacy shape (full pivot, then filter by hand) and the
-//! `flor.query` builder (one incrementally maintained view of the
-//! projection, filtered by a post-pass) — and shows they agree cell for
-//! cell while the builder path skips re-pivoting the world per request:
-//! every read of the same names, filtered or not, shares one build, and
-//! the from-scratch executor pivots each sealed `logs` segment once, so a
-//! fresh snapshot after a commit pivots only that commit's rows, and an
+//! `flor.query` builder — and shows they agree cell for cell while the
+//! builder path skips re-pivoting the world per request. The builder's
+//! one routing rule sends a question that filters on `tstamp` to the
+//! snapshot executor, which tests the filter as it merges each sealed
+//! `logs` segment's pivot fragment (made once, on first read), so a fresh
+//! snapshot after a commit pivots only that commit's rows; an unfiltered
+//! read of the same names is one incrementally maintained view; and an
 //! unfiltered top-5 merges only the keys each segment's summaries say can
 //! be among the best.
 //!
 //! Run with `cargo run --release --example query_api`.
 
 use flordb::prelude::*;
+use flordb::view::How;
 use std::time::Instant;
 
 fn main() {
@@ -60,27 +62,33 @@ fn main() {
         .head(5);
     let legacy_time = t.elapsed();
 
-    // Builder, cold: first call materializes the projection's view.
+    // Builder, cold: the `tstamp` filter sends the question to the
+    // snapshot executor, whose first read makes every sealed `logs`
+    // segment's pivot fragment.
     let t = Instant::now();
     let cold = question().collect().unwrap();
     let cold_time = t.elapsed();
 
-    // Builder, steady state: new commits land as deltas; the selective
-    // query is served from the maintained view plus a post-pass filter.
+    // Builder, steady state: the executor at a fresh pin after a commit.
+    // The cold read made every older `logs` segment's pivot fragment, so
+    // only the new segment's one row is pivoted; the rest is a merge.
     flor.log("loss", 0.5);
     flor.commit("one more").unwrap();
     let t = Instant::now();
-    let warm = question().collect().unwrap();
+    let report = question().explain().unwrap();
     let warm_time = t.elapsed();
+    let How::Executed { explain, .. } = &report.answer.how else {
+        panic!("a `tstamp` filter runs below the pivot: {report}");
+    };
+    assert_eq!(explain.fragments, (1, 1), "only the new segment: {explain}");
+    let warm = (*report.answer.frame).clone();
 
-    // The snapshot executor at a fresh pin after that commit: the reads
-    // above made every older `logs` segment's pivot fragment, so only
-    // the new segment's one row is pivoted; the rest is a merge.
+    // The snapshot executor called directly at a fresh pin answers the
+    // same, against a hand-filtered full pivot.
     let mut inert = flordb::obs::ActiveTrace::new(false, None, "");
-    let (fresh, explain) = flor
+    let (fresh, _) = flor
         .execute_at(&flor.db.pin(), &question().into_plan(), &mut inert)
         .unwrap();
-    assert_eq!(explain.fragments, (1, 1), "only the new segment: {explain}");
     let by_hand = flor
         .query(&["loss", "acc", "arg::lr"])
         .collect_full()
@@ -129,8 +137,8 @@ fn main() {
     let oracle = question().collect_full().unwrap();
     assert_eq!(warm, oracle);
 
-    // The cold and warm filtered reads and an unfiltered read of the same
-    // names cost exactly one build.
+    // The cold and warm filtered reads are executor answers and build no
+    // view; an unfiltered read of the same names makes the one view.
     let names = ["loss", "acc", "arg::lr"];
     let plain = flor.query(&names).collect().unwrap();
     assert_eq!(plain, flor.query(&names).collect_full().unwrap());

@@ -6,9 +6,9 @@
 //! 1. **Pinned sessions** — each client's queries answer at the epoch it
 //!    pinned at connect (or its last explicit `pin`), repeatable under a
 //!    committing writer;
-//!    a plan that pushes nothing below the pivot is answered from the
-//!    kernel's maintained view when the view is not past the session's
-//!    epoch, byte-identical to the snapshot executor;
+//!    a plan that pushes nothing below the pivot but a `latest` is
+//!    answered from the kernel's maintained view when the view is not
+//!    past the session's epoch, byte-identical to the snapshot executor;
 //! 2. **Observability over the wire** — the `MetricsPrometheus` verb
 //!    scrapes the server's whole registry in Prometheus text format;
 //! 3. **Followers** — a second kernel opened read-only over the writer's
@@ -105,8 +105,8 @@ fn main() {
     // --- a full pivot at the writer's epoch is a maintained-view hit ---
     // B's re-pinned query caught the kernel's view of the projection up
     // to the writer's epoch; a plan that pushes nothing below the pivot
-    // is answered from that view, shared, not re-pivoted — with the
-    // bytes the snapshot executor would have sent.
+    // but a `latest` is answered from that view, shared, not re-pivoted —
+    // with the bytes the snapshot executor would have sent.
     let mut c = Client::connect(addr, None).expect("connect C");
     let snap = flor.db.pin();
     assert_eq!(c.epoch(), snap.epoch());

@@ -27,18 +27,19 @@
 //! Everything logged through the kernel is read back through **one lazy
 //! query builder**, [`core::Flor::query`]: project the log names you
 //! want, filter, deduplicate to the latest run per group, order, limit —
-//! then `collect`. Embedded reads run through two layers: one
-//! incrementally maintained materialized view per projection (deltas,
-//! not re-pivots; a predicate-free `latest` is maintained beside it),
-//! and a cheap dataframe post-pass for the predicates, ordering and
-//! limit. Served from scratch ([`core::Flor::execute_at`]), the same
-//! plan merges per-segment pivot fragments (each sealed `logs` segment
-//! pivoted once) and runs its index predicates and `latest` / top-K
-//! cuts over the merged keys, so no query re-pivots sealed history and
-//! a narrow answer builds only the rows it selects. A served session's
-//! plan with nothing to push below the pivot reads the same maintained
-//! views as embedded reads, caught up to the session's snapshot, unless
-//! the views already stand past it.
+//! then `collect`. Every read, embedded or served, is routed by one rule
+//! ([`view::ViewCatalog::answer`]). A plan that pushes nothing below the
+//! pivot but a `latest` reads one incrementally maintained materialized
+//! view per projection (deltas, not re-pivots; a predicate-free `latest`
+//! is maintained beside it), with a cheap dataframe post-pass for its
+//! value predicates, ordering and limit. Every other plan runs from
+//! scratch ([`core::Flor::execute_at`]): it merges per-segment pivot
+//! fragments (each sealed `logs` segment pivoted once) and runs its index
+//! predicates and `latest` / top-K cuts over the merged keys, so no query
+//! re-pivots sealed history and a narrow answer builds only the rows it
+//! selects. A served session reads the same views as embedded reads,
+//! caught up to the session's snapshot, unless the views already stand
+//! past it.
 //!
 //! ```
 //! use flordb::prelude::*;
@@ -102,8 +103,11 @@
 //! queue-wait vs run time, and view
 //! hit/miss/rebuild counters — renderable as text or JSON. Per query,
 //! `flor.query(..).explain()` executes the plan and returns a
-//! [`core::ExplainReport`]: segments pruned, rows examined
-//! vs returned, and per-stage timings. See `examples/observability.rs`.
+//! [`core::ExplainReport`]: how the one read path answered it — a
+//! maintained view hit, built, selected or caught up over N `logs` rows,
+//! or the snapshot executor's per-step counts — and the time it took;
+//! every slow-query record, local or served, carries the same rendering.
+//! See `examples/observability.rs`.
 //! For scraping, [`obs::MetricsSnapshot::render_prometheus`] emits the
 //! Prometheus exposition format, served over the wire by [`serve`]'s
 //! `MetricsPrometheus` verb. Events carry a wall-clock timestamp and a
@@ -136,10 +140,11 @@
 //! length-prefixed TCP protocol (std-only, thread-per-connection with a
 //! bounded accept pool) where each session pins a snapshot at handshake
 //! and every [`view::QueryPlan`] it submits is answered at exactly that
-//! epoch — from the kernel's maintained views when the plan pushes
-//! nothing below the pivot and the views are not past the session's
-//! epoch, else by [`core::Flor::execute_at`], the kernel's one
-//! from-scratch executor — results are repeatable, and
+//! epoch, by the same routing rule as an embedded read — from the
+//! kernel's maintained views when the plan pushes nothing below the
+//! pivot but a `latest` and the views are not past the session's epoch,
+//! else by [`core::Flor::execute_at`], the kernel's one from-scratch
+//! executor — results are repeatable, and
 //! byte-identical to a local `collect_full` at the same epoch, no matter
 //! how many commits land meanwhile. Composable middleware adds auth
 //! tokens, per-session rate limits and request logging into [`obs`].
