@@ -58,7 +58,9 @@
 //! | `view.refresh_nanos` | histogram | one catch-up of the cached views: pin, read, apply |
 //! | `view.hits` / `view.misses` | counter | catalog cache hits / new views (built or selected) |
 //! | `view.selections` | counter | misses selected from a covering view, not built |
-//! | `view.rebuilds` | counter | fallback full rebuilds |
+//! | `view.rebuilds` | counter | views dropped after rejecting a row |
+//! | `serve.wire_memo.hits` | counter | served answers written from the wire bytes kept for their frame and epoch |
+//! | `serve.wire_memo.bytes` | gauge | whole wire frames the server keeps, at most one per live view frame |
 //!
 //! Event kinds: `checkpoint`, `compaction`, `job.unit_failed`,
 //! `view.rebuild`, `follower`, `serve.error`, `session`. Each event carries a severity [`Level`] and a wall-clock

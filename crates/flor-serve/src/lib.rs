@@ -20,7 +20,15 @@
 //! `run_plan_at`/`run_plan_full`. Either way the answer's frame is
 //! encoded straight from its shared `Arc`, and results are repeatable
 //! and byte-identical to a local `collect_full` at the same epoch, no
-//! matter how many commits land while the session is open. `Pin`
+//! matter how many commits land while the session is open. A reply is
+//! one whole wire frame built in place and written at once. When the
+//! answer's frame is one the view catalog keeps (a view's own, or its
+//! cached `latest` dedup, with nothing of the plan left to run over it),
+//! the server keeps that whole frame beside it, per frame and epoch, and
+//! a repeat read at the same epoch writes the kept bytes without
+//! encoding or checksumming again; the memory held is at most one frame's
+//! bytes per live kept view frame (`serve.wire_memo.bytes`), with no
+//! capacity to tune. `Pin`
 //! re-pins on demand. A narrow plan costs what it selects, not what the
 //! history holds: the executor merges per-segment pivot
 //! fragments instead of fetching rows, tests `projid` / `tstamp` /

@@ -514,13 +514,25 @@ impl Response {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.put(&mut buf);
+        buf
+    }
+
+    /// This response as one whole wire frame, header and payload, built
+    /// in place ([`codec::framed`]): what the server writes.
+    pub(crate) fn framed(&self) -> Result<Vec<u8>, WireError> {
+        Ok(codec::framed(u32::MAX, |buf| self.put(buf))?)
+    }
+
+    /// Append the payload of [`Response::encode`] to `buf`.
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Response::HelloOk { version, epoch } => {
                 buf.push(1);
                 buf.put_u16(*version);
                 buf.put_u64(*epoch);
             }
-            Response::Frame { epoch, df } => return Response::encode_frame_ref(*epoch, df),
+            Response::Frame { epoch, df } => Response::put_frame_ref(*epoch, df, buf),
             Response::Pinned { epoch } => {
                 buf.push(3);
                 buf.put_u64(*epoch);
@@ -541,34 +553,47 @@ impl Response {
             Response::Bye => buf.push(7),
             Response::Health(report) => {
                 buf.push(8);
-                report.encode(&mut buf);
+                report.encode(buf);
             }
             Response::Traces { traces } => {
                 buf.push(9);
                 buf.put_u32(traces.len() as u32);
                 for t in traces {
-                    encode_trace(t, &mut buf);
+                    encode_trace(t, buf);
                 }
             }
             Response::SlowQueries { records } => {
                 buf.push(10);
                 buf.put_u32(records.len() as u32);
                 for r in records {
-                    encode_slow_query(r, &mut buf);
+                    encode_slow_query(r, buf);
                 }
             }
         }
-        buf
     }
 
     /// The payload of `Response::Frame { epoch, df }` from a borrowed
     /// frame — what a server sends for a frame it shares with others
     /// (a maintained view) instead of owning.
     pub fn encode_frame_ref(epoch: u64, df: &DataFrame) -> Vec<u8> {
-        let mut buf = vec![2];
-        buf.put_u64(epoch);
-        encode_frame(df, &mut buf);
+        let mut buf = Vec::new();
+        Response::put_frame_ref(epoch, df, &mut buf);
         buf
+    }
+
+    /// [`Response::encode_frame_ref`] as one whole wire frame, built in
+    /// place ([`codec::framed`]): what the server writes for an answer.
+    pub(crate) fn framed_frame_ref(epoch: u64, df: &DataFrame) -> Result<Vec<u8>, WireError> {
+        Ok(codec::framed(u32::MAX, |buf| {
+            Response::put_frame_ref(epoch, df, buf)
+        })?)
+    }
+
+    /// Append the payload of [`Response::encode_frame_ref`] to `buf`.
+    fn put_frame_ref(epoch: u64, df: &DataFrame, buf: &mut Vec<u8>) {
+        buf.push(2);
+        buf.put_u64(epoch);
+        encode_frame(df, buf);
     }
 
     /// Decode a frame payload; trailing bytes are a protocol violation.
@@ -618,6 +643,15 @@ impl Response {
 /// this side is the length field's own range.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     codec::write_frame(w, payload, u32::MAX)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Write whole frame bytes — header and payload, as
+/// [`Response::framed`] builds them or a server kept them — in one
+/// `write_all`, and flush.
+pub(crate) fn write_framed(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
+    w.write_all(frame)?;
     w.flush()?;
     Ok(())
 }

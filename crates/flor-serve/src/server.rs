@@ -6,12 +6,13 @@
 //! [`ServerConfig::max_sessions`] live connections (excess connections
 //! get a typed `Busy` error and are closed); each admitted connection is
 //! served by its own thread, and a global [`Gate`] additionally bounds
-//! how many requests *execute* at once. Every session's queries are
-//! answered at the snapshot pinned at handshake (or last `Pin`), through
-//! the kernel's one read path ([`flor_view::ViewCatalog::answer`]): a plan
-//! with nothing below the pivot but a `latest` is read from the kernel's
-//! maintained views, caught up to the session's snapshot and shared by
-//! `Arc`, not copied — that read takes the `view_catalog` lock, which a
+//! how many requests *execute* at once (run, then frame their reply).
+//! Every session's queries are answered at the snapshot pinned at
+//! handshake (or last `Pin`), through the kernel's one read path
+//! ([`flor_view::ViewCatalog::answer`]): a plan with nothing below the
+//! pivot but a `latest` is read from the kernel's maintained views,
+//! caught up to the session's snapshot and shared by `Arc`, not
+//! copied — that read takes the `view_catalog` lock, which a
 //! view build or catch-up holds across its store reads, and the server
 //! enters it holding no lock of its own. Every other plan, and any plan
 //! of a session pinned behind the catalog's epoch, runs on the snapshot
@@ -21,6 +22,22 @@
 //! builds one [`ActiveTrace`] per request — inert unless tracing is on or
 //! the slow log is armed — and hands it to every stage.
 //!
+//! What a reply writes: one whole frame, `[len u32][fnv1a u64][payload]`,
+//! in one `write_all`. Inside the gate, after the plan runs, the reply's
+//! frame is built in place ([`flor_store::codec::framed`]: the payload
+//! is encoded after a reserved header, which is then patched), so no
+//! reply copies its payload a second time. An answer whose frame the
+//! view catalog keeps ([`Answer::kept`]: a view's own frame, or its
+//! cached `latest` dedup, with no post-pass) has its whole frame kept in
+//! the server's wire memo, keyed by the frame's `Arc` identity (held
+//! weakly) and the answer's epoch; a repeat read of that frame at that
+//! epoch writes those bytes — no encode, no checksum. Executor and
+//! post-pass frames are made per request and never kept. The memo has no
+//! capacity: it holds at most one frame's bytes per live kept frame
+//! (`serve.wire_memo.bytes`), and an entry whose frame died is pruned on
+//! the next insert. A traced request's `execute` span says which:
+//! `wire bytes kept` or `encoded N bytes`.
+//!
 //! When the served handle is a follower ([`Flor::open_follower`]), the
 //! server calls [`Flor::poll_follower`] once before it starts serving,
 //! then on a poll thread every [`ServerConfig::follower_poll`], which
@@ -28,17 +45,19 @@
 
 use crate::middleware::{Middleware, Outcome};
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, HealthReport, Request, Response, WireError,
+    read_frame, write_framed, ErrorCode, HealthReport, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::session::{Gate, Session};
 use flor_core::{ExplainReport, Flor};
+use flor_df::DataFrame;
 use flor_obs::{unix_micros, ActiveTrace, Counter, Gauge, Level, MetricsRegistry, SlowQueryRecord};
 use flor_view::Answer;
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -48,7 +67,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Accept-pool bound: live sessions past this get `Busy` + close.
     pub max_sessions: usize,
-    /// Global bound on concurrently *executing* requests.
+    /// Global bound on concurrently *executing* requests (a plan's run
+    /// and its reply's framing).
     pub max_in_flight: usize,
     /// Per-session idle timeout; a session silent this long is dropped.
     pub idle_timeout: Duration,
@@ -108,12 +128,158 @@ impl ServeMetrics {
     }
 }
 
+/// The wire bytes of the answers whose frame the view catalog keeps
+/// ([`Answer::kept`]): per kept frame, its whole frame — header and
+/// payload — at the last epoch it answered, made once by the first read
+/// that needs it (a read of the same frame and epoch meanwhile waits for
+/// it). A repeat read at that epoch writes these bytes: no encode, no
+/// checksum. They are exact because a frame's bytes depend only on its
+/// cells and the epoch, and the catalog changes a kept frame's cells only
+/// in a catch-up, which moves the epoch (a frame that answers two epochs
+/// unchanged gets an entry per epoch, the later replacing the earlier).
+///
+/// There is no capacity: the memo holds at most one body per live kept
+/// frame, plus bodies of frames that died since the last insert, which
+/// that insert prunes.
+struct WireMemo {
+    /// Entries by their frame's address. An entry's `Weak` keeps that
+    /// allocation — not the frame's cells — alive, so no other frame can
+    /// take the address while the entry lives; being weak, it never keeps
+    /// a frame alive, nor makes a catch-up's `Arc::make_mut` copy it.
+    /// Locked only around map reads and writes, never across an encode,
+    /// I/O or another lock.
+    kept: Mutex<HashMap<usize, Kept>>,
+    /// `serve.wire_memo.hits`: replies written from bytes another read
+    /// made.
+    hits: Arc<Counter>,
+    /// `serve.wire_memo.bytes`: bytes the memo holds.
+    bytes: Arc<Gauge>,
+}
+
+/// One kept frame's wire bytes, and the epoch they answer.
+struct Kept {
+    frame: Weak<DataFrame>,
+    epoch: u64,
+    wire: Arc<Slot>,
+}
+
+/// A kept frame's bytes, made once: the whole frame, or why it cannot be
+/// framed (a payload too long for the length field stays too long).
+type Slot = OnceLock<Result<Arc<[u8]>, String>>;
+
+/// A reply's whole wire frame: bytes the memo keeps, or framed for this
+/// reply alone.
+enum Wire {
+    Kept(Arc<[u8]>),
+    Fresh(Vec<u8>),
+}
+
+impl std::ops::Deref for Wire {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Wire::Kept(bytes) => bytes,
+            Wire::Fresh(bytes) => bytes,
+        }
+    }
+}
+
+impl WireMemo {
+    fn new(registry: &MetricsRegistry) -> WireMemo {
+        WireMemo {
+            kept: Mutex::new(HashMap::new()),
+            hits: registry.counter("serve.wire_memo.hits"),
+            bytes: registry.gauge("serve.wire_memo.bytes"),
+        }
+    }
+
+    /// The whole frame `reply` writes. A kept answer is written from the
+    /// bytes kept for its frame at its epoch, made by the first read that
+    /// needs them; every other reply is framed in place for itself. `tr`
+    /// records which.
+    fn wire(&self, reply: &Reply, tr: &mut ActiveTrace) -> Result<Wire, WireError> {
+        let wire = match reply {
+            Reply::Answer(answer) if answer.kept => {
+                let slot = self.slot(answer);
+                let mut made = false;
+                let kept = slot.get_or_init(|| {
+                    made = true;
+                    Response::framed_frame_ref(answer.epoch, &answer.frame)
+                        .map(Arc::from)
+                        .map_err(|e| e.to_string())
+                });
+                let wire = kept.clone().map_err(|message| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
+                })?;
+                if !made {
+                    self.hits.inc();
+                    tr.event(|| "wire bytes kept");
+                    return Ok(Wire::Kept(wire));
+                }
+                self.count_bytes();
+                Wire::Kept(wire)
+            }
+            Reply::Answer(answer) => {
+                Wire::Fresh(Response::framed_frame_ref(answer.epoch, &answer.frame)?)
+            }
+            Reply::Owned(resp) => Wire::Fresh(resp.framed()?),
+        };
+        tr.event(|| format!("encoded {} bytes", wire.len()));
+        Ok(wire)
+    }
+
+    /// The entries, locked. Every update inserts or removes whole
+    /// entries, so a lock a panicking holder poisoned is still valid.
+    fn entries(&self) -> MutexGuard<'_, HashMap<usize, Kept>> {
+        self.kept.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The slot of `answer`'s frame at its epoch: the frame's entry when
+    /// it is at that epoch, else a new, empty one replacing it, inserted
+    /// after pruning the entries of frames no longer alive.
+    fn slot(&self, answer: &Answer) -> Arc<Slot> {
+        let mut kept = self.entries();
+        let key = address(&answer.frame);
+        if let Some(entry) = kept.get(&key).filter(|k| k.epoch == answer.epoch) {
+            return Arc::clone(&entry.wire);
+        }
+        kept.retain(|_, k| k.frame.strong_count() > 0);
+        let slot = Arc::new(Slot::new());
+        kept.insert(
+            key,
+            Kept {
+                frame: Arc::downgrade(&answer.frame),
+                epoch: answer.epoch,
+                wire: Arc::clone(&slot),
+            },
+        );
+        slot
+    }
+
+    /// Set `serve.wire_memo.bytes` to the bytes the entries hold.
+    fn count_bytes(&self) {
+        let kept = self.entries();
+        let held: usize = kept
+            .values()
+            .filter_map(|k| k.wire.get()?.as_ref().ok())
+            .map(|wire| wire.len())
+            .sum();
+        self.bytes.set(held as i64);
+    }
+}
+
+/// The address of `frame`'s allocation: the memo's key.
+fn address(frame: &Arc<DataFrame>) -> usize {
+    Arc::as_ptr(frame) as usize
+}
+
 struct Shared {
     flor: Flor,
     cfg: ServerConfig,
     middleware: Vec<Arc<dyn Middleware>>,
     gate: Arc<Gate>,
     metrics: ServeMetrics,
+    memo: WireMemo,
     live_sessions: AtomicUsize,
     next_session: AtomicU64,
     shutdown: AtomicBool,
@@ -139,6 +305,7 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
+                memo: WireMemo::new(&metrics.registry),
                 flor,
                 cfg,
                 middleware: Vec::new(),
@@ -323,8 +490,7 @@ fn refuse_busy(stream: TcpStream) {
         code: ErrorCode::Busy,
         message: "session pool exhausted; retry later".into(),
     };
-    let _ = write_frame(&mut w, &resp.encode());
-    let _ = w.flush();
+    let _ = send(&mut w, &resp);
 }
 
 /// Serve one connection: handshake, then the request loop. Protocol
@@ -351,9 +517,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), WireError>
     let mut session = Session::new(id, peer, shared.flor.db.pin());
     match &hello {
         Request::Hello { version, .. } if *version != PROTOCOL_VERSION => {
-            return send_and_close(
+            return send(
                 &mut writer,
-                Response::Error {
+                &Response::Error {
                     code: ErrorCode::BadRequest,
                     message: format!(
                         "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
@@ -363,9 +529,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), WireError>
         }
         Request::Hello { .. } => {}
         other => {
-            return send_and_close(
+            return send(
                 &mut writer,
-                Response::Error {
+                &Response::Error {
                     code: ErrorCode::BadRequest,
                     message: format!("expected hello, got {}", other.verb()),
                 },
@@ -374,7 +540,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), WireError>
     }
     for mw in &shared.middleware {
         if let Err(resp) = mw.on_request(&session, &hello) {
-            return send_and_close(&mut writer, resp);
+            return send(&mut writer, &resp);
         }
     }
     session.authed = true;
@@ -383,13 +549,12 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), WireError>
         "session",
         format!("open id={} peer={}", session.id, session.peer),
     );
-    write_frame(
+    send(
         &mut writer,
         &Response::HelloOk {
             version: PROTOCOL_VERSION,
             epoch: session.epoch(),
-        }
-        .encode(),
+        },
     )?;
 
     // --- request loop ---
@@ -464,7 +629,7 @@ fn request_loop(
                 shared.metrics.on_error(*code);
             }
             tr.finish(traces);
-            write_frame(writer, &resp.encode())?;
+            send(writer, &resp)?;
             if fatal {
                 return Ok(());
             }
@@ -479,22 +644,25 @@ fn request_loop(
             None => "busy: in-flight limit reached",
         });
         tr.end(gate_span);
-        let reply = match permit {
+        let (reply, wire) = match permit {
             None => {
                 shared.metrics.busy.inc();
-                Reply::Owned(Response::Error {
+                let reply = Reply::Owned(Response::Error {
                     code: ErrorCode::Busy,
                     message: "too many in-flight requests; retry later".into(),
-                })
+                });
+                let wire = shared.memo.wire(&reply, &mut tr);
+                (reply, wire)
             }
             Some(permit) => {
                 shared.metrics.in_flight.add(1);
                 let ex_span = tr.begin("execute");
                 let reply = execute(shared, session, &req, &mut tr);
+                let wire = shared.memo.wire(&reply, &mut tr);
                 tr.end(ex_span);
                 shared.metrics.in_flight.add(-1);
                 drop(permit);
-                reply
+                (reply, wire)
             }
         };
         session.requests += 1;
@@ -530,7 +698,7 @@ fn request_loop(
             }
         }
         let bye = matches!(reply, Reply::Owned(Response::Bye));
-        write_frame(writer, &reply.encode())?;
+        write_framed(writer, &wire?)?;
         if bye {
             return Ok(());
         }
@@ -551,36 +719,30 @@ fn send_protocol_error(
         // Nothing to answer into a dead/idle socket.
         return Err(WireError::Io(std::io::Error::new(e.kind(), e.to_string())));
     }
-    send_and_close(
+    send(
         writer,
-        Response::Error {
+        &Response::Error {
             code: ErrorCode::BadRequest,
             message: err.to_string(),
         },
     )
 }
 
-fn send_and_close(writer: &mut BufWriter<TcpStream>, resp: Response) -> Result<(), WireError> {
-    write_frame(writer, &resp.encode())
+/// Write `resp` as one frame built in place, and flush.
+fn send(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
+    write_framed(w, &resp.framed()?)
 }
 
 /// One request's reply: a response the server owns, or a query's
 /// [`Answer`], whose frame — a maintained view's, shared with the view
-/// catalog by `Arc`, or the executor's — is encoded by reference.
+/// catalog by `Arc`, or the executor's — is encoded by reference, or
+/// written from the bytes [`WireMemo`] keeps for it.
 enum Reply {
     Owned(Response),
     Answer(Answer),
 }
 
 impl Reply {
-    /// The frame payload: the bytes of `Response::Frame` for an answer.
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            Reply::Owned(resp) => resp.encode(),
-            Reply::Answer(answer) => Response::encode_frame_ref(answer.epoch, &answer.frame),
-        }
-    }
-
     fn outcome(&self) -> Outcome<'_> {
         match self {
             Reply::Owned(Response::Error { code, message }) => Outcome::Error {
@@ -677,5 +839,150 @@ fn health_report(shared: &Shared) -> HealthReport {
         in_flight: shared.gate.active() as u64,
         max_in_flight: shared.cfg.max_in_flight as u64,
         follower_lag,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flor_df::{Column, Value};
+    use flor_view::{How, QueryPlan};
+
+    fn inert() -> ActiveTrace {
+        ActiveTrace::new(false, None, "")
+    }
+
+    /// An answer at `epoch` of a frame the catalog keeps, or not.
+    fn answer(frame: Arc<DataFrame>, epoch: u64, kept: bool) -> Answer {
+        Answer {
+            frame,
+            epoch,
+            how: How::Hit,
+            kept,
+        }
+    }
+
+    /// A one-row frame whose only cell is `v`.
+    fn frame_of(v: f64) -> DataFrame {
+        DataFrame::from_columns(vec![Column {
+            name: "loss".into(),
+            values: vec![Value::Float(v)],
+        }])
+        .unwrap()
+    }
+
+    /// The payload `reply` writes, its checksum verified.
+    fn written(memo: &WireMemo, reply: &Reply) -> Vec<u8> {
+        let wire = memo.wire(reply, &mut inert()).unwrap();
+        read_frame(&mut &wire[..], u32::MAX).unwrap()
+    }
+
+    #[test]
+    fn a_memoised_reply_leaves_the_view_frames_strong_count_unchanged() {
+        let flor = Flor::new("wire-memo");
+        flor.set_filename("m.fl");
+        flor.log("loss", 0.5);
+        flor.commit("one").unwrap();
+        let memo = WireMemo::new(&flor.metrics_registry());
+        let snap = flor.db.pin();
+        let plan = QueryPlan::new(&["loss"]);
+        let read = || flor.views.answer(&snap, &plan, &mut inert()).unwrap();
+        let first = read();
+        assert!(first.kept, "a plain projection is the view's own frame");
+        let frame = Arc::clone(&first.frame);
+        drop(first);
+        // The catalog's reference and this one.
+        let held = Arc::strong_count(&frame);
+        for n in 0..3 {
+            let reply = Reply::Answer(read());
+            assert_eq!(
+                written(&memo, &reply),
+                Response::encode_frame_ref(snap.epoch(), &frame)
+            );
+            drop(reply);
+            assert_eq!(Arc::strong_count(&frame), held, "read {n}");
+            assert_eq!(Arc::weak_count(&frame), 1, "read {n}");
+            assert_eq!(memo.hits.get(), n, "every read after the first is a hit");
+        }
+    }
+
+    #[test]
+    fn a_dead_frames_address_is_never_answered_from_its_bytes() {
+        let memo = WireMemo::new(&MetricsRegistry::new());
+        let mut previous = Vec::new();
+        for v in 0..8 {
+            // The frame's cells are made before its `Arc`, so the `Arc`
+            // is the next allocation of its size: the one the previous
+            // frame's `Arc` freed, were the memo not holding it.
+            let df = frame_of(v as f64);
+            let reply = Reply::Answer(answer(Arc::new(df), 1, true));
+            let got = written(&memo, &reply);
+            let Reply::Answer(a) = &reply else {
+                unreachable!()
+            };
+            assert_eq!(got, Response::encode_frame_ref(1, &a.frame), "frame {v}");
+            assert_ne!(got, previous);
+            previous = got;
+        }
+        assert_eq!(memo.hits.get(), 0, "every frame was a new one");
+        let wire = Response::framed_frame_ref(1, &frame_of(7.0)).unwrap();
+        assert_eq!(
+            memo.bytes.get(),
+            wire.len() as i64,
+            "dead frames are pruned"
+        );
+    }
+
+    #[test]
+    fn one_frame_answering_two_epochs_is_written_at_each() {
+        let memo = WireMemo::new(&MetricsRegistry::new());
+        let frame = Arc::new(frame_of(0.5));
+        for (epoch, hits) in [(3, 0), (3, 1), (4, 1), (4, 2)] {
+            let reply = Reply::Answer(answer(Arc::clone(&frame), epoch, true));
+            assert_eq!(
+                written(&memo, &reply),
+                Response::encode_frame_ref(epoch, &frame),
+                "epoch {epoch}"
+            );
+            assert_eq!(memo.hits.get(), hits, "epoch {epoch}");
+        }
+        let wire = Response::framed_frame_ref(4, &frame).unwrap();
+        assert_eq!(memo.bytes.get(), wire.len() as i64, "one entry per frame");
+    }
+
+    #[test]
+    fn concurrent_first_reads_of_one_frame_encode_it_once() {
+        let memo = WireMemo::new(&MetricsRegistry::new());
+        let frame = Arc::new(frame_of(0.5));
+        let readers = 4;
+        let start = std::sync::Barrier::new(readers);
+        thread::scope(|s| {
+            for _ in 0..readers {
+                s.spawn(|| {
+                    let reply = Reply::Answer(answer(Arc::clone(&frame), 1, true));
+                    start.wait();
+                    assert_eq!(
+                        written(&memo, &reply),
+                        Response::encode_frame_ref(1, &frame)
+                    );
+                });
+            }
+        });
+        assert_eq!(memo.hits.get(), readers as u64 - 1, "one encode");
+    }
+
+    #[test]
+    fn frames_the_catalog_does_not_keep_are_never_memoised() {
+        let memo = WireMemo::new(&MetricsRegistry::new());
+        let frame = Arc::new(frame_of(0.5));
+        for _ in 0..2 {
+            let reply = Reply::Answer(answer(Arc::clone(&frame), 1, false));
+            assert_eq!(
+                written(&memo, &reply),
+                Response::encode_frame_ref(1, &frame)
+            );
+        }
+        assert_eq!((memo.hits.get(), memo.bytes.get()), (0, 0));
+        assert_eq!(Arc::weak_count(&frame), 0);
     }
 }

@@ -9,6 +9,9 @@ use flor_store::{CmpOp, StoreError};
 use flor_view::QueryPlan;
 use std::time::{Duration, Instant};
 
+mod raw;
+use raw::RawSession;
+
 #[test]
 fn follower_serves_writer_data_with_bounded_staleness() {
     let dir = std::env::temp_dir().join(format!("flor-follower-serve-{}", std::process::id()));
@@ -145,7 +148,9 @@ fn a_followers_view_catches_up_after_a_rebootstrap() {
 
 /// A served follower answers plans with nothing below the pivot from
 /// its own view catalog, caught up over the commits each poll applied,
-/// byte-identical to the snapshot executor at the session's epoch.
+/// byte-identical to the snapshot executor at the session's epoch: the
+/// payload that crossed the wire is a fresh encode of it, read twice per
+/// poll, the second read of a kept answer (no post-pass) from kept bytes.
 #[test]
 fn a_served_followers_views_answer_after_polls() {
     let dir = std::env::temp_dir().join(format!("flor-follower-views-{}", std::process::id()));
@@ -168,11 +173,13 @@ fn a_served_followers_views_answer_after_polls() {
     };
     let handle = follower.serve("127.0.0.1:0", cfg).expect("serve follower");
     let mut client = Client::connect(handle.addr(), None).expect("connect");
+    let mut raw = RawSession::connect(handle.addr());
     let plans = [
         QueryPlan::new(&["loss"]),
         QueryPlan::new(&["loss", "acc"]),
         QueryPlan::new(&["loss", "acc"]).filter("acc", CmpOp::Ge, 0.2),
     ];
+    let kept = 2;
     for round in 1..5 {
         for _ in 0..round {
             writer.log("loss", 0.9 / round as f64);
@@ -190,6 +197,7 @@ fn a_served_followers_views_answer_after_polls() {
         let epoch = client.pin().expect("pin");
         let snap = follower.db.pin();
         assert_eq!((epoch, snap.epoch()), (writer_epoch, writer_epoch));
+        assert_eq!(raw.pin(), epoch);
         for plan in &plans {
             assert!(plan.below_pivot().is_empty());
             let (got, df) = client.query(plan).expect("query");
@@ -197,14 +205,21 @@ fn a_served_followers_views_answer_after_polls() {
             let wire = Response::Frame { epoch, df }.encode();
             let local = follower.run_plan_at(&snap, plan).expect("follower oracle");
             let remote = writer.run_plan_full(plan).expect("writer oracle");
-            assert_eq!(wire, Response::Frame { epoch, df: local }.encode());
+            assert_eq!(wire, Response::encode_frame_ref(epoch, &local));
             assert_eq!(wire, Response::Frame { epoch, df: remote }.encode());
+            for _ in 0..2 {
+                assert_eq!(raw.query(plan), wire, "{plan:?} at epoch {epoch}");
+            }
         }
+        // Each kept answer was encoded once at this epoch, by the client's
+        // read, and written from kept bytes twice.
+        let hits = follower.metrics().counter("serve.wire_memo.hits");
+        assert_eq!(hits, Some(2 * kept * round as u64), "round {round}");
     }
     // Two projections, each built once, then caught up poll after poll.
     let stats = follower.views.stats();
     assert_eq!(stats.misses, 2);
-    assert_eq!(stats.hits, 4 * plans.len() as u64 - 2);
+    assert_eq!(stats.hits, 3 * 4 * plans.len() as u64 - 2);
     assert!(stats.batches_applied >= 3, "{stats:?}");
     assert_eq!(stats.fallback_rebuilds, 0);
 

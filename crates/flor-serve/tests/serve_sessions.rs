@@ -16,6 +16,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+mod raw;
+use raw::RawSession;
+
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 12;
 const WRITER_ROUNDS: usize = 40;
@@ -566,6 +569,163 @@ proptest! {
         prop_assert_eq!(flor.views.stats().fallback_rebuilds, 0);
         behind.close().expect("close");
         ahead.close().expect("close");
+        handle.stop();
+    }
+}
+
+/// The memo's view of the served registry: replies written from kept
+/// bytes, and bytes held.
+fn wire_memo(flor: &Flor) -> (u64, i64) {
+    let metrics = flor.metrics();
+    (
+        metrics.counter("serve.wire_memo.hits").unwrap_or(0),
+        metrics.gauge("serve.wire_memo.bytes").unwrap_or(0),
+    )
+}
+
+/// A commit after the first history: more runs, a run logging only a
+/// name no plan projects (every view's frame then answers two epochs),
+/// or a backfill writing `acc` into the key of an existing `loss` row.
+#[derive(Debug, Clone)]
+enum Step {
+    Runs(Vec<Run>),
+    Outside,
+    Backfill(usize),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        proptest::collection::vec(arb_run(), 1..3).prop_map(Step::Runs),
+        Just(Step::Outside),
+        (0usize..64).prop_map(Step::Backfill),
+    ]
+}
+
+fn commit_step(flor: &Flor, step: &Step) {
+    match step {
+        Step::Runs(runs) => runs.iter().for_each(|run| log_run(flor, run)),
+        Step::Outside => {
+            flor.log("lr", 0.125);
+            flor.commit("outside").expect("commit");
+        }
+        Step::Backfill(at) => {
+            let logs = flor.db.pin().scan("logs").expect("logs");
+            let rows: Vec<usize> = (0..logs.n_rows())
+                .filter(|&r| logs.get(r, "value_name") == Some(&"loss".into()))
+                .collect();
+            let r = rows[at % rows.len()];
+            let cell = |c: &str| logs.get(r, c).cloned().expect("key cell");
+            let row = vec![
+                cell("projid"),
+                cell("tstamp"),
+                cell("filename"),
+                cell("ctx_id"),
+                "acc".into(),
+                format!("0.{at}").into(),
+                flor_df::Value::Int(flor_df::DataType::Float.tag()),
+            ];
+            flor.db.insert("logs", row).expect("insert");
+            flor.db.commit().expect("commit");
+        }
+    }
+}
+
+/// Plans read from views, each with whether its answer is a frame the
+/// catalog keeps (no post-pass left): kept plans first, so a read of a
+/// plan whose frame is made per request comes after the last kept insert.
+fn memo_plans(x: f64) -> Vec<(QueryPlan, bool)> {
+    let mut ordered = QueryPlan::new(&["loss", "acc"]);
+    ordered.order_by.push(("loss".to_string(), false));
+    vec![
+        (QueryPlan::new(&["loss", "acc"]), true),
+        (QueryPlan::new(&["loss"]), true),
+        (
+            QueryPlan::with_latest(&["loss", "acc"], &["epoch_iteration"]),
+            true,
+        ),
+        (QueryPlan::with_latest(&["loss", "acc"], &["acc"]), true),
+        (
+            QueryPlan::new(&["loss", "acc"]).filter("acc", CmpOp::Ge, x),
+            false,
+        ),
+        (ordered, false),
+    ]
+}
+
+/// The payload `execute_at` gives `plan` at `snap`, freshly encoded.
+fn fresh_payload(flor: &Flor, snap: &Snapshot, plan: &QueryPlan) -> Vec<u8> {
+    let mut inert = flor_obs::ActiveTrace::new(false, None, "");
+    let (frame, _) = flor.execute_at(snap, plan, &mut inert).expect("execute_at");
+    Response::encode_frame_ref(snap.epoch(), &frame)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over random histories — more runs, commits logging only a name no
+    /// plan projects, backfills into old keys — every answer a session
+    /// reads, at the catalog's epoch, ahead of it or behind it, is the
+    /// payload a fresh `encode_frame_ref` of `execute_at` at the session's
+    /// epoch gives. A kept answer read again at the epoch it was kept at
+    /// is counted as a memo hit, and nothing else is; after each epoch's
+    /// reads the memo holds exactly one whole frame per kept answer.
+    #[test]
+    fn served_answers_are_fresh_bytes_at_every_epoch_and_kept_ones_hit(
+        before in proptest::collection::vec(arb_run(), 1..3),
+        steps in proptest::collection::vec(arb_step(), 1..5),
+        x in 0.0f64..1.0,
+    ) {
+        let flor = Flor::new("serve-wire-memo");
+        flor.set_filename("m.fl");
+        log_run(&flor, &Run { acc: true, ..before[0].clone() });
+        for run in &before[1..] {
+            log_run(&flor, run);
+        }
+        let plans = memo_plans(x);
+        let handle = flor
+            .serve("127.0.0.1:0", ServerConfig::default())
+            .expect("serve");
+        // The epoch each kept plan's bytes were last kept at.
+        let mut kept_at: HashMap<usize, u64> = HashMap::new();
+        let mut hits = 0;
+        let mut sessions: Vec<(RawSession, Snapshot)> = Vec::new();
+        for step in std::iter::once(None).chain(steps.iter().map(Some)) {
+            if let Some(step) = step {
+                commit_step(&flor, step);
+            }
+            // A new session, pinned past the catalog: the views catch up
+            // to it. Every plan twice, so each kept one hits once.
+            let snap = flor.db.pin();
+            let mut ahead = RawSession::connect(handle.addr());
+            prop_assert_eq!(ahead.epoch, snap.epoch());
+            for _ in 0..2 {
+                for (i, (plan, kept)) in plans.iter().enumerate() {
+                    let got = ahead.query(plan);
+                    prop_assert_eq!(&got, &fresh_payload(&flor, &snap, plan), "{:?} {:?}", step, plan);
+                    if *kept && kept_at.insert(i, snap.epoch()) == Some(snap.epoch()) {
+                        hits += 1;
+                    }
+                    prop_assert_eq!(wire_memo(&flor).0, hits, "{:?} {:?}", step, plan);
+                }
+            }
+            let held: usize = plans
+                .iter()
+                .filter(|(_, kept)| *kept)
+                .map(|(plan, _)| 12 + fresh_payload(&flor, &snap, plan).len())
+                .sum();
+            prop_assert_eq!(wire_memo(&flor).1, held as i64, "{:?}", step);
+            // Every earlier session is now behind the catalog: answered by
+            // the executor at its own epoch, never from kept bytes.
+            for (old, old_snap) in &mut sessions {
+                for (plan, _) in &plans {
+                    let got = old.query(plan);
+                    prop_assert_eq!(&got, &fresh_payload(&flor, old_snap, plan));
+                }
+            }
+            prop_assert_eq!(wire_memo(&flor).0, hits);
+            sessions.push((ahead, snap));
+        }
+        prop_assert_eq!(flor.views.stats().fallback_rebuilds, 0);
         handle.stop();
     }
 }

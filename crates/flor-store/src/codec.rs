@@ -16,8 +16,9 @@
 //!
 //! **One frame layout.** WAL records and wire messages travel as
 //! `[len u32][fnv1a u64 of payload][payload]`, spelled once on each side:
-//! one private writer behind [`write_frame`] (any sink, capped) and
-//! [`encode_record`] (a record's frame as bytes), and [`read_frame`],
+//! one private header writer behind [`write_frame`] (any sink, capped),
+//! [`framed`] (a frame built in place around a payload encoder, capped)
+//! and [`encode_record`] (a record's frame as bytes), and [`read_frame`],
 //! which nothing else duplicates. `read_frame` reports
 //! *how* a stream stopped yielding frames ([`FrameEnd`]); what that means —
 //! a torn tail to cut off, a log rewritten under a follower, a peer to
@@ -332,30 +333,57 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// payload.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// The one spelling of the frame layout on the writing side.
+/// The one spelling of the frame layout on the writing side: `frame`
+/// is a reserved header followed by the payload, and the header is
+/// patched with the payload's length and checksum.
+fn seal(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_be_bytes());
+}
+
 fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.put_u32(payload.len() as u32);
-    out.put_u64(fnv1a(payload));
+    let at = out.len();
+    out.resize(at + FRAME_HEADER_BYTES, 0);
     out.extend_from_slice(payload);
+    seal(&mut out[at..]);
+}
+
+/// `InvalidInput` for a payload of `len` bytes over `max_bytes`: a reader
+/// enforcing the same cap would otherwise class an acknowledged frame as
+/// damage.
+fn check_cap(len: usize, max_bytes: u32) -> io::Result<()> {
+    if u32::try_from(len).map_or(true, |len| len > max_bytes) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the {max_bytes}-byte cap"),
+        ));
+    }
+    Ok(())
 }
 
 /// Write `payload` as one frame, in a single `write_all` (a log tailer
 /// then sees a frame's header and payload land together), refusing a
-/// payload over `max_bytes` as `InvalidInput`: a reader enforcing the
-/// same cap would otherwise class an acknowledged frame as damage.
+/// payload over `max_bytes` as `InvalidInput`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max_bytes: u32) -> io::Result<()> {
-    if u32::try_from(payload.len()).map_or(true, |len| len > max_bytes) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {max_bytes}-byte cap",
-                payload.len()
-            ),
-        ));
-    }
+    check_cap(payload.len(), max_bytes)?;
     let mut frame = Vec::new();
     put_frame(&mut frame, payload);
     w.write_all(&frame)
+}
+
+/// One whole frame, header and payload, built in place: `encode`
+/// appends the payload after [`FRAME_HEADER_BYTES`] reserved bytes,
+/// which are then patched with its length and checksum — the payload is
+/// never copied into a second buffer, and the frame can go out in one
+/// `write_all`. A payload over `max_bytes` is refused as
+/// `InvalidInput`, as by [`write_frame`].
+pub fn framed(max_bytes: u32, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
+    let mut frame = vec![0; FRAME_HEADER_BYTES];
+    encode(&mut frame);
+    check_cap(frame.len() - FRAME_HEADER_BYTES, max_bytes)?;
+    seal(&mut frame);
+    Ok(frame)
 }
 
 /// Why [`read_frame`] yielded no payload.
@@ -594,6 +622,19 @@ mod tests {
             read_frame(&mut r, 8).unwrap(),
             Err(FrameEnd::TooLarge { len: 9 })
         );
+    }
+
+    #[test]
+    fn a_frame_built_in_place_is_the_written_frame() {
+        for payload in [vec![], vec![7; 8], (0..=255).collect::<Vec<u8>>()] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &payload, 256).unwrap();
+            let frame = framed(256, |buf| buf.extend_from_slice(&payload)).unwrap();
+            assert_eq!(frame, wire);
+            assert_eq!(read_frame(&mut frame.as_slice(), 256).unwrap(), Ok(payload));
+        }
+        let err = framed(8, |buf| buf.extend_from_slice(&[7; 9])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The view catalog: one maintained pivot per projection, caught up
-//! from the snapshot, bounded by an LRU, with transparent full-rebuild
-//! fallback.
+//! from the snapshot, bounded by an LRU; a view that rejects a row is
+//! dropped.
 //!
 //! Every dataframe read, embedded or served, enters through
 //! [`ViewCatalog::answer`], which routes it once: a plan that lowers
@@ -35,11 +35,11 @@
 //! exact because `logs` and `loops` declare no latest-wins policy, so no
 //! row is ever dropped, and a row's rid is its commit position on every
 //! handle, a follower's rebootstrap included. If a value name collides
-//! with an index column
-//! ([`DfError::DuplicateColumn`]) the view is rebuilt from scratch
-//! instead of serving wrong data; the event is counted in
-//! [`CatalogStats::fallback_rebuilds`]. A view whose rebuild fails is
-//! dropped, and the next plan that needs it gets the build's error.
+//! with an index column ([`DfError::DuplicateColumn`], the only row a
+//! view rejects) the view is dropped instead of serving wrong data, and
+//! counted in [`CatalogStats::fallback_rebuilds`]. A rebuild at the same
+//! snapshot would meet the same collision, so none is tried: the next
+//! plan that needs the view builds it and gets the build's error.
 //!
 //! A miss is answered from the views already caught up when it can be.
 //! If some cached view's names include every requested name, the one
@@ -74,7 +74,7 @@ use std::time::Instant;
 struct ViewMetrics {
     registry: MetricsRegistry,
     /// `view.build_nanos` — full builds from a snapshot (a miss no
-    /// cached view covers, or a fallback rebuild).
+    /// cached view covers).
     build_nanos: Arc<Histogram>,
     /// `view.select_nanos` — misses selected from a cached view that
     /// covers their names.
@@ -88,7 +88,7 @@ struct ViewMetrics {
     misses: Arc<Counter>,
     /// `view.selections` — misses selected from a covering view.
     selections: Arc<Counter>,
-    /// `view.rebuilds` — fallback full rebuilds after a rejected row.
+    /// `view.rebuilds` — views dropped after rejecting a row.
     rebuilds: Arc<Counter>,
 }
 
@@ -118,7 +118,9 @@ pub struct CatalogStats {
     /// Misses selected from a cached view whose names cover theirs,
     /// without merging history.
     pub selections: u64,
-    /// Views rebuilt because a row could not be applied.
+    /// Views dropped because a row could not be applied (a value name
+    /// colliding with an index column). The next read of such a view
+    /// builds it, and gets the same error.
     pub fallback_rebuilds: u64,
     /// Views evicted by the LRU bound.
     pub evictions: u64,
@@ -239,8 +241,8 @@ pub enum How {
     CaughtUp {
         /// The `logs` rows read and pivoted once for every cached view.
         rows: usize,
-        /// Cached views that rejected one of those rows and fell back to
-        /// a rebuild (see [`CatalogStats::fallback_rebuilds`]).
+        /// Cached views that rejected one of those rows and were dropped
+        /// (see [`CatalogStats::fallback_rebuilds`]).
         fallbacks: usize,
     },
     /// The snapshot executor ([`execute_at`]) ran the plan: it lowers a
@@ -265,6 +267,14 @@ pub struct Answer {
     pub epoch: u64,
     /// How the answer was reached.
     pub how: How,
+    /// Whether the catalog keeps `frame`: a view's own frame, or its
+    /// cached `latest` dedup, returned whole because nothing of the plan
+    /// was left to run over it. Such a frame is the same `Arc` for every
+    /// read of its plan until the view moves, so what is derived from it
+    /// at one epoch (its wire bytes) can be kept beside it. The
+    /// executor's frames and post-pass results are made per read and are
+    /// never kept.
+    pub kept: bool,
 }
 
 /// How the answer was reached, and at which epoch: the event a view
@@ -286,7 +296,7 @@ impl std::fmt::Display for Answer {
             How::CaughtUp { rows, fallbacks } => {
                 write!(f, "caught up over {rows} logs rows to epoch {epoch}")?;
                 if *fallbacks > 0 {
-                    write!(f, ", {fallbacks} fallback rebuild(s)")?;
+                    write!(f, ", {fallbacks} view(s) dropped")?;
                 }
                 Ok(())
             }
@@ -373,6 +383,7 @@ impl ViewCatalog {
             frame: Arc::new(frame),
             epoch: snap.epoch(),
             how: How::Executed { explain, behind },
+            kept: false,
         })
     }
 
@@ -399,10 +410,12 @@ impl ViewCatalog {
             self.evict(&mut g);
             (base?, how)
         };
+        let (frame, kept) = post_pass(plan, base)?;
         Ok(Some(Answer {
-            frame: post_pass(plan, base)?,
+            frame,
             epoch: snap.epoch(),
             how,
+            kept,
         }))
     }
 
@@ -414,11 +427,10 @@ impl ViewCatalog {
     /// Bring every cached view to `snap`, at or past the catalog's
     /// epoch: read the `logs` rows past the watermark and pivot them once
     /// ([`Delta`]), apply that to each view, and advance the watermark. A
-    /// view that rejects a row falls back to a rebuild at the same
-    /// snapshot and is dropped if the rebuild fails. With no view cached
-    /// there is nothing to read: the watermark jumps. Returns the `logs`
-    /// rows read and how many views fell back to a rebuild, or `None` when
-    /// the catalog was already at `snap`'s epoch.
+    /// view that rejects a row is dropped. With no view cached there is
+    /// nothing to read: the watermark jumps. Returns the `logs` rows read
+    /// and how many views were dropped, or `None` when the catalog was
+    /// already at `snap`'s epoch.
     fn catch_up(
         &self,
         g: &mut CatalogInner,
@@ -451,7 +463,7 @@ impl ViewCatalog {
             .collect();
         let fallbacks = rejected.len();
         for names in rejected {
-            self.rebuild(g, names, snap);
+            self.drop_rejected(g, names);
         }
         if let Some(started) = started {
             self.metrics
@@ -461,11 +473,11 @@ impl ViewCatalog {
         Ok(Some((delta.rows, fallbacks)))
     }
 
-    /// Transparent fallback for a view that rejected a row: rebuild it
-    /// from `snap`. A view that cannot be rebuilt (a value name now
-    /// collides with an index column) is dropped, so the next plan that
-    /// needs it builds it and gets the error.
-    fn rebuild(&self, g: &mut CatalogInner, names: Vec<String>, snap: &Snapshot) {
+    /// Drop a view that rejected a row. A view rejects a row only when a
+    /// value name collides with an index column, which a rebuild at the
+    /// same snapshot would meet again; the next plan that needs the view
+    /// builds it and gets that error.
+    fn drop_rejected(&self, g: &mut CatalogInner, names: Vec<String>) {
         g.stats.fallback_rebuilds += 1;
         if self.metrics.registry.enabled() {
             self.metrics.rebuilds.inc();
@@ -475,16 +487,7 @@ impl ViewCatalog {
                 format!("pivot[{}]", names.join(",")),
             );
         }
-        let last_used = g.views.remove(&names).map_or(0, |v| v.last_used);
-        if let Ok(rebuilt) = self.build(&names, snap) {
-            g.views.insert(
-                names,
-                CachedView {
-                    last_used,
-                    ..rebuilt
-                },
-            );
-        }
+        g.views.remove(&names);
     }
 
     /// The view of `names` — from cache, else selected from the
@@ -606,15 +609,15 @@ fn maintained(plan: &QueryPlan) -> Option<&Vec<String>> {
         .filter(|_| plan.predicates.is_empty())
 }
 
-/// The rest of `plan` over its projection's frame `base`: `base` itself,
-/// shared, when nothing is left to run.
-fn post_pass(plan: &QueryPlan, base: Arc<DataFrame>) -> StoreResult<Arc<DataFrame>> {
+/// The rest of `plan` over its projection's frame `base`, and whether
+/// the result is `base` itself, shared, because nothing was left to run.
+fn post_pass(plan: &QueryPlan, base: Arc<DataFrame>) -> StoreResult<(Arc<DataFrame>, bool)> {
     let apply_latest = maintained(plan).is_none() && plan.latest_group.is_some();
     if plan.post_pass_is_identity(&plan.predicates, apply_latest) {
-        return Ok(base);
+        return Ok((base, true));
     }
-    plan.post_pass(&base, &plan.predicates, apply_latest)
-        .map(Arc::new)
+    let frame = plan.post_pass(&base, &plan.predicates, apply_latest)?;
+    Ok((Arc::new(frame), false))
 }
 
 #[cfg(test)]
@@ -750,19 +753,36 @@ mod tests {
                 matches!(answer.how, How::Executed { behind: false, .. }),
                 "{plan:?}: {answer}"
             );
+            assert!(!answer.kept, "{plan:?}");
             assert_eq!(*answer.frame, full(&db, plan));
         }
         assert_eq!(catalog.stats(), CatalogStats::default(), "no view read");
+        let ordered = QueryPlan {
+            order_by: vec![("loss".into(), false)],
+            ..QueryPlan::new(&["loss"])
+        };
+        // Each plan, and whether its answer is a frame the catalog keeps:
+        // the view's own, or its `latest` dedup, with no post-pass left.
         let viewed = [
-            QueryPlan::new(&["loss"]),
-            QueryPlan::new(&["loss"]).filter("loss", CmpOp::Gt, 10),
-            QueryPlan::with_latest(&["loss"], &["epoch_iteration"]),
-            QueryPlan::with_latest(&["loss"], &["loss"]),
+            (QueryPlan::new(&["loss"]), true),
+            (
+                QueryPlan::new(&["loss"]).filter("loss", CmpOp::Gt, 10),
+                false,
+            ),
+            (
+                QueryPlan::with_latest(&["loss"], &["epoch_iteration"]),
+                true,
+            ),
+            (QueryPlan::with_latest(&["loss"], &["loss"]), true),
+            (ordered, false),
         ];
-        for plan in &viewed {
+        for (plan, kept) in &viewed {
             let answer = catalog.answer(&db.pin(), plan, &mut off()).unwrap();
             assert!(!matches!(answer.how, How::Executed { .. }), "{plan:?}");
             assert_eq!(*answer.frame, full(&db, plan));
+            assert_eq!(answer.kept, *kept, "{plan:?}");
+            let again = catalog.answer(&db.pin(), plan, &mut off()).unwrap();
+            assert_eq!(Arc::ptr_eq(&answer.frame, &again.frame), *kept, "{plan:?}");
         }
         assert_eq!(catalog.stats().misses, 1, "one view for every plan");
     }
@@ -971,7 +991,7 @@ mod tests {
         assert_eq!(answer.how, how);
         assert_eq!(
             answer.to_string(),
-            "caught up over 1 logs rows to epoch 2, 1 fallback rebuild(s)"
+            "caught up over 1 logs rows to epoch 2, 1 view(s) dropped"
         );
         assert!(
             frame(&catalog, &db, &plan).is_err(),

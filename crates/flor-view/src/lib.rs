@@ -30,9 +30,9 @@
 //! * `catalog` (private) — [`ViewCatalog`]: one maintained pivot per
 //!   projection, with the predicate-free `latest` groups read from it
 //!   kept beside it, all caught up on each access to the snapshot it
-//!   reads from one `logs` rid watermark, bounded by an LRU, with a
-//!   fallback rebuild when a row cannot be applied (a value name
-//!   colliding with an index column). A miss whose names a cached view
+//!   reads from one `logs` rid watermark, bounded by an LRU; a view
+//!   that cannot apply a row (a value name colliding with an index
+//!   column) is dropped. A miss whose names a cached view
 //!   covers is selected from the smallest such view rather than built
 //!   from history. [`ViewCatalog::answer`] is every read's one entry and
 //!   one routing rule: a plan that lowers nothing below the pivot but a

@@ -70,7 +70,7 @@ fn main() {
     let stats = flor.views.stats();
     println!(
         "\ncatalog: {} new view(s), {} of them selected from a cached view, \
-         {} cached read(s), {} commit(s) caught up over, {} fallback rebuild(s)",
+         {} cached read(s), {} commit(s) caught up over, {} view(s) dropped",
         stats.misses, stats.selections, stats.hits, stats.batches_applied, stats.fallback_rebuilds
     );
     // Two views: the 3-name pivot, built once, and the `acc` projection

@@ -55,6 +55,12 @@ fn main() {
     assert_eq!(again.answer.how, flordb::view::How::Hit);
     println!("re-run: {}, serve {}ns\n", again.answer, again.serve_nanos);
 
+    // A store query: the runs of `train.fl`, read from a zone-pruned
+    // scan of `logs` (dataframe reads merge per-segment pivot fragments
+    // instead, and make no store query).
+    let runs = flordb::core::runs_of(&flor, "train.fl").unwrap();
+    assert_eq!(runs.len(), 60);
+
     // 3. The instance-wide ledger: every histogram, counter, gauge and
     //    retained event, across store + jobs + views, in one consistent
     //    snapshot. (Also available as JSON via `snapshot.to_json()`.)
@@ -71,6 +77,10 @@ fn main() {
     let examined = snapshot.counter("store.query.rows_examined").unwrap();
     let returned = snapshot.counter("store.query.rows_returned").unwrap();
     println!("store queries: {examined} rows examined, {returned} returned");
+    assert!(
+        examined >= returned && returned > 0,
+        "the runs query is counted"
+    );
 
     // 4. Collection is on by default and costs almost nothing; turn it
     //    off entirely and the registry goes quiet (what the overhead

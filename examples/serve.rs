@@ -8,7 +8,9 @@
 //!    committing writer;
 //!    a plan that pushes nothing below the pivot but a `latest` is
 //!    answered from the kernel's maintained view when the view is not
-//!    past the session's epoch, byte-identical to the snapshot executor;
+//!    past the session's epoch, byte-identical to the snapshot executor,
+//!    and a repeat of it at the same epoch is written from the wire bytes
+//!    the server kept for that view frame;
 //! 2. **Observability over the wire** — the `MetricsPrometheus` verb
 //!    scrapes the server's whole registry in Prometheus text format;
 //! 3. **Followers** — a second kernel opened read-only over the writer's
@@ -126,6 +128,30 @@ fn main() {
         "the view's answer differs from the executor's"
     );
     println!("client C: epoch {epoch} answered from the maintained view, byte-identical");
+
+    // --- a repeated wide read at one epoch writes the bytes it kept ----
+    // The view's frame and the epoch are unchanged, so the server writes
+    // the whole frame it kept at the first read: no encode, no checksum.
+    let memo_hits = || {
+        flor.metrics()
+            .counter("serve.wire_memo.hits")
+            .expect("memo counter")
+    };
+    let hits = memo_hits();
+    let (again, df_again) = c.query(&plan).expect("query C again");
+    assert_eq!(again, epoch);
+    assert_eq!(memo_hits(), hits + 1, "the repeated read was a memo hit");
+    assert_eq!(
+        Response::Frame {
+            epoch,
+            df: df_again
+        }
+        .encode(),
+        Response::encode_frame_ref(epoch, &flor.run_plan_at(&snap, &plan).expect("execute_at")),
+        "the kept bytes differ from a fresh encode"
+    );
+    let kept = flor.metrics().gauge("serve.wire_memo.bytes").unwrap_or(0);
+    println!("client C: the repeat was written from {kept} kept bytes, byte-identical");
     c.close().expect("close C");
 
     // --- scrape the server's metrics over the wire ---------------------
