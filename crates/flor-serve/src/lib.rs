@@ -37,8 +37,10 @@
 //! `flor_view::plan` for where each step runs).
 //!
 //! * [`protocol`] — the wire codec: versioned `Hello`, typed
-//!   request/response enums, carried in the store's one frame layout and
-//!   decoded through its checked cursor ([`flor_store::codec`]). Result
+//!   request/response enums, carried in the store's one frame layout,
+//!   `[len u32][xxh64 u64][payload]` (the WAL sums the same layout with
+//!   FNV-1a), and decoded through its checked cursor
+//!   ([`flor_store::codec`]). Result
 //!   frames are columnar: per column a kind, a null bitmap and a typed
 //!   payload, strings as a dictionary in first-appearance order plus
 //!   codes. The bytes depend on the cells alone, so a served frame is

@@ -1,9 +1,11 @@
-//! The flor-serve wire protocol: length-prefixed, CRC-guarded frames
+//! The flor-serve wire protocol: length-prefixed, checksummed frames
 //! carrying typed request/response payloads.
 //!
-//! A frame on the wire is the WAL's frame — the one layout, writer and
-//! reader documented in [`flor_store::codec`] — so a flipped bit anywhere
-//! in the payload is caught before decoding starts; this module only
+//! A frame on the wire has the WAL's layout — the one layout, writer and
+//! reader documented in [`flor_store::codec`] — with its payload summed
+//! by [`xxh64`] instead of the WAL's byte-serial FNV-1a, so a flipped bit
+//! anywhere in the payload is caught before decoding starts at a fraction
+//! of the cost on a wide result frame; this module only
 //! decides what each way a stream can end means to a peer
 //! ([`WireError`]). The payload's first byte is a kind tag; the rest is
 //! the variant body, written with the store's `Vec<u8>` writers and read
@@ -30,7 +32,9 @@
 
 use flor_df::{Column, DataFrame, Value};
 use flor_obs::{SlowQueryRecord, SpanEvent, SpanId, Trace, TraceId, TraceSpan};
-use flor_store::codec::{self, decode_value, encode_value, CodecError, Cursor, FrameEnd, Put};
+use flor_store::codec::{
+    self, decode_value, encode_value, xxh64, CodecError, Cursor, FrameEnd, Put,
+};
 use flor_store::{CmpOp, Predicate};
 use flor_view::QueryPlan;
 use std::collections::HashMap;
@@ -38,8 +42,12 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Protocol version carried by [`Request::Hello`]; the server refuses
-/// anything else.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// anything else. Version 2 made result frames columnar; version 3 sums
+/// every frame, both ways, with [`xxh64`] (version 2 used FNV-1a, as the
+/// WAL still does). A version-2 peer's first frame therefore fails its
+/// checksum and is answered with a `BadRequest` error before its
+/// version is read.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Default per-frame size cap (64 MiB): a frame announcing more than
 /// this is rejected as [`WireError::TooLarge`] without allocating.
@@ -521,7 +529,7 @@ impl Response {
     /// This response as one whole wire frame, header and payload, built
     /// in place ([`codec::framed`]): what the server writes.
     pub(crate) fn framed(&self) -> Result<Vec<u8>, WireError> {
-        Ok(codec::framed(u32::MAX, |buf| self.put(buf))?)
+        Ok(codec::framed(u32::MAX, xxh64, |buf| self.put(buf))?)
     }
 
     /// Append the payload of [`Response::encode`] to `buf`.
@@ -584,7 +592,7 @@ impl Response {
     /// [`Response::encode_frame_ref`] as one whole wire frame, built in
     /// place ([`codec::framed`]): what the server writes for an answer.
     pub(crate) fn framed_frame_ref(epoch: u64, df: &DataFrame) -> Result<Vec<u8>, WireError> {
-        Ok(codec::framed(u32::MAX, |buf| {
+        Ok(codec::framed(u32::MAX, xxh64, |buf| {
             Response::put_frame_ref(epoch, df, buf)
         })?)
     }
@@ -642,7 +650,7 @@ impl Response {
 /// Write one frame ([`codec::write_frame`]) and flush. The only cap on
 /// this side is the length field's own range.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    codec::write_frame(w, payload, u32::MAX)?;
+    codec::write_frame(w, payload, u32::MAX, xxh64)?;
     w.flush()?;
     Ok(())
 }
@@ -661,7 +669,7 @@ pub(crate) fn write_framed(w: &mut impl Write, frame: &[u8]) -> Result<(), WireE
 /// On a socket, a stream that ends — even between frames — is the peer
 /// gone.
 pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Vec<u8>, WireError> {
-    codec::read_frame(r, max_bytes)?.map_err(|end| match end {
+    codec::read_frame(r, max_bytes, xxh64)?.map_err(|end| match end {
         FrameEnd::Clean | FrameEnd::Partial => {
             WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
         }
@@ -1375,9 +1383,9 @@ mod tests {
         .expect("frame")
     }
 
-    /// Pinned bytes. The request and the framed `Pin` are exactly what
-    /// builds before the checked cursor sent; the result frame is the
-    /// columnar layout of protocol version 2 ([`sample_frame`]).
+    /// Pinned payloads. The request is exactly what builds before the
+    /// checked cursor sent; the result frame is the columnar layout of
+    /// protocol version 2 ([`sample_frame`]), which version 3 keeps.
     #[test]
     fn wire_bytes_are_what_earlier_builds_sent() {
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
@@ -1426,9 +1434,63 @@ mod tests {
              0101\
              034004000000000000"
         );
+    }
+
+    /// Whole frames of protocol version 3, header and payload: a
+    /// `Hello`, a `Pin` and a 2-row result, each summed with XXH64. A change to
+    /// the wire's bytes fails here, so it has to bump
+    /// [`PROTOCOL_VERSION`] on purpose.
+    #[test]
+    fn version_3_frames_are_pinned() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let hello = Request::Hello {
+            version: 3,
+            token: None,
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &hello.encode()).expect("write");
+        assert_eq!(
+            hex(&wire),
+            // length, sum; kind, version, no token
+            "00000004\
+             1912041f97de7372\
+             01\
+             0003\
+             00"
+        );
         let mut wire = Vec::new();
         write_frame(&mut wire, &Request::Pin.encode()).expect("write");
-        assert_eq!(hex(&wire), "00000001af63be4c8601b99203");
+        assert_eq!(hex(&wire), "000000011f25c8d0bc1f4bb603");
+        let df = DataFrame::from_rows(
+            vec!["loss", "run"],
+            vec![
+                vec![Value::Float(0.5), Value::from("a")],
+                vec![Value::Null, Value::from("b")],
+            ],
+        )
+        .expect("frame");
+        let frame = Response::Frame { epoch: 4, df }.framed().expect("framed");
+        assert_eq!(
+            hex(&frame),
+            // length, sum; kind, epoch, rows, columns; then each
+            // column's name, kind, null bitmap and payload
+            "0000003b\
+             3de02727616ada9b\
+             02\
+             0000000000000004\
+             00000002\
+             00000002\
+             000000046c6f7373\
+             03\
+             01\
+             000000000000e03f\
+             0000000372756e\
+             84\
+             00000002\
+             0000000161\
+             0000000162\
+             0001"
+        );
     }
 
     #[test]

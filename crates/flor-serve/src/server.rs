@@ -22,7 +22,7 @@
 //! builds one [`ActiveTrace`] per request — inert unless tracing is on or
 //! the slow log is armed — and hands it to every stage.
 //!
-//! What a reply writes: one whole frame, `[len u32][fnv1a u64][payload]`,
+//! What a reply writes: one whole frame, `[len u32][xxh64 u64][payload]`,
 //! in one `write_all`. Inside the gate, after the plan runs, the reply's
 //! frame is built in place ([`flor_store::codec::framed`]: the payload
 //! is encoded after a reserved header, which is then patched), so no

@@ -8,6 +8,7 @@ use flor_serve::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
 use flor_serve::{
     AuthToken, Client, ErrorCode, Request, Response, ServeError, Server, ServerConfig,
 };
+use flor_store::codec;
 use flor_view::QueryPlan;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -125,6 +126,20 @@ fn malformed_frames_get_typed_errors_and_only_that_connection_drops() {
             token: None,
         };
         write_frame(&mut s, &hello.encode()).expect("hello");
+        expect_error_then_eof(&mut s, ErrorCode::BadRequest);
+    }
+
+    // 7. A version-2 peer: its hello summed with FNV-1a, as version 2
+    //    framed everything. The sum fails before the version is read.
+    {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let hello = Request::Hello {
+            version: 2,
+            token: None,
+        };
+        codec::write_frame(&mut s, &hello.encode(), u32::MAX, codec::fnv1a).expect("v2 hello");
         expect_error_then_eof(&mut s, ErrorCode::BadRequest);
     }
 

@@ -24,8 +24,7 @@
 //! not cover (`base_txn` below).
 
 use crate::codec::{
-    self, decode_payload, encode_payload, encode_record, CodecError, FrameEnd, WalRecord,
-    FRAME_HEADER_BYTES,
+    self, decode_payload, encode_record, fnv1a, CodecError, FrameEnd, WalRecord, FRAME_HEADER_BYTES,
 };
 use flor_df::Value;
 use std::collections::HashMap;
@@ -164,13 +163,13 @@ impl Wal {
     /// payload exceeds the frame cap recovery enforces is refused
     /// (`InvalidInput`) and nothing is written.
     pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        let payload = encode_payload(rec);
+        let frame = codec::framed(MAX_FRAME_BYTES, fnv1a, |buf| codec::put_payload(rec, buf))?;
         match &mut self.backend {
-            WalBackend::File { file, .. } => codec::write_frame(file, &payload, MAX_FRAME_BYTES)?,
-            WalBackend::Memory(buf) => codec::write_frame(buf, &payload, MAX_FRAME_BYTES)?,
+            WalBackend::File { file, .. } => file.write_all(&frame)?,
+            WalBackend::Memory(buf) => buf.extend_from_slice(&frame),
         }
         self.records_written += 1;
-        self.bytes_written += (FRAME_HEADER_BYTES + payload.len()) as u64;
+        self.bytes_written += frame.len() as u64;
         Ok(())
     }
 
@@ -328,7 +327,7 @@ pub fn read_frames(
 ) -> Result<(u64, StreamEnd), WalError> {
     let mut bytes = 0u64;
     let end = loop {
-        match codec::read_frame(&mut r, MAX_FRAME_BYTES)? {
+        match codec::read_frame(&mut r, MAX_FRAME_BYTES, fnv1a)? {
             Ok(payload) => match decode_payload(&payload) {
                 Ok(rec) => {
                     bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
