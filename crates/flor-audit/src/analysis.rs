@@ -18,7 +18,7 @@ use crate::manifest::Manifest;
 
 /// Built-in I/O function names (method or free-call position) for the
 /// hold-across-I/O rule. The manifest's `[io] fns` extends this list
-/// with project-specific wrappers (e.g. WAL append/sync).
+/// with project-specific wrappers (e.g. WAL write_txn/sync).
 const IO_FNS: &[&str] = &[
     "fsync",
     "sync_all",

@@ -43,6 +43,7 @@ use flor_record::{
 use flor_script::{parse, Program};
 use flor_store::{Query, StoreResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What happened for one prior version during backfill.
 #[derive(Debug, Clone)]
@@ -405,7 +406,7 @@ pub fn backfill(
 /// frames.
 struct Ingestor<'f> {
     flor: &'f Flor,
-    filename: String,
+    filename: Arc<str>,
     tstamp: i64,
     chains: HashMap<Vec<(String, usize, String)>, i64>,
 }
@@ -414,7 +415,7 @@ impl<'f> Ingestor<'f> {
     fn new(flor: &'f Flor, filename: &str, tstamp: i64) -> Ingestor<'f> {
         Ingestor {
             flor,
-            filename: filename.to_string(),
+            filename: Arc::from(filename),
             tstamp,
             chains: HashMap::new(),
         }
@@ -441,9 +442,9 @@ impl<'f> Ingestor<'f> {
             .insert(
                 "loops",
                 vec![
-                    Value::from(self.flor.projid.as_str()),
+                    Value::Str(Arc::clone(&self.flor.projid)),
                     Value::Int(self.tstamp),
-                    Value::from(self.filename.as_str()),
+                    Value::Str(Arc::clone(&self.filename)),
                     Value::Int(ctx_id),
                     Value::Int(parent),
                     Value::from(last.name.as_str()),

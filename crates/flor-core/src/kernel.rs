@@ -52,8 +52,8 @@ pub(crate) struct KernelState {
     pub tstamp: i64,
     /// tstamp at which the current transaction window opened.
     pub ts_start: i64,
-    /// Currently executing filename.
-    pub filename: String,
+    /// Currently executing filename, shared by every row stamped with it.
+    pub filename: Arc<str>,
     /// Stack of open loop contexts: `(ctx_id, loop_name)`.
     pub ctx_stack: Vec<(i64, String)>,
     /// CLI-style argument overrides served by [`Flor::arg`].
@@ -70,8 +70,8 @@ pub struct Flor {
     pub repo: Repository,
     /// The versioned working tree (script sources live here).
     pub fs: VirtualFs,
-    /// Project id stamped on every record.
-    pub projid: String,
+    /// Project id stamped on every record (each row shares it).
+    pub projid: Arc<str>,
     /// Incrementally maintained dataframe views (see [`flor_view`]):
     /// every dataframe read, [`Flor::dataframe`]'s and a `flor-serve`
     /// session's, enters through [`ViewCatalog::answer`], which serves a
@@ -200,11 +200,11 @@ impl Flor {
             db,
             repo: Repository::new(),
             fs: VirtualFs::new(),
-            projid: projid.to_string(),
+            projid: Arc::from(projid),
             state: Arc::new(Mutex::new(KernelState {
                 tstamp: 1,
                 ts_start: 1,
-                filename: String::new(),
+                filename: Arc::from(""),
                 ctx_stack: Vec::new(),
                 cli_args: HashMap::new(),
             })),
@@ -302,7 +302,7 @@ impl Flor {
     /// Set the executing filename (the paper profiles this automatically at
     /// import time; embedders set it per script run).
     pub fn set_filename(&self, filename: &str) {
-        self.state.lock().filename = filename.to_string();
+        self.state.lock().filename = Arc::from(filename);
     }
 
     /// Current logical timestamp.
@@ -332,7 +332,7 @@ impl Flor {
             let st = self.state.lock();
             (
                 st.tstamp,
-                st.filename.clone(),
+                Arc::clone(&st.filename),
                 st.ctx_stack.last().map(|(c, _)| *c).unwrap_or(0),
             )
         };
@@ -347,19 +347,19 @@ impl Flor {
         name: &str,
         value: &Value,
         tstamp: i64,
-        filename: &str,
+        filename: &Arc<str>,
         ctx_id: i64,
     ) {
         let text = value.to_text();
         let (stored, spilled) = if text.len() > BLOB_SPILL_BYTES {
-            (format!("<blob {} bytes>", text.len()), true)
+            (format!("<blob {} bytes>", text.len()), Some(text))
         } else {
-            (text.clone(), false)
+            (text, None)
         };
         let row = vec![
-            Value::from(self.projid.as_str()),
+            Value::Str(Arc::clone(&self.projid)),
             Value::Int(tstamp),
-            Value::from(filename),
+            Value::Str(Arc::clone(filename)),
             Value::Int(ctx_id),
             Value::from(name),
             Value::from(stored),
@@ -368,7 +368,7 @@ impl Flor {
         // audit: allow(panic) — `logs` was created with this schema at
         // open and the row above is built to it field by field.
         self.db.insert("logs", row).expect("logs schema fixed");
-        if spilled {
+        if let Some(text) = spilled {
             self.put_blob(name, &text, tstamp, filename, ctx_id);
         }
     }
@@ -379,16 +379,16 @@ impl Flor {
         name: &str,
         contents: &str,
         tstamp: i64,
-        filename: &str,
+        filename: &Arc<str>,
         ctx_id: i64,
     ) {
         self.db
             .insert(
                 "obj_store",
                 vec![
-                    Value::from(self.projid.as_str()),
+                    Value::Str(Arc::clone(&self.projid)),
                     Value::Int(tstamp),
-                    Value::from(filename),
+                    Value::Str(Arc::clone(filename)),
                     Value::Int(ctx_id),
                     Value::from(name),
                     Value::from(contents),
@@ -407,7 +407,7 @@ impl Flor {
             let st = self.state.lock();
             (
                 st.tstamp,
-                st.filename.clone(),
+                Arc::clone(&st.filename),
                 st.ctx_stack.last().map(|(c, _)| *c).unwrap_or(0),
             )
         };
@@ -436,9 +436,9 @@ impl Flor {
         let ctx_id = self.mint_ctx();
         let parent = st.ctx_stack.last().map(|(c, _)| *c).unwrap_or(0);
         let row = vec![
-            Value::from(self.projid.as_str()),
+            Value::Str(Arc::clone(&self.projid)),
             Value::Int(st.tstamp),
-            Value::from(st.filename.as_str()),
+            Value::Str(Arc::clone(&st.filename)),
             Value::Int(ctx_id),
             Value::Int(parent),
             Value::from(loop_name),
@@ -501,7 +501,7 @@ impl Flor {
         }
         let (ts_start, tstamp, filename) = {
             let st = self.state.lock();
-            (st.ts_start, st.tstamp, st.filename.clone())
+            (st.ts_start, st.tstamp, Arc::clone(&st.filename))
         };
         let parent = self.repo.head();
         let vid = self
@@ -511,11 +511,11 @@ impl Flor {
         self.db.insert(
             "ts2vid",
             vec![
-                Value::from(self.projid.as_str()),
+                Value::Str(Arc::clone(&self.projid)),
                 Value::Int(ts_start),
                 Value::Int(tstamp),
                 Value::from(vid.0.as_str()),
-                Value::from(filename.as_str()),
+                Value::Str(filename),
             ],
         )?;
         // git table: one row per file at this vid (Fig. 1's

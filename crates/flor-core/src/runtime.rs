@@ -15,6 +15,7 @@ use flor_script::{
     parse, Directive, FlorRuntime, Interpreter, LoopFrame, RtError, RtResult, RtValue,
 };
 use flor_store::{Query, StoreResult};
+use std::sync::Arc;
 
 /// Convert an interpreter value to a storable dataframe value.
 pub fn rt_to_value(v: &RtValue) -> Value {
@@ -206,15 +207,16 @@ pub fn persist_record(
     tstamp: i64,
     record: &RunRecord,
 ) -> StoreResult<()> {
+    let filename = Arc::from(filename);
     for (iter, snap) in &record.checkpoints {
-        flor.put_blob(&format!("ckpt::{iter}"), snap, tstamp, filename, 0);
+        flor.put_blob(&format!("ckpt::{iter}"), snap, tstamp, &filename, 0);
     }
     if let Some((name, len)) = &record.ckpt_loop {
         flor.log_at(
             "ckpt_loop::meta",
             &Value::from(format!("{name}\n{len}")),
             tstamp,
-            filename,
+            &filename,
             0,
         );
     }
@@ -404,7 +406,7 @@ with flor.checkpointing(net) {
             .insert(
                 "loops",
                 vec![
-                    Value::from(flor.projid.as_str()),
+                    Value::from(&*flor.projid),
                     Value::Int(b.tstamp),
                     Value::from("eval.fl"),
                     Value::Int(1),

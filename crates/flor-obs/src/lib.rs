@@ -39,7 +39,7 @@
 //! |---|---|---|
 //! | `store.commit.nanos` | histogram | whole `Database::commit` latency |
 //! | `store.commit.rows` | counter | rows made visible by commits |
-//! | `store.wal.append_nanos` | histogram | per-record WAL append latency |
+//! | `store.wal.append_nanos` | histogram | one sample per staged record (its frame sealed into the transaction's buffer), plus the commit's (marker sealed, batch written) |
 //! | `store.wal.fsync_nanos` | histogram | commit-marker fsync latency |
 //! | `store.segment.rows_coalesced` | counter | rows re-copied by commit-time tail folding |
 //! | `store.checkpoint.nanos` | histogram | whole checkpoint duration |

@@ -16,10 +16,11 @@
 //!
 //! **One frame layout.** WAL records and wire messages travel as
 //! `[len u32][sum u64 of payload][payload]`, spelled once on each side:
-//! one private header writer behind [`write_frame`] (any sink, capped),
-//! [`framed`] (a frame built in place around a payload encoder, capped)
-//! and [`encode_record`] (a record's frame as bytes), and [`read_frame`],
-//! which nothing else duplicates. Each takes the payload checksum
+//! [`seal`], which appends a whole capped frame to a caller's buffer —
+//! behind [`framed`] (a frame of its own), [`write_frame`] (any sink) and
+//! [`encode_record`] (a record's frame as bytes), and used as is for the
+//! WAL's transaction buffer — and [`read_frame`], which nothing else
+//! duplicates. Each takes the payload checksum
 //! ([`Checksum`]) from the format that owns the frame: the WAL passes
 //! [`fnv1a`], which its files have always carried, and `flor-serve`'s
 //! protocol passes [`xxh64`], which its version number announces. The
@@ -285,18 +286,25 @@ const REC_COMMIT: u8 = 11;
 /// Append a record's frame payload to `buf`.
 pub(crate) fn put_payload(rec: &WalRecord, buf: &mut Vec<u8>) {
     match rec {
-        WalRecord::Insert { txn, table, row } => {
-            buf.push(REC_INSERT);
-            buf.put_u64(*txn);
-            buf.put_u16(table.len() as u16);
-            buf.extend_from_slice(table.as_bytes());
-            encode_row(row, buf);
-        }
-        WalRecord::Commit { txn } => {
-            buf.push(REC_COMMIT);
-            buf.put_u64(*txn);
-        }
+        WalRecord::Insert { txn, table, row } => put_insert(*txn, table, row, buf),
+        WalRecord::Commit { txn } => put_commit(*txn, buf),
     }
+}
+
+/// Append an insert's payload from borrowed parts: what a
+/// [`WalRecord::Insert`] of them would encode to.
+pub(crate) fn put_insert(txn: u64, table: &str, row: &[Value], buf: &mut Vec<u8>) {
+    buf.push(REC_INSERT);
+    buf.put_u64(txn);
+    buf.put_u16(table.len() as u16);
+    buf.extend_from_slice(table.as_bytes());
+    encode_row(row, buf);
+}
+
+/// Append a commit marker's payload.
+pub(crate) fn put_commit(txn: u64, buf: &mut Vec<u8>) {
+    buf.push(REC_COMMIT);
+    buf.put_u64(txn);
 }
 
 /// Decode a frame's already-checksummed payload into a [`WalRecord`].
@@ -314,9 +322,15 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, CodecError> {
 }
 
 /// Encode a record as a whole frame, built in place and summed with
-/// [`fnv1a`] — what [`crate::wal::Wal::append`] puts in the log for it.
+/// [`fnv1a`] — the bytes the WAL holds for it.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    seal(fnv1a, |buf| put_payload(rec, buf))
+    let mut frame = Vec::new();
+    // audit: allow(panic) — the only cap is the length field's own, and
+    // no caller builds a record over 4 GiB: the WAL seals its own frames
+    // under a 1 GiB cap.
+    seal(&mut frame, u32::MAX, fnv1a, |buf| put_payload(rec, buf))
+        .expect("a record's payload fits the frame's length field");
+    frame
 }
 
 /// A frame's payload checksum. The format that owns a frame picks it;
@@ -407,16 +421,30 @@ pub fn xxh64(data: &[u8]) -> u64 {
 /// payload.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// The one spelling of the frame layout on the writing side: `encode`
-/// appends the payload after a reserved header, which is then patched
-/// with the payload's length and `sum`. Uncapped; see [`framed`].
-fn seal(sum: Checksum, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut frame = vec![0; FRAME_HEADER_BYTES];
-    encode(&mut frame);
-    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+/// The one spelling of the frame layout on the writing side: append one
+/// whole frame to `buf`. `encode` appends the payload after
+/// [`FRAME_HEADER_BYTES`] reserved bytes, which are then patched with its
+/// length and `sum`, so the payload is never copied into a second buffer.
+/// A payload over `max_bytes` is refused as `InvalidInput` and `buf` is
+/// left as it was. Frames sealed one after another into one buffer can
+/// go out in one `write_all`.
+pub fn seal(
+    buf: &mut Vec<u8>,
+    max_bytes: u32,
+    sum: Checksum,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let start = buf.len();
+    buf.resize(start + FRAME_HEADER_BYTES, 0);
+    encode(buf);
+    let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER_BYTES);
+    if let Err(e) = check_cap(payload.len(), max_bytes) {
+        buf.truncate(start);
+        return Err(e);
+    }
     header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     header[4..].copy_from_slice(&sum(payload).to_be_bytes());
-    frame
+    Ok(())
 }
 
 /// `InvalidInput` for a payload of `len` bytes over `max_bytes`: a reader
@@ -446,19 +474,14 @@ pub fn write_frame(
     })?)
 }
 
-/// One whole frame, header and payload, built in place: `encode`
-/// appends the payload after [`FRAME_HEADER_BYTES`] reserved bytes,
-/// which are then patched with its length and `sum` — the payload is
-/// never copied into a second buffer, and the frame can go out in one
-/// `write_all`. A payload over `max_bytes` is refused as
-/// `InvalidInput`, as by [`write_frame`].
+/// One whole frame, header and payload: [`seal`] into an empty `Vec`.
 pub fn framed(
     max_bytes: u32,
     sum: Checksum,
     encode: impl FnOnce(&mut Vec<u8>),
 ) -> io::Result<Vec<u8>> {
-    let frame = seal(sum, encode);
-    check_cap(frame.len() - FRAME_HEADER_BYTES, max_bytes)?;
+    let mut frame = Vec::new();
+    seal(&mut frame, max_bytes, sum, encode)?;
     Ok(frame)
 }
 
@@ -728,6 +751,18 @@ mod tests {
         }
         let err = framed(8, xxh64, |buf| buf.extend_from_slice(&[7; 9])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn sealed_frames_follow_each_other_and_a_refused_one_leaves_no_trace() {
+        let (a, b) = (WalRecord::Commit { txn: 1 }, WalRecord::Commit { txn: 2 });
+        let mut buf = Vec::new();
+        seal(&mut buf, 9, fnv1a, |out| put_payload(&a, out)).unwrap();
+        seal(&mut buf, 9, fnv1a, |out| put_payload(&b, out)).unwrap();
+        let err = seal(&mut buf, 9, fnv1a, |out| out.extend_from_slice(&[0; 10])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(buf, [encode_record(&a), encode_record(&b)].concat());
+        assert_eq!(read_records(&buf), (vec![a, b], FrameEnd::Clean));
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! ([`crate::recovery`], which also covers durability and reopening).
 
 use crate::checkpoint;
-use crate::codec::WalRecord;
 use crate::compact::{self, CompactionPolicy, CompactionStats, CompactionTrigger};
 use crate::metrics::StoreMetrics;
 use crate::recovery::{follower_bootstrap, RecoveryInfo, Replay, Replayed, TailState};
@@ -119,7 +118,8 @@ pub(crate) struct DbInner {
     wal: Wal,
     pub(crate) next_txn: u64,
     open_txn: Option<u64>,
-    staged: Vec<(String, Vec<Value>)>,
+    /// The open transaction's rows, per table in first-insert order.
+    staged: Vec<(String, Vec<Vec<Value>>)>,
     /// Count of applied commits; the staleness watermark for
     /// materialized views.
     pub(crate) epoch: u64,
@@ -202,6 +202,9 @@ pub struct DbStats {
     pub segments: usize,
     /// Records appended to the WAL so far.
     pub wal_records: u64,
+    /// Write calls made on the WAL so far: one per commit, whatever its
+    /// rows (a transaction's frames go out with its marker).
+    pub wal_writes: u64,
     /// Rows staged in the open transaction.
     pub staged_rows: usize,
     /// Commits applied so far: the staleness watermark snapshots and
@@ -344,50 +347,47 @@ impl Database {
     }
 
     /// Stage a row into the open transaction (starting one if needed) and
-    /// append it to the WAL. Invisible to readers until [`Database::commit`].
+    /// seal its WAL frame into the transaction's buffer. No I/O: the frame
+    /// reaches the log with the commit marker. Invisible to readers until
+    /// [`Database::commit`]. A row too large for a WAL frame is refused
+    /// here, not at commit.
     pub fn insert(&self, table: &str, row: Vec<Value>) -> StoreResult<()> {
-        let mut g = self.inner.write();
+        let mut guard = self.inner.write();
+        let g = &mut *guard;
         if g.read_only {
             return Err(StoreError::ReadOnly);
         }
-        let schema = Arc::clone(
-            &g.tables
-                .get(table)
-                .ok_or_else(|| StoreError::NoSuchTable(table.to_string()))?
-                .schema,
-        );
-        schema.validate(&row).map_err(StoreError::Invalid)?;
-        let txn = match g.open_txn {
-            Some(t) => t,
-            None => {
-                let t = g.next_txn;
-                g.next_txn += 1;
-                g.open_txn = Some(t);
-                t
-            }
-        };
+        g.tables
+            .get(table)
+            .ok_or_else(|| StoreError::NoSuchTable(table.to_string()))?
+            .schema
+            .validate(&row)
+            .map_err(StoreError::Invalid)?;
+        let txn = *g.open_txn.get_or_insert_with(|| {
+            g.next_txn += 1;
+            g.next_txn - 1
+        });
         {
             let m = &self.metrics;
             let _append = Span::enter(&m.registry, &m.wal_append_nanos);
-            // audit: allow(hold-across-io) — WAL append under the commit
-            // lock is the durability contract: staged rows and their log
-            // records must advance in lockstep or recovery diverges.
-            g.wal.append(&WalRecord::Insert {
-                txn,
-                table: table.to_string(),
-                row: row.clone(),
-            })?;
+            g.wal.stage(txn, table, &row)?;
         }
-        g.staged.push((table.to_string(), row));
+        match g.staged.iter_mut().find(|(t, _)| *t == table) {
+            Some((_, rows)) => rows.push(row),
+            None => g.staged.push((table.to_string(), vec![row])),
+        }
         Ok(())
     }
 
-    /// Commit the open transaction: write the commit marker, fsync, seal
-    /// the staged rows into new table segments, and publish the new table
-    /// versions. Returns the number of rows made visible.
+    /// Commit the open transaction: write its frames and the commit
+    /// marker in one write, fsync, seal the staged rows into new table
+    /// segments, and publish the new table versions. Returns the number
+    /// of rows made visible.
     ///
     /// Publication is a pointer swap: snapshots pinned before the commit
-    /// keep reading the old segment lists untouched.
+    /// keep reading the old segment lists untouched. A failed write or
+    /// fsync is a rollback: the transaction's rows are dropped, the log
+    /// is cut back to the last commit's end, and the error returned.
     pub fn commit(&self) -> StoreResult<usize> {
         let mut g = self.inner.write();
         if g.read_only {
@@ -398,23 +398,32 @@ impl Database {
         };
         let m = Arc::clone(&self.metrics);
         let commit_span = Span::enter(&m.registry, &m.commit_nanos);
-        {
+        let end = g.wal.len_bytes();
+        let mut durable = {
             let _append = Span::enter(&m.registry, &m.wal_append_nanos);
-            // audit: allow(hold-across-io) — the commit marker must hit
-            // the log before the version pointer swap becomes visible;
-            // releasing the commit lock in between would let a second
-            // writer interleave its records into our transaction.
-            g.wal.append(&WalRecord::Commit { txn })?;
-        }
-        {
+            // audit: allow(hold-across-io) — the transaction's frames and
+            // its marker must hit the log before the version pointer swap
+            // becomes visible; releasing the commit lock in between would
+            // let a second writer interleave its records into ours.
+            g.wal.write_txn(txn)
+        };
+        if durable.is_ok() {
             let _fsync = Span::enter(&m.registry, &m.wal_fsync_nanos);
             // audit: allow(hold-across-io) — fsync-before-publish under
             // the commit lock is the group-commit durability point; see
             // ROADMAP "commit protocol". Readers never take this lock.
-            g.wal.sync()?;
+            durable = g.wal.sync();
+        }
+        if let Err(e) = durable {
+            g.staged.clear();
+            // audit: allow(hold-across-io) — cutting the failed batch off
+            // under the lock keeps the next commit's frames behind the
+            // last good one; a failed commit is off the hot path.
+            g.wal.abandon_txn(end);
+            return Err(e.into());
         }
         let staged = std::mem::take(&mut g.staged);
-        let n = staged.len();
+        let n = staged.iter().map(|(_, rows)| rows.len()).sum::<usize>();
         let (_, coalesced) = g.apply_committed(txn, staged);
         if m.registry.enabled() {
             m.commit_rows.add(n as u64);
@@ -637,13 +646,17 @@ impl Database {
         self.inner.read().epoch
     }
 
-    /// Discard the open transaction's staged rows. (The WAL keeps the
-    /// orphaned inserts, but without a commit marker recovery ignores
-    /// them — same effect as a crash.)
+    /// Discard the open transaction's staged rows and their buffered WAL
+    /// frames. Nothing is written: the log stays as the last commit left
+    /// it. Returns the rows discarded.
     pub fn rollback(&self) -> usize {
         let mut g = self.inner.write();
         g.open_txn = None;
-        std::mem::take(&mut g.staged).len()
+        g.wal.discard();
+        std::mem::take(&mut g.staged)
+            .iter()
+            .map(|(_, rows)| rows.len())
+            .sum()
     }
 
     /// Number of committed rows in a table.
@@ -710,12 +723,12 @@ impl Database {
         let rows = data.rows();
         let sidecar_bytes = checkpoint::write_sidecar(wal_path.as_deref(), &data)?;
         // Phase 3: truncate the WAL to the records the sidecar does not
-        // cover (later commits and any open transaction's staged
-        // inserts). For file logs the bulk of the tail is decoded,
-        // re-encoded and fsynced with NO lock held (`stage_tail`); the
-        // write lock covers only the records that committed meanwhile
-        // plus the rename — so the writer never stalls on tail-sized
-        // I/O.
+        // cover (later commits; an open transaction's frames are not on
+        // the log yet, and reach the new one at its commit). For file
+        // logs the bulk of the tail is decoded, re-encoded and fsynced
+        // with NO lock held (`stage_tail`); the write lock covers only
+        // the records that committed meanwhile plus the rename — so the
+        // writer never stalls on tail-sized I/O.
         let wal_bytes_after = if truncate {
             let stage = wal::stage_tail(wal_path.as_deref(), wal_bytes_before, max_txn)?;
             let mut g = self.inner.write();
@@ -786,24 +799,18 @@ impl DbInner {
 
     /// The one place a committed transaction becomes visible, for a
     /// local [`Database::commit`] and a follower's
-    /// [`Database::poll_tail`] alike: group `rows` per table (insertion
-    /// order kept), publish each table's successor version and bump the
-    /// epoch. Publication is a pointer swap: pinned snapshots keep their
-    /// segment lists, and the rows move into their segments uncopied.
-    /// Returns the rows applied (rows of tables this handle does not know
-    /// are skipped, like recovery) and the rows tail coalescing re-copied.
+    /// [`Database::poll_tail`] alike: publish each table's successor
+    /// version with its rows of `per_table` (insertion order kept) and
+    /// bump the epoch. Publication is a pointer swap: pinned snapshots
+    /// keep their segment lists, and the rows move into their segments
+    /// uncopied. Returns the rows applied (rows of tables this handle
+    /// does not know are skipped, like recovery) and the rows tail
+    /// coalescing re-copied.
     pub(crate) fn apply_committed(
         &mut self,
         txn: u64,
-        rows: Vec<(String, Vec<Value>)>,
+        per_table: Vec<(String, Vec<Vec<Value>>)>,
     ) -> (usize, u64) {
-        let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
-        for (tname, row) in rows {
-            match per_table.iter_mut().find(|(t, _)| *t == tname) {
-                Some((_, rows)) => rows.push(row),
-                None => per_table.push((tname, vec![row])),
-            }
-        }
         let tables = Arc::make_mut(&mut self.tables);
         let (mut applied, mut coalesced) = (0, 0);
         for (tname, rows) in per_table {
@@ -836,7 +843,8 @@ impl DbInner {
             segments: self.tables.values().map(|t| t.segments.len()).sum(),
             rows_per_table,
             wal_records: self.wal.records_written,
-            staged_rows: self.staged.len(),
+            wal_writes: self.wal.writes,
+            staged_rows: self.staged.iter().map(|(_, rows)| rows.len()).sum(),
             wal_epoch: self.epoch,
             wal_offset_bytes: self.wal.len_bytes(),
             checkpoints: self.checkpoints,
@@ -969,6 +977,111 @@ mod tests {
         assert_eq!(rows.get(1, "k"), Some(&Value::from("b")));
         let (rest, again) = db.pin().since("t", next).unwrap();
         assert_eq!((rest.n_rows(), again), (0, 2));
+    }
+
+    /// The committed keys of `t`, in commit order.
+    fn keys(db: &Database) -> Vec<String> {
+        let rows = db.scan("t").unwrap().to_rows();
+        rows.iter().map(|r| r[0].to_text()).collect()
+    }
+
+    fn put(db: &Database, k: &str) {
+        db.insert("t", vec![k.into(), 0.into()]).unwrap();
+    }
+
+    #[test]
+    fn a_transaction_open_at_drop_leaves_the_log_as_its_last_commit() {
+        let path = crate::testing::temp_wal("open-at-drop");
+        let db = Database::open(&path, tiny_schema()).unwrap();
+        put(&db, "a");
+        db.commit().unwrap();
+        let committed = std::fs::read(&path).unwrap();
+        put(&db, "b");
+        put(&db, "c");
+        drop(db);
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
+        assert_eq!(keys(&Database::open(&path, tiny_schema()).unwrap()), ["a"]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rollback_writes_nothing() {
+        let path = crate::testing::temp_wal("rollback-writes-nothing");
+        let db = Database::open(&path, tiny_schema()).unwrap();
+        put(&db, "a");
+        db.commit().unwrap();
+        let (committed, writes) = (std::fs::read(&path).unwrap(), db.stats().wal_writes);
+        put(&db, "b");
+        assert_eq!(db.rollback(), 1);
+        assert_eq!(db.commit().unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
+        assert_eq!(db.wal_bytes(), committed.len() as u64);
+        assert_eq!(db.stats().wal_writes, writes);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_cut_anywhere_in_the_last_commits_batch_recovers_the_earlier_commits() {
+        let path = crate::testing::temp_wal("cut-batch");
+        let db = Database::open(&path, tiny_schema()).unwrap();
+        put(&db, "a");
+        db.commit().unwrap();
+        let first = db.wal_bytes() as usize;
+        put(&db, "b");
+        put(&db, "c");
+        db.commit().unwrap();
+        drop(db);
+        let log = std::fs::read(&path).unwrap();
+        let cut_path = crate::testing::temp_wal("cut-batch-at");
+        for cut in first..log.len() {
+            std::fs::write(&cut_path, &log[..cut]).unwrap();
+            let db = Database::open(&cut_path, tiny_schema()).unwrap();
+            assert_eq!(keys(&db), ["a"], "cut at {cut}");
+            put(&db, "d");
+            db.commit().unwrap();
+            drop(db);
+            let db = Database::open(&cut_path, tiny_schema()).unwrap();
+            assert_eq!(keys(&db), ["a", "d"], "cut at {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&cut_path);
+    }
+
+    #[test]
+    fn a_commit_is_one_wal_write_whatever_its_rows() {
+        let path = crate::testing::temp_wal("one-write-per-commit");
+        let db = Database::open(&path, tiny_schema()).unwrap();
+        for rows in [1, 80, 800] {
+            let before = db.stats().wal_writes;
+            for i in 0..rows {
+                put(&db, &format!("k{i}"));
+            }
+            assert_eq!(db.stats().wal_writes, before, "staging writes nothing");
+            assert_eq!(db.commit().unwrap(), rows);
+            assert_eq!(db.stats().wal_writes, before + 1, "{rows} rows");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_commit_write_is_a_rollback() {
+        let path = crate::testing::temp_wal("failed-commit");
+        let db = Database::open(&path, tiny_schema()).unwrap();
+        put(&db, "lost");
+        let read_only = std::fs::File::open(&path).unwrap();
+        let writable = db.inner.write().wal.swap_handle(read_only).unwrap();
+        assert!(db.commit().is_err());
+        assert_eq!(db.stats().staged_rows, 0);
+        db.inner.write().wal.swap_handle(writable);
+        put(&db, "kept");
+        assert_eq!(db.commit().unwrap(), 1);
+        assert_eq!(keys(&db), ["kept"]);
+        drop(db);
+        assert_eq!(
+            keys(&Database::open(&path, tiny_schema()).unwrap()),
+            ["kept"]
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub(crate) struct StoreMetrics {
     pub commit_nanos: Arc<Histogram>,
     /// `store.commit.rows` — rows made visible by commits.
     pub commit_rows: Arc<Counter>,
-    /// `store.wal.append_nanos` — per-record WAL append latency.
+    /// `store.wal.append_nanos` — one sample per staged record (sealing
+    /// its frame into the transaction's buffer), plus one per commit for
+    /// sealing the marker and writing the batch.
     pub wal_append_nanos: Arc<Histogram>,
     /// `store.wal.fsync_nanos` — commit-marker fsync latency.
     pub wal_fsync_nanos: Arc<Histogram>,

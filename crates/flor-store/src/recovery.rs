@@ -4,10 +4,10 @@
 //!
 //! # Durability
 //!
-//! Writes go to the [`crate::wal`] (staged inserts immediately,
-//! visibility at the commit marker). Compaction itself writes nothing:
-//! replaying the full WAL reproduces the uncompacted state, and the next
-//! checkpoint captures the compacted one.
+//! Writes go to the [`crate::wal`] (a transaction's frames and its commit
+//! marker in one write at commit; visibility at the marker). Compaction
+//! itself writes nothing: replaying the full WAL reproduces the
+//! uncompacted state, and the next checkpoint captures the compacted one.
 //!
 //! # One replay
 //!
@@ -63,9 +63,11 @@ pub(crate) struct TailState {
     sidecar: Option<SidecarMark>,
     /// The fold over everything read so far. It skips what the bootstrap
     /// sidecar covers and holds the inserts whose commit marker has not
-    /// been seen yet: the writer appends staged rows immediately but they
-    /// become visible only at the marker — a follower poll may see the
-    /// insert frames polls before the commit frame.
+    /// been seen yet: the writer puts a transaction's frames on the log
+    /// in one write, marker last, but a poll may read the file while that
+    /// write is under way and see inserts a poll before their marker (a
+    /// log from an earlier build, which wrote a record at a time, holds
+    /// such frames too).
     fold: TxnFold,
 }
 
@@ -278,7 +280,7 @@ impl Database {
                     // checks missed. Rebuild rather than double-apply.
                     Folded::Stale => stale = true,
                     Folded::Committed { txn, rows } => {
-                        progress.rows_applied += g.apply_committed(txn, rows).0;
+                        progress.rows_applied += g.apply_committed(txn, by_table(rows)).0;
                         progress.committed_txns += 1;
                     }
                 }
@@ -371,6 +373,20 @@ impl Database {
             }
         }
     }
+}
+
+/// A committed transaction's `(table, row)`s grouped per table, tables in
+/// first-insert order and rows in insert order: the shape a local commit
+/// stages them in.
+fn by_table(rows: Vec<(String, Vec<Value>)>) -> Vec<(String, Vec<Vec<Value>>)> {
+    let mut per_table: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
+    for (tname, row) in rows {
+        match per_table.iter_mut().find(|(t, _)| *t == tname) {
+            Some((_, rows)) => rows.push(row),
+            None => per_table.push((tname, vec![row])),
+        }
+    }
+    per_table
 }
 
 #[cfg(test)]

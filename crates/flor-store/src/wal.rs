@@ -2,10 +2,15 @@
 //!
 //! `flor.commit()` is the paper's "application-level transaction commit
 //! marker supporting visibility control for long-running processes"
-//! (§2.1). The WAL gives that marker teeth: staged inserts reach the log
-//! immediately, but recovery only surfaces rows whose transaction has a
-//! commit marker — an uncommitted tail (crashed run) is invisible, exactly
-//! the visibility semantics the paper describes.
+//! (§2.1). The WAL gives that marker teeth: a transaction's inserts are
+//! sealed into frames as they are staged but kept in one buffer, and
+//! reach the log together with their commit marker, in one write before
+//! the commit's one fsync ([`Wal::write_txn`]) — the ARIES shape of
+//! buffering log records and forcing the log once per commit. A rollback
+//! or a crash with a transaction open writes nothing. Recovery still only
+//! surfaces rows whose transaction has a commit marker, so a torn batch,
+//! or an uncommitted tail an earlier build wrote a record at a time, is
+//! invisible, exactly the visibility semantics the paper describes.
 //!
 //! That rule is implemented once, as [`TxnFold`], and the log is read by
 //! one loop, [`read_frames`]; every consumer — the leader's open, the
@@ -67,9 +72,14 @@ fn open_append(path: &Path) -> std::io::Result<File> {
 /// the log. Real frames are far smaller (rows, plus occasional
 /// `obj_store` blobs), so a reader treats a length prefix beyond this as
 /// tail corruption rather than honouring it with a giant allocation —
-/// and [`Wal::append`] refuses to write one, or an acknowledged record
+/// and [`Wal::stage`] refuses to seal one, or an acknowledged record
 /// would read back as crash damage.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
+
+/// The capacity the transaction buffer keeps between commits: far above
+/// a training step's batch (about 13 KB for 100 rows), far below a
+/// transaction that carries a large blob.
+const TXN_BUFFER_KEEP_BYTES: usize = 1 << 20;
 
 /// Where the WAL lives: a real file, or in memory (for tests and
 /// benchmarks that should not touch disk).
@@ -90,12 +100,24 @@ pub enum WalBackend {
 #[derive(Debug)]
 pub struct Wal {
     backend: WalBackend,
-    /// Count of appended records (for stats).
+    /// The open transaction's frames, sealed and summed but not yet on
+    /// the log: [`Wal::write_txn`] writes them behind their commit marker,
+    /// [`Wal::discard`] drops them.
+    txn: Vec<u8>,
+    /// Records sealed into `txn`.
+    txn_records: u64,
+    /// A failed commit left bytes past `bytes_written` that could not be
+    /// cut off then; the next [`Wal::write_txn`] cuts them first.
+    torn: bool,
+    /// Count of records written to the log (for stats; a commit that
+    /// failed at its fsync stays counted).
     pub records_written: u64,
     /// Physical log offset: total bytes in the log, including any prefix
     /// recovered from disk. Views use this (with the epoch) for cheap
     /// staleness checks without re-reading the log.
     pub bytes_written: u64,
+    /// Write calls made on the log: one per commit.
+    pub writes: u64,
 }
 
 /// Errors surfaced by WAL recovery: I/O on the log file, or a frame that
@@ -130,22 +152,29 @@ impl Wal {
     pub fn open(path: &Path) -> std::io::Result<Wal> {
         let file = open_append(path)?;
         let existing = file.metadata()?.len();
-        Ok(Wal {
-            backend: WalBackend::File {
+        Ok(Wal::over(
+            WalBackend::File {
                 file,
                 path: path.to_path_buf(),
             },
-            records_written: 0,
-            bytes_written: existing,
-        })
+            existing,
+        ))
     }
 
     /// Purely in-memory WAL.
     pub fn in_memory() -> Wal {
+        Wal::over(WalBackend::Memory(Vec::new()), 0)
+    }
+
+    fn over(backend: WalBackend, bytes_written: u64) -> Wal {
         Wal {
-            backend: WalBackend::Memory(Vec::new()),
+            backend,
+            txn: Vec::new(),
+            txn_records: 0,
+            torn: false,
             records_written: 0,
-            bytes_written: 0,
+            bytes_written,
+            writes: 0,
         }
     }
 
@@ -157,20 +186,67 @@ impl Wal {
         }
     }
 
-    /// Append a record. File backend writes through to the OS immediately
-    /// (the file is opened in append mode); callers control transaction
-    /// visibility via commit markers, not buffering. A record whose
-    /// payload exceeds the frame cap recovery enforces is refused
-    /// (`InvalidInput`) and nothing is written.
-    pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        let frame = codec::framed(MAX_FRAME_BYTES, fnv1a, |buf| codec::put_payload(rec, buf))?;
-        match &mut self.backend {
-            WalBackend::File { file, .. } => file.write_all(&frame)?,
-            WalBackend::Memory(buf) => buf.extend_from_slice(&frame),
-        }
-        self.records_written += 1;
-        self.bytes_written += frame.len() as u64;
+    /// Seal an insert of `row` into `table` under `txn` into the open
+    /// transaction's buffer, framed and summed as it will sit on the log.
+    /// No I/O: the frame reaches the log with its commit marker
+    /// ([`Wal::write_txn`]). A row whose payload exceeds the frame cap
+    /// recovery enforces is refused (`InvalidInput`) and nothing is
+    /// staged.
+    pub fn stage(&mut self, txn: u64, table: &str, row: &[Value]) -> std::io::Result<()> {
+        codec::seal(&mut self.txn, MAX_FRAME_BYTES, fnv1a, |buf| {
+            codec::put_insert(txn, table, row, buf)
+        })?;
+        self.txn_records += 1;
         Ok(())
+    }
+
+    /// Write the open transaction: seal its commit marker behind the
+    /// staged frames and put them all on the log in one `write_all` (the
+    /// file is opened in append mode; an in-memory log extends its buffer
+    /// once). They are durable after the next [`Wal::sync`]. On failure
+    /// the caller must [`Wal::abandon_txn`].
+    pub fn write_txn(&mut self, txn: u64) -> std::io::Result<()> {
+        codec::seal(&mut self.txn, MAX_FRAME_BYTES, fnv1a, |buf| {
+            codec::put_commit(txn, buf)
+        })?;
+        match &mut self.backend {
+            WalBackend::File { file, .. } => {
+                if self.torn {
+                    file.set_len(self.bytes_written)?;
+                    self.torn = false;
+                }
+                file.write_all(&self.txn)?;
+            }
+            WalBackend::Memory(log) => log.extend_from_slice(&self.txn),
+        }
+        self.writes += 1;
+        self.records_written += self.txn_records + 1;
+        self.bytes_written += self.txn.len() as u64;
+        self.discard();
+        Ok(())
+    }
+
+    /// Drop the open transaction's frames unwritten (a rollback). The
+    /// buffer keeps its capacity for the next transaction, up to 1 MiB:
+    /// one large commit does not pin its size.
+    pub fn discard(&mut self) {
+        self.txn.clear();
+        self.txn.shrink_to(TXN_BUFFER_KEEP_BYTES);
+        self.txn_records = 0;
+    }
+
+    /// Undo a commit whose write or fsync failed: drop its frames and cut
+    /// the log back to `end`, its [`Wal::len_bytes`] before
+    /// [`Wal::write_txn`], so the next commit's frames follow the last
+    /// good commit's. Best effort: if the cut fails too, the next
+    /// `write_txn` makes it before writing.
+    pub fn abandon_txn(&mut self, end: u64) {
+        self.discard();
+        self.bytes_written = end;
+        match &mut self.backend {
+            WalBackend::File { file, .. } => self.torn = file.set_len(end).is_err(),
+            WalBackend::Memory(log) => log.truncate(end as usize),
+        }
     }
 
     /// Force file contents to stable storage (no-op for memory).
@@ -226,11 +302,16 @@ impl Wal {
             (WalBackend::File { file, path }, Some((tmp, mut out))) => {
                 let mut reader = File::open(&*path)?;
                 reader.seek(SeekFrom::Start(from))?;
-                let (delta, n) = kept_frames(BufReader::new(reader), keep_txn_above)?;
+                // Up to the bookkept end only: bytes a failed commit left
+                // past it ([`Wal::abandon_txn`]) are not carried over.
+                let delta_bytes = self.bytes_written.saturating_sub(from);
+                let (delta, n) =
+                    kept_frames(BufReader::new(reader.take(delta_bytes)), keep_txn_above)?;
                 out.write_all(&delta)?;
                 replace_file(&out, &tmp, path)?;
                 // The old handle points at the unlinked inode; reopen.
                 *file = open_append(path)?;
+                self.torn = false;
                 self.records_written = stage.records + n;
                 self.bytes_written = file.metadata()?.len();
             }
@@ -317,8 +398,8 @@ impl StreamEnd {
 /// The one log reader: stream every whole frame of `r`
 /// ([`codec::read_frame`]) through `each`, in log order, and report the
 /// bytes those frames occupy and how the stream ended. A length over the
-/// cap is what a torn header looks like — nothing [`Wal::append`]
-/// acknowledged has one. It interprets nothing else — commit markers are
+/// cap is what a torn header looks like — nothing [`Wal::stage`]
+/// accepted has one. It interprets nothing else — commit markers are
 /// [`TxnFold`]'s job, and what a torn or corrupt end *means* is the
 /// caller's policy ([`Wal::recover`], [`stage_tail`], [`tail_from`]).
 pub fn read_frames(
@@ -344,9 +425,10 @@ pub fn read_frames(
 }
 
 /// The records of `read` with `txn > keep_txn_above`, up to a torn tail,
-/// re-framed — what the checkpoint truncation carries into the fresh log
-/// (the post-checkpoint tail and any open transaction's staged inserts) —
-/// and how many there are.
+/// re-framed — what the checkpoint truncation carries into the fresh log:
+/// the transactions committed past the checkpoint, plus any uncommitted
+/// frames an earlier build left there (an open transaction's frames are
+/// not on the log) — and how many there are.
 fn kept_frames(read: impl Read, keep_txn_above: u64) -> Result<(Vec<u8>, u64), WalError> {
     let (mut frames, mut records) = (Vec::new(), 0);
     let (_, end) = read_frames(read, |rec| {
@@ -519,6 +601,31 @@ pub fn tail_from(path: &Path, offset: u64) -> Result<TailChunk, WalError> {
 mod tests {
     use super::*;
 
+    impl Wal {
+        /// One record's frame written straight to the log, committed or
+        /// not: the shape of log an earlier build wrote a record at a
+        /// time, which every reader below must still take.
+        fn append(&mut self, rec: &WalRecord) -> std::io::Result<()> {
+            let frame = encode_record(rec);
+            match &mut self.backend {
+                WalBackend::File { file, .. } => file.write_all(&frame)?,
+                WalBackend::Memory(log) => log.extend_from_slice(&frame),
+            }
+            self.records_written += 1;
+            self.bytes_written += frame.len() as u64;
+            Ok(())
+        }
+
+        /// Put `handle` in place of the log file's handle, returning the
+        /// old one: how a test makes a commit's write fail.
+        pub(crate) fn swap_handle(&mut self, handle: File) -> Option<File> {
+            match &mut self.backend {
+                WalBackend::File { file, .. } => Some(std::mem::replace(file, handle)),
+                WalBackend::Memory(_) => None,
+            }
+        }
+    }
+
     fn ins(txn: u64, table: &str, v: i64) -> WalRecord {
         WalRecord::Insert {
             txn,
@@ -576,6 +683,37 @@ mod tests {
         let upto = wal.len_bytes();
         let stage = stage_tail(wal.path(), upto, keep).unwrap();
         wal.finish_rewrite(stage, upto, keep).unwrap();
+    }
+
+    #[test]
+    fn a_transactions_frames_go_out_with_its_marker_in_one_write() {
+        let mut wal = Wal::in_memory();
+        wal.stage(1, "logs", &[Value::Int(10)]).unwrap();
+        wal.stage(1, "logs", &[Value::Int(11)]).unwrap();
+        assert_eq!(
+            (wal.len_bytes(), wal.writes),
+            (0, 0),
+            "staging writes nothing"
+        );
+        wal.write_txn(1).unwrap();
+        let batch = frames(&[
+            ins(1, "logs", 10),
+            ins(1, "logs", 11),
+            WalRecord::Commit { txn: 1 },
+        ]);
+        assert_eq!(wal.len_bytes(), batch.len() as u64);
+        assert_eq!((wal.writes, wal.records_written), (1, 3));
+        // A discarded transaction leaves nothing behind.
+        wal.stage(2, "logs", &[Value::Int(12)]).unwrap();
+        wal.discard();
+        wal.write_txn(3).unwrap();
+        let (committed, records, _) = replay(&mut wal, 0);
+        assert_eq!(records, 4, "three frames, then txn 3's lone marker");
+        assert_eq!(committed.len(), 2);
+        let WalBackend::Memory(log) = &wal.backend else {
+            unreachable!("an in-memory log")
+        };
+        assert_eq!(log[..batch.len()], batch[..]);
     }
 
     #[test]
@@ -738,6 +876,41 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         assert!(wal.recover(|_| {}).is_err());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bytes_a_failed_commit_could_not_cut_never_reach_a_later_log() {
+        let path = temp_log("torn");
+        let mut wal = Wal::open(&path).unwrap();
+        let commit = |wal: &mut Wal, txn: u64| {
+            wal.stage(txn, "logs", &[Value::Int(txn as i64)]).unwrap();
+            wal.write_txn(txn).unwrap();
+        };
+        // A commit whose batch reached the file whole but whose fsync
+        // failed, when cutting it off failed too (a read-only handle).
+        let fail_uncut = |wal: &mut Wal, txn: u64| {
+            let end = wal.len_bytes();
+            commit(wal, txn);
+            let writable = wal.swap_handle(File::open(&path).unwrap()).unwrap();
+            wal.abandon_txn(end);
+            wal.swap_handle(writable);
+            assert!(std::fs::metadata(&path).unwrap().len() > end);
+        };
+        let visible = |wal: &mut Wal| -> Vec<Value> {
+            let rows = replay(wal, 0).0;
+            rows.into_iter().map(|(_, row)| row[0].clone()).collect()
+        };
+        commit(&mut wal, 1);
+        fail_uncut(&mut wal, 2);
+        truncate(&mut wal, 0);
+        assert_eq!(visible(&mut Wal::open(&path).unwrap()), [Value::Int(1)]);
+        fail_uncut(&mut wal, 3);
+        commit(&mut wal, 4);
+        assert_eq!(
+            visible(&mut Wal::open(&path).unwrap()),
+            [Value::Int(1), Value::Int(4)]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
